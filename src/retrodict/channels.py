@@ -101,13 +101,6 @@ def kraus_gram(qmap: QuantumMap) -> np.ndarray:
     return sum(dagger(k) @ k for k in qmap.kraus)
 
 
-def validate_quantum_map(qmap: QuantumMap, atol: float = ATOL_STRUCTURAL) -> None:
-    """Reject maps that are not trace non-increasing."""
-    excess = np.linalg.eigvalsh(kraus_gram(qmap)).max() - 1.0
-    if excess > atol:
-        raise ValueError(f"map increases trace: max eigenvalue of sum K'K exceeds 1 by {excess:.3e}")
-
-
 def apply(qmap: QuantumMap, rho: np.ndarray) -> np.ndarray:
     """Kraus action sum_k K rho K'."""
     rho = np.asarray(rho, dtype=complex)

@@ -1,11 +1,23 @@
 """Prediction and postdiction tasks, time reversal, and identity checks.
 
+Every basis table is a contraction of one non-negative transition array
+T[x..., a...] = sum_k |K_k[x, a]|^2, reshaped to dims_out + dims_in: a
+unitary is the case of one operator, an instrument has one array per
+outcome, and a preparation set {psi_i} gives T[x, i] = |<x|U|psi_i>|^2.
+
 Prediction conditions on preparation outcomes and guesses test outcomes;
 postdiction conditions on test outcomes and guesses preparation outcomes
-under a flat prior over the alternatives.  On multi-factor spaces the roles
-of the identity operator follow the direction of inference: ignored factors
-on the guessing side are discarded with an unnormalized identity, ignored
-factors on the data side carry the flat weight I/d.
+under a flat prior over the alternatives.  On the data side a given factor
+is fixed at its outcome and an ignored factor is averaged (the flat weight
+I/d); on the guessing side the factors outside the mask are summed out (an
+unnormalized identity).  Postdiction then normalizes, and the inverse of
+the normalizer is the channel's Bayes factor.
+
+The identity checks compare these tables with an operator-level reference,
+the Heisenberg pull-back sum_k K' E K of the data-side effect followed by a
+partial trace, never with the kernel itself: T(U') = T(U)^T holds by
+construction, so a check of the kernel against its own transpose would pass
+whatever the kernel computed.
 """
 
 from __future__ import annotations
@@ -39,6 +51,137 @@ Mask = Sequence[bool]
 
 
 # ---------------------------------------------------------------------------
+# The transition-array kernel and its operator-level reference
+# ---------------------------------------------------------------------------
+
+
+def _transitions(
+    transformation: np.ndarray | QuantumMap | Instrument,
+    states: Sequence[np.ndarray] | None = None,
+) -> dict[str, np.ndarray]:
+    """Transition arrays T[x, a] = sum_k |K_k[x, a]|^2 of shape (D_out, D_in).
+
+    An instrument gives one array per outcome label; a channel, or a matrix
+    whose columns are the images of the alternatives (a unitary), gives one
+    array under the label "".  With preparation ``states`` the columns are
+    the images U|psi_i>.
+    """
+    if isinstance(transformation, Instrument):
+        kraus_lists = {label: qmap.kraus for label, qmap in transformation.outcomes}
+    elif isinstance(transformation, QuantumMap):
+        kraus_lists = {"": transformation.kraus}
+    else:
+        u = np.asarray(transformation, dtype=complex)
+        kraus_lists = {"": (u if states is None else u @ np.stack(states, axis=1),)}
+    return {
+        label: sum(k.real**2 + k.imag**2 for k in kraus) for label, kraus in kraus_lists.items()
+    }
+
+
+def _contract(
+    t: np.ndarray,
+    dims_out: Sequence[int],
+    dims_in: Sequence[int],
+    direction: str,
+    given: Given,
+    mask: Mask,
+) -> np.ndarray:
+    """The guessed cells of one table, flattened in label order.
+
+    Prediction reads the input side as data, postdiction the output side.
+    Each data factor is fixed at its given outcome or, when ignored,
+    averaged; the guess-side factors outside ``mask`` are summed out.
+    """
+    n_out = len(dims_out)
+    t = t.reshape(tuple(dims_out) + tuple(dims_in))
+    data_dims = dims_out
+    if direction == "predict":
+        t = t.transpose(list(range(n_out, t.ndim)) + list(range(n_out)))
+        data_dims = dims_in
+    for d, g in zip(data_dims, given):
+        if g is None:
+            t = t.mean(axis=0)
+        elif 0 <= g < d:
+            t = t[g]
+        else:
+            raise ValueError(f"outcome {g} out of range for factor dimension {d}")
+    return t.sum(axis=tuple(k for k, m in enumerate(mask) if not m)).reshape(-1)
+
+
+def _postdiction(
+    labels: Sequence[str], numerators: np.ndarray, given: str, with_factor: bool = False
+) -> ProbabilityTable:
+    """Flat-prior Bayes normalization; the factor 1 / evidence rides along on request."""
+    evidence = float(numerators.sum())
+    if evidence < 1e-12:
+        raise UndefinedConditionalError(
+            f"test outcome {given} has zero probability under the flat prior"
+        )
+    return ProbabilityTable.from_values(
+        labels,
+        numerators / evidence,
+        given=given,
+        direction="postdict",
+        factor=1.0 / evidence if with_factor else None,
+    )
+
+
+def _solve_table(
+    t: np.ndarray,
+    dims_out: Sequence[int],
+    dims_in: Sequence[int],
+    direction: str,
+    given: Given,
+    mask: Mask,
+    with_factor: bool = False,
+) -> ProbabilityTable:
+    """One solved table: the kernel's contraction, labelled, normalized when postdicting."""
+    values = _contract(t, dims_out, dims_in, direction, given, mask)
+    labels = _guessed_labels(dims_out if direction == "predict" else dims_in, mask)
+    if direction == "predict":
+        return ProbabilityTable.from_values(labels, values, given=_given_label(given), direction="predict")
+    return _postdiction(labels, values, _given_label(given), with_factor)
+
+
+def _pull_back_reference(
+    kraus: Sequence[np.ndarray],
+    dims_data: Sequence[int],
+    given: Given,
+    dims_guess: Sequence[int],
+    mask: Mask,
+) -> np.ndarray:
+    """Operator-level reference the identity checks hold the kernel to.
+
+    Each K_k maps the guessed space into the data space (U for postdiction
+    through U, U' for prediction).  The effect E carries outcome projectors
+    on given data factors and I/d on ignored ones; sum_k K_k' E K_k is
+    reduced to the guessed factors by a partial trace.  Returns the
+    unnormalized guessed cells in label order.
+    """
+    effect = linalg.tensor(
+        *(
+            linalg.maximally_mixed(d) if g is None else linalg.basis_projector(d, g)
+            for d, g in zip(dims_data, given)
+        )
+    )
+    pulled_back = sum(dagger(k) @ effect @ k for k in kraus)
+    keep = [k for k, m in enumerate(mask) if m]
+    return np.diagonal(linalg.partial_trace(pulled_back, dims_guess, keep)).real
+
+
+def _guessed_labels(dims: Sequence[int], mask: Mask) -> list[str]:
+    keep = [k for k, m in enumerate(mask) if m]
+    if not keep:
+        raise ValueError("at least one factor must be guessed")
+    ranges = [range(dims[k]) for k in keep]
+    return [join_labels(*(str(i) for i in combo)) for combo in itertools.product(*ranges)]
+
+
+def _given_label(given: Given) -> str:
+    return join_labels(*(str(g) for g in given if g is not None))
+
+
+# ---------------------------------------------------------------------------
 # Closed systems
 # ---------------------------------------------------------------------------
 
@@ -58,9 +201,7 @@ def predict_closed(u: np.ndarray, a: int, d: int | None = None) -> ProbabilityTa
     dim = u.shape[0]
     if not 0 <= a < dim:
         raise ValueError(f"preparation outcome {a} out of range for dimension {dim}")
-    probs = np.abs(u[:, a]) ** 2
-    labels = [str(x) for x in range(dim)]
-    return ProbabilityTable.from_values(labels, probs, given=str(a), direction="predict")
+    return _solve_table(_transitions(u)[""], (dim,), (dim,), "predict", (a,), (True,))
 
 
 def postdict_closed(u: np.ndarray, x: int, d: int | None = None) -> ProbabilityTable:
@@ -69,9 +210,7 @@ def postdict_closed(u: np.ndarray, x: int, d: int | None = None) -> ProbabilityT
     dim = u.shape[0]
     if not 0 <= x < dim:
         raise ValueError(f"test outcome {x} out of range for dimension {dim}")
-    probs = np.abs(u[x, :]) ** 2
-    labels = [str(a) for a in range(dim)]
-    return ProbabilityTable.from_values(labels, probs, given=str(x), direction="postdict")
+    return _solve_table(_transitions(u)[""], (dim,), (dim,), "postdict", (x,), (True,))
 
 
 # ---------------------------------------------------------------------------
@@ -96,36 +235,6 @@ def _validate_open_args(u, dims_in, dims_out, given, mask):
     return u, dims_in, dims_out, given, mask
 
 
-def _data_side_operator(dims: Sequence[int], given: Given, normalized: bool) -> np.ndarray:
-    """Tensor of outcome projectors on known factors and identities on ignored ones.
-
-    Ignored factors carry I/d when ``normalized`` (data-side flat weight) and a
-    bare identity otherwise (guess-side marginalization).
-    """
-    parts = []
-    for d, g in zip(dims, given):
-        if g is None:
-            parts.append(linalg.maximally_mixed(d) if normalized else linalg.identity(d))
-        else:
-            if not 0 <= g < d:
-                raise ValueError(f"outcome {g} out of range for factor dimension {d}")
-            parts.append(linalg.basis_projector(d, g))
-    return linalg.tensor(*parts)
-
-
-def _guessed_labels(dims: Sequence[int], mask: Mask) -> tuple[list[str], list[int]]:
-    keep = [k for k, m in enumerate(mask) if m]
-    if not keep:
-        raise ValueError("at least one factor must be guessed")
-    ranges = [range(dims[k]) for k in keep]
-    labels = [join_labels(*(str(i) for i in combo)) for combo in itertools.product(*ranges)]
-    return labels, keep
-
-
-def _given_label(given: Given) -> str:
-    return join_labels(*(str(g) for g in given if g is not None))
-
-
 def predict_open(
     u: np.ndarray,
     dims_in: Sequence[int],
@@ -140,12 +249,7 @@ def predict_open(
     )
     if len(known_input) != len(dims_in) or len(mask) != len(dims_out):
         raise ValueError("per-factor arguments must match the dimension partitions")
-    rho = _data_side_operator(dims_in, known_input, normalized=True)
-    sigma = u @ rho @ dagger(u)
-    labels, keep = _guessed_labels(dims_out, mask)
-    reduced = linalg.partial_trace(sigma, dims_out, keep)
-    probs = np.diagonal(reduced).real
-    return ProbabilityTable.from_values(labels, probs, given=_given_label(known_input), direction="predict")
+    return _solve_table(_transitions(u)[""], dims_out, dims_in, "predict", known_input, mask)
 
 
 def postdict_open(
@@ -162,12 +266,7 @@ def postdict_open(
     )
     if len(known_output) != len(dims_out) or len(mask) != len(dims_in):
         raise ValueError("per-factor arguments must match the dimension partitions")
-    effect = _data_side_operator(dims_out, known_output, normalized=True)
-    pulled_back = dagger(u) @ effect @ u
-    labels, keep = _guessed_labels(dims_in, mask)
-    reduced = linalg.partial_trace(pulled_back, dims_in, keep)
-    probs = np.diagonal(reduced).real
-    return ProbabilityTable.from_values(labels, probs, given=_given_label(known_output), direction="postdict")
+    return _solve_table(_transitions(u)[""], dims_out, dims_in, "postdict", known_output, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -180,10 +279,8 @@ def predict_channel(channel: QuantumMap, a: int) -> ProbabilityTable:
     check_cptp(channel)
     if not 0 <= a < channel.dim_in:
         raise ValueError(f"preparation outcome {a} out of range for dimension {channel.dim_in}")
-    image = apply(channel, linalg.basis_projector(channel.dim_in, a))
-    probs = np.diagonal(image).real
-    labels = [str(x) for x in range(channel.dim_out)]
-    return ProbabilityTable.from_values(labels, probs, given=str(a), direction="predict")
+    dims = ((channel.dim_out,), (channel.dim_in,))
+    return _solve_table(_transitions(channel)[""], *dims, "predict", (a,), (True,))
 
 
 def postdict_channel(channel: QuantumMap, x: int) -> ProbabilityTable:
@@ -195,18 +292,8 @@ def postdict_channel(channel: QuantumMap, x: int) -> ProbabilityTable:
     check_cptp(channel)
     if not 0 <= x < channel.dim_out:
         raise ValueError(f"test outcome {x} out of range for dimension {channel.dim_out}")
-    # Heisenberg picture: tr(|x><x| channel[|a><a|]) = <a| adjoint[|x><x|] |a>.
-    pulled_back = apply(adjoint_map(channel), linalg.basis_projector(channel.dim_out, x))
-    numerators = np.diagonal(pulled_back).real
-    evidence = float(numerators.sum())
-    if evidence < 1e-12:
-        raise UndefinedConditionalError(
-            f"test outcome {x} has zero probability under the flat prior"
-        )
-    labels = [str(a) for a in range(channel.dim_in)]
-    return ProbabilityTable.from_values(
-        labels, numerators / evidence, given=str(x), direction="postdict", factor=1.0 / evidence
-    )
+    dims = ((channel.dim_out,), (channel.dim_in,))
+    return _solve_table(_transitions(channel)[""], *dims, "postdict", (x,), (True,), with_factor=True)
 
 
 def postdict_channel_via_purification(
@@ -214,8 +301,9 @@ def postdict_channel_via_purification(
 ) -> ProbabilityTable:
     """Postdiction computed on a purification instead of the channel itself.
 
-    Solves the purified open-system postdiction task and conditions on the
-    ancilla preparation outcome: P(a | x) = P(a, b | x, U) / P(b | x, U).
+    Runs the dilation on its ancilla state, |a>|ancilla> -> U|a>|ancilla>,
+    and postdicts a from x with the output ancilla ignored: the purified
+    open-system task P(a, b | x, U) conditioned on the ancilla preparation.
     Any purification of the channel gives the same table.
     """
     check_cptp(channel)
@@ -226,31 +314,11 @@ def postdict_channel_via_purification(
     d_a, d_b = purification.dims_in
     if d_a != channel.dim_in:
         raise ValueError("purification input dimension does not match the channel")
-    # Re-express the task in an ancilla basis whose first element is the
-    # ancilla state, so conditioning on it is conditioning on basis slot 0.
-    ancilla = purification.ancilla_state
-    if np.allclose(ancilla, linalg.basis_ket(d_b, 0), atol=1e-14):
-        u_eff = purification.unitary
-    else:
-        basis_change = linalg.complete_to_unitary(ancilla[:, None], [0])
-        u_eff = purification.unitary @ np.kron(np.eye(d_a, dtype=complex), basis_change)
-    joint = postdict_open(
-        u_eff,
-        purification.dims_in,
-        purification.dims_out,
-        known_output=(x, None),
-        guess_input_mask=(True, True),
+    columns = purification.unitary.reshape(-1, d_a, d_b) @ purification.ancilla_state
+    numerators = _contract(
+        _transitions(columns)[""], purification.dims_out, (d_a,), "postdict", (x, None), (True,)
     )
-    numerators = np.array([joint[join_labels(str(a), "0")] for a in range(d_a)])
-    evidence = float(numerators.sum())
-    if evidence < 1e-12:
-        raise UndefinedConditionalError(
-            f"test outcome {x} has zero probability under the flat prior"
-        )
-    labels = [str(a) for a in range(d_a)]
-    return ProbabilityTable.from_values(
-        labels, numerators / evidence, given=str(x), direction="postdict"
-    )
+    return _postdiction([str(a) for a in range(d_a)], numerators, str(x))
 
 
 # ---------------------------------------------------------------------------
@@ -278,12 +346,9 @@ def predict_general_prep(states: Sequence[np.ndarray], u: np.ndarray) -> list[Pr
     """One prediction row per preparation state: P(x | psi_i) = |<x|U|psi_i>|^2."""
     u = _check_unitary_arg(u)
     states = _check_preparation_states(states, u.shape[0])
-    labels = [str(x) for x in range(u.shape[0])]
-    rows = []
-    for i, psi in enumerate(states):
-        probs = np.abs(u @ psi) ** 2
-        rows.append(ProbabilityTable.from_values(labels, probs, given=str(i), direction="predict"))
-    return rows
+    t = _transitions(u, states)[""]
+    dims = ((u.shape[0],), (len(states),))
+    return [_solve_table(t, *dims, "predict", (i,), (True,)) for i in range(len(states))]
 
 
 def postdict_general_prep(states: Sequence[np.ndarray], u: np.ndarray, x: int) -> ProbabilityTable:
@@ -292,16 +357,8 @@ def postdict_general_prep(states: Sequence[np.ndarray], u: np.ndarray, x: int) -
     states = _check_preparation_states(states, u.shape[0])
     if not 0 <= x < u.shape[0]:
         raise ValueError(f"test outcome {x} out of range for dimension {u.shape[0]}")
-    numerators = np.array([abs(u[x, :] @ psi) ** 2 for psi in states])
-    evidence = float(numerators.sum())
-    if evidence < 1e-12:
-        raise UndefinedConditionalError(
-            f"test outcome {x} has zero probability under the flat prior"
-        )
-    labels = [str(i) for i in range(len(states))]
-    return ProbabilityTable.from_values(
-        labels, numerators / evidence, given=str(x), direction="postdict"
-    )
+    t = _transitions(u, states)[""]
+    return _solve_table(t, (u.shape[0],), (len(states),), "postdict", (x,), (True,))
 
 
 def preparation_unitary(states: Sequence[np.ndarray]) -> np.ndarray:
@@ -345,14 +402,7 @@ def general_prep_purified_check(
         u_prime, (d, n), (d, n), known_output=(x, None), guess_input_mask=(True, True)
     )
     numerators = np.array([joint[join_labels("0", str(i))] for i in range(n)])
-    evidence = float(numerators.sum())
-    if evidence < 1e-12:
-        raise UndefinedConditionalError(
-            f"test outcome {x} has zero probability under the flat prior"
-        )
-    purified = ProbabilityTable.from_values(
-        [str(i) for i in range(n)], numerators / evidence, given=str(x), direction="postdict"
-    )
+    purified = _postdiction([str(i) for i in range(n)], numerators, str(x))
     return GeneralPrepCheck(direct, purified, direct.max_difference(purified))
 
 
@@ -485,35 +535,24 @@ def solve(task: InferenceTask) -> ProbabilityTable:
         return postdict_channel(channel, task.given_output[0])
 
     inst = task.transformation
+    dims = ((inst.dim_out,), (inst.dim_in,))
+    multi = len(inst.outcomes) > 1
     if task.direction == "predict":
         a = task.given_input[0]
         if a is None:
             raise ValueError("instrument prediction requires the preparation outcome")
-        rho = linalg.basis_projector(inst.dim_in, a)
-        entries = {}
-        for label, qmap in inst.outcomes:
-            probs = np.diagonal(apply(qmap, rho)).real
-            for x in range(inst.dim_out):
-                key = join_labels(label, str(x)) if len(inst.outcomes) > 1 else str(x)
-                entries[key] = float(probs[x])
-        return ProbabilityTable(entries, given=str(a), direction="predict")
+        labels, values = [], []
+        for label, t in _transitions(inst).items():
+            labels += [join_labels(label, str(x)) if multi else str(x) for x in range(inst.dim_out)]
+            values.append(_contract(t, *dims, "predict", (a,), (True,)))
+        return ProbabilityTable.from_values(labels, np.concatenate(values), given=str(a), direction="predict")
     x = task.given_output[0]
-    if len(inst.outcomes) > 1 and task.given_outcome is None:
+    if multi and task.given_outcome is None:
         raise ValueError("postdiction through an instrument requires the observed outcome label")
     label = task.given_outcome if task.given_outcome is not None else inst.outcomes[0][0]
-    qmap = inst.map_for(label)
-    pulled_back = apply(adjoint_map(qmap), linalg.basis_projector(inst.dim_out, x))
-    numerators = np.diagonal(pulled_back).real
-    evidence = float(numerators.sum())
-    if evidence < 1e-12:
-        raise UndefinedConditionalError("observed outcome has zero probability under the flat prior")
-    given = join_labels(label, str(x)) if len(inst.outcomes) > 1 else str(x)
-    return ProbabilityTable.from_values(
-        [str(a) for a in range(inst.dim_in)],
-        numerators / evidence,
-        given=given,
-        direction="postdict",
-    )
+    numerators = _contract(_transitions(inst.map_for(label))[""], *dims, "postdict", (x,), (True,))
+    given = join_labels(label, str(x)) if multi else str(x)
+    return _postdiction([str(a) for a in range(inst.dim_in)], numerators, given)
 
 
 def time_reverse(task: InferenceTask) -> InferenceTask:
@@ -584,39 +623,36 @@ class FourTaskReport:
         object.__setattr__(self, "max_defect", defect)
 
 
+def _born_reference(kraus: Sequence[np.ndarray], a: int, x: int) -> float:
+    """The operator-level Born value tr |x><x| K|a><a|K', read off the pull-back of |x><x|."""
+    dim_out, dim_in = kraus[0].shape
+    if not 0 <= a < dim_in:
+        raise ValueError(f"preparation outcome {a} out of range for dimension {dim_in}")
+    return float(_pull_back_reference(kraus, (dim_out,), (x,), (dim_in,), (True,))[a])
+
+
 def four_task_check(transformation: np.ndarray | QuantumMap, a: int, x: int) -> FourTaskReport:
     """Evaluate prediction and postdiction for a transformation and its adjoint.
 
-    For a unitary U the reference is |<x|U|a>|^2; for a unital channel it is
-    tr |x><x| channel[|a><a|].  All four task solutions must coincide with it.
+    The reference is the operator-level Born value tr |x><x| K|a><a|K' of the
+    unitary or unital channel.  All four task solutions must coincide with it.
     """
     if isinstance(transformation, QuantumMap):
-        channel = transformation
-        info = classify(channel)
+        info = classify(transformation)
         if not (info.is_cp and info.is_tp and info.is_unital):
             raise ValueError("the four-task equality holds for unital channels only")
-        reverse = adjoint_map(channel)
-        reference = float(
-            np.trace(
-                linalg.basis_projector(channel.dim_out, x)
-                @ apply(channel, linalg.basis_projector(channel.dim_in, a))
-            ).real
-        )
-        return FourTaskReport(
-            predict_forward=predict_channel(channel, a)[str(x)],
-            postdict_forward=postdict_channel(channel, x)[str(a)],
-            predict_reversed=predict_channel(reverse, x)[str(a)],
-            postdict_reversed=postdict_channel(reverse, a)[str(x)],
-            reference=reference,
-        )
-    u = _check_unitary_arg(np.asarray(transformation, dtype=complex))
-    reference = float(abs(u[x, a]) ** 2)
+        forward, reverse = transformation, adjoint_map(transformation)
+        predict, postdict, kraus = predict_channel, postdict_channel, transformation.kraus
+    else:
+        u = _check_unitary_arg(np.asarray(transformation, dtype=complex))
+        forward, reverse = u, dagger(u)
+        predict, postdict, kraus = predict_closed, postdict_closed, (u,)
     return FourTaskReport(
-        predict_forward=predict_closed(u, a)[str(x)],
-        postdict_forward=postdict_closed(u, x)[str(a)],
-        predict_reversed=predict_closed(dagger(u), x)[str(a)],
-        postdict_reversed=postdict_closed(dagger(u), a)[str(x)],
-        reference=reference,
+        predict_forward=predict(forward, a)[str(x)],
+        postdict_forward=postdict(forward, x)[str(a)],
+        predict_reversed=predict(reverse, x)[str(a)],
+        postdict_reversed=postdict(reverse, a)[str(x)],
+        reference=_born_reference(kraus, a, x),
     )
 
 
@@ -625,62 +661,41 @@ def open_reversal_check(
 ) -> dict[str, float]:
     """Check all six open-system relations between a task and its time reverse.
 
-    Each relation equates a table computed from U with one computed from the
-    adjoint of U, with the data and guess sides swapped.  Returns the maximum
-    defect per relation plus an overall ``max`` entry.
+    Each relation equates a table solved for the adjoint of U with the
+    operator-level pull-back through U of the task with the data and guess
+    sides swapped.  Returns the maximum defect per relation plus an overall
+    ``max`` entry.
     """
     dims_in = tuple(int(d) for d in dims_in)
     dims_out = tuple(int(d) for d in dims_out) if dims_out is not None else dims_in
     u = np.asarray(u, dtype=complex)
     ud = dagger(u)
     d_x, d_y = dims_out
-
+    d_a, d_b = dims_in
+    both_out = list(itertools.product(range(d_x), range(d_y)))
+    both_in = list(itertools.product(range(d_a), range(d_b)))
+    first_out = [(x, None) for x in range(d_x)]
+    first_in = [(a, None) for a in range(d_a)]
+    relations = (
+        ("pre-a-xy", "predict", both_out, (True, False)),
+        ("pre-ab-x", "predict", first_out, (True, True)),
+        ("post-xy-a", "postdict", first_in, (True, True)),
+        ("post-x-ab", "postdict", both_in, (True, False)),
+        ("pre-a-x", "predict", first_out, (True, False)),
+        ("post-x-a", "postdict", first_in, (True, False)),
+    )
     defects: dict[str, float] = {}
-
-    defect = 0.0
-    for x in range(d_x):
-        for y in range(d_y):
-            lhs = predict_open(ud, dims_out, dims_in, (x, y), (True, False))
-            rhs = postdict_open(u, dims_in, dims_out, (x, y), (True, False))
-            defect = max(defect, lhs.max_difference(rhs))
-    defects["pre-a-xy"] = defect
-
-    defect = 0.0
-    for x in range(d_x):
-        lhs = predict_open(ud, dims_out, dims_in, (x, None), (True, True))
-        rhs = postdict_open(u, dims_in, dims_out, (x, None), (True, True))
-        defect = max(defect, lhs.max_difference(rhs))
-    defects["pre-ab-x"] = defect
-
-    defect = 0.0
-    for a in range(dims_in[0]):
-        lhs = postdict_open(ud, dims_out, dims_in, (a, None), (True, True))
-        rhs = predict_open(u, dims_in, dims_out, (a, None), (True, True))
-        defect = max(defect, lhs.max_difference(rhs))
-    defects["post-xy-a"] = defect
-
-    defect = 0.0
-    for a in range(dims_in[0]):
-        for b in range(dims_in[1]):
-            lhs = postdict_open(ud, dims_out, dims_in, (a, b), (True, False))
-            rhs = predict_open(u, dims_in, dims_out, (a, b), (True, False))
-            defect = max(defect, lhs.max_difference(rhs))
-    defects["post-x-ab"] = defect
-
-    defect = 0.0
-    for x in range(d_x):
-        lhs = predict_open(ud, dims_out, dims_in, (x, None), (True, False))
-        rhs = postdict_open(u, dims_in, dims_out, (x, None), (True, False))
-        defect = max(defect, lhs.max_difference(rhs))
-    defects["pre-a-x"] = defect
-
-    defect = 0.0
-    for a in range(dims_in[0]):
-        lhs = postdict_open(ud, dims_out, dims_in, (a, None), (True, False))
-        rhs = predict_open(u, dims_in, dims_out, (a, None), (True, False))
-        defect = max(defect, lhs.max_difference(rhs))
-    defects["post-x-a"] = defect
-
+    for name, direction, data, mask in relations:
+        defect = 0.0
+        for given in data:
+            if direction == "predict":
+                table = predict_open(ud, dims_out, dims_in, given, mask)
+                reference = _pull_back_reference((u,), dims_out, given, dims_in, mask)
+            else:
+                table = postdict_open(ud, dims_out, dims_in, given, mask)
+                reference = _pull_back_reference((ud,), dims_in, given, dims_out, mask)
+            defect = max(defect, float(np.max(np.abs(table.probabilities() - reference))))
+        defects[name] = defect
     defects["max"] = max(defects.values())
     return defects
 
@@ -704,12 +719,7 @@ def channel_toward_past_check(
     check_cptp(channel)
     if purification is None:
         purification = stinespring(channel)
-    born = float(
-        np.trace(
-            linalg.basis_projector(channel.dim_out, x)
-            @ apply(channel, linalg.basis_projector(channel.dim_in, a))
-        ).real
-    )
+    born = _born_reference(channel.kraus, a, x)
     reversed_table = postdict_open(
         dagger(purification.unitary),
         purification.dims_out,

@@ -24,10 +24,6 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.asarray(m).conj().T
 
 
-def identity(d: int) -> np.ndarray:
-    return np.eye(d, dtype=complex)
-
-
 def maximally_mixed(d: int) -> np.ndarray:
     """The density operator I/d, the flat prior over a d-dimensional system."""
     return np.eye(d, dtype=complex) / d

@@ -3,7 +3,9 @@
 Counting convention: each trial draws a preparation alternative uniformly,
 pushes it through the transformation (sampling the instrument outcome when
 there is one), measures the output basis, and records the pair of labels the
-task cares about.  Conditioning the counts on the input reproduces the
+task cares about.  The outcome and measurement distributions of alternative
+a are column a of the transition arrays the inference kernel builds, one per
+instrument outcome.  Conditioning the counts on the input reproduces the
 prediction tables; conditioning on the output reproduces the postdiction
 tables, because the uniform preparation realizes the flat prior.
 
@@ -23,10 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
-from .channels import Instrument, apply
 from .errors import UndefinedConditionalError
-from .inference import InferenceTask
+from .inference import InferenceTask, _transitions
 from .tables import ProbabilityTable, join_labels
 
 SLOTS_PER_TRIAL = 3
@@ -67,65 +67,37 @@ def _inverse_cdf(cdf: np.ndarray, u: float) -> int:
     return min(idx, len(cdf) - 1)
 
 
-def _prepare_alternatives(task: InferenceTask):
-    """List of (input label, preparation density matrix) pairs, uniform prior."""
+def _prepare_alternatives(task: InferenceTask) -> list[str]:
+    """Input label of each preparation alternative, indexed like the columns of T."""
     if task.preparation_states is not None:
-        return [(str(i), linalg.projector(psi)) for i, psi in enumerate(task.preparation_states)]
+        return [str(i) for i in range(len(task.preparation_states))]
     ranges = [range(d) for d in task.dims_in]
-    alternatives = []
-    for combo in itertools.product(*ranges):
-        label = _restricted_label(combo, task.known_input_mask)
-        kets = [linalg.basis_ket(d, i) for d, i in zip(task.dims_in, combo)]
-        alternatives.append((label, linalg.projector(linalg.tensor(*kets))))
-    return alternatives
+    return [_restricted_label(combo, task.known_input_mask) for combo in itertools.product(*ranges)]
 
 
-def _transformation_stages(task: InferenceTask, rho: np.ndarray):
-    """Per-alternative sampling data: outcome CDF and per-outcome measurement CDFs.
+def _transformation_stages(transitions: dict[str, np.ndarray], a: int):
+    """Sampling data for alternative a: outcome CDF and per-outcome measurement CDFs.
 
     Unitaries and channels are single-outcome; the outcome draw is still
     consumed so every trial advances the stream by the same amount.
     """
-    kind = task.transformation_kind()
-    dims_out = task.dims_out
-    mask_out = task.known_output_mask
-
-    def measurement_cdf(state: np.ndarray) -> np.ndarray:
-        probs = np.clip(np.diagonal(state).real, 0.0, None)
-        return np.cumsum(probs)
-
-    out_labels = []
-    for combo in itertools.product(*[range(d) for d in dims_out]):
-        out_labels.append(_restricted_label(combo, mask_out))
-
-    if kind == "unitary":
-        u = np.asarray(task.transformation, dtype=complex)
-        final = u @ rho @ linalg.dagger(u)
-        return np.array([1.0]), [("", measurement_cdf(final))], out_labels
-    if kind == "channel":
-        final = apply(task.transformation, rho)
-        return np.array([1.0]), [("", measurement_cdf(final))], out_labels
-
-    inst: Instrument = task.transformation
-    weights = []
-    branches = []
-    multi = len(inst.outcomes) > 1
-    for label, qmap in inst.outcomes:
-        image = apply(qmap, rho)
-        weight = float(np.trace(image).real)
-        weights.append(max(weight, 0.0))
-        branches.append((label if multi else "", measurement_cdf(image)))
-    return np.cumsum(weights), branches, out_labels
+    multi = len(transitions) > 1
+    columns = [(label if multi else "", t[:, a]) for label, t in transitions.items()]
+    weights = np.cumsum([column.sum() for _, column in columns])
+    return weights, [(label, np.cumsum(column)) for label, column in columns]
 
 
 def run_ensemble(task: InferenceTask, shots: int, seed: int) -> EnsembleResult:
     """Simulate ``shots`` independent trials of the task's scenario."""
     if shots < 1:
         raise ValueError("shots must be at least 1")
-    alternatives = _prepare_alternatives(task)
-    n_alt = len(alternatives)
-    prepared = [
-        (label, _transformation_stages(task, rho)) for label, rho in alternatives
+    in_labels = _prepare_alternatives(task)
+    n_alt = len(in_labels)
+    transitions = _transitions(task.transformation, task.preparation_states)
+    prepared = [_transformation_stages(transitions, a) for a in range(n_alt)]
+    out_labels = [
+        _restricted_label(combo, task.known_output_mask)
+        for combo in itertools.product(*[range(d) for d in task.dims_out])
     ]
 
     uniforms = trial_uniforms(seed, shots)
@@ -133,12 +105,12 @@ def run_ensemble(task: InferenceTask, shots: int, seed: int) -> EnsembleResult:
     for t in range(shots):
         u_in, u_branch, u_meas = uniforms[t]
         alt_index = min(int(u_in * n_alt), n_alt - 1)
-        in_label, (branch_cdf, branches, out_labels) = prepared[alt_index]
+        branch_cdf, branches = prepared[alt_index]
         branch = _inverse_cdf(branch_cdf, u_branch * branch_cdf[-1])
         branch_label, meas_cdf = branches[branch]
         x = _inverse_cdf(meas_cdf, u_meas * meas_cdf[-1])
         out_label = out_labels[x] if not branch_label else join_labels(branch_label, out_labels[x])
-        key = (in_label, out_label)
+        key = (in_labels[alt_index], out_label)
         counts[key] = counts.get(key, 0) + 1
     return EnsembleResult(joint_counts=counts, shots=shots, seed=seed)
 
@@ -196,9 +168,10 @@ def compare(
     """Check an empirical row against its closed form, cell by cell.
 
     The per-cell tolerance is max(floor, 4 sqrt(p (1-p) / shots)) with p the
-    analytic probability.  Outcomes absent from the empirical table count as
-    frequency zero; an empirical outcome unknown to the analytic table is a
-    label mismatch and is rejected.
+    analytic probability and ``shots`` the number of trials behind the row,
+    the count of its conditioning cell.  Outcomes absent from the empirical
+    table count as frequency zero; an empirical outcome unknown to the
+    analytic table is a label mismatch and is rejected.
     """
     unknown = set(empirical.entries) - set(analytic.entries)
     if unknown:

@@ -30,7 +30,16 @@ def complex_to_wire(z: complex) -> list[float]:
 def wire_to_complex(pair: Any) -> complex:
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise ScenarioError("malformed-document", f"expected [re, im] pair, got {pair!r}")
-    return complex(float(pair[0]), float(pair[1]))
+    try:
+        return complex(float(pair[0]), float(pair[1]))
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError("malformed-document", f"expected [re, im] numbers, got {pair!r}") from exc
+
+
+def _finite(a: np.ndarray, field: str) -> np.ndarray:
+    if not np.isfinite(a).all():
+        raise ScenarioError("malformed-document", f"{field}: entries must be finite numbers")
+    return a
 
 
 def matrix_to_wire(m: np.ndarray) -> list[list[list[float]]]:
@@ -49,7 +58,7 @@ def wire_to_matrix(data: Any, field: str = "matrix") -> np.ndarray:
             raise ScenarioError("malformed-document", f"{field}: ragged rows")
         for j, pair in enumerate(row):
             out[i, j] = wire_to_complex(pair)
-    return out
+    return _finite(out, field)
 
 
 def ket_to_wire(v: np.ndarray) -> list[list[float]]:
@@ -59,7 +68,7 @@ def ket_to_wire(v: np.ndarray) -> list[list[float]]:
 def wire_to_ket(data: Any, field: str = "state") -> np.ndarray:
     if not isinstance(data, list) or not data:
         raise ScenarioError("malformed-document", f"{field}: expected a list of [re, im] pairs")
-    return np.array([wire_to_complex(p) for p in data], dtype=complex)
+    return _finite(np.array([wire_to_complex(p) for p in data], dtype=complex), field)
 
 
 def quantum_map_to_wire(qmap: QuantumMap) -> dict:
@@ -136,7 +145,16 @@ class ScenarioFile:
     known_output_mask: tuple[bool, ...]
     shots: int | None
     seed: int | None
-    source: dict
+
+
+def _is_json_integer(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _parse_dims(raw: Any, field: str) -> tuple[int, ...]:
+    if not isinstance(raw, list) or not all(_is_json_integer(d) and d >= 1 for d in raw):
+        raise ScenarioError("malformed-document", f"{field}: expected a list of integers >= 1")
+    return tuple(raw)
 
 
 def _parse_given(raw: Any, n_factors: int, field: str) -> tuple[int | None, ...]:
@@ -178,10 +196,8 @@ def parse_scenario_dict(doc: Any) -> ScenarioFile:
     if task not in TASKS:
         raise ScenarioError("unknown-task", f"unknown task tag {task!r}; expected one of {TASKS}")
 
-    dims_in = tuple(int(d) for d in doc.get("dims_in", [])) or (2,)
-    dims_out = tuple(int(d) for d in doc.get("dims_out", [])) or dims_in
-    if any(d < 1 for d in dims_in + dims_out):
-        raise ScenarioError("dimension-mismatch", "dimensions must be positive integers")
+    dims_in = _parse_dims(doc.get("dims_in", []), "dims_in") or (2,)
+    dims_out = _parse_dims(doc.get("dims_out", []), "dims_out") or dims_in
     total_in = linalg.dims_total(dims_in)
     total_out = linalg.dims_total(dims_out)
 
@@ -285,6 +301,9 @@ def parse_scenario_dict(doc: Any) -> ScenarioFile:
 
     shots = doc.get("shots")
     seed = doc.get("seed")
+    for name, value in (("shots", shots), ("seed", seed)):
+        if value is not None and not _is_json_integer(value):
+            raise ScenarioError("malformed-document", f"{name}: expected an integer")
     return ScenarioFile(
         task=task,
         dims_in=dims_in,
@@ -297,9 +316,8 @@ def parse_scenario_dict(doc: Any) -> ScenarioFile:
         given_outcome=given_outcome,
         known_input_mask=known_input_mask,
         known_output_mask=known_output_mask,
-        shots=int(shots) if shots is not None else None,
-        seed=int(seed) if seed is not None else None,
-        source=doc,
+        shots=shots,
+        seed=seed,
     )
 
 

@@ -1,7 +1,12 @@
 import json
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+import retrodict as rd
 from retrodict.cli import main
+from retrodict.serialize import matrix_to_wire
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -125,3 +130,49 @@ def test_unknown_task_document_exits_2(tmp_path, capsys):
     doc.write_text(json.dumps({"task": "teleport"}))
     code = main(["predict", "--scenario", str(doc)])
     assert code == 2
+
+
+HADAMARD_DOC = {
+    "task": "predict",
+    "dims_in": [2],
+    "dims_out": [2],
+    "transformation": {"type": "unitary", "matrix": matrix_to_wire(np.array([[1, 1], [1, -1]]) / np.sqrt(2))},
+    "given": {"input": [0]},
+}
+
+
+@pytest.mark.parametrize(
+    "patch",
+    [
+        {"dims_in": [[2]]},
+        {"dims_in": "12", "given": {"input": [0, 1]}},
+        {"shots": "abc"},
+        {"seed": "x"},
+        {"transformation": {"type": "unitary", "matrix": [[[float("nan"), 0], [0, 0]], [[0, 0], [1, 0]]]}},
+    ],
+)
+def test_malformed_field_exits_2(tmp_path, capsys, patch):
+    doc = tmp_path / "scenario.json"
+    doc.write_text(json.dumps({**HADAMARD_DOC, **patch}))
+    code = main(["predict", "--scenario", str(doc)])
+    assert code == 2
+    assert "malformed-document" in capsys.readouterr().err
+
+
+def test_sample_tolerance_follows_conditioning_cell_counts(tmp_path):
+    doc = tmp_path / "wide.json"
+    doc.write_text(
+        json.dumps(
+            {
+                "task": "sample",
+                "dims_in": [4, 16],
+                "dims_out": [4, 16],
+                "transformation": {"type": "unitary", "matrix": matrix_to_wire(rd.haar_random_unitary(64, 4))},
+                "known_input_mask": [True, False],
+                "known_output_mask": [True, False],
+            }
+        )
+    )
+    for seed in range(1, 9):
+        code = main(["sample", "--scenario", str(doc), "--shots", "4000", "--seed", str(seed)])
+        assert code == 0, f"seed {seed}"

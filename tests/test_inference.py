@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from retrodict import linalg
+from retrodict import inference, linalg
 from retrodict.channels import (
     adjoint_map,
     amplitude_damping,
@@ -16,6 +18,7 @@ from retrodict.channels import (
     random_cptp_map,
     random_instrument,
 )
+from retrodict.cli import main
 from retrodict.errors import NoActiveReverseError, UndefinedConditionalError
 from retrodict.inference import (
     InferenceTask,
@@ -673,3 +676,82 @@ def test_solve_requires_given_data():
     )
     with pytest.raises(ValueError):
         solve(task)
+
+
+# ---------------------------------------------------------------------------
+# The transition-array kernel against its operator-level reference
+# ---------------------------------------------------------------------------
+
+
+def _normalized(values):
+    return values / values.sum()
+
+
+def _random_open_case(rng):
+    dims = tuple(int(d) for d in rng.integers(2, 5, size=rng.integers(2, 4)))
+    mask = rng.random(len(dims)) < 0.5
+    mask[rng.integers(len(dims))] = True
+    given = tuple(None if rng.random() < 0.4 else int(rng.integers(d)) for d in dims)
+    return dims, given, tuple(bool(m) for m in mask)
+
+
+def test_kernel_matches_pull_back_reference_on_random_tasks():
+    rng = np.random.default_rng(2024)
+    for trial in range(12):
+        dims, given, mask = _random_open_case(rng)
+        u = linalg.haar_random_unitary(int(np.prod(dims)), 500 + trial)
+        ud = u.conj().T
+        pre = predict_open(u, dims, dims, given, mask).probabilities()
+        np.testing.assert_allclose(pre, inference._pull_back_reference((ud,), dims, given, dims, mask), atol=1e-12)
+        post = postdict_open(u, dims, dims, given, mask).probabilities()
+        reference = _normalized(inference._pull_back_reference((u,), dims, given, dims, mask))
+        np.testing.assert_allclose(post, reference, atol=1e-12)
+
+    for trial in range(6):
+        d_in, d_out = (int(d) for d in rng.integers(2, 5, size=2))
+        channel = random_cptp_map(d_in, d_out, 3, 600 + trial)
+        adjoint_kraus = adjoint_map(channel).kraus
+        for a in range(d_in):
+            reference = inference._pull_back_reference(adjoint_kraus, (d_in,), (a,), (d_out,), (True,))
+            np.testing.assert_allclose(predict_channel(channel, a).probabilities(), reference, atol=1e-12)
+        for x in range(d_out):
+            numerators = inference._pull_back_reference(channel.kraus, (d_out,), (x,), (d_in,), (True,))
+            table = postdict_channel(channel, x)
+            np.testing.assert_allclose(table.probabilities(), _normalized(numerators), atol=1e-12)
+            assert table.factor == pytest.approx(1.0 / numerators.sum(), rel=1e-12)
+
+    for trial in range(4):
+        d = int(rng.integers(2, 5))
+        inst = random_instrument(d, 3, 2, 700 + trial)
+
+        def task(direction, **given):
+            return InferenceTask(inst, (d,), (d,), direction, (True,), (True,), **given)
+
+        for a in range(d):
+            reference = np.concatenate(
+                [
+                    inference._pull_back_reference(adjoint_map(qmap).kraus, (d,), (a,), (d,), (True,))
+                    for _, qmap in inst.outcomes
+                ]
+            )
+            table = solve(task("predict", given_input=(a,)))
+            np.testing.assert_allclose(table.probabilities(), reference, atol=1e-12)
+        for label, qmap in inst.outcomes:
+            for x in range(d):
+                numerators = inference._pull_back_reference(qmap.kraus, (d,), (x,), (d,), (True,))
+                table = solve(task("postdict", given_output=(x,), given_outcome=label))
+                np.testing.assert_allclose(table.probabilities(), _normalized(numerators), atol=1e-12)
+
+
+def test_verify_catches_a_wrong_but_normalized_kernel(monkeypatch, capsys):
+    original = inference._transitions
+
+    def outcome_axis_reversed(*args, **kwargs):
+        # Reversing the outcome axis keeps every column a distribution.
+        return {label: t[::-1] for label, t in original(*args, **kwargs).items()}
+
+    monkeypatch.setattr(inference, "_transitions", outcome_axis_reversed)
+    code = main(["verify", "--dims", "2", "3", "--format", "json"])
+    assert code == 5
+    failing = {c["name"] for c in json.loads(capsys.readouterr().out)["checks"] if not c["passed"]}
+    assert {"open-reversal", "open-ratio-laws", "four-task"} <= failing
