@@ -77,8 +77,8 @@ class ReportDocument:
     def add_table(self, table: ProbabilityTable):
         self.tables.append(table_to_wire(table))
 
-    def add_check(self, name: str, defect: float, tolerance: float):
-        ok = bool(defect < tolerance)
+    def add_check(self, name: str, defect: float, tolerance: float, passed: bool | None = None):
+        ok = bool(defect < tolerance) if passed is None else bool(passed)
         self.checks.append(
             {"name": name, "defect": float(defect), "tolerance": float(tolerance), "passed": ok}
         )
@@ -195,13 +195,14 @@ def _run_sample(scenario: ScenarioFile, report: ReportDocument, seed: int | None
                 )
             outcome = compare(row, solve(analytic_task), trials[given], floor=floor)
             worst = max(worst, outcome.max_deviation)
-            # The bound of a failing outcome, else of the farthest one, so the
-            # check passes exactly when compare does.
+            # The bound of a failing outcome, else of the farthest one; the
+            # verdict is compare's, which also holds on a bound of zero.
             bound_label = outcome.failures[0] if outcome.failures else outcome.worst_label
             report.add_check(
                 f"sample-{direction}-given-{given}",
                 outcome.max_deviation,
                 outcome.tolerances.get(bound_label, floor),
+                passed=outcome.passed,
             )
         report.metrics[f"max_deviation_{direction}"] = worst
     report.metrics["shots"] = shots

@@ -56,26 +56,21 @@ Mask = Sequence[bool]
 
 
 def _transitions(
-    transformation: np.ndarray | QuantumMap | Instrument,
-    states: Sequence[np.ndarray] | None = None,
-) -> dict[str, np.ndarray]:
-    """Transition arrays T[x, a] = sum_k |K_k[x, a]|^2 of shape (D_out, D_in).
+    transformation: np.ndarray | QuantumMap, states: Sequence[np.ndarray] | None = None
+) -> np.ndarray:
+    """The transition array T[x, a] = sum_k |K_k[x, a]|^2 of shape (D_out, D_in).
 
-    An instrument gives one array per outcome label; a channel, or a matrix
-    whose columns are the images of the alternatives (a unitary), gives one
-    array under the label "".  With preparation ``states`` the columns are
-    the images U|psi_i>.
+    A channel sums over its Kraus operators; a matrix whose columns are the
+    images of the alternatives (a unitary) is the case of one operator.  With
+    preparation ``states`` the columns are the images U|psi_i>.  An
+    instrument has one array per outcome, one call per outcome map.
     """
-    if isinstance(transformation, Instrument):
-        kraus_lists = {label: qmap.kraus for label, qmap in transformation.outcomes}
-    elif isinstance(transformation, QuantumMap):
-        kraus_lists = {"": transformation.kraus}
+    if isinstance(transformation, QuantumMap):
+        kraus = transformation.kraus
     else:
         u = np.asarray(transformation, dtype=complex)
-        kraus_lists = {"": (u if states is None else u @ np.stack(states, axis=1),)}
-    return {
-        label: sum(k.real**2 + k.imag**2 for k in kraus) for label, kraus in kraus_lists.items()
-    }
+        kraus = (u if states is None else u @ np.stack(states, axis=1),)
+    return sum(k.real**2 + k.imag**2 for k in kraus)
 
 
 def _contract(
@@ -201,7 +196,7 @@ def predict_closed(u: np.ndarray, a: int, d: int | None = None) -> ProbabilityTa
     dim = u.shape[0]
     if not 0 <= a < dim:
         raise ValueError(f"preparation outcome {a} out of range for dimension {dim}")
-    return _solve_table(_transitions(u)[""], (dim,), (dim,), "predict", (a,), (True,))
+    return _solve_table(_transitions(u), (dim,), (dim,), "predict", (a,), (True,))
 
 
 def postdict_closed(u: np.ndarray, x: int, d: int | None = None) -> ProbabilityTable:
@@ -210,7 +205,7 @@ def postdict_closed(u: np.ndarray, x: int, d: int | None = None) -> ProbabilityT
     dim = u.shape[0]
     if not 0 <= x < dim:
         raise ValueError(f"test outcome {x} out of range for dimension {dim}")
-    return _solve_table(_transitions(u)[""], (dim,), (dim,), "postdict", (x,), (True,))
+    return _solve_table(_transitions(u), (dim,), (dim,), "postdict", (x,), (True,))
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +244,7 @@ def predict_open(
     )
     if len(known_input) != len(dims_in) or len(mask) != len(dims_out):
         raise ValueError("per-factor arguments must match the dimension partitions")
-    return _solve_table(_transitions(u)[""], dims_out, dims_in, "predict", known_input, mask)
+    return _solve_table(_transitions(u), dims_out, dims_in, "predict", known_input, mask)
 
 
 def postdict_open(
@@ -266,7 +261,7 @@ def postdict_open(
     )
     if len(known_output) != len(dims_out) or len(mask) != len(dims_in):
         raise ValueError("per-factor arguments must match the dimension partitions")
-    return _solve_table(_transitions(u)[""], dims_out, dims_in, "postdict", known_output, mask)
+    return _solve_table(_transitions(u), dims_out, dims_in, "postdict", known_output, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +275,7 @@ def predict_channel(channel: QuantumMap, a: int) -> ProbabilityTable:
     if not 0 <= a < channel.dim_in:
         raise ValueError(f"preparation outcome {a} out of range for dimension {channel.dim_in}")
     dims = ((channel.dim_out,), (channel.dim_in,))
-    return _solve_table(_transitions(channel)[""], *dims, "predict", (a,), (True,))
+    return _solve_table(_transitions(channel), *dims, "predict", (a,), (True,))
 
 
 def postdict_channel(channel: QuantumMap, x: int) -> ProbabilityTable:
@@ -293,7 +288,7 @@ def postdict_channel(channel: QuantumMap, x: int) -> ProbabilityTable:
     if not 0 <= x < channel.dim_out:
         raise ValueError(f"test outcome {x} out of range for dimension {channel.dim_out}")
     dims = ((channel.dim_out,), (channel.dim_in,))
-    return _solve_table(_transitions(channel)[""], *dims, "postdict", (x,), (True,), with_factor=True)
+    return _solve_table(_transitions(channel), *dims, "postdict", (x,), (True,), with_factor=True)
 
 
 def postdict_channel_via_purification(
@@ -304,7 +299,9 @@ def postdict_channel_via_purification(
     Runs the dilation on its ancilla state, |a>|ancilla> -> U|a>|ancilla>,
     and postdicts a from x with the output ancilla ignored: the purified
     open-system task P(a, b | x, U) conditioned on the ancilla preparation.
-    Any purification of the channel gives the same table.
+    Any purification of the channel gives the same table.  The numerators
+    come from the operator-level reference, not the transition-array kernel,
+    so comparing this table with ``postdict_channel`` checks the kernel.
     """
     check_cptp(channel)
     if purification is None:
@@ -315,9 +312,7 @@ def postdict_channel_via_purification(
     if d_a != channel.dim_in:
         raise ValueError("purification input dimension does not match the channel")
     columns = purification.unitary.reshape(-1, d_a, d_b) @ purification.ancilla_state
-    numerators = _contract(
-        _transitions(columns)[""], purification.dims_out, (d_a,), "postdict", (x, None), (True,)
-    )
+    numerators = _pull_back_reference((columns,), purification.dims_out, (x, None), (d_a,), (True,))
     return _postdiction([str(a) for a in range(d_a)], numerators, str(x))
 
 
@@ -346,7 +341,7 @@ def predict_general_prep(states: Sequence[np.ndarray], u: np.ndarray) -> list[Pr
     """One prediction row per preparation state: P(x | psi_i) = |<x|U|psi_i>|^2."""
     u = _check_unitary_arg(u)
     states = _check_preparation_states(states, u.shape[0])
-    t = _transitions(u, states)[""]
+    t = _transitions(u, states)
     dims = ((u.shape[0],), (len(states),))
     return [_solve_table(t, *dims, "predict", (i,), (True,)) for i in range(len(states))]
 
@@ -357,7 +352,7 @@ def postdict_general_prep(states: Sequence[np.ndarray], u: np.ndarray, x: int) -
     states = _check_preparation_states(states, u.shape[0])
     if not 0 <= x < u.shape[0]:
         raise ValueError(f"test outcome {x} out of range for dimension {u.shape[0]}")
-    t = _transitions(u, states)[""]
+    t = _transitions(u, states)
     return _solve_table(t, (u.shape[0],), (len(states),), "postdict", (x,), (True,))
 
 
@@ -542,15 +537,15 @@ def solve(task: InferenceTask) -> ProbabilityTable:
         if a is None:
             raise ValueError("instrument prediction requires the preparation outcome")
         labels, values = [], []
-        for label, t in _transitions(inst).items():
+        for label, qmap in inst.outcomes:
             labels += [join_labels(label, str(x)) if multi else str(x) for x in range(inst.dim_out)]
-            values.append(_contract(t, *dims, "predict", (a,), (True,)))
+            values.append(_contract(_transitions(qmap), *dims, "predict", (a,), (True,)))
         return ProbabilityTable.from_values(labels, np.concatenate(values), given=str(a), direction="predict")
     x = task.given_output[0]
     if multi and task.given_outcome is None:
         raise ValueError("postdiction through an instrument requires the observed outcome label")
     label = task.given_outcome if task.given_outcome is not None else inst.outcomes[0][0]
-    numerators = _contract(_transitions(inst.map_for(label))[""], *dims, "postdict", (x,), (True,))
+    numerators = _contract(_transitions(inst.map_for(label)), *dims, "postdict", (x,), (True,))
     given = join_labels(label, str(x)) if multi else str(x)
     return _postdiction([str(a) for a in range(inst.dim_in)], numerators, given)
 

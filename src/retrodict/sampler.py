@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channels import Instrument
 from .errors import UndefinedConditionalError
 from .inference import InferenceTask, _transitions
 from .tables import ProbabilityTable, join_labels
@@ -67,22 +68,31 @@ def _inverse_cdf(cdf: np.ndarray, u: float) -> int:
     return min(idx, len(cdf) - 1)
 
 
-def _prepare_alternatives(task: InferenceTask) -> list[str]:
-    """Input label of each preparation alternative, indexed like the columns of T."""
+def _prepare_alternatives(task: InferenceTask) -> tuple[list[str], list[tuple[str, np.ndarray]]]:
+    """Input labels of the preparation alternatives and the transition arrays.
+
+    The labels are indexed like the columns of T; there is one array per
+    instrument outcome, labelled, and one unlabelled array otherwise.
+    """
     if task.preparation_states is not None:
-        return [str(i) for i in range(len(task.preparation_states))]
-    ranges = [range(d) for d in task.dims_in]
-    return [_restricted_label(combo, task.known_input_mask) for combo in itertools.product(*ranges)]
+        labels = [str(i) for i in range(len(task.preparation_states))]
+    else:
+        ranges = [range(d) for d in task.dims_in]
+        labels = [_restricted_label(combo, task.known_input_mask) for combo in itertools.product(*ranges)]
+    if isinstance(task.transformation, Instrument):
+        outcomes = task.transformation.outcomes
+        multi = len(outcomes) > 1
+        return labels, [(label if multi else "", _transitions(qmap)) for label, qmap in outcomes]
+    return labels, [("", _transitions(task.transformation, task.preparation_states))]
 
 
-def _transformation_stages(transitions: dict[str, np.ndarray], a: int):
+def _transformation_stages(transitions: list[tuple[str, np.ndarray]], a: int):
     """Sampling data for alternative a: outcome CDF and per-outcome measurement CDFs.
 
     Unitaries and channels are single-outcome; the outcome draw is still
     consumed so every trial advances the stream by the same amount.
     """
-    multi = len(transitions) > 1
-    columns = [(label if multi else "", t[:, a]) for label, t in transitions.items()]
+    columns = [(label, t[:, a]) for label, t in transitions]
     weights = np.cumsum([column.sum() for _, column in columns])
     return weights, [(label, np.cumsum(column)) for label, column in columns]
 
@@ -91,9 +101,8 @@ def run_ensemble(task: InferenceTask, shots: int, seed: int) -> EnsembleResult:
     """Simulate ``shots`` independent trials of the task's scenario."""
     if shots < 1:
         raise ValueError("shots must be at least 1")
-    in_labels = _prepare_alternatives(task)
+    in_labels, transitions = _prepare_alternatives(task)
     n_alt = len(in_labels)
-    transitions = _transitions(task.transformation, task.preparation_states)
     prepared = [_transformation_stages(transitions, a) for a in range(n_alt)]
     out_labels = [
         _restricted_label(combo, task.known_output_mask)

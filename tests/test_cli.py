@@ -176,3 +176,23 @@ def test_sample_tolerance_follows_conditioning_cell_counts(tmp_path):
     for seed in range(1, 9):
         code = main(["sample", "--scenario", str(doc), "--shots", "4000", "--seed", str(seed)])
         assert code == 0, f"seed {seed}"
+
+
+def test_sample_with_zero_tolerance_passes_a_deterministic_ensemble(tmp_path, capsys):
+    doc = tmp_path / "cycle.json"
+    cycle = np.roll(np.eye(3), 1, axis=0)
+    doc.write_text(
+        json.dumps(
+            {
+                "task": "sample",
+                "dims_in": [3],
+                "dims_out": [3],
+                "transformation": {"type": "unitary", "matrix": matrix_to_wire(cycle)},
+            }
+        )
+    )
+    code = main(["sample", "--scenario", str(doc), "--shots", "300", "--tolerance", "0", "--format", "json"])
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert code == 0
+    assert len(checks) == 6
+    assert all(c["passed"] and c["defect"] == 0.0 and c["tolerance"] == 0.0 for c in checks)
