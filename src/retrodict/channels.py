@@ -140,10 +140,12 @@ def classify(qmap: QuantumMap, atol: float = ATOL_STRUCTURAL) -> ChannelClassifi
     )
 
 
-def check_cptp(qmap: QuantumMap, atol: float = ATOL_STRUCTURAL) -> None:
+def check_cptp(qmap: QuantumMap, atol: float = ATOL_STRUCTURAL) -> ChannelClassification:
+    """Reject a map that is not a channel; return its classification otherwise."""
     info = classify(qmap, atol)
     if not (info.is_cp and info.is_tp):
         raise ValueError("transformation must be a CPTP map (a quantum channel)")
+    return info
 
 
 def adjoint_map(qmap: QuantumMap) -> QuantumMap:

@@ -19,6 +19,7 @@ from .channels import (
     QuantumMap,
     adjoint_map,
     amplitude_damping,
+    check_cptp,
     classify,
     coarse_grain,
     make_dephasing,
@@ -29,28 +30,26 @@ from .channels import (
 from .errors import NoActiveReverseError, ScenarioError, UndefinedConditionalError
 from .inference import (
     InferenceTask,
+    _check_unitary_arg,
     _pull_back_reference,
+    _solve_table,
+    _transition_arrays,
     channel_toward_past_check,
     deterministic_effect_check,
     four_task_check,
     is_inference_symmetric,
     no_signalling_check,
     open_reversal_check,
-    postdict_channel,
     postdict_channel_via_purification,
-    postdict_closed,
-    predict_closed,
-    predict_open,
     solve,
 )
 from .purify import purify_instrument, rotate_ancilla, stinespring, verify_purification
-from .sampler import compare, empirical_conditionals, run_ensemble
+from .sampler import SEED_LIMIT, compare, empirical_conditionals, run_ensemble
 from .serialize import (
     ScenarioFile,
     parse_scenario,
     purification_to_wire,
     scenario_digest,
-    scenario_to_dict,
     table_to_wire,
 )
 from .tables import ProbabilityTable
@@ -111,11 +110,6 @@ def _task_from_scenario(scenario: ScenarioFile, direction: str) -> InferenceTask
     )
 
 
-def _run_inference(scenario: ScenarioFile, direction: str, report: ReportDocument):
-    table = solve(_task_from_scenario(scenario, direction))
-    report.add_table(table)
-
-
 def _run_classify(scenario: ScenarioFile, report: ReportDocument):
     transformation = scenario.transformation
     if isinstance(transformation, np.ndarray):
@@ -170,29 +164,10 @@ def _run_sample(scenario: ScenarioFile, report: ReportDocument, seed: int | None
         worst = 0.0
         for given, row in empirical.items():
             if direction == "predict":
-                analytic_task = InferenceTask(
-                    transformation=task.transformation,
-                    dims_in=task.dims_in,
-                    dims_out=task.dims_out,
-                    direction="predict",
-                    known_input_mask=task.known_input_mask,
-                    known_output_mask=task.known_output_mask,
-                    given_input=_labels_to_given(given, task.dims_in, task.known_input_mask),
-                    preparation_states=task.preparation_states,
-                )
+                analytic_task = replace(task, given_input=_labels_to_given(given, task.known_input_mask))
             else:
                 outcome_label, basis_given = _split_outcome_label(task, given)
-                analytic_task = InferenceTask(
-                    transformation=task.transformation,
-                    dims_in=task.dims_in,
-                    dims_out=task.dims_out,
-                    direction="postdict",
-                    known_input_mask=task.known_input_mask,
-                    known_output_mask=task.known_output_mask,
-                    given_output=basis_given,
-                    preparation_states=task.preparation_states,
-                    given_outcome=outcome_label,
-                )
+                analytic_task = replace(task, given_output=basis_given, given_outcome=outcome_label)
             outcome = compare(row, solve(analytic_task), trials[given], floor=floor)
             worst = max(worst, outcome.max_deviation)
             # The bound of a failing outcome, else of the farthest one; the
@@ -209,7 +184,7 @@ def _run_sample(scenario: ScenarioFile, report: ReportDocument, seed: int | None
     report.metrics["seed"] = seed
 
 
-def _labels_to_given(label: str, dims: tuple[int, ...], mask: tuple[bool, ...]):
+def _labels_to_given(label: str, mask: tuple[bool, ...]):
     parts = label.split("·") if label else []
     values = iter(int(p) for p in parts)
     return tuple(next(values) if m else None for m in mask)
@@ -221,26 +196,29 @@ def _split_outcome_label(task: InferenceTask, label: str):
         for outcome_label, _ in task.transformation.outcomes:
             prefix = outcome_label + "·"
             if label.startswith(prefix):
-                return outcome_label, _labels_to_given(
-                    label[len(prefix) :], task.dims_out, task.known_output_mask
-                )
+                return outcome_label, _labels_to_given(label[len(prefix) :], task.known_output_mask)
         raise UndefinedConditionalError(f"no instrument outcome matches label {label!r}")
-    return None, _labels_to_given(label, task.dims_out, task.known_output_mask)
+    return None, _labels_to_given(label, task.known_output_mask)
 
 
 def _run_verify(report: ReportDocument, dims: tuple[int, int], seed: int, tolerance: float | None):
-    """The full identity suite on seeded random instances."""
+    """The full identity suite on seeded random instances.
+
+    Each transformation is validated once and its transition arrays are
+    built once, then contracted for every given outcome.
+    """
     d_a, d_b = dims
+    d = d_a * d_b
     tol_exact = tolerance if tolerance is not None else 1e-12
     tol_purified = tolerance if tolerance is not None else 1e-10
     rng_base = seed * 1000
 
     defect = 0.0
     for t in range(5):
-        u = linalg.haar_random_unitary(d_a * d_b, rng_base + t)
-        pre = np.stack([predict_closed(u, a).probabilities() for a in range(d_a * d_b)], axis=1)
-        post = np.stack([postdict_closed(u, x).probabilities() for x in range(d_a * d_b)], axis=0)
-        defect = max(defect, float(np.max(np.abs(pre - post))))
+        arrays = _transition_arrays(_check_unitary_arg(linalg.haar_random_unitary(d, rng_base + t)))
+        pre = [_solve_table(arrays, (d,), (d,), "predict", (a,), (True,)).probabilities() for a in range(d)]
+        post = [_solve_table(arrays, (d,), (d,), "postdict", (x,), (True,)).probabilities() for x in range(d)]
+        defect = max(defect, float(np.max(np.abs(np.transpose(pre) - np.array(post)))))
     report.add_check("closed-symmetry", defect, tol_exact)
 
     defect = max(
@@ -253,18 +231,22 @@ def _run_verify(report: ReportDocument, dims: tuple[int, int], seed: int, tolera
 
     defect = 0.0
     for t in range(5):
-        u = linalg.haar_random_unitary(d_a * d_b, rng_base + 20 + t)
+        u = _check_unitary_arg(linalg.haar_random_unitary(d, rng_base + 20 + t))
         # Solved predictions against operator-level postdictions, so the law
         # is not read twice off one transition array.
-        dims = (d_a, d_b)
-        pre = [predict_open(u, dims, dims, (a, None), (True, False)).probabilities() for a in range(d_a)]
+        dims, arrays = (d_a, d_b), _transition_arrays(u)
+        pre = [
+            _solve_table(arrays, dims, dims, "predict", (a, None), (True, False)).probabilities()
+            for a in range(d_a)
+        ]
         post = [_pull_back_reference((u,), dims, (x, None), dims, (True, False)) for x in range(d_a)]
         defect = max(defect, float(np.max(np.abs(d_b * np.transpose(post) - d_b * np.array(pre)))))
     report.add_check("open-ratio-laws", defect, tol_exact)
 
     channel = amplitude_damping(0.5)
-    table0 = postdict_channel(channel, 0)
-    table1 = postdict_channel(channel, 1)
+    check_cptp(channel)
+    arrays = _transition_arrays(channel)
+    table0, table1 = (_solve_table(arrays, (2,), (2,), "postdict", (x,), (True,), True) for x in (0, 1))
     defect = max(
         abs(table0["0"] - 2 / 3),
         abs(table0["1"] - 1 / 3),
@@ -277,16 +259,16 @@ def _run_verify(report: ReportDocument, dims: tuple[int, int], seed: int, tolera
 
     defect = 0.0
     for t in range(3):
-        noisy = make_noisy_operation(linalg.haar_random_unitary(d_a * d_b, rng_base + 30 + t), (d_a, d_b))
-        purification = stinespring(noisy)
+        noisy = make_noisy_operation(linalg.haar_random_unitary(d, rng_base + 30 + t), (d_a, d_b))
+        purification = stinespring(noisy)  # checks that the map is a channel
+        rotated = rotate_ancilla(purification, rng_base + 40 + t)
         defect = max(defect, verify_purification(noisy, purification, trials=5, seed=t))
+        arrays = _transition_arrays(noisy)
         for x in range(d_a):
-            direct = postdict_channel(noisy, x)
-            via = postdict_channel_via_purification(noisy, x, purification)
-            defect = max(defect, direct.max_difference(via))
-            rotated = rotate_ancilla(purification, rng_base + 40 + t)
-            via_rot = postdict_channel_via_purification(noisy, x, rotated)
-            defect = max(defect, direct.max_difference(via_rot))
+            direct = _solve_table(arrays, (d_a,), (d_a,), "postdict", (x,), (True,), True)
+            for dilation in (purification, rotated):
+                via = postdict_channel_via_purification(noisy, x, dilation)
+                defect = max(defect, direct.max_difference(via))
     report.add_check("purified-ratio", defect, tol_purified)
 
     defect = 0.0
@@ -300,12 +282,11 @@ def _run_verify(report: ReportDocument, dims: tuple[int, int], seed: int, tolera
     report.add_check("four-task", defect, tol_exact)
 
     defect = 0.0
-    for t, channel in enumerate(
-        [amplitude_damping(0.5), random_cptp_map(d_a, d_a, 2, rng_base + 60)]
-    ):
+    for channel in (amplitude_damping(0.5), random_cptp_map(d_a, d_a, 2, rng_base + 60)):
+        purification = stinespring(channel)  # checks that the map is a channel
         for a in range(channel.dim_in):
             for x in range(channel.dim_out):
-                defect = max(defect, channel_toward_past_check(channel, a, x).defect)
+                defect = max(defect, channel_toward_past_check(channel, a, x, purification).defect)
     report.add_check("towards-past", defect, tol_purified)
 
     defect = 0.0
@@ -325,7 +306,7 @@ def _run_verify(report: ReportDocument, dims: tuple[int, int], seed: int, tolera
         ("dephasing", make_dephasing(), True),
         (
             "noisy",
-            make_noisy_operation(linalg.haar_random_unitary(d_a * d_b, rng_base + 96), (d_a, d_b)),
+            make_noisy_operation(linalg.haar_random_unitary(d, rng_base + 96), (d_a, d_b)),
             True,
         ),
         ("amplitude-damping", amplitude_damping(0.5), False),
@@ -390,6 +371,13 @@ def _format_csv(report: ReportDocument) -> str:
     return "\n".join(lines)
 
 
+def _seed(text: str) -> int:
+    seed = int(text)
+    if not 0 <= seed < SEED_LIMIT:
+        raise argparse.ArgumentTypeError(f"seed {seed} is outside [0, 2**64)")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="retrodict",
@@ -398,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=["predict", "postdict", "classify", "purify", "verify", "sample"])
     parser.add_argument("--scenario", help="path to a scenario JSON file")
     parser.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    parser.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    parser.add_argument("--seed", type=_seed, default=None, help="override the scenario seed")
     parser.add_argument(
         "--tolerance",
         type=float,
@@ -425,14 +413,14 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
         return EXIT_PARSE if exc.code in PARSE_CODES else EXIT_VALIDATION
 
-    digest = scenario_digest(scenario_to_dict(scenario)) if scenario else scenario_digest(
+    digest = scenario.digest if scenario else scenario_digest(
         {"command": args.command, "dims": args.dims or [2, 2], "seed": args.seed or 0}
     )
     report = ReportDocument(command=args.command, scenario_digest=digest)
 
     try:
         if args.command in ("predict", "postdict"):
-            _run_inference(scenario, args.command, report)
+            report.add_table(solve(_task_from_scenario(scenario, args.command)))
         elif args.command == "classify":
             _run_classify(scenario, report)
         elif args.command == "purify":

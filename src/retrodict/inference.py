@@ -62,8 +62,7 @@ def _transitions(
 
     A channel sums over its Kraus operators; a matrix whose columns are the
     images of the alternatives (a unitary) is the case of one operator.  With
-    preparation ``states`` the columns are the images U|psi_i>.  An
-    instrument has one array per outcome, one call per outcome map.
+    preparation ``states`` the columns are the images U|psi_i>.
     """
     if isinstance(transformation, QuantumMap):
         kraus = transformation.kraus
@@ -71,6 +70,21 @@ def _transitions(
         u = np.asarray(transformation, dtype=complex)
         kraus = (u if states is None else u @ np.stack(states, axis=1),)
     return sum(k.real**2 + k.imag**2 for k in kraus)
+
+
+def _transition_arrays(
+    transformation: np.ndarray | QuantumMap | Instrument, states: Sequence[np.ndarray] | None = None
+) -> list[tuple[str, np.ndarray]]:
+    """Every transition array of a transformation, each with its label prefix.
+
+    An instrument has one array per outcome, prefixed by the outcome label
+    when there are several; anything else has one unprefixed array.  The
+    solver and the sampler both read their arrays from here.
+    """
+    if isinstance(transformation, Instrument):
+        multi = len(transformation.outcomes) > 1
+        return [(label if multi else "", _transitions(qmap)) for label, qmap in transformation.outcomes]
+    return [("", _transitions(transformation, states))]
 
 
 def _contract(
@@ -89,17 +103,17 @@ def _contract(
     """
     n_out = len(dims_out)
     t = t.reshape(tuple(dims_out) + tuple(dims_in))
-    data_dims = dims_out
+    data_dims, side = dims_out, "test"
     if direction == "predict":
         t = t.transpose(list(range(n_out, t.ndim)) + list(range(n_out)))
-        data_dims = dims_in
+        data_dims, side = dims_in, "preparation"
     for d, g in zip(data_dims, given):
         if g is None:
             t = t.mean(axis=0)
         elif 0 <= g < d:
             t = t[g]
         else:
-            raise ValueError(f"outcome {g} out of range for factor dimension {d}")
+            raise ValueError(f"{side} outcome {g} out of range for factor dimension {d}")
     return t.sum(axis=tuple(k for k, m in enumerate(mask) if not m)).reshape(-1)
 
 
@@ -121,8 +135,12 @@ def _postdiction(
     )
 
 
+def _prefixed(prefix: str, label: str) -> str:
+    return join_labels(prefix, label) if prefix else label
+
+
 def _solve_table(
-    t: np.ndarray,
+    arrays: Sequence[tuple[str, np.ndarray]],
     dims_out: Sequence[int],
     dims_in: Sequence[int],
     direction: str,
@@ -130,12 +148,20 @@ def _solve_table(
     mask: Mask,
     with_factor: bool = False,
 ) -> ProbabilityTable:
-    """One solved table: the kernel's contraction, labelled, normalized when postdicting."""
-    values = _contract(t, dims_out, dims_in, direction, given, mask)
+    """One solved table from prefixed transition arrays of a validated transformation.
+
+    A prediction lists the contracted cells of every array under its prefix;
+    a postdiction takes the one array of the observed outcome, prefixes the
+    given label with it and normalizes.
+    """
     labels = _guessed_labels(dims_out if direction == "predict" else dims_in, mask)
     if direction == "predict":
-        return ProbabilityTable.from_values(labels, values, given=_given_label(given), direction="predict")
-    return _postdiction(labels, values, _given_label(given), with_factor)
+        cells = [_prefixed(prefix, label) for prefix, _ in arrays for label in labels]
+        values = np.concatenate([_contract(t, dims_out, dims_in, direction, given, mask) for _, t in arrays])
+        return ProbabilityTable.from_values(cells, values, given=_given_label(given), direction="predict")
+    ((prefix, t),) = arrays
+    numerators = _contract(t, dims_out, dims_in, direction, given, mask)
+    return _postdiction(labels, numerators, _prefixed(prefix, _given_label(given)), with_factor)
 
 
 def _pull_back_reference(
@@ -194,18 +220,14 @@ def predict_closed(u: np.ndarray, a: int, d: int | None = None) -> ProbabilityTa
     """Born rule for a closed system: P(x | a) = |<x|U|a>|^2."""
     u = _check_unitary_arg(u, d)
     dim = u.shape[0]
-    if not 0 <= a < dim:
-        raise ValueError(f"preparation outcome {a} out of range for dimension {dim}")
-    return _solve_table(_transitions(u), (dim,), (dim,), "predict", (a,), (True,))
+    return _solve_table(_transition_arrays(u), (dim,), (dim,), "predict", (a,), (True,))
 
 
 def postdict_closed(u: np.ndarray, x: int, d: int | None = None) -> ProbabilityTable:
     """Flat-prior Bayes inversion of the Born rule; equals the transposed prediction."""
     u = _check_unitary_arg(u, d)
     dim = u.shape[0]
-    if not 0 <= x < dim:
-        raise ValueError(f"test outcome {x} out of range for dimension {dim}")
-    return _solve_table(_transitions(u), (dim,), (dim,), "postdict", (x,), (True,))
+    return _solve_table(_transition_arrays(u), (dim,), (dim,), "postdict", (x,), (True,))
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +235,7 @@ def postdict_closed(u: np.ndarray, x: int, d: int | None = None) -> ProbabilityT
 # ---------------------------------------------------------------------------
 
 
-def _validate_open_args(u, dims_in, dims_out, given, mask):
+def _check_open_args(u, dims_in, dims_out):
     u = np.asarray(u, dtype=complex)
     dims_in = tuple(int(d) for d in dims_in)
     dims_out = tuple(int(d) for d in dims_out)
@@ -223,11 +245,15 @@ def _validate_open_args(u, dims_in, dims_out, given, mask):
         raise ValueError(f"input and output spaces differ in size: {total_in} vs {total_out}")
     if u.shape != (total_in, total_in):
         raise ValueError(f"unitary shape {u.shape} does not match total dimension {total_in}")
-    if not linalg.is_unitary(u):
-        raise ValueError("transformation matrix is not unitary within tolerance")
+    return _check_unitary_arg(u), dims_in, dims_out
+
+
+def _check_per_factor(given, mask, data_dims, guess_dims):
     given = tuple(None if g is None else int(g) for g in given)
     mask = tuple(bool(m) for m in mask)
-    return u, dims_in, dims_out, given, mask
+    if len(given) != len(data_dims) or len(mask) != len(guess_dims):
+        raise ValueError("per-factor arguments must match the dimension partitions")
+    return given, mask
 
 
 def predict_open(
@@ -239,12 +265,9 @@ def predict_open(
 ) -> ProbabilityTable:
     """Prediction with partial data: unknown input factors carry the flat prior I/d,
     output factors outside the guess mask are discarded (marginalized)."""
-    u, dims_in, dims_out, known_input, mask = _validate_open_args(
-        u, dims_in, dims_out, known_input, guess_output_mask
-    )
-    if len(known_input) != len(dims_in) or len(mask) != len(dims_out):
-        raise ValueError("per-factor arguments must match the dimension partitions")
-    return _solve_table(_transitions(u), dims_out, dims_in, "predict", known_input, mask)
+    u, dims_in, dims_out = _check_open_args(u, dims_in, dims_out)
+    given, mask = _check_per_factor(known_input, guess_output_mask, dims_in, dims_out)
+    return _solve_table(_transition_arrays(u), dims_out, dims_in, "predict", given, mask)
 
 
 def postdict_open(
@@ -256,12 +279,9 @@ def postdict_open(
 ) -> ProbabilityTable:
     """Postdiction with partial data: ignored output factors carry flat weights 1/d,
     input factors outside the guess mask are marginalized with a bare identity."""
-    u, dims_in, dims_out, known_output, mask = _validate_open_args(
-        u, dims_in, dims_out, known_output, guess_input_mask
-    )
-    if len(known_output) != len(dims_out) or len(mask) != len(dims_in):
-        raise ValueError("per-factor arguments must match the dimension partitions")
-    return _solve_table(_transitions(u), dims_out, dims_in, "postdict", known_output, mask)
+    u, dims_in, dims_out = _check_open_args(u, dims_in, dims_out)
+    given, mask = _check_per_factor(known_output, guess_input_mask, dims_out, dims_in)
+    return _solve_table(_transition_arrays(u), dims_out, dims_in, "postdict", given, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -272,10 +292,8 @@ def postdict_open(
 def predict_channel(channel: QuantumMap, a: int) -> ProbabilityTable:
     """Generalized Born rule P(x | a) = tr |x><x| channel[|a><a|]."""
     check_cptp(channel)
-    if not 0 <= a < channel.dim_in:
-        raise ValueError(f"preparation outcome {a} out of range for dimension {channel.dim_in}")
     dims = ((channel.dim_out,), (channel.dim_in,))
-    return _solve_table(_transitions(channel), *dims, "predict", (a,), (True,))
+    return _solve_table(_transition_arrays(channel), *dims, "predict", (a,), (True,))
 
 
 def postdict_channel(channel: QuantumMap, x: int) -> ProbabilityTable:
@@ -285,10 +303,8 @@ def postdict_channel(channel: QuantumMap, x: int) -> ProbabilityTable:
     which multiplies the prediction probabilities into the postdiction ones.
     """
     check_cptp(channel)
-    if not 0 <= x < channel.dim_out:
-        raise ValueError(f"test outcome {x} out of range for dimension {channel.dim_out}")
     dims = ((channel.dim_out,), (channel.dim_in,))
-    return _solve_table(_transitions(channel), *dims, "postdict", (x,), (True,), with_factor=True)
+    return _solve_table(_transition_arrays(channel), *dims, "postdict", (x,), (True,), with_factor=True)
 
 
 def postdict_channel_via_purification(
@@ -302,8 +318,9 @@ def postdict_channel_via_purification(
     Any purification of the channel gives the same table.  The numerators
     come from the operator-level reference, not the transition-array kernel,
     so comparing this table with ``postdict_channel`` checks the kernel.
+    Building the purification checks the channel; one that is passed in was
+    checked when it was built.
     """
-    check_cptp(channel)
     if purification is None:
         purification = stinespring(channel)
     if purification.pointer_partition is not None:
@@ -329,7 +346,8 @@ def _check_preparation_states(states: Sequence[np.ndarray], d: int | None = None
             d = psi.shape[0]
         if psi.shape != (d,):
             raise ValueError(f"state {i} has length {psi.shape[0]}, expected {d}")
-        if abs(np.linalg.norm(psi) - 1.0) > ATOL_STRUCTURAL:
+        # Written so that a NaN norm fails it too.
+        if not abs(np.linalg.norm(psi) - 1.0) <= ATOL_STRUCTURAL:
             raise ValueError(f"state {i} is not normalized")
         checked.append(psi)
     if not checked:
@@ -341,19 +359,17 @@ def predict_general_prep(states: Sequence[np.ndarray], u: np.ndarray) -> list[Pr
     """One prediction row per preparation state: P(x | psi_i) = |<x|U|psi_i>|^2."""
     u = _check_unitary_arg(u)
     states = _check_preparation_states(states, u.shape[0])
-    t = _transitions(u, states)
+    arrays = _transition_arrays(u, states)
     dims = ((u.shape[0],), (len(states),))
-    return [_solve_table(t, *dims, "predict", (i,), (True,)) for i in range(len(states))]
+    return [_solve_table(arrays, *dims, "predict", (i,), (True,)) for i in range(len(states))]
 
 
 def postdict_general_prep(states: Sequence[np.ndarray], u: np.ndarray, x: int) -> ProbabilityTable:
     """Flat prior over the listed states; Bayes inversion of the prediction rows."""
     u = _check_unitary_arg(u)
     states = _check_preparation_states(states, u.shape[0])
-    if not 0 <= x < u.shape[0]:
-        raise ValueError(f"test outcome {x} out of range for dimension {u.shape[0]}")
-    t = _transitions(u, states)
-    return _solve_table(t, (u.shape[0],), (len(states),), "postdict", (x,), (True,))
+    dims = ((u.shape[0],), (len(states),))
+    return _solve_table(_transition_arrays(u, states), *dims, "postdict", (x,), (True,))
 
 
 def preparation_unitary(states: Sequence[np.ndarray]) -> np.ndarray:
@@ -391,13 +407,12 @@ def general_prep_purified_check(
     states = _check_preparation_states(states, u.shape[0])
     n = len(states)
     d = u.shape[0]
-    direct = postdict_general_prep(states, u, x)
+    direct = _solve_table(_transition_arrays(u, states), (d,), (n,), "postdict", (x,), (True,))
+    # U' is a product of unitaries and needs no check of its own; the
+    # (a_0, b_i) cells are the first n of the (a, b) grid.
     u_prime = np.kron(u, np.eye(n, dtype=complex)) @ preparation_unitary(states)
-    joint = postdict_open(
-        u_prime, (d, n), (d, n), known_output=(x, None), guess_input_mask=(True, True)
-    )
-    numerators = np.array([joint[join_labels("0", str(i))] for i in range(n)])
-    purified = _postdiction([str(i) for i in range(n)], numerators, str(x))
+    joint = _contract(_transitions(u_prime), (d, n), (d, n), "postdict", (x, None), (True, True))
+    purified = _postdiction([str(i) for i in range(n)], joint[:n], str(x))
     return GeneralPrepCheck(direct, purified, direct.max_difference(purified))
 
 
@@ -449,7 +464,7 @@ class InferenceTask:
         if len(self.known_output_mask) != len(dims_out) or len(given_output) != len(dims_out):
             raise ValueError("output masks and outcomes must have one entry per output factor")
         if self.preparation_states is not None:
-            states = tuple(np.asarray(s, dtype=complex) for s in self.preparation_states)
+            states = tuple(np.asarray(s, dtype=complex).reshape(-1) for s in self.preparation_states)
             object.__setattr__(self, "preparation_states", states)
             if len(dims_in) != 1:
                 raise ValueError("preparation state sets require a single input factor")
@@ -457,24 +472,13 @@ class InferenceTask:
                 raise ValueError("preparation state sets require a unitary transformation")
         total_in = linalg.dims_total(dims_in)
         total_out = linalg.dims_total(dims_out)
-        if isinstance(self.transformation, Instrument) or isinstance(self.transformation, QuantumMap):
+        if isinstance(self.transformation, (Instrument, QuantumMap)):
             if (total_in, total_out) != (self.transformation.dim_in, self.transformation.dim_out):
                 raise ValueError("declared dimensions do not match the transformation")
         else:
             u = np.asarray(self.transformation, dtype=complex)
             if total_in != total_out or u.shape != (total_in, total_in):
                 raise ValueError("declared dimensions do not match the transformation matrix")
-
-    def transformation_kind(self) -> str:
-        if isinstance(self.transformation, Instrument):
-            return "instrument"
-        if isinstance(self.transformation, QuantumMap):
-            return "channel"
-        return "unitary"
-
-
-def _masked_given(given: Given, mask: Mask) -> tuple[int | None, ...]:
-    return tuple(g if m else None for g, m in zip(given, mask))
 
 
 def _require_given(given: Given, mask: Mask, side: str) -> None:
@@ -483,71 +487,64 @@ def _require_given(given: Given, mask: Mask, side: str) -> None:
         raise ValueError(f"solving this task requires given outcomes on {side} factors {missing}")
 
 
-def solve(task: InferenceTask) -> ProbabilityTable:
-    """Dispatch an inference task to the matching closed-form solver.
+def _check_transformation(task: InferenceTask) -> None:
+    """Structural validation, done once where a task enters the solver.
 
-    Solving needs the data: a predict task must carry outcomes on its known
-    input factors, a postdict task on its known output factors.  Tasks without
-    them are still valid as ensemble descriptions for the sampler.
+    A matrix must be unitary and its preparation states normalized, a map
+    must be a channel; an instrument's completeness was checked when it was
+    built.
     """
-    kind = task.transformation_kind()
-    if task.direction == "predict" and task.preparation_states is None:
-        _require_given(task.given_input, task.known_input_mask, "input")
-    if task.direction == "postdict":
-        _require_given(task.given_output, task.known_output_mask, "output")
-    if kind == "unitary":
-        u = np.asarray(task.transformation, dtype=complex)
+    transformation = task.transformation
+    if isinstance(transformation, QuantumMap):
+        check_cptp(transformation)
+    elif not isinstance(transformation, Instrument):
+        u = _check_unitary_arg(transformation)
         if task.preparation_states is not None:
-            if task.direction == "predict":
-                index = task.given_input[0]
-                if index is None or not 0 <= index < len(task.preparation_states):
-                    raise ValueError("prediction requires the index of the prepared state")
-                return predict_general_prep(task.preparation_states, u)[index]
-            x = task.given_output[0]
-            return postdict_general_prep(task.preparation_states, u, x)
-        if task.direction == "predict":
-            return predict_open(
-                u,
-                task.dims_in,
-                task.dims_out,
-                _masked_given(task.given_input, task.known_input_mask),
-                task.known_output_mask,
-            )
-        return postdict_open(
-            u,
-            task.dims_in,
-            task.dims_out,
-            _masked_given(task.given_output, task.known_output_mask),
-            task.known_input_mask,
-        )
+            _check_preparation_states(task.preparation_states, u.shape[0])
 
-    if kind == "channel":
-        channel = task.transformation
-        if task.direction == "predict":
-            if task.given_input[0] is None:
-                raise ValueError("channel prediction requires the preparation outcome")
-            return predict_channel(channel, task.given_input[0])
-        return postdict_channel(channel, task.given_output[0])
 
-    inst = task.transformation
-    dims = ((inst.dim_out,), (inst.dim_in,))
-    multi = len(inst.outcomes) > 1
+def _observed_outcome(task: InferenceTask) -> int:
+    """Position of the observed instrument outcome among the task's arrays."""
+    if not isinstance(task.transformation, Instrument):
+        return 0
+    labels = task.transformation.labels()
+    if task.given_outcome is None:
+        if len(labels) > 1:
+            raise ValueError("postdiction through an instrument requires the observed outcome label")
+        return 0
+    if task.given_outcome not in labels:
+        raise ValueError(f"the instrument has no outcome labelled {task.given_outcome!r}")
+    return labels.index(task.given_outcome)
+
+
+def solve(task: InferenceTask) -> ProbabilityTable:
+    """Solve any inference task on the transition-array kernel.
+
+    The transformation is validated once; its transition arrays (one per
+    instrument outcome) are contracted with the task's own factors, masks
+    and given outcomes.  Ignored data factors carry the flat weight 1/d
+    whatever the transformation, and only a channel's postdiction carries
+    the Bayes factor.  Solving needs the data: a predict task must carry
+    outcomes on its known input factors, a postdict task on its known output
+    factors.  Tasks without them are still valid as ensemble descriptions for
+    the sampler.
+    """
     if task.direction == "predict":
-        a = task.given_input[0]
-        if a is None:
-            raise ValueError("instrument prediction requires the preparation outcome")
-        labels, values = [], []
-        for label, qmap in inst.outcomes:
-            labels += [join_labels(label, str(x)) if multi else str(x) for x in range(inst.dim_out)]
-            values.append(_contract(_transitions(qmap), *dims, "predict", (a,), (True,)))
-        return ProbabilityTable.from_values(labels, np.concatenate(values), given=str(a), direction="predict")
-    x = task.given_output[0]
-    if multi and task.given_outcome is None:
-        raise ValueError("postdiction through an instrument requires the observed outcome label")
-    label = task.given_outcome if task.given_outcome is not None else inst.outcomes[0][0]
-    numerators = _contract(_transitions(inst.map_for(label)), *dims, "postdict", (x,), (True,))
-    given = join_labels(label, str(x)) if multi else str(x)
-    return _postdiction([str(a) for a in range(inst.dim_in)], numerators, given)
+        data, data_mask, guess_mask = task.given_input, task.known_input_mask, task.known_output_mask
+        _require_given(data, data_mask, "input")
+    else:
+        data, data_mask, guess_mask = task.given_output, task.known_output_mask, task.known_input_mask
+        _require_given(data, data_mask, "output")
+    _check_transformation(task)
+    states = task.preparation_states
+    arrays = _transition_arrays(task.transformation, states)
+    if task.direction == "postdict":
+        observed = _observed_outcome(task)
+        arrays = arrays[observed : observed + 1]
+    dims_in = task.dims_in if states is None else (len(states),)
+    given = tuple(g if m else None for g, m in zip(data, data_mask))
+    with_factor = isinstance(task.transformation, QuantumMap)
+    return _solve_table(arrays, task.dims_out, dims_in, task.direction, given, guess_mask, with_factor)
 
 
 def time_reverse(task: InferenceTask) -> InferenceTask:
@@ -560,21 +557,17 @@ def time_reverse(task: InferenceTask) -> InferenceTask:
     unital channel.  A channel whose adjoint is not a channel has no reversed
     task.
     """
-    kind = task.transformation_kind()
-    if kind == "unitary":
-        reversed_transformation: np.ndarray | QuantumMap = dagger(
-            np.asarray(task.transformation, dtype=complex)
-        )
-    elif kind == "channel":
-        candidate = adjoint_map(task.transformation)
-        info = classify(candidate)
+    if isinstance(task.transformation, Instrument):
+        raise ValueError("time reversal is defined for unitary and channel tasks")
+    if isinstance(task.transformation, QuantumMap):
+        reversed_transformation = adjoint_map(task.transformation)
+        info = classify(reversed_transformation)
         if not (info.is_cp and info.is_tp):
             raise NoActiveReverseError(
                 "the adjoint map is not trace preserving; only unital channels admit an active reversal"
             )
-        reversed_transformation = candidate
     else:
-        raise ValueError("time reversal is defined for unitary and channel tasks")
+        reversed_transformation = dagger(np.asarray(task.transformation, dtype=complex))
     if task.preparation_states is not None:
         raise ValueError("time reversal requires basis preparations")
     return InferenceTask(
@@ -636,17 +629,18 @@ def four_task_check(transformation: np.ndarray | QuantumMap, a: int, x: int) -> 
         info = classify(transformation)
         if not (info.is_cp and info.is_tp and info.is_unital):
             raise ValueError("the four-task equality holds for unital channels only")
-        forward, reverse = transformation, adjoint_map(transformation)
-        predict, postdict, kraus = predict_channel, postdict_channel, transformation.kraus
+        forward, reverse, kraus = transformation, adjoint_map(transformation), transformation.kraus
     else:
-        u = _check_unitary_arg(np.asarray(transformation, dtype=complex))
-        forward, reverse = u, dagger(u)
-        predict, postdict, kraus = predict_closed, postdict_closed, (u,)
+        u = _check_unitary_arg(transformation)
+        forward, reverse, kraus = u, dagger(u), (u,)
+    # The adjoint of a unitary or of a unital channel needs no check of its own.
+    dims = ((kraus[0].shape[0],), (kraus[0].shape[1],))
+    ahead, back = _transition_arrays(forward), _transition_arrays(reverse)
     return FourTaskReport(
-        predict_forward=predict(forward, a)[str(x)],
-        postdict_forward=postdict(forward, x)[str(a)],
-        predict_reversed=predict(reverse, x)[str(a)],
-        postdict_reversed=postdict(reverse, a)[str(x)],
+        predict_forward=_solve_table(ahead, *dims, "predict", (a,), (True,))[str(x)],
+        postdict_forward=_solve_table(ahead, *dims, "postdict", (x,), (True,))[str(a)],
+        predict_reversed=_solve_table(back, *dims[::-1], "predict", (x,), (True,))[str(a)],
+        postdict_reversed=_solve_table(back, *dims[::-1], "postdict", (a,), (True,))[str(x)],
         reference=_born_reference(kraus, a, x),
     )
 
@@ -661,10 +655,10 @@ def open_reversal_check(
     sides swapped.  Returns the maximum defect per relation plus an overall
     ``max`` entry.
     """
-    dims_in = tuple(int(d) for d in dims_in)
-    dims_out = tuple(int(d) for d in dims_out) if dims_out is not None else dims_in
+    dims_out = dims_in if dims_out is None else dims_out
     u = np.asarray(u, dtype=complex)
-    ud = dagger(u)
+    ud, dims_out, dims_in = _check_open_args(dagger(u), dims_out, dims_in)
+    arrays = _transition_arrays(ud)
     d_x, d_y = dims_out
     d_a, d_b = dims_in
     both_out = list(itertools.product(range(d_x), range(d_y)))
@@ -683,11 +677,10 @@ def open_reversal_check(
     for name, direction, data, mask in relations:
         defect = 0.0
         for given in data:
+            table = _solve_table(arrays, dims_in, dims_out, direction, given, mask)
             if direction == "predict":
-                table = predict_open(ud, dims_out, dims_in, given, mask)
                 reference = _pull_back_reference((u,), dims_out, given, dims_in, mask)
             else:
-                table = postdict_open(ud, dims_out, dims_in, given, mask)
                 reference = _pull_back_reference((ud,), dims_in, given, dims_out, mask)
             defect = max(defect, float(np.max(np.abs(table.probabilities() - reference))))
         defects[name] = defect
@@ -710,17 +703,19 @@ def channel_toward_past_check(
     tr |x><x| channel[|a><a|] equals the postdiction of x in the task where
     the purifying unitary runs backwards and the outputs (a, ancilla) are the
     data, whether or not the channel itself admits an active reversal.
+    Building the purification checks the channel; one that is passed in was
+    checked when it was built.
     """
-    check_cptp(channel)
     if purification is None:
         purification = stinespring(channel)
     born = _born_reference(channel.kraus, a, x)
-    reversed_table = postdict_open(
-        dagger(purification.unitary),
-        purification.dims_out,
+    reversed_table = _solve_table(
+        _transition_arrays(dagger(purification.unitary)),
         purification.dims_in,
-        known_output=(a, 0),
-        guess_input_mask=(True, False),
+        purification.dims_out,
+        "postdict",
+        (a, 0),
+        (True, False),
     )
     value = reversed_table[str(x)]
     return TowardsPastReport(born, value, abs(born - value))
@@ -825,23 +820,17 @@ def _purified_no_signalling_defect(e: Instrument, f: Instrument) -> float:
 
     dims_fwd_in = (d_a, d_be, d_bf)
     dims_fwd_out = (d_z2, m_f, z_f, m_e, z_e)
-    chain_back = dagger(chain)
+    # The dilations were checked when built; chained through a permutation they stay unitary.
+    chain_back = _transition_arrays(dagger(chain))
+    single_back = _transition_arrays(dagger(pe.unitary))
 
     defect = 0.0
     for a in range(d_a):
-        joint = postdict_open(
-            chain_back,
-            dims_fwd_out,
-            dims_fwd_in,
-            known_output=(a, 0, 0),
-            guess_input_mask=(False, True, False, True, False),
+        joint = _solve_table(
+            chain_back, dims_fwd_in, dims_fwd_out, "postdict", (a, 0, 0), (False, True, False, True, False)
         )
-        single = postdict_open(
-            dagger(pe.unitary),
-            (d_d, m_e, z_e),
-            pe.dims_in,
-            known_output=(a, 0),
-            guess_input_mask=(False, True, False),
+        single = _solve_table(
+            single_back, pe.dims_in, (d_d, m_e, z_e), "postdict", (a, 0), (False, True, False)
         )
         for x in range(m_e):
             summed = sum(joint[join_labels(str(y), str(x))] for y in range(m_f))
@@ -855,14 +844,16 @@ def _purified_no_signalling_defect(e: Instrument, f: Instrument) -> float:
 
 
 def _table_asymmetry(channel: QuantumMap) -> float:
-    """Max |P_pre(x|a) - P_post(a|x)| over the computational bases."""
+    """Max |P_pre(x|a) - P_post(a|x)| over the computational bases, from one transition array."""
     worst = 0.0
-    predictions = np.stack(
-        [predict_channel(channel, a).probabilities() for a in range(channel.dim_in)], axis=1
-    )  # indexed [x, a]
+    arrays = _transition_arrays(channel)
+    dims = ((channel.dim_out,), (channel.dim_in,))
+    predictions = np.array(
+        [_solve_table(arrays, *dims, "predict", (a,), (True,)).probabilities() for a in range(channel.dim_in)]
+    ).T  # indexed [x, a]
     for x in range(channel.dim_out):
         try:
-            post = postdict_channel(channel, x).probabilities()
+            post = _solve_table(arrays, *dims, "postdict", (x,), (True,)).probabilities()
         except UndefinedConditionalError:
             # Zero-evidence outcome: the postdiction row cannot match any
             # normalized prediction column, so symmetry fails outright.
@@ -887,8 +878,7 @@ def is_inference_symmetric(
     Haar-rotated basis pairs, and a disagreement raises, since the criterion
     quantifies over all bases while sampling can only corroborate it.
     """
-    check_cptp(channel)
-    verdict = classify(channel).is_unital
+    verdict = check_cptp(channel).is_unital
     samples = [_table_asymmetry(channel)]
     if channel.dim_in == channel.dim_out:
         for t in range(basis_samples):

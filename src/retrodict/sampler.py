@@ -25,12 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Instrument
 from .errors import UndefinedConditionalError
-from .inference import InferenceTask, _transitions
+from .inference import InferenceTask, _transition_arrays
 from .tables import ProbabilityTable, join_labels
 
 SLOTS_PER_TRIAL = 3
+# Philox is keyed by one 64-bit word: seeds lie in [0, SEED_LIMIT).
+SEED_LIMIT = 2**64
 
 
 def trial_uniforms(seed: int, shots: int) -> np.ndarray:
@@ -69,21 +70,17 @@ def _inverse_cdf(cdf: np.ndarray, u: float) -> int:
 
 
 def _prepare_alternatives(task: InferenceTask) -> tuple[list[str], list[tuple[str, np.ndarray]]]:
-    """Input labels of the preparation alternatives and the transition arrays.
+    """Input labels of the preparation alternatives and the solver's transition arrays.
 
     The labels are indexed like the columns of T; there is one array per
-    instrument outcome, labelled, and one unlabelled array otherwise.
+    instrument outcome, labelled when there are several.
     """
     if task.preparation_states is not None:
         labels = [str(i) for i in range(len(task.preparation_states))]
     else:
         ranges = [range(d) for d in task.dims_in]
         labels = [_restricted_label(combo, task.known_input_mask) for combo in itertools.product(*ranges)]
-    if isinstance(task.transformation, Instrument):
-        outcomes = task.transformation.outcomes
-        multi = len(outcomes) > 1
-        return labels, [(label if multi else "", _transitions(qmap)) for label, qmap in outcomes]
-    return labels, [("", _transitions(task.transformation, task.preparation_states))]
+    return labels, _transition_arrays(task.transformation, task.preparation_states)
 
 
 def _transformation_stages(transitions: list[tuple[str, np.ndarray]], a: int):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
@@ -18,6 +18,7 @@ from . import linalg
 from .channels import Instrument, QuantumMap, classify
 from .errors import ScenarioError
 from .purify import Purification
+from .sampler import SEED_LIMIT
 from .tables import ProbabilityTable
 
 TASKS = ("predict", "postdict", "classify", "purify", "verify", "sample")
@@ -71,14 +72,6 @@ def wire_to_ket(data: Any, field: str = "state") -> np.ndarray:
     return _finite(np.array([wire_to_complex(p) for p in data], dtype=complex), field)
 
 
-def quantum_map_to_wire(qmap: QuantumMap) -> dict:
-    return {
-        "dim_in": qmap.dim_in,
-        "dim_out": qmap.dim_out,
-        "kraus": [matrix_to_wire(k) for k in qmap.kraus],
-    }
-
-
 def instrument_to_wire(inst: Instrument) -> dict:
     return {
         "dim_in": inst.dim_in,
@@ -130,7 +123,11 @@ def table_to_wire(table: ProbabilityTable) -> dict:
 
 @dataclass(frozen=True, eq=False)
 class ScenarioFile:
-    """A parsed and validated scenario document."""
+    """A parsed and validated scenario document.
+
+    ``digest`` is the SHA-256 of the file's bytes when the scenario was read
+    from a file, and None otherwise.
+    """
 
     task: str
     dims_in: tuple[int, ...]
@@ -145,6 +142,7 @@ class ScenarioFile:
     known_output_mask: tuple[bool, ...]
     shots: int | None
     seed: int | None
+    digest: str | None = None
 
 
 def _is_json_integer(value: Any) -> bool:
@@ -304,6 +302,8 @@ def parse_scenario_dict(doc: Any) -> ScenarioFile:
     for name, value in (("shots", shots), ("seed", seed)):
         if value is not None and not _is_json_integer(value):
             raise ScenarioError("malformed-document", f"{name}: expected an integer")
+    if seed is not None and not 0 <= seed < SEED_LIMIT:
+        raise ScenarioError("malformed-document", "seed: expected an integer in [0, 2**64)")
     return ScenarioFile(
         task=task,
         dims_in=dims_in,
@@ -322,14 +322,17 @@ def parse_scenario_dict(doc: Any) -> ScenarioFile:
 
 
 def parse_scenario(path: str) -> ScenarioFile:
+    """Read a scenario file once; its digest is the SHA-256 of the bytes parsed."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
+        with open(path, "rb") as handle:
+            raw = handle.read()
     except OSError as exc:
         raise ScenarioError("malformed-document", f"cannot read scenario: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    try:
+        doc = json.loads(raw)
+    except (ValueError, RecursionError) as exc:  # invalid, undecodable or too deeply nested
         raise ScenarioError("malformed-document", f"invalid JSON: {exc}") from exc
-    return parse_scenario_dict(doc)
+    return replace(parse_scenario_dict(doc), digest=hashlib.sha256(raw).hexdigest())
 
 
 def scenario_to_dict(scenario: ScenarioFile) -> dict:
@@ -374,5 +377,6 @@ def scenario_to_dict(scenario: ScenarioFile) -> dict:
 
 
 def scenario_digest(doc: dict) -> str:
+    """SHA-256 of a document's canonical JSON, for reports that read no file."""
     canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

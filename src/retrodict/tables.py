@@ -41,15 +41,16 @@ class ProbabilityTable:
         if self.direction not in ("predict", "postdict"):
             raise ValueError(f"unknown direction {self.direction!r}")
         cleaned: dict[str, float] = {}
+        # Each check is written so that NaN, which fails every comparison, fails it.
         for label, value in self.entries.items():
             value = float(value)
-            if value < -ENTRY_SLACK or value > 1.0 + ENTRY_SLACK:
+            if not -ENTRY_SLACK <= value <= 1.0 + ENTRY_SLACK:
                 raise ValueError(f"probability {value} for outcome {label!r} is out of range")
             cleaned[str(label)] = value
         object.__setattr__(self, "entries", cleaned)
         total = sum(cleaned.values())
         object.__setattr__(self, "normalization_defect", abs(total - 1.0))
-        if self.normalization_defect > NORMALIZATION_ATOL:
+        if not self.normalization_defect <= NORMALIZATION_ATOL:
             raise ValueError(f"table sums to {total}, not normalized within {NORMALIZATION_ATOL}")
 
     @classmethod

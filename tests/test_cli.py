@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -125,6 +126,16 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "raw", [b'{"task": "predict\xff"}', b"[" * 100_000 + b"]" * 100_000], ids=["undecodable", "too-deep"]
+)
+def test_undecodable_or_too_deeply_nested_json_exits_2(tmp_path, capsys, raw):
+    bad = tmp_path / "broken.json"
+    bad.write_bytes(raw)
+    assert main(["predict", "--scenario", str(bad)]) == 2
+    assert "malformed-document" in capsys.readouterr().err
+
+
 def test_unknown_task_document_exits_2(tmp_path, capsys):
     doc = tmp_path / "task.json"
     doc.write_text(json.dumps({"task": "teleport"}))
@@ -196,3 +207,90 @@ def test_sample_with_zero_tolerance_passes_a_deterministic_ensemble(tmp_path, ca
     assert code == 0
     assert len(checks) == 6
     assert all(c["passed"] and c["defect"] == 0.0 and c["tolerance"] == 0.0 for c in checks)
+
+
+def _channel_doc(task):
+    """A one-Kraus channel on two qubits: prepare the first in 1, ignore the second on both sides."""
+    u = rd.haar_random_unitary(4, 17)
+    return {
+        "task": task,
+        "dims_in": [2, 2],
+        "dims_out": [2, 2],
+        "transformation": {"type": "kraus-channel", "kraus": [matrix_to_wire(u)]},
+        "given": {"input": [1, None]},
+        "known_input_mask": [True, False],
+        "known_output_mask": [True, False],
+        "shots": 20000,
+        "seed": 5,
+    }
+
+
+def test_channel_scenario_uses_its_factors_and_masks(tmp_path, capsys):
+    tables = []
+    for kind in ("kraus-channel", "unitary"):
+        doc = _channel_doc("predict")
+        if kind == "unitary":
+            doc["transformation"] = {"type": "unitary", "matrix": doc["transformation"]["kraus"][0]}
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["predict", "--scenario", str(path), "--format", "json"]) == 0
+        tables.append(json.loads(capsys.readouterr().out)["tables"][0])
+    assert list(tables[0]["entries"]) == ["0", "1"]
+    assert tables[0]["given"] == tables[1]["given"] == "1"
+    for label, value in tables[1]["entries"].items():
+        assert tables[0]["entries"][label] == pytest.approx(value, abs=1e-12)
+
+
+def test_channel_scenario_samples(tmp_path):
+    path = tmp_path / "channel.json"
+    path.write_text(json.dumps(_channel_doc("sample")))
+    assert main(["sample", "--scenario", str(path)]) == 0
+
+
+def test_unknown_instrument_outcome_exits_3(tmp_path, capsys):
+    path = tmp_path / "instrument.json"
+    path.write_text(
+        json.dumps(
+            {
+                "task": "postdict",
+                "dims_in": [2],
+                "dims_out": [2],
+                "transformation": {
+                    "type": "instrument",
+                    "outcomes": [
+                        {"label": "0", "kraus": [matrix_to_wire(np.diag([1.0, 0.0]))]},
+                        {"label": "1", "kraus": [matrix_to_wire(np.diag([0.0, 1.0]))]},
+                    ],
+                },
+                "given": {"output": [0], "outcome": "2"},
+            }
+        )
+    )
+    assert main(["postdict", "--scenario", str(path)]) == 3
+    assert "no outcome labelled '2'" in capsys.readouterr().err
+
+
+def test_negative_seed_on_the_command_line_exits_2(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sample", "--scenario", fixture("sample_hadamard.json"), "--seed", "-3"])
+    assert exit_info.value.code == 2
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sample", "--scenario", fixture("sample_hadamard.json"), "--seed", str(2**64)])
+    assert exit_info.value.code == 2
+
+
+def test_seed_outside_the_philox_key_range_exits_2(tmp_path, capsys):
+    for seed in (-1, 2**64):
+        path = tmp_path / "seed.json"
+        path.write_text(json.dumps({**json.loads(Path(fixture("sample_hadamard.json")).read_text()), "seed": seed}))
+        assert main(["sample", "--scenario", str(path), "--shots", "100"]) == 2
+        assert "seed" in capsys.readouterr().err
+    path.write_text(json.dumps({**json.loads(path.read_text()), "seed": 2**64 - 1}))
+    assert main(["sample", "--scenario", str(path), "--shots", "100"]) == 0
+
+
+def test_scenario_digest_is_the_sha256_of_the_file(capsys):
+    path = Path(fixture("postdict_amplitude_damping.json"))
+    assert main(["postdict", "--scenario", str(path), "--format", "json"]) == 0
+    digest = json.loads(capsys.readouterr().out)["scenario_digest"]
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()

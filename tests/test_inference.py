@@ -2,9 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from retrodict import inference, linalg
 from retrodict.channels import (
+    Instrument,
+    QuantumMap,
     adjoint_map,
     amplitude_damping,
     apply,
@@ -384,6 +388,11 @@ def test_general_prep_rejects_unnormalized_state():
         predict_general_prep([np.array([1.0, 1.0])], np.eye(2, dtype=complex))
 
 
+def test_general_prep_rejects_nan_state():
+    with pytest.raises(ValueError, match="not normalized"):
+        predict_general_prep([np.array([np.nan, 0.0])], np.eye(2, dtype=complex))
+
+
 def test_general_prep_purified_check_orthonormal():
     u = linalg.haar_random_unitary(2, 61)
     states = [linalg.basis_ket(2, 0), linalg.basis_ket(2, 1)]
@@ -663,6 +672,67 @@ def test_solve_dispatches_channel_and_instrument():
     )
     table = solve(inst_task)
     assert table["1·1"] == pytest.approx(1.0, abs=1e-12)
+
+
+def _single_operator_tasks(u, dims, direction, data_mask, guess_mask, data):
+    """The same task on U, on the channel with Kraus list (U,) and on a one-outcome instrument."""
+    d = u.shape[0]
+    channel = QuantumMap((u,), d, d)
+    kinds = (u, channel, Instrument((("0", channel),), d, d))
+    if direction == "predict":
+        return [InferenceTask(t, dims, dims, direction, data_mask, guess_mask, given_input=data) for t in kinds]
+    return [InferenceTask(t, dims, dims, direction, guess_mask, data_mask, given_output=data) for t in kinds]
+
+
+def _assert_same_tables(tables):
+    for table in tables[1:]:
+        assert table.labels() == tables[0].labels()
+        assert table.given == tables[0].given
+        np.testing.assert_allclose(table.probabilities(), tables[0].probabilities(), rtol=0, atol=1e-12)
+
+
+def test_solve_uses_the_task_factors_for_channels_and_instruments():
+    u = linalg.haar_random_unitary(4, 211)
+    for direction in ("predict", "postdict"):
+        tasks = _single_operator_tasks(u, (2, 2), direction, (True, False), (True, False), (1, None))
+        tables = [solve(task) for task in tasks]
+        assert tables[0].labels() == ("0", "1")
+        _assert_same_tables(tables)
+
+
+def test_solve_gives_ignored_data_factors_the_flat_prior_for_every_kind():
+    u = linalg.haar_random_unitary(4, 213)
+    for direction in ("predict", "postdict"):
+        tasks = _single_operator_tasks(u, (2, 2), direction, (False, False), (True, True), (None, None))
+        tables = [solve(task) for task in tasks]
+        np.testing.assert_allclose(tables[0].probabilities(), np.full(4, 0.25), atol=1e-12)
+        _assert_same_tables(tables)
+    states = (np.array([1.0, 0.0]), np.array([1.0, 1.0]) / np.sqrt(2))
+    task = InferenceTask(HADAMARD, (2,), (2,), "predict", (False,), (True,), preparation_states=states)
+    rows = [table.probabilities() for table in predict_general_prep(states, HADAMARD)]
+    np.testing.assert_allclose(solve(task).probabilities(), np.mean(rows, axis=0), atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.data())
+def test_solve_agrees_on_a_unitary_its_channel_and_its_instrument(data):
+    dims = tuple(data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3), label="dims"))
+    n = len(dims)
+    u = linalg.haar_random_unitary(int(np.prod(dims)), data.draw(st.integers(0, 2**31), label="seed"))
+    direction = data.draw(st.sampled_from(["predict", "postdict"]), label="direction")
+    data_mask = data.draw(st.lists(st.booleans(), min_size=n, max_size=n), label="data mask")
+    guess_mask = data.draw(st.lists(st.booleans(), min_size=n, max_size=n).filter(any), label="guess mask")
+    given_data = tuple(data.draw(st.integers(0, d - 1)) if m else None for d, m in zip(dims, data_mask))
+    tasks = _single_operator_tasks(u, dims, direction, data_mask, guess_mask, given_data)
+    _assert_same_tables([solve(task) for task in tasks])
+
+
+def test_solve_rejects_an_unknown_instrument_outcome():
+    task = InferenceTask(
+        computational_measurement(2), (2,), (2,), "postdict", (True,), (True,), given_output=(0,), given_outcome="7"
+    )
+    with pytest.raises(ValueError, match="no outcome labelled"):
+        solve(task)
 
 
 def test_solve_requires_given_data():

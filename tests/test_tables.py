@@ -60,3 +60,8 @@ def test_bayes_invert_zero_evidence():
     rows = {"0": ProbabilityTable({"x": 1.0, "y": 0.0})}
     with pytest.raises(UndefinedConditionalError):
         bayes_invert(rows, "y")
+
+
+def test_table_rejects_nan_entries():
+    with pytest.raises(ValueError):
+        ProbabilityTable({"0": float("nan"), "1": 1.0})
