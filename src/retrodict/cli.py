@@ -30,8 +30,10 @@ from .channels import (
 from .errors import NoActiveReverseError, ScenarioError, UndefinedConditionalError
 from .inference import (
     InferenceTask,
+    _check_transformation,
     _check_unitary_arg,
     _pull_back_reference,
+    _solve_checked,
     _solve_table,
     _transition_arrays,
     channel_toward_past_check,
@@ -150,11 +152,17 @@ def _run_purify(scenario: ScenarioFile, report: ReportDocument, tolerance: float
     report.add_check("purification-round-trip", defect, tolerance)
 
 
-def _run_sample(scenario: ScenarioFile, report: ReportDocument, seed: int | None, floor: float):
-    shots = scenario.shots or 100_000
-    seed = seed if seed is not None else (scenario.seed or 0)
-    for direction in ("predict", "postdict"):
-        task = _task_from_scenario(scenario, direction)
+def _run_sample(scenario: ScenarioFile, report: ReportDocument, seed: int, floor: float):
+    """Draw the ensemble in both directions and hold every conditional row to its closed form.
+
+    The transformation is validated once, before any trial is drawn; every
+    row is then solved without re-validating it.
+    """
+    shots = 100_000 if scenario.shots is None else scenario.shots
+    tasks = [_task_from_scenario(scenario, direction) for direction in ("predict", "postdict")]
+    _check_transformation(tasks[0])
+    for task in tasks:
+        direction = task.direction
         result = run_ensemble(task, shots, seed)
         empirical = empirical_conditionals(result, direction)
         trials: dict[str, int] = {}
@@ -168,7 +176,7 @@ def _run_sample(scenario: ScenarioFile, report: ReportDocument, seed: int | None
             else:
                 outcome_label, basis_given = _split_outcome_label(task, given)
                 analytic_task = replace(task, given_output=basis_given, given_outcome=outcome_label)
-            outcome = compare(row, solve(analytic_task), trials[given], floor=floor)
+            outcome = compare(row, _solve_checked(analytic_task), trials[given], floor=floor)
             worst = max(worst, outcome.max_deviation)
             # The bound of a failing outcome, else of the farthest one; the
             # verdict is compare's, which also holds on a bound of zero.
@@ -329,6 +337,7 @@ def _run_verify(report: ReportDocument, dims: tuple[int, int], seed: int, tolera
     report.add_check("deterministic-effect-solution", worst_solution, 1e-8)
     report.add_check("deterministic-effect-alternatives", 1e-6, worst_residual)
     report.metrics["deterministic_effect_min_alternative_residual"] = float(worst_residual)
+    report.metrics["seed"] = seed
 
 
 def _format_text(report: ReportDocument) -> str:
@@ -413,8 +422,14 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
         return EXIT_PARSE if exc.code in PARSE_CODES else EXIT_VALIDATION
 
+    if args.seed is not None:
+        seed = args.seed
+    elif scenario is not None and scenario.seed is not None:
+        seed = scenario.seed
+    else:
+        seed = 1 if args.command == "verify" else 0
     digest = scenario.digest if scenario else scenario_digest(
-        {"command": args.command, "dims": args.dims or [2, 2], "seed": args.seed or 0}
+        {"command": args.command, "dims": args.dims or [2, 2], "seed": seed}
     )
     report = ReportDocument(command=args.command, scenario_digest=digest)
 
@@ -428,10 +443,9 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "sample":
             if args.shots is not None:
                 scenario = replace(scenario, shots=args.shots)
-            _run_sample(scenario, report, args.seed, args.tolerance if args.tolerance is not None else 0.01)
+            _run_sample(scenario, report, seed, args.tolerance if args.tolerance is not None else 0.01)
         elif args.command == "verify":
             dims = tuple(args.dims) if args.dims else _dims_from_scenario(scenario)
-            seed = args.seed if args.seed is not None else (scenario.seed if scenario and scenario.seed else 1)
             _run_verify(report, dims, seed, args.tolerance)
     except UndefinedConditionalError as exc:
         print(f"error [undefined-conditional]: {exc}", file=sys.stderr)

@@ -529,13 +529,22 @@ def solve(task: InferenceTask) -> ProbabilityTable:
     factors.  Tasks without them are still valid as ensemble descriptions for
     the sampler.
     """
+    _check_transformation(task)
+    return _solve_checked(task)
+
+
+def _solve_checked(task: InferenceTask) -> ProbabilityTable:
+    """The body of ``solve`` for a task whose transformation has passed ``_check_transformation``.
+
+    Callers that solve many tasks on one transformation check it once and
+    solve each task here.
+    """
     if task.direction == "predict":
         data, data_mask, guess_mask = task.given_input, task.known_input_mask, task.known_output_mask
         _require_given(data, data_mask, "input")
     else:
         data, data_mask, guess_mask = task.given_output, task.known_output_mask, task.known_input_mask
         _require_given(data, data_mask, "output")
-    _check_transformation(task)
     states = task.preparation_states
     arrays = _transition_arrays(task.transformation, states)
     if task.direction == "postdict":

@@ -14,8 +14,12 @@ Randomness comes from the Philox 4x64 counter-based generator (numpy's
 keyed by the ensemble seed and yields a fixed block of THREE uniform doubles
 per trial, in trial order; trial t consumes exactly slots [3t, 3t+3).  Counts
 are therefore reproducible bit-for-bit and independent of how trials are
-scheduled: a parallel execution merging per-trial results by summation gives
-identical counts to the sequential loop.
+scheduled.  The ensemble is counted in chunks of ``CHUNK_TRIALS`` trials:
+each chunk's uniforms start at its first trial's slot (the counter is
+advanced, not replayed), its trials are grouped by alternative and drawn by
+one inverse-CDF search per group, and its (alternative, outcome, x) cells
+are tallied with one ``bincount``.  Memory is bounded by the chunk, not by
+``shots``, and the chunk size cannot change the counts.
 """
 
 from __future__ import annotations
@@ -30,17 +34,25 @@ from .inference import InferenceTask, _transition_arrays
 from .tables import ProbabilityTable, join_labels
 
 SLOTS_PER_TRIAL = 3
+# Trials counted per chunk; a chunk's uniforms take 24 bytes per trial.
+CHUNK_TRIALS = 1 << 16
 # Philox is keyed by one 64-bit word: seeds lie in [0, SEED_LIMIT).
 SEED_LIMIT = 2**64
 
 
-def trial_uniforms(seed: int, shots: int) -> np.ndarray:
-    """The (shots, 3) array of uniform doubles driving an ensemble.
+def trial_uniforms(seed: int, shots: int, first: int = 0) -> np.ndarray:
+    """The (shots, 3) array of uniform doubles driving trials first, ..., first + shots - 1.
 
     Raw 64-bit Philox words are mapped to [0, 1) doubles by the standard
-    (word >> 11) * 2**-53 conversion.
+    (word >> 11) * 2**-53 conversion.  The words before trial ``first`` are
+    skipped by advancing the counter (four words per step) and discarding
+    the remainder, so the block equals rows [first, first + shots) of the
+    block from trial 0.
     """
     bit_generator = np.random.Philox(key=np.uint64(seed))
+    skipped, remainder = divmod(SLOTS_PER_TRIAL * first, 4)
+    bit_generator.advance(skipped)
+    bit_generator.random_raw(remainder)
     raw = bit_generator.random_raw(SLOTS_PER_TRIAL * shots)
     return ((raw >> np.uint64(11)).astype(np.float64) * 2.0**-53).reshape(shots, SLOTS_PER_TRIAL)
 
@@ -62,11 +74,6 @@ class EnsembleResult:
 def _restricted_label(indices: tuple[int, ...], mask: tuple[bool, ...]) -> str:
     parts = [str(i) for i, m in zip(indices, mask) if m]
     return join_labels(*parts)
-
-
-def _inverse_cdf(cdf: np.ndarray, u: float) -> int:
-    idx = int(np.searchsorted(cdf, u, side="right"))
-    return min(idx, len(cdf) - 1)
 
 
 def _prepare_alternatives(task: InferenceTask) -> tuple[list[str], list[tuple[str, np.ndarray]]]:
@@ -94,30 +101,53 @@ def _transformation_stages(transitions: list[tuple[str, np.ndarray]], a: int):
     return weights, [(label, np.cumsum(column)) for label, column in columns]
 
 
+def _grouped_inverse_cdf(groups: np.ndarray, u: np.ndarray, cdfs: list[np.ndarray]) -> np.ndarray:
+    """Per trial t, the inverse-CDF draw of u[t] from the unnormalized cdfs[groups[t]].
+
+    The draw is the first index whose cumulative weight exceeds u times the
+    total, clipped to the last index against rounding at the top.
+    """
+    order = np.argsort(groups)
+    bounds = np.cumsum(np.bincount(groups, minlength=len(cdfs)))
+    drawn = np.empty(len(groups), dtype=np.int64)
+    for cdf, trials in zip(cdfs, np.split(order, bounds[:-1])):
+        if len(trials):
+            index = np.searchsorted(cdf, u[trials] * cdf[-1], side="right")
+            drawn[trials] = np.minimum(index, len(cdf) - 1)
+    return drawn
+
+
 def run_ensemble(task: InferenceTask, shots: int, seed: int) -> EnsembleResult:
     """Simulate ``shots`` independent trials of the task's scenario."""
     if shots < 1:
         raise ValueError("shots must be at least 1")
     in_labels, transitions = _prepare_alternatives(task)
-    n_alt = len(in_labels)
+    n_alt, n_branch = len(in_labels), len(transitions)
     prepared = [_transformation_stages(transitions, a) for a in range(n_alt)]
+    branch_cdfs = [branch_cdf for branch_cdf, _ in prepared]
+    meas_cdfs = [meas_cdf for _, branches in prepared for _, meas_cdf in branches]
     out_labels = [
         _restricted_label(combo, task.known_output_mask)
         for combo in itertools.product(*[range(d) for d in task.dims_out])
     ]
+    n_x = len(out_labels)
 
-    uniforms = trial_uniforms(seed, shots)
+    cells = np.zeros(n_alt * n_branch * n_x, dtype=np.int64)
+    for first in range(0, shots, CHUNK_TRIALS):
+        uniforms = trial_uniforms(seed, min(CHUNK_TRIALS, shots - first), first)
+        alt = np.minimum((uniforms[:, 0] * n_alt).astype(np.int64), n_alt - 1)
+        pair = alt * n_branch + _grouped_inverse_cdf(alt, uniforms[:, 1], branch_cdfs)
+        x = _grouped_inverse_cdf(pair, uniforms[:, 2], meas_cdfs)
+        cells += np.bincount(pair * n_x + x, minlength=len(cells))
+
     counts: dict[tuple[str, str], int] = {}
-    for t in range(shots):
-        u_in, u_branch, u_meas = uniforms[t]
-        alt_index = min(int(u_in * n_alt), n_alt - 1)
-        branch_cdf, branches = prepared[alt_index]
-        branch = _inverse_cdf(branch_cdf, u_branch * branch_cdf[-1])
-        branch_label, meas_cdf = branches[branch]
-        x = _inverse_cdf(meas_cdf, u_meas * meas_cdf[-1])
+    for cell in np.flatnonzero(cells):
+        pair, x = divmod(int(cell), n_x)
+        alt, branch = divmod(pair, n_branch)
+        branch_label = transitions[branch][0]
         out_label = out_labels[x] if not branch_label else join_labels(branch_label, out_labels[x])
-        key = (in_labels[alt_index], out_label)
-        counts[key] = counts.get(key, 0) + 1
+        key = (in_labels[alt], out_label)
+        counts[key] = counts.get(key, 0) + int(cells[cell])
     return EnsembleResult(joint_counts=counts, shots=shots, seed=seed)
 
 

@@ -294,3 +294,28 @@ def test_scenario_digest_is_the_sha256_of_the_file(capsys):
     assert main(["postdict", "--scenario", str(path), "--format", "json"]) == 0
     digest = json.loads(capsys.readouterr().out)["scenario_digest"]
     assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_zero_shots_exit_3(tmp_path, capsys):
+    assert main(["sample", "--scenario", fixture("sample_hadamard.json"), "--shots", "0"]) == 3
+    assert "shots must be at least 1" in capsys.readouterr().err
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({**json.loads(Path(fixture("sample_hadamard.json")).read_text()), "shots": 0}))
+    assert main(["sample", "--scenario", str(path)]) == 3
+    assert "shots must be at least 1" in capsys.readouterr().err
+
+
+def test_verify_report_names_the_seed_it_ran(tmp_path, capsys):
+    reports = {}
+    for name, extra in (("default", []), ("zero", ["--seed", "0"])):
+        assert main(["verify", "--dims", "2", "2", "--format", "json", *extra]) == 0
+        reports[name] = json.loads(capsys.readouterr().out)
+    assert reports["default"]["metrics"]["seed"] == 1
+    assert reports["zero"]["metrics"]["seed"] == 0
+    assert reports["default"]["scenario_digest"] != reports["zero"]["scenario_digest"]
+    assert reports["default"]["metrics"] != reports["zero"]["metrics"]
+    path = tmp_path / "verify_seed0.json"
+    path.write_text(json.dumps({**json.loads(Path(fixture("verify_small.json")).read_text()), "seed": 0}))
+    assert main(["verify", "--scenario", str(path), "--format", "json"]) == 0
+    from_file = json.loads(capsys.readouterr().out)["metrics"]
+    assert from_file == reports["zero"]["metrics"]

@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from retrodict import linalg
+from retrodict import linalg, sampler
 from retrodict.channels import (
     amplitude_damping,
     identity_channel,
     make_dephasing,
+    random_cptp_map,
+    random_instrument,
 )
 from retrodict.errors import UndefinedConditionalError
 from retrodict.inference import (
@@ -19,13 +23,16 @@ from retrodict.inference import (
 )
 from retrodict.sampler import (
     EnsembleResult,
+    _prepare_alternatives,
+    _restricted_label,
+    _transformation_stages,
     compare,
     empirical_conditional,
     empirical_conditionals,
     run_ensemble,
     trial_uniforms,
 )
-from retrodict.tables import ProbabilityTable
+from retrodict.tables import ProbabilityTable, join_labels
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 CNOT = np.array(
@@ -211,3 +218,93 @@ def test_dephasing_ensemble_matches_closed_form():
     for a in ("0", "1"):
         row = empirical_conditional(result, "predict", a)
         assert compare(row, predict_channel(make_dephasing(), int(a)), 50_000).passed
+
+
+def reference_counts(task, shots, seed):
+    """The per-trial loop the vectorized sampler must reproduce bit for bit."""
+
+    def inverse_cdf(cdf, u):
+        return min(int(np.searchsorted(cdf, u, side="right")), len(cdf) - 1)
+
+    in_labels, transitions = _prepare_alternatives(task)
+    n_alt = len(in_labels)
+    prepared = [_transformation_stages(transitions, a) for a in range(n_alt)]
+    out_labels = [
+        _restricted_label(combo, task.known_output_mask)
+        for combo in np.ndindex(*task.dims_out)
+    ]
+    counts = {}
+    for u_in, u_branch, u_meas in trial_uniforms(seed, shots):
+        alt_index = min(int(u_in * n_alt), n_alt - 1)
+        branch_cdf, branches = prepared[alt_index]
+        branch_label, meas_cdf = branches[inverse_cdf(branch_cdf, u_branch * branch_cdf[-1])]
+        x = inverse_cdf(meas_cdf, u_meas * meas_cdf[-1])
+        out_label = out_labels[x] if not branch_label else join_labels(branch_label, out_labels[x])
+        key = (in_labels[alt_index], out_label)
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def sampling_tasks():
+    states = (
+        linalg.basis_ket(3, 0),
+        linalg.random_pure_state(3, 2),
+        np.array([1, 1, 1], dtype=complex) / np.sqrt(3),
+    )
+    open_task = InferenceTask(
+        transformation=linalg.haar_random_unitary(16, 5),
+        dims_in=(4, 4),
+        dims_out=(4, 4),
+        direction="predict",
+        known_input_mask=(True, False),
+        known_output_mask=(False, True),
+    )
+    state_set = InferenceTask(
+        transformation=linalg.haar_random_unitary(3, 6),
+        dims_in=(3,),
+        dims_out=(3,),
+        direction="predict",
+        known_input_mask=(True,),
+        known_output_mask=(True,),
+        preparation_states=states,
+    )
+    return {
+        "hadamard": closed_task(HADAMARD),
+        "qutrit-channel": channel_task(random_cptp_map(3, 3, 2, 3)),
+        "qutrit-instrument": channel_task(random_instrument(3, 3, 2, 4)),
+        "open-4x4-masks": open_task,
+        "state-set": state_set,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(sampling_tasks()))
+@pytest.mark.parametrize("seed", [1, 7, 12345])
+def test_vectorized_counts_equal_the_per_trial_loop(name, seed):
+    task = sampling_tasks()[name]
+    assert run_ensemble(task, 4000, seed).joint_counts == reference_counts(task, 4000, seed)
+
+
+@pytest.mark.parametrize("name", ["qutrit-instrument", "open-4x4-masks"])
+@pytest.mark.parametrize("chunk", [1, 7, 1000])
+def test_counts_do_not_depend_on_the_chunk_size(name, chunk, monkeypatch):
+    task = sampling_tasks()[name]
+    expected = reference_counts(task, 1000, 3)
+    monkeypatch.setattr(sampler, "CHUNK_TRIALS", chunk)
+    assert run_ensemble(task, 1000, 3).joint_counts == expected
+
+
+def test_trial_uniforms_from_an_offset_are_a_slice_of_the_block():
+    block = trial_uniforms(21, 60)
+    for first in (1, 2, 3, 5, 6, 7, 9, 13, 22, 39):
+        np.testing.assert_array_equal(trial_uniforms(21, 11, first), block[first : first + 11])
+
+
+def test_ensemble_memory_is_bounded_in_shots():
+    tracemalloc.start()
+    try:
+        result = run_ensemble(closed_task(HADAMARD), 2_000_000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(result.joint_counts.values()) == 2_000_000
+    assert peak < 32 * 2**20
