@@ -43,7 +43,7 @@ from .channels import (
 )
 from .errors import NoActiveReverseError, UndefinedConditionalError
 from .linalg import ATOL_STRUCTURAL, dagger
-from .purify import Purification, purify_instrument, stinespring
+from .purify import Purification, _isometry, purify_instrument, stinespring
 from .tables import ProbabilityTable, join_labels
 
 Given = Sequence[int | None]
@@ -325,11 +325,11 @@ def postdict_channel_via_purification(
         purification = stinespring(channel)
     if purification.pointer_partition is not None:
         raise ValueError("expected a channel purification, not an instrument purification")
-    d_a, d_b = purification.dims_in
+    d_a = purification.dims_in[0]
     if d_a != channel.dim_in:
         raise ValueError("purification input dimension does not match the channel")
-    columns = purification.unitary.reshape(-1, d_a, d_b) @ purification.ancilla_state
-    numerators = _pull_back_reference((columns,), purification.dims_out, (x, None), (d_a,), (True,))
+    isometry = _isometry(purification).reshape(-1, d_a)
+    numerators = _pull_back_reference((isometry,), purification.dims_out, (x, None), (d_a,), (True,))
     return _postdiction([str(a) for a in range(d_a)], numerators, str(x))
 
 
@@ -533,11 +533,14 @@ def solve(task: InferenceTask) -> ProbabilityTable:
     return _solve_checked(task)
 
 
-def _solve_checked(task: InferenceTask) -> ProbabilityTable:
+def _solve_checked(
+    task: InferenceTask, arrays: Sequence[tuple[str, np.ndarray]] | None = None
+) -> ProbabilityTable:
     """The body of ``solve`` for a task whose transformation has passed ``_check_transformation``.
 
     Callers that solve many tasks on one transformation check it once and
-    solve each task here.
+    solve each task here, passing the ``_transition_arrays`` of the
+    transformation (and preparation states) they built once.
     """
     if task.direction == "predict":
         data, data_mask, guess_mask = task.given_input, task.known_input_mask, task.known_output_mask
@@ -546,7 +549,8 @@ def _solve_checked(task: InferenceTask) -> ProbabilityTable:
         data, data_mask, guess_mask = task.given_output, task.known_output_mask, task.known_input_mask
         _require_given(data, data_mask, "output")
     states = task.preparation_states
-    arrays = _transition_arrays(task.transformation, states)
+    if arrays is None:
+        arrays = _transition_arrays(task.transformation, states)
     if task.direction == "postdict":
         observed = _observed_outcome(task)
         arrays = arrays[observed : observed + 1]

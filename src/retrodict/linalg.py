@@ -184,7 +184,9 @@ def complete_to_unitary(columns: np.ndarray, positions: Sequence[int]) -> np.nda
 
     The supplied columns must already be orthonormal.  Free column slots are
     filled, in increasing slot order, with the lexicographically first standard
-    basis vectors not in the span, orthonormalized with two Gram-Schmidt passes.
+    basis vectors not in the span, orthonormalized with two Gram-Schmidt passes;
+    each pass projects the candidate off the whole basis in one matrix-vector
+    product.
     """
     cols = np.asarray(columns, dtype=complex)
     if cols.ndim == 1:
@@ -199,32 +201,29 @@ def complete_to_unitary(columns: np.ndarray, positions: Sequence[int]) -> np.nda
     if np.max(np.abs(gram - np.eye(cols.shape[1]))) > 1e-8:
         raise ValueError("supplied columns are not orthonormal")
 
-    basis = [cols[:, j] for j in range(cols.shape[1])]
-    extras: list[np.ndarray] = []
-    needed = dim - cols.shape[1]
+    # The basis grows in place: the supplied columns, then each accepted candidate.
+    k = cols.shape[1]
+    basis = np.zeros((dim, dim), dtype=complex)
+    basis[:, :k] = cols
+    n = k
     for j in range(dim):
-        if len(extras) == needed:
+        if n == dim:
             break
-        v = np.zeros(dim, dtype=complex)
-        v[j] = 1.0
-        for _ in range(2):
-            for b in basis:
-                v = v - b * (np.vdot(b, v))
+        b = basis[:, :n]
+        v = -(b @ b[j].conj())  # e_j - B B' e_j
+        v[j] += 1.0
+        v -= b @ (v.conj() @ b).conj()  # B B' v, without a conjugated copy of B
         norm = np.linalg.norm(v)
         if norm < 1e-6:
             continue  # already in the span
-        v = v / norm
-        basis.append(v)
-        extras.append(v)
-    if len(extras) != needed:
+        basis[:, n] = v / norm
+        n += 1
+    if n != dim:
         raise ValueError("failed to complete the column set to a unitary")
 
-    unitary = np.zeros((dim, dim), dtype=complex)
-    for j, p in enumerate(positions):
-        unitary[:, p] = cols[:, j]
-    free_slots = [p for p in range(dim) if p not in set(positions)]
-    for slot, v in zip(free_slots, extras):
-        unitary[:, slot] = v
+    unitary = np.empty((dim, dim), dtype=complex)
+    unitary[:, positions] = cols
+    unitary[:, np.delete(np.arange(dim), positions)] = basis[:, k:]
     if not is_unitary(unitary, 1e-9):
         raise ValueError("column completion produced a non-unitary matrix")
     return unitary

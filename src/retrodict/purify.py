@@ -5,6 +5,9 @@ isometry V = sum_k K_k (x) |k>, embeds its columns into a unitary at the
 ancilla-|0> column slots, and completes the remaining columns
 deterministically.  Countless purifications represent the same map; this
 module builds exactly one and verifies any candidate against the original.
+Reconstruction and verification run on the isometry V = U(I (x) |b>) of
+shape D x d_A that a dilation with ancilla state |b> applies to the system,
+never on the D x D joint space: tr_Y V rho V' is the represented channel.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .channels import Instrument, QuantumMap, apply, check_cptp
+from .channels import Instrument, QuantumMap, check_cptp
 from .linalg import ATOL_STRUCTURAL, dagger
 
 
@@ -121,33 +124,52 @@ def purify_instrument(inst: Instrument) -> Purification:
     )
 
 
+def _isometry(purification: Purification) -> np.ndarray:
+    """V = U(I (x) |b>), the dilation's action on A, with its output factors split out.
+
+    The shape is (d_X, d_Y, d_A), or (d_X, d_P, d_Z, d_A) when the dilation
+    has a pointer factor.
+    """
+    d_a, d_b = purification.dims_in
+    v = purification.unitary.reshape(-1, d_a, d_b) @ purification.ancilla_state
+    factors = purification.pointer_partition or (purification.dims_out[1],)
+    return v.reshape((purification.dims_out[0], *factors, d_a))
+
+
+def _branch(purification: Purification, outcome_index: int | None = None) -> np.ndarray:
+    """V as a (d_X, d_Z, d_A) array.
+
+    Z is the whole of Y or, given ``outcome_index``, the discard factor with
+    the pointer held at that slot.
+    """
+    v = _isometry(purification)
+    if outcome_index is None:
+        return v.reshape(v.shape[0], -1, v.shape[-1])
+    if purification.pointer_partition is None:
+        raise ValueError("purification has no pointer factor")
+    if not 0 <= outcome_index < v.shape[1]:
+        raise ValueError(f"outcome index {outcome_index} out of range for {v.shape[1]} pointer slots")
+    return v[:, outcome_index]
+
+
+def _images(v: np.ndarray, probes: np.ndarray) -> np.ndarray:
+    """tr_Z v rho v' for every rho of a (p, d_A, d_A) stack of probes."""
+    d_a = v.shape[-1]
+    if probes.shape[1:] != (d_a, d_a):
+        raise ValueError(f"operator shape {probes.shape[1:]} does not match d_A = {d_a}")
+    return np.einsum("xza,pab,yzb->pxy", v, probes, v.conj(), optimize=True)
+
+
 def reconstruct_channel_action(purification: Purification, rho: np.ndarray) -> np.ndarray:
-    """tr_Y U (rho (x) |b><b|) U', the channel the purification represents."""
-    d_a, _ = purification.dims_in
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (d_a, d_a):
-        raise ValueError(f"operator shape {rho.shape} does not match d_A = {d_a}")
-    u = purification.unitary
-    joint = np.kron(rho, linalg.projector(purification.ancilla_state))
-    evolved = u @ joint @ dagger(u)
-    return linalg.partial_trace(evolved, purification.dims_out, keep=[0])
+    """tr_Y U (rho (x) |b><b|) U' = tr_Y V rho V', the channel the purification represents."""
+    return _images(_branch(purification), np.asarray(rho, dtype=complex)[None])[0]
 
 
 def reconstruct_outcome_action(
     purification: Purification, outcome_index: int, rho: np.ndarray
 ) -> np.ndarray:
     """Project the pointer onto slot ``outcome_index`` and discard the ancilla output."""
-    if purification.pointer_partition is None:
-        raise ValueError("purification has no pointer factor")
-    d_x, _ = purification.dims_out
-    d_p, d_z = purification.pointer_partition
-    u = purification.unitary
-    joint = np.kron(np.asarray(rho, dtype=complex), linalg.projector(purification.ancilla_state))
-    evolved = u @ joint @ dagger(u)
-    proj = linalg.tensor(
-        np.eye(d_x, dtype=complex), linalg.basis_projector(d_p, outcome_index), np.eye(d_z, dtype=complex)
-    )
-    return linalg.partial_trace(proj @ evolved @ proj, (d_x, d_p, d_z), keep=[0])
+    return _images(_branch(purification, outcome_index), np.asarray(rho, dtype=complex)[None])[0]
 
 
 def verify_purification(
@@ -156,22 +178,28 @@ def verify_purification(
     trials: int = 10,
     seed: int = 0,
 ) -> float:
-    """Maximum entrywise round-trip defect on the operator basis plus random states."""
+    """Maximum entrywise round-trip defect on the operator basis plus random states.
+
+    The round trip is taken on the isometry V = U(I (x) |b>): the images
+    tr_Y V rho V' of all probes at once (the pointer held at the outcome's
+    slot for an instrument) are compared with the Kraus action
+    sum_k K rho K' of the original.
+    """
     d_a = purification.dims_in[0]
-    probes = linalg.matrix_units(d_a)
-    probes += [linalg.random_density_matrix(d_a, seed + t) for t in range(trials)]
-    defect = 0.0
+    if (original.dim_in, original.dim_out) != (d_a, purification.dims_out[0]):
+        raise ValueError("purification dimensions do not match the original map")
+    probes = np.stack(
+        linalg.matrix_units(d_a) + [linalg.random_density_matrix(d_a, seed + t) for t in range(trials)]
+    )
     if isinstance(original, Instrument):
-        for i, (_, qmap) in enumerate(original.outcomes):
-            for rho in probes:
-                expected = apply(qmap, rho)
-                got = reconstruct_outcome_action(purification, i, rho)
-                defect = max(defect, float(np.max(np.abs(expected - got))))
+        branches = [(qmap, _branch(purification, i)) for i, (_, qmap) in enumerate(original.outcomes)]
     else:
-        for rho in probes:
-            expected = apply(original, rho)
-            got = reconstruct_channel_action(purification, rho)
-            defect = max(defect, float(np.max(np.abs(expected - got))))
+        branches = [(original, _branch(purification))]
+    defect = 0.0
+    for qmap, v in branches:
+        kraus = np.stack(qmap.kraus)
+        expected = np.einsum("kxa,pab,kyb->pxy", kraus, probes, kraus.conj(), optimize=True)
+        defect = max(defect, float(np.max(np.abs(expected - _images(v, probes)))))
     return defect
 
 

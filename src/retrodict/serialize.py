@@ -8,6 +8,7 @@ convention is shared by every file the package reads or writes.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, replace
 from typing import Any
@@ -28,19 +29,34 @@ def complex_to_wire(z: complex) -> list[float]:
     return [float(np.real(z)), float(np.imag(z))]
 
 
-def wire_to_complex(pair: Any) -> complex:
-    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise ScenarioError("malformed-document", f"expected [re, im] pair, got {pair!r}")
+# The Python types the JSON decoder gives numbers; bool, str and None are not among them.
+_NUMBER_TYPES = {int, float}
+
+
+def _wire_to_complex_array(pairs: list, field: str) -> np.ndarray:
+    """A flat list of [re, im] pairs of JSON numbers, converted in one step.
+
+    The entries' types are checked in bulk; only a list that fails is walked,
+    to name its first bad pair.
+    """
+    well_formed = (
+        set(map(type, pairs)) <= {list, tuple}
+        and set(map(len, pairs)) <= {2}
+        and set(map(type, itertools.chain.from_iterable(pairs))) <= _NUMBER_TYPES
+    )
+    if not well_formed:
+        for pair in pairs:
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise ScenarioError("malformed-document", f"expected [re, im] pair, got {pair!r}")
+            if not all(type(x) in _NUMBER_TYPES for x in pair):
+                raise ScenarioError("malformed-document", f"expected [re, im] numbers, got {pair!r}")
     try:
-        return complex(float(pair[0]), float(pair[1]))
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError("malformed-document", f"expected [re, im] numbers, got {pair!r}") from exc
-
-
-def _finite(a: np.ndarray, field: str) -> np.ndarray:
-    if not np.isfinite(a).all():
+        parts = np.fromiter(itertools.chain.from_iterable(pairs), np.float64, 2 * len(pairs))
+    except OverflowError:  # an integer beyond the float range
+        parts = np.array([np.inf])
+    if not np.isfinite(parts).all():
         raise ScenarioError("malformed-document", f"{field}: entries must be finite numbers")
-    return a
+    return parts.view(np.complex128).reshape(-1)
 
 
 def matrix_to_wire(m: np.ndarray) -> list[list[list[float]]]:
@@ -51,15 +67,11 @@ def matrix_to_wire(m: np.ndarray) -> list[list[list[float]]]:
 def wire_to_matrix(data: Any, field: str = "matrix") -> np.ndarray:
     if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
         raise ScenarioError("malformed-document", f"{field}: expected a nested row-major matrix")
-    rows = len(data)
     cols = len(data[0])
-    out = np.zeros((rows, cols), dtype=complex)
-    for i, row in enumerate(data):
-        if len(row) != cols:
-            raise ScenarioError("malformed-document", f"{field}: ragged rows")
-        for j, pair in enumerate(row):
-            out[i, j] = wire_to_complex(pair)
-    return _finite(out, field)
+    if any(len(row) != cols for row in data):
+        raise ScenarioError("malformed-document", f"{field}: ragged rows")
+    pairs = list(itertools.chain.from_iterable(data))
+    return _wire_to_complex_array(pairs, field).reshape(len(data), cols)
 
 
 def ket_to_wire(v: np.ndarray) -> list[list[float]]:
@@ -69,7 +81,7 @@ def ket_to_wire(v: np.ndarray) -> list[list[float]]:
 def wire_to_ket(data: Any, field: str = "state") -> np.ndarray:
     if not isinstance(data, list) or not data:
         raise ScenarioError("malformed-document", f"{field}: expected a list of [re, im] pairs")
-    return _finite(np.array([wire_to_complex(p) for p in data], dtype=complex), field)
+    return _wire_to_complex_array(data, field)
 
 
 def instrument_to_wire(inst: Instrument) -> dict:

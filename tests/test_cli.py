@@ -170,6 +170,31 @@ def test_malformed_field_exits_2(tmp_path, capsys, patch):
     assert "malformed-document" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "patch",
+    [
+        {"transformation": {"type": "unitary", "matrix": [[["1", "0"], [0, 0]], [[0, 0], [1, 0]]]}},
+        {"transformation": {"type": "unitary", "matrix": [[[True, 0], [0, 0]], [[0, 0], [1, 0]]]}},
+        {"preparation": {"type": "states", "states": [[["1", 0], [0, 0]], [[0, 0], [1, 0]]]}},
+        {"preparation": {"type": "states", "states": [[[1, False], [0, 0]], [[0, 0], [1, 0]]]}},
+    ],
+    ids=["matrix-strings", "matrix-bool", "ket-string", "ket-bool"],
+)
+def test_non_number_entries_exit_2(tmp_path, capsys, patch):
+    doc = tmp_path / "scenario.json"
+    doc.write_text(json.dumps({**HADAMARD_DOC, **patch}))
+    assert main(["predict", "--scenario", str(doc)]) == 2
+    assert "expected [re, im] numbers" in capsys.readouterr().err
+
+
+def test_integer_entry_beyond_float_range_exits_2(tmp_path, capsys):
+    doc = tmp_path / "scenario.json"
+    matrix = [[[10**400, 0], [0, 0]], [[0, 0], [1, 0]]]
+    doc.write_text(json.dumps({**HADAMARD_DOC, "transformation": {"type": "unitary", "matrix": matrix}}))
+    assert main(["predict", "--scenario", str(doc)]) == 2
+    assert "entries must be finite numbers" in capsys.readouterr().err
+
+
 def test_sample_tolerance_follows_conditioning_cell_counts(tmp_path):
     doc = tmp_path / "wide.json"
     doc.write_text(
@@ -319,3 +344,19 @@ def test_verify_report_names_the_seed_it_ran(tmp_path, capsys):
     assert main(["verify", "--scenario", str(path), "--format", "json"]) == 0
     from_file = json.loads(capsys.readouterr().out)["metrics"]
     assert from_file == reports["zero"]["metrics"]
+
+
+def test_sample_builds_transition_arrays_once_per_ensemble(monkeypatch, capsys):
+    # one build to solve every row, one per direction inside run_ensemble
+    import retrodict.inference as inference
+
+    calls = []
+    original = inference._transitions
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(inference, "_transitions", counted)
+    assert main(["sample", "--scenario", fixture("sample_hadamard.json"), "--shots", "2000"]) == 0
+    assert len(calls) == 3

@@ -165,3 +165,56 @@ def test_complete_to_unitary_rejects_non_orthonormal():
     cols = np.ones((3, 2), dtype=complex)
     with pytest.raises(ValueError):
         linalg.complete_to_unitary(cols, [0, 1])
+
+
+def per_vector_completion(cols, positions):
+    # reference: one np.vdot per basis vector, two passes per candidate
+    dim = cols.shape[0]
+    basis = [cols[:, j] for j in range(cols.shape[1])]
+    extras = []
+    for j in range(dim):
+        if len(basis) == dim:
+            break
+        v = np.zeros(dim, dtype=complex)
+        v[j] = 1.0
+        for _ in range(2):
+            for b in basis:
+                v = v - b * np.vdot(b, v)
+        norm = np.linalg.norm(v)
+        if norm < 1e-6:
+            continue
+        basis.append(v / norm)
+        extras.append(v / norm)
+    unitary = np.zeros((dim, dim), dtype=complex)
+    unitary[:, positions] = cols
+    free = [p for p in range(dim) if p not in positions]
+    for slot, v in zip(free, extras):
+        unitary[:, slot] = v
+    return unitary
+
+
+def random_orthonormal_columns(dim, k, seed):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k)))
+    return q
+
+
+@pytest.mark.parametrize(
+    "dim, positions",
+    [(6, [5, 1, 3]), (9, [0, 4, 7]), (12, [2, 3, 11, 6]), (216, [36 * a for a in range(6)])],
+)
+def test_complete_to_unitary_matches_per_vector_reference(dim, positions):
+    cols = random_orthonormal_columns(dim, len(positions), dim)
+    u = linalg.complete_to_unitary(cols, positions)
+    np.testing.assert_allclose(u, per_vector_completion(cols, positions), rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(u[:, positions], cols)
+
+
+def test_complete_to_unitary_skips_candidates_in_the_span():
+    # e_0 is supplied, so the first candidate lies in the span and is skipped
+    cols = np.zeros((5, 2), dtype=complex)
+    cols[0, 0] = 1.0
+    cols[1:, 1] = random_orthonormal_columns(4, 1, 7)[:, 0]
+    u = linalg.complete_to_unitary(cols, [3, 1])
+    np.testing.assert_allclose(u, per_vector_completion(cols, [3, 1]), rtol=0, atol=1e-12)
+    assert not np.any(np.abs(u[0, [0, 2, 4]]) > 1e-12)

@@ -13,11 +13,13 @@ from retrodict.channels import (
     make_dephasing,
     make_noisy_operation,
     make_unitary_channel,
+    random_instrument,
 )
 from retrodict.purify import (
     Purification,
     purify_instrument,
     reconstruct_channel_action,
+    reconstruct_outcome_action,
     rotate_ancilla,
     stinespring,
     verify_purification,
@@ -182,3 +184,87 @@ def test_purification_validates_fields():
             dims_in=(2, 2),
             dims_out=(2, 2),
         )
+
+
+def joint_space_channel_action(purification, rho):
+    # reference: tr_Y U (rho (x) |b><b|) U' on the whole joint space
+    joint = np.kron(rho, linalg.projector(purification.ancilla_state))
+    evolved = purification.unitary @ joint @ purification.unitary.conj().T
+    return linalg.partial_trace(evolved, purification.dims_out, keep=[0])
+
+
+def joint_space_outcome_action(purification, outcome_index, rho):
+    # reference: pointer projector and partial trace on the whole joint space
+    d_x, _ = purification.dims_out
+    d_p, d_z = purification.pointer_partition
+    joint = np.kron(rho, linalg.projector(purification.ancilla_state))
+    evolved = purification.unitary @ joint @ purification.unitary.conj().T
+    proj = linalg.tensor(np.eye(d_x), linalg.basis_projector(d_p, outcome_index), np.eye(d_z))
+    return linalg.partial_trace(proj @ evolved @ proj, (d_x, d_p, d_z), keep=[0])
+
+
+def probe_states(d):
+    return linalg.matrix_units(d) + [linalg.random_density_matrix(d, s) for s in range(3)]
+
+
+@pytest.mark.parametrize("d_a, d_b", [(2, 2), (3, 2), (2, 3)])
+def test_channel_reconstruction_matches_joint_space_reference(d_a, d_b):
+    channel = make_noisy_operation(linalg.haar_random_unitary(d_a * d_b, 31 + d_a), (d_a, d_b))
+    purification = stinespring(channel)
+    for dilation in (purification, rotate_ancilla(purification, seed=5)):
+        for rho in probe_states(d_a):
+            np.testing.assert_allclose(
+                reconstruct_channel_action(dilation, rho),
+                joint_space_channel_action(dilation, rho),
+                rtol=0,
+                atol=1e-12,
+            )
+
+
+@pytest.mark.parametrize(
+    "inst", [amplitude_damping_instrument(0.3), computational_measurement(3), random_instrument(2, 3, 2, 8)]
+)
+def test_outcome_reconstruction_matches_joint_space_reference(inst):
+    purification = purify_instrument(inst)
+    for rho in probe_states(inst.dim_in):
+        np.testing.assert_allclose(
+            reconstruct_channel_action(purification, rho),
+            joint_space_channel_action(purification, rho),
+            rtol=0,
+            atol=1e-12,
+        )
+        for i in range(len(inst.outcomes)):
+            np.testing.assert_allclose(
+                reconstruct_outcome_action(purification, i, rho),
+                joint_space_outcome_action(purification, i, rho),
+                rtol=0,
+                atol=1e-12,
+            )
+
+
+def test_verify_purification_flags_swapped_ancilla_column():
+    channel = make_noisy_operation(linalg.haar_random_unitary(6, 41), (2, 3))
+    purification = stinespring(channel)
+    d_b = purification.dims_in[1]
+    unitary = purification.unitary.copy()
+    unitary[:, [d_b, d_b + 1]] = unitary[:, [d_b + 1, d_b]]  # column of |1>|0>_B with a free one
+    swapped = Purification(unitary, purification.ancilla_state, purification.dims_in, purification.dims_out)
+    assert verify_purification(channel, purification) < 1e-10
+    assert verify_purification(channel, swapped) > 0.1
+
+
+def test_verify_purification_flags_exchanged_pointer_slots():
+    inst = random_instrument(2, 3, 2, 12)
+    purification = purify_instrument(inst)
+    d_x, d_y = purification.dims_out
+    d_p, d_z = purification.pointer_partition
+    rows = np.arange(d_x * d_y).reshape(d_x, d_p, d_z)[:, [1, 0, 2]].reshape(-1)
+    exchanged = Purification(
+        purification.unitary[rows],
+        purification.ancilla_state,
+        purification.dims_in,
+        purification.dims_out,
+        purification.pointer_partition,
+    )
+    assert verify_purification(inst, purification) < 1e-10
+    assert verify_purification(inst, exchanged) > 0.1

@@ -148,3 +148,44 @@ def test_parse_checks_preparation_states():
     with pytest.raises(ScenarioError) as err:
         parse_scenario_dict(doc)
     assert err.value.code == "validation"
+
+
+def test_wire_conversion_equals_per_entry_floats():
+    rng = np.random.default_rng(11)
+    wire = [[[float(x), float(y)] for x, y in rng.standard_normal((5, 2))] for _ in range(3)]
+    wire[0][0] = [1, -0.0]  # integers and a signed zero
+    expected = np.array([[complex(float(re), float(im)) for re, im in row] for row in wire])
+    got = wire_to_matrix(wire)
+    np.testing.assert_array_equal(got, expected)
+    assert np.signbit(got[0, 0].imag)
+    np.testing.assert_array_equal(wire_to_ket(wire[1]), expected[1])
+
+
+@pytest.mark.parametrize(
+    "entry", [["1", "0"], [True, 0], [0, False], [1.0, "nan"]], ids=["strings", "true", "false", "nan-string"]
+)
+def test_wire_entries_must_be_json_numbers(entry):
+    for convert, data in ((wire_to_matrix, [[entry, [0, 0]], [[0, 0], [1, 0]]]), (wire_to_ket, [[1, 0], entry])):
+        with pytest.raises(ScenarioError) as err:
+            convert(data)
+        assert err.value.code == "malformed-document"
+        assert f"expected [re, im] numbers, got {entry!r}" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ([[[1, 0]], [[0, 0], [1, 0]]], "ragged rows"),
+        ([[[1, 0, 0]]], "expected [re, im] pair, got [1, 0, 0]"),
+        ([[7]], "expected [re, im] pair, got 7"),
+        ([[[None, 0]]], "expected [re, im] numbers, got [None, 0]"),
+        ([[[float("inf"), 0]]], "entries must be finite numbers"),
+        ([[[10**400, 0]]], "entries must be finite numbers"),
+    ],
+    ids=["ragged", "triple", "scalar", "null", "infinite", "huge-integer"],
+)
+def test_wire_matrix_errors_name_the_fault(data, message):
+    with pytest.raises(ScenarioError) as err:
+        wire_to_matrix(data, "transformation.matrix")
+    assert err.value.code == "malformed-document"
+    assert message in str(err.value)
