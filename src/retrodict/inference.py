@@ -22,6 +22,7 @@ whatever the kernel computed.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -43,7 +44,7 @@ from .channels import (
 )
 from .errors import NoActiveReverseError, UndefinedConditionalError
 from .linalg import ATOL_STRUCTURAL, dagger
-from .purify import Purification, _isometry, purify_instrument, stinespring
+from .purify import Purification, purify_instrument, stinespring
 from .tables import ProbabilityTable, join_labels
 
 Given = Sequence[int | None]
@@ -154,7 +155,7 @@ def _solve_table(
     a postdiction takes the one array of the observed outcome, prefixes the
     given label with it and normalizes.
     """
-    labels = _guessed_labels(dims_out if direction == "predict" else dims_in, mask)
+    labels = _guessed_labels(tuple(dims_out if direction == "predict" else dims_in), tuple(mask))
     if direction == "predict":
         cells = [_prefixed(prefix, label) for prefix, _ in arrays for label in labels]
         values = np.concatenate([_contract(t, dims_out, dims_in, direction, given, mask) for _, t in arrays])
@@ -190,12 +191,14 @@ def _pull_back_reference(
     return np.diagonal(linalg.partial_trace(pulled_back, dims_guess, keep)).real
 
 
-def _guessed_labels(dims: Sequence[int], mask: Mask) -> list[str]:
+@functools.lru_cache(maxsize=256)
+def _guessed_labels(dims: tuple[int, ...], mask: tuple[bool, ...]) -> tuple[str, ...]:
+    """The guessed cells' labels, which depend on nothing but the dims and the mask."""
     keep = [k for k, m in enumerate(mask) if m]
     if not keep:
         raise ValueError("at least one factor must be guessed")
     ranges = [range(dims[k]) for k in keep]
-    return [join_labels(*(str(i) for i in combo)) for combo in itertools.product(*ranges)]
+    return tuple(join_labels(*(str(i) for i in combo)) for combo in itertools.product(*ranges))
 
 
 def _given_label(given: Given) -> str:
@@ -312,11 +315,12 @@ def postdict_channel_via_purification(
 ) -> ProbabilityTable:
     """Postdiction computed on a purification instead of the channel itself.
 
-    Runs the dilation on its ancilla state, |a>|ancilla> -> U|a>|ancilla>,
-    and postdicts a from x with the output ancilla ignored: the purified
+    Runs the dilation on its known ancilla state, |a> -> V|a>, and
+    postdicts a from x with the output ancilla ignored: the purified
     open-system task P(a, b | x, U) conditioned on the ancilla preparation.
     Any purification of the channel gives the same table.  The numerators
-    come from the operator-level reference, not the transition-array kernel,
+    are the diagonal of the operator-level pull-back
+    V'(|x><x| (x) I/d_Y)V = V_x' V_x / d_Y, not the transition-array kernel,
     so comparing this table with ``postdict_channel`` checks the kernel.
     Building the purification checks the channel; one that is passed in was
     checked when it was built.
@@ -328,8 +332,11 @@ def postdict_channel_via_purification(
     d_a = purification.dims_in[0]
     if d_a != channel.dim_in:
         raise ValueError("purification input dimension does not match the channel")
-    isometry = _isometry(purification).reshape(-1, d_a)
-    numerators = _pull_back_reference((isometry,), purification.dims_out, (x, None), (d_a,), (True,))
+    d_x, d_y = purification.dims_out
+    if not 0 <= x < d_x:
+        raise ValueError(f"test outcome {x} out of range for factor dimension {d_x}")
+    v_x = purification.isometry[x]
+    numerators = np.diagonal(dagger(v_x) @ v_x).real / d_y
     return _postdiction([str(a) for a in range(d_a)], numerators, str(x))
 
 
@@ -714,20 +721,23 @@ def channel_toward_past_check(
     """The generalized Born value doubles as a time-reversed postdiction.
 
     tr |x><x| channel[|a><a|] equals the postdiction of x in the task where
-    the purifying unitary runs backwards and the outputs (a, ancilla) are the
-    data, whether or not the channel itself admits an active reversal.
+    the dilation runs backwards and the output a is the data, whether or not
+    the channel itself admits an active reversal.  Run backwards with its
+    known ancilla fixed at |b>, the dilation is V' = (I (x) <b|)U', so the
+    postdiction reads V' alone.
     Building the purification checks the channel; one that is passed in was
     checked when it was built.
     """
     if purification is None:
         purification = stinespring(channel)
     born = _born_reference(channel.kraus, a, x)
+    d_a = purification.dims_in[0]
     reversed_table = _solve_table(
-        _transition_arrays(dagger(purification.unitary)),
-        purification.dims_in,
+        _transition_arrays(dagger(purification.isometry.reshape(-1, d_a))),
+        (d_a,),
         purification.dims_out,
         "postdict",
-        (a, 0),
+        (a,),
         (True, False),
     )
     value = reversed_table[str(x)]
@@ -811,40 +821,28 @@ def no_signalling_check(
 def _purified_no_signalling_defect(e: Instrument, f: Instrument) -> float:
     """Postdiction reading of no signalling on canonical dilations of e and f.
 
-    Both instruments are purified, chained into one unitary, and run backwards:
+    Both instruments are purified, chained into one isometry, and run backwards:
     summing the guess over the second pointer must reproduce the postdiction
-    computed from the first dilation alone, for every data outcome (a, b, c).
+    computed from the first dilation alone, for every data outcome a.
     """
-    pe = purify_instrument(e)
-    pf = purify_instrument(f)
-    d_a, d_be = pe.dims_in
-    d_d = e.dim_out
-    m_e, z_e = pe.pointer_partition
-    _, d_bf = pf.dims_in
-    d_z2 = f.dim_out
-    m_f, z_f = pf.pointer_partition
+    v_e = purify_instrument(e).isometry  # (D, P_e, Z_e, A)
+    v_f = purify_instrument(f).isometry  # (Z2, P_f, Z_f, D)
+    d_a = e.dim_in
+    m_e, m_f = v_e.shape[1], v_f.shape[1]
 
-    # Forward chain on A (x) B_e (x) B_f; the first dilation leaves factors
-    # (D, P_e, Z_e), the second consumes D and leaves (Z2, P_f, Z_f).
-    step1 = np.kron(pe.unitary, np.eye(d_bf, dtype=complex))
-    perm = linalg.permutation_matrix((d_d, m_e, z_e, d_bf), (0, 3, 1, 2))
-    step2 = np.kron(pf.unitary, np.eye(m_e * z_e, dtype=complex))
-    chain = step2 @ perm @ step1
-
-    dims_fwd_in = (d_a, d_be, d_bf)
-    dims_fwd_out = (d_z2, m_f, z_f, m_e, z_e)
-    # The dilations were checked when built; chained through a permutation they stay unitary.
-    chain_back = _transition_arrays(dagger(chain))
-    single_back = _transition_arrays(dagger(pe.unitary))
+    # (V_f (x) I_{P_e Z_e}) V_e: the second dilation consumes D and leaves
+    # the factors (Z2, P_f, Z_f, P_e, Z_e).
+    chain = np.einsum("zpqd,dmea->zpqmea", v_f, v_e, optimize=True)
+    # Isometries compose to an isometry; both were checked when built.
+    chain_back = _transition_arrays(dagger(chain.reshape(-1, d_a)))
+    single_back = _transition_arrays(dagger(v_e.reshape(-1, d_a)))
 
     defect = 0.0
     for a in range(d_a):
         joint = _solve_table(
-            chain_back, dims_fwd_in, dims_fwd_out, "postdict", (a, 0, 0), (False, True, False, True, False)
+            chain_back, (d_a,), chain.shape[:-1], "postdict", (a,), (False, True, False, True, False)
         )
-        single = _solve_table(
-            single_back, pe.dims_in, (d_d, m_e, z_e), "postdict", (a, 0), (False, True, False)
-        )
+        single = _solve_table(single_back, (d_a,), v_e.shape[:-1], "postdict", (a,), (False, True, False))
         for x in range(m_e):
             summed = sum(joint[join_labels(str(y), str(x))] for y in range(m_f))
             defect = max(defect, abs(summed - single[str(x)]))

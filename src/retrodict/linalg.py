@@ -89,19 +89,6 @@ def partial_trace(op: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> n
     return reduced.reshape(d_keep, d_keep)
 
 
-def permutation_matrix(dims: Sequence[int], order: Sequence[int]) -> np.ndarray:
-    """Unitary reordering tensor factors: P (v_0 x ... x v_{n-1}) = v_order[0] x ... x v_order[n-1]."""
-    dims = tuple(int(d) for d in dims)
-    order = tuple(int(k) for k in order)
-    if sorted(order) != list(range(len(dims))):
-        raise ValueError(f"order {order} is not a permutation of {len(dims)} factors")
-    total = dims_total(dims)
-    source = np.arange(total).reshape(dims).transpose(order).reshape(-1)
-    perm = np.zeros((total, total), dtype=complex)
-    perm[np.arange(total), source] = 1.0
-    return perm
-
-
 def haar_random_unitary(d: int, seed: int) -> np.ndarray:
     """Haar-distributed d x d unitary; identical seed gives an identical matrix.
 

@@ -1,13 +1,15 @@
-"""Purifications: channels and instruments as unitaries on system + ancilla.
+"""Purifications: channels and instruments as isometries into system + ancilla.
 
-The canonical construction stacks the (zero-padded) Kraus operators into the
-isometry V = sum_k K_k (x) |k>, embeds its columns into a unitary at the
-ancilla-|0> column slots, and completes the remaining columns
-deterministically.  Countless purifications represent the same map; this
+A dilation is its isometry V = U(I (x) |b>): a unitary U on A (x) B whose
+ancilla input |b> is known and whose ancilla output is ignored acts on the
+system only through V, so V is the dilation's only stored form.  The
+canonical construction stacks the (zero-padded) Kraus operators into
+V = sum_k K_k (x) |k>.  Countless purifications represent the same map; this
 module builds exactly one and verifies any candidate against the original.
-Reconstruction and verification run on the isometry V = U(I (x) |b>) of
-shape D x d_A that a dilation with ancilla state |b> applies to the system,
-never on the D x D joint space: tr_Y V rho V' is the represented channel.
+U is completed only for the report, at the ancilla-|0> column slots (see
+``serialize.purification_to_wire``).  Reconstruction and verification run
+on V, never on the D x D joint space: tr_Y V rho V' is the represented
+channel.
 """
 
 from __future__ import annotations
@@ -18,50 +20,51 @@ import numpy as np
 
 from . import linalg
 from .channels import Instrument, QuantumMap, check_cptp
-from .linalg import ATOL_STRUCTURAL, dagger
+from .linalg import ATOL_STRUCTURAL
 
 
 @dataclass(frozen=True, eq=False)
 class Purification:
-    """A unitary on A (x) B, a pure ancilla state on B, and the dimension split.
+    """An isometry V: A -> X (x) Y and the split of its output.
 
-    ``dims_in`` is (d_A, d_B), ``dims_out`` is (d_X, d_Y).  For purified
-    instruments ``pointer_partition`` splits Y into (pointer, discard) factors;
-    outcome i corresponds to pointer basis slot i.
+    ``isometry`` is stored shaped (d_X, d_Y, d_A), or (d_X, d_P, d_Z, d_A)
+    when ``pointer_partition`` splits Y into (pointer, discard) factors;
+    outcome i of a purified instrument corresponds to pointer basis slot i.
+    ``dims_out`` is (d_X, d_Y), and ``dims_in`` = (d_A, d_B) follows from
+    d_A * d_B = d_X * d_Y.
     """
 
-    unitary: np.ndarray
-    ancilla_state: np.ndarray
-    dims_in: tuple[int, int]
+    isometry: np.ndarray
     dims_out: tuple[int, int]
     pointer_partition: tuple[int, int] | None = None
 
     def __post_init__(self):
-        u = np.array(self.unitary, dtype=complex)
-        b = np.array(self.ancilla_state, dtype=complex).reshape(-1)
-        d_a, d_b = (int(x) for x in self.dims_in)
+        v = np.array(self.isometry, dtype=complex)
         d_x, d_y = (int(x) for x in self.dims_out)
-        if d_a * d_b != d_x * d_y:
-            raise ValueError(f"dimension mismatch: {d_a}*{d_b} != {d_x}*{d_y}")
-        if u.shape != (d_a * d_b, d_a * d_b):
-            raise ValueError(f"unitary shape {u.shape} does not match total dimension {d_a * d_b}")
-        if not linalg.is_unitary(u, ATOL_STRUCTURAL):
-            raise ValueError("purifying matrix is not unitary within tolerance")
-        if b.shape != (d_b,):
-            raise ValueError(f"ancilla state length {b.shape} does not match d_B = {d_b}")
-        if abs(np.linalg.norm(b) - 1.0) > ATOL_STRUCTURAL:
-            raise ValueError("ancilla state is not normalized")
+        d_a = v.shape[-1] if v.ndim else 0
+        if d_a < 1 or v.size != d_x * d_y * d_a:
+            raise ValueError(f"isometry shape {v.shape} does not match output dimensions {(d_x, d_y)}")
+        if (d_x * d_y) % d_a != 0:
+            raise ValueError(f"dimension mismatch: d_A = {d_a} does not divide {d_x}*{d_y}")
+        flat = v.reshape(-1, d_a)
+        # Written so that a NaN entry fails it too.
+        if not np.max(np.abs(flat.conj().T @ flat - np.eye(d_a))) <= ATOL_STRUCTURAL:
+            raise ValueError("dilation is not an isometry within tolerance")
+        factors = (d_y,)
         if self.pointer_partition is not None:
-            d_p, d_z = (int(x) for x in self.pointer_partition)
-            if d_p * d_z != d_y:
-                raise ValueError(f"pointer partition {(d_p, d_z)} does not factor d_Y = {d_y}")
-            object.__setattr__(self, "pointer_partition", (d_p, d_z))
-        u.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "unitary", u)
-        object.__setattr__(self, "ancilla_state", b)
-        object.__setattr__(self, "dims_in", (d_a, d_b))
+            factors = tuple(int(x) for x in self.pointer_partition)
+            if factors[0] * factors[1] != d_y:
+                raise ValueError(f"pointer partition {factors} does not factor d_Y = {d_y}")
+            object.__setattr__(self, "pointer_partition", factors)
+        v = v.reshape((d_x, *factors, d_a))
+        v.setflags(write=False)
+        object.__setattr__(self, "isometry", v)
         object.__setattr__(self, "dims_out", (d_x, d_y))
+
+    @property
+    def dims_in(self) -> tuple[int, int]:
+        d_a = self.isometry.shape[-1]
+        return d_a, self.dims_out[0] * self.dims_out[1] // d_a
 
 
 def _padded_count(raw_count: int, d_x: int, d_a: int, outcomes: int = 1) -> int:
@@ -72,31 +75,15 @@ def _padded_count(raw_count: int, d_x: int, d_a: int, outcomes: int = 1) -> int:
     return r
 
 
-def _embed_isometry(isometry: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
-    """Complete V: A -> X(x)Y to a unitary with U(|a>(x)|0>_B) = V|a>."""
-    gram_defect = np.max(np.abs(dagger(isometry) @ isometry - np.eye(d_a)))
-    if gram_defect > 1e-12:
-        raise ValueError(f"Kraus columns are not isometric: defect {gram_defect:.3e}")
-    positions = [a * d_b for a in range(d_a)]
-    return linalg.complete_to_unitary(isometry, positions)
-
-
 def stinespring(channel: QuantumMap) -> Purification:
-    """Canonical dilation of a CPTP map, with ancilla state |0>_B."""
+    """Canonical dilation of a CPTP map: V[x, k, a] = K_k[x, a], ancilla input |0>_B."""
     check_cptp(channel)
     d_a, d_x = channel.dim_in, channel.dim_out
     r = _padded_count(len(channel.kraus), d_x, d_a)
-    isometry = np.zeros((d_x * r, d_a), dtype=complex)
-    for k, op in enumerate(channel.kraus):
-        isometry += np.kron(op, linalg.basis_ket(r, k)[:, None])
-    d_b = (d_x * r) // d_a
-    unitary = _embed_isometry(isometry, d_a, d_b)
-    return Purification(
-        unitary=unitary,
-        ancilla_state=linalg.basis_ket(d_b, 0),
-        dims_in=(d_a, d_b),
-        dims_out=(d_x, r),
-    )
+    isometry = np.zeros((d_x, r, d_a), dtype=complex)
+    # Summed onto zeros like V = sum_k K_k (x) |k>, so a Kraus entry -0.0 prints as 0.0.
+    isometry[:, : len(channel.kraus)] += np.stack(channel.kraus, axis=1)
+    return Purification(isometry, dims_out=(d_x, r))
 
 
 def purify_instrument(inst: Instrument) -> Purification:
@@ -108,32 +95,10 @@ def purify_instrument(inst: Instrument) -> Purification:
     d_a, d_x = inst.dim_in, inst.dim_out
     m = len(inst.outcomes)
     r = _padded_count(max(len(qmap.kraus) for _, qmap in inst.outcomes), d_x, d_a, outcomes=m)
-    isometry = np.zeros((d_x * m * r, d_a), dtype=complex)
+    isometry = np.zeros((d_x, m, r, d_a), dtype=complex)
     for i, (_, qmap) in enumerate(inst.outcomes):
-        for k, op in enumerate(qmap.kraus):
-            pointer = np.kron(linalg.basis_ket(m, i), linalg.basis_ket(r, k))
-            isometry += np.kron(op, pointer[:, None])
-    d_b = (d_x * m * r) // d_a
-    unitary = _embed_isometry(isometry, d_a, d_b)
-    return Purification(
-        unitary=unitary,
-        ancilla_state=linalg.basis_ket(d_b, 0),
-        dims_in=(d_a, d_b),
-        dims_out=(d_x, m * r),
-        pointer_partition=(m, r),
-    )
-
-
-def _isometry(purification: Purification) -> np.ndarray:
-    """V = U(I (x) |b>), the dilation's action on A, with its output factors split out.
-
-    The shape is (d_X, d_Y, d_A), or (d_X, d_P, d_Z, d_A) when the dilation
-    has a pointer factor.
-    """
-    d_a, d_b = purification.dims_in
-    v = purification.unitary.reshape(-1, d_a, d_b) @ purification.ancilla_state
-    factors = purification.pointer_partition or (purification.dims_out[1],)
-    return v.reshape((purification.dims_out[0], *factors, d_a))
+        isometry[:, i, : len(qmap.kraus)] += np.stack(qmap.kraus, axis=1)
+    return Purification(isometry, dims_out=(d_x, m * r), pointer_partition=(m, r))
 
 
 def _branch(purification: Purification, outcome_index: int | None = None) -> np.ndarray:
@@ -142,7 +107,7 @@ def _branch(purification: Purification, outcome_index: int | None = None) -> np.
     Z is the whole of Y or, given ``outcome_index``, the discard factor with
     the pointer held at that slot.
     """
-    v = _isometry(purification)
+    v = purification.isometry
     if outcome_index is None:
         return v.reshape(v.shape[0], -1, v.shape[-1])
     if purification.pointer_partition is None:
@@ -204,23 +169,17 @@ def verify_purification(
 
 
 def rotate_ancilla(purification: Purification, seed: int) -> Purification:
-    """An equivalent channel purification with Haar-rotated ancilla bases.
+    """An equivalent channel purification with a Haar-rotated environment basis.
 
-    The input-side rotation moves the ancilla state off |0>; the output-side
-    rotation reshuffles the discarded factor.  Both leave the represented
-    channel unchanged.  Pointer factors must stay aligned with outcome labels,
-    so instrument purifications are not rotated.
+    Returns (I (x) W)V for a Haar-random unitary W on the discarded factor Y.
+    This is the whole freedom of a Stinespring dilation: any two isometries
+    with the same channel differ by such a W, while a rotation v of the
+    ancilla input cancels in V = U(I (x) v)(I (x) v'|b>).  Pointer factors
+    must stay aligned with outcome labels, so instrument purifications are
+    not rotated.
     """
     if purification.pointer_partition is not None:
         raise ValueError("refusing to rotate the pointer basis of an instrument purification")
-    d_a, d_b = purification.dims_in
-    d_x, d_y = purification.dims_out
-    v = linalg.haar_random_unitary(d_b, seed)
-    w = linalg.haar_random_unitary(d_y, seed + 1)
-    rotated = np.kron(np.eye(d_x), w) @ purification.unitary @ np.kron(np.eye(d_a), v)
-    return Purification(
-        unitary=rotated,
-        ancilla_state=dagger(v) @ purification.ancilla_state,
-        dims_in=(d_a, d_b),
-        dims_out=(d_x, d_y),
-    )
+    w = linalg.haar_random_unitary(purification.dims_out[1], seed)
+    rotated = np.einsum("yz,xza->xya", w, purification.isometry, optimize=True)
+    return Purification(rotated, dims_out=purification.dims_out)

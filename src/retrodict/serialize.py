@@ -114,9 +114,12 @@ def wire_to_instrument(data: Any) -> Instrument:
 
 
 def purification_to_wire(p: Purification) -> dict:
+    """The dilation as a unitary U with ancilla input |0>: V completed at the ancilla-|0> slots."""
+    d_a, d_b = p.dims_in
+    unitary = linalg.complete_to_unitary(p.isometry.reshape(-1, d_a), [a * d_b for a in range(d_a)])
     return {
-        "unitary": matrix_to_wire(p.unitary),
-        "ancilla_state": ket_to_wire(p.ancilla_state),
+        "unitary": matrix_to_wire(unitary),
+        "ancilla_state": ket_to_wire(linalg.basis_ket(d_b, 0)),
         "dims_in": list(p.dims_in),
         "dims_out": list(p.dims_out),
         "pointer_dims": list(p.pointer_partition) if p.pointer_partition else None,

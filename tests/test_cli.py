@@ -71,6 +71,17 @@ def test_purify_round_trip_check(capsys):
     assert "purification-round-trip" in out
 
 
+@pytest.mark.parametrize(
+    "name", ["purify_amplitude_damping", "purify_amplitude_damping_instrument", "purify_signed_zero"]
+)
+@pytest.mark.parametrize("fmt, suffix", [("json", "json"), ("text", "txt")])
+def test_purify_report_matches_golden(capsys, name, fmt, suffix):
+    # written when the full dilation unitary was stored: completing it only for the report changes no byte
+    code = main(["purify", "--scenario", fixture(f"{name}.json"), "--format", fmt])
+    assert code == 0
+    assert capsys.readouterr().out == (FIXTURES / f"{name}.report.{suffix}").read_text()
+
+
 def test_verify_fixture_passes(capsys):
     code = main(["verify", "--scenario", fixture("verify_small.json")])
     out = capsys.readouterr().out

@@ -45,8 +45,8 @@ from retrodict.inference import (
     solve,
     time_reverse,
 )
-from retrodict.purify import rotate_ancilla, stinespring
-from retrodict.tables import bayes_invert
+from retrodict.purify import purify_instrument, rotate_ancilla, stinespring
+from retrodict.tables import bayes_invert, join_labels
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 CNOT = np.array(
@@ -554,6 +554,37 @@ def test_towards_past_amplitude_damping():
             assert channel_toward_past_check(amplitude_damping(0.5), a, x).defect < 1e-10
 
 
+def completed_unitary(purification):
+    # a unitary U on A (x) B with U(|a> (x) |0>_B) = V|a>, as the report prints it
+    d_a, d_b = purification.dims_in
+    return linalg.complete_to_unitary(purification.isometry.reshape(-1, d_a), [a * d_b for a in range(d_a)])
+
+
+def towards_past_reference(purification, a, x):
+    # the postdiction on the full unitary U' with data (a, 0): output a, ancilla at |0>
+    table = inference._solve_table(
+        inference._transition_arrays(completed_unitary(purification).conj().T),
+        purification.dims_in,
+        purification.dims_out,
+        "postdict",
+        (a, 0),
+        (True, False),
+    )
+    return table[str(x)]
+
+
+@pytest.mark.parametrize("d_a, d_b", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3)])
+def test_towards_past_matches_full_unitary_reference(d_a, d_b):
+    channel = make_noisy_operation(linalg.haar_random_unitary(d_a * d_b, 91 + d_a * d_b), (d_a, d_b))
+    for purification in (stinespring(channel), rotate_ancilla(stinespring(channel), seed=92)):
+        for a in range(d_a):
+            for x in range(d_a):
+                report = channel_toward_past_check(channel, a, x, purification)
+                reference = towards_past_reference(purification, a, x)
+                assert abs(report.reversed_postdiction - reference) < 1e-12
+                assert report.defect < 1e-10
+
+
 # ---------------------------------------------------------------------------
 # No signalling
 # ---------------------------------------------------------------------------
@@ -825,3 +856,48 @@ def test_verify_catches_a_wrong_but_normalized_kernel(monkeypatch, capsys):
     assert code == 5
     failing = {c["name"] for c in json.loads(capsys.readouterr().out)["checks"] if not c["passed"]}
     assert {"open-reversal", "open-ratio-laws", "four-task", "purified-ratio"} <= failing
+
+
+def permutation_matrix(dims, order):
+    # P (v_0 x ... x v_{n-1}) = v_order[0] x ... x v_order[n-1]
+    total = int(np.prod(dims))
+    source = np.arange(total).reshape(dims).transpose(order).reshape(-1)
+    return np.eye(total, dtype=complex)[source]
+
+
+def purified_no_signalling_reference(e, f):
+    # the chained dilation as a product of full unitaries, run backwards with data (a, 0, 0)
+    pe, pf = purify_instrument(e), purify_instrument(f)
+    d_a, d_be = pe.dims_in
+    d_d = e.dim_out
+    m_e, z_e = pe.pointer_partition
+    d_bf = pf.dims_in[1]
+    m_f, z_f = pf.pointer_partition
+    u_e, u_f = completed_unitary(pe), completed_unitary(pf)
+    step1 = np.kron(u_e, np.eye(d_bf, dtype=complex))
+    perm = permutation_matrix((d_d, m_e, z_e, d_bf), (0, 3, 1, 2))
+    step2 = np.kron(u_f, np.eye(m_e * z_e, dtype=complex))
+    chain_back = inference._transition_arrays((step2 @ perm @ step1).conj().T)
+    single_back = inference._transition_arrays(u_e.conj().T)
+    dims_out = (f.dim_out, m_f, z_f, m_e, z_e)
+    defect = 0.0
+    for a in range(d_a):
+        joint = inference._solve_table(
+            chain_back, (d_a, d_be, d_bf), dims_out, "postdict", (a, 0, 0), (False, True, False, True, False)
+        )
+        single = inference._solve_table(
+            single_back, pe.dims_in, (d_d, m_e, z_e), "postdict", (a, 0), (False, True, False)
+        )
+        for x in range(m_e):
+            summed = sum(joint[join_labels(str(y), str(x))] for y in range(m_f))
+            defect = max(defect, abs(summed - single[str(x)]))
+    return defect
+
+
+@pytest.mark.parametrize("d, outcomes", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3)])
+def test_purified_no_signalling_matches_full_unitary_reference(d, outcomes):
+    e = random_instrument(d, outcomes, 2, 93 + d)
+    f = random_instrument(d, outcomes, 2, 94 + d)
+    defect = inference._purified_no_signalling_defect(e, f)
+    assert defect < 1e-12
+    assert abs(defect - purified_no_signalling_reference(e, f)) < 1e-12

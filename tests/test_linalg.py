@@ -136,14 +136,6 @@ def test_basis_ket_out_of_range():
         linalg.basis_ket(3, -1)
 
 
-def test_permutation_matrix_swaps_factors():
-    perm = linalg.permutation_matrix((2, 3), (1, 0))
-    v = linalg.tensor(linalg.basis_ket(2, 1), linalg.basis_ket(3, 2))
-    swapped = linalg.tensor(linalg.basis_ket(3, 2), linalg.basis_ket(2, 1))
-    np.testing.assert_array_equal(perm @ v, swapped)
-    assert linalg.is_unitary(perm)
-
-
 def test_complete_to_unitary_preserves_columns():
     rng = np.random.default_rng(3)
     raw = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from retrodict.channels import (
     make_unitary_channel,
     random_instrument,
 )
+from retrodict.inference import channel_toward_past_check
 from retrodict.purify import (
     Purification,
     purify_instrument,
@@ -28,10 +31,10 @@ from retrodict.purify import (
 PLUS = linalg.projector(np.array([1, 1], dtype=complex) / np.sqrt(2))
 
 
-def embedded_isometry(purification):
-    # the columns the construction pinned at the ancilla-|0> slots
+def completed_unitary(purification):
+    # a unitary U on A (x) B with U(|a> (x) |0>_B) = V|a>, as the report prints it
     d_a, d_b = purification.dims_in
-    return purification.unitary[:, [a * d_b for a in range(d_a)]]
+    return linalg.complete_to_unitary(purification.isometry.reshape(-1, d_a), [a * d_b for a in range(d_a)])
 
 
 def test_stinespring_unitary_channel_is_trivial():
@@ -39,7 +42,7 @@ def test_stinespring_unitary_channel_is_trivial():
     purification = stinespring(make_unitary_channel(u))
     assert purification.dims_in == (3, 1)
     assert purification.dims_out == (3, 1)
-    np.testing.assert_allclose(purification.unitary, u, atol=1e-14)
+    np.testing.assert_allclose(purification.isometry.reshape(3, 3), u, atol=1e-14)
 
 
 def test_stinespring_dephasing():
@@ -54,7 +57,7 @@ def test_stinespring_dephasing():
 def test_stinespring_amplitude_damping_round_trip():
     channel = amplitude_damping(0.5)
     purification = stinespring(channel)
-    assert purification.unitary.shape == (4, 4)
+    assert purification.isometry.shape == (2, 2, 2)
     for e in linalg.matrix_units(2):
         got = reconstruct_channel_action(purification, e)
         np.testing.assert_allclose(got, apply(channel, e), atol=1e-10)
@@ -70,7 +73,7 @@ def test_stinespring_isometry_property():
     for seed in range(5):
         channel = make_noisy_operation(linalg.haar_random_unitary(6, seed), (2, 3))
         purification = stinespring(channel)
-        v = embedded_isometry(purification)
+        v = purification.isometry.reshape(-1, 2)
         np.testing.assert_allclose(v.conj().T @ v, np.eye(2), atol=1e-12)
 
 
@@ -119,13 +122,9 @@ def test_verify_purification_flags_wrong_ancilla():
     # completion, |1> happens to be another valid ancilla for it
     channel = amplitude_damping(0.5)
     purification = stinespring(channel)
-    wrong = Purification(
-        unitary=purification.unitary,
-        ancilla_state=linalg.basis_ket(purification.dims_in[1], 1),
-        dims_in=purification.dims_in,
-        dims_out=purification.dims_out,
-    )
-    assert verify_purification(channel, wrong) > 0.1
+    d_a, d_b = purification.dims_in
+    wrong = completed_unitary(purification)[:, [a * d_b + 1 for a in range(d_a)]]  # U(I (x) |1>)
+    assert verify_purification(channel, Purification(wrong, purification.dims_out)) > 0.1
 
 
 def test_verify_purification_unitary_channel_exact():
@@ -159,9 +158,10 @@ def test_instrument_and_coarse_grain_purifications_agree():
 
 def test_rotate_ancilla_preserves_channel():
     channel = make_noisy_operation(linalg.haar_random_unitary(4, 21), (2, 2))
-    rotated = rotate_ancilla(stinespring(channel), seed=22)
+    purification = stinespring(channel)
+    rotated = rotate_ancilla(purification, seed=22)
     assert verify_purification(channel, rotated) < 1e-10
-    assert not np.allclose(rotated.ancilla_state, stinespring(channel).ancilla_state)
+    assert not np.allclose(rotated.isometry, purification.isometry)
 
 
 def test_rotate_ancilla_refuses_pointer():
@@ -171,34 +171,37 @@ def test_rotate_ancilla_refuses_pointer():
 
 def test_purification_validates_fields():
     with pytest.raises(ValueError):
-        Purification(
-            unitary=np.eye(4, dtype=complex),
-            ancilla_state=linalg.basis_ket(2, 0),
-            dims_in=(2, 2),
-            dims_out=(3, 2),
-        )
+        Purification(np.eye(4, 2, dtype=complex), dims_out=(3, 2))
     with pytest.raises(ValueError):
-        Purification(
-            unitary=np.ones((4, 4), dtype=complex),
-            ancilla_state=linalg.basis_ket(2, 0),
-            dims_in=(2, 2),
-            dims_out=(2, 2),
-        )
+        Purification(np.ones((4, 2), dtype=complex), dims_out=(2, 2))
+    with pytest.raises(ValueError):
+        Purification(np.eye(4, 2, dtype=complex), dims_out=(2, 2), pointer_partition=(3, 1))
+
+
+def test_purification_rejects_nan_isometry():
+    isometry = np.eye(4, 2, dtype=complex)
+    isometry[3, 0] = np.nan
+    with pytest.raises(ValueError):
+        Purification(isometry, dims_out=(2, 2))
+
+
+def joint_space_evolved(purification, rho):
+    # reference: U (rho (x) |0><0|) U' on the whole joint space
+    u = completed_unitary(purification)
+    joint = np.kron(rho, linalg.basis_projector(purification.dims_in[1], 0))
+    return u @ joint @ u.conj().T
 
 
 def joint_space_channel_action(purification, rho):
-    # reference: tr_Y U (rho (x) |b><b|) U' on the whole joint space
-    joint = np.kron(rho, linalg.projector(purification.ancilla_state))
-    evolved = purification.unitary @ joint @ purification.unitary.conj().T
-    return linalg.partial_trace(evolved, purification.dims_out, keep=[0])
+    # reference: tr_Y U (rho (x) |0><0|) U' on the whole joint space
+    return linalg.partial_trace(joint_space_evolved(purification, rho), purification.dims_out, keep=[0])
 
 
 def joint_space_outcome_action(purification, outcome_index, rho):
     # reference: pointer projector and partial trace on the whole joint space
     d_x, _ = purification.dims_out
     d_p, d_z = purification.pointer_partition
-    joint = np.kron(rho, linalg.projector(purification.ancilla_state))
-    evolved = purification.unitary @ joint @ purification.unitary.conj().T
+    evolved = joint_space_evolved(purification, rho)
     proj = linalg.tensor(np.eye(d_x), linalg.basis_projector(d_p, outcome_index), np.eye(d_z))
     return linalg.partial_trace(proj @ evolved @ proj, (d_x, d_p, d_z), keep=[0])
 
@@ -245,10 +248,10 @@ def test_outcome_reconstruction_matches_joint_space_reference(inst):
 def test_verify_purification_flags_swapped_ancilla_column():
     channel = make_noisy_operation(linalg.haar_random_unitary(6, 41), (2, 3))
     purification = stinespring(channel)
-    d_b = purification.dims_in[1]
-    unitary = purification.unitary.copy()
-    unitary[:, [d_b, d_b + 1]] = unitary[:, [d_b + 1, d_b]]  # column of |1>|0>_B with a free one
-    swapped = Purification(unitary, purification.ancilla_state, purification.dims_in, purification.dims_out)
+    d_a, d_b = purification.dims_in
+    isometry = purification.isometry.reshape(-1, d_a).copy()
+    isometry[:, 1] = completed_unitary(purification)[:, d_b + 1]  # column of |1>|0>_B with a free one
+    swapped = Purification(isometry, purification.dims_out)
     assert verify_purification(channel, purification) < 1e-10
     assert verify_purification(channel, swapped) > 0.1
 
@@ -256,15 +259,24 @@ def test_verify_purification_flags_swapped_ancilla_column():
 def test_verify_purification_flags_exchanged_pointer_slots():
     inst = random_instrument(2, 3, 2, 12)
     purification = purify_instrument(inst)
-    d_x, d_y = purification.dims_out
-    d_p, d_z = purification.pointer_partition
-    rows = np.arange(d_x * d_y).reshape(d_x, d_p, d_z)[:, [1, 0, 2]].reshape(-1)
     exchanged = Purification(
-        purification.unitary[rows],
-        purification.ancilla_state,
-        purification.dims_in,
-        purification.dims_out,
-        purification.pointer_partition,
+        purification.isometry[:, [1, 0, 2]], purification.dims_out, purification.pointer_partition
     )
     assert verify_purification(inst, purification) < 1e-10
     assert verify_purification(inst, exchanged) > 0.1
+
+
+def test_dilation_checks_hold_no_joint_space_operator():
+    # 64 Kraus operators: the dilation's unitary would be 512 x 512 (4 MiB)
+    channel = make_noisy_operation(linalg.haar_random_unitary(64, 61), (8, 8))
+    tracemalloc.start()
+    try:
+        purification = stinespring(channel)
+        rotated = rotate_ancilla(purification, seed=62)
+        report = channel_toward_past_check(channel, 1, 2, rotated)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert purification.dims_in == (8, 64)
+    assert report.defect < 1e-10
+    assert peak < 2**20  # a quarter of one 512 x 512 complex array
