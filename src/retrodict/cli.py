@@ -248,8 +248,8 @@ def _run_verify(report: ReportDocument, dims: tuple[int, int], seed: int, tolera
             _solve_table(arrays, dims, dims, "predict", (a, None), (True, False)).probabilities()
             for a in range(d_a)
         ]
-        post = [_pull_back_reference((u,), dims, (x, None), dims, (True, False)) for x in range(d_a)]
-        defect = max(defect, float(np.max(np.abs(d_b * np.transpose(post) - d_b * np.array(pre)))))
+        post = _pull_back_reference((u,), dims, (range(d_a), None), dims, (True, False))
+        defect = max(defect, float(np.max(np.abs(d_b * post.T - d_b * np.array(pre)))))
     report.add_check("open-ratio-laws", defect, tol_exact)
 
     channel = amplitude_damping(0.5)

@@ -14,16 +14,21 @@ unnormalized identity).  Postdiction then normalizes, and the inverse of
 the normalizer is the channel's Bayes factor.
 
 The identity checks compare these tables with an operator-level reference,
-the Heisenberg pull-back sum_k K' E K of the data-side effect followed by a
-partial trace, never with the kernel itself: T(U') = T(U)^T holds by
-construction, so a check of the kernel against its own transpose would pass
-whatever the kernel computed.
+never with the kernel itself: T(U') = T(U)^T holds by construction, so a
+check of the kernel against its own transpose would pass whatever the
+kernel computed.  The reference is the Heisenberg pull-back
+sum_k K' E K of the data-side effect, reduced to the guessed factors.  It
+works factor by factor on the complex amplitudes: each data factor's effect
+A_f' A_f (outcome rows <g| on a given factor, I/sqrt(d) on an ignored one)
+is applied to its own axis of K, and the squared moduli are summed over the
+traced axes.  One call covers every given outcome of a relation.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -168,27 +173,44 @@ def _solve_table(
 def _pull_back_reference(
     kraus: Sequence[np.ndarray],
     dims_data: Sequence[int],
-    given: Given,
+    outcomes: Sequence[Sequence[int] | None],
     dims_guess: Sequence[int],
     mask: Mask,
 ) -> np.ndarray:
     """Operator-level reference the identity checks hold the kernel to.
 
     Each K_k maps the guessed space into the data space (U for postdiction
-    through U, U' for prediction).  The effect E carries outcome projectors
-    on given data factors and I/d on ignored ones; sum_k K_k' E K_k is
-    reduced to the guessed factors by a partial trace.  Returns the
-    unnormalized guessed cells in label order.
+    through U, U' for prediction).  The data-side effect is a product of
+    factor effects E_f = A_f' A_f: a given factor lists its outcomes and
+    A_f stacks their rows <g|, an ignored factor passes ``None`` and
+    A_f = I/sqrt(d).  Each A_f acts on its own axis of the amplitudes K_k,
+    reshaped to dims_data + dims_guess, so the diagonal of sum_k K_k' E K_k
+    reduced to the guessed factors is sum_k |(A_1 (x) ... ) K_k|^2 summed
+    over the ignored data axes and the unguessed guess axes.  Every listed
+    outcome is done in one pass, and no array grows beyond K_k.
+
+    Returns the unnormalized guessed cells in label order, one row per
+    combination of the listed outcomes in ``itertools.product`` order.
     """
-    effect = linalg.tensor(
-        *(
-            linalg.maximally_mixed(d) if g is None else linalg.basis_projector(d, g)
-            for d, g in zip(dims_data, given)
-        )
+    factors = [
+        np.eye(d) / np.sqrt(d) if listed is None else np.stack([linalg.basis_ket(d, g) for g in listed])
+        for d, listed in zip(dims_data, outcomes)
+    ]
+    n_guess = len(dims_guess)
+    summed = tuple(k for k, m in enumerate(mask) if not m) + tuple(
+        n_guess + f for f, listed in enumerate(outcomes) if listed is None
     )
-    pulled_back = sum(dagger(k) @ effect @ k for k in kraus)
-    keep = [k for k, m in enumerate(mask) if m]
-    return np.diagonal(linalg.partial_trace(pulled_back, dims_guess, keep)).real
+    cells = 0.0
+    for k in kraus:
+        amplitudes = np.asarray(k).reshape(tuple(dims_data) + tuple(dims_guess))
+        for a in factors:
+            # Contracts the leading data axis; A_f's output axis lands last.
+            amplitudes = np.tensordot(amplitudes, a, axes=([0], [1]))
+        cells = cells + (amplitudes.real**2 + amplitudes.imag**2).sum(axis=summed)
+    # Left: the guessed axes, then the given data axes.
+    n_kept = sum(bool(m) for m in mask)
+    cells = cells.transpose(tuple(range(n_kept, cells.ndim)) + tuple(range(n_kept)))
+    return cells.reshape(-1, math.prod(d for d, m in zip(dims_guess, mask) if m))
 
 
 @functools.lru_cache(maxsize=256)
@@ -636,7 +658,7 @@ def _born_reference(kraus: Sequence[np.ndarray], a: int, x: int) -> float:
     dim_out, dim_in = kraus[0].shape
     if not 0 <= a < dim_in:
         raise ValueError(f"preparation outcome {a} out of range for dimension {dim_in}")
-    return float(_pull_back_reference(kraus, (dim_out,), (x,), (dim_in,), (True,))[a])
+    return float(_pull_back_reference(kraus, (dim_out,), ((x,),), (dim_in,), (True,))[0, a])
 
 
 def four_task_check(transformation: np.ndarray | QuantumMap, a: int, x: int) -> FourTaskReport:
@@ -676,34 +698,29 @@ def open_reversal_check(
     ``max`` entry.
     """
     dims_out = dims_in if dims_out is None else dims_out
+    if len(dims_in) != 2 or len(dims_out) != 2:
+        raise ValueError("open_reversal_check takes exactly two factors per side")
     u = np.asarray(u, dtype=complex)
     ud, dims_out, dims_in = _check_open_args(dagger(u), dims_out, dims_in)
     arrays = _transition_arrays(ud)
-    d_x, d_y = dims_out
-    d_a, d_b = dims_in
-    both_out = list(itertools.product(range(d_x), range(d_y)))
-    both_in = list(itertools.product(range(d_a), range(d_b)))
-    first_out = [(x, None) for x in range(d_x)]
-    first_in = [(a, None) for a in range(d_a)]
+    (d_x, d_y), (d_a, d_b) = dims_out, dims_in
     relations = (
-        ("pre-a-xy", "predict", both_out, (True, False)),
-        ("pre-ab-x", "predict", first_out, (True, True)),
-        ("post-xy-a", "postdict", first_in, (True, True)),
-        ("post-x-ab", "postdict", both_in, (True, False)),
-        ("pre-a-x", "predict", first_out, (True, False)),
-        ("post-x-a", "postdict", first_in, (True, False)),
+        ("pre-a-xy", "predict", (range(d_x), range(d_y)), (True, False)),
+        ("pre-ab-x", "predict", (range(d_x), None), (True, True)),
+        ("post-xy-a", "postdict", (range(d_a), None), (True, True)),
+        ("post-x-ab", "postdict", (range(d_a), range(d_b)), (True, False)),
+        ("pre-a-x", "predict", (range(d_x), None), (True, False)),
+        ("post-x-a", "postdict", (range(d_a), None), (True, False)),
     )
     defects: dict[str, float] = {}
-    for name, direction, data, mask in relations:
-        defect = 0.0
-        for given in data:
-            table = _solve_table(arrays, dims_in, dims_out, direction, given, mask)
-            if direction == "predict":
-                reference = _pull_back_reference((u,), dims_out, given, dims_in, mask)
-            else:
-                reference = _pull_back_reference((ud,), dims_in, given, dims_out, mask)
-            defect = max(defect, float(np.max(np.abs(table.probabilities() - reference))))
-        defects[name] = defect
+    for name, direction, outcomes, mask in relations:
+        if direction == "predict":
+            reference = _pull_back_reference((u,), dims_out, outcomes, dims_in, mask)
+        else:
+            reference = _pull_back_reference((ud,), dims_in, outcomes, dims_out, mask)
+        givens = itertools.product(*((None,) if listed is None else listed for listed in outcomes))
+        tables = [_solve_table(arrays, dims_in, dims_out, direction, given, mask).probabilities() for given in givens]
+        defects[name] = float(np.max(np.abs(np.array(tables) - reference)))
     defects["max"] = max(defects.values())
     return defects
 

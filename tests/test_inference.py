@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -531,6 +532,18 @@ def test_open_reversal_haar_2x3():
     assert set(defects) == {"pre-a-xy", "pre-ab-x", "post-xy-a", "post-x-ab", "pre-a-x", "post-x-a", "max"}
 
 
+def test_open_reversal_unequal_partitions():
+    # input factors (3, 4), output factors (2, 6)
+    u = linalg.haar_random_unitary(12, 84)
+    assert open_reversal_check(u, (3, 4), (2, 6))["max"] < 1e-12
+
+
+@pytest.mark.parametrize("dims_in, dims_out", [((8,), (8,)), ((2, 2, 2), (2, 2, 2)), ((2, 4), (2, 2, 2))])
+def test_open_reversal_requires_two_factors_per_side(dims_in, dims_out):
+    with pytest.raises(ValueError, match="exactly two factors per side"):
+        open_reversal_check(linalg.haar_random_unitary(8, 85), dims_in, dims_out)
+
+
 def test_towards_past_unitary_channel():
     u = linalg.haar_random_unitary(3, 89)
     channel = make_unitary_channel(u)
@@ -796,6 +809,24 @@ def _random_open_case(rng):
     return dims, given, tuple(bool(m) for m in mask)
 
 
+def kron_pull_back_oracle(kraus, dims_data, given, dims_guess, mask):
+    # sum_k K' E K with a dense Kronecker effect, reduced by a partial trace:
+    # one given outcome per data factor, None for an ignored factor
+    effect = linalg.tensor(
+        *(linalg.maximally_mixed(d) if g is None else linalg.basis_projector(d, g) for d, g in zip(dims_data, given))
+    )
+    pulled_back = sum(k.conj().T @ effect @ k for k in kraus)
+    keep = [k for k, m in enumerate(mask) if m]
+    return np.diagonal(linalg.partial_trace(pulled_back, dims_guess, keep)).real
+
+
+def _reference_row(kraus, dims_data, given, dims_guess, mask):
+    # the factor-wise reference at a single combination of given outcomes
+    outcomes = tuple(None if g is None else (g,) for g in given)
+    (row,) = inference._pull_back_reference(kraus, dims_data, outcomes, dims_guess, mask)
+    return row
+
+
 def test_kernel_matches_pull_back_reference_on_random_tasks():
     rng = np.random.default_rng(2024)
     for trial in range(12):
@@ -803,23 +834,23 @@ def test_kernel_matches_pull_back_reference_on_random_tasks():
         u = linalg.haar_random_unitary(int(np.prod(dims)), 500 + trial)
         ud = u.conj().T
         pre = predict_open(u, dims, dims, given, mask).probabilities()
-        np.testing.assert_allclose(pre, inference._pull_back_reference((ud,), dims, given, dims, mask), atol=1e-12)
+        np.testing.assert_allclose(pre, _reference_row((ud,), dims, given, dims, mask), atol=1e-12)
         post = postdict_open(u, dims, dims, given, mask).probabilities()
-        reference = _normalized(inference._pull_back_reference((u,), dims, given, dims, mask))
+        reference = _normalized(_reference_row((u,), dims, given, dims, mask))
         np.testing.assert_allclose(post, reference, atol=1e-12)
 
     for trial in range(6):
         d_in, d_out = (int(d) for d in rng.integers(2, 5, size=2))
         channel = random_cptp_map(d_in, d_out, 3, 600 + trial)
         adjoint_kraus = adjoint_map(channel).kraus
+        predictions = inference._pull_back_reference(adjoint_kraus, (d_in,), (range(d_in),), (d_out,), (True,))
         for a in range(d_in):
-            reference = inference._pull_back_reference(adjoint_kraus, (d_in,), (a,), (d_out,), (True,))
-            np.testing.assert_allclose(predict_channel(channel, a).probabilities(), reference, atol=1e-12)
+            np.testing.assert_allclose(predict_channel(channel, a).probabilities(), predictions[a], atol=1e-12)
+        numerators = inference._pull_back_reference(channel.kraus, (d_out,), (range(d_out),), (d_in,), (True,))
         for x in range(d_out):
-            numerators = inference._pull_back_reference(channel.kraus, (d_out,), (x,), (d_in,), (True,))
             table = postdict_channel(channel, x)
-            np.testing.assert_allclose(table.probabilities(), _normalized(numerators), atol=1e-12)
-            assert table.factor == pytest.approx(1.0 / numerators.sum(), rel=1e-12)
+            np.testing.assert_allclose(table.probabilities(), _normalized(numerators[x]), atol=1e-12)
+            assert table.factor == pytest.approx(1.0 / numerators[x].sum(), rel=1e-12)
 
     for trial in range(4):
         d = int(rng.integers(2, 5))
@@ -830,18 +861,123 @@ def test_kernel_matches_pull_back_reference_on_random_tasks():
 
         for a in range(d):
             reference = np.concatenate(
-                [
-                    inference._pull_back_reference(adjoint_map(qmap).kraus, (d,), (a,), (d,), (True,))
-                    for _, qmap in inst.outcomes
-                ]
+                [_reference_row(adjoint_map(qmap).kraus, (d,), (a,), (d,), (True,)) for _, qmap in inst.outcomes]
             )
             table = solve(task("predict", given_input=(a,)))
             np.testing.assert_allclose(table.probabilities(), reference, atol=1e-12)
         for label, qmap in inst.outcomes:
             for x in range(d):
-                numerators = inference._pull_back_reference(qmap.kraus, (d,), (x,), (d,), (True,))
+                numerators = _reference_row(qmap.kraus, (d,), (x,), (d,), (True,))
                 table = solve(task("postdict", given_output=(x,), given_outcome=label))
                 np.testing.assert_allclose(table.probabilities(), _normalized(numerators), atol=1e-12)
+
+
+def _pull_back_cases():
+    # (kraus, dims_data, dims_guess): unitaries on equal and unequal
+    # partitions, and channels with several Kraus operators
+    rng = np.random.default_rng(77)
+    cases = [
+        ((linalg.haar_random_unitary(12, 31),), (2, 6), (3, 4)),
+        ((linalg.haar_random_unitary(12, 32),), (3, 4), (2, 6)),
+        ((linalg.haar_random_unitary(12, 33),), (2, 2, 3), (3, 4)),
+        (random_cptp_map(6, 4, 3, 34).kraus, (2, 2), (2, 3)),
+        (random_cptp_map(8, 12, 2, 35).kraus, (3, 2, 2), (2, 2, 2)),
+    ]
+    for trial in range(4):
+        dims_data = tuple(int(d) for d in rng.integers(2, 4, size=rng.integers(2, 4)))
+        dims_guess = tuple(int(d) for d in rng.integers(2, 4, size=rng.integers(2, 4)))
+        d_in, d_out = int(np.prod(dims_guess)), int(np.prod(dims_data))
+        kraus_count = max(int(rng.integers(1, 4)), -(-d_in // d_out))
+        channel = random_cptp_map(d_in, d_out, kraus_count, 40 + trial)
+        cases.append((channel.kraus, dims_data, dims_guess))
+    return cases
+
+
+@pytest.mark.parametrize("kraus, dims_data, dims_guess", _pull_back_cases())
+def test_pull_back_reference_matches_kron_oracle(kraus, dims_data, dims_guess):
+    # every mix of given and ignored data factors, every non-empty guess mask
+    for given_factors in itertools.product((False, True), repeat=len(dims_data)):
+        outcomes = tuple(range(d) if g else None for d, g in zip(dims_data, given_factors))
+        for mask in itertools.product((False, True), repeat=len(dims_guess)):
+            if not any(mask):
+                continue
+            rows = inference._pull_back_reference(kraus, dims_data, outcomes, dims_guess, mask)
+            combos = list(itertools.product(*((None,) if o is None else o for o in outcomes)))
+            assert rows.shape == (len(combos), int(np.prod([d for d, m in zip(dims_guess, mask) if m])))
+            for row, given in zip(rows, combos):
+                oracle = kron_pull_back_oracle(kraus, dims_data, given, dims_guess, mask)
+                np.testing.assert_allclose(row, oracle, atol=1e-12)
+
+
+def test_pull_back_reference_batches_a_subset_of_outcomes_in_product_order():
+    u = linalg.haar_random_unitary(12, 36)
+    rows = inference._pull_back_reference((u,), (3, 4), ((2, 0), (3, 1, 1)), (2, 6), (False, True))
+    combos = list(itertools.product((2, 0), (3, 1, 1)))
+    assert rows.shape == (6, 6)
+    for row, given in zip(rows, combos):
+        np.testing.assert_allclose(row, kron_pull_back_oracle((u,), (3, 4), given, (2, 6), (False, True)), atol=1e-12)
+
+
+def test_pull_back_reference_never_calls_the_kernel(monkeypatch):
+    def kernel(*args, **kwargs):
+        raise AssertionError("the reference must not read the transition-array kernel")
+
+    monkeypatch.setattr(inference, "_transitions", kernel)
+    monkeypatch.setattr(inference, "_contract", kernel)
+    u = linalg.haar_random_unitary(9, 37)
+    rows = inference._pull_back_reference((u,), (3, 3), (range(3), None), (3, 3), (True, False))
+    assert rows.shape == (3, 3)
+    channel = make_noisy_operation(linalg.haar_random_unitary(4, 38), (2, 2))
+    assert inference._born_reference(channel.kraus, 1, 0) >= 0.0
+    with pytest.raises(AssertionError):
+        open_reversal_check(u, (3, 3))
+
+
+@pytest.mark.parametrize("outcome", [-1, -3, 3, 7])
+def test_pull_back_reference_rejects_out_of_range_outcomes(outcome):
+    u = linalg.haar_random_unitary(6, 39)
+    with pytest.raises(ValueError, match="dimension 3"):
+        inference._pull_back_reference((u,), (3, 2), ((0, outcome), None), (2, 3), (True, True))
+    with pytest.raises(ValueError, match="dimension 3"):
+        inference._born_reference((linalg.haar_random_unitary(3, 40),), 0, outcome)
+
+
+def _verify_failures(capsys):
+    code = main(["verify", "--dims", "3", "3", "--format", "json"])
+    failing = {c["name"] for c in json.loads(capsys.readouterr().out)["checks"] if not c["passed"]}
+    return code, failing
+
+
+def test_verify_catches_a_kernel_that_swaps_two_data_factors(monkeypatch, capsys):
+    original = inference._contract
+
+    def swapped(t, dims_out, dims_in, direction, given, mask):
+        data_dims = dims_in if direction == "predict" else dims_out
+        if len(data_dims) >= 2 and data_dims[0] == data_dims[1]:
+            # exchange the first two data factors' axes of T
+            n_out = len(dims_out)
+            first = n_out if direction == "predict" else 0
+            t = np.swapaxes(t.reshape(tuple(dims_out) + tuple(dims_in)), first, first + 1)
+        return original(t, dims_out, dims_in, direction, given, mask)
+
+    monkeypatch.setattr(inference, "_contract", swapped)
+    code, failing = _verify_failures(capsys)
+    assert code == 5
+    assert {"open-reversal", "open-ratio-laws"} <= failing
+
+
+def test_verify_catches_a_kernel_that_averages_a_fixed_factor(monkeypatch, capsys):
+    original = inference._contract
+
+    def averaged(t, dims_out, dims_in, direction, given, mask):
+        if len(given) >= 2 and given[0] is not None:
+            given = (None,) + tuple(given[1:])
+        return original(t, dims_out, dims_in, direction, given, mask)
+
+    monkeypatch.setattr(inference, "_contract", averaged)
+    code, failing = _verify_failures(capsys)
+    assert code == 5
+    assert {"open-reversal", "open-ratio-laws"} <= failing
 
 
 def test_verify_catches_a_wrong_but_normalized_kernel(monkeypatch, capsys):
