@@ -24,6 +24,7 @@ from .channels import (
     computational_measurement,
     identity_channel,
     identity_instrument,
+    is_trace_preserving,
     make_dephasing,
     make_noisy_operation,
     make_unitary_channel,
@@ -64,7 +65,6 @@ from .linalg import (
     basis_ket,
     basis_projector,
     haar_random_unitary,
-    maximally_mixed,
     partial_trace,
     tensor,
 )

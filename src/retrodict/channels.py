@@ -5,6 +5,10 @@ stored as a list of Kraus operators.  An instrument is an outcome-labelled
 collection of quantum maps whose combined action preserves the trace.  Maps
 are compared by their action on an operator basis, never by their Kraus
 lists, because the decomposition is not unique.
+
+A Kraus-form map is completely positive by construction, so a channel is
+checked by trace preservation on sum K'K alone; the Choi spectrum is
+computed only for the report of :func:`classify`.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ from .tables import ProbabilityTable, join_labels
 class QuantumMap:
     """A CP linear map between operator spaces, represented by Kraus operators.
 
-    Each Kraus operator has shape (dim_out, dim_in).  Trace non-increase is a
-    property reported by :func:`classify`, not enforced here: the adjoint of a
+    Each Kraus operator has shape (dim_out, dim_in).  Trace preservation is
+    tested by :func:`is_trace_preserving`, not enforced here: the adjoint of a
     non-unital channel legitimately violates it.  Kraus decompositions are not
     unique, so maps compare by identity; test equality of maps by their action
     on an operator basis.
@@ -81,9 +85,8 @@ class Instrument:
                 raise ValueError("all outcome maps must share the instrument dimensions")
             normalized.append((label, qmap))
         object.__setattr__(self, "outcomes", tuple(normalized))
-        total = kraus_gram(coarse_grain(self))
-        defect = np.max(np.abs(total - np.eye(self.dim_in)))
-        if defect > ATOL_STRUCTURAL:
+        defect = _trace_defect(coarse_grain(self))
+        if not defect < ATOL_STRUCTURAL:
             raise ValueError(f"completeness violated: max |sum K'K - I| = {defect:.3e}")
 
     def labels(self) -> tuple[str, ...]:
@@ -122,10 +125,27 @@ def choi_matrix(qmap: QuantumMap) -> np.ndarray:
     return choi
 
 
+def _trace_defect(qmap: QuantumMap) -> float:
+    """max |sum K'K - I|; NaN when an entry is not finite."""
+    return float(np.max(np.abs(kraus_gram(qmap) - np.eye(qmap.dim_in))))
+
+
+def is_trace_preserving(qmap: QuantumMap) -> bool:
+    """sum K'K = I within ATOL_STRUCTURAL, the one channel test; a NaN or inf entry fails it.
+
+    On ``adjoint_map(qmap)`` it tests sum K K' = I: whether a channel has an active reversal.
+    """
+    return _trace_defect(qmap) < ATOL_STRUCTURAL
+
+
 def classify(qmap: QuantumMap, atol: float = ATOL_STRUCTURAL) -> ChannelClassification:
-    """Structural classification: CP via the Choi spectrum, TP and unital via Kraus sums."""
+    """Structural report: CP via the Choi spectrum, TP and unital via Kraus sums.
+
+    Only the report needs the Choi spectrum: a Kraus-form map is CP by
+    construction, and every channel check reads ``is_trace_preserving``.
+    """
     choi_min = float(np.linalg.eigvalsh(choi_matrix(qmap)).min())
-    tp_defect = float(np.max(np.abs(kraus_gram(qmap) - np.eye(qmap.dim_in))))
+    tp_defect = _trace_defect(qmap)
     unital_image = sum(k @ dagger(k) for k in qmap.kraus)
     if qmap.dim_in == qmap.dim_out:
         unital_defect = float(np.max(np.abs(unital_image - np.eye(qmap.dim_out))))
@@ -140,12 +160,10 @@ def classify(qmap: QuantumMap, atol: float = ATOL_STRUCTURAL) -> ChannelClassifi
     )
 
 
-def check_cptp(qmap: QuantumMap, atol: float = ATOL_STRUCTURAL) -> ChannelClassification:
-    """Reject a map that is not a channel; return its classification otherwise."""
-    info = classify(qmap, atol)
-    if not (info.is_cp and info.is_tp):
+def check_cptp(qmap: QuantumMap) -> None:
+    """Reject a map that is not a channel: CP by construction, it is checked on sum K'K = I."""
+    if not is_trace_preserving(qmap):
         raise ValueError("transformation must be a CPTP map (a quantum channel)")
-    return info
 
 
 def adjoint_map(qmap: QuantumMap) -> QuantumMap:

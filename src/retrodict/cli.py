@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, field, replace
 
@@ -22,6 +23,7 @@ from .channels import (
     check_cptp,
     classify,
     coarse_grain,
+    is_trace_preserving,
     make_dephasing,
     make_noisy_operation,
     random_cptp_map,
@@ -54,7 +56,7 @@ from .serialize import (
     scenario_digest,
     table_to_wire,
 )
-from .tables import ProbabilityTable
+from .tables import LABEL_SEPARATOR, ProbabilityTable
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -121,8 +123,7 @@ def _run_classify(scenario: ScenarioFile, report: ReportDocument):
     else:
         channel = transformation
     info = classify(channel)
-    symmetric = is_inference_symmetric(channel) if (info.is_cp and info.is_tp) else False
-    reverse_info = classify(adjoint_map(channel))
+    symmetric = is_inference_symmetric(channel) if info.is_tp else False
     report.metrics.update(
         {
             "cp": info.is_cp,
@@ -131,25 +132,18 @@ def _run_classify(scenario: ScenarioFile, report: ReportDocument):
             "choi_min_eigenvalue": info.choi_min_eigenvalue,
             "unital_defect": info.unital_defect,
             "inference_symmetric": symmetric,
-            "active_reverse": "exists" if (reverse_info.is_cp and reverse_info.is_tp) else "none",
+            "active_reverse": "exists" if is_trace_preserving(adjoint_map(channel)) else "none",
         }
     )
 
 
 def _run_purify(scenario: ScenarioFile, report: ReportDocument, tolerance: float):
     transformation = scenario.transformation
-    if isinstance(transformation, Instrument):
-        purification = purify_instrument(transformation)
-        defect = verify_purification(transformation, purification)
-    else:
-        if isinstance(transformation, np.ndarray):
-            transformation = QuantumMap(
-                (transformation,), transformation.shape[0], transformation.shape[0]
-            )
-        purification = stinespring(transformation)
-        defect = verify_purification(transformation, purification)
+    if isinstance(transformation, np.ndarray):
+        transformation = QuantumMap((transformation,), transformation.shape[0], transformation.shape[0])
+    purification = (purify_instrument if isinstance(transformation, Instrument) else stinespring)(transformation)
     report.metrics["purification"] = purification_to_wire(purification)
-    report.add_check("purification-round-trip", defect, tolerance)
+    report.add_check("purification-round-trip", verify_purification(transformation, purification), tolerance)
 
 
 def _run_sample(scenario: ScenarioFile, report: ReportDocument, seed: int, floor: float):
@@ -194,7 +188,7 @@ def _run_sample(scenario: ScenarioFile, report: ReportDocument, seed: int, floor
 
 
 def _labels_to_given(label: str, mask: tuple[bool, ...]):
-    parts = label.split("·") if label else []
+    parts = label.split(LABEL_SEPARATOR) if label else []
     values = iter(int(p) for p in parts)
     return tuple(next(values) if m else None for m in mask)
 
@@ -203,7 +197,7 @@ def _split_outcome_label(task: InferenceTask, label: str):
     """Separate an instrument outcome prefix from the measured basis label."""
     if isinstance(task.transformation, Instrument) and len(task.transformation.outcomes) > 1:
         for outcome_label, _ in task.transformation.outcomes:
-            prefix = outcome_label + "·"
+            prefix = outcome_label + LABEL_SEPARATOR
             if label.startswith(prefix):
                 return outcome_label, _labels_to_given(label[len(prefix) :], task.known_output_mask)
         raise UndefinedConditionalError(f"no instrument outcome matches label {label!r}")
@@ -322,11 +316,10 @@ def _run_verify(report: ReportDocument, dims: tuple[int, int], seed: int, tolera
     ]
     agreement = True
     for name, channel, expected in suite:
-        info = classify(channel)
+        # The verdict reads channel[I] = I; the adjoint check runs on the adjoint map itself.
         symmetric = is_inference_symmetric(channel, seed=rng_base)
-        reverse_ok = classify(adjoint_map(channel))
-        adjoint_cptp = reverse_ok.is_cp and reverse_ok.is_tp
-        agreement = agreement and (info.is_unital == symmetric == adjoint_cptp == expected)
+        adjoint_cptp = is_trace_preserving(adjoint_map(channel))
+        agreement = agreement and (symmetric == adjoint_cptp == expected)
     report.add_check("unital-symmetric-adjoint", 0.0 if agreement else 1.0, 0.5)
 
     worst_solution = 0.0
@@ -462,11 +455,15 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VALIDATION
 
     if args.format == "json":
-        print(json.dumps(report.to_dict(), indent=2, ensure_ascii=False))
+        text = json.dumps(report.to_dict(), indent=2, ensure_ascii=False)
     elif args.format == "csv":
-        print(_format_csv(report))
+        text = _format_csv(report)
     else:
-        print(_format_text(report))
+        text = _format_text(report)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        pass  # the reader stopped early; the exit code still reports the run
     return EXIT_OK if report.passed else EXIT_VERIFICATION
 
 
@@ -480,7 +477,12 @@ def _dims_from_scenario(scenario: ScenarioFile | None) -> tuple[int, int]:
 
 
 def entry_point():
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:  # what a closed pipe left buffered would fail again at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -41,12 +41,13 @@ from .channels import (
     adjoint_map,
     apply,
     check_cptp,
-    classify,
     coarse_grain,
     compose_sequential,
+    is_trace_preserving,
     outcome_probabilities,
     random_instrument,
 )
+from .channels import classify  # noqa: F401  (bound here for bench/test_bench.py's tracer test)
 from .errors import NoActiveReverseError, UndefinedConditionalError
 from .linalg import ATOL_STRUCTURAL, dagger
 from .purify import Purification, purify_instrument, stinespring
@@ -232,53 +233,28 @@ def _given_label(given: Given) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _check_unitary_arg(u: np.ndarray, d: int | None = None) -> np.ndarray:
+def _check_unitary_arg(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if not linalg.is_unitary(u):
         raise ValueError("transformation matrix is not unitary within tolerance")
-    if d is not None and u.shape[0] != d:
-        raise ValueError(f"unitary dimension {u.shape[0]} does not match declared dimension {d}")
     return u
 
 
 def predict_closed(u: np.ndarray, a: int, d: int | None = None) -> ProbabilityTable:
     """Born rule for a closed system: P(x | a) = |<x|U|a>|^2."""
-    u = _check_unitary_arg(u, d)
-    dim = u.shape[0]
-    return _solve_table(_transition_arrays(u), (dim,), (dim,), "predict", (a,), (True,))
+    dims = np.shape(u)[:1] if d is None else (d,)
+    return solve(InferenceTask(u, dims, dims, "predict", (True,), (True,), given_input=(a,)))
 
 
 def postdict_closed(u: np.ndarray, x: int, d: int | None = None) -> ProbabilityTable:
     """Flat-prior Bayes inversion of the Born rule; equals the transposed prediction."""
-    u = _check_unitary_arg(u, d)
-    dim = u.shape[0]
-    return _solve_table(_transition_arrays(u), (dim,), (dim,), "postdict", (x,), (True,))
+    dims = np.shape(u)[:1] if d is None else (d,)
+    return solve(InferenceTask(u, dims, dims, "postdict", (True,), (True,), given_output=(x,)))
 
 
 # ---------------------------------------------------------------------------
 # Open systems
 # ---------------------------------------------------------------------------
-
-
-def _check_open_args(u, dims_in, dims_out):
-    u = np.asarray(u, dtype=complex)
-    dims_in = tuple(int(d) for d in dims_in)
-    dims_out = tuple(int(d) for d in dims_out)
-    total_in = linalg.dims_total(dims_in)
-    total_out = linalg.dims_total(dims_out)
-    if total_in != total_out:
-        raise ValueError(f"input and output spaces differ in size: {total_in} vs {total_out}")
-    if u.shape != (total_in, total_in):
-        raise ValueError(f"unitary shape {u.shape} does not match total dimension {total_in}")
-    return _check_unitary_arg(u), dims_in, dims_out
-
-
-def _check_per_factor(given, mask, data_dims, guess_dims):
-    given = tuple(None if g is None else int(g) for g in given)
-    mask = tuple(bool(m) for m in mask)
-    if len(given) != len(data_dims) or len(mask) != len(guess_dims):
-        raise ValueError("per-factor arguments must match the dimension partitions")
-    return given, mask
 
 
 def predict_open(
@@ -290,9 +266,8 @@ def predict_open(
 ) -> ProbabilityTable:
     """Prediction with partial data: unknown input factors carry the flat prior I/d,
     output factors outside the guess mask are discarded (marginalized)."""
-    u, dims_in, dims_out = _check_open_args(u, dims_in, dims_out)
-    given, mask = _check_per_factor(known_input, guess_output_mask, dims_in, dims_out)
-    return _solve_table(_transition_arrays(u), dims_out, dims_in, "predict", given, mask)
+    known = tuple(g is not None for g in known_input)
+    return solve(InferenceTask(u, dims_in, dims_out, "predict", known, guess_output_mask, given_input=known_input))
 
 
 def postdict_open(
@@ -304,9 +279,8 @@ def postdict_open(
 ) -> ProbabilityTable:
     """Postdiction with partial data: ignored output factors carry flat weights 1/d,
     input factors outside the guess mask are marginalized with a bare identity."""
-    u, dims_in, dims_out = _check_open_args(u, dims_in, dims_out)
-    given, mask = _check_per_factor(known_output, guess_input_mask, dims_out, dims_in)
-    return _solve_table(_transition_arrays(u), dims_out, dims_in, "postdict", given, mask)
+    known = tuple(g is not None for g in known_output)
+    return solve(InferenceTask(u, dims_in, dims_out, "postdict", guess_input_mask, known, given_output=known_output))
 
 
 # ---------------------------------------------------------------------------
@@ -316,9 +290,8 @@ def postdict_open(
 
 def predict_channel(channel: QuantumMap, a: int) -> ProbabilityTable:
     """Generalized Born rule P(x | a) = tr |x><x| channel[|a><a|]."""
-    check_cptp(channel)
-    dims = ((channel.dim_out,), (channel.dim_in,))
-    return _solve_table(_transition_arrays(channel), *dims, "predict", (a,), (True,))
+    dims = ((channel.dim_in,), (channel.dim_out,))
+    return solve(InferenceTask(channel, *dims, "predict", (True,), (True,), given_input=(a,)))
 
 
 def postdict_channel(channel: QuantumMap, x: int) -> ProbabilityTable:
@@ -327,9 +300,8 @@ def postdict_channel(channel: QuantumMap, x: int) -> ProbabilityTable:
     The table carries the normalization factor f(x) = 1 / tr |x><x| channel[I],
     which multiplies the prediction probabilities into the postdiction ones.
     """
-    check_cptp(channel)
-    dims = ((channel.dim_out,), (channel.dim_in,))
-    return _solve_table(_transition_arrays(channel), *dims, "postdict", (x,), (True,), with_factor=True)
+    dims = ((channel.dim_in,), (channel.dim_out,))
+    return solve(InferenceTask(channel, *dims, "postdict", (True,), (True,), given_output=(x,)))
 
 
 def postdict_channel_via_purification(
@@ -384,21 +356,27 @@ def _check_preparation_states(states: Sequence[np.ndarray], d: int | None = None
     return checked
 
 
+def _general_prep_task(states: Sequence[np.ndarray], u: np.ndarray, direction: str, x=None) -> InferenceTask:
+    u = np.asarray(u, dtype=complex)
+    dims = u.shape[:1]
+    return InferenceTask(u, dims, dims, direction, (True,), (True,), given_output=(x,), preparation_states=tuple(states))
+
+
 def predict_general_prep(states: Sequence[np.ndarray], u: np.ndarray) -> list[ProbabilityTable]:
-    """One prediction row per preparation state: P(x | psi_i) = |<x|U|psi_i>|^2."""
-    u = _check_unitary_arg(u)
-    states = _check_preparation_states(states, u.shape[0])
-    arrays = _transition_arrays(u, states)
-    dims = ((u.shape[0],), (len(states),))
-    return [_solve_table(arrays, *dims, "predict", (i,), (True,)) for i in range(len(states))]
+    """One prediction row per preparation state: P(x | psi_i) = |<x|U|psi_i>|^2.
+
+    The transformation is checked once and its transition array built once
+    for every row.
+    """
+    task = _general_prep_task(states, u, "predict")
+    _check_transformation(task)
+    arrays = _transition_arrays(task.transformation, task.preparation_states)
+    return [_solve_checked(replace(task, given_input=(i,)), arrays) for i in range(len(task.preparation_states))]
 
 
 def postdict_general_prep(states: Sequence[np.ndarray], u: np.ndarray, x: int) -> ProbabilityTable:
     """Flat prior over the listed states; Bayes inversion of the prediction rows."""
-    u = _check_unitary_arg(u)
-    states = _check_preparation_states(states, u.shape[0])
-    dims = ((u.shape[0],), (len(states),))
-    return _solve_table(_transition_arrays(u, states), *dims, "postdict", (x,), (True,))
+    return solve(_general_prep_task(states, u, "postdict", x))
 
 
 def preparation_unitary(states: Sequence[np.ndarray]) -> np.ndarray:
@@ -432,11 +410,10 @@ def general_prep_purified_check(
     Builds U' = (U (x) I) U_P and compares P(psi_i | x, U) with
     P(a_0, b_i | x, U') / P(a_0 | x, U').
     """
-    u = _check_unitary_arg(u)
-    states = _check_preparation_states(states, u.shape[0])
+    direct = postdict_general_prep(states, u, x)
+    u = np.asarray(u, dtype=complex)
     n = len(states)
     d = u.shape[0]
-    direct = _solve_table(_transition_arrays(u, states), (d,), (n,), "postdict", (x,), (True,))
     # U' is a product of unitaries and needs no check of its own; the
     # (a_0, b_i) cells are the first n of the (a, b) grid.
     u_prime = np.kron(u, np.eye(n, dtype=complex)) @ preparation_unitary(states)
@@ -484,8 +461,9 @@ class InferenceTask:
         object.__setattr__(self, "dims_out", dims_out)
         object.__setattr__(self, "known_input_mask", tuple(bool(m) for m in self.known_input_mask))
         object.__setattr__(self, "known_output_mask", tuple(bool(m) for m in self.known_output_mask))
-        given_input = tuple(self.given_input) if self.given_input else (None,) * len(dims_in)
-        given_output = tuple(self.given_output) if self.given_output else (None,) * len(dims_out)
+        # Outcomes as ints, so that 1.0 or a numpy integer indexes outcome 1.
+        given_input = tuple(None if g is None else int(g) for g in self.given_input) or (None,) * len(dims_in)
+        given_output = tuple(None if g is None else int(g) for g in self.given_output) or (None,) * len(dims_out)
         object.__setattr__(self, "given_input", given_input)
         object.__setattr__(self, "given_output", given_output)
         if len(self.known_input_mask) != len(dims_in) or len(given_input) != len(dims_in):
@@ -603,8 +581,7 @@ def time_reverse(task: InferenceTask) -> InferenceTask:
         raise ValueError("time reversal is defined for unitary and channel tasks")
     if isinstance(task.transformation, QuantumMap):
         reversed_transformation = adjoint_map(task.transformation)
-        info = classify(reversed_transformation)
-        if not (info.is_cp and info.is_tp):
+        if not is_trace_preserving(reversed_transformation):
             raise NoActiveReverseError(
                 "the adjoint map is not trace preserving; only unital channels admit an active reversal"
             )
@@ -668,10 +645,9 @@ def four_task_check(transformation: np.ndarray | QuantumMap, a: int, x: int) -> 
     unitary or unital channel.  All four task solutions must coincide with it.
     """
     if isinstance(transformation, QuantumMap):
-        info = classify(transformation)
-        if not (info.is_cp and info.is_tp and info.is_unital):
-            raise ValueError("the four-task equality holds for unital channels only")
         forward, reverse, kraus = transformation, adjoint_map(transformation), transformation.kraus
+        if not (is_trace_preserving(forward) and is_trace_preserving(reverse)):
+            raise ValueError("the four-task equality holds for unital channels only")
     else:
         u = _check_unitary_arg(transformation)
         forward, reverse, kraus = u, dagger(u), (u,)
@@ -700,8 +676,10 @@ def open_reversal_check(
     dims_out = dims_in if dims_out is None else dims_out
     if len(dims_in) != 2 or len(dims_out) != 2:
         raise ValueError("open_reversal_check takes exactly two factors per side")
+    task = InferenceTask(u, dims_in, dims_out, "predict", (True, True), (True, True))
+    _check_transformation(task)
     u = np.asarray(u, dtype=complex)
-    ud, dims_out, dims_in = _check_open_args(dagger(u), dims_out, dims_in)
+    ud, dims_in, dims_out = dagger(u), task.dims_in, task.dims_out
     arrays = _transition_arrays(ud)
     (d_x, d_y), (d_a, d_b) = dims_out, dims_in
     relations = (
@@ -872,22 +850,18 @@ def _purified_no_signalling_defect(e: Instrument, f: Instrument) -> float:
 
 
 def _table_asymmetry(channel: QuantumMap) -> float:
-    """Max |P_pre(x|a) - P_post(a|x)| over the computational bases, from one transition array."""
-    worst = 0.0
-    arrays = _transition_arrays(channel)
-    dims = ((channel.dim_out,), (channel.dim_in,))
-    predictions = np.array(
-        [_solve_table(arrays, *dims, "predict", (a,), (True,)).probabilities() for a in range(channel.dim_in)]
-    ).T  # indexed [x, a]
-    for x in range(channel.dim_out):
-        try:
-            post = _solve_table(arrays, *dims, "postdict", (x,), (True,)).probabilities()
-        except UndefinedConditionalError:
-            # Zero-evidence outcome: the postdiction row cannot match any
-            # normalized prediction column, so symmetry fails outright.
-            return 1.0
-        worst = max(worst, float(np.max(np.abs(predictions[x, :] - post))))
-    return worst
+    """Max |P_pre(x|a) - P_post(a|x)| over the computational bases, from one transition array.
+
+    T[x, a] is the prediction P(x|a), and row x of T divided by its sum is
+    the flat-prior postdiction P(a|x).
+    """
+    t = _transitions(channel)
+    evidence = t.sum(axis=1, keepdims=True)
+    if evidence.min() < 1e-12:
+        # Zero-evidence outcome: the postdiction row cannot match any
+        # normalized prediction column, so symmetry fails outright.
+        return 1.0
+    return float(np.max(np.abs(t - t / evidence)))
 
 
 def _rotated_channel(channel: QuantumMap, v: np.ndarray, w: np.ndarray) -> QuantumMap:
@@ -901,12 +875,15 @@ def is_inference_symmetric(
 ) -> bool:
     """Prediction and postdiction tables coincide for every basis pair.
 
-    The identity-preservation criterion decides the answer; the tables are
-    additionally compared over the computational bases and ``basis_samples``
-    Haar-rotated basis pairs, and a disagreement raises, since the criterion
-    quantifies over all bases while sampling can only corroborate it.
+    The identity-preservation criterion channel[I] = sum K K' = I decides
+    the answer; the tables are additionally compared over the computational
+    bases and ``basis_samples`` Haar-rotated basis pairs, and a disagreement
+    raises, since the criterion quantifies over all bases while sampling can
+    only corroborate it.
     """
-    verdict = check_cptp(channel).is_unital
+    check_cptp(channel)
+    d = channel.dim_out
+    verdict = channel.dim_in == d and bool(np.max(np.abs(apply(channel, np.eye(d)) - np.eye(d))) < ATOL_STRUCTURAL)
     samples = [_table_asymmetry(channel)]
     if channel.dim_in == channel.dim_out:
         for t in range(basis_samples):

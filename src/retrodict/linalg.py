@@ -24,11 +24,6 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.asarray(m).conj().T
 
 
-def maximally_mixed(d: int) -> np.ndarray:
-    """The density operator I/d, the flat prior over a d-dimensional system."""
-    return np.eye(d, dtype=complex) / d
-
-
 def basis_ket(d: int, i: int) -> np.ndarray:
     """Length-d unit vector with a single 1 at slot i."""
     if not 0 <= i < d:

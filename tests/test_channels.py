@@ -9,6 +9,7 @@ from retrodict.channels import (
     amplitude_damping,
     amplitude_damping_instrument,
     apply,
+    check_cptp,
     choi_matrix,
     classify,
     coarse_grain,
@@ -17,6 +18,7 @@ from retrodict.channels import (
     computational_measurement,
     identity_channel,
     identity_instrument,
+    is_trace_preserving,
     kraus_gram,
     make_dephasing,
     make_noisy_operation,
@@ -244,6 +246,26 @@ def test_classify_amplitude_damping():
     info = classify(amplitude_damping(0.5))
     assert info.is_cp and info.is_tp and not info.is_unital
     assert info.unital_defect == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0, np.nan)])
+def test_check_cptp_rejects_non_finite_entries(bad):
+    # the Kraus-sum test fails on a NaN defect instead of handing it to an eigensolver
+    k = np.eye(2, dtype=complex)
+    k[0, 1] = bad
+    channel = QuantumMap((k,), 2, 2)
+    assert not is_trace_preserving(channel)
+    with pytest.raises(ValueError, match="CPTP"):
+        check_cptp(channel)
+
+
+def test_trace_preservation_of_the_adjoint_is_unitality():
+    assert is_trace_preserving(adjoint_map(make_dephasing()))
+    assert not is_trace_preserving(adjoint_map(amplitude_damping(0.5)))
+    # sum K K' and sum K'K have equal traces, d_out and d_in, so a channel between
+    # spaces of different dimension never has a trace-preserving adjoint
+    assert not is_trace_preserving(adjoint_map(random_cptp_map(3, 2, 2, 4)))
 
 
 def test_choi_positive_for_constructed_channels():

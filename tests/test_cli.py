@@ -1,13 +1,19 @@
+import errno
 import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import retrodict as rd
+from retrodict import channels
 from retrodict.cli import main
-from retrodict.serialize import matrix_to_wire
+from retrodict.serialize import matrix_to_wire, parse_scenario, parse_scenario_dict
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -371,3 +377,67 @@ def test_sample_builds_transition_arrays_once_per_ensemble(monkeypatch, capsys):
     monkeypatch.setattr(inference, "_transitions", counted)
     assert main(["sample", "--scenario", fixture("sample_hadamard.json"), "--shots", "2000"]) == 0
     assert len(calls) == 3
+
+
+# Every command but classify, on the fixtures; each must exit 0.
+NO_CHOI_RUNS = [
+    ["predict", "--scenario", fixture("predict_identity.json"), "--format", "json"],
+    ["postdict", "--scenario", fixture("postdict_amplitude_damping.json"), "--format", "json"],
+    ["purify", "--scenario", fixture("purify_amplitude_damping.json"), "--format", "json"],
+    ["purify", "--scenario", fixture("purify_amplitude_damping_instrument.json"), "--format", "json"],
+    ["sample", "--scenario", fixture("sample_hadamard.json"), "--shots", "2000", "--format", "json"],
+    ["verify", "--scenario", fixture("verify_small.json"), "--format", "json"],
+]
+
+
+def test_channel_checks_never_build_the_choi_matrix(monkeypatch, capsys):
+    # a Kraus-form map is CP by construction: only classify's report reads the Choi spectrum
+    def run_all():
+        outputs = []
+        for argv in NO_CHOI_RUNS:
+            outputs.append((main(argv), capsys.readouterr().out))
+        return outputs
+
+    expected = run_all()
+    assert all(code == 0 for code, _ in expected)
+
+    def no_choi(qmap):
+        raise AssertionError("the Choi matrix is built for classify's report only")
+
+    monkeypatch.setattr(channels, "choi_matrix", no_choi)
+    assert run_all() == expected
+    channel = rd.amplitude_damping(0.5)
+    rd.stinespring(channel)
+    task = rd.InferenceTask(channel, (2,), (2,), "postdict", (True,), (True,), given_output=(0,))
+    assert rd.solve(task)["0"] == pytest.approx(2 / 3, abs=1e-12)
+    doc = json.loads(Path(fixture("postdict_amplitude_damping.json")).read_text())
+    assert isinstance(parse_scenario_dict(doc).transformation, rd.QuantumMap)
+
+
+def test_classify_reports_the_choi_spectrum(capsys):
+    assert main(["classify", "--scenario", fixture("classify_dephasing.json"), "--format", "json"]) == 0
+    metrics = json.loads(capsys.readouterr().out)["metrics"]
+    channel = parse_scenario(fixture("classify_dephasing.json")).transformation
+    assert metrics["cp"] is True
+    assert metrics["choi_min_eigenvalue"] == float(np.linalg.eigvalsh(rd.choi_matrix(channel)).min())
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+def test_a_closed_pipe_keeps_the_exit_code_in_process(monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(["verify", "--dims", "2", "2", "--format", "json"]) == 0
+
+
+def test_a_closed_pipe_keeps_the_exit_code_without_a_traceback():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "retrodict", "verify", "--dims", "2", "2", "--format", "json"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()  # the reader is gone before the child has written a byte
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 0
+    assert err == ""

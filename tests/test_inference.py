@@ -644,7 +644,7 @@ def test_no_signalling_rejects_incomposable():
         no_signalling_check(
             computational_measurement(2),
             computational_measurement(3),
-            linalg.maximally_mixed(2),
+            np.eye(2) / 2,
         )
 
 
@@ -771,6 +771,30 @@ def test_solve_agrees_on_a_unitary_its_channel_and_its_instrument(data):
     _assert_same_tables([solve(task) for task in tasks])
 
 
+def test_given_outcomes_are_normalized_to_int():
+    task = InferenceTask(np.eye(2), (2,), (2,), "predict", (True,), (True,), given_input=(1.0,))
+    assert task.given_input == (1,)
+    table = solve(task)
+    assert table.given == "1"
+    assert table["1"] == pytest.approx(1.0, abs=1e-12)
+    table = predict_open(np.eye(4), (2, 2), (2, 2), (1.0, None), (True, True))
+    assert table.given == "1"
+    assert table["1·0"] == pytest.approx(0.5, abs=1e-12)
+
+
+def test_table_asymmetry_matches_the_solved_tables():
+    # oracle: the largest gap between every solved prediction column and postdiction row
+    for channel in (amplitude_damping(0.3), random_cptp_map(3, 3, 2, 71), random_cptp_map(2, 3, 3, 72)):
+        gap = 0.0
+        for x in range(channel.dim_out):
+            post = postdict_channel(channel, x)
+            for a in range(channel.dim_in):
+                gap = max(gap, abs(predict_channel(channel, a)[str(x)] - post[str(a)]))
+        assert inference._table_asymmetry(channel) == pytest.approx(gap, abs=1e-15)
+    # an output that no input reaches has no postdiction row
+    assert inference._table_asymmetry(amplitude_damping(1.0)) == 1.0
+
+
 def test_solve_rejects_an_unknown_instrument_outcome():
     task = InferenceTask(
         computational_measurement(2), (2,), (2,), "postdict", (True,), (True,), given_output=(0,), given_outcome="7"
@@ -813,7 +837,7 @@ def kron_pull_back_oracle(kraus, dims_data, given, dims_guess, mask):
     # sum_k K' E K with a dense Kronecker effect, reduced by a partial trace:
     # one given outcome per data factor, None for an ignored factor
     effect = linalg.tensor(
-        *(linalg.maximally_mixed(d) if g is None else linalg.basis_projector(d, g) for d, g in zip(dims_data, given))
+        *(np.eye(d) / d if g is None else linalg.basis_projector(d, g) for d, g in zip(dims_data, given))
     )
     pulled_back = sum(k.conj().T @ effect @ k for k in kraus)
     keep = [k for k, m in enumerate(mask) if m]
