@@ -409,6 +409,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.scenario:
             scenario = parse_scenario(args.scenario)
+            if scenario.transformation is None and args.command != "verify":
+                raise ScenarioError(
+                    "missing-transformation", f"{args.command} needs a scenario with a transformation"
+                )
         elif args.command not in ("verify",):
             print("error: --scenario is required for this command", file=sys.stderr)
             return EXIT_PARSE

@@ -10,10 +10,12 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import re
 from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
+import orjson
 
 from . import linalg
 from .channels import Instrument, QuantumMap, is_trace_preserving
@@ -336,16 +338,52 @@ def parse_scenario_dict(doc: Any) -> ScenarioFile:
     )
 
 
+# The deepest bracket nesting a scenario file may have; scenarios nest about 7
+# levels.  The decoder has no limit of its own and overflows its stack far deeper.
+MAX_DEPTH = 512
+
+_STRING = re.compile(rb'"[^"]*"')
+_NOT_STRUCTURE = bytes(b for b in range(256) if b not in b'"[]{}')
+_NESTING_STEP = np.zeros(256, np.int8)
+_NESTING_STEP[list(b"[{")] = 1
+_NESTING_STEP[list(b"]}")] = -1
+
+
+def nesting_depth(text: bytes) -> int:
+    """The deepest bracket nesting of a UTF-8 JSON text, brackets inside strings excluded.
+
+    Escaped backslashes, then escaped quotes, are dropped first, so every
+    quote left delimits a string and ``"[^"]*"`` finds each string in one
+    linear pass.  Only the quotes and brackets are kept for that pass.
+    """
+    if b"\\" in text:  # rare in scenario files, and each replace scans the whole text
+        text = text.replace(b"\\\\", b"").replace(b'\\"', b"")
+    brackets = _STRING.sub(b"", text.translate(None, _NOT_STRUCTURE))
+    steps = _NESTING_STEP[np.frombuffer(brackets, np.uint8)]
+    return int(np.cumsum(steps, dtype=np.int64).max(initial=0))
+
+
 def parse_scenario(path: str) -> ScenarioFile:
-    """Read a scenario file once; its digest is the SHA-256 of the bytes parsed."""
+    """Read a scenario file once; its digest is the SHA-256 of the bytes read.
+
+    A UTF-8 file is decoded as read; a UTF-8 file with a byte order mark and a
+    UTF-16 or UTF-32 one are re-encoded to UTF-8 first.
+    """
     try:
         with open(path, "rb") as handle:
             raw = handle.read()
     except OSError as exc:
         raise ScenarioError("malformed-document", f"cannot read scenario: {exc}") from exc
     try:
-        doc = json.loads(raw)
-    except (ValueError, RecursionError) as exc:  # invalid, undecodable or too deeply nested
+        encoding = json.detect_encoding(raw)
+        text = raw if encoding == "utf-8" else raw.decode(encoding).encode()
+    except UnicodeError as exc:
+        raise ScenarioError("malformed-document", f"invalid JSON: {exc}") from exc
+    if nesting_depth(text) > MAX_DEPTH:  # checked before decoding, which would overflow the stack
+        raise ScenarioError("malformed-document", f"invalid JSON: nested deeper than {MAX_DEPTH} levels")
+    try:
+        doc = orjson.loads(text)
+    except orjson.JSONDecodeError as exc:  # invalid JSON, invalid UTF-8 or a lone surrogate
         raise ScenarioError("malformed-document", f"invalid JSON: {exc}") from exc
     return replace(parse_scenario_dict(doc), digest=hashlib.sha256(raw).hexdigest())
 

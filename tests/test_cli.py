@@ -153,6 +153,70 @@ def test_undecodable_or_too_deeply_nested_json_exits_2(tmp_path, capsys, raw):
     assert "malformed-document" in capsys.readouterr().err
 
 
+def _child_env():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_a_million_nested_brackets_exit_2_in_a_subprocess(tmp_path):
+    # run apart, so that a decoder overflowing its stack fails this test instead of killing pytest
+    bad = tmp_path / "deep.json"
+    bad.write_bytes(b"[" * 10**6 + b"]" * 10**6)
+    argv = [sys.executable, "-m", "retrodict", "predict", "--scenario", str(bad)]
+    result = subprocess.run(argv, capture_output=True, text=True, env=_child_env(), timeout=120)
+    assert result.returncode == 2
+    assert "nested deeper than 512 levels" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_brackets_in_a_label_cannot_hide_a_deep_array(tmp_path, capsys):
+    bad = tmp_path / "hidden.json"
+    label = "]" * 1000 + '\\"]]'
+    bad.write_text(f'{{"task": "predict", "note": "{label}", "deep": {"[" * 600}{"]" * 600}}}')
+    assert main(["predict", "--scenario", str(bad)]) == 2
+    assert "nested deeper than 512 levels" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16", "utf-16-le", "utf-32"])
+def test_bom_and_utf16_or_utf32_files_give_the_utf8_tables(tmp_path, capsys, encoding):
+    source = Path(fixture("postdict_amplitude_damping.json"))
+    assert main(["postdict", "--scenario", str(source), "--format", "json"]) == 0
+    expected = json.loads(capsys.readouterr().out)
+    copy = tmp_path / "encoded.json"
+    copy.write_bytes(source.read_text(encoding="utf-8").encode(encoding))
+    assert main(["postdict", "--scenario", str(copy), "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["tables"] == expected["tables"]
+    assert report["scenario_digest"] == hashlib.sha256(copy.read_bytes()).hexdigest()
+
+
+def test_a_lone_surrogate_label_exits_2(tmp_path, capsys):
+    doc = json.loads(Path(fixture("purify_amplitude_damping_instrument.json")).read_text())
+    doc["transformation"]["outcomes"][0]["label"] = "\ud800"
+    path = tmp_path / "surrogate.json"
+    path.write_text(json.dumps(doc))  # ASCII, with the surrogate escaped
+    for command in ("predict", "purify"):
+        assert main([command, "--scenario", str(path)]) == 2
+        assert "surrogate" in capsys.readouterr().err
+
+
+COMMANDS = ["predict", "postdict", "classify", "purify", "verify", "sample"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.json")), ids=lambda path: path.name)
+def test_every_command_on_every_fixture_exits_with_a_documented_code(capsys, command, path):
+    assert main([command, "--scenario", str(path)]) in {0, 2, 3, 4, 5}
+
+
+@pytest.mark.parametrize("command", [c for c in COMMANDS if c != "verify"])
+def test_a_scenario_without_a_transformation_exits_3(capsys, command):
+    assert main([command, "--scenario", fixture("verify_small.json")]) == 3
+    assert capsys.readouterr().err == (
+        f"error [missing-transformation]: {command} needs a scenario with a transformation\n"
+    )
+
+
 def test_unknown_task_document_exits_2(tmp_path, capsys):
     doc = tmp_path / "task.json"
     doc.write_text(json.dumps({"task": "teleport"}))
@@ -209,7 +273,7 @@ def test_integer_entry_beyond_float_range_exits_2(tmp_path, capsys):
     matrix = [[[10**400, 0], [0, 0]], [[0, 0], [1, 0]]]
     doc.write_text(json.dumps({**HADAMARD_DOC, "transformation": {"type": "unitary", "matrix": matrix}}))
     assert main(["predict", "--scenario", str(doc)]) == 2
-    assert "entries must be finite numbers" in capsys.readouterr().err
+    assert "number is infinity" in capsys.readouterr().err  # rejected while decoding
 
 
 def test_sample_tolerance_follows_conditioning_cell_counts(tmp_path):
@@ -433,10 +497,8 @@ def test_a_closed_pipe_keeps_the_exit_code_in_process(monkeypatch):
 
 
 def test_a_closed_pipe_keeps_the_exit_code_without_a_traceback():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     argv = [sys.executable, "-m", "retrodict", "verify", "--dims", "2", "2", "--format", "json"]
-    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env())
     proc.stdout.close()  # the reader is gone before the child has written a byte
     err = proc.stderr.read().decode()
     assert proc.wait(timeout=120) == 0

@@ -1,8 +1,14 @@
+import decimal
+import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from retrodict import linalg
 from retrodict.channels import amplitude_damping_instrument
@@ -13,6 +19,7 @@ from retrodict.serialize import (
     instrument_to_wire,
     ket_to_wire,
     matrix_to_wire,
+    nesting_depth,
     parse_scenario,
     parse_scenario_dict,
     purification_to_wire,
@@ -189,3 +196,59 @@ def test_wire_matrix_errors_name_the_fault(data, message):
         wire_to_matrix(data, "transformation.matrix")
     assert err.value.code == "malformed-document"
     assert message in str(err.value)
+
+
+def _parsed_or_error(parse):
+    """A scenario as its canonical JSON text, where every float is written exactly; or its error."""
+    try:
+        scenario = parse()
+    except ScenarioError as exc:
+        return exc.code, str(exc)
+    return json.dumps(scenario_to_dict(scenario))
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.json")), ids=lambda path: path.name)
+def test_file_decoding_equals_the_standard_library_bitwise(path):
+    # float reprs round-trip exactly and keep the sign of zero, so equal texts mean equal bits
+    raw = path.read_bytes()
+    from_file = _parsed_or_error(lambda: parse_scenario(str(path)))
+    assert from_file == _parsed_or_error(lambda: parse_scenario_dict(json.loads(raw)))
+    if isinstance(from_file, str):
+        assert parse_scenario(str(path)).digest == hashlib.sha256(raw).hexdigest()
+
+
+def test_decoded_floats_are_bit_identical_to_the_standard_library():
+    bits = np.random.default_rng(7).integers(0, 2**64, 3000, dtype=np.uint64).view(np.float64)
+    edges = [0.0, -0.0, 0.1, 5e-324, -2.2250738585072014e-308, 2.225073858507201e-308, 1.7976931348623e308]
+    values = edges + bits[np.isfinite(bits)].tolist()
+    texts = [fmt.format(x) for fmt in ("{!r}", "{:.17e}", "{:.15g}", "{:.25f}") for x in values]
+    # halfway between neighbouring doubles and just either side of it: the hardest roundings
+    with decimal.localcontext(prec=800):
+        for x in values[:600]:
+            half = (decimal.Decimal(x) + decimal.Decimal(math.nextafter(x, math.inf))) / 2
+            nudge = decimal.Decimal(10) ** (half.adjusted() - 40)
+            texts += [format(half, "e"), format(half + nudge, "e"), format(half - nudge, "e")]
+    text = "[" + ", ".join(texts) + "]"
+    assert np.array(orjson.loads(text)).tobytes() == np.array(json.loads(text)).tobytes()
+
+
+def _depth(value) -> int:
+    if isinstance(value, (list, dict)):
+        children = value.values() if isinstance(value, dict) else value
+        return 1 + max(map(_depth, children), default=0)
+    return 0
+
+
+_BRACKETY_TEXT = st.text(alphabet=st.sampled_from(list('[]{}"\\ab\u00e9\u2028\U0001f600')))
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | _BRACKETY_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_BRACKETY_TEXT, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_JSON_VALUES, st.booleans())
+def test_nesting_depth_skips_strings_and_their_escapes(value, ensure_ascii):
+    text = json.dumps(value, ensure_ascii=ensure_ascii).encode()
+    assert nesting_depth(text) == _depth(value)
