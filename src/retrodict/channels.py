@@ -138,7 +138,7 @@ def is_trace_preserving(qmap: QuantumMap) -> bool:
     return _trace_defect(qmap) < ATOL_STRUCTURAL
 
 
-def classify(qmap: QuantumMap, atol: float = ATOL_STRUCTURAL) -> ChannelClassification:
+def classify(qmap: QuantumMap) -> ChannelClassification:
     """Structural report: CP via the Choi spectrum, TP and unital via Kraus sums.
 
     Only the report needs the Choi spectrum: a Kraus-form map is CP by
@@ -152,9 +152,9 @@ def classify(qmap: QuantumMap, atol: float = ATOL_STRUCTURAL) -> ChannelClassifi
     else:
         unital_defect = float("inf")  # identity preservation needs isomorphic spaces
     return ChannelClassification(
-        is_cp=choi_min >= -atol,
-        is_tp=tp_defect < atol,
-        is_unital=unital_defect < atol,
+        is_cp=choi_min >= -ATOL_STRUCTURAL,
+        is_tp=tp_defect < ATOL_STRUCTURAL,
+        is_unital=unital_defect < ATOL_STRUCTURAL,
         choi_min_eigenvalue=choi_min,
         unital_defect=unital_defect,
     )

@@ -32,11 +32,12 @@ from .channels import (
 from .errors import NoActiveReverseError, ScenarioError, UndefinedConditionalError
 from .inference import (
     InferenceTask,
-    _check_transformation,
+    _bayes_rows,
     _check_unitary_arg,
     _pull_back_reference,
     _solve_checked,
-    _solve_table,
+    _solve_rows,
+    _table_rows,
     _transition_arrays,
     channel_toward_past_check,
     deterministic_effect_check,
@@ -45,7 +46,6 @@ from .inference import (
     no_signalling_check,
     open_reversal_check,
     postdict_channel_via_purification,
-    solve,
 )
 from .purify import purify_instrument, rotate_ancilla, stinespring, verify_purification
 from .sampler import SEED_LIMIT, compare, empirical_conditionals, run_ensemble
@@ -56,7 +56,7 @@ from .serialize import (
     scenario_digest,
     table_to_wire,
 )
-from .tables import LABEL_SEPARATOR, ProbabilityTable
+from .tables import ProbabilityTable
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -149,29 +149,27 @@ def _run_purify(scenario: ScenarioFile, report: ReportDocument, tolerance: float
 def _run_sample(scenario: ScenarioFile, report: ReportDocument, seed: int, floor: float):
     """Draw the ensemble in both directions and hold every conditional row to its closed form.
 
-    The transformation is validated once, before any trial is drawn, and its
-    transition arrays are built once; every row is then solved on them.
+    The transformation was validated when the scenario was parsed.  Its
+    transition arrays are built once, and each direction's rows are solved on
+    them in one contraction, keyed by the labels the sampler counts under.
     """
     shots = 100_000 if scenario.shots is None else scenario.shots
     tasks = [_task_from_scenario(scenario, direction) for direction in ("predict", "postdict")]
-    _check_transformation(tasks[0])
     arrays = _transition_arrays(tasks[0].transformation, tasks[0].preparation_states)
     for task in tasks:
         direction = task.direction
         result = run_ensemble(task, shots, seed)
         empirical = empirical_conditionals(result, direction)
+        analytic = _solve_rows(task, arrays)
         trials: dict[str, int] = {}
         for (in_label, out_label), n in result.joint_counts.items():
             cell = in_label if direction == "predict" else out_label
             trials[cell] = trials.get(cell, 0) + n
         worst = 0.0
         for given, row in empirical.items():
-            if direction == "predict":
-                analytic_task = replace(task, given_input=_labels_to_given(given, task.known_input_mask))
-            else:
-                outcome_label, basis_given = _split_outcome_label(task, given)
-                analytic_task = replace(task, given_output=basis_given, given_outcome=outcome_label)
-            outcome = compare(row, _solve_checked(analytic_task, arrays), trials[given], floor=floor)
+            if given not in analytic:
+                raise UndefinedConditionalError(f"cell {given!r} was sampled but has zero probability")
+            outcome = compare(row, analytic[given], trials[given], floor=floor)
             worst = max(worst, outcome.max_deviation)
             # The bound of a failing outcome, else of the farthest one; the
             # verdict is compare's, which also holds on a bound of zero.
@@ -187,28 +185,11 @@ def _run_sample(scenario: ScenarioFile, report: ReportDocument, seed: int, floor
     report.metrics["seed"] = seed
 
 
-def _labels_to_given(label: str, mask: tuple[bool, ...]):
-    parts = label.split(LABEL_SEPARATOR) if label else []
-    values = iter(int(p) for p in parts)
-    return tuple(next(values) if m else None for m in mask)
-
-
-def _split_outcome_label(task: InferenceTask, label: str):
-    """Separate an instrument outcome prefix from the measured basis label."""
-    if isinstance(task.transformation, Instrument) and len(task.transformation.outcomes) > 1:
-        for outcome_label, _ in task.transformation.outcomes:
-            prefix = outcome_label + LABEL_SEPARATOR
-            if label.startswith(prefix):
-                return outcome_label, _labels_to_given(label[len(prefix) :], task.known_output_mask)
-        raise UndefinedConditionalError(f"no instrument outcome matches label {label!r}")
-    return None, _labels_to_given(label, task.known_output_mask)
-
-
 def _run_verify(report: ReportDocument, dims: tuple[int, int], seed: int, tolerance: float | None):
     """The full identity suite on seeded random instances.
 
-    Each transformation is validated once and its transition arrays are
-    built once, then contracted for every given outcome.
+    Each transformation is validated once, and each table family comes from
+    one contraction of its transition array, with a row per given outcome.
     """
     d_a, d_b = dims
     d = d_a * d_b
@@ -218,10 +199,10 @@ def _run_verify(report: ReportDocument, dims: tuple[int, int], seed: int, tolera
 
     defect = 0.0
     for t in range(5):
-        arrays = _transition_arrays(_check_unitary_arg(linalg.haar_random_unitary(d, rng_base + t)))
-        pre = [_solve_table(arrays, (d,), (d,), "predict", (a,), (True,)).probabilities() for a in range(d)]
-        post = [_solve_table(arrays, (d,), (d,), "postdict", (x,), (True,)).probabilities() for x in range(d)]
-        defect = max(defect, float(np.max(np.abs(np.transpose(pre) - np.array(post)))))
+        u = _check_unitary_arg(linalg.haar_random_unitary(d, rng_base + t))
+        pre = _table_rows(u, (d,), (d,), "predict", (True,), (True,))
+        post = _bayes_rows(_table_rows(u, (d,), (d,), "postdict", (True,), (True,)))
+        defect = max(defect, float(np.max(np.abs(pre.T - post))))
     report.add_check("closed-symmetry", defect, tol_exact)
 
     defect = max(
@@ -237,26 +218,18 @@ def _run_verify(report: ReportDocument, dims: tuple[int, int], seed: int, tolera
         u = _check_unitary_arg(linalg.haar_random_unitary(d, rng_base + 20 + t))
         # Solved predictions against operator-level postdictions, so the law
         # is not read twice off one transition array.
-        dims, arrays = (d_a, d_b), _transition_arrays(u)
-        pre = [
-            _solve_table(arrays, dims, dims, "predict", (a, None), (True, False)).probabilities()
-            for a in range(d_a)
-        ]
+        dims = (d_a, d_b)
+        pre = _table_rows(u, dims, dims, "predict", (True, False), (True, False))
         post = _pull_back_reference((u,), dims, (range(d_a), None), dims, (True, False))
-        defect = max(defect, float(np.max(np.abs(d_b * post.T - d_b * np.array(pre)))))
+        defect = max(defect, float(np.max(np.abs(d_b * post.T - d_b * pre))))
     report.add_check("open-ratio-laws", defect, tol_exact)
 
     channel = amplitude_damping(0.5)
     check_cptp(channel)
-    arrays = _transition_arrays(channel)
-    table0, table1 = (_solve_table(arrays, (2,), (2,), "postdict", (x,), (True,), True) for x in (0, 1))
+    numerators = _table_rows(channel, (2,), (2,), "postdict", (True,), (True,))
     defect = max(
-        abs(table0["0"] - 2 / 3),
-        abs(table0["1"] - 1 / 3),
-        abs(table0.factor - 2 / 3),
-        abs(table1["0"] - 0.0),
-        abs(table1["1"] - 1.0),
-        abs(table1.factor - 2.0),
+        float(np.max(np.abs(_bayes_rows(numerators) - [[2 / 3, 1 / 3], [0.0, 1.0]]))),
+        float(np.max(np.abs(1.0 / numerators.sum(axis=1) - [2 / 3, 2.0]))),
     )
     report.add_check("channel-bayes-factor", defect, tol_exact)
 
@@ -266,12 +239,11 @@ def _run_verify(report: ReportDocument, dims: tuple[int, int], seed: int, tolera
         purification = stinespring(noisy)  # checks that the map is a channel
         rotated = rotate_ancilla(purification, rng_base + 40 + t)
         defect = max(defect, verify_purification(noisy, purification, trials=5, seed=t))
-        arrays = _transition_arrays(noisy)
+        direct = _bayes_rows(_table_rows(noisy, (d_a,), (d_a,), "postdict", (True,), (True,)))
         for x in range(d_a):
-            direct = _solve_table(arrays, (d_a,), (d_a,), "postdict", (x,), (True,), True)
             for dilation in (purification, rotated):
                 via = postdict_channel_via_purification(noisy, x, dilation)
-                defect = max(defect, direct.max_difference(via))
+                defect = max(defect, float(np.max(np.abs(direct[x] - via.probabilities()))))
     report.add_check("purified-ratio", defect, tol_purified)
 
     defect = 0.0
@@ -433,7 +405,8 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command in ("predict", "postdict"):
-            report.add_table(solve(_task_from_scenario(scenario, args.command)))
+            # parse_scenario validated the transformation and the preparation states.
+            report.add_table(_solve_checked(_task_from_scenario(scenario, args.command)))
         elif args.command == "classify":
             _run_classify(scenario, report)
         elif args.command == "purify":

@@ -10,8 +10,10 @@ postdiction conditions on test outcomes and guesses preparation outcomes
 under a flat prior over the alternatives.  On the data side a given factor
 is fixed at its outcome and an ignored factor is averaged (the flat weight
 I/d); on the guessing side the factors outside the mask are summed out (an
-unnormalized identity).  Postdiction then normalizes, and the inverse of
-the normalizer is the channel's Bayes factor.
+unnormalized identity).  One contraction returns every row of a table
+family, one per combination of given outcomes; a solved table is one of
+its rows.  Postdiction then normalizes, and the inverse of the normalizer
+is the channel's Bayes factor.
 
 The identity checks compare these tables with an operator-level reference,
 never with the kernel itself: T(U') = T(U)^T holds by construction, so a
@@ -29,7 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -55,6 +57,9 @@ from .tables import ProbabilityTable, join_labels
 
 Given = Sequence[int | None]
 Mask = Sequence[bool]
+
+# A postdiction row whose flat-prior evidence falls below this has no table.
+MIN_EVIDENCE = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -99,29 +104,44 @@ def _contract(
     dims_out: Sequence[int],
     dims_in: Sequence[int],
     direction: str,
-    given: Given,
-    mask: Mask,
+    data_mask: Mask,
+    guess_mask: Mask,
 ) -> np.ndarray:
-    """The guessed cells of one table, flattened in label order.
+    """Every row of one table family: the guessed cells for each combination of data outcomes.
 
     Prediction reads the input side as data, postdiction the output side.
-    Each data factor is fixed at its given outcome or, when ignored,
-    averaged; the guess-side factors outside ``mask`` are summed out.
+    The data factors in ``data_mask`` become the rows, their outcomes in
+    ``itertools.product`` order; the other data factors are averaged, and
+    the guess-side factors outside ``guess_mask`` are summed out.  Cells are
+    flattened in label order.
     """
     n_out = len(dims_out)
     t = t.reshape(tuple(dims_out) + tuple(dims_in))
-    data_dims, side = dims_out, "test"
+    data_dims = dims_out
     if direction == "predict":
         t = t.transpose(list(range(n_out, t.ndim)) + list(range(n_out)))
-        data_dims, side = dims_in, "preparation"
-    for d, g in zip(data_dims, given):
-        if g is None:
-            t = t.mean(axis=0)
-        elif 0 <= g < d:
-            t = t[g]
-        else:
-            raise ValueError(f"{side} outcome {g} out of range for factor dimension {d}")
-    return t.sum(axis=tuple(k for k, m in enumerate(mask) if not m)).reshape(-1)
+        data_dims = dims_in
+    t = t.mean(axis=tuple(k for k, m in enumerate(data_mask) if not m))
+    n_rows = sum(bool(m) for m in data_mask)
+    t = t.sum(axis=tuple(n_rows + k for k, m in enumerate(guess_mask) if not m))
+    return t.reshape(math.prod(d for d, m in zip(data_dims, data_mask) if m), -1)
+
+
+def _table_rows(transformation, dims_out, dims_in, direction, data_mask, guess_mask) -> np.ndarray:
+    """The unnormalized rows of a unitary's or a channel's table family.
+
+    Both stages are looked up in this module when called, so the identity
+    checks that read the kernel from other modules read the one held here.
+    """
+    return _contract(_transitions(transformation), dims_out, dims_in, direction, data_mask, guess_mask)
+
+
+def _bayes_rows(numerators: np.ndarray) -> np.ndarray:
+    """Flat-prior postdiction rows: each row of numerators divided by its evidence."""
+    evidence = numerators.sum(axis=1, keepdims=True)
+    if not evidence.min() >= MIN_EVIDENCE:  # written so that a NaN evidence fails it too
+        raise UndefinedConditionalError("a test outcome has zero probability under the flat prior")
+    return numerators / evidence
 
 
 def _postdiction(
@@ -129,7 +149,7 @@ def _postdiction(
 ) -> ProbabilityTable:
     """Flat-prior Bayes normalization; the factor 1 / evidence rides along on request."""
     evidence = float(numerators.sum())
-    if evidence < 1e-12:
+    if evidence < MIN_EVIDENCE:
         raise UndefinedConditionalError(
             f"test outcome {given} has zero probability under the flat prior"
         )
@@ -144,31 +164,6 @@ def _postdiction(
 
 def _prefixed(prefix: str, label: str) -> str:
     return join_labels(prefix, label) if prefix else label
-
-
-def _solve_table(
-    arrays: Sequence[tuple[str, np.ndarray]],
-    dims_out: Sequence[int],
-    dims_in: Sequence[int],
-    direction: str,
-    given: Given,
-    mask: Mask,
-    with_factor: bool = False,
-) -> ProbabilityTable:
-    """One solved table from prefixed transition arrays of a validated transformation.
-
-    A prediction lists the contracted cells of every array under its prefix;
-    a postdiction takes the one array of the observed outcome, prefixes the
-    given label with it and normalizes.
-    """
-    labels = _guessed_labels(tuple(dims_out if direction == "predict" else dims_in), tuple(mask))
-    if direction == "predict":
-        cells = [_prefixed(prefix, label) for prefix, _ in arrays for label in labels]
-        values = np.concatenate([_contract(t, dims_out, dims_in, direction, given, mask) for _, t in arrays])
-        return ProbabilityTable.from_values(cells, values, given=_given_label(given), direction="predict")
-    ((prefix, t),) = arrays
-    numerators = _contract(t, dims_out, dims_in, direction, given, mask)
-    return _postdiction(labels, numerators, _prefixed(prefix, _given_label(given)), with_factor)
 
 
 def _pull_back_reference(
@@ -222,10 +217,6 @@ def _guessed_labels(dims: tuple[int, ...], mask: tuple[bool, ...]) -> tuple[str,
         raise ValueError("at least one factor must be guessed")
     ranges = [range(dims[k]) for k in keep]
     return tuple(join_labels(*(str(i) for i in combo)) for combo in itertools.product(*ranges))
-
-
-def _given_label(given: Given) -> str:
-    return join_labels(*(str(g) for g in given if g is not None))
 
 
 # ---------------------------------------------------------------------------
@@ -363,15 +354,10 @@ def _general_prep_task(states: Sequence[np.ndarray], u: np.ndarray, direction: s
 
 
 def predict_general_prep(states: Sequence[np.ndarray], u: np.ndarray) -> list[ProbabilityTable]:
-    """One prediction row per preparation state: P(x | psi_i) = |<x|U|psi_i>|^2.
-
-    The transformation is checked once and its transition array built once
-    for every row.
-    """
+    """One prediction row per preparation state: P(x | psi_i) = |<x|U|psi_i>|^2, from one contraction."""
     task = _general_prep_task(states, u, "predict")
     _check_transformation(task)
-    arrays = _transition_arrays(task.transformation, task.preparation_states)
-    return [_solve_checked(replace(task, given_input=(i,)), arrays) for i in range(len(task.preparation_states))]
+    return list(_solve_rows(task, _transition_arrays(task.transformation, task.preparation_states)).values())
 
 
 def postdict_general_prep(states: Sequence[np.ndarray], u: np.ndarray, x: int) -> ProbabilityTable:
@@ -417,8 +403,8 @@ def general_prep_purified_check(
     # U' is a product of unitaries and needs no check of its own; the
     # (a_0, b_i) cells are the first n of the (a, b) grid.
     u_prime = np.kron(u, np.eye(n, dtype=complex)) @ preparation_unitary(states)
-    joint = _contract(_transitions(u_prime), (d, n), (d, n), "postdict", (x, None), (True, True))
-    purified = _postdiction([str(i) for i in range(n)], joint[:n], str(x))
+    joint = _table_rows(u_prime, (d, n), (d, n), "postdict", (True, False), (True, True))
+    purified = _postdiction([str(i) for i in range(n)], joint[x, :n], str(x))
     return GeneralPrepCheck(direct, purified, direct.max_difference(purified))
 
 
@@ -461,9 +447,8 @@ class InferenceTask:
         object.__setattr__(self, "dims_out", dims_out)
         object.__setattr__(self, "known_input_mask", tuple(bool(m) for m in self.known_input_mask))
         object.__setattr__(self, "known_output_mask", tuple(bool(m) for m in self.known_output_mask))
-        # Outcomes as ints, so that 1.0 or a numpy integer indexes outcome 1.
-        given_input = tuple(None if g is None else int(g) for g in self.given_input) or (None,) * len(dims_in)
-        given_output = tuple(None if g is None else int(g) for g in self.given_output) or (None,) * len(dims_out)
+        given_input = tuple(None if g is None else as_outcome(g) for g in self.given_input) or (None,) * len(dims_in)
+        given_output = tuple(None if g is None else as_outcome(g) for g in self.given_output) or (None,) * len(dims_out)
         object.__setattr__(self, "given_input", given_input)
         object.__setattr__(self, "given_output", given_output)
         if len(self.known_input_mask) != len(dims_in) or len(given_input) != len(dims_in):
@@ -486,6 +471,17 @@ class InferenceTask:
             u = np.asarray(self.transformation, dtype=complex)
             if total_in != total_out or u.shape != (total_in, total_in):
                 raise ValueError("declared dimensions do not match the transformation matrix")
+
+
+def as_outcome(value) -> int:
+    """An outcome index from an integer, an integral number or a numeric string, never from a boolean."""
+    try:
+        index = int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"bad outcome {value!r}") from exc
+    if isinstance(value, (bool, np.bool_)) or (not isinstance(value, str) and index != value):
+        raise ValueError(f"bad outcome {value!r}: not an integer")
+    return index
 
 
 def _require_given(given: Given, mask: Mask, side: str) -> None:
@@ -540,31 +536,78 @@ def solve(task: InferenceTask) -> ProbabilityTable:
     return _solve_checked(task)
 
 
-def _solve_checked(
-    task: InferenceTask, arrays: Sequence[tuple[str, np.ndarray]] | None = None
-) -> ProbabilityTable:
-    """The body of ``solve`` for a task whose transformation has passed ``_check_transformation``.
+def _kernel_view(task: InferenceTask):
+    """A task as the kernel reads it: input dims, data dims, data mask, guess mask, data outcomes.
 
-    Callers that solve many tasks on one transformation check it once and
-    solve each task here, passing the ``_transition_arrays`` of the
-    transformation (and preparation states) they built once.
+    A preparation-state set is one input factor with one alternative per state.
     """
+    dims_in = task.dims_in if task.preparation_states is None else (len(task.preparation_states),)
     if task.direction == "predict":
-        data, data_mask, guess_mask = task.given_input, task.known_input_mask, task.known_output_mask
-        _require_given(data, data_mask, "input")
-    else:
-        data, data_mask, guess_mask = task.given_output, task.known_output_mask, task.known_input_mask
-        _require_given(data, data_mask, "output")
-    states = task.preparation_states
-    if arrays is None:
-        arrays = _transition_arrays(task.transformation, states)
-    if task.direction == "postdict":
+        return dims_in, dims_in, task.known_input_mask, task.known_output_mask, task.given_input
+    return dims_in, task.dims_out, task.known_output_mask, task.known_input_mask, task.given_output
+
+
+def _solve_checked(task: InferenceTask) -> ProbabilityTable:
+    """The body of ``solve`` for a task whose transformation has been validated.
+
+    The table is the row of the task's given outcomes in the family
+    ``_contract`` returns.  A prediction lists the cells of every array under
+    its prefix; a postdiction takes the one array of the observed outcome,
+    prefixes the given label with it and normalizes.  A scenario's
+    transformation is validated when it is parsed, so the ``predict`` and
+    ``postdict`` commands solve here.
+    """
+    dims_in, data_dims, data_mask, guess_mask, data = _kernel_view(task)
+    direction, dims_out = task.direction, task.dims_out
+    _require_given(data, data_mask, "input" if direction == "predict" else "output")
+    arrays = _transition_arrays(task.transformation, task.preparation_states)
+    if direction == "postdict":
         observed = _observed_outcome(task)
         arrays = arrays[observed : observed + 1]
-    dims_in = task.dims_in if states is None else (len(states),)
-    given = tuple(g if m else None for g, m in zip(data, data_mask))
+    labels = _guessed_labels(dims_out if direction == "predict" else dims_in, guess_mask)
+    given = [(g, d) for g, d, m in zip(data, data_dims, data_mask) if m]
+    for g, d in given:
+        if not 0 <= g < d:
+            side = "preparation" if direction == "predict" else "test"
+            raise ValueError(f"{side} outcome {g} out of range for factor dimension {d}")
+    row = np.ravel_multi_index(tuple(g for g, _ in given), tuple(d for _, d in given))
+    rows = [_contract(t, dims_out, dims_in, direction, data_mask, guess_mask)[row] for _, t in arrays]
+    given_label = join_labels(*(str(g) for g, _ in given))
+    if direction == "predict":
+        cells = [_prefixed(prefix, label) for prefix, _ in arrays for label in labels]
+        return ProbabilityTable.from_values(cells, np.concatenate(rows), given=given_label, direction="predict")
+    ((prefix, _),) = arrays
     with_factor = isinstance(task.transformation, QuantumMap)
-    return _solve_table(arrays, task.dims_out, dims_in, task.direction, given, guess_mask, with_factor)
+    return _postdiction(labels, rows[0], _prefixed(prefix, given_label), with_factor)
+
+
+def _solve_rows(task: InferenceTask, arrays: Sequence[tuple[str, np.ndarray]]) -> dict[str, ProbabilityTable]:
+    """Every conditional table of a validated task's direction, keyed by its given label.
+
+    ``arrays`` are the task's ``_transition_arrays``.  The task's given
+    outcomes are not read: there is one row per combination of outcomes of
+    the data factors in its mask.  A prediction row lists the cells of every
+    array under its prefix; each array gives its own postdiction rows, their
+    given labels prefixed with the array's.  A postdiction row whose evidence
+    is below ``MIN_EVIDENCE`` has no table and is left out.
+    """
+    dims_in, data_dims, data_mask, guess_mask, _ = _kernel_view(task)
+    direction, dims_out = task.direction, task.dims_out
+    labels = _guessed_labels(dims_out if direction == "predict" else dims_in, guess_mask)
+    ranges = [range(d) for d, m in zip(data_dims, data_mask) if m]
+    givens = [join_labels(*map(str, combo)) for combo in itertools.product(*ranges)]
+    rows = [(prefix, _contract(t, dims_out, dims_in, direction, data_mask, guess_mask)) for prefix, t in arrays]
+    if direction == "predict":
+        cells = [_prefixed(prefix, label) for prefix, _ in arrays for label in labels]
+        values = np.concatenate([family for _, family in rows], axis=1)
+        return {g: ProbabilityTable.from_values(cells, row, given=g) for g, row in zip(givens, values)}
+    with_factor = isinstance(task.transformation, QuantumMap)
+    return {
+        _prefixed(prefix, g): _postdiction(labels, numerators, _prefixed(prefix, g), with_factor)
+        for prefix, family in rows
+        for g, numerators in zip(givens, family)
+        if numerators.sum() >= MIN_EVIDENCE
+    }
 
 
 def time_reverse(task: InferenceTask) -> InferenceTask:
@@ -651,15 +694,16 @@ def four_task_check(transformation: np.ndarray | QuantumMap, a: int, x: int) -> 
     else:
         u = _check_unitary_arg(transformation)
         forward, reverse, kraus = u, dagger(u), (u,)
+    reference = _born_reference(kraus, a, x)  # which also rejects an a or x out of range
     # The adjoint of a unitary or of a unital channel needs no check of its own.
     dims = ((kraus[0].shape[0],), (kraus[0].shape[1],))
-    ahead, back = _transition_arrays(forward), _transition_arrays(reverse)
+    ahead, back = _transitions(forward), _transitions(reverse)
     return FourTaskReport(
-        predict_forward=_solve_table(ahead, *dims, "predict", (a,), (True,))[str(x)],
-        postdict_forward=_solve_table(ahead, *dims, "postdict", (x,), (True,))[str(a)],
-        predict_reversed=_solve_table(back, *dims[::-1], "predict", (x,), (True,))[str(a)],
-        postdict_reversed=_solve_table(back, *dims[::-1], "postdict", (a,), (True,))[str(x)],
-        reference=_born_reference(kraus, a, x),
+        predict_forward=_contract(ahead, *dims, "predict", (True,), (True,))[a, x],
+        postdict_forward=_bayes_rows(_contract(ahead, *dims, "postdict", (True,), (True,)))[x, a],
+        predict_reversed=_contract(back, *dims[::-1], "predict", (True,), (True,))[x, a],
+        postdict_reversed=_bayes_rows(_contract(back, *dims[::-1], "postdict", (True,), (True,)))[a, x],
+        reference=reference,
     )
 
 
@@ -680,25 +724,26 @@ def open_reversal_check(
     _check_transformation(task)
     u = np.asarray(u, dtype=complex)
     ud, dims_in, dims_out = dagger(u), task.dims_in, task.dims_out
-    arrays = _transition_arrays(ud)
-    (d_x, d_y), (d_a, d_b) = dims_out, dims_in
+    t = _transitions(ud)
+    # Each relation: its direction for U', its data mask and its guess mask.
     relations = (
-        ("pre-a-xy", "predict", (range(d_x), range(d_y)), (True, False)),
-        ("pre-ab-x", "predict", (range(d_x), None), (True, True)),
-        ("post-xy-a", "postdict", (range(d_a), None), (True, True)),
-        ("post-x-ab", "postdict", (range(d_a), range(d_b)), (True, False)),
-        ("pre-a-x", "predict", (range(d_x), None), (True, False)),
-        ("post-x-a", "postdict", (range(d_a), None), (True, False)),
+        ("pre-a-xy", "predict", (True, True), (True, False)),
+        ("pre-ab-x", "predict", (True, False), (True, True)),
+        ("post-xy-a", "postdict", (True, False), (True, True)),
+        ("post-x-ab", "postdict", (True, True), (True, False)),
+        ("pre-a-x", "predict", (True, False), (True, False)),
+        ("post-x-a", "postdict", (True, False), (True, False)),
     )
     defects: dict[str, float] = {}
-    for name, direction, outcomes, mask in relations:
-        if direction == "predict":
-            reference = _pull_back_reference((u,), dims_out, outcomes, dims_in, mask)
-        else:
-            reference = _pull_back_reference((ud,), dims_in, outcomes, dims_out, mask)
-        givens = itertools.product(*((None,) if listed is None else listed for listed in outcomes))
-        tables = [_solve_table(arrays, dims_in, dims_out, direction, given, mask).probabilities() for given in givens]
-        defects[name] = float(np.max(np.abs(np.array(tables) - reference)))
+    for name, direction, data_mask, mask in relations:
+        forward = direction == "predict"
+        data_dims, guess_dims, kraus = (dims_out, dims_in, (u,)) if forward else (dims_in, dims_out, (ud,))
+        outcomes = tuple(range(d) if m else None for d, m in zip(data_dims, data_mask))
+        reference = _pull_back_reference(kraus, data_dims, outcomes, guess_dims, mask)
+        rows = _contract(t, dims_in, dims_out, direction, data_mask, mask)
+        if not forward:
+            rows = _bayes_rows(rows)
+        defects[name] = float(np.max(np.abs(rows - reference)))
     defects["max"] = max(defects.values())
     return defects
 
@@ -725,17 +770,10 @@ def channel_toward_past_check(
     """
     if purification is None:
         purification = stinespring(channel)
-    born = _born_reference(channel.kraus, a, x)
+    born = _born_reference(channel.kraus, a, x)  # which also rejects an a or x out of range
     d_a = purification.dims_in[0]
-    reversed_table = _solve_table(
-        _transition_arrays(dagger(purification.isometry.reshape(-1, d_a))),
-        (d_a,),
-        purification.dims_out,
-        "postdict",
-        (a,),
-        (True, False),
-    )
-    value = reversed_table[str(x)]
+    back = dagger(purification.isometry.reshape(-1, d_a))
+    value = _bayes_rows(_table_rows(back, (d_a,), purification.dims_out, "postdict", (True,), (True, False)))[a, x]
     return TowardsPastReport(born, value, abs(born - value))
 
 
@@ -828,20 +866,13 @@ def _purified_no_signalling_defect(e: Instrument, f: Instrument) -> float:
     # (V_f (x) I_{P_e Z_e}) V_e: the second dilation consumes D and leaves
     # the factors (Z2, P_f, Z_f, P_e, Z_e).
     chain = np.einsum("zpqd,dmea->zpqmea", v_f, v_e, optimize=True)
-    # Isometries compose to an isometry; both were checked when built.
-    chain_back = _transition_arrays(dagger(chain.reshape(-1, d_a)))
-    single_back = _transition_arrays(dagger(v_e.reshape(-1, d_a)))
-
-    defect = 0.0
-    for a in range(d_a):
-        joint = _solve_table(
-            chain_back, (d_a,), chain.shape[:-1], "postdict", (a,), (False, True, False, True, False)
-        )
-        single = _solve_table(single_back, (d_a,), v_e.shape[:-1], "postdict", (a,), (False, True, False))
-        for x in range(m_e):
-            summed = sum(joint[join_labels(str(y), str(x))] for y in range(m_f))
-            defect = max(defect, abs(summed - single[str(x)]))
-    return defect
+    # Isometries compose to an isometry; both were checked when built.  Each
+    # row is one data outcome a; the joint cells are (y, x) over the pointers.
+    chain_back, single_back = (dagger(v.reshape(-1, d_a)) for v in (chain, v_e))
+    joint = _table_rows(chain_back, (d_a,), chain.shape[:-1], "postdict", (True,), (False, True, False, True, False))
+    single = _table_rows(single_back, (d_a,), v_e.shape[:-1], "postdict", (True,), (False, True, False))
+    summed = _bayes_rows(joint).reshape(d_a, m_f, m_e).sum(axis=1)
+    return float(np.max(np.abs(summed - _bayes_rows(single))))
 
 
 # ---------------------------------------------------------------------------
@@ -857,7 +888,7 @@ def _table_asymmetry(channel: QuantumMap) -> float:
     """
     t = _transitions(channel)
     evidence = t.sum(axis=1, keepdims=True)
-    if evidence.min() < 1e-12:
+    if evidence.min() < MIN_EVIDENCE:
         # Zero-evidence outcome: the postdiction row cannot match any
         # normalized prediction column, so symmetry fails outright.
         return 1.0
@@ -870,27 +901,25 @@ def _rotated_channel(channel: QuantumMap, v: np.ndarray, w: np.ndarray) -> Quant
     return QuantumMap(kraus, channel.dim_in, channel.dim_out)
 
 
-def is_inference_symmetric(
-    channel: QuantumMap, tol: float = ATOL_STRUCTURAL, basis_samples: int = 5, seed: int = 0
-) -> bool:
+def is_inference_symmetric(channel: QuantumMap, seed: int = 0) -> bool:
     """Prediction and postdiction tables coincide for every basis pair.
 
     The identity-preservation criterion channel[I] = sum K K' = I decides
-    the answer; the tables are additionally compared over the computational
-    bases and ``basis_samples`` Haar-rotated basis pairs, and a disagreement
-    raises, since the criterion quantifies over all bases while sampling can
-    only corroborate it.
+    the answer; the tables are additionally compared, to within 1e-9, over
+    the computational bases and five Haar-rotated basis pairs, and a
+    disagreement raises, since the criterion quantifies over all bases while
+    sampling can only corroborate it.
     """
     check_cptp(channel)
     d = channel.dim_out
     verdict = channel.dim_in == d and bool(np.max(np.abs(apply(channel, np.eye(d)) - np.eye(d))) < ATOL_STRUCTURAL)
     samples = [_table_asymmetry(channel)]
     if channel.dim_in == channel.dim_out:
-        for t in range(basis_samples):
+        for t in range(5):
             v = linalg.haar_random_unitary(channel.dim_in, seed + 2 * t)
             w = linalg.haar_random_unitary(channel.dim_out, seed + 2 * t + 1)
             samples.append(_table_asymmetry(_rotated_channel(channel, v, w)))
-    sampled = max(samples) < max(tol, 1e-9)
+    sampled = max(samples) < 1e-9
     if sampled != verdict:
         raise RuntimeError(
             f"identity-preservation criterion ({verdict}) disagrees with sampled tables ({sampled})"

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UndefinedConditionalError
-from .inference import InferenceTask, _transition_arrays
+from .inference import InferenceTask, _kernel_view, _transition_arrays
 from .tables import ProbabilityTable, join_labels
 
 SLOTS_PER_TRIAL = 3
@@ -79,14 +79,13 @@ def _restricted_label(indices: tuple[int, ...], mask: tuple[bool, ...]) -> str:
 def _prepare_alternatives(task: InferenceTask) -> tuple[list[str], list[tuple[str, np.ndarray]]]:
     """Input labels of the preparation alternatives and the solver's transition arrays.
 
-    The labels are indexed like the columns of T; there is one array per
-    instrument outcome, labelled when there are several.
+    The labels are indexed like the columns of T and read like the kernel's
+    given labels; there is one array per instrument outcome, labelled when
+    there are several.
     """
-    if task.preparation_states is not None:
-        labels = [str(i) for i in range(len(task.preparation_states))]
-    else:
-        ranges = [range(d) for d in task.dims_in]
-        labels = [_restricted_label(combo, task.known_input_mask) for combo in itertools.product(*ranges)]
+    dims_in, *_ = _kernel_view(task)
+    ranges = [range(d) for d in dims_in]
+    labels = [_restricted_label(combo, task.known_input_mask) for combo in itertools.product(*ranges)]
     return labels, _transition_arrays(task.transformation, task.preparation_states)
 
 

@@ -21,6 +21,7 @@ from . import linalg
 from .channels import Instrument, QuantumMap, is_trace_preserving
 from .channels import classify  # noqa: F401  (bound here for bench/test_bench.py's tracer test)
 from .errors import ScenarioError
+from .inference import as_outcome
 from .purify import Purification
 from .sampler import SEED_LIMIT
 from .tables import ProbabilityTable
@@ -182,16 +183,10 @@ def _parse_given(raw: Any, n_factors: int, field: str) -> tuple[int | None, ...]
         raise ScenarioError(
             "dimension-mismatch", f"{field}: expected one entry per factor ({n_factors})"
         )
-    parsed: list[int | None] = []
-    for entry in raw:
-        if entry is None:
-            parsed.append(None)
-        else:
-            try:
-                parsed.append(int(entry))
-            except (TypeError, ValueError) as exc:
-                raise ScenarioError("malformed-document", f"{field}: bad outcome {entry!r}") from exc
-    return tuple(parsed)
+    try:
+        return tuple(None if entry is None else as_outcome(entry) for entry in raw)
+    except ValueError as exc:
+        raise ScenarioError("malformed-document", f"{field}: {exc}") from exc
 
 
 def _parse_mask(raw: Any, n_factors: int, default: tuple[bool, ...], field: str) -> tuple[bool, ...]:
@@ -201,7 +196,9 @@ def _parse_mask(raw: Any, n_factors: int, default: tuple[bool, ...], field: str)
         raise ScenarioError(
             "dimension-mismatch", f"{field}: expected one boolean per factor ({n_factors})"
         )
-    return tuple(bool(b) for b in raw)
+    if not all(isinstance(b, bool) for b in raw):
+        raise ScenarioError("malformed-document", f"{field}: expected true or false, got {raw!r}")
+    return tuple(raw)
 
 
 def parse_scenario_dict(doc: Any) -> ScenarioFile:

@@ -443,6 +443,51 @@ def test_sample_builds_transition_arrays_once_per_ensemble(monkeypatch, capsys):
     assert len(calls) == 3
 
 
+def test_a_scenario_is_checked_once_at_parse(monkeypatch, capsys):
+    calls = []
+    original = rd.linalg.is_unitary
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(rd.linalg, "is_unitary", counted)
+    assert main(["predict", "--scenario", fixture("predict_identity.json")]) == 0
+    assert len(calls) == 1
+    assert main(["predict", "--scenario", fixture("bad_nonunitary.json")]) == 3
+    assert "non-unitary-matrix" in capsys.readouterr().err
+
+
+def _predict_identity_with(tmp_path, **fields):
+    doc = {**json.loads(Path(fixture("predict_identity.json")).read_text()), **fields}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("outcome", [1, 1.0, "1"])
+def test_integral_outcomes_read_as_that_outcome(tmp_path, capsys, outcome):
+    path = _predict_identity_with(tmp_path, given={"input": [outcome]})
+    assert main(["predict", "--scenario", path, "--format", "json"]) == 0
+    (table,) = json.loads(capsys.readouterr().out)["tables"]
+    assert table["given"] == "1"
+    assert table["entries"] == {"0": 0.0, "1": 1.0}
+
+
+@pytest.mark.parametrize("outcome", [1.7, 0.5, True, False])
+def test_boolean_and_non_integral_outcomes_exit_2(tmp_path, capsys, outcome):
+    path = _predict_identity_with(tmp_path, given={"input": [outcome]})
+    assert main(["predict", "--scenario", path]) == 2
+    assert "given.input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry", ["false", "true", 1, 0, None])
+def test_mask_entries_must_be_json_booleans(tmp_path, capsys, entry):
+    path = _predict_identity_with(tmp_path, known_input_mask=[entry])
+    assert main(["predict", "--scenario", path]) == 2
+    assert "known_input_mask" in capsys.readouterr().err
+
+
 # Every command but classify, on the fixtures; each must exit 0.
 NO_CHOI_RUNS = [
     ["predict", "--scenario", fixture("predict_identity.json"), "--format", "json"],

@@ -575,15 +575,16 @@ def completed_unitary(purification):
 
 def towards_past_reference(purification, a, x):
     # the postdiction on the full unitary U' with data (a, 0): output a, ancilla at |0>
-    table = inference._solve_table(
-        inference._transition_arrays(completed_unitary(purification).conj().T),
-        purification.dims_in,
+    task = InferenceTask(
+        completed_unitary(purification).conj().T,
         purification.dims_out,
+        purification.dims_in,
         "postdict",
-        (a, 0),
         (True, False),
+        (True, True),
+        given_output=(a, 0),
     )
-    return table[str(x)]
+    return solve(task)[str(x)]
 
 
 @pytest.mark.parametrize("d_a, d_b", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3)])
@@ -782,6 +783,13 @@ def test_given_outcomes_are_normalized_to_int():
     assert table["1·0"] == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("outcome", [True, np.True_, 1.7, -0.5, float("nan"), float("inf"), "1.0", [1]])
+def test_given_outcomes_are_never_coerced(outcome):
+    for given in ({"given_input": (outcome,)}, {"given_output": (outcome,)}):
+        with pytest.raises(ValueError):
+            InferenceTask(np.eye(2), (2,), (2,), "predict", (True,), (True,), **given)
+
+
 def test_table_asymmetry_matches_the_solved_tables():
     # oracle: the largest gap between every solved prediction column and postdiction row
     for channel in (amplitude_damping(0.3), random_cptp_map(3, 3, 2, 71), random_cptp_map(2, 3, 3, 72)):
@@ -957,6 +965,61 @@ def test_pull_back_reference_never_calls_the_kernel(monkeypatch):
         open_reversal_check(u, (3, 3))
 
 
+def single_row_contract(t, dims_out, dims_in, direction, given, mask):
+    # the kernel before it returned every row: one given outcome per data
+    # factor (None for an averaged one), one flattened row of guessed cells
+    n_out = len(dims_out)
+    t = t.reshape(tuple(dims_out) + tuple(dims_in))
+    data_dims = dims_out
+    if direction == "predict":
+        t = t.transpose(list(range(n_out, t.ndim)) + list(range(n_out)))
+        data_dims = dims_in
+    for d, g in zip(data_dims, given):
+        assert g is None or 0 <= g < d
+        t = t.mean(axis=0) if g is None else t[g]
+    return t.sum(axis=tuple(k for k, m in enumerate(mask) if not m)).reshape(-1)
+
+
+_FACTOR_DIMS = st.lists(st.integers(2, 4), min_size=1, max_size=3)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.data())
+def test_every_batched_row_equals_the_single_row_kernel(data):
+    kind = data.draw(st.sampled_from(["unitary", "channel", "instrument", "states"]), label="kind")
+    dims_out = tuple(data.draw(_FACTOR_DIMS, label="dims_out"))
+    d_out = int(np.prod(dims_out))
+    seed = data.draw(st.integers(0, 2**31), label="seed")
+    if kind == "channel":
+        dims_in = tuple(data.draw(_FACTOR_DIMS, label="dims_in"))
+        d_in = int(np.prod(dims_in))
+        transformation = random_cptp_map(d_in, d_out, max(3, -(-d_in // d_out)), seed)
+        states = None
+    elif kind == "states":
+        n = data.draw(st.integers(2, 4), label="states")
+        dims_in = (n,)
+        transformation = linalg.haar_random_unitary(d_out, seed)
+        states = [linalg.haar_random_unitary(d_out, seed + 1 + i)[:, 0] for i in range(n)]
+    else:
+        dims_in = tuple(data.draw(st.permutations(dims_out), label="dims_in"))
+        u = linalg.haar_random_unitary(d_out, seed)
+        transformation = u if kind == "unitary" else random_instrument(d_out, 3, 2, seed)
+        states = None
+    direction = data.draw(st.sampled_from(["predict", "postdict"]), label="direction")
+    data_dims, guess_dims = (dims_in, dims_out) if direction == "predict" else (dims_out, dims_in)
+    data_mask = tuple(data.draw(st.lists(st.booleans(), min_size=len(data_dims), max_size=len(data_dims))))
+    guess_mask = tuple(
+        data.draw(st.lists(st.booleans(), min_size=len(guess_dims), max_size=len(guess_dims)).filter(any))
+    )
+    combos = list(itertools.product(*(range(d) if m else (None,) for d, m in zip(data_dims, data_mask))))
+    for _, t in inference._transition_arrays(transformation, states):
+        rows = inference._contract(t, dims_out, dims_in, direction, data_mask, guess_mask)
+        assert rows.shape[0] == len(combos)
+        for row, given_data in zip(rows, combos):
+            oracle = single_row_contract(t, dims_out, dims_in, direction, given_data, guess_mask)
+            np.testing.assert_allclose(row, oracle, rtol=0, atol=1e-14)
+
+
 @pytest.mark.parametrize("outcome", [-1, -3, 3, 7])
 def test_pull_back_reference_rejects_out_of_range_outcomes(outcome):
     u = linalg.haar_random_unitary(6, 39)
@@ -975,14 +1038,14 @@ def _verify_failures(capsys):
 def test_verify_catches_a_kernel_that_swaps_two_data_factors(monkeypatch, capsys):
     original = inference._contract
 
-    def swapped(t, dims_out, dims_in, direction, given, mask):
+    def swapped(t, dims_out, dims_in, direction, data_mask, guess_mask):
         data_dims = dims_in if direction == "predict" else dims_out
         if len(data_dims) >= 2 and data_dims[0] == data_dims[1]:
             # exchange the first two data factors' axes of T
             n_out = len(dims_out)
             first = n_out if direction == "predict" else 0
             t = np.swapaxes(t.reshape(tuple(dims_out) + tuple(dims_in)), first, first + 1)
-        return original(t, dims_out, dims_in, direction, given, mask)
+        return original(t, dims_out, dims_in, direction, data_mask, guess_mask)
 
     monkeypatch.setattr(inference, "_contract", swapped)
     code, failing = _verify_failures(capsys)
@@ -993,10 +1056,13 @@ def test_verify_catches_a_kernel_that_swaps_two_data_factors(monkeypatch, capsys
 def test_verify_catches_a_kernel_that_averages_a_fixed_factor(monkeypatch, capsys):
     original = inference._contract
 
-    def averaged(t, dims_out, dims_in, direction, given, mask):
-        if len(given) >= 2 and given[0] is not None:
-            given = (None,) + tuple(given[1:])
-        return original(t, dims_out, dims_in, direction, given, mask)
+    def averaged(t, dims_out, dims_in, direction, data_mask, guess_mask):
+        if len(data_mask) >= 2 and data_mask[0]:
+            # every outcome of the first data factor gets the row averaged over it
+            d = (dims_in if direction == "predict" else dims_out)[0]
+            rows = original(t, dims_out, dims_in, direction, (False,) + tuple(data_mask[1:]), guess_mask)
+            return np.tile(rows, (d, 1))
+        return original(t, dims_out, dims_in, direction, data_mask, guess_mask)
 
     monkeypatch.setattr(inference, "_contract", averaged)
     code, failing = _verify_failures(capsys)
@@ -1037,16 +1103,21 @@ def purified_no_signalling_reference(e, f):
     step1 = np.kron(u_e, np.eye(d_bf, dtype=complex))
     perm = permutation_matrix((d_d, m_e, z_e, d_bf), (0, 3, 1, 2))
     step2 = np.kron(u_f, np.eye(m_e * z_e, dtype=complex))
-    chain_back = inference._transition_arrays((step2 @ perm @ step1).conj().T)
-    single_back = inference._transition_arrays(u_e.conj().T)
+    chain_back = (step2 @ perm @ step1).conj().T
     dims_out = (f.dim_out, m_f, z_f, m_e, z_e)
     defect = 0.0
     for a in range(d_a):
-        joint = inference._solve_table(
-            chain_back, (d_a, d_be, d_bf), dims_out, "postdict", (a, 0, 0), (False, True, False, True, False)
+        joint = solve(
+            InferenceTask(
+                chain_back, dims_out, (d_a, d_be, d_bf), "postdict", (False, True, False, True, False),
+                (True, True, True), given_output=(a, 0, 0),
+            )
         )
-        single = inference._solve_table(
-            single_back, pe.dims_in, (d_d, m_e, z_e), "postdict", (a, 0), (False, True, False)
+        single = solve(
+            InferenceTask(
+                u_e.conj().T, (d_d, m_e, z_e), pe.dims_in, "postdict", (False, True, False), (True, True),
+                given_output=(a, 0),
+            )
         )
         for x in range(m_e):
             summed = sum(joint[join_labels(str(y), str(x))] for y in range(m_f))

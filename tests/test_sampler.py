@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,12 +15,15 @@ from retrodict.channels import (
 from retrodict.errors import UndefinedConditionalError
 from retrodict.inference import (
     InferenceTask,
+    _solve_rows,
+    _transition_arrays,
     postdict_channel,
     postdict_general_prep,
     postdict_open,
     predict_channel,
     predict_closed,
     predict_open,
+    solve,
 )
 from retrodict.sampler import (
     EnsembleResult,
@@ -308,3 +312,37 @@ def test_ensemble_memory_is_bounded_in_shots():
         tracemalloc.stop()
     assert sum(result.joint_counts.values()) == 2_000_000
     assert peak < 32 * 2**20
+
+
+def _coverage_tasks():
+    # a multi-outcome instrument, an open unitary with masks, a preparation-state set
+    states = tuple(linalg.haar_random_unitary(2, 60 + i)[:, 0] for i in range(3))
+    return [
+        InferenceTask(random_instrument(3, 3, 2, 61), (3,), (3,), "predict", (True,), (True,)),
+        InferenceTask(linalg.haar_random_unitary(6, 62), (2, 3), (3, 2), "predict", (True, False), (False, True)),
+        InferenceTask(linalg.haar_random_unitary(2, 63), (2,), (2,), "predict", (True,), (True,), preparation_states=states),
+    ]
+
+
+@pytest.mark.parametrize("task", _coverage_tasks(), ids=["instrument", "open-unitary", "states"])
+def test_analytic_rows_cover_every_empirical_row(task):
+    arrays = _transition_arrays(task.transformation, task.preparation_states)
+    for direction in ("predict", "postdict"):
+        directed = replace(task, direction=direction)
+        analytic = _solve_rows(directed, arrays)
+        empirical = empirical_conditionals(run_ensemble(directed, 4000, 64), direction)
+        assert set(empirical) <= set(analytic)
+        for given, row in empirical.items():
+            assert analytic[given].given == given
+            assert set(row.entries) <= set(analytic[given].entries)
+
+
+def test_an_ignored_preparation_set_is_counted_under_one_label():
+    # the kernel averages an ignored input factor, so the sampler pools its alternatives
+    states = (linalg.basis_ket(2, 0), np.array([1, 1], dtype=complex) / np.sqrt(2))
+    task = InferenceTask(HADAMARD, (2,), (2,), "predict", (False,), (True,), preparation_states=states)
+    labels, _ = _prepare_alternatives(task)
+    assert labels == ["", ""]
+    (row,) = empirical_conditionals(run_ensemble(task, 20000, 65), "predict").values()
+    assert row.given == ""
+    assert compare(row, solve(task), 20000).passed
