@@ -77,13 +77,28 @@ def test_purify_round_trip_check(capsys):
     assert "purification-round-trip" in out
 
 
-@pytest.mark.parametrize(
-    "name", ["purify_amplitude_damping", "purify_amplitude_damping_instrument", "purify_signed_zero"]
-)
-@pytest.mark.parametrize("fmt, suffix", [("json", "json"), ("text", "txt")])
+# Each fixture's command is the first word of its name.
+GOLDEN = [
+    "predict_identity",
+    "predict_amplitude_damping_instrument",
+    "postdict_amplitude_damping",
+    "postdict_amplitude_damping_instrument",
+    "sample_hadamard",
+    "sample_amplitude_damping_instrument",
+    "sample_random_instrument",
+    "purify_amplitude_damping",
+    "purify_amplitude_damping_instrument",
+    "purify_signed_zero",
+]
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+@pytest.mark.parametrize("fmt, suffix", [("json", "json"), ("text", "txt"), ("csv", "csv")])
 def test_purify_report_matches_golden(capsys, name, fmt, suffix):
-    # written when the full dilation unitary was stored: completing it only for the report changes no byte
-    code = main(["purify", "--scenario", fixture(f"{name}.json"), "--format", fmt])
+    # The purify reports were written when the full dilation unitary was stored, and the
+    # others when an instrument kept one transition array per outcome: neither change
+    # may move a byte.
+    code = main([name.split("_")[0], "--scenario", fixture(f"{name}.json"), "--format", fmt])
     assert code == 0
     assert capsys.readouterr().out == (FIXTURES / f"{name}.report.{suffix}").read_text()
 
