@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import __version__, linalg
+from . import __version__, inference, linalg
 from .channels import (
     Instrument,
     QuantumMap,
@@ -35,10 +35,10 @@ from .inference import (
     _bayes_rows,
     _check_unitary_arg,
     _pull_back_reference,
+    _row_table,
     _solve_checked,
     _solve_rows,
     _table_rows,
-    _transition_arrays,
     channel_toward_past_check,
     deterministic_effect_check,
     four_task_check,
@@ -147,29 +147,33 @@ def _run_purify(scenario: ScenarioFile, report: ReportDocument, tolerance: float
 
 
 def _run_sample(scenario: ScenarioFile, report: ReportDocument, seed: int, floor: float):
-    """Draw the ensemble in both directions and hold every conditional row to its closed form.
+    """Draw the ensemble in both directions and hold every sampled conditional row to its closed form.
 
     The transformation was validated when the scenario was parsed.  Its
-    transition arrays are built once, and each direction's rows are solved on
-    them in one contraction, keyed by the labels the sampler counts under.
+    transition array is built once, and each direction's rows are solved on
+    it in one contraction, labelled as the sampler counts them; a table is
+    built only for a row that was sampled.
     """
     shots = 100_000 if scenario.shots is None else scenario.shots
     tasks = [_task_from_scenario(scenario, direction) for direction in ("predict", "postdict")]
-    arrays = _transition_arrays(tasks[0].transformation, tasks[0].preparation_states)
+    t = inference._transitions(tasks[0].transformation, tasks[0].preparation_states)
     for task in tasks:
         direction = task.direction
         result = run_ensemble(task, shots, seed)
         empirical = empirical_conditionals(result, direction)
-        analytic = _solve_rows(task, arrays)
+        family = _solve_rows(task, t)
+        rows = {given: row for row, given in enumerate(family[0])}
         trials: dict[str, int] = {}
         for (in_label, out_label), n in result.joint_counts.items():
             cell = in_label if direction == "predict" else out_label
             trials[cell] = trials.get(cell, 0) + n
         worst = 0.0
         for given, row in empirical.items():
-            if given not in analytic:
-                raise UndefinedConditionalError(f"cell {given!r} was sampled but has zero probability")
-            outcome = compare(row, analytic[given], trials[given], floor=floor)
+            try:
+                analytic = _row_table(task, family, rows[given])
+            except UndefinedConditionalError:
+                raise UndefinedConditionalError(f"cell {given!r} was sampled but has zero probability") from None
+            outcome = compare(row, analytic, trials[given], floor=floor)
             worst = max(worst, outcome.max_deviation)
             # The bound of a failing outcome, else of the farthest one; the
             # verdict is compare's, which also holds on a bound of zero.
@@ -201,7 +205,7 @@ def _run_verify(report: ReportDocument, dims: tuple[int, int], seed: int, tolera
     for t in range(5):
         u = _check_unitary_arg(linalg.haar_random_unitary(d, rng_base + t))
         pre = _table_rows(u, (d,), (d,), "predict", (True,), (True,))
-        post = _bayes_rows(_table_rows(u, (d,), (d,), "postdict", (True,), (True,)))
+        post, _ = _bayes_rows(_table_rows(u, (d,), (d,), "postdict", (True,), (True,)))
         defect = max(defect, float(np.max(np.abs(pre.T - post))))
     report.add_check("closed-symmetry", defect, tol_exact)
 
@@ -226,10 +230,10 @@ def _run_verify(report: ReportDocument, dims: tuple[int, int], seed: int, tolera
 
     channel = amplitude_damping(0.5)
     check_cptp(channel)
-    numerators = _table_rows(channel, (2,), (2,), "postdict", (True,), (True,))
+    rows, factors = _bayes_rows(_table_rows(channel, (2,), (2,), "postdict", (True,), (True,)))
     defect = max(
-        float(np.max(np.abs(_bayes_rows(numerators) - [[2 / 3, 1 / 3], [0.0, 1.0]]))),
-        float(np.max(np.abs(1.0 / numerators.sum(axis=1) - [2 / 3, 2.0]))),
+        float(np.max(np.abs(rows - [[2 / 3, 1 / 3], [0.0, 1.0]]))),
+        float(np.max(np.abs(factors - [2 / 3, 2.0]))),
     )
     report.add_check("channel-bayes-factor", defect, tol_exact)
 
@@ -239,7 +243,7 @@ def _run_verify(report: ReportDocument, dims: tuple[int, int], seed: int, tolera
         purification = stinespring(noisy)  # checks that the map is a channel
         rotated = rotate_ancilla(purification, rng_base + 40 + t)
         defect = max(defect, verify_purification(noisy, purification, trials=5, seed=t))
-        direct = _bayes_rows(_table_rows(noisy, (d_a,), (d_a,), "postdict", (True,), (True,)))
+        direct, _ = _bayes_rows(_table_rows(noisy, (d_a,), (d_a,), "postdict", (True,), (True,)))
         for x in range(d_a):
             for dilation in (purification, rotated):
                 via = postdict_channel_via_purification(noisy, x, dilation)

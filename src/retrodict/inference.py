@@ -1,19 +1,23 @@
 """Prediction and postdiction tasks, time reversal, and identity checks.
 
 Every basis table is a contraction of one non-negative transition array
-T[x..., a...] = sum_k |K_k[x, a]|^2, reshaped to dims_out + dims_in: a
-unitary is the case of one operator, an instrument has one array per
-outcome, and a preparation set {psi_i} gives T[x, i] = |<x|U|psi_i>|^2.
+T[x..., a...] = sum_K |K[x, a]|^2, reshaped to dims_out + dims_in: a
+unitary is the case of one operator, and a preparation set {psi_i} gives
+T[x, i] = |<x|U|psi_i>|^2.  A multi-outcome instrument stacks its outcomes
+into T[k, x..., a...]: its outcome k is one more output factor, labelled
+with the instrument's outcome labels.
 
 Prediction conditions on preparation outcomes and guesses test outcomes;
 postdiction conditions on test outcomes and guesses preparation outcomes
-under a flat prior over the alternatives.  On the data side a given factor
-is fixed at its outcome and an ignored factor is averaged (the flat weight
-I/d); on the guessing side the factors outside the mask are summed out (an
-unnormalized identity).  One contraction returns every row of a table
-family, one per combination of given outcomes; a solved table is one of
-its rows.  Postdiction then normalizes, and the inverse of the normalizer
-is the channel's Bayes factor.
+under a flat prior over the alternatives.  The instrument outcome is
+guessed when predicting and is data when postdicting: what is known and
+what is unknown decide its role, not which way time runs.  On the data side
+a given factor is fixed at its outcome and an ignored factor is averaged
+(the flat weight I/d); on the guessing side the factors outside the mask
+are summed out (an unnormalized identity).  One contraction returns every
+row of a table family, one per combination of given outcomes; a solved
+table is one of its rows.  Postdiction then normalizes, and the inverse of
+the normalizer is the channel's Bayes factor.
 
 The identity checks compare these tables with an operator-level reference,
 never with the kernel itself: T(U') = T(U)^T holds by construction, so a
@@ -68,35 +72,26 @@ MIN_EVIDENCE = 1e-12
 
 
 def _transitions(
-    transformation: np.ndarray | QuantumMap, states: Sequence[np.ndarray] | None = None
+    transformation: np.ndarray | QuantumMap | Instrument, states: Sequence[np.ndarray] | None = None
 ) -> np.ndarray:
-    """The transition array T[x, a] = sum_k |K_k[x, a]|^2 of shape (D_out, D_in).
+    """The transition array T[x, a] = sum_K |K[x, a]|^2 of shape (D_out, D_in).
 
     A channel sums over its Kraus operators; a matrix whose columns are the
     images of the alternatives (a unitary) is the case of one operator.  With
-    preparation ``states`` the columns are the images U|psi_i>.
-    """
-    if isinstance(transformation, QuantumMap):
-        kraus = transformation.kraus
-    else:
-        u = np.asarray(transformation, dtype=complex)
-        kraus = (u if states is None else u @ np.stack(states, axis=1),)
-    return sum(k.real**2 + k.imag**2 for k in kraus)
-
-
-def _transition_arrays(
-    transformation: np.ndarray | QuantumMap | Instrument, states: Sequence[np.ndarray] | None = None
-) -> list[tuple[str, np.ndarray]]:
-    """Every transition array of a transformation, each with its label prefix.
-
-    An instrument has one array per outcome, prefixed by the outcome label
-    when there are several; anything else has one unprefixed array.  The
-    solver and the sampler both read their arrays from here.
+    preparation ``states`` the columns are the images U|psi_i>.  A
+    multi-outcome instrument stacks one array per outcome into T[k, x, a]; a
+    single-outcome one is the channel of its outcome.  The solver and the
+    sampler both read their array from here.
     """
     if isinstance(transformation, Instrument):
-        multi = len(transformation.outcomes) > 1
-        return [(label if multi else "", _transitions(qmap)) for label, qmap in transformation.outcomes]
-    return [("", _transitions(transformation, states))]
+        groups = [qmap.kraus for _, qmap in transformation.outcomes]
+    elif isinstance(transformation, QuantumMap):
+        groups = [transformation.kraus]
+    else:
+        u = np.asarray(transformation, dtype=complex)
+        groups = [(u if states is None else u @ np.stack(states, axis=1),)]
+    arrays = [sum(k.real**2 + k.imag**2 for k in kraus) for kraus in groups]
+    return np.stack(arrays) if len(arrays) > 1 else arrays[0]
 
 
 def _contract(
@@ -136,34 +131,18 @@ def _table_rows(transformation, dims_out, dims_in, direction, data_mask, guess_m
     return _contract(_transitions(transformation), dims_out, dims_in, direction, data_mask, guess_mask)
 
 
-def _bayes_rows(numerators: np.ndarray) -> np.ndarray:
-    """Flat-prior postdiction rows: each row of numerators divided by its evidence."""
-    evidence = numerators.sum(axis=1, keepdims=True)
+def _bayes_rows(numerators: np.ndarray, given: str | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Flat-prior postdiction: each row of numerators (or the one row) divided by its evidence.
+
+    Returns the rows and the Bayes factors 1 / evidence, which a channel's
+    postdiction carries.  A row whose evidence is below ``MIN_EVIDENCE``, or
+    NaN, has no postdiction; the error names ``given`` when the caller has it.
+    """
+    evidence = numerators.sum(axis=-1, keepdims=True)
     if not evidence.min() >= MIN_EVIDENCE:  # written so that a NaN evidence fails it too
-        raise UndefinedConditionalError("a test outcome has zero probability under the flat prior")
-    return numerators / evidence
-
-
-def _postdiction(
-    labels: Sequence[str], numerators: np.ndarray, given: str, with_factor: bool = False
-) -> ProbabilityTable:
-    """Flat-prior Bayes normalization; the factor 1 / evidence rides along on request."""
-    evidence = float(numerators.sum())
-    if evidence < MIN_EVIDENCE:
-        raise UndefinedConditionalError(
-            f"test outcome {given} has zero probability under the flat prior"
-        )
-    return ProbabilityTable.from_values(
-        labels,
-        numerators / evidence,
-        given=given,
-        direction="postdict",
-        factor=1.0 / evidence if with_factor else None,
-    )
-
-
-def _prefixed(prefix: str, label: str) -> str:
-    return join_labels(prefix, label) if prefix else label
+        outcome = "a test outcome" if given is None else f"test outcome {given}"
+        raise UndefinedConditionalError(f"{outcome} has zero probability under the flat prior")
+    return numerators / evidence, 1.0 / evidence[..., 0]
 
 
 def _pull_back_reference(
@@ -210,13 +189,15 @@ def _pull_back_reference(
 
 
 @functools.lru_cache(maxsize=256)
-def _guessed_labels(dims: tuple[int, ...], mask: tuple[bool, ...]) -> tuple[str, ...]:
-    """The guessed cells' labels, which depend on nothing but the dims and the mask."""
-    keep = [k for k, m in enumerate(mask) if m]
-    if not keep:
-        raise ValueError("at least one factor must be guessed")
-    ranges = [range(dims[k]) for k in keep]
-    return tuple(join_labels(*(str(i) for i in combo)) for combo in itertools.product(*ranges))
+def _joined_labels(labels: tuple[tuple[str, ...], ...], mask: tuple[bool, ...]) -> tuple[str, ...]:
+    """The label of every outcome combination of the factors in the mask, in ``itertools.product`` order.
+
+    ``labels`` lists each factor's outcome labels.  These are the given labels
+    of a family's rows and the labels of its cells; they depend on nothing
+    else, so they are built once.
+    """
+    kept = [factor for factor, m in zip(labels, mask) if m]
+    return tuple(join_labels(*combo) for combo in itertools.product(*kept))
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +302,8 @@ def postdict_channel_via_purification(
     if not 0 <= x < d_x:
         raise ValueError(f"test outcome {x} out of range for factor dimension {d_x}")
     v_x = purification.isometry[x]
-    numerators = np.diagonal(dagger(v_x) @ v_x).real / d_y
-    return _postdiction([str(a) for a in range(d_a)], numerators, str(x))
+    values, _ = _bayes_rows(np.diagonal(dagger(v_x) @ v_x).real / d_y, str(x))
+    return ProbabilityTable.from_values([str(a) for a in range(d_a)], values, given=str(x), direction="postdict")
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +338,8 @@ def predict_general_prep(states: Sequence[np.ndarray], u: np.ndarray) -> list[Pr
     """One prediction row per preparation state: P(x | psi_i) = |<x|U|psi_i>|^2, from one contraction."""
     task = _general_prep_task(states, u, "predict")
     _check_transformation(task)
-    return list(_solve_rows(task, _transition_arrays(task.transformation, task.preparation_states)).values())
+    family = _solve_rows(task, _transitions(task.transformation, task.preparation_states))
+    return [_row_table(task, family, row) for row in range(len(family[0]))]
 
 
 def postdict_general_prep(states: Sequence[np.ndarray], u: np.ndarray, x: int) -> ProbabilityTable:
@@ -404,7 +386,8 @@ def general_prep_purified_check(
     # (a_0, b_i) cells are the first n of the (a, b) grid.
     u_prime = np.kron(u, np.eye(n, dtype=complex)) @ preparation_unitary(states)
     joint = _table_rows(u_prime, (d, n), (d, n), "postdict", (True, False), (True, True))
-    purified = _postdiction([str(i) for i in range(n)], joint[x, :n], str(x))
+    values, _ = _bayes_rows(joint[x, :n], str(x))
+    purified = ProbabilityTable.from_values([str(i) for i in range(n)], values, given=str(x), direction="postdict")
     return GeneralPrepCheck(direct, purified, direct.max_difference(purified))
 
 
@@ -506,108 +489,105 @@ def _check_transformation(task: InferenceTask) -> None:
             _check_preparation_states(task.preparation_states, u.shape[0])
 
 
-def _observed_outcome(task: InferenceTask) -> int:
-    """Position of the observed instrument outcome among the task's arrays."""
-    if not isinstance(task.transformation, Instrument):
-        return 0
-    labels = task.transformation.labels()
-    if task.given_outcome is None:
-        if len(labels) > 1:
-            raise ValueError("postdiction through an instrument requires the observed outcome label")
-        return 0
-    if task.given_outcome not in labels:
-        raise ValueError(f"the instrument has no outcome labelled {task.given_outcome!r}")
-    return labels.index(task.given_outcome)
-
-
 def solve(task: InferenceTask) -> ProbabilityTable:
     """Solve any inference task on the transition-array kernel.
 
-    The transformation is validated once; its transition arrays (one per
-    instrument outcome) are contracted with the task's own factors, masks
-    and given outcomes.  Ignored data factors carry the flat weight 1/d
-    whatever the transformation, and only a channel's postdiction carries
-    the Bayes factor.  Solving needs the data: a predict task must carry
-    outcomes on its known input factors, a postdict task on its known output
-    factors.  Tasks without them are still valid as ensemble descriptions for
-    the sampler.
+    The transformation is validated once; its transition array is contracted
+    with the task's own factors, masks and given outcomes, and with the
+    instrument outcome as one more output factor.  Ignored data factors
+    carry the flat weight 1/d whatever the transformation, and only a
+    channel's postdiction carries the Bayes factor.  Solving needs the data:
+    a predict task must carry outcomes on its known input factors, a postdict
+    task on its known output factors, and one through a multi-outcome
+    instrument the observed outcome label.  Tasks without them are still
+    valid as ensemble descriptions for the sampler.
     """
     _check_transformation(task)
     return _solve_checked(task)
 
 
 def _kernel_view(task: InferenceTask):
-    """A task as the kernel reads it: input dims, data dims, data mask, guess mask, data outcomes.
+    """A task as the kernel reads it: per-factor labels and a mask for the input side, then the output side.
 
-    A preparation-state set is one input factor with one alternative per state.
+    A preparation-state set is one input factor with one alternative per
+    state.  A multi-outcome instrument's outcome is one more output factor,
+    placed first, labelled with the instrument's labels and always in the
+    mask: predicting guesses it, and postdicting takes it as data.
     """
     dims_in = task.dims_in if task.preparation_states is None else (len(task.preparation_states),)
-    if task.direction == "predict":
-        return dims_in, dims_in, task.known_input_mask, task.known_output_mask, task.given_input
-    return dims_in, task.dims_out, task.known_output_mask, task.known_input_mask, task.given_output
+    labels_in = tuple(tuple(map(str, range(d))) for d in dims_in)
+    labels_out = tuple(tuple(map(str, range(d))) for d in task.dims_out)
+    mask_out = task.known_output_mask
+    if isinstance(task.transformation, Instrument) and len(task.transformation.outcomes) > 1:
+        labels_out, mask_out = (task.transformation.labels(),) + labels_out, (True,) + mask_out
+    return (labels_in, task.known_input_mask), (labels_out, mask_out)
 
 
 def _solve_checked(task: InferenceTask) -> ProbabilityTable:
     """The body of ``solve`` for a task whose transformation has been validated.
 
-    The table is the row of the task's given outcomes in the family
-    ``_contract`` returns.  A prediction lists the cells of every array under
-    its prefix; a postdiction takes the one array of the observed outcome,
-    prefixes the given label with it and normalizes.  A scenario's
+    A range check of the given outcomes, then their row of the family
+    ``_solve_rows`` computes; postdiction through an instrument reads
+    ``given_outcome`` as the outcome factor's data.  A scenario's
     transformation is validated when it is parsed, so the ``predict`` and
     ``postdict`` commands solve here.
     """
-    dims_in, data_dims, data_mask, guess_mask, data = _kernel_view(task)
-    direction, dims_out = task.direction, task.dims_out
-    _require_given(data, data_mask, "input" if direction == "predict" else "output")
-    arrays = _transition_arrays(task.transformation, task.preparation_states)
-    if direction == "postdict":
-        observed = _observed_outcome(task)
-        arrays = arrays[observed : observed + 1]
-    labels = _guessed_labels(dims_out if direction == "predict" else dims_in, guess_mask)
-    given = [(g, d) for g, d, m in zip(data, data_dims, data_mask) if m]
+    predict = task.direction == "predict"
+    (labels_in, _), _ = _kernel_view(task)
+    if predict:
+        dims, mask, data = tuple(map(len, labels_in)), task.known_input_mask, task.given_input
+    else:
+        dims, mask, data = task.dims_out, task.known_output_mask, task.given_output
+    _require_given(data, mask, "input" if predict else "output")
+    observed = []  # the instrument outcome's (index, dimension) when it is a data factor
+    if not predict and isinstance(task.transformation, Instrument):
+        outcomes = task.transformation.labels()
+        if task.given_outcome is None and len(outcomes) > 1:
+            raise ValueError("postdiction through an instrument requires the observed outcome label")
+        if task.given_outcome is not None and task.given_outcome not in outcomes:
+            raise ValueError(f"the instrument has no outcome labelled {task.given_outcome!r}")
+        observed = [(outcomes.index(task.given_outcome), len(outcomes))] if len(outcomes) > 1 else []
+    family = _solve_rows(task, _transitions(task.transformation, task.preparation_states))
+    given = [(g, d) for g, d, m in zip(data, dims, mask) if m]
     for g, d in given:
         if not 0 <= g < d:
-            side = "preparation" if direction == "predict" else "test"
+            side = "preparation" if predict else "test"
             raise ValueError(f"{side} outcome {g} out of range for factor dimension {d}")
+    given = observed + given
     row = np.ravel_multi_index(tuple(g for g, _ in given), tuple(d for _, d in given))
-    rows = [_contract(t, dims_out, dims_in, direction, data_mask, guess_mask)[row] for _, t in arrays]
-    given_label = join_labels(*(str(g) for g, _ in given))
-    if direction == "predict":
-        cells = [_prefixed(prefix, label) for prefix, _ in arrays for label in labels]
-        return ProbabilityTable.from_values(cells, np.concatenate(rows), given=given_label, direction="predict")
-    ((prefix, _),) = arrays
-    with_factor = isinstance(task.transformation, QuantumMap)
-    return _postdiction(labels, rows[0], _prefixed(prefix, given_label), with_factor)
+    return _row_table(task, family, row)
 
 
-def _solve_rows(task: InferenceTask, arrays: Sequence[tuple[str, np.ndarray]]) -> dict[str, ProbabilityTable]:
-    """Every conditional table of a validated task's direction, keyed by its given label.
+def _solve_rows(task: InferenceTask, t: np.ndarray) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray]:
+    """A validated task's table family: given labels, cell labels, and one unnormalized row per given label.
 
-    ``arrays`` are the task's ``_transition_arrays``.  The task's given
-    outcomes are not read: there is one row per combination of outcomes of
-    the data factors in its mask.  A prediction row lists the cells of every
-    array under its prefix; each array gives its own postdiction rows, their
-    given labels prefixed with the array's.  A postdiction row whose evidence
-    is below ``MIN_EVIDENCE`` has no table and is left out.
+    ``t`` is the task's ``_transitions``.  The task's given outcomes are not
+    read: there is one row per combination of outcomes of the data factors in
+    its mask, the instrument outcome first among them when postdicting.
+    ``_row_table`` makes a row into a table.
     """
-    dims_in, data_dims, data_mask, guess_mask, _ = _kernel_view(task)
-    direction, dims_out = task.direction, task.dims_out
-    labels = _guessed_labels(dims_out if direction == "predict" else dims_in, guess_mask)
-    ranges = [range(d) for d, m in zip(data_dims, data_mask) if m]
-    givens = [join_labels(*map(str, combo)) for combo in itertools.product(*ranges)]
-    rows = [(prefix, _contract(t, dims_out, dims_in, direction, data_mask, guess_mask)) for prefix, t in arrays]
-    if direction == "predict":
-        cells = [_prefixed(prefix, label) for prefix, _ in arrays for label in labels]
-        values = np.concatenate([family for _, family in rows], axis=1)
-        return {g: ProbabilityTable.from_values(cells, row, given=g) for g, row in zip(givens, values)}
-    with_factor = isinstance(task.transformation, QuantumMap)
-    return {
-        _prefixed(prefix, g): _postdiction(labels, numerators, _prefixed(prefix, g), with_factor)
-        for prefix, family in rows
-        for g, numerators in zip(givens, family)
-        if numerators.sum() >= MIN_EVIDENCE
-    }
+    predict = task.direction == "predict"
+    if not any(task.known_output_mask if predict else task.known_input_mask):
+        raise ValueError("at least one factor must be guessed")
+    sides = _kernel_view(task)
+    (labels_in, _), (labels_out, _) = sides
+    (data_labels, data_mask), (guess_labels, guess_mask) = sides if predict else sides[::-1]
+    dims_out, dims_in = tuple(map(len, labels_out)), tuple(map(len, labels_in))
+    rows = _contract(t, dims_out, dims_in, task.direction, data_mask, guess_mask)
+    return _joined_labels(data_labels, data_mask), _joined_labels(guess_labels, guess_mask), rows
+
+
+def _row_table(task: InferenceTask, family, row: int) -> ProbabilityTable:
+    """Row ``row`` of a family from ``_solve_rows`` as a table.
+
+    A postdiction row is normalized, and a channel's carries its Bayes factor.
+    """
+    givens, cells, rows = family
+    if task.direction == "predict":
+        return ProbabilityTable.from_values(cells, rows[row], given=givens[row])
+    values, factor = _bayes_rows(rows[row], givens[row])
+    factor = float(factor) if isinstance(task.transformation, QuantumMap) else None
+    return ProbabilityTable.from_values(cells, values, given=givens[row], direction="postdict", factor=factor)
 
 
 def time_reverse(task: InferenceTask) -> InferenceTask:
@@ -700,9 +680,9 @@ def four_task_check(transformation: np.ndarray | QuantumMap, a: int, x: int) -> 
     ahead, back = _transitions(forward), _transitions(reverse)
     return FourTaskReport(
         predict_forward=_contract(ahead, *dims, "predict", (True,), (True,))[a, x],
-        postdict_forward=_bayes_rows(_contract(ahead, *dims, "postdict", (True,), (True,)))[x, a],
+        postdict_forward=_bayes_rows(_contract(ahead, *dims, "postdict", (True,), (True,)))[0][x, a],
         predict_reversed=_contract(back, *dims[::-1], "predict", (True,), (True,))[x, a],
-        postdict_reversed=_bayes_rows(_contract(back, *dims[::-1], "postdict", (True,), (True,)))[a, x],
+        postdict_reversed=_bayes_rows(_contract(back, *dims[::-1], "postdict", (True,), (True,)))[0][a, x],
         reference=reference,
     )
 
@@ -742,7 +722,7 @@ def open_reversal_check(
         reference = _pull_back_reference(kraus, data_dims, outcomes, guess_dims, mask)
         rows = _contract(t, dims_in, dims_out, direction, data_mask, mask)
         if not forward:
-            rows = _bayes_rows(rows)
+            rows, _ = _bayes_rows(rows)
         defects[name] = float(np.max(np.abs(rows - reference)))
     defects["max"] = max(defects.values())
     return defects
@@ -773,7 +753,7 @@ def channel_toward_past_check(
     born = _born_reference(channel.kraus, a, x)  # which also rejects an a or x out of range
     d_a = purification.dims_in[0]
     back = dagger(purification.isometry.reshape(-1, d_a))
-    value = _bayes_rows(_table_rows(back, (d_a,), purification.dims_out, "postdict", (True,), (True, False)))[a, x]
+    value = _bayes_rows(_table_rows(back, (d_a,), purification.dims_out, "postdict", (True,), (True, False)))[0][a, x]
     return TowardsPastReport(born, value, abs(born - value))
 
 
@@ -871,8 +851,8 @@ def _purified_no_signalling_defect(e: Instrument, f: Instrument) -> float:
     chain_back, single_back = (dagger(v.reshape(-1, d_a)) for v in (chain, v_e))
     joint = _table_rows(chain_back, (d_a,), chain.shape[:-1], "postdict", (True,), (False, True, False, True, False))
     single = _table_rows(single_back, (d_a,), v_e.shape[:-1], "postdict", (True,), (False, True, False))
-    summed = _bayes_rows(joint).reshape(d_a, m_f, m_e).sum(axis=1)
-    return float(np.max(np.abs(summed - _bayes_rows(single))))
+    summed = _bayes_rows(joint)[0].reshape(d_a, m_f, m_e).sum(axis=1)
+    return float(np.max(np.abs(summed - _bayes_rows(single)[0])))
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,13 @@ Counting convention: each trial draws a preparation alternative uniformly,
 pushes it through the transformation (sampling the instrument outcome when
 there is one), measures the output basis, and records the pair of labels the
 task cares about.  The outcome and measurement distributions of alternative
-a are column a of the transition arrays the inference kernel builds, one per
-instrument outcome.  Conditioning the counts on the input reproduces the
-prediction tables; conditioning on the output reproduces the postdiction
-tables, because the uniform preparation realizes the flat prior.
+a are column a of the transition array T[k, x, a] the inference kernel
+builds: outcome k's weight is the sum of its column over x, and its
+measurement distribution is that column.  The instrument outcome is one more
+output factor, counted under the labels the kernel gives it.  Conditioning
+the counts on the input reproduces the prediction tables; conditioning on the
+output reproduces the postdiction tables, because the uniform preparation
+realizes the flat prior.
 
 Randomness comes from the Philox 4x64 counter-based generator (numpy's
 ``np.random.Philox``, 10 rounds, documented constants).  The generator is
@@ -30,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UndefinedConditionalError
-from .inference import InferenceTask, _kernel_view, _transition_arrays
+from . import inference
+from .inference import InferenceTask
 from .tables import ProbabilityTable, join_labels
 
 SLOTS_PER_TRIAL = 3
@@ -71,33 +75,33 @@ class EnsembleResult:
             raise ValueError(f"counts sum to {total}, expected {self.shots}")
 
 
-def _restricted_label(indices: tuple[int, ...], mask: tuple[bool, ...]) -> str:
-    parts = [str(i) for i, m in zip(indices, mask) if m]
+def _restricted_label(combo: tuple, mask: tuple[bool, ...]) -> str:
+    parts = [str(label) for label, m in zip(combo, mask) if m]
     return join_labels(*parts)
 
 
-def _prepare_alternatives(task: InferenceTask) -> tuple[list[str], list[tuple[str, np.ndarray]]]:
-    """Input labels of the preparation alternatives and the solver's transition arrays.
+def _prepare_alternatives(task: InferenceTask) -> tuple[list[str], list[str], np.ndarray]:
+    """The labels of the preparation alternatives and of the output cells, and the solver's transition array.
 
-    The labels are indexed like the columns of T and read like the kernel's
-    given labels; there is one array per instrument outcome, labelled when
-    there are several.
+    The input labels are indexed like the columns of T, the output labels
+    like its flattened rows, the instrument outcome first; both read like the
+    kernel's given labels.
     """
-    dims_in, *_ = _kernel_view(task)
-    ranges = [range(d) for d in dims_in]
-    labels = [_restricted_label(combo, task.known_input_mask) for combo in itertools.product(*ranges)]
-    return labels, _transition_arrays(task.transformation, task.preparation_states)
+    in_labels, out_labels = (
+        [_restricted_label(combo, mask) for combo in itertools.product(*factors)]
+        for factors, mask in inference._kernel_view(task)
+    )
+    return in_labels, out_labels, inference._transitions(task.transformation, task.preparation_states)
 
 
-def _transformation_stages(transitions: list[tuple[str, np.ndarray]], a: int):
-    """Sampling data for alternative a: outcome CDF and per-outcome measurement CDFs.
+def _transformation_stages(t: np.ndarray, a: int):
+    """Sampling data for alternative a: the outcome CDF and one measurement CDF per outcome.
 
     Unitaries and channels are single-outcome; the outcome draw is still
     consumed so every trial advances the stream by the same amount.
     """
-    columns = [(label, t[:, a]) for label, t in transitions]
-    weights = np.cumsum([column.sum() for _, column in columns])
-    return weights, [(label, np.cumsum(column)) for label, column in columns]
+    columns = t.reshape((-1,) + t.shape[-2:])[:, :, a]
+    return np.cumsum([column.sum() for column in columns]), [np.cumsum(column) for column in columns]
 
 
 def _grouped_inverse_cdf(groups: np.ndarray, u: np.ndarray, cdfs: list[np.ndarray]) -> np.ndarray:
@@ -120,18 +124,15 @@ def run_ensemble(task: InferenceTask, shots: int, seed: int) -> EnsembleResult:
     """Simulate ``shots`` independent trials of the task's scenario."""
     if shots < 1:
         raise ValueError("shots must be at least 1")
-    in_labels, transitions = _prepare_alternatives(task)
-    n_alt, n_branch = len(in_labels), len(transitions)
-    prepared = [_transformation_stages(transitions, a) for a in range(n_alt)]
+    in_labels, out_labels, t = _prepare_alternatives(task)
+    prepared = [_transformation_stages(t, a) for a in range(len(in_labels))]
     branch_cdfs = [branch_cdf for branch_cdf, _ in prepared]
-    meas_cdfs = [meas_cdf for _, branches in prepared for _, meas_cdf in branches]
-    out_labels = [
-        _restricted_label(combo, task.known_output_mask)
-        for combo in itertools.product(*[range(d) for d in task.dims_out])
-    ]
-    n_x = len(out_labels)
+    meas_cdfs = [meas_cdf for _, branches in prepared for meas_cdf in branches]
+    n_alt, n_out, n_branch = len(in_labels), len(out_labels), len(branch_cdfs[0])
+    n_x = n_out // n_branch
 
-    cells = np.zeros(n_alt * n_branch * n_x, dtype=np.int64)
+    # Cell (alternative, outcome, x) is alternative * n_out + outcome * n_x + x.
+    cells = np.zeros(n_alt * n_out, dtype=np.int64)
     for first in range(0, shots, CHUNK_TRIALS):
         uniforms = trial_uniforms(seed, min(CHUNK_TRIALS, shots - first), first)
         alt = np.minimum((uniforms[:, 0] * n_alt).astype(np.int64), n_alt - 1)
@@ -141,11 +142,8 @@ def run_ensemble(task: InferenceTask, shots: int, seed: int) -> EnsembleResult:
 
     counts: dict[tuple[str, str], int] = {}
     for cell in np.flatnonzero(cells):
-        pair, x = divmod(int(cell), n_x)
-        alt, branch = divmod(pair, n_branch)
-        branch_label = transitions[branch][0]
-        out_label = out_labels[x] if not branch_label else join_labels(branch_label, out_labels[x])
-        key = (in_labels[alt], out_label)
+        alt, out = divmod(int(cell), n_out)
+        key = (in_labels[alt], out_labels[out])
         counts[key] = counts.get(key, 0) + int(cells[cell])
     return EnsembleResult(joint_counts=counts, shots=shots, seed=seed)
 

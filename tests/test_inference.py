@@ -1012,7 +1012,9 @@ def test_every_batched_row_equals_the_single_row_kernel(data):
         data.draw(st.lists(st.booleans(), min_size=len(guess_dims), max_size=len(guess_dims)).filter(any))
     )
     combos = list(itertools.product(*(range(d) if m else (None,) for d, m in zip(data_dims, data_mask))))
-    for _, t in inference._transition_arrays(transformation, states):
+    # an instrument's array stacks one T per outcome; each is contracted on its own here
+    stacked = inference._transitions(transformation, states)
+    for t in stacked.reshape((-1,) + stacked.shape[-2:]):
         rows = inference._contract(t, dims_out, dims_in, direction, data_mask, guess_mask)
         assert rows.shape[0] == len(combos)
         for row, given_data in zip(rows, combos):

@@ -15,8 +15,9 @@ from retrodict.channels import (
 from retrodict.errors import UndefinedConditionalError
 from retrodict.inference import (
     InferenceTask,
+    _row_table,
     _solve_rows,
-    _transition_arrays,
+    _transitions,
     postdict_channel,
     postdict_general_prep,
     postdict_open,
@@ -230,9 +231,11 @@ def reference_counts(task, shots, seed):
     def inverse_cdf(cdf, u):
         return min(int(np.searchsorted(cdf, u, side="right")), len(cdf) - 1)
 
-    in_labels, transitions = _prepare_alternatives(task)
+    in_labels, _, t = _prepare_alternatives(task)
     n_alt = len(in_labels)
-    prepared = [_transformation_stages(transitions, a) for a in range(n_alt)]
+    prepared = [_transformation_stages(t, a) for a in range(n_alt)]
+    # a multi-outcome instrument's outcome labels, joined here rather than read from the sampler
+    branch_labels = task.transformation.labels() if t.ndim == 3 else ("",)
     out_labels = [
         _restricted_label(combo, task.known_output_mask)
         for combo in np.ndindex(*task.dims_out)
@@ -240,8 +243,9 @@ def reference_counts(task, shots, seed):
     counts = {}
     for u_in, u_branch, u_meas in trial_uniforms(seed, shots):
         alt_index = min(int(u_in * n_alt), n_alt - 1)
-        branch_cdf, branches = prepared[alt_index]
-        branch_label, meas_cdf = branches[inverse_cdf(branch_cdf, u_branch * branch_cdf[-1])]
+        branch_cdf, meas_cdfs = prepared[alt_index]
+        branch = inverse_cdf(branch_cdf, u_branch * branch_cdf[-1])
+        branch_label, meas_cdf = branch_labels[branch], meas_cdfs[branch]
         x = inverse_cdf(meas_cdf, u_meas * meas_cdf[-1])
         out_label = out_labels[x] if not branch_label else join_labels(branch_label, out_labels[x])
         key = (in_labels[alt_index], out_label)
@@ -326,22 +330,23 @@ def _coverage_tasks():
 
 @pytest.mark.parametrize("task", _coverage_tasks(), ids=["instrument", "open-unitary", "states"])
 def test_analytic_rows_cover_every_empirical_row(task):
-    arrays = _transition_arrays(task.transformation, task.preparation_states)
+    t = _transitions(task.transformation, task.preparation_states)
     for direction in ("predict", "postdict"):
         directed = replace(task, direction=direction)
-        analytic = _solve_rows(directed, arrays)
+        family = _solve_rows(directed, t)
         empirical = empirical_conditionals(run_ensemble(directed, 4000, 64), direction)
-        assert set(empirical) <= set(analytic)
+        assert set(empirical) <= set(family[0])
         for given, row in empirical.items():
-            assert analytic[given].given == given
-            assert set(row.entries) <= set(analytic[given].entries)
+            analytic = _row_table(directed, family, family[0].index(given))
+            assert analytic.given == given
+            assert set(row.entries) <= set(analytic.entries)
 
 
 def test_an_ignored_preparation_set_is_counted_under_one_label():
     # the kernel averages an ignored input factor, so the sampler pools its alternatives
     states = (linalg.basis_ket(2, 0), np.array([1, 1], dtype=complex) / np.sqrt(2))
     task = InferenceTask(HADAMARD, (2,), (2,), "predict", (False,), (True,), preparation_states=states)
-    labels, _ = _prepare_alternatives(task)
+    labels, _, _ = _prepare_alternatives(task)
     assert labels == ["", ""]
     (row,) = empirical_conditionals(run_ensemble(task, 20000, 65), "predict").values()
     assert row.given == ""
