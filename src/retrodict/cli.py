@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
@@ -357,6 +358,16 @@ def _seed(text: str) -> int:
     return seed
 
 
+def _tolerance(text: str) -> float:
+    try:
+        tolerance = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0.0 <= tolerance < math.inf:  # written so that NaN fails it too
+        raise argparse.ArgumentTypeError(f"tolerance {text} is not a finite non-negative number")
+    return tolerance
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="retrodict",
@@ -368,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=_seed, default=None, help="override the scenario seed")
     parser.add_argument(
         "--tolerance",
-        type=float,
+        type=_tolerance,
         default=None,
         help="override comparison thresholds (structural validation stays fixed)",
     )

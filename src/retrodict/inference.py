@@ -428,8 +428,11 @@ class InferenceTask:
         dims_out = tuple(int(d) for d in self.dims_out)
         object.__setattr__(self, "dims_in", dims_in)
         object.__setattr__(self, "dims_out", dims_out)
-        object.__setattr__(self, "known_input_mask", tuple(bool(m) for m in self.known_input_mask))
-        object.__setattr__(self, "known_output_mask", tuple(bool(m) for m in self.known_output_mask))
+        for name in ("known_input_mask", "known_output_mask"):
+            mask = tuple(getattr(self, name))
+            if not all(isinstance(m, (bool, np.bool_)) for m in mask):
+                raise ValueError(f"{name} entries must be booleans, got {mask!r}")
+            object.__setattr__(self, name, tuple(bool(m) for m in mask))
         given_input = tuple(None if g is None else as_outcome(g) for g in self.given_input) or (None,) * len(dims_in)
         given_output = tuple(None if g is None else as_outcome(g) for g in self.given_output) or (None,) * len(dims_out)
         object.__setattr__(self, "given_input", given_input)

@@ -177,7 +177,7 @@ def _parse_dims(raw: Any, field: str) -> tuple[int, ...]:
 def _parse_given(raw: Any, n_factors: int, field: str) -> tuple[int | None, ...]:
     if raw is None:
         return (None,) * n_factors
-    if isinstance(raw, (str, int)):
+    if isinstance(raw, (str, int, float)):  # a bare JSON scalar is the one factor's outcome
         raw = [raw]
     if not isinstance(raw, list) or len(raw) != n_factors:
         raise ScenarioError(

@@ -400,6 +400,18 @@ def test_negative_seed_on_the_command_line_exits_2(capsys):
     assert exit_info.value.code == 2
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+def test_a_non_finite_or_negative_tolerance_exits_2_before_running(monkeypatch, capsys, tolerance):
+    def never(*args):
+        raise AssertionError("the suite must not run on a bad tolerance")
+
+    monkeypatch.setattr(rd.cli, "_run_verify", never)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", "--dims", "2", "2", f"--tolerance={tolerance}"])
+    assert exit_info.value.code == 2
+    assert "--tolerance" in capsys.readouterr().err
+
+
 def test_seed_outside_the_philox_key_range_exits_2(tmp_path, capsys):
     for seed in (-1, 2**64):
         path = tmp_path / "seed.json"
@@ -480,18 +492,19 @@ def _predict_identity_with(tmp_path, **fields):
     return str(path)
 
 
-@pytest.mark.parametrize("outcome", [1, 1.0, "1"])
+# A bare JSON scalar is the outcome of the one factor.
+@pytest.mark.parametrize("outcome", [[1], [1.0], ["1"], 1, 1.0, "1"])
 def test_integral_outcomes_read_as_that_outcome(tmp_path, capsys, outcome):
-    path = _predict_identity_with(tmp_path, given={"input": [outcome]})
+    path = _predict_identity_with(tmp_path, given={"input": outcome})
     assert main(["predict", "--scenario", path, "--format", "json"]) == 0
     (table,) = json.loads(capsys.readouterr().out)["tables"]
     assert table["given"] == "1"
     assert table["entries"] == {"0": 0.0, "1": 1.0}
 
 
-@pytest.mark.parametrize("outcome", [1.7, 0.5, True, False])
+@pytest.mark.parametrize("outcome", [[1.7], [0.5], [True], [False], 1.5, True])
 def test_boolean_and_non_integral_outcomes_exit_2(tmp_path, capsys, outcome):
-    path = _predict_identity_with(tmp_path, given={"input": [outcome]})
+    path = _predict_identity_with(tmp_path, given={"input": outcome})
     assert main(["predict", "--scenario", path]) == 2
     assert "given.input" in capsys.readouterr().err
 

@@ -783,6 +783,15 @@ def test_given_outcomes_are_normalized_to_int():
     assert table["1·0"] == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("entry", ["false", "", 1, 0, None, 1.0])
+def test_mask_entries_must_be_booleans(entry):
+    for masks in (((entry,), (True,)), ((True,), (entry,))):
+        with pytest.raises(ValueError, match="must be booleans"):
+            InferenceTask(np.eye(2), (2,), (2,), "predict", *masks, given_input=(1,))
+    task = InferenceTask(np.eye(2), (2,), (2,), "predict", (np.True_,), (True,), given_input=(1,))
+    assert task.known_input_mask == (True,) and type(task.known_input_mask[0]) is bool
+
+
 @pytest.mark.parametrize("outcome", [True, np.True_, 1.7, -0.5, float("nan"), float("inf"), "1.0", [1]])
 def test_given_outcomes_are_never_coerced(outcome):
     for given in ({"given_input": (outcome,)}, {"given_output": (outcome,)}):
