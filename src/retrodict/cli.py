@@ -163,7 +163,7 @@ def _run_sample(scenario: ScenarioFile, report: ReportDocument, seed: int, floor
         result = run_ensemble(task, shots, seed)
         empirical = empirical_conditionals(result, direction)
         family = _solve_rows(task, t)
-        rows = {given: row for row, given in enumerate(family[0])}
+        index = {given: i for i, given in enumerate(family[0])}
         trials: dict[str, int] = {}
         for (in_label, out_label), n in result.joint_counts.items():
             cell = in_label if direction == "predict" else out_label
@@ -171,7 +171,7 @@ def _run_sample(scenario: ScenarioFile, report: ReportDocument, seed: int, floor
         worst = 0.0
         for given, row in empirical.items():
             try:
-                analytic = _row_table(task, family, rows[given])
+                analytic = _row_table(task, family, index[given])
             except UndefinedConditionalError:
                 raise UndefinedConditionalError(f"cell {given!r} was sampled but has zero probability") from None
             outcome = compare(row, analytic, trials[given], floor=floor)

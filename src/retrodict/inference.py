@@ -403,11 +403,11 @@ class InferenceTask:
     ``known_input_mask`` marks the input factors that take part in the task:
     they carry given outcomes when predicting and are the guessed alternatives
     when postdicting.  ``known_output_mask`` plays the mirrored role on the
-    output side.  Factors outside the masks are ignored (flat prior on the
-    data side, marginalized on the guessing side).  ``preparation_states``
-    switches the input alternatives from a basis to an arbitrary pure-state
-    set; ``given_outcome`` conditions on an instrument outcome label when
-    postdicting through an instrument.
+    output side; mask entries are booleans.  Factors outside the masks are
+    ignored (flat prior on the data side, marginalized on the guessing
+    side).  ``preparation_states`` switches the input alternatives from a
+    basis to an arbitrary pure-state set; ``given_outcome`` conditions on an
+    instrument outcome label when postdicting through an instrument.
     """
 
     transformation: np.ndarray | QuantumMap | Instrument

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UndefinedConditionalError
 from . import inference
+from .errors import UndefinedConditionalError
 from .inference import InferenceTask
 from .tables import ProbabilityTable, join_labels
 
@@ -81,7 +81,7 @@ def _restricted_label(combo: tuple, mask: tuple[bool, ...]) -> str:
 
 
 def _prepare_alternatives(task: InferenceTask) -> tuple[list[str], list[str], np.ndarray]:
-    """The labels of the preparation alternatives and of the output cells, and the solver's transition array.
+    """Labels of the preparation alternatives and of the output cells, and the solver's transition array.
 
     The input labels are indexed like the columns of T, the output labels
     like its flattened rows, the instrument outcome first; both read like the
