@@ -158,12 +158,12 @@ def _run_sample(scenario: ScenarioFile, report: ReportDocument, seed: int, floor
     shots = 100_000 if scenario.shots is None else scenario.shots
     tasks = [_task_from_scenario(scenario, direction) for direction in ("predict", "postdict")]
     t = inference._transitions(tasks[0].transformation, tasks[0].preparation_states)
-    for task in tasks:
+    # Solving first rejects a task that guesses nothing before any trial runs.
+    for task, family in [(task, _solve_rows(task, t)) for task in tasks]:
         direction = task.direction
+        index = {given: i for i, given in enumerate(family[0])}
         result = run_ensemble(task, shots, seed)
         empirical = empirical_conditionals(result, direction)
-        family = _solve_rows(task, t)
-        index = {given: i for i, given in enumerate(family[0])}
         trials: dict[str, int] = {}
         for (in_label, out_label), n in result.joint_counts.items():
             cell = in_label if direction == "predict" else out_label

@@ -470,6 +470,19 @@ def test_sample_builds_transition_arrays_once_per_ensemble(monkeypatch, capsys):
     assert len(calls) == 3
 
 
+@pytest.mark.parametrize("mask", ["known_input_mask", "known_output_mask"])
+def test_sample_rejects_a_task_that_guesses_nothing_before_drawing(tmp_path, monkeypatch, capsys, mask):
+    def never(*args):
+        raise AssertionError("no trial may run for a task that guesses nothing")
+
+    monkeypatch.setattr(rd.cli, "run_ensemble", never)
+    doc = {**json.loads(Path(fixture("sample_hadamard.json")).read_text()), mask: [False]}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(["sample", "--scenario", str(path)]) == 3
+    assert capsys.readouterr().err == "error [validation]: at least one factor must be guessed\n"
+
+
 def test_a_scenario_is_checked_once_at_parse(monkeypatch, capsys):
     calls = []
     original = rd.linalg.is_unitary
