@@ -95,9 +95,8 @@ GOLDEN = [
 @pytest.mark.parametrize("name", GOLDEN)
 @pytest.mark.parametrize("fmt, suffix", [("json", "json"), ("text", "txt"), ("csv", "csv")])
 def test_purify_report_matches_golden(capsys, name, fmt, suffix):
-    # The purify reports were written when the full dilation unitary was stored, and the
-    # others when an instrument kept one transition array per outcome: neither change
-    # may move a byte.
+    # Written by earlier designs of the dilation and of the transition array; a refactor
+    # of either may not move a byte.
     code = main([name.split("_")[0], "--scenario", fixture(f"{name}.json"), "--format", fmt])
     assert code == 0
     assert capsys.readouterr().out == (FIXTURES / f"{name}.report.{suffix}").read_text()
