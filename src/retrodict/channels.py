@@ -269,14 +269,10 @@ def make_noisy_operation(u: np.ndarray, dims: tuple[int, int]) -> QuantumMap:
         raise ValueError(f"unitary shape {u.shape} does not match dimensions {(d_a, d_b)}")
     if not linalg.is_unitary(u):
         raise ValueError("matrix is not unitary within tolerance")
-    eye_a = np.eye(d_a, dtype=complex)
-    kraus = []
-    for y in range(d_b):
-        bra_y = np.kron(eye_a, linalg.basis_ket(d_b, y).conj()[None, :])
-        for b in range(d_b):
-            ket_b = np.kron(eye_a, linalg.basis_ket(d_b, b)[:, None])
-            kraus.append((bra_y @ u @ ket_b) / np.sqrt(d_b))
-    return QuantumMap(tuple(kraus), dim_in=d_a, dim_out=d_a)
+    # K_yb = (I (x) <y|) U (I (x) |b>) / sqrt(d_B) is the slice U[:, y, :, b] of U as (d_A, d_B, d_A, d_B).
+    blocks = u.reshape(d_a, d_b, d_a, d_b) / np.sqrt(d_b)
+    kraus = tuple(blocks[:, y, :, b] for y in range(d_b) for b in range(d_b))
+    return QuantumMap(kraus, dim_in=d_a, dim_out=d_a)
 
 
 def amplitude_damping(gamma: float) -> QuantumMap:

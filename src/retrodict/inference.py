@@ -634,41 +634,33 @@ def time_reverse(task: InferenceTask) -> InferenceTask:
 
 @dataclass(frozen=True)
 class FourTaskReport:
-    """The four conceptually distinct probabilities that share one value."""
+    """The four conceptually distinct task tables and the Born table they equal, each indexed [a, x]."""
 
-    predict_forward: float
-    postdict_forward: float
-    predict_reversed: float
-    postdict_reversed: float
-    reference: float
+    predict_forward: np.ndarray
+    postdict_forward: np.ndarray
+    predict_reversed: np.ndarray
+    postdict_reversed: np.ndarray
+    reference: np.ndarray
     max_defect: float = field(init=False)
 
     def __post_init__(self):
-        defect = max(
-            abs(v - self.reference)
-            for v in (
-                self.predict_forward,
-                self.postdict_forward,
-                self.predict_reversed,
-                self.postdict_reversed,
-            )
-        )
-        object.__setattr__(self, "max_defect", defect)
+        tables = (self.predict_forward, self.postdict_forward, self.predict_reversed, self.postdict_reversed)
+        object.__setattr__(self, "max_defect", max(float(np.max(np.abs(t - self.reference))) for t in tables))
 
 
-def _born_reference(kraus: Sequence[np.ndarray], a: int, x: int) -> float:
-    """The operator-level Born value tr |x><x| K|a><a|K', read off the pull-back of |x><x|."""
+def _born_table(kraus: Sequence[np.ndarray]) -> np.ndarray:
+    """The operator-level Born values tr |x><x| K|a><a|K', indexed [a, x]: one pull-back of every |x><x|."""
     dim_out, dim_in = kraus[0].shape
-    if not 0 <= a < dim_in:
-        raise ValueError(f"preparation outcome {a} out of range for dimension {dim_in}")
-    return float(_pull_back_reference(kraus, (dim_out,), ((x,),), (dim_in,), (True,))[0, a])
+    return _pull_back_reference(kraus, (dim_out,), (range(dim_out),), (dim_in,), (True,)).T
 
 
-def four_task_check(transformation: np.ndarray | QuantumMap, a: int, x: int) -> FourTaskReport:
-    """Evaluate prediction and postdiction for a transformation and its adjoint.
+def four_task_check(transformation: np.ndarray | QuantumMap) -> FourTaskReport:
+    """Evaluate prediction and postdiction for a transformation and its adjoint, at every (a, x).
 
-    The reference is the operator-level Born value tr |x><x| K|a><a|K' of the
-    unitary or unital channel.  All four task solutions must coincide with it.
+    The reference is the operator-level Born table tr |x><x| K|a><a|K' of the
+    unitary or unital channel.  All four task tables must coincide with it.
+    The transformation is validated once, and each direction's transition
+    array is built once.
     """
     if isinstance(transformation, QuantumMap):
         forward, reverse, kraus = transformation, adjoint_map(transformation), transformation.kraus
@@ -677,16 +669,15 @@ def four_task_check(transformation: np.ndarray | QuantumMap, a: int, x: int) -> 
     else:
         u = _check_unitary_arg(transformation)
         forward, reverse, kraus = u, dagger(u), (u,)
-    reference = _born_reference(kraus, a, x)  # which also rejects an a or x out of range
     # The adjoint of a unitary or of a unital channel needs no check of its own.
     dims = ((kraus[0].shape[0],), (kraus[0].shape[1],))
     ahead, back = _transitions(forward), _transitions(reverse)
     return FourTaskReport(
-        predict_forward=_contract(ahead, *dims, "predict", (True,), (True,))[a, x],
-        postdict_forward=_bayes_rows(_contract(ahead, *dims, "postdict", (True,), (True,)))[0][x, a],
-        predict_reversed=_contract(back, *dims[::-1], "predict", (True,), (True,))[x, a],
-        postdict_reversed=_bayes_rows(_contract(back, *dims[::-1], "postdict", (True,), (True,)))[0][a, x],
-        reference=reference,
+        predict_forward=_contract(ahead, *dims, "predict", (True,), (True,)),
+        postdict_forward=_bayes_rows(_contract(ahead, *dims, "postdict", (True,), (True,)))[0].T,
+        predict_reversed=_contract(back, *dims[::-1], "predict", (True,), (True,)).T,
+        postdict_reversed=_bayes_rows(_contract(back, *dims[::-1], "postdict", (True,), (True,)))[0],
+        reference=_born_table(kraus),
     )
 
 
@@ -733,31 +724,34 @@ def open_reversal_check(
 
 @dataclass(frozen=True)
 class TowardsPastReport:
-    born_value: float
-    reversed_postdiction: float
-    defect: float
+    """The Born table and the reversed postdiction table, each indexed [a, x]."""
+
+    born: np.ndarray
+    reversed_postdiction: np.ndarray
+    max_defect: float = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "max_defect", float(np.max(np.abs(self.born - self.reversed_postdiction))))
 
 
-def channel_toward_past_check(
-    channel: QuantumMap, a: int, x: int, purification: Purification | None = None
-) -> TowardsPastReport:
+def channel_toward_past_check(channel: QuantumMap, purification: Purification | None = None) -> TowardsPastReport:
     """The generalized Born value doubles as a time-reversed postdiction.
 
     tr |x><x| channel[|a><a|] equals the postdiction of x in the task where
     the dilation runs backwards and the output a is the data, whether or not
     the channel itself admits an active reversal.  Run backwards with its
     known ancilla fixed at |b>, the dilation is V' = (I (x) <b|)U', so the
-    postdiction reads V' alone.
+    postdiction reads V' alone.  Every (a, x) comes from one pull-back and
+    one postdiction family on V'.
     Building the purification checks the channel; one that is passed in was
     checked when it was built.
     """
     if purification is None:
         purification = stinespring(channel)
-    born = _born_reference(channel.kraus, a, x)  # which also rejects an a or x out of range
     d_a = purification.dims_in[0]
     back = dagger(purification.isometry.reshape(-1, d_a))
-    value = _bayes_rows(_table_rows(back, (d_a,), purification.dims_out, "postdict", (True,), (True, False)))[0][a, x]
-    return TowardsPastReport(born, value, abs(born - value))
+    rows, _ = _bayes_rows(_table_rows(back, (d_a,), purification.dims_out, "postdict", (True,), (True, False)))
+    return TowardsPastReport(_born_table(channel.kraus), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -804,12 +798,10 @@ def no_signalling_check(
     followers = [f]
     for t in range(extra_followers):
         followers.append(random_instrument(f.dim_in, len(f.outcomes), 2, seed + 101 * (t + 1)))
-    marginal_defect = 0.0
-    for follower in followers:
-        joint = _sequential_joint(e, follower, rho)
-        marginal_defect = max(marginal_defect, float(np.max(np.abs(joint.sum(axis=1) - alone))))
+    joints = [_sequential_joint(e, follower, rho) for follower in followers]
+    marginal_defect = max(float(np.max(np.abs(joint.sum(axis=1) - alone))) for joint in joints)
 
-    joint = _sequential_joint(e, f, rho)
+    joint = joints[0]
     conditional_defect = 0.0
     skipped: list[str] = []
     grained_e = coarse_grain(e)

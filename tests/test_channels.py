@@ -360,6 +360,40 @@ def test_noisy_operations_unital_across_dims():
                 seed += 1
 
 
+def bra_ket_noisy_kraus(u, d_a, d_b):
+    # the Kraus operators (I (x) <y|) U (I (x) |b>) / sqrt(d_B) as kron-padded products, in (y, b) order
+    eye_a = np.eye(d_a, dtype=complex)
+    kraus = []
+    for y in range(d_b):
+        bra_y = np.kron(eye_a, linalg.basis_ket(d_b, y).conj()[None, :])
+        for b in range(d_b):
+            ket_b = np.kron(eye_a, linalg.basis_ket(d_b, b)[:, None])
+            kraus.append((bra_y @ u @ ket_b) / np.sqrt(d_b))
+    return kraus
+
+
+@pytest.mark.parametrize("d_a, d_b", [(1, 3), (2, 3), (3, 2), (4, 4)])
+def test_noisy_operation_kraus_equal_the_bra_ket_products(d_a, d_b):
+    u = linalg.haar_random_unitary(d_a * d_b, 10 * d_a + d_b)
+    channel = make_noisy_operation(u, (d_a, d_b))
+    expected = bra_ket_noisy_kraus(u, d_a, d_b)
+    assert len(channel.kraus) == len(expected) == d_b * d_b
+    for k, e in zip(channel.kraus, expected):
+        assert k.shape == (d_a, d_a)
+        assert np.array_equal(k, e)
+
+
+def test_noisy_operation_rejects_a_non_unitary():
+    with pytest.raises(ValueError, match="not unitary"):
+        make_noisy_operation(2 * linalg.haar_random_unitary(4, 3), (2, 2))
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2), (4, 2), (1, 2)])
+def test_noisy_operation_rejects_a_wrong_shape(dims):
+    with pytest.raises(ValueError, match="does not match dimensions"):
+        make_noisy_operation(linalg.haar_random_unitary(4, 4), dims)
+
+
 def test_instrument_completeness_enforced():
     half = QuantumMap((np.eye(2, dtype=complex) / 2,), 2, 2)
     with pytest.raises(ValueError):

@@ -588,3 +588,41 @@ def test_a_closed_pipe_keeps_the_exit_code_without_a_traceback():
     err = proc.stderr.read().decode()
     assert proc.wait(timeout=120) == 0
     assert err == ""
+
+
+def _counted_verify(monkeypatch, capsys, dims):
+    # every operand is_unitary checks, keyed by its bytes, and the number of transition arrays built
+    from retrodict import inference, linalg
+
+    checked: dict[bytes, int] = {}
+    built = []
+    is_unitary, transitions = linalg.is_unitary, inference._transitions
+
+    def counted_is_unitary(m, *args, **kwargs):
+        m = np.asarray(m)
+        key = str(m.shape).encode() + np.ascontiguousarray(m).tobytes()
+        checked[key] = checked.get(key, 0) + 1
+        return is_unitary(m, *args, **kwargs)
+
+    def counted_transitions(*args, **kwargs):
+        built.append(1)
+        return transitions(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "is_unitary", counted_is_unitary)
+    monkeypatch.setattr(inference, "_transitions", counted_transitions)
+    assert main(["verify", "--dims", *map(str, dims), "--format", "json"]) == 0
+    capsys.readouterr()
+    monkeypatch.undo()
+    return checked, len(built)
+
+
+def test_verify_checks_each_operand_once(monkeypatch, capsys):
+    checked, _ = _counted_verify(monkeypatch, capsys, (4, 4))
+    assert checked
+    assert max(checked.values()) == 1
+
+
+def test_verify_builds_as_many_transition_arrays_whatever_d_a(monkeypatch, capsys):
+    _, small = _counted_verify(monkeypatch, capsys, (2, 2))
+    _, large = _counted_verify(monkeypatch, capsys, (5, 5))
+    assert small == large

@@ -484,36 +484,57 @@ def test_time_reverse_amplitude_damping_has_no_active_reverse():
 
 
 def test_four_task_identity():
-    report = four_task_check(np.eye(2, dtype=complex), 0, 0)
-    assert report.reference == 1.0
+    report = four_task_check(np.eye(2, dtype=complex))
+    assert report.reference[0, 0] == 1.0
     assert report.max_defect < 1e-14
 
 
 def test_four_task_hadamard():
+    report = four_task_check(HADAMARD)
     for a in range(2):
         for x in range(2):
-            report = four_task_check(HADAMARD, a, x)
-            assert report.reference == pytest.approx(0.5, abs=1e-14)
-            assert report.max_defect < 1e-12
+            assert report.reference[a, x] == pytest.approx(0.5, abs=1e-14)
+    assert report.max_defect < 1e-12
 
 
 def test_four_task_haar():
     u = linalg.haar_random_unitary(4, 73)
-    report = four_task_check(u, 1, 3)
-    assert report.reference == pytest.approx(born_oracle(u, 1, 3), abs=1e-14)
+    report = four_task_check(u)
+    assert report.reference[1, 3] == pytest.approx(born_oracle(u, 1, 3), abs=1e-14)
     assert report.max_defect < 1e-12
+
+
+def test_four_task_tables_are_indexed_a_x():
+    # a Haar |<x|U|a>|^2 is not symmetric in (a, x), so a transposed table would be caught
+    u = linalg.haar_random_unitary(3, 74)
+    report = four_task_check(u)
+    tables = (report.predict_forward, report.postdict_forward, report.predict_reversed, report.postdict_reversed)
+    for table in tables + (report.reference,):
+        assert table.shape == (3, 3)
+        for a in range(3):
+            for x in range(3):
+                assert table[a, x] == pytest.approx(born_oracle(u, a, x), abs=1e-12)
 
 
 def test_four_task_bistochastic_channel():
     channel = make_noisy_operation(linalg.haar_random_unitary(4, 79), (2, 2))
-    for a in range(2):
-        for x in range(2):
-            assert four_task_check(channel, a, x).max_defect < 1e-12
+    assert four_task_check(channel).max_defect < 1e-12
+
+
+def test_four_task_one_dimensional_system():
+    # d_A = 1: one preparation, one test outcome, every table is [[1]]
+    phase = np.array([[np.exp(0.3j)]])
+    channel = make_noisy_operation(linalg.haar_random_unitary(3, 80), (1, 3))
+    for transformation in (phase, channel):
+        report = four_task_check(transformation)
+        assert report.reference.shape == (1, 1)
+        assert report.reference[0, 0] == pytest.approx(1.0, abs=1e-14)
+        assert report.max_defect < 1e-12
 
 
 def test_four_task_rejects_non_unital_channel():
     with pytest.raises(ValueError):
-        four_task_check(amplitude_damping(0.5), 0, 0)
+        four_task_check(amplitude_damping(0.5))
 
 
 def test_open_reversal_identity():
@@ -546,25 +567,31 @@ def test_open_reversal_requires_two_factors_per_side(dims_in, dims_out):
 
 def test_towards_past_unitary_channel():
     u = linalg.haar_random_unitary(3, 89)
-    channel = make_unitary_channel(u)
+    report = channel_toward_past_check(make_unitary_channel(u))
+    assert report.max_defect < 1e-10
     for a in range(3):
         for x in range(3):
-            report = channel_toward_past_check(channel, a, x)
-            assert report.defect < 1e-10
-            assert report.born_value == pytest.approx(born_oracle(u, a, x), abs=1e-12)
+            assert report.born[a, x] == pytest.approx(born_oracle(u, a, x), abs=1e-12)
+            assert report.reversed_postdiction[a, x] == pytest.approx(born_oracle(u, a, x), abs=1e-10)
 
 
 def test_towards_past_dephasing():
-    for a in range(2):
-        for x in range(2):
-            assert channel_toward_past_check(make_dephasing(), a, x).defect < 1e-10
+    assert channel_toward_past_check(make_dephasing()).max_defect < 1e-10
 
 
 def test_towards_past_amplitude_damping():
     # holds even though no active reversal of the channel exists
-    for a in range(2):
-        for x in range(2):
-            assert channel_toward_past_check(amplitude_damping(0.5), a, x).defect < 1e-10
+    report = channel_toward_past_check(amplitude_damping(0.5))
+    assert report.born.shape == report.reversed_postdiction.shape == (2, 2)
+    assert report.max_defect < 1e-10
+
+
+def test_towards_past_one_dimensional_system():
+    # d_A = 1: the one preparation goes to the one test outcome with certainty
+    report = channel_toward_past_check(random_cptp_map(1, 1, 2, 90))
+    assert report.born.shape == report.reversed_postdiction.shape == (1, 1)
+    assert report.born[0, 0] == pytest.approx(1.0, abs=1e-14)
+    assert report.max_defect < 1e-10
 
 
 def completed_unitary(purification):
@@ -591,12 +618,12 @@ def towards_past_reference(purification, a, x):
 def test_towards_past_matches_full_unitary_reference(d_a, d_b):
     channel = make_noisy_operation(linalg.haar_random_unitary(d_a * d_b, 91 + d_a * d_b), (d_a, d_b))
     for purification in (stinespring(channel), rotate_ancilla(stinespring(channel), seed=92)):
+        report = channel_toward_past_check(channel, purification)
+        assert report.max_defect < 1e-10
         for a in range(d_a):
             for x in range(d_a):
-                report = channel_toward_past_check(channel, a, x, purification)
                 reference = towards_past_reference(purification, a, x)
-                assert abs(report.reversed_postdiction - reference) < 1e-12
-                assert report.defect < 1e-10
+                assert abs(report.reversed_postdiction[a, x] - reference) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -969,7 +996,7 @@ def test_pull_back_reference_never_calls_the_kernel(monkeypatch):
     rows = inference._pull_back_reference((u,), (3, 3), (range(3), None), (3, 3), (True, False))
     assert rows.shape == (3, 3)
     channel = make_noisy_operation(linalg.haar_random_unitary(4, 38), (2, 2))
-    assert inference._born_reference(channel.kraus, 1, 0) >= 0.0
+    assert inference._born_table(channel.kraus).min() >= 0.0
     with pytest.raises(AssertionError):
         open_reversal_check(u, (3, 3))
 
@@ -1036,8 +1063,6 @@ def test_pull_back_reference_rejects_out_of_range_outcomes(outcome):
     u = linalg.haar_random_unitary(6, 39)
     with pytest.raises(ValueError, match="dimension 3"):
         inference._pull_back_reference((u,), (3, 2), ((0, outcome), None), (2, 3), (True, True))
-    with pytest.raises(ValueError, match="dimension 3"):
-        inference._born_reference((linalg.haar_random_unitary(3, 40),), 0, outcome)
 
 
 def _verify_failures(capsys):

@@ -273,10 +273,10 @@ def test_dilation_checks_hold_no_joint_space_operator():
     try:
         purification = stinespring(channel)
         rotated = rotate_ancilla(purification, seed=62)
-        report = channel_toward_past_check(channel, 1, 2, rotated)
+        report = channel_toward_past_check(channel, rotated)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert purification.dims_in == (8, 64)
-    assert report.defect < 1e-10
+    assert report.max_defect < 1e-10
     assert peak < 2**20  # a quarter of one 512 x 512 complex array
