@@ -17,17 +17,17 @@ Randomness comes from the Philox 4x64 counter-based generator (numpy's
 keyed by the ensemble seed and yields a fixed block of THREE uniform doubles
 per trial, in trial order; trial t consumes exactly slots [3t, 3t+3).  Counts
 are therefore reproducible bit-for-bit and independent of how trials are
-scheduled.  The ensemble is counted in chunks of ``CHUNK_TRIALS`` trials:
-each chunk's uniforms start at its first trial's slot (the counter is
-advanced, not replayed), its trials are grouped by alternative and drawn by
-one inverse-CDF search per group, and its (alternative, outcome, x) cells
-are tallied with one ``bincount``.  Memory is bounded by the chunk, not by
-``shots``, and the chunk size cannot change the counts.
+scheduled.  The ensemble is counted in chunks of ``CHUNK_TRIALS`` trials,
+each chunk's uniforms starting at its first trial's slot (the counter is
+advanced, not replayed).  The CDFs of every alternative are stacked once, so
+a chunk draws each stage for all its trials with one batched search and
+tallies its (input label, output label) cells with one ``bincount``.  Memory
+is bounded by T and the chunk, not by ``shots``, and the chunk size cannot
+change the counts.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +35,7 @@ import numpy as np
 from . import inference
 from .errors import UndefinedConditionalError
 from .inference import InferenceTask
-from .tables import ProbabilityTable, join_labels
+from .tables import ProbabilityTable
 
 SLOTS_PER_TRIAL = 3
 # Trials counted per chunk; a chunk's uniforms take 24 bytes per trial.
@@ -75,76 +75,76 @@ class EnsembleResult:
             raise ValueError(f"counts sum to {total}, expected {self.shots}")
 
 
-def _restricted_label(combo: tuple, mask: tuple[bool, ...]) -> str:
-    parts = [str(label) for label, m in zip(combo, mask) if m]
-    return join_labels(*parts)
+def _prepare_alternatives(task: InferenceTask):
+    """Per side, its labels and each outcome combination's index among them; and the solver's transition array.
 
-
-def _prepare_alternatives(task: InferenceTask) -> tuple[list[str], list[str], np.ndarray]:
-    """Labels of the preparation alternatives and of the output cells, and the solver's transition array.
-
-    The input labels are indexed like the columns of T, the output labels
-    like its flattened rows, the instrument outcome first; both read like the
-    kernel's given labels.
+    A side's labels are the kernel's given labels of the factors in its mask.
+    The input index runs over the columns of T, the output index over its
+    flattened rows, the instrument outcome first.
     """
-    in_labels, out_labels = (
-        [_restricted_label(combo, mask) for combo in itertools.product(*factors)]
-        for factors, mask in inference._kernel_view(task)
-    )
-    return in_labels, out_labels, inference._transitions(task.transformation, task.preparation_states)
+    sides = []
+    for factors, mask in inference._kernel_view(task):
+        kept = [len(labels) if m else 1 for labels, m in zip(factors, mask)]
+        index = np.broadcast_to(np.arange(np.prod(kept)).reshape(kept), tuple(map(len, factors))).ravel()
+        sides.append((inference._joined_labels(factors, mask), index))
+    return sides, inference._transitions(task.transformation, task.preparation_states)
 
 
-def _transformation_stages(t: np.ndarray, a: int):
-    """Sampling data for alternative a: the outcome CDF and one measurement CDF per outcome.
+def _padded_cumsum(weights: np.ndarray) -> np.ndarray:
+    """Row-wise cumulative sums, padded with +inf to a power-of-two width."""
+    n = weights.shape[-1]
+    cdfs = np.full((len(weights), 1 << (n - 1).bit_length()), np.inf)
+    np.cumsum(weights, axis=-1, out=cdfs[:, :n])
+    return cdfs
 
+
+def _transformation_stages(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The outcome CDF of each alternative a, and the measurement CDF of each (a, outcome k), padded.
+
+    Row (a, k) is column a of outcome k's T, and k's weight is its sum.
     Unitaries and channels are single-outcome; the outcome draw is still
     consumed so every trial advances the stream by the same amount.
     """
-    columns = t.reshape((-1,) + t.shape[-2:])[:, :, a]
-    return np.cumsum([column.sum() for column in columns]), [np.cumsum(column) for column in columns]
+    n_x, n_alt = t.shape[-2:]
+    columns = np.ascontiguousarray(np.moveaxis(t.reshape(-1, n_x, n_alt), -1, 0))
+    return _padded_cumsum(columns.sum(axis=-1)), _padded_cumsum(columns.reshape(-1, n_x))
 
 
-def _grouped_inverse_cdf(groups: np.ndarray, u: np.ndarray, cdfs: list[np.ndarray]) -> np.ndarray:
-    """Per trial t, the inverse-CDF draw of u[t] from the unnormalized cdfs[groups[t]].
+def _grouped_inverse_cdf(groups: np.ndarray, u: np.ndarray, cdfs: np.ndarray, n: int) -> np.ndarray:
+    """Per trial t, the inverse-CDF draw of u[t] from row groups[t] of ``_padded_cumsum``'s n-entry cdfs.
 
-    The draw is the first index whose cumulative weight exceeds u times the
-    total, clipped to the last index against rounding at the top.
+    A branchless binary search counts the row's entries at most u times its
+    total: on a nondecreasing row, ``searchsorted(side="right")``, here
+    clipped to the last index against rounding at the top.
     """
-    order = np.argsort(groups)
-    bounds = np.cumsum(np.bincount(groups, minlength=len(cdfs)))
-    drawn = np.empty(len(groups), dtype=np.int64)
-    for cdf, trials in zip(cdfs, np.split(order, bounds[:-1])):
-        if len(trials):
-            index = np.searchsorted(cdf, u[trials] * cdf[-1], side="right")
-            drawn[trials] = np.minimum(index, len(cdf) - 1)
-    return drawn
+    flat, base = cdfs.ravel(), groups * cdfs.shape[1]
+    target = u * flat[base + (n - 1)]
+    drawn, step = np.zeros_like(base), cdfs.shape[1] >> 1
+    while step:
+        drawn += step * (flat[base + drawn + (step - 1)] <= target)
+        step >>= 1
+    return np.minimum(drawn, n - 1)
 
 
 def run_ensemble(task: InferenceTask, shots: int, seed: int) -> EnsembleResult:
     """Simulate ``shots`` independent trials of the task's scenario."""
     if shots < 1:
         raise ValueError("shots must be at least 1")
-    in_labels, out_labels, t = _prepare_alternatives(task)
-    prepared = [_transformation_stages(t, a) for a in range(len(in_labels))]
-    branch_cdfs = [branch_cdf for branch_cdf, _ in prepared]
-    meas_cdfs = [meas_cdf for _, branches in prepared for meas_cdf in branches]
-    n_alt, n_out, n_branch = len(in_labels), len(out_labels), len(branch_cdfs[0])
-    n_x = n_out // n_branch
-
-    # Cell (alternative, outcome, x) is alternative * n_out + outcome * n_x + x.
-    cells = np.zeros(n_alt * n_out, dtype=np.int64)
+    ((in_labels, in_index), (out_labels, out_index)), t = _prepare_alternatives(task)
+    outcome_cdfs, meas_cdfs = _transformation_stages(t)
+    n_alt, n_x, n_outcomes = len(in_index), t.shape[-2], len(out_index) // t.shape[-2]
+    # Cell (input label i, output label j) is i * len(out_labels) + j.
+    grid = np.zeros(len(in_labels) * len(out_labels), dtype=np.int64)
     for first in range(0, shots, CHUNK_TRIALS):
         uniforms = trial_uniforms(seed, min(CHUNK_TRIALS, shots - first), first)
         alt = np.minimum((uniforms[:, 0] * n_alt).astype(np.int64), n_alt - 1)
-        pair = alt * n_branch + _grouped_inverse_cdf(alt, uniforms[:, 1], branch_cdfs)
-        x = _grouped_inverse_cdf(pair, uniforms[:, 2], meas_cdfs)
-        cells += np.bincount(pair * n_x + x, minlength=len(cells))
+        outcome = _grouped_inverse_cdf(alt, uniforms[:, 1], outcome_cdfs, n_outcomes)
+        x = _grouped_inverse_cdf(alt * n_outcomes + outcome, uniforms[:, 2], meas_cdfs, n_x)
+        grid += np.bincount(in_index[alt] * len(out_labels) + out_index[outcome * n_x + x], minlength=len(grid))
 
-    counts: dict[tuple[str, str], int] = {}
-    for cell in np.flatnonzero(cells):
-        alt, out = divmod(int(cell), n_out)
-        key = (in_labels[alt], out_labels[out])
-        counts[key] = counts.get(key, 0) + int(cells[cell])
+    cells = np.flatnonzero(grid)
+    pairs = zip((cells // len(out_labels)).tolist(), (cells % len(out_labels)).tolist(), grid[cells].tolist())
+    counts = {(in_labels[i], out_labels[j]): n for i, j, n in pairs}
     return EnsembleResult(joint_counts=counts, shots=shots, seed=seed)
 
 

@@ -583,10 +583,10 @@ def test_a_closed_pipe_keeps_the_exit_code_in_process(monkeypatch):
 
 def test_a_closed_pipe_keeps_the_exit_code_without_a_traceback():
     argv = [sys.executable, "-m", "retrodict", "verify", "--dims", "2", "2", "--format", "json"]
-    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env())
-    proc.stdout.close()  # the reader is gone before the child has written a byte
-    err = proc.stderr.read().decode()
-    assert proc.wait(timeout=120) == 0
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env()) as proc:
+        proc.stdout.close()  # the reader is gone before the child has written a byte
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 0
     assert err == ""
 
 

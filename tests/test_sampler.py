@@ -3,6 +3,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from retrodict import linalg, sampler
 from retrodict.channels import (
@@ -27,10 +30,10 @@ from retrodict.inference import (
     solve,
 )
 from retrodict.sampler import (
+    CHUNK_TRIALS,
     EnsembleResult,
-    _prepare_alternatives,
-    _restricted_label,
-    _transformation_stages,
+    _grouped_inverse_cdf,
+    _padded_cumsum,
     compare,
     empirical_conditional,
     empirical_conditionals,
@@ -226,31 +229,48 @@ def test_dephasing_ensemble_matches_closed_form():
 
 
 def reference_counts(task, shots, seed):
-    """The per-trial loop the vectorized sampler must reproduce bit for bit."""
+    """The per-trial loop the vectorized sampler must reproduce bit for bit.
+
+    It reads only the transition array, and builds its own labels and
+    per-column CDFs from it.
+    """
 
     def inverse_cdf(cdf, u):
-        return min(int(np.searchsorted(cdf, u, side="right")), len(cdf) - 1)
+        return min(int(np.searchsorted(cdf, u * cdf[-1], side="right")), len(cdf) - 1)
 
-    in_labels, _, t = _prepare_alternatives(task)
-    n_alt = len(in_labels)
-    prepared = [_transformation_stages(t, a) for a in range(n_alt)]
-    # a multi-outcome instrument's outcome labels, joined here rather than read from the sampler
-    branch_labels = task.transformation.labels() if t.ndim == 3 else ("",)
-    out_labels = [
-        _restricted_label(combo, task.known_output_mask)
-        for combo in np.ndindex(*task.dims_out)
-    ]
+    def restricted(combo, mask):
+        return join_labels(*(str(label) for label, m in zip(combo, mask) if m))
+
+    t = _transitions(task.transformation, task.preparation_states)
+    outcomes = t.reshape((-1,) + t.shape[-2:])  # outcomes[k, x, a]
+    n_alt = outcomes.shape[2]
+    dims_in = task.dims_in if task.preparation_states is None else (n_alt,)
+    in_labels = [restricted(combo, task.known_input_mask) for combo in np.ndindex(*dims_in)]
+    out_labels = [restricted(combo, task.known_output_mask) for combo in np.ndindex(*task.dims_out)]
+    outcome_labels = task.transformation.labels() if t.ndim == 3 else ("",)
+    columns = [outcomes[:, :, a] for a in range(n_alt)]
+    outcome_cdfs = [np.cumsum([column.sum() for column in alt_columns]) for alt_columns in columns]
+    meas_cdfs = [[np.cumsum(column) for column in alt_columns] for alt_columns in columns]
     counts = {}
-    for u_in, u_branch, u_meas in trial_uniforms(seed, shots):
-        alt_index = min(int(u_in * n_alt), n_alt - 1)
-        branch_cdf, meas_cdfs = prepared[alt_index]
-        branch = inverse_cdf(branch_cdf, u_branch * branch_cdf[-1])
-        branch_label, meas_cdf = branch_labels[branch], meas_cdfs[branch]
-        x = inverse_cdf(meas_cdf, u_meas * meas_cdf[-1])
-        out_label = out_labels[x] if not branch_label else join_labels(branch_label, out_labels[x])
-        key = (in_labels[alt_index], out_label)
+    for u_in, u_outcome, u_meas in trial_uniforms(seed, shots):
+        a = min(int(u_in * n_alt), n_alt - 1)
+        k = inverse_cdf(outcome_cdfs[a], u_outcome)
+        x = inverse_cdf(meas_cdfs[a][k], u_meas)
+        out_label = join_labels(outcome_labels[k], out_labels[x]) if outcome_labels[k] else out_labels[x]
+        key = (in_labels[a], out_label)
         counts[key] = counts.get(key, 0) + 1
     return counts
+
+
+# the 128-dimensional open unitary of the sample-wide benchmark, control output guessed
+OPEN_8X16 = InferenceTask(
+    transformation=linalg.haar_random_unitary(128, 3),
+    dims_in=(8, 16),
+    dims_out=(8, 16),
+    direction="predict",
+    known_input_mask=(True, False),
+    known_output_mask=(True, True),
+)
 
 
 def sampling_tasks():
@@ -282,6 +302,7 @@ def sampling_tasks():
         "qutrit-instrument": channel_task(random_instrument(3, 3, 2, 4)),
         "open-4x4-masks": open_task,
         "state-set": state_set,
+        "open-8x16-masks": OPEN_8X16,
     }
 
 
@@ -301,6 +322,32 @@ def test_counts_do_not_depend_on_the_chunk_size(name, chunk, monkeypatch):
     assert run_ensemble(task, 1000, 3).joint_counts == expected
 
 
+@pytest.mark.parametrize("name", ["qutrit-instrument", "open-8x16-masks"])
+def test_counts_over_several_chunks_equal_the_per_trial_loop(name):
+    task = sampling_tasks()[name]
+    shots = 2 * CHUNK_TRIALS + 1
+    assert run_ensemble(task, shots, 5).joint_counts == reference_counts(task, shots, 5)
+
+
+# rows of nonnegative weights at widths 1..300, with zeros, ties and runs of equal weights
+weight_rows = st.tuples(st.integers(1, 4), st.integers(1, 300)).flatmap(
+    lambda shape: hnp.arrays(np.float64, shape, elements=st.just(0.0) | st.floats(0.0, 1e3))
+)
+
+
+@given(weight_rows, st.integers(0, 300), st.data())
+@settings(max_examples=300, deadline=None)
+def test_the_batched_search_is_a_clipped_searchsorted(weights, zero_tail, data):
+    n_groups, n = weights.shape
+    weights[:, n - min(zero_tail, n) :] = 0.0  # a trailing run of equal cumulative values
+    u = data.draw(st.lists(st.floats(0.0, 1.0 - 2.0**-53), max_size=50)) + [0.0, 1.0 - 2.0**-53]
+    groups = data.draw(st.lists(st.integers(0, n_groups - 1), min_size=len(u), max_size=len(u)))
+    drawn = _grouped_inverse_cdf(np.array(groups), np.array(u), _padded_cumsum(weights), n)
+    for g, u_t, got in zip(groups, u, drawn):
+        row = np.cumsum(weights[g])
+        assert got == min(int(np.searchsorted(row, u_t * row[-1], side="right")), n - 1)
+
+
 def test_trial_uniforms_from_an_offset_are_a_slice_of_the_block():
     block = trial_uniforms(21, 60)
     for first in (1, 2, 3, 5, 6, 7, 9, 13, 22, 39):
@@ -316,6 +363,21 @@ def test_ensemble_memory_is_bounded_in_shots():
         tracemalloc.stop()
     assert sum(result.joint_counts.values()) == 2_000_000
     assert peak < 32 * 2**20
+
+
+def test_ensemble_memory_is_bounded_in_the_dimension():
+    # a few T-sized arrays (T, its CDFs, the count grid) plus one chunk's working set, a few
+    # times its uniforms; an array of shots x D entries would take 128 MiB
+    shots = 2 * CHUNK_TRIALS + 1
+    t_bytes, chunk_bytes = 8 * 128 * 128, 8 * sampler.SLOTS_PER_TRIAL * CHUNK_TRIALS
+    tracemalloc.start()
+    try:
+        result = run_ensemble(OPEN_8X16, shots, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(result.joint_counts.values()) == shots
+    assert peak < 4 * t_bytes + 8 * chunk_bytes
 
 
 def _coverage_tasks():
@@ -346,8 +408,8 @@ def test_an_ignored_preparation_set_is_counted_under_one_label():
     # the kernel averages an ignored input factor, so the sampler pools its alternatives
     states = (linalg.basis_ket(2, 0), np.array([1, 1], dtype=complex) / np.sqrt(2))
     task = InferenceTask(HADAMARD, (2,), (2,), "predict", (False,), (True,), preparation_states=states)
-    labels, _, _ = _prepare_alternatives(task)
-    assert labels == ["", ""]
-    (row,) = empirical_conditionals(run_ensemble(task, 20000, 65), "predict").values()
+    result = run_ensemble(task, 20000, 65)
+    assert {in_label for in_label, _ in result.joint_counts} == {""}
+    (row,) = empirical_conditionals(result, "predict").values()
     assert row.given == ""
     assert compare(row, solve(task), 20000).passed
