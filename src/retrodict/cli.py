@@ -34,7 +34,6 @@ from .errors import NoActiveReverseError, ScenarioError, UndefinedConditionalErr
 from .inference import (
     InferenceTask,
     _bayes_rows,
-    _check_unitary_arg,
     _pull_back_reference,
     _row_table,
     _solve_checked,
@@ -148,21 +147,24 @@ def _run_purify(scenario: ScenarioFile, report: ReportDocument, tolerance: float
 
 
 def _run_sample(scenario: ScenarioFile, report: ReportDocument, seed: int, floor: float):
-    """Draw the ensemble in both directions and hold every sampled conditional row to its closed form.
+    """Draw one ensemble, read it both ways, and hold every sampled conditional row to its closed form.
 
     The transformation was validated when the scenario was parsed.  Its
     transition array is built once, and each direction's rows are solved on
     it in one contraction, labelled as the sampler counts them; a table is
-    built only for a row that was sampled.
+    built only for a row that was sampled.  The sampler never reads the
+    direction, so the one ensemble is conditioned on its input to predict
+    and on its output to postdict.
     """
     shots = 100_000 if scenario.shots is None else scenario.shots
     tasks = [_task_from_scenario(scenario, direction) for direction in ("predict", "postdict")]
     t = inference._transitions(tasks[0].transformation, tasks[0].preparation_states)
     # Solving first rejects a task that guesses nothing before any trial runs.
-    for task, family in [(task, _solve_rows(task, t)) for task in tasks]:
+    families = [_solve_rows(task, t) for task in tasks]
+    result = run_ensemble(tasks[0], shots, seed)
+    for task, family in zip(tasks, families):
         direction = task.direction
         index = {given: i for i, given in enumerate(family[0])}
-        result = run_ensemble(task, shots, seed)
         empirical = empirical_conditionals(result, direction)
         trials: dict[str, int] = {}
         for (in_label, out_label), n in result.joint_counts.items():
@@ -206,7 +208,7 @@ def _run_verify(report: ReportDocument, dims: tuple[int, int], seed: int, tolera
 
     defect = 0.0
     for t in range(5):
-        u = _check_unitary_arg(linalg.haar_random_unitary(d, rng_base + t))
+        u = linalg.haar_random_unitary(d, rng_base + t)
         pre = _table_rows(u, (d,), (d,), "predict", (True,), (True,))
         post, _ = _bayes_rows(_table_rows(u, (d,), (d,), "postdict", (True,), (True,)))
         defect = max(defect, float(np.max(np.abs(pre.T - post))))
@@ -222,7 +224,7 @@ def _run_verify(report: ReportDocument, dims: tuple[int, int], seed: int, tolera
 
     defect = 0.0
     for t in range(5):
-        u = _check_unitary_arg(linalg.haar_random_unitary(d, rng_base + 20 + t))
+        u = linalg.haar_random_unitary(d, rng_base + 20 + t)
         # Solved predictions against operator-level postdictions, so the law
         # is not read twice off one transition array.
         dims = (d_a, d_b)

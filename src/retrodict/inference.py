@@ -212,15 +212,15 @@ def _check_unitary_arg(u: np.ndarray) -> np.ndarray:
     return u
 
 
-def predict_closed(u: np.ndarray, a: int, d: int | None = None) -> ProbabilityTable:
+def predict_closed(u: np.ndarray, a: int) -> ProbabilityTable:
     """Born rule for a closed system: P(x | a) = |<x|U|a>|^2."""
-    dims = np.shape(u)[:1] if d is None else (d,)
+    dims = np.shape(u)[:1]
     return solve(InferenceTask(u, dims, dims, "predict", (True,), (True,), given_input=(a,)))
 
 
-def postdict_closed(u: np.ndarray, x: int, d: int | None = None) -> ProbabilityTable:
+def postdict_closed(u: np.ndarray, x: int) -> ProbabilityTable:
     """Flat-prior Bayes inversion of the Born rule; equals the transposed prediction."""
-    dims = np.shape(u)[:1] if d is None else (d,)
+    dims = np.shape(u)[:1]
     return solve(InferenceTask(u, dims, dims, "postdict", (True,), (True,), given_output=(x,)))
 
 

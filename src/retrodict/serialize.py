@@ -152,7 +152,6 @@ class ScenarioFile:
     dims_in: tuple[int, ...]
     dims_out: tuple[int, ...]
     transformation: np.ndarray | QuantumMap | Instrument | None
-    transformation_kind: str | None
     preparation_states: tuple[np.ndarray, ...] | None
     given_input: tuple[int | None, ...]
     given_output: tuple[int | None, ...]
@@ -323,7 +322,6 @@ def parse_scenario_dict(doc: Any) -> ScenarioFile:
         dims_in=dims_in,
         dims_out=dims_out,
         transformation=transformation,
-        transformation_kind=kind,
         preparation_states=preparation_states,
         given_input=given_input,
         given_output=given_output,
@@ -392,17 +390,17 @@ def scenario_to_dict(scenario: ScenarioFile) -> dict:
         "dims_in": list(scenario.dims_in),
         "dims_out": list(scenario.dims_out),
     }
-    if scenario.transformation_kind == "unitary":
+    if isinstance(scenario.transformation, np.ndarray):
         doc["transformation"] = {
             "type": "unitary",
             "matrix": matrix_to_wire(scenario.transformation),
         }
-    elif scenario.transformation_kind == "kraus-channel":
+    elif isinstance(scenario.transformation, QuantumMap):
         doc["transformation"] = {
             "type": "kraus-channel",
             "kraus": [matrix_to_wire(k) for k in scenario.transformation.kraus],
         }
-    elif scenario.transformation_kind == "instrument":
+    elif isinstance(scenario.transformation, Instrument):
         doc["transformation"] = {"type": "instrument", **instrument_to_wire(scenario.transformation)}
     if scenario.preparation_states is not None:
         doc["preparation"] = {

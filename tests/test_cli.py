@@ -453,8 +453,22 @@ def test_verify_report_names_the_seed_it_ran(tmp_path, capsys):
     assert from_file == reports["zero"]["metrics"]
 
 
+@pytest.mark.parametrize("name", [name for name in GOLDEN if name.startswith("sample_")])
+def test_sample_draws_one_ensemble(monkeypatch, capsys, name):
+    calls = []
+    original = rd.cli.run_ensemble
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(rd.cli, "run_ensemble", counted)
+    assert main(["sample", "--scenario", fixture(f"{name}.json")]) == 0
+    assert len(calls) == 1
+
+
 def test_sample_builds_transition_arrays_once_per_ensemble(monkeypatch, capsys):
-    # one build to solve every row, one per direction inside run_ensemble
+    # one build to solve every row, one inside the single run_ensemble
     import retrodict.inference as inference
 
     calls = []
@@ -466,7 +480,7 @@ def test_sample_builds_transition_arrays_once_per_ensemble(monkeypatch, capsys):
 
     monkeypatch.setattr(inference, "_transitions", counted)
     assert main(["sample", "--scenario", fixture("sample_hadamard.json"), "--shots", "2000"]) == 0
-    assert len(calls) == 3
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("mask", ["known_input_mask", "known_output_mask"])
@@ -618,8 +632,11 @@ def _counted_verify(monkeypatch, capsys, dims):
 
 def test_verify_checks_each_operand_once(monkeypatch, capsys):
     checked, _ = _counted_verify(monkeypatch, capsys, (4, 4))
-    assert checked
     assert max(checked.values()) == 1
+    # five D x D unitaries inside open_reversal_check, one d_A x d_A in
+    # four_task_check and four noisy operations; verify's own Haar draws are
+    # unitary by construction and go unchecked
+    assert len(checked) == 10
 
 
 def test_verify_builds_as_many_transition_arrays_whatever_d_a(monkeypatch, capsys):

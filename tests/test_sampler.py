@@ -381,16 +381,28 @@ def test_ensemble_memory_is_bounded_in_the_dimension():
 
 
 def _coverage_tasks():
-    # a multi-outcome instrument, an open unitary with masks, a preparation-state set
+    # a multi-outcome instrument, an open unitary with masks, a preparation-state set, a channel
     states = tuple(linalg.haar_random_unitary(2, 60 + i)[:, 0] for i in range(3))
     return [
         InferenceTask(random_instrument(3, 3, 2, 61), (3,), (3,), "predict", (True,), (True,)),
         InferenceTask(linalg.haar_random_unitary(6, 62), (2, 3), (3, 2), "predict", (True, False), (False, True)),
         InferenceTask(linalg.haar_random_unitary(2, 63), (2,), (2,), "predict", (True,), (True,), preparation_states=states),
+        InferenceTask(random_cptp_map(3, 2, 2, 64), (3,), (2,), "predict", (True,), (True,)),
     ]
 
 
-@pytest.mark.parametrize("task", _coverage_tasks(), ids=["instrument", "open-unitary", "states"])
+COVERAGE_IDS = ["instrument", "open-unitary", "states", "channel"]
+
+
+@pytest.mark.parametrize("task", _coverage_tasks(), ids=COVERAGE_IDS)
+def test_counts_do_not_depend_on_the_direction(task):
+    # the sample command draws one ensemble and reads it both ways
+    predicted = run_ensemble(replace(task, direction="predict"), 4000, 66)
+    postdicted = run_ensemble(replace(task, direction="postdict"), 4000, 66)
+    assert predicted.joint_counts == postdicted.joint_counts
+
+
+@pytest.mark.parametrize("task", _coverage_tasks(), ids=COVERAGE_IDS)
 def test_analytic_rows_cover_every_empirical_row(task):
     t = _transitions(task.transformation, task.preparation_states)
     for direction in ("predict", "postdict"):
