@@ -57,7 +57,6 @@ from .inference import (
     predict_closed,
     predict_general_prep,
     predict_open,
-    preparation_unitary,
     solve,
     time_reverse,
 )

@@ -143,12 +143,15 @@ def classify(qmap: QuantumMap) -> ChannelClassification:
 
     Only the report needs the Choi spectrum: a Kraus-form map is CP by
     construction, and every channel check reads ``is_trace_preserving``.
+    Unitality is that one criterion on the adjoint, sum K K' = I, which is
+    also what decides inference symmetry and an active reversal; the test
+    suite and ``retrodict verify`` hold it to sampled prediction and
+    postdiction tables.
     """
     choi_min = float(np.linalg.eigvalsh(choi_matrix(qmap)).min())
     tp_defect = _trace_defect(qmap)
-    unital_image = sum(k @ dagger(k) for k in qmap.kraus)
     if qmap.dim_in == qmap.dim_out:
-        unital_defect = float(np.max(np.abs(unital_image - np.eye(qmap.dim_out))))
+        unital_defect = _trace_defect(adjoint_map(qmap))
     else:
         unital_defect = float("inf")  # identity preservation needs isomorphic spaces
     return ChannelClassification(

@@ -36,6 +36,7 @@ from .inference import (
     _bayes_rows,
     _pull_back_reference,
     _row_table,
+    _sampled_table_asymmetry,
     _solve_checked,
     _solve_rows,
     _table_rows,
@@ -86,17 +87,6 @@ class ReportDocument:
             {"name": name, "defect": float(defect), "tolerance": float(tolerance), "passed": ok}
         )
         self.passed = self.passed and ok
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "scenario_digest": self.scenario_digest,
-            "tool_version": self.tool_version,
-            "tables": self.tables,
-            "checks": self.checks,
-            "metrics": self.metrics,
-            "passed": self.passed,
-        }
 
 
 def _task_from_scenario(scenario: ScenarioFile, direction: str) -> InferenceTask:
@@ -209,9 +199,12 @@ def _run_verify(report: ReportDocument, dims: tuple[int, int], seed: int, tolera
     defect = 0.0
     for t in range(5):
         u = linalg.haar_random_unitary(d, rng_base + t)
+        # Both tables against the Born values |<x|U|a>|^2 read off U itself, indexed [a, x]:
+        # the prediction rows are [a, x] and the postdiction rows [x, a].
+        born = np.abs(u.T) ** 2
         pre = _table_rows(u, (d,), (d,), "predict", (True,), (True,))
         post, _ = _bayes_rows(_table_rows(u, (d,), (d,), "postdict", (True,), (True,)))
-        defect = max(defect, float(np.max(np.abs(pre.T - post))))
+        defect = max(defect, float(np.max(np.abs(pre - born))), float(np.max(np.abs(post.T - born))))
     report.add_check("closed-symmetry", defect, tol_exact)
 
     defect = max(
@@ -289,11 +282,10 @@ def _run_verify(report: ReportDocument, dims: tuple[int, int], seed: int, tolera
         ("amplitude-damping", amplitude_damping(0.5), False),
     ]
     agreement = True
-    for name, channel, expected in suite:
-        # The verdict reads channel[I] = I; the adjoint check runs on the adjoint map itself.
-        symmetric = is_inference_symmetric(channel, seed=rng_base)
-        adjoint_cptp = is_trace_preserving(adjoint_map(channel))
-        agreement = agreement and (symmetric == adjoint_cptp == expected)
+    for _, channel, expected in suite:
+        # The criterion sum K K' = I against the tables the kernel gives on sampled bases.
+        sampled = _sampled_table_asymmetry(channel, rng_base) < 1e-9
+        agreement = agreement and (is_inference_symmetric(channel) == sampled == expected)
     report.add_check("unital-symmetric-adjoint", 0.0 if agreement else 1.0, 0.5)
 
     worst_solution = 0.0
@@ -400,22 +392,18 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command not in ("verify",):
             print("error: --scenario is required for this command", file=sys.stderr)
             return EXIT_PARSE
-    except ScenarioError as exc:
-        print(f"error [{exc.code}]: {exc}", file=sys.stderr)
-        return EXIT_PARSE if exc.code in PARSE_CODES else EXIT_VALIDATION
 
-    if args.seed is not None:
-        seed = args.seed
-    elif scenario is not None and scenario.seed is not None:
-        seed = scenario.seed
-    else:
-        seed = 1 if args.command == "verify" else 0
-    digest = scenario.digest if scenario else scenario_digest(
-        {"command": args.command, "dims": args.dims or [2, 2], "seed": seed}
-    )
-    report = ReportDocument(command=args.command, scenario_digest=digest)
+        if args.seed is not None:
+            seed = args.seed
+        elif scenario is not None and scenario.seed is not None:
+            seed = scenario.seed
+        else:
+            seed = 1 if args.command == "verify" else 0
+        digest = scenario.digest if scenario else scenario_digest(
+            {"command": args.command, "dims": args.dims or [2, 2], "seed": seed}
+        )
+        report = ReportDocument(command=args.command, scenario_digest=digest)
 
-    try:
         if args.command in ("predict", "postdict"):
             # parse_scenario validated the transformation and the preparation states.
             report.add_table(_solve_checked(_task_from_scenario(scenario, args.command)))
@@ -444,7 +432,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VALIDATION
 
     if args.format == "json":
-        text = json.dumps(report.to_dict(), indent=2, ensure_ascii=False)
+        # The record's fields in declaration order; asdict would deep-copy every check first.
+        text = json.dumps(vars(report), indent=2, ensure_ascii=False)
     elif args.format == "csv":
         text = _format_csv(report)
     else:

@@ -311,21 +311,16 @@ def postdict_channel_via_purification(
 # ---------------------------------------------------------------------------
 
 
-def _check_preparation_states(states: Sequence[np.ndarray], d: int | None = None) -> list[np.ndarray]:
-    checked = []
+def _check_preparation_states(states: Sequence[np.ndarray], d: int) -> None:
+    if not len(states):
+        raise ValueError("at least one preparation state is required")
     for i, psi in enumerate(states):
         psi = np.asarray(psi, dtype=complex).reshape(-1)
-        if d is None:
-            d = psi.shape[0]
         if psi.shape != (d,):
             raise ValueError(f"state {i} has length {psi.shape[0]}, expected {d}")
         # Written so that a NaN norm fails it too.
         if not abs(np.linalg.norm(psi) - 1.0) <= ATOL_STRUCTURAL:
             raise ValueError(f"state {i} is not normalized")
-        checked.append(psi)
-    if not checked:
-        raise ValueError("at least one preparation state is required")
-    return checked
 
 
 def _general_prep_task(states: Sequence[np.ndarray], u: np.ndarray, direction: str, x=None) -> InferenceTask:
@@ -347,22 +342,6 @@ def postdict_general_prep(states: Sequence[np.ndarray], u: np.ndarray, x: int) -
     return solve(_general_prep_task(states, u, "postdict", x))
 
 
-def preparation_unitary(states: Sequence[np.ndarray]) -> np.ndarray:
-    """Controlled preparation on A (x) B: |a_0>|b_i> -> |psi_i>|b_i>.
-
-    B is an n-dimensional ancilla recording which state was prepared; the
-    remaining columns are completed deterministically.
-    """
-    states = _check_preparation_states(states)
-    n = len(states)
-    d = states[0].shape[0]
-    columns = np.zeros((d * n, n), dtype=complex)
-    for i, psi in enumerate(states):
-        columns[:, i] = np.kron(psi, linalg.basis_ket(n, i))
-    # Column slots for |a_0> (x) |b_i> in the A-first convention are 0*n + i.
-    return linalg.complete_to_unitary(columns, list(range(n)))
-
-
 @dataclass(frozen=True)
 class GeneralPrepCheck:
     direct: ProbabilityTable
@@ -375,18 +354,24 @@ def general_prep_purified_check(
 ) -> GeneralPrepCheck:
     """Verify that postdiction over general preparations is a purified-task ratio.
 
-    Builds U' = (U (x) I) U_P and compares P(psi_i | x, U) with
-    P(a_0, b_i | x, U') / P(a_0 | x, U').
+    The controlled preparation |a_0>|b_i> -> |psi_i>|b_i> is read on its only
+    columns that matter, the isometry W with column i = |psi_i> (x) |b_i>.
+    U acts on W's first factor, and postdicting b_i from x with the output
+    ancilla ignored gives P(a_0, b_i | x, U') / P(a_0 | x, U') for
+    U' = (U (x) I) U_P, which must equal P(psi_i | x, U).  The purified
+    numerators are the operator-level pull-back, not the transition-array
+    kernel, so the comparison checks the kernel.
     """
-    direct = postdict_general_prep(states, u, x)
+    direct = postdict_general_prep(states, u, x)  # checks U and the states
     u = np.asarray(u, dtype=complex)
     n = len(states)
     d = u.shape[0]
-    # U' is a product of unitaries and needs no check of its own; the
-    # (a_0, b_i) cells are the first n of the (a, b) grid.
-    u_prime = np.kron(u, np.eye(n, dtype=complex)) @ preparation_unitary(states)
-    joint = _table_rows(u_prime, (d, n), (d, n), "postdict", (True, False), (True, True))
-    values, _ = _bayes_rows(joint[x, :n], str(x))
+    w = np.zeros((d, n, n), dtype=complex)
+    for i, psi in enumerate(states):
+        w[:, i, i] = np.reshape(psi, -1)
+    evolved = np.tensordot(u, w, axes=([1], [0])).reshape(d * n, n)
+    numerators = _pull_back_reference((evolved,), (d, n), ((x,), None), (n,), (True,))
+    values, _ = _bayes_rows(numerators[0], str(x))
     purified = ProbabilityTable.from_values([str(i) for i in range(n)], values, given=str(x), direction="postdict")
     return GeneralPrepCheck(direct, purified, direct.max_difference(purified))
 
@@ -876,30 +861,32 @@ def _rotated_channel(channel: QuantumMap, v: np.ndarray, w: np.ndarray) -> Quant
     return QuantumMap(kraus, channel.dim_in, channel.dim_out)
 
 
-def is_inference_symmetric(channel: QuantumMap, seed: int = 0) -> bool:
-    """Prediction and postdiction tables coincide for every basis pair.
+def _sampled_table_asymmetry(channel: QuantumMap, seed: int) -> float:
+    """The largest prediction-postdiction gap over sampled basis pairs, read off the kernel.
 
-    The identity-preservation criterion channel[I] = sum K K' = I decides
-    the answer; the tables are additionally compared, to within 1e-9, over
-    the computational bases and five Haar-rotated basis pairs, and a
-    disagreement raises, since the criterion quantifies over all bases while
-    sampling can only corroborate it.
+    The computational bases and five Haar-rotated basis pairs.  It only
+    corroborates ``is_inference_symmetric``, which quantifies over all
+    bases: the identity suite and the tests hold the two to each other.
     """
-    check_cptp(channel)
-    d = channel.dim_out
-    verdict = channel.dim_in == d and bool(np.max(np.abs(apply(channel, np.eye(d)) - np.eye(d))) < ATOL_STRUCTURAL)
     samples = [_table_asymmetry(channel)]
     if channel.dim_in == channel.dim_out:
         for t in range(5):
             v = linalg.haar_random_unitary(channel.dim_in, seed + 2 * t)
             w = linalg.haar_random_unitary(channel.dim_out, seed + 2 * t + 1)
             samples.append(_table_asymmetry(_rotated_channel(channel, v, w)))
-    sampled = max(samples) < 1e-9
-    if sampled != verdict:
-        raise RuntimeError(
-            f"identity-preservation criterion ({verdict}) disagrees with sampled tables ({sampled})"
-        )
-    return verdict
+    return max(samples)
+
+
+def is_inference_symmetric(channel: QuantumMap) -> bool:
+    """Prediction and postdiction tables coincide for every basis pair.
+
+    One criterion decides: the channel is unital, sum K K' = I, which is the
+    adjoint map being trace preserving.  No table is built here; the test
+    suite and the ``unital-symmetric-adjoint`` check of ``retrodict verify``
+    compare the verdict with ``_sampled_table_asymmetry``.
+    """
+    check_cptp(channel)
+    return is_trace_preserving(adjoint_map(channel))
 
 
 @dataclass(frozen=True)

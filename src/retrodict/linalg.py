@@ -13,10 +13,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-# Structural checks (unitarity, hermiticity, trace) are held to ATOL_STRUCTURAL,
-# probability identities to ATOL_PROB.
+# Structural checks (unitarity, hermiticity, trace) are held to ATOL_STRUCTURAL.
 ATOL_STRUCTURAL = 1e-10
-ATOL_PROB = 1e-12
 
 
 def dagger(m: np.ndarray) -> np.ndarray:

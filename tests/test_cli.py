@@ -70,6 +70,17 @@ def test_classify_dephasing(capsys):
     assert "active_reverse: exists" in out
 
 
+def test_classify_a_nearly_unital_channel(capsys):
+    # amplitude damping at gamma = 5e-10: trace preserving, unital defect 5e-10
+    code = main(["classify", "--scenario", fixture("classify_nearly_unital.json"), "--format", "json"])
+    assert code == 0
+    metrics = json.loads(capsys.readouterr().out)["metrics"]
+    assert metrics["tp"] is True
+    assert metrics["unital"] is False
+    assert metrics["inference_symmetric"] is False
+    assert metrics["active_reverse"] == "none"
+
+
 def test_purify_round_trip_check(capsys):
     code = main(["purify", "--scenario", fixture("purify_amplitude_damping.json")])
     out = capsys.readouterr().out

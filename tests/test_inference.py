@@ -409,6 +409,31 @@ def test_general_prep_purified_check_nonorthogonal():
             assert general_prep_purified_check(states, u, x).max_defect < 1e-10
 
 
+@pytest.mark.parametrize("mutation", ["reversed", "rolled"])
+def test_general_prep_purified_check_catches_a_wrong_but_normalized_kernel(monkeypatch, mutation):
+    original = inference._transitions
+
+    def mutated(*args, **kwargs):
+        t = original(*args, **kwargs)
+        return t[::-1] if mutation == "reversed" else np.roll(t, 1, axis=-1)
+
+    states = [linalg.basis_ket(3, 0), linalg.haar_random_unitary(3, 63)[:, 0], np.ones(3) / np.sqrt(3)]
+    u = linalg.haar_random_unitary(3, 64)
+    monkeypatch.setattr(inference, "_transitions", mutated)
+    assert general_prep_purified_check(states, u, 0).max_defect > 0.1
+
+
+def test_general_prep_purified_check_completes_no_unitary(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the purified side reads the preparation isometry, not a completed unitary")
+
+    monkeypatch.setattr(linalg, "complete_to_unitary", forbidden)
+    states = [linalg.basis_ket(3, 0), linalg.haar_random_unitary(3, 63)[:, 0], np.ones(3) / np.sqrt(3)]
+    u = linalg.haar_random_unitary(3, 64)
+    for x in range(3):
+        assert general_prep_purified_check(states, u, x).max_defect < 1e-10
+
+
 # ---------------------------------------------------------------------------
 # Time reversal
 # ---------------------------------------------------------------------------
@@ -709,7 +734,38 @@ def test_symmetry_unitality_adjoint_equivalence():
         symmetric = is_inference_symmetric(channel)
         adjoint_info = classify(adjoint_map(channel))
         adjoint_cptp = adjoint_info.is_cp and adjoint_info.is_tp
-        assert unital == symmetric == adjoint_cptp == expected
+        # the tables themselves, which the three predicates above never build
+        sampled = inference._sampled_table_asymmetry(channel, 0) < 1e-9
+        assert unital == symmetric == adjoint_cptp == sampled == expected
+
+
+def test_inference_symmetry_builds_no_table_and_draws_no_unitary(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the criterion sum K K' = I decides without tables")
+
+    monkeypatch.setattr(inference, "_transitions", forbidden)
+    monkeypatch.setattr(linalg, "haar_random_unitary", forbidden)
+    assert is_inference_symmetric(make_dephasing())
+    assert not is_inference_symmetric(amplitude_damping(0.5))
+    assert not is_inference_symmetric(amplitude_damping(5e-10))
+
+
+def test_a_nearly_unital_channel_is_not_symmetric_though_its_sampled_tables_agree():
+    # unital defect 5e-10: beyond the structural tolerance, within the sampled tables' 1e-9
+    channel = amplitude_damping(5e-10)
+    assert inference._sampled_table_asymmetry(channel, 0) < 1e-9
+    assert not is_inference_symmetric(channel)
+    assert not classify(channel).is_unital
+
+
+def test_classify_unital_defect_is_the_sum_of_k_k_dagger():
+    # oracle: max |sum_k K K' - I| written out, against the adjoint's trace defect classify reads
+    channels = [random_cptp_map(d, d, k, 300 + 10 * d + k) for d in (2, 3, 4) for k in (1, 2, 3)]
+    channels += [make_noisy_operation(linalg.haar_random_unitary(6, 331), (3, 2)), amplitude_damping(0.3)]
+    for channel in channels:
+        image = sum(k @ k.conj().T for k in channel.kraus)
+        assert classify(channel).unital_defect == float(np.max(np.abs(image - np.eye(channel.dim_out))))
+    assert classify(random_cptp_map(2, 3, 2, 341)).unital_defect == float("inf")
 
 
 def test_deterministic_effect_unique_for_random_channels():
@@ -1117,7 +1173,21 @@ def test_verify_catches_a_wrong_but_normalized_kernel(monkeypatch, capsys):
     code = main(["verify", "--dims", "2", "3", "--format", "json"])
     assert code == 5
     failing = {c["name"] for c in json.loads(capsys.readouterr().out)["checks"] if not c["passed"]}
-    assert {"open-reversal", "open-ratio-laws", "four-task", "purified-ratio"} <= failing
+    assert {"closed-symmetry", "open-reversal", "open-ratio-laws", "four-task", "purified-ratio"} <= failing
+
+
+def test_verify_catches_a_kernel_that_rolls_its_columns(monkeypatch, capsys):
+    original = inference._transitions
+
+    def columns_rolled(*args, **kwargs):
+        # Each column is still a distribution, attached to the wrong input.
+        return np.roll(original(*args, **kwargs), 1, axis=-1)
+
+    monkeypatch.setattr(inference, "_transitions", columns_rolled)
+    code = main(["verify", "--dims", "2", "3", "--format", "json"])
+    assert code == 5
+    failing = {c["name"] for c in json.loads(capsys.readouterr().out)["checks"] if not c["passed"]}
+    assert {"closed-symmetry", "open-reversal", "open-ratio-laws", "four-task", "purified-ratio"} <= failing
 
 
 def permutation_matrix(dims, order):
