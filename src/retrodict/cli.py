@@ -7,6 +7,7 @@ conditional, 5 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -120,7 +121,8 @@ def _run_classify(scenario: ScenarioFile, report: ReportDocument):
             "tp": info.is_tp,
             "unital": info.is_unital,
             "choi_min_eigenvalue": info.choi_min_eigenvalue,
-            "unital_defect": info.unital_defect,
+            # inf for a map between spaces of different dimension, which JSON cannot carry
+            "unital_defect": info.unital_defect if math.isfinite(info.unital_defect) else None,
             "inference_symmetric": symmetric,
             "active_reverse": "exists" if is_trace_preserving(adjoint_map(channel)) else "none",
         }
@@ -357,7 +359,9 @@ def _tolerance(text: str) -> float:
     return tolerance
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process; each ``parse_args`` returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="retrodict",
         description="Solve quantum prediction and postdiction tasks and verify their symmetries.",
@@ -378,8 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
 
     scenario = None
     try:
@@ -433,7 +436,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.format == "json":
         # The record's fields in declaration order; asdict would deep-copy every check first.
-        text = json.dumps(vars(report), indent=2, ensure_ascii=False)
+        text = json.dumps(vars(report), indent=2, ensure_ascii=False, allow_nan=False)
     elif args.format == "csv":
         text = _format_csv(report)
     else:

@@ -7,6 +7,7 @@ convention is shared by every file the package reads or writes.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import itertools
 import json
@@ -363,6 +364,13 @@ def parse_scenario(path: str) -> ScenarioFile:
 
     A UTF-8 file is decoded as read; a UTF-8 file with a byte order mark and a
     UTF-16 or UTF-32 one are re-encoded to UTF-8 first.
+
+    The cyclic garbage collector is paused from decoding until the decoded
+    tree is released: the decoder builds one list per matrix entry (65 536
+    for a 256 x 256 unitary), and each collection it triggers walks them
+    all, though lists, dicts, strings and numbers decoded from JSON hold no
+    cycle.  Reference counting still frees the tree.  The caller's collector
+    state is put back whatever happens, so a caller that had it off keeps it off.
     """
     try:
         with open(path, "rb") as handle:
@@ -376,11 +384,19 @@ def parse_scenario(path: str) -> ScenarioFile:
         raise ScenarioError("malformed-document", f"invalid JSON: {exc}") from exc
     if nesting_depth(text) > MAX_DEPTH:  # checked before decoding, which would overflow the stack
         raise ScenarioError("malformed-document", f"invalid JSON: nested deeper than {MAX_DEPTH} levels")
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        doc = orjson.loads(text)
-    except orjson.JSONDecodeError as exc:  # invalid JSON, invalid UTF-8 or a lone surrogate
-        raise ScenarioError("malformed-document", f"invalid JSON: {exc}") from exc
-    return replace(parse_scenario_dict(doc), digest=hashlib.sha256(raw).hexdigest())
+        try:
+            doc = orjson.loads(text)
+        except orjson.JSONDecodeError as exc:  # invalid JSON, invalid UTF-8 or a lone surrogate
+            raise ScenarioError("malformed-document", f"invalid JSON: {exc}") from exc
+        scenario = parse_scenario_dict(doc)
+        del doc  # freed here, before the collector can count it
+    finally:
+        if collecting:
+            gc.enable()
+    return replace(scenario, digest=hashlib.sha256(raw).hexdigest())
 
 
 def scenario_to_dict(scenario: ScenarioFile) -> dict:

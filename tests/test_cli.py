@@ -8,11 +8,12 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 
 import retrodict as rd
 from retrodict import channels
-from retrodict.cli import main
+from retrodict.cli import build_parser, main
 from retrodict.serialize import matrix_to_wire, parse_scenario, parse_scenario_dict
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -81,6 +82,24 @@ def test_classify_a_nearly_unital_channel(capsys):
     assert metrics["active_reverse"] == "none"
 
 
+def test_classify_a_map_between_unequal_dimensions_reports_a_null_unital_defect(capsys):
+    # the trace 2 -> 1: unitality is undefined, and the library's inf is not JSON
+    code = main(["classify", "--scenario", fixture("classify_trace_2_to_1.json"), "--format", "json"])
+    assert code == 0
+    metrics = orjson.loads(capsys.readouterr().out)["metrics"]
+    assert metrics["unital_defect"] is None
+    assert (metrics["tp"], metrics["unital"]) == (True, False)
+
+
+def test_a_non_finite_report_field_fails_instead_of_writing_bare_infinity(monkeypatch, capsys):
+    def classify_to_inf(scenario, report):
+        report.metrics["unital_defect"] = float("inf")
+
+    monkeypatch.setattr(rd.cli, "_run_classify", classify_to_inf)
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        main(["classify", "--scenario", fixture("classify_dephasing.json"), "--format", "json"])
+
+
 def test_purify_round_trip_check(capsys):
     code = main(["purify", "--scenario", fixture("purify_amplitude_damping.json")])
     out = capsys.readouterr().out
@@ -111,6 +130,25 @@ def test_purify_report_matches_golden(capsys, name, fmt, suffix):
     code = main([name.split("_")[0], "--scenario", fixture(f"{name}.json"), "--format", fmt])
     assert code == 0
     assert capsys.readouterr().out == (FIXTURES / f"{name}.report.{suffix}").read_text()
+
+
+def test_the_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
+
+
+def test_options_of_one_call_do_not_carry_into_the_next(capsys):
+    options = ["--seed", "7", "--tolerance", "0.5", "--shots", "50", "--dims", "3", "3"]
+    assert main(["sample", "--scenario", fixture("sample_hadamard.json"), *options]) == 0
+    capsys.readouterr()
+    assert main(["sample", "--scenario", fixture("sample_hadamard.json"), "--format", "json"]) == 0
+    assert capsys.readouterr().out == (FIXTURES / "sample_hadamard.report.json").read_text()
+    assert main(["verify", *options]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--format", "json"]) == 0
+    argv = [sys.executable, "-m", "retrodict", "verify", "--format", "json"]
+    fresh = subprocess.run(argv, capture_output=True, text=True, env=_child_env(), timeout=120)
+    assert fresh.returncode == 0
+    assert capsys.readouterr().out == fresh.stdout
 
 
 def test_verify_fixture_passes(capsys):
@@ -231,7 +269,14 @@ COMMANDS = ["predict", "postdict", "classify", "purify", "verify", "sample"]
 @pytest.mark.parametrize("command", COMMANDS)
 @pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.json")), ids=lambda path: path.name)
 def test_every_command_on_every_fixture_exits_with_a_documented_code(capsys, command, path):
-    assert main([command, "--scenario", str(path)]) in {0, 2, 3, 4, 5}
+    code = main([command, "--scenario", str(path), "--format", "json"])
+    assert code in {0, 2, 3, 4, 5}
+    # either no report, on a failed run, or one that a strict JSON decoder reads
+    out = capsys.readouterr().out
+    if out:
+        orjson.loads(out)
+    else:
+        assert code != 0
 
 
 @pytest.mark.parametrize("command", [c for c in COMMANDS if c != "verify"])

@@ -1,7 +1,9 @@
 import decimal
+import gc
 import hashlib
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -10,12 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from retrodict import linalg
-from retrodict.channels import amplitude_damping_instrument
+from retrodict import linalg, serialize
+from retrodict.channels import Instrument, QuantumMap, amplitude_damping_instrument, random_cptp_map
 from retrodict.errors import ScenarioError
 from retrodict.purify import stinespring
 from retrodict.channels import amplitude_damping
 from retrodict.serialize import (
+    TASKS,
+    ScenarioFile,
     instrument_to_wire,
     ket_to_wire,
     matrix_to_wire,
@@ -252,3 +256,115 @@ _JSON_VALUES = st.recursive(
 def test_nesting_depth_skips_strings_and_their_escapes(value, ensure_ascii):
     text = json.dumps(value, ensure_ascii=ensure_ascii).encode()
     assert nesting_depth(text) == _depth(value)
+
+
+@st.composite
+def _scenarios(draw):
+    """Valid scenarios of every transformation kind, with dims 1-4 per factor."""
+    factors = st.lists(st.integers(1, 4), min_size=1, max_size=2).map(tuple)
+    dims_in = dims_out = draw(factors)
+    total_in = math.prod(dims_in)
+    seed = draw(st.integers(0, 2**32 - 1))
+    kind = draw(st.sampled_from(["unitary", "kraus-channel", "instrument", "preparation-states"]))
+    states = given_outcome = None
+    if kind in ("unitary", "preparation-states"):
+        transformation = linalg.haar_random_unitary(total_in, seed)
+        if kind == "preparation-states":
+            count = draw(st.integers(1, 3))
+            states = tuple(linalg.random_pure_state(total_in, seed + i) for i in range(count))
+    else:
+        dims_out = draw(factors)
+        total_out = math.prod(dims_out)
+        fewest = -(-total_in // total_out)  # Kraus operators a channel needs to preserve the trace
+        transformation = random_cptp_map(total_in, total_out, draw(st.integers(fewest, fewest + 2)), seed)
+        if kind == "instrument":
+            labels = draw(
+                st.lists(st.text("abxyz01", min_size=1, max_size=3), min_size=1,
+                         max_size=len(transformation.kraus), unique=True)
+            )
+            blocks = np.array_split(np.arange(len(transformation.kraus)), len(labels))
+            transformation = Instrument(
+                tuple(
+                    (label, QuantumMap(tuple(transformation.kraus[i] for i in block), total_in, total_out))
+                    for label, block in zip(labels, blocks)
+                ),
+                dim_in=total_in,
+                dim_out=total_out,
+            )
+            given_outcome = draw(st.none() | st.sampled_from(labels))
+
+    def givens(dims):
+        return tuple(draw(st.tuples(*(st.none() | st.integers(0, d - 1) for d in dims))))
+
+    def mask(dims):
+        return tuple(draw(st.lists(st.booleans(), min_size=len(dims), max_size=len(dims))))
+
+    return ScenarioFile(
+        task=draw(st.sampled_from(TASKS)),
+        dims_in=dims_in,
+        dims_out=dims_out,
+        transformation=transformation,
+        preparation_states=states,
+        given_input=givens(dims_in),
+        given_output=givens(dims_out),
+        given_outcome=given_outcome,
+        known_input_mask=mask(dims_in),
+        known_output_mask=mask(dims_out),
+        shots=draw(st.none() | st.integers(0, 10**6)),
+        seed=draw(st.none() | st.integers(0, 2**64 - 1)),
+    )
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_scenarios())
+def test_scenario_round_trip_through_a_dict_and_through_a_file(scenario):
+    doc = scenario_to_dict(scenario)
+    assert scenario_to_dict(parse_scenario_dict(doc)) == doc
+    # the file path decodes with the collector paused and must agree with the dict path
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "scenario.json"
+        path.write_bytes(orjson.dumps(doc))
+        from_file = parse_scenario(str(path))
+    assert scenario_to_dict(from_file) == doc
+    assert from_file.digest == hashlib.sha256(orjson.dumps(doc)).hexdigest()
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    """The cyclic collector switched on or off for the test, and put back after it."""
+    was_enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was_enabled else gc.disable)()
+
+
+_COLLECTOR_CASES = {
+    "valid": (FIXTURES / "predict_identity.json").read_bytes(),
+    "unreadable": None,  # no file at the path
+    "bad-encoding": b"\xff\xfe{\x00\x00",  # a UTF-16 byte order mark, then a truncated code unit
+    "too-deep": b"[" * 600 + b"]" * 600,
+    "invalid-json": b"{not json",
+    "invalid-scenario": b'{"task": "teleport"}',
+}
+
+
+@pytest.mark.parametrize("case", list(_COLLECTOR_CASES))
+def test_parse_scenario_puts_the_collector_back_as_it_found_it(tmp_path, monkeypatch, collector, case):
+    seen = []
+
+    def validate(doc):
+        seen.append(gc.isenabled())
+        return parse_scenario_dict(doc)
+
+    monkeypatch.setattr(serialize, "parse_scenario_dict", validate)
+    path = tmp_path / "scenario.json"
+    if _COLLECTOR_CASES[case] is not None:
+        path.write_bytes(_COLLECTOR_CASES[case])
+    if case == "valid":
+        assert parse_scenario(str(path)).task == "predict"
+    else:
+        with pytest.raises(ScenarioError, match="unknown task" if case == "invalid-scenario" else "JSON|read"):
+            parse_scenario(str(path))
+    assert gc.isenabled() is collector
+    # the decoded document is validated with the collector paused
+    assert seen == ([False] if case in ("valid", "invalid-scenario") else [])
