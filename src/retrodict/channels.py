@@ -1,10 +1,15 @@
 """Quantum maps, instruments and channels in Kraus form.
 
 A quantum map is a completely positive, trace-non-increasing linear map
-stored as a list of Kraus operators.  An instrument is an outcome-labelled
-collection of quantum maps whose combined action preserves the trace.  Maps
-are compared by their action on an operator basis, never by their Kraus
-lists, because the decomposition is not unique.
+stored as its list of Kraus operators, held as one stacked array so that
+each operation forms its per-operator terms in one batched numpy call.  Sums
+over the list run in list order (``linalg.ordered_sum``), so a result does
+not depend on how numpy would pair the terms.  Stacked Haar draws
+(``linalg.haar_random_unitaries``) equal single draws bit for bit.  An
+instrument is an outcome-labelled collection of quantum maps whose combined
+action preserves the trace.  Maps are compared by their action on an
+operator basis, never by their Kraus lists, because the decomposition is not
+unique.
 
 A Kraus-form map is completely positive by construction, so a channel is
 checked by trace preservation on sum K'K alone; the Choi spectrum is
@@ -28,30 +33,30 @@ from .tables import ProbabilityTable, join_labels
 class QuantumMap:
     """A CP linear map between operator spaces, represented by Kraus operators.
 
-    Each Kraus operator has shape (dim_out, dim_in).  Trace preservation is
+    ``kraus`` is one read-only complex array of shape (n, dim_out, dim_in),
+    copied from the operators it is given; it indexes, slices and iterates
+    as the list of operators.  Trace preservation is
     tested by :func:`is_trace_preserving`, not enforced here: the adjoint of a
     non-unital channel legitimately violates it.  Kraus decompositions are not
     unique, so maps compare by identity; test equality of maps by their action
     on an operator basis.
     """
 
-    kraus: tuple[np.ndarray, ...]
+    kraus: np.ndarray
     dim_in: int
     dim_out: int
 
     def __post_init__(self):
-        if not self.kraus:
+        if len(self.kraus) == 0:
             raise ValueError("a quantum map needs at least one Kraus operator")
-        frozen = []
         for k in self.kraus:
-            k = np.array(k, dtype=complex)
-            if k.shape != (self.dim_out, self.dim_in):
+            if np.shape(k) != (self.dim_out, self.dim_in):
                 raise ValueError(
-                    f"Kraus operator shape {k.shape} does not match ({self.dim_out}, {self.dim_in})"
+                    f"Kraus operator shape {np.shape(k)} does not match ({self.dim_out}, {self.dim_in})"
                 )
-            k.setflags(write=False)
-            frozen.append(k)
-        object.__setattr__(self, "kraus", tuple(frozen))
+        kraus = np.array(self.kraus, dtype=complex)
+        kraus.setflags(write=False)
+        object.__setattr__(self, "kraus", kraus)
 
 
 @dataclass(frozen=True)
@@ -101,7 +106,7 @@ class Instrument:
 
 def kraus_gram(qmap: QuantumMap) -> np.ndarray:
     """Sum of K'K, the effect the map contributes to the completeness equation."""
-    return sum(dagger(k) @ k for k in qmap.kraus)
+    return linalg.ordered_sum(dagger(qmap.kraus) @ qmap.kraus)
 
 
 def apply(qmap: QuantumMap, rho: np.ndarray) -> np.ndarray:
@@ -109,14 +114,15 @@ def apply(qmap: QuantumMap, rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (qmap.dim_in, qmap.dim_in):
         raise ValueError(f"operator shape {rho.shape} does not match input dimension {qmap.dim_in}")
-    out = np.zeros((qmap.dim_out, qmap.dim_out), dtype=complex)
-    for k in qmap.kraus:
-        out += k @ rho @ dagger(k)
-    return out
+    return linalg.ordered_sum(qmap.kraus @ rho @ dagger(qmap.kraus))
 
 
 def choi_matrix(qmap: QuantumMap) -> np.ndarray:
-    """Choi operator sum_ij E_ij (x) map[E_ij], input side leftmost."""
+    """Choi operator sum_ij E_ij (x) map[E_ij], input side leftmost.
+
+    One outer product at a time: a stack of them would take n times the
+    memory of the Choi matrix itself.
+    """
     dim = qmap.dim_in * qmap.dim_out
     choi = np.zeros((dim, dim), dtype=complex)
     for k in qmap.kraus:
@@ -175,7 +181,7 @@ def adjoint_map(qmap: QuantumMap) -> QuantumMap:
     Satisfies tr(A map[B]) = tr(adjoint[A] B).  The result may fail to be
     trace non-increasing; it is a channel exactly when the original is unital.
     """
-    return QuantumMap(tuple(dagger(k) for k in qmap.kraus), dim_in=qmap.dim_out, dim_out=qmap.dim_in)
+    return QuantumMap(dagger(qmap.kraus), dim_in=qmap.dim_out, dim_out=qmap.dim_in)
 
 
 def outcome_probabilities(inst: Instrument, rho: np.ndarray) -> ProbabilityTable:
@@ -197,10 +203,8 @@ def state_update(inst: Instrument, rho: np.ndarray, outcome: str) -> np.ndarray:
 
 def coarse_grain(inst: Instrument) -> QuantumMap:
     """Forget the outcome: the trace-preserving map with all Kraus lists concatenated."""
-    kraus: list[np.ndarray] = []
-    for _, qmap in inst.outcomes:
-        kraus.extend(qmap.kraus)
-    return QuantumMap(tuple(kraus), dim_in=inst.dim_in, dim_out=inst.dim_out)
+    kraus = np.concatenate([qmap.kraus for _, qmap in inst.outcomes])
+    return QuantumMap(kraus, dim_in=inst.dim_in, dim_out=inst.dim_out)
 
 
 def compose_sequential(first: Instrument, second: Instrument) -> Instrument:
@@ -212,7 +216,8 @@ def compose_sequential(first: Instrument, second: Instrument) -> Instrument:
     outcomes = []
     for label_i, map_i in first.outcomes:
         for label_j, map_j in second.outcomes:
-            kraus = tuple(kj @ ki for ki in map_i.kraus for kj in map_j.kraus)
+            # [i, j] = K_j K_i, flattened with the i operators outer and the j operators inner.
+            kraus = (map_j.kraus[None] @ map_i.kraus[:, None]).reshape(-1, second.dim_out, first.dim_in)
             outcomes.append(
                 (join_labels(label_i, label_j), QuantumMap(kraus, first.dim_in, second.dim_out))
             )

@@ -1,7 +1,8 @@
 """Command-line front end: run scenario files and identity verification sweeps.
 
-Exit codes: 0 success, 2 parse error, 3 validation error, 4 undefined
-conditional, 5 verification failure.
+Exit codes: 0 success, 2 parse error, 3 validation error (or an input too
+large for the memory at hand), 4 undefined conditional, 5 verification
+failure.
 """
 
 from __future__ import annotations
@@ -432,6 +433,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PARSE if exc.code in PARSE_CODES else EXIT_VALIDATION
     except ValueError as exc:
         print(f"error [validation]: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as exc:
+        # numpy's message names the allocation that failed; a bare MemoryError has none.
+        print(f"error [too-large]: {str(exc) or 'not enough memory for this input'}", file=sys.stderr)
         return EXIT_VALIDATION
 
     if args.format == "json":

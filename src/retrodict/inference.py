@@ -82,15 +82,21 @@ def _transitions(
     multi-outcome instrument stacks one array per outcome into T[k, x, a]; a
     single-outcome one is the channel of its outcome.  The solver and the
     sampler both read their array from here.
+
+    A single matrix is squared as it is, never copied into a stack: the
+    reductions of ``_contract`` follow the memory layout of T, so a
+    transposed matrix must keep its layout for the tables to keep their bits.
     """
     if isinstance(transformation, Instrument):
-        groups = [qmap.kraus for _, qmap in transformation.outcomes]
+        maps = [qmap for _, qmap in transformation.outcomes]
     elif isinstance(transformation, QuantumMap):
-        groups = [transformation.kraus]
+        maps = [transformation]
     else:
         u = np.asarray(transformation, dtype=complex)
-        groups = [(u if states is None else u @ np.stack(states, axis=1),)]
-    arrays = [sum(k.real**2 + k.imag**2 for k in kraus) for kraus in groups]
+        if states is not None:
+            u = u @ np.stack(states, axis=1)
+        return u.real**2 + u.imag**2
+    arrays = [linalg.ordered_sum(qmap.kraus.real**2 + qmap.kraus.imag**2) for qmap in maps]
     return np.stack(arrays) if len(arrays) > 1 else arrays[0]
 
 
@@ -857,8 +863,7 @@ def _table_asymmetry(channel: QuantumMap) -> float:
 
 def _rotated_channel(channel: QuantumMap, v: np.ndarray, w: np.ndarray) -> QuantumMap:
     """The same channel expressed in rotated preparation and test bases."""
-    kraus = tuple(dagger(w) @ k @ v for k in channel.kraus)
-    return QuantumMap(kraus, channel.dim_in, channel.dim_out)
+    return QuantumMap(dagger(w) @ channel.kraus @ v, channel.dim_in, channel.dim_out)
 
 
 def _sampled_table_asymmetry(channel: QuantumMap, seed: int) -> float:
@@ -870,9 +875,9 @@ def _sampled_table_asymmetry(channel: QuantumMap, seed: int) -> float:
     """
     samples = [_table_asymmetry(channel)]
     if channel.dim_in == channel.dim_out:
-        for t in range(5):
-            v = linalg.haar_random_unitary(channel.dim_in, seed + 2 * t)
-            w = linalg.haar_random_unitary(channel.dim_out, seed + 2 * t + 1)
+        # Pair t is (V, W) = the draws of seeds seed + 2t and seed + 2t + 1, all ten in one stack.
+        rotations = linalg.haar_random_unitaries(channel.dim_in, range(seed, seed + 10))
+        for v, w in zip(rotations[0::2], rotations[1::2]):
             samples.append(_table_asymmetry(_rotated_channel(channel, v, w)))
     return max(samples)
 

@@ -18,8 +18,25 @@ ATOL_STRUCTURAL = 1e-10
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(m).conj().T
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return np.asarray(m).conj().swapaxes(-1, -2)
+
+
+def ordered_sum(terms: np.ndarray) -> np.ndarray:
+    """The sum of a stack over its first axis, term by term in list order.
+
+    ``terms.sum(axis=0)`` may pair the terms differently (it does for some
+    stacks of four or more 1 x 1 matrices), which moves the total in the last
+    bit.  ``np.add.accumulate`` and ``np.cumsum`` keep the order, but on an
+    AVX-512 Xeon with numpy 2.4 and OpenBLAS 0.3.31 they ran 15 to 20 times
+    slower (a (2, 16, 16) stack: 5 to 9 us, then 90 to 170 us) after some small
+    complex matrix products; one in-place add per term did not.  Starting
+    from ``terms[0] + 0.0`` makes a -0.0 entry 0.0, as a sum from zero would.
+    """
+    total = terms[0] + 0.0
+    for term in terms[1:]:
+        total += term
+    return total
 
 
 def basis_ket(d: int, i: int) -> np.ndarray:
@@ -82,18 +99,28 @@ def partial_trace(op: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> n
     return reduced.reshape(d_keep, d_keep)
 
 
-def haar_random_unitary(d: int, seed: int) -> np.ndarray:
-    """Haar-distributed d x d unitary; identical seed gives an identical matrix.
+def haar_random_unitaries(d: int, seeds: Sequence[int]) -> np.ndarray:
+    """A (len(seeds), d, d) stack of Haar-distributed unitaries, one per seed.
 
-    QR of a complex Ginibre matrix with the R-diagonal phase correction.
+    QR of complex Ginibre matrices with the R-diagonal phase correction, all
+    in one stacked call.  Entry i depends on ``seeds[i]`` alone and equals
+    ``haar_random_unitary(d, seeds[i])`` bit for bit: each seed has its own
+    generator, whose one (2, d, d) draw is the stream of two (d, d) draws.
     """
     if d < 1:
         raise ValueError("dimension must be at least 1")
-    rng = np.random.default_rng(seed)
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
+    z = np.empty((len(seeds), d, d), dtype=complex)
+    for i, seed in enumerate(seeds):
+        re, im = np.random.default_rng(seed).standard_normal((2, d, d))
+        z[i] = (re + 1j * im) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[:, None, :]
+
+
+def haar_random_unitary(d: int, seed: int) -> np.ndarray:
+    """Haar-distributed d x d unitary; identical seed gives an identical matrix."""
+    return haar_random_unitaries(d, (seed,))[0]
 
 
 def random_density_matrix(d: int, seed: int) -> np.ndarray:

@@ -82,7 +82,7 @@ def stinespring(channel: QuantumMap) -> Purification:
     r = _padded_count(len(channel.kraus), d_x, d_a)
     isometry = np.zeros((d_x, r, d_a), dtype=complex)
     # Summed onto zeros like V = sum_k K_k (x) |k>, so a Kraus entry -0.0 prints as 0.0.
-    isometry[:, : len(channel.kraus)] += np.stack(channel.kraus, axis=1)
+    isometry[:, : len(channel.kraus)] += channel.kraus.transpose(1, 0, 2)
     return Purification(isometry, dims_out=(d_x, r))
 
 
@@ -97,7 +97,7 @@ def purify_instrument(inst: Instrument) -> Purification:
     r = _padded_count(max(len(qmap.kraus) for _, qmap in inst.outcomes), d_x, d_a, outcomes=m)
     isometry = np.zeros((d_x, m, r, d_a), dtype=complex)
     for i, (_, qmap) in enumerate(inst.outcomes):
-        isometry[:, i, : len(qmap.kraus)] += np.stack(qmap.kraus, axis=1)
+        isometry[:, i, : len(qmap.kraus)] += qmap.kraus.transpose(1, 0, 2)
     return Purification(isometry, dims_out=(d_x, m * r), pointer_partition=(m, r))
 
 
@@ -162,8 +162,7 @@ def verify_purification(
         branches = [(original, _branch(purification))]
     defect = 0.0
     for qmap, v in branches:
-        kraus = np.stack(qmap.kraus)
-        expected = np.einsum("kxa,pab,kyb->pxy", kraus, probes, kraus.conj(), optimize=True)
+        expected = np.einsum("kxa,pab,kyb->pxy", qmap.kraus, probes, qmap.kraus.conj(), optimize=True)
         defect = max(defect, float(np.max(np.abs(expected - _images(v, probes)))))
     return defect
 

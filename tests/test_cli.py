@@ -100,6 +100,29 @@ def test_a_non_finite_report_field_fails_instead_of_writing_bare_infinity(monkey
         main(["classify", "--scenario", fixture("classify_dephasing.json"), "--format", "json"])
 
 
+@pytest.mark.parametrize(
+    "error, message",
+    [
+        (
+            MemoryError("Unable to allocate 64.0 GiB for an array with shape (65536, 65536) and data type complex128"),
+            "Unable to allocate 64.0 GiB for an array with shape (65536, 65536) and data type complex128",
+        ),
+        (MemoryError(), "not enough memory for this input"),
+    ],
+)
+def test_an_input_too_large_for_memory_exits_3_without_a_traceback(monkeypatch, capsys, error, message):
+    # A raiser stands in for the allocation: a real one would take the memory it reports.
+    def too_large(channel):
+        raise error
+
+    monkeypatch.setattr(rd.cli, "classify", too_large)
+    code = main(["classify", "--scenario", fixture("classify_dephasing.json")])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == f"error [too-large]: {message}\n"
+
+
 def test_purify_round_trip_check(capsys):
     code = main(["purify", "--scenario", fixture("purify_amplitude_damping.json")])
     out = capsys.readouterr().out

@@ -1,0 +1,165 @@
+"""A map's Kraus list is one stacked array, and the batched kernels on it
+give the same bits as one operator at a time."""
+
+import numpy as np
+import pytest
+
+from retrodict import inference, linalg
+from retrodict.channels import (
+    QuantumMap,
+    adjoint_map,
+    apply,
+    coarse_grain,
+    compose_sequential,
+    kraus_gram,
+    random_cptp_map,
+    random_instrument,
+)
+from retrodict.purify import purify_instrument
+from retrodict.tables import join_labels
+
+COUNTS = [1, 2, 4, 9, 36]
+# numpy's axis-0 sum departs from list order in the last bit for some of the
+# 1 x 1 stacks (verify --dims 1 1), so each count gets several of them.
+SEEDS = range(12)
+
+
+def channels_with(n):
+    return [random_cptp_map(d, d, n, 100 * n + seed) for seed in SEEDS for d in (1, 2, 3)]
+
+
+# ---------------------------------------------------------------------------
+# The QuantumMap contract
+# ---------------------------------------------------------------------------
+
+
+def test_kraus_is_one_read_only_complex_stack():
+    ops = [np.eye(2, 3), np.ones((2, 3))]
+    qmap = QuantumMap(ops, dim_in=3, dim_out=2)
+    assert isinstance(qmap.kraus, np.ndarray)
+    assert qmap.kraus.dtype == complex
+    assert qmap.kraus.shape == (2, 2, 3)
+    assert not qmap.kraus.flags.writeable
+    with pytest.raises(ValueError):
+        qmap.kraus[0, 0, 0] = 5.0
+
+
+def test_the_map_keeps_its_own_copy_of_the_operators():
+    ops = [np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)]
+    stacked = np.stack(ops)
+    from_list, from_stack = QuantumMap(ops, 2, 2), QuantumMap(stacked, 2, 2)
+    ops[0][0, 0] = 7.0
+    stacked[1, 1, 1] = 7.0
+    for qmap in (from_list, from_stack):
+        np.testing.assert_array_equal(qmap.kraus, [np.eye(2), np.zeros((2, 2))])
+
+
+def test_the_stack_reads_as_the_list_of_operators():
+    channel = random_cptp_map(3, 3, 4, 8)
+    assert len(channel.kraus) == 4
+    assert [k.shape for k in channel.kraus] == [(3, 3)] * 4
+    head = QuantumMap(channel.kraus[:2], 3, 3)
+    np.testing.assert_array_equal(head.kraus[1], channel.kraus[1])
+
+
+@pytest.mark.parametrize(
+    "ops, shape",
+    [
+        ([np.eye(2), np.eye(3)], (3, 3)),  # ragged
+        ([np.eye(3)], (3, 3)),  # mismatched
+        ([np.ones((2, 3))], (2, 3)),  # transposed
+    ],
+)
+def test_a_mismatched_operator_is_rejected_with_its_shape(ops, shape):
+    with pytest.raises(ValueError, match=rf"^Kraus operator shape \({shape[0]}, {shape[1]}\) does not match \(2, 2\)$"):
+        QuantumMap(ops, dim_in=2, dim_out=2)
+
+
+@pytest.mark.parametrize("ops", [(), [], np.zeros((0, 2, 2))])
+def test_an_empty_list_is_rejected(ops):
+    with pytest.raises(ValueError, match="^a quantum map needs at least one Kraus operator$"):
+        QuantumMap(ops, dim_in=2, dim_out=2)
+
+
+# ---------------------------------------------------------------------------
+# Batched kernels against one operator at a time, bit for bit
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", COUNTS)
+def test_apply_matches_the_per_operator_loop(n):
+    for channel in channels_with(n):
+        rho = linalg.random_density_matrix(channel.dim_in, n)
+        expected = np.zeros((channel.dim_out, channel.dim_out), dtype=complex)
+        for k in channel.kraus:
+            expected += k @ rho @ k.conj().T
+        np.testing.assert_array_equal(apply(channel, rho), expected)
+
+
+@pytest.mark.parametrize("n", COUNTS)
+def test_kraus_gram_matches_the_per_operator_loop(n):
+    for channel in channels_with(n):
+        np.testing.assert_array_equal(kraus_gram(channel), sum(k.conj().T @ k for k in channel.kraus))
+
+
+@pytest.mark.parametrize("n", COUNTS)
+def test_transitions_match_the_per_operator_loop(n):
+    for channel in channels_with(n):
+        expected = sum(k.real**2 + k.imag**2 for k in channel.kraus)
+        np.testing.assert_array_equal(inference._transitions(channel), expected)
+    for d in (1, 3):
+        inst = random_instrument(d, 2, n, n)
+        expected = np.stack([sum(k.real**2 + k.imag**2 for k in qmap.kraus) for _, qmap in inst.outcomes])
+        np.testing.assert_array_equal(inference._transitions(inst), expected)
+
+
+@pytest.mark.parametrize("n", COUNTS)
+def test_adjoint_map_daggers_each_operator(n):
+    for channel in channels_with(n):
+        adjoint = adjoint_map(channel)
+        assert len(adjoint.kraus) == n
+        for k, k_adj in zip(channel.kraus, adjoint.kraus):
+            np.testing.assert_array_equal(k_adj, k.conj().T)
+
+
+@pytest.mark.parametrize("n", COUNTS)
+def test_coarse_grain_concatenates_the_outcome_lists_in_order(n):
+    inst = random_instrument(3, 3, n, n)
+    expected = [k for _, qmap in inst.outcomes for k in qmap.kraus]
+    np.testing.assert_array_equal(coarse_grain(inst).kraus, expected)
+
+
+@pytest.mark.parametrize("n", COUNTS)
+def test_compose_sequential_orders_first_operators_outer(n):
+    first, second = random_instrument(2, 2, n, n), random_instrument(2, 2, 2, n + 1)
+    composed = dict(compose_sequential(first, second).outcomes)
+    for label_i, map_i in first.outcomes:
+        for label_j, map_j in second.outcomes:
+            expected = [kj @ ki for ki in map_i.kraus for kj in map_j.kraus]
+            np.testing.assert_array_equal(composed[join_labels(label_i, label_j)].kraus, expected)
+
+
+@pytest.mark.parametrize("n", COUNTS)
+def test_rotated_channel_rotates_each_operator(n):
+    channel = random_cptp_map(3, 3, n, n)
+    v, w = linalg.haar_random_unitaries(3, [n, n + 1])
+    rotated = inference._rotated_channel(channel, v, w)
+    for k, k_rot in zip(channel.kraus, rotated.kraus):
+        np.testing.assert_array_equal(k_rot, w.conj().T @ k @ v)
+
+
+def test_a_transposed_single_matrix_keeps_its_layout_in_the_contraction():
+    # The purified no-signalling check contracts the transition array of a
+    # transposed isometry; its reductions follow T's memory layout, so a copy
+    # into a stack would move the rows in the last bit.
+    for d_a in (2, 3, 4):
+        e, f = random_instrument(d_a, 2, 2, d_a), random_instrument(d_a, 2, 2, d_a + 50)
+        v_e, v_f = purify_instrument(e).isometry, purify_instrument(f).isometry
+        chain = np.einsum("zpqd,dmea->zpqmea", v_f, v_e, optimize=True)
+        back = linalg.dagger(chain.reshape(-1, d_a))
+        args = ((d_a,), chain.shape[:-1], "postdict", (True,), (False, True, False, True, False))
+        t = inference._transitions(back)
+        np.testing.assert_array_equal(t, back.real**2 + back.imag**2)
+        np.testing.assert_array_equal(
+            inference._contract(t, *args), inference._contract(back.real**2 + back.imag**2, *args)
+        )

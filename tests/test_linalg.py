@@ -116,6 +116,54 @@ def test_haar_unitary_and_determinant():
         assert abs(abs(np.linalg.det(u)) - 1.0) < 1e-9
 
 
+def haar_reference(d, seed):
+    # one generator per seed, two (d, d) draws, QR, then the R-diagonal phase fix
+    rng = np.random.default_rng(seed)
+    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r)
+    return q * (diag / np.abs(diag))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 6, 17])
+def test_stacked_haar_draws_equal_single_draws_bit_for_bit(d):
+    seeds = [41, 3, 1000, 7, 2**40 + 5]
+    stack = linalg.haar_random_unitaries(d, seeds)
+    assert stack.shape == (len(seeds), d, d)
+    for unitary, seed in zip(stack, seeds):
+        np.testing.assert_array_equal(unitary, haar_reference(d, seed))
+        np.testing.assert_array_equal(unitary, linalg.haar_random_unitary(d, seed))
+
+
+def test_a_one_seed_stack_is_the_single_draw():
+    for d in (1, 4, 9):
+        np.testing.assert_array_equal(linalg.haar_random_unitaries(d, [12])[0], linalg.haar_random_unitary(d, 12))
+
+
+@pytest.mark.parametrize("d", [0, -2])
+def test_haar_draws_reject_a_dimension_below_one(d):
+    with pytest.raises(ValueError, match="at least 1"):
+        linalg.haar_random_unitaries(d, [1, 2])
+    with pytest.raises(ValueError, match="at least 1"):
+        linalg.haar_random_unitary(d, 1)
+
+
+def test_ordered_sum_adds_in_list_order_from_zero():
+    # numpy's sum(axis=0) pairs the terms of some (n, 1, 1) stacks differently
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 4, 9, 36):
+        for shape in [(n, 1, 1), (n, 3, 3)]:
+            for _ in range(20):
+                terms = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                total = np.zeros(shape[1:], dtype=complex)
+                for term in terms:
+                    total += term
+                np.testing.assert_array_equal(linalg.ordered_sum(terms), total)
+    # a loop from zero never ends at -0.0
+    total = linalg.ordered_sum(np.full((3, 2), -0.0))
+    assert not np.any(np.signbit(total))
+
+
 def test_basis_kets():
     np.testing.assert_array_equal(linalg.basis_ket(2, 0), [1, 0])
     np.testing.assert_array_equal(linalg.basis_ket(2, 1), [0, 1])
