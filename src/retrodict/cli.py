@@ -37,7 +37,6 @@ from .inference import (
     InferenceTask,
     _bayes_rows,
     _pull_back_reference,
-    _row_table,
     _sampled_table_asymmetry,
     _solve_checked,
     _solve_rows,
@@ -51,7 +50,8 @@ from .inference import (
     postdict_channel_via_purification,
 )
 from .purify import purify_instrument, rotate_ancilla, stinespring, verify_purification
-from .sampler import SEED_LIMIT, compare, empirical_conditionals, run_ensemble
+from .sampler import SEED_LIMIT, _analytic_rows, count_grid, verdicts
+from .sampler import run_ensemble  # noqa: F401  (bound here for bench/test_bench.py's tracer test)
 from .serialize import (
     ScenarioFile,
     parse_scenario,
@@ -144,43 +144,29 @@ def _run_sample(scenario: ScenarioFile, report: ReportDocument, seed: int, floor
 
     The transformation was validated when the scenario was parsed.  Its
     transition array is built once, and each direction's rows are solved on
-    it in one contraction, labelled as the sampler counts them; a table is
-    built only for a row that was sampled.  The sampler never reads the
-    direction, so the one ensemble is conditioned on its input to predict
-    and on its output to postdict.
+    it in one contraction.  The sampler never reads the direction, and the
+    labels of its count grid are the families' given labels: the grid is
+    read along its rows to predict and down its columns to postdict.  A
+    direction's sampled rows, in the order of their given labels, are
+    checked and compared in one array pass; no table is built.
     """
     shots = 100_000 if scenario.shots is None else scenario.shots
     tasks = [_task_from_scenario(scenario, direction) for direction in ("predict", "postdict")]
     t = inference._transitions(tasks[0].transformation, tasks[0].preparation_states)
     # Solving first rejects a task that guesses nothing before any trial runs.
     families = [_solve_rows(task, t) for task in tasks]
-    result = run_ensemble(tasks[0], shots, seed)
-    for task, family in zip(tasks, families):
-        direction = task.direction
-        index = {given: i for i, given in enumerate(family[0])}
-        empirical = empirical_conditionals(result, direction)
-        trials: dict[str, int] = {}
-        for (in_label, out_label), n in result.joint_counts.items():
-            cell = in_label if direction == "predict" else out_label
-            trials[cell] = trials.get(cell, 0) + n
-        worst = 0.0
-        for given, row in empirical.items():
-            try:
-                analytic = _row_table(task, family, index[given])
-            except UndefinedConditionalError:
-                raise UndefinedConditionalError(f"cell {given!r} was sampled but has zero probability") from None
-            outcome = compare(row, analytic, trials[given], floor=floor)
-            worst = max(worst, outcome.max_deviation)
-            # The bound of a failing outcome, else of the farthest one; the
-            # verdict is compare's, which also holds on a bound of zero.
-            bound_label = outcome.failures[0] if outcome.failures else outcome.worst_label
-            report.add_check(
-                f"sample-{direction}-given-{given}",
-                outcome.max_deviation,
-                outcome.tolerances.get(bound_label, floor),
-                passed=outcome.passed,
-            )
-        report.metrics[f"max_deviation_{direction}"] = worst
+    _, _, counts = count_grid(tasks[0], shots, seed)
+    for task, family, grid in zip(tasks, families, (counts, counts.T)):
+        givens = family[0]
+        trials = grid.sum(axis=1)
+        sampled = np.array(sorted(np.flatnonzero(trials).tolist(), key=givens.__getitem__))
+        analytic = _analytic_rows(task, family, sampled)
+        result = verdicts(grid[sampled] / trials[sampled, None], analytic, trials[sampled], floor)
+        for row, defect, bound, passed in zip(
+            sampled.tolist(), result.defect.tolist(), result.bound.tolist(), result.passed.tolist()
+        ):
+            report.add_check(f"sample-{task.direction}-given-{givens[row]}", defect, bound, passed=passed)
+        report.metrics[f"max_deviation_{task.direction}"] = float(result.defect.max())
     report.metrics["shots"] = shots
     report.metrics["seed"] = seed
 

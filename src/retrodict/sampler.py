@@ -21,9 +21,15 @@ scheduled.  The ensemble is counted in chunks of ``CHUNK_TRIALS`` trials,
 each chunk's uniforms starting at its first trial's slot (the counter is
 advanced, not replayed).  The CDFs of every alternative are stacked once, so
 a chunk draws each stage for all its trials with one batched search and
-tallies its (input label, output label) cells with one ``bincount``.  Memory
-is bounded by T and the chunk, not by ``shots``, and the chunk size cannot
-change the counts.
+tallies its (input label, output label) cells with one ``bincount`` into one
+count grid, ``count_grid``.  A unitary, a channel or a preparation set has a
+single outcome, so its outcome stage draws nothing: the outcome is 0 and its
+uniform is skipped, still consumed from the stream.  Memory is bounded by T
+and the chunk, not by ``shots``, and the chunk size cannot change the counts.
+
+The grid read along its rows gives the prediction rows, and read down its
+columns the postdiction rows.  ``verdicts`` holds every sampled row to its
+closed form in one array pass; ``compare`` is its one-row case.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ import numpy as np
 from . import inference
 from .errors import UndefinedConditionalError
 from .inference import InferenceTask
-from .tables import ProbabilityTable
+from .tables import ProbabilityTable, first_invalid_row
 
 SLOTS_PER_TRIAL = 3
 # Trials counted per chunk; a chunk's uniforms take 24 bytes per trial.
@@ -48,17 +54,17 @@ def trial_uniforms(seed: int, shots: int, first: int = 0) -> np.ndarray:
     """The (shots, 3) array of uniform doubles driving trials first, ..., first + shots - 1.
 
     Raw 64-bit Philox words are mapped to [0, 1) doubles by the standard
-    (word >> 11) * 2**-53 conversion.  The words before trial ``first`` are
-    skipped by advancing the counter (four words per step) and discarding
-    the remainder, so the block equals rows [first, first + shots) of the
-    block from trial 0.
+    (word >> 11) * 2**-53 conversion, which is numpy's ``Generator.random``
+    on this bit generator.  The words before trial ``first`` are skipped by
+    advancing the counter (four words per step) and discarding the
+    remainder, so the block equals rows [first, first + shots) of the block
+    from trial 0.
     """
     bit_generator = np.random.Philox(key=np.uint64(seed))
     skipped, remainder = divmod(SLOTS_PER_TRIAL * first, 4)
     bit_generator.advance(skipped)
     bit_generator.random_raw(remainder)
-    raw = bit_generator.random_raw(SLOTS_PER_TRIAL * shots)
-    return ((raw >> np.uint64(11)).astype(np.float64) * 2.0**-53).reshape(shots, SLOTS_PER_TRIAL)
+    return np.random.Generator(bit_generator).random((shots, SLOTS_PER_TRIAL))
 
 
 @dataclass(frozen=True)
@@ -102,8 +108,8 @@ def _transformation_stages(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The outcome CDF of each alternative a, and the measurement CDF of each (a, outcome k), padded.
 
     Row (a, k) is column a of outcome k's T, and k's weight is its sum.
-    Unitaries and channels are single-outcome; the outcome draw is still
-    consumed so every trial advances the stream by the same amount.
+    Unitaries, channels and preparation sets are single-outcome: their
+    outcome is not drawn, but its uniform is still in every trial's block.
     """
     n_x, n_alt = t.shape[-2:]
     columns = np.ascontiguousarray(np.moveaxis(t.reshape(-1, n_x, n_alt), -1, 0))
@@ -115,19 +121,25 @@ def _grouped_inverse_cdf(groups: np.ndarray, u: np.ndarray, cdfs: np.ndarray, n:
 
     A branchless binary search counts the row's entries at most u times its
     total: on a nondecreasing row, ``searchsorted(side="right")``, here
-    clipped to the last index against rounding at the top.
+    clipped to the last index against rounding at the top.  The search
+    moves a flat position within the row, so each step is one gather.
     """
     flat, base = cdfs.ravel(), groups * cdfs.shape[1]
     target = u * flat[base + (n - 1)]
-    drawn, step = np.zeros_like(base), cdfs.shape[1] >> 1
+    position, step = base.copy(), cdfs.shape[1] >> 1
     while step:
-        drawn += step * (flat[base + drawn + (step - 1)] <= target)
+        position += step * (flat[position + (step - 1)] <= target)
         step >>= 1
-    return np.minimum(drawn, n - 1)
+    return np.minimum(position - base, n - 1)
 
 
-def run_ensemble(task: InferenceTask, shots: int, seed: int) -> EnsembleResult:
-    """Simulate ``shots`` independent trials of the task's scenario."""
+def count_grid(task: InferenceTask, shots: int, seed: int) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray]:
+    """Simulate ``shots`` independent trials: the input labels, the output labels, and the count grid.
+
+    The grid is an int64 array of shape (input labels, output labels).  The
+    labels are those of the task's table families: the given labels of its
+    prediction rows and of its postdiction rows.
+    """
     if shots < 1:
         raise ValueError("shots must be at least 1")
     ((in_labels, in_index), (out_labels, out_index)), t = _prepare_alternatives(task)
@@ -135,15 +147,25 @@ def run_ensemble(task: InferenceTask, shots: int, seed: int) -> EnsembleResult:
     n_alt, n_x, n_outcomes = len(in_index), t.shape[-2], len(out_index) // t.shape[-2]
     # Cell (input label i, output label j) is i * len(out_labels) + j.
     grid = np.zeros(len(in_labels) * len(out_labels), dtype=np.int64)
+    in_cells = in_index * len(out_labels)
     for first in range(0, shots, CHUNK_TRIALS):
         uniforms = trial_uniforms(seed, min(CHUNK_TRIALS, shots - first), first)
         alt = np.minimum((uniforms[:, 0] * n_alt).astype(np.int64), n_alt - 1)
-        outcome = _grouped_inverse_cdf(alt, uniforms[:, 1], outcome_cdfs, n_outcomes)
-        x = _grouped_inverse_cdf(alt * n_outcomes + outcome, uniforms[:, 2], meas_cdfs, n_x)
-        grid += np.bincount(in_index[alt] * len(out_labels) + out_index[outcome * n_x + x], minlength=len(grid))
+        if n_outcomes == 1:  # the one outcome is 0, and its uniform goes unread
+            measured = _grouped_inverse_cdf(alt, uniforms[:, 2], meas_cdfs, n_x)
+        else:
+            outcome = _grouped_inverse_cdf(alt, uniforms[:, 1], outcome_cdfs, n_outcomes)
+            x = _grouped_inverse_cdf(alt * n_outcomes + outcome, uniforms[:, 2], meas_cdfs, n_x)
+            measured = outcome * n_x + x
+        grid += np.bincount(in_cells[alt] + out_index[measured], minlength=len(grid))
+    return in_labels, out_labels, grid.reshape(len(in_labels), len(out_labels))
 
-    cells = np.flatnonzero(grid)
-    pairs = zip((cells // len(out_labels)).tolist(), (cells % len(out_labels)).tolist(), grid[cells].tolist())
+
+def run_ensemble(task: InferenceTask, shots: int, seed: int) -> EnsembleResult:
+    """Simulate ``shots`` independent trials of the task's scenario: ``count_grid`` as a dict of label pairs."""
+    in_labels, out_labels, grid = count_grid(task, shots, seed)
+    rows, columns = np.nonzero(grid)
+    pairs = zip(rows.tolist(), columns.tolist(), grid[rows, columns].tolist())
     counts = {(in_labels[i], out_labels[j]): n for i, j, n in pairs}
     return EnsembleResult(joint_counts=counts, shots=shots, seed=seed)
 
@@ -180,6 +202,68 @@ def empirical_conditional(result: EnsembleResult, direction: str, given: str) ->
     return tables[given]
 
 
+def _analytic_rows(task: InferenceTask, family, rows: np.ndarray) -> np.ndarray:
+    """Rows ``rows`` of a ``_solve_rows`` family, which a sample drew, as probabilities, checked in one array pass.
+
+    The first of them that ``inference._row_table`` would reject raises: a
+    postdiction row without evidence is undefined, and an entry out of range
+    or a sum off 1 raises the table's error.
+    """
+    givens, cells, numerators = family
+    values = numerators[rows]
+    missing = np.zeros(len(rows), dtype=bool)
+    if task.direction == "postdict":
+        evidence = values.sum(axis=-1, keepdims=True)
+        missing = ~(evidence[:, 0] >= inference.MIN_EVIDENCE)  # written so that a NaN evidence fails it too
+        values = values / np.where(missing[:, None], 1.0, evidence)
+    invalid = first_invalid_row(cells, values)
+    if missing[: len(rows) if invalid is None else invalid[0] + 1].any():
+        given = givens[rows[int(np.argmax(missing))]]
+        raise UndefinedConditionalError(f"cell {given!r} was sampled but has zero probability")
+    if invalid is not None:
+        raise invalid[1]
+    return values
+
+
+@dataclass(frozen=True)
+class Verdicts:
+    """Sampled rows held to their closed forms: per cell, then per row.
+
+    ``deviations`` and ``bounds`` are (rows, cells).  Per row, ``defect`` is
+    the largest deviation and ``worst`` its first cell, or -1 when every
+    deviation is 0; ``bound`` is the first failing cell's bound, else the
+    worst cell's, else the floor; ``passed`` is whether no cell fails.
+    """
+
+    deviations: np.ndarray
+    bounds: np.ndarray
+    defect: np.ndarray
+    worst: np.ndarray
+    bound: np.ndarray
+    passed: np.ndarray
+
+
+def verdicts(frequencies: np.ndarray, p: np.ndarray, trials: np.ndarray, floor: float = 0.01) -> Verdicts:
+    """Every row of empirical frequencies against its analytic row, in one array pass.
+
+    ``frequencies`` and ``p`` are (rows, cells), and ``trials`` is the count
+    of each row's conditioning cell.  A cell fails when its deviation
+    |frequency - p| exceeds max(floor, 4 sqrt(p (1-p) / trials)), a bound of
+    zero included.
+    """
+    deviations = np.abs(frequencies - p)
+    bounds = np.maximum(floor, 4.0 * np.sqrt(np.maximum(p * (1.0 - p), 0.0) / trials[:, None]))
+    failing = deviations > bounds
+    rows = np.arange(len(deviations))
+    worst = deviations.argmax(axis=1)
+    defect = deviations[rows, worst]
+    worst[~(defect > 0.0)] = -1
+    passed = ~failing.any(axis=1)
+    reported = np.where(passed, worst, failing.argmax(axis=1))
+    bound = np.where(reported < 0, floor, bounds[rows, reported])
+    return Verdicts(deviations, bounds, defect, worst, bound, passed)
+
+
 @dataclass(frozen=True)
 class CompareReport:
     max_deviation: float
@@ -198,32 +282,24 @@ def compare(
     shots: int,
     floor: float = 0.01,
 ) -> CompareReport:
-    """Check an empirical row against its closed form, cell by cell.
+    """Check an empirical row against its closed form: ``verdicts`` on one row.
 
-    The per-cell tolerance is max(floor, 4 sqrt(p (1-p) / shots)) with p the
-    analytic probability and ``shots`` the number of trials behind the row,
-    the count of its conditioning cell.  Outcomes absent from the empirical
-    table count as frequency zero; an empirical outcome unknown to the
-    analytic table is a label mismatch and is rejected.
+    ``shots`` is the number of trials behind the row, the count of its
+    conditioning cell.  Outcomes absent from the empirical table count as
+    frequency zero; an empirical outcome unknown to the analytic table is a
+    label mismatch and is rejected.
     """
     unknown = set(empirical.entries) - set(analytic.entries)
     if unknown:
         raise ValueError(f"empirical outcomes {sorted(unknown)} do not appear in the analytic table")
-    max_dev = 0.0
-    worst = None
-    failures = []
-    tolerances = {}
-    for label, p in analytic.entries.items():
-        tol = max(floor, 4.0 * np.sqrt(max(p * (1.0 - p), 0.0) / shots))
-        dev = abs(empirical.entries.get(label, 0.0) - p)
-        tolerances[label] = tol
-        if dev > max_dev:
-            max_dev, worst = dev, label
-        if dev > tol:
-            failures.append(label)
+    labels = analytic.labels()
+    frequencies = [[empirical.entries.get(label, 0.0) for label in labels]]
+    row = verdicts(np.array(frequencies), analytic.probabilities()[None], np.array([shots]), floor)
+    worst = int(row.worst[0])
+    failing = (row.deviations > row.bounds)[0].tolist()
     return CompareReport(
-        max_deviation=max_dev,
-        worst_label=worst,
-        failures=tuple(failures),
-        tolerances=tolerances,
+        max_deviation=float(row.defect[0]),
+        worst_label=labels[worst] if worst >= 0 else None,
+        failures=tuple(label for label, fails in zip(labels, failing) if fails),
+        tolerances=dict(zip(labels, row.bounds[0].tolist())),
     )

@@ -41,22 +41,21 @@ _NUMBER_TYPES = {int, float}
 def _wire_to_complex_array(pairs: list, field: str) -> np.ndarray:
     """A flat list of [re, im] pairs of JSON numbers, converted in one step.
 
-    The entries' types are checked in bulk; only a list that fails is walked,
-    to name its first bad pair.
+    The pairs' shapes are checked in bulk, then the pairs are flattened into
+    one list whose entries' types are checked in bulk and which is converted.
+    Only a list that fails is walked, to name its first bad pair.
     """
-    well_formed = (
-        set(map(type, pairs)) <= {list, tuple}
-        and set(map(len, pairs)) <= {2}
-        and set(map(type, itertools.chain.from_iterable(pairs))) <= _NUMBER_TYPES
-    )
-    if not well_formed:
+    flat = None
+    if set(map(type, pairs)) <= {list, tuple} and set(map(len, pairs)) <= {2}:
+        flat = list(itertools.chain.from_iterable(pairs))
+    if flat is None or not set(map(type, flat)) <= _NUMBER_TYPES:
         for pair in pairs:
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise ScenarioError("malformed-document", f"expected [re, im] pair, got {pair!r}")
             if not all(type(x) in _NUMBER_TYPES for x in pair):
                 raise ScenarioError("malformed-document", f"expected [re, im] numbers, got {pair!r}")
     try:
-        parts = np.fromiter(itertools.chain.from_iterable(pairs), np.float64, 2 * len(pairs))
+        parts = np.fromiter(flat, np.float64, len(flat))
     except OverflowError:  # an integer beyond the float range
         parts = np.array([np.inf])
     if not np.isfinite(parts).all():

@@ -155,6 +155,18 @@ def test_purify_report_matches_golden(capsys, name, fmt, suffix):
     assert capsys.readouterr().out == (FIXTURES / f"{name}.report.{suffix}").read_text()
 
 
+# A correct ensemble that the 4-sigma bound rejects: a (4, 4) Haar unitary at 400 shots fails
+# one of its 20 rows.  Written by the per-row comparison that the array verdicts replaced.
+FAILING_GOLDEN = "sample_haar_open_false_alarm"
+
+
+@pytest.mark.parametrize("fmt, suffix", [("json", "json"), ("text", "txt"), ("csv", "csv")])
+def test_a_failing_sample_report_matches_golden(capsys, fmt, suffix):
+    code = main(["sample", "--scenario", fixture(f"{FAILING_GOLDEN}.json"), "--format", fmt])
+    assert code == 5
+    assert capsys.readouterr().out == (FIXTURES / f"{FAILING_GOLDEN}.report.{suffix}").read_text()
+
+
 def test_the_parser_is_built_once_per_process():
     assert build_parser() is build_parser()
 
@@ -536,19 +548,19 @@ def test_verify_report_names_the_seed_it_ran(tmp_path, capsys):
 @pytest.mark.parametrize("name", [name for name in GOLDEN if name.startswith("sample_")])
 def test_sample_draws_one_ensemble(monkeypatch, capsys, name):
     calls = []
-    original = rd.cli.run_ensemble
+    original = rd.cli.count_grid
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(rd.cli, "run_ensemble", counted)
+    monkeypatch.setattr(rd.cli, "count_grid", counted)
     assert main(["sample", "--scenario", fixture(f"{name}.json")]) == 0
     assert len(calls) == 1
 
 
 def test_sample_builds_transition_arrays_once_per_ensemble(monkeypatch, capsys):
-    # one build to solve every row, one inside the single run_ensemble
+    # one build to solve every row, one inside the single count_grid
     import retrodict.inference as inference
 
     calls = []
@@ -568,12 +580,48 @@ def test_sample_rejects_a_task_that_guesses_nothing_before_drawing(tmp_path, mon
     def never(*args):
         raise AssertionError("no trial may run for a task that guesses nothing")
 
-    monkeypatch.setattr(rd.cli, "run_ensemble", never)
+    monkeypatch.setattr(rd.cli, "count_grid", never)
     doc = {**json.loads(Path(fixture("sample_hadamard.json")).read_text()), mask: [False]}
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
     assert main(["sample", "--scenario", str(path)]) == 3
     assert capsys.readouterr().err == "error [validation]: at least one factor must be guessed\n"
+
+
+SPOILS = {
+    "zero": lambda row: 0.0 * row,
+    "doubled": lambda row: 2.0 * row,
+    "off-by-1e-3": lambda row: 1.001 * row,
+    "negative": lambda row: row * [3.0, -1.0],
+    "nan": lambda row: np.nan * row,
+}
+
+
+@pytest.mark.parametrize("direction", ["predict", "postdict"])
+@pytest.mark.parametrize("spoil", SPOILS.values(), ids=SPOILS.keys())
+def test_an_invalid_sampled_row_fails_as_its_table_would(monkeypatch, capsys, direction, spoil):
+    # The table of the spoiled row says what the array check must do: exit 4 for a row without
+    # evidence, exit 3 with the table's own message for a row out of range or off 1.
+    original = rd.cli._solve_rows
+
+    def spoiled(task, t):
+        givens, cells, rows = original(task, t)
+        if task.direction == direction:
+            rows = rows.copy()
+            rows[1] = spoil(rows[1])
+        return givens, cells, rows
+
+    task = rd.cli._task_from_scenario(parse_scenario(fixture("sample_hadamard.json")), direction)
+    try:
+        rd.inference._row_table(task, spoiled(task, rd.inference._transitions(task.transformation)), 1)
+        expected = (0, "")
+    except rd.UndefinedConditionalError:
+        expected = (4, "error [undefined-conditional]: cell '1' was sampled but has zero probability\n")
+    except ValueError as exc:
+        expected = (3, f"error [validation]: {exc}\n")
+    monkeypatch.setattr(rd.cli, "_solve_rows", spoiled)
+    code = main(["sample", "--scenario", fixture("sample_hadamard.json"), "--shots", "2000"])
+    assert (code, capsys.readouterr().err) == expected
 
 
 def test_a_scenario_is_checked_once_at_parse(monkeypatch, capsys):

@@ -32,13 +32,16 @@ from retrodict.inference import (
 from retrodict.sampler import (
     CHUNK_TRIALS,
     EnsembleResult,
+    _analytic_rows,
     _grouped_inverse_cdf,
     _padded_cumsum,
     compare,
+    count_grid,
     empirical_conditional,
     empirical_conditionals,
     run_ensemble,
     trial_uniforms,
+    verdicts,
 )
 from retrodict.tables import ProbabilityTable, join_labels
 
@@ -425,3 +428,157 @@ def test_an_ignored_preparation_set_is_counted_under_one_label():
     (row,) = empirical_conditionals(result, "predict").values()
     assert row.given == ""
     assert compare(row, solve(task), 20000).passed
+
+
+@pytest.mark.parametrize("first", [0, 1, 2, 3, 5, 65535, 65536, 65537])
+def test_trial_uniforms_are_the_raw_philox_words_shifted_and_scaled(first):
+    shots = 6
+    raw = np.random.Philox(key=np.uint64(77)).random_raw(3 * (first + shots))[3 * first :]
+    expected = ((raw >> np.uint64(11)).astype(np.float64) * 2.0**-53).reshape(shots, 3)
+    np.testing.assert_array_equal(trial_uniforms(77, shots, first), expected)
+
+
+def _grid_tasks():
+    # a unitary, a channel, a preparation-state set and a multi-outcome instrument
+    states = (linalg.basis_ket(3, 1), linalg.random_pure_state(3, 70), linalg.random_pure_state(3, 71))
+    return [
+        closed_task(linalg.haar_random_unitary(3, 72)),
+        channel_task(random_cptp_map(3, 2, 3, 73)),
+        InferenceTask(linalg.haar_random_unitary(3, 74), (3,), (3,), "predict", (True,), (True,), preparation_states=states),
+        channel_task(random_instrument(2, 3, 3, 75)),
+    ]
+
+
+GRID_IDS = ["unitary", "channel", "states", "instrument"]
+
+
+@pytest.mark.parametrize("task", _grid_tasks(), ids=GRID_IDS)
+def test_the_count_grid_read_as_a_dict_is_the_ensemble(task):
+    in_labels, out_labels, grid = count_grid(task, 3000, 76)
+    assert grid.dtype == np.int64 and grid.shape == (len(in_labels), len(out_labels))
+    assert grid.sum() == 3000
+    counts = {
+        (in_label, out_label): int(n)
+        for in_label, row in zip(in_labels, grid)
+        for out_label, n in zip(out_labels, row)
+        if n
+    }
+    assert counts == run_ensemble(task, 3000, 76).joint_counts == reference_counts(task, 3000, 76)
+
+
+@pytest.mark.parametrize("task", _coverage_tasks() + _grid_tasks(), ids=COVERAGE_IDS + GRID_IDS)
+def test_the_grid_labels_are_the_families_given_labels(task):
+    in_labels, out_labels, _ = count_grid(task, 10, 77)
+    t = _transitions(task.transformation, task.preparation_states)
+    assert _solve_rows(replace(task, direction="predict"), t)[:2] == (in_labels, out_labels)
+    assert _solve_rows(replace(task, direction="postdict"), t)[:2] == (out_labels, in_labels)
+
+
+@pytest.mark.parametrize("task, searches", zip(_grid_tasks(), [1, 1, 1, 2]), ids=GRID_IDS)
+def test_a_single_outcome_stage_draws_nothing(task, searches, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _grouped_inverse_cdf(*args)
+
+    monkeypatch.setattr(sampler, "_grouped_inverse_cdf", counted)
+    monkeypatch.setattr(sampler, "CHUNK_TRIALS", 400)
+    assert run_ensemble(task, 1000, 78).joint_counts == reference_counts(task, 1000, 78)
+    assert len(calls) == 3 * searches
+
+
+def _row_by_row(frequencies, p, trials, floor):
+    """The per-row, cell-by-cell comparison the array verdicts must reproduce."""
+    out = []
+    for f_row, p_row, n in zip(frequencies.tolist(), p.tolist(), trials.tolist()):
+        defect, worst, failing, bounds = 0.0, None, [], []
+        for c, (f, q) in enumerate(zip(f_row, p_row)):
+            bound = max(floor, 4.0 * np.sqrt(max(q * (1.0 - q), 0.0) / n))
+            deviation = abs(f - q)
+            bounds.append(bound)
+            if deviation > defect:
+                defect, worst = deviation, c
+            if deviation > bound:
+                failing.append(c)
+        reported = failing[0] if failing else worst
+        out.append((defect, floor if reported is None else bounds[reported], not failing))
+    return out
+
+
+@st.composite
+def sampled_rows(draw):
+    n_rows, n_cells = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    counts = draw(hnp.arrays(np.int64, (n_rows, n_cells), elements=st.integers(0, 40)))
+    counts[:, 0] += counts.sum(axis=1) == 0  # every compared row was sampled
+    trials = counts.sum(axis=1)
+    frequencies = counts / trials[:, None]
+    p = np.empty_like(frequencies)
+    for r in range(n_rows):
+        kind = draw(st.sampled_from(["exact", "certain", "mirrored", "random"]))
+        if kind == "exact":  # every deviation 0
+            p[r] = frequencies[r]
+        elif kind == "certain":  # p in {0, 1}
+            p[r] = draw(hnp.arrays(np.float64, n_cells, elements=st.sampled_from([0.0, 1.0])))
+        elif kind == "mirrored":  # deviations tied across cells
+            d = draw(st.sampled_from([0.0, 0.01, 0.125, 0.5]))
+            signs = draw(hnp.arrays(np.float64, n_cells, elements=st.sampled_from([-1.0, 1.0])))
+            p[r] = np.clip(frequencies[r] + signs * d, 0.0, 1.0)
+        else:
+            p[r] = draw(hnp.arrays(np.float64, n_cells, elements=st.floats(0.0, 1.0)))
+    floor = draw(st.sampled_from([0.0, 0.01, 0.125]) | st.floats(0.0, 0.5))
+    return frequencies, p, trials, floor
+
+
+@given(sampled_rows())
+@settings(max_examples=400, deadline=None)
+def test_the_array_verdicts_equal_the_row_by_row_comparison(rows):
+    frequencies, p, trials, floor = rows
+    got = verdicts(frequencies, p, trials, floor)
+    assert list(zip(got.defect.tolist(), got.bound.tolist(), got.passed.tolist())) == _row_by_row(
+        frequencies, p, trials, floor
+    )
+
+
+def test_compare_is_the_one_row_case_of_the_verdicts():
+    analytic = predict_channel(amplitude_damping(0.9), 1)
+    empirical = ProbabilityTable({"0": analytic["0"] + 0.08, "1": analytic["1"] - 0.08})
+    report = compare(empirical, analytic, 500, floor=0.001)
+    row = verdicts(empirical.probabilities()[None], analytic.probabilities()[None], np.array([500]), 0.001)
+    assert report.max_deviation == row.defect[0] and report.worst_label == ("0", "1")[row.worst[0]]
+    assert not report.passed and not row.passed[0]
+    assert report.tolerances == dict(zip(("0", "1"), row.bounds[0].tolist()))
+    assert report.tolerances[report.failures[0]] == row.bound[0]
+    assert compare(analytic, analytic, 500).worst_label is None
+
+
+POSTDICT_ROWS = {
+    "valid": [0.25, 0.25, 0.5],
+    "no-evidence": [0.0, 0.0, 0.0],
+    "out-of-range": [2.0, -1.0, 0.0],
+    "nan": [np.nan, 0.5, 0.5],
+}
+
+
+@pytest.mark.parametrize("direction", ["predict", "postdict"])
+@pytest.mark.parametrize("order", [(0, 1, 2, 3), (0, 2, 1, 3), (3, 2, 1, 0), (0, 3, 2, 1), (0,)])
+def test_the_analytic_rows_fail_where_the_first_failing_table_fails(direction, order):
+    task = replace(channel_task(random_cptp_map(3, 3, 2, 79)), direction=direction)
+    family = (("g0", "g1", "g2", "g3"), ("0", "1", "2"), np.array(list(POSTDICT_ROWS.values())))
+    rows = np.array(order)
+    expected = None
+    for row in order:
+        try:
+            _row_table(task, family, row)
+        except UndefinedConditionalError:
+            expected = (UndefinedConditionalError, f"cell 'g{row}' was sampled but has zero probability")
+            break
+        except ValueError as exc:
+            expected = (ValueError, str(exc))
+            break
+    if expected is None:
+        np.testing.assert_array_equal(_analytic_rows(task, family, rows), family[2][rows])
+        return
+    with pytest.raises(ValueError) as raised:
+        _analytic_rows(task, family, rows)
+    assert (type(raised.value), str(raised.value)) == expected
