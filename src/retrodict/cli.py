@@ -37,6 +37,7 @@ from .inference import (
     InferenceTask,
     _bayes_rows,
     _pull_back_reference,
+    _purified_numerators,
     _sampled_table_asymmetry,
     _solve_checked,
     _solve_rows,
@@ -47,7 +48,6 @@ from .inference import (
     is_inference_symmetric,
     no_signalling_check,
     open_reversal_check,
-    postdict_channel_via_purification,
 )
 from .purify import purify_instrument, rotate_ancilla, stinespring, verify_purification
 from .sampler import SEED_LIMIT, _analytic_rows, count_grid, verdicts
@@ -68,6 +68,10 @@ EXIT_UNDEFINED_CONDITIONAL = 4
 EXIT_VERIFICATION = 5
 
 PARSE_CODES = ("malformed-document", "unknown-task")
+
+# verify contracts its D x D Haar draws in stacks of at most this many bytes of
+# complex matrices: all five draws of a check up to D = 228, one from D = 512 on.
+STACK_BYTES = 1 << 22
 
 
 @dataclass
@@ -171,13 +175,30 @@ def _run_sample(scenario: ScenarioFile, report: ReportDocument, seed: int, floor
     report.metrics["seed"] = seed
 
 
+def _haar_stacks(d: int, first: int):
+    """The five d x d Haar draws of seeds first, ..., first + 4, in stacks of at most STACK_BYTES.
+
+    At least one draw goes in each stack, whatever d is: a d below 1 reaches
+    ``haar_random_unitaries``, which rejects it.
+    """
+    seeds = range(first, first + 5)
+    size = max(1, STACK_BYTES // max(1, 16 * d * d))
+    for start in range(0, len(seeds), size):
+        yield linalg.haar_random_unitaries(d, seeds[start : start + size])
+
+
 def _run_verify(report: ReportDocument, dims: tuple[int, int], seed: int, tolerance: float | None):
     """The full identity suite on seeded random instances.
 
     Each transformation is validated once, and each table family comes from
     one contraction of its transition array, with a row per given outcome:
     the four-task and towards-past checks take every (a, x) of an instance
-    in one call, whatever d_A is.
+    in one call, whatever d_A is.  The closed-symmetry, open-reversal and
+    open-ratio-laws checks draw their five D x D unitaries in stacks of at
+    most STACK_BYTES and contract each stack in one pass per relation; each
+    instance still gets its own transition array and its own unitarity
+    check.  The purified-ratio check reads every test outcome of a dilation
+    at once.
     """
     d_a, d_b = dims
     d = d_a * d_b
@@ -186,33 +207,27 @@ def _run_verify(report: ReportDocument, dims: tuple[int, int], seed: int, tolera
     rng_base = seed * 1000
 
     defect = 0.0
-    for t in range(5):
-        u = linalg.haar_random_unitary(d, rng_base + t)
+    for us in _haar_stacks(d, rng_base):
         # Both tables against the Born values |<x|U|a>|^2 read off U itself, indexed [a, x]:
         # the prediction rows are [a, x] and the postdiction rows [x, a].
-        born = np.abs(u.T) ** 2
-        pre = _table_rows(u, (d,), (d,), "predict", (True,), (True,))
-        post, _ = _bayes_rows(_table_rows(u, (d,), (d,), "postdict", (True,), (True,)))
-        defect = max(defect, float(np.max(np.abs(pre - born))), float(np.max(np.abs(post.T - born))))
+        born = np.abs(us.swapaxes(-1, -2)) ** 2
+        pre = _table_rows(us, (d,), (d,), "predict", (True,), (True,))
+        post, _ = _bayes_rows(_table_rows(us, (d,), (d,), "postdict", (True,), (True,)))
+        post = post.swapaxes(-1, -2)
+        defect = max(defect, float(np.max(np.abs(pre - born))), float(np.max(np.abs(post - born))))
     report.add_check("closed-symmetry", defect, tol_exact)
 
-    defect = max(
-        open_reversal_check(linalg.haar_random_unitary(d_a * d_b, rng_base + 10 + t), (d_a, d_b))[
-            "max"
-        ]
-        for t in range(5)
-    )
+    defect = max(open_reversal_check(us, (d_a, d_b))["max"] for us in _haar_stacks(d, rng_base + 10))
     report.add_check("open-reversal", defect, tol_exact)
 
     defect = 0.0
-    for t in range(5):
-        u = linalg.haar_random_unitary(d, rng_base + 20 + t)
+    for us in _haar_stacks(d, rng_base + 20):
         # Solved predictions against operator-level postdictions, so the law
         # is not read twice off one transition array.
         dims = (d_a, d_b)
-        pre = _table_rows(u, dims, dims, "predict", (True, False), (True, False))
-        post = _pull_back_reference((u,), dims, (range(d_a), None), dims, (True, False))
-        defect = max(defect, float(np.max(np.abs(d_b * post.T - d_b * pre))))
+        pre = _table_rows(us, dims, dims, "predict", (True, False), (True, False))
+        post = _pull_back_reference((us,), dims, (range(d_a), None), dims, (True, False))
+        defect = max(defect, float(np.max(np.abs(d_b * post.swapaxes(-1, -2) - d_b * pre))))
     report.add_check("open-ratio-laws", defect, tol_exact)
 
     channel = amplitude_damping(0.5)
@@ -231,10 +246,9 @@ def _run_verify(report: ReportDocument, dims: tuple[int, int], seed: int, tolera
         rotated = rotate_ancilla(purification, rng_base + 40 + t)
         defect = max(defect, verify_purification(noisy, purification, trials=5, seed=t))
         direct, _ = _bayes_rows(_table_rows(noisy, (d_a,), (d_a,), "postdict", (True,), (True,)))
-        for x in range(d_a):
-            for dilation in (purification, rotated):
-                via = postdict_channel_via_purification(noisy, x, dilation)
-                defect = max(defect, float(np.max(np.abs(direct[x] - via.probabilities()))))
+        for dilation in (purification, rotated):
+            via, _ = _bayes_rows(_purified_numerators(dilation))
+            defect = max(defect, float(np.max(np.abs(direct - via))))
     report.add_check("purified-ratio", defect, tol_purified)
 
     u = linalg.haar_random_unitary(d_a, rng_base + 50)

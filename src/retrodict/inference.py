@@ -27,7 +27,9 @@ sum_k K' E K of the data-side effect, reduced to the guessed factors.  It
 works factor by factor on the complex amplitudes: each data factor's effect
 A_f' A_f (outcome rows <g| on a given factor, I/sqrt(d) on an ignored one)
 is applied to its own axis of K, and the squared moduli are summed over the
-traced axes.  One call covers every given outcome of a relation.
+traced axes.  One call covers every given outcome of a relation, and both
+the kernel and the reference take an optional leading axis of instances, so
+one call also covers a stack of random instances.
 """
 
 from __future__ import annotations
@@ -107,6 +109,7 @@ def _contract(
     direction: str,
     data_mask: Mask,
     guess_mask: Mask,
+    stacked: bool = False,
 ) -> np.ndarray:
     """Every row of one table family: the guessed cells for each combination of data outcomes.
 
@@ -115,25 +118,49 @@ def _contract(
     ``itertools.product`` order; the other data factors are averaged, and
     the guess-side factors outside ``guess_mask`` are summed out.  Cells are
     flattened in label order.
+
+    A ``stacked`` t has a leading instance axis, one transition array per
+    instance, and the rows come back shaped (instances, rows, cells).  No
+    reduction crosses that axis, so each instance's rows are bit for bit
+    those of its own call when its array keeps its own memory layout.
     """
-    n_out = len(dims_out)
-    t = t.reshape(tuple(dims_out) + tuple(dims_in))
+    lead = (len(t),) if stacked else ()
+    n_lead, n_out = len(lead), len(dims_out)
+    t = t.reshape(lead + tuple(dims_out) + tuple(dims_in))
     data_dims = dims_out
     if direction == "predict":
-        t = t.transpose(list(range(n_out, t.ndim)) + list(range(n_out)))
+        sides = list(range(n_lead + n_out, t.ndim)) + list(range(n_lead, n_lead + n_out))
+        t = t.transpose(list(range(n_lead)) + sides)
         data_dims = dims_in
-    t = t.mean(axis=tuple(k for k, m in enumerate(data_mask) if not m))
+    t = t.mean(axis=tuple(n_lead + k for k, m in enumerate(data_mask) if not m))
     n_rows = sum(bool(m) for m in data_mask)
-    t = t.sum(axis=tuple(n_rows + k for k, m in enumerate(guess_mask) if not m))
-    return t.reshape(math.prod(d for d, m in zip(data_dims, data_mask) if m), -1)
+    t = t.sum(axis=tuple(n_lead + n_rows + k for k, m in enumerate(guess_mask) if not m))
+    return t.reshape(lead + (math.prod(d for d, m in zip(data_dims, data_mask) if m), -1))
+
+
+def _transition_stack(operands: np.ndarray) -> np.ndarray:
+    """The transition arrays of an (n, D_out, D_in) stack of matrices, each from its own ``_transitions`` call.
+
+    The stack is laid out as the operands are: a stack of adjoints keeps
+    each instance's transposed layout, which ``_contract``'s reductions follow.
+    """
+    stack = np.empty_like(operands, dtype=float)
+    for i, operand in enumerate(operands):
+        stack[i] = _transitions(operand)
+    return stack
 
 
 def _table_rows(transformation, dims_out, dims_in, direction, data_mask, guess_mask) -> np.ndarray:
     """The unnormalized rows of a unitary's or a channel's table family.
 
-    Both stages are looked up in this module when called, so the identity
-    checks that read the kernel from other modules read the one held here.
+    An (n, D, D) stack of unitaries gives every instance's rows from one
+    contraction, shaped (n, rows, cells).  Both stages are looked up in this
+    module when called, so the identity checks that read the kernel from
+    other modules read the one held here.
     """
+    if isinstance(transformation, np.ndarray) and transformation.ndim == 3:
+        t = _transition_stack(transformation)
+        return _contract(t, dims_out, dims_in, direction, data_mask, guess_mask, stacked=True)
     return _contract(_transitions(transformation), dims_out, dims_in, direction, data_mask, guess_mask)
 
 
@@ -172,6 +199,10 @@ def _pull_back_reference(
 
     Returns the unnormalized guessed cells in label order, one row per
     combination of the listed outcomes in ``itertools.product`` order.
+    Operators stacked on a leading instance axis, (n, D_data, D_guess) each,
+    give every instance's rows at once, shaped (n, rows, cells): each
+    factor is one matrix product per instance, as for a single operator, so
+    each instance's rows are bit for bit those of its own call.
     """
     factors = [
         np.eye(d) / np.sqrt(d) if listed is None else np.stack([linalg.basis_ket(d, g) for g in listed])
@@ -183,15 +214,22 @@ def _pull_back_reference(
     )
     cells = 0.0
     for k in kraus:
-        amplitudes = np.asarray(k).reshape(tuple(dims_data) + tuple(dims_guess))
+        k = np.asarray(k)
+        lead = k.shape[:-2]
+        amplitudes = k.reshape(lead + tuple(dims_data) + tuple(dims_guess))
         for a in factors:
-            # Contracts the leading data axis; A_f's output axis lands last.
-            amplitudes = np.tensordot(amplitudes, a, axes=([0], [1]))
-        cells = cells + (amplitudes.real**2 + amplitudes.imag**2).sum(axis=summed)
-    # Left: the guessed axes, then the given data axes.
+            # Contracts the first data axis; A_f's output axis lands last.
+            moved = np.moveaxis(amplitudes, len(lead), -1)
+            contracted = moved.reshape(lead + (-1, a.shape[1])) @ a.T
+            amplitudes = contracted.reshape(moved.shape[:-1] + a.shape[:1])
+        squares = amplitudes.real**2 + amplitudes.imag**2
+        cells = cells + squares.sum(axis=tuple(len(lead) + axis for axis in summed))
+    # Left: the instance axis, the guessed axes, then the given data axes.
+    n_lead = len(lead)
     n_kept = sum(bool(m) for m in mask)
-    cells = cells.transpose(tuple(range(n_kept, cells.ndim)) + tuple(range(n_kept)))
-    return cells.reshape(-1, math.prod(d for d, m in zip(dims_guess, mask) if m))
+    kept = tuple(range(n_lead, n_lead + n_kept))
+    order = tuple(range(n_lead)) + tuple(range(n_lead + n_kept, cells.ndim)) + kept
+    return cells.transpose(order).reshape(lead + (-1, math.prod(d for d, m in zip(dims_guess, mask) if m)))
 
 
 @functools.lru_cache(maxsize=256)
@@ -304,12 +342,22 @@ def postdict_channel_via_purification(
     d_a = purification.dims_in[0]
     if d_a != channel.dim_in:
         raise ValueError("purification input dimension does not match the channel")
-    d_x, d_y = purification.dims_out
+    d_x = purification.dims_out[0]
     if not 0 <= x < d_x:
         raise ValueError(f"test outcome {x} out of range for factor dimension {d_x}")
-    v_x = purification.isometry[x]
-    values, _ = _bayes_rows(np.diagonal(dagger(v_x) @ v_x).real / d_y, str(x))
+    values, _ = _bayes_rows(_purified_numerators(purification, [x])[0], str(x))
     return ProbabilityTable.from_values([str(a) for a in range(d_a)], values, given=str(x), direction="postdict")
+
+
+def _purified_numerators(purification: Purification, outcomes=slice(None)) -> np.ndarray:
+    """The flat-prior postdiction numerators of a channel's dilation, one row per test outcome x.
+
+    Row x, for each x in ``outcomes`` (every one by default), is the diagonal
+    of the pull-back V_x' V_x / d_Y, indexed by the input a: one matrix
+    product per x, as ``postdict_channel_via_purification`` reads its row.
+    """
+    v = purification.isometry[outcomes]
+    return np.diagonal(dagger(v) @ v, axis1=-2, axis2=-1).real / purification.dims_out[1]
 
 
 # ---------------------------------------------------------------------------
@@ -680,16 +728,23 @@ def open_reversal_check(
     Each relation equates a table solved for the adjoint of U with the
     operator-level pull-back through U of the task with the data and guess
     sides swapped.  Returns the maximum defect per relation plus an overall
-    ``max`` entry.
+    ``max`` entry.  ``u`` may be an (n, D, D) stack of unitaries, each
+    checked on its own: every relation is then one contraction and one
+    pull-back for the whole stack, and its entry is the maximum over the
+    stack, equal to the maximum of the per-instance entries.
     """
     dims_out = dims_in if dims_out is None else dims_out
     if len(dims_in) != 2 or len(dims_out) != 2:
         raise ValueError("open_reversal_check takes exactly two factors per side")
-    task = InferenceTask(u, dims_in, dims_out, "predict", (True, True), (True, True))
-    _check_transformation(task)
     u = np.asarray(u, dtype=complex)
-    ud, dims_in, dims_out = dagger(u), task.dims_in, task.dims_out
-    t = _transitions(ud)
+    stack = u if u.ndim == 3 else u[None]
+    if not len(stack):
+        raise ValueError("open_reversal_check needs at least one unitary")
+    for operand in stack:
+        task = InferenceTask(operand, dims_in, dims_out, "predict", (True, True), (True, True))
+        _check_transformation(task)
+    ud, dims_in, dims_out = dagger(stack), task.dims_in, task.dims_out
+    t = _transition_stack(ud)
     # Each relation: its direction for U', its data mask and its guess mask.
     relations = (
         ("pre-a-xy", "predict", (True, True), (True, False)),
@@ -702,10 +757,10 @@ def open_reversal_check(
     defects: dict[str, float] = {}
     for name, direction, data_mask, mask in relations:
         forward = direction == "predict"
-        data_dims, guess_dims, kraus = (dims_out, dims_in, (u,)) if forward else (dims_in, dims_out, (ud,))
+        data_dims, guess_dims, kraus = (dims_out, dims_in, (stack,)) if forward else (dims_in, dims_out, (ud,))
         outcomes = tuple(range(d) if m else None for d, m in zip(data_dims, data_mask))
         reference = _pull_back_reference(kraus, data_dims, outcomes, guess_dims, mask)
-        rows = _contract(t, dims_in, dims_out, direction, data_mask, mask)
+        rows = _contract(t, dims_in, dims_out, direction, data_mask, mask, stacked=True)
         if not forward:
             rows, _ = _bayes_rows(rows)
         defects[name] = float(np.max(np.abs(rows - reference)))

@@ -355,7 +355,8 @@ def nesting_depth(text: bytes) -> int:
         text = text.replace(b"\\\\", b"").replace(b'\\"', b"")
     brackets = _STRING.sub(b"", text.translate(None, _NOT_STRUCTURE))
     steps = _NESTING_STEP[np.frombuffer(brackets, np.uint8)]
-    return int(np.cumsum(steps, dtype=np.int64).max(initial=0))
+    # Cast, then sum: the prefix sums of np.cumsum(steps, dtype=np.int64), without its buffered casting loop.
+    return int(np.cumsum(steps.astype(np.int64)).max(initial=0))
 
 
 def parse_scenario(path: str) -> ScenarioFile:

@@ -529,6 +529,12 @@ def test_zero_shots_exit_3(tmp_path, capsys):
     assert "shots must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dims", [("0", "2"), ("2", "0"), ("-1", "2")])
+def test_verify_rejects_a_dimension_below_1(capsys, dims):
+    assert main(["verify", "--dims", *dims]) == 3
+    assert capsys.readouterr().err == "error [validation]: dimension must be at least 1\n"
+
+
 def test_verify_report_names_the_seed_it_ran(tmp_path, capsys):
     reports = {}
     for name, extra in (("default", []), ("zero", ["--seed", "0"])):

@@ -1114,6 +1114,98 @@ def test_every_batched_row_equals_the_single_row_kernel(data):
             np.testing.assert_allclose(row, oracle, rtol=0, atol=1e-14)
 
 
+# (dims_in, dims_out) of the stacked-instance tests: unequal partitions, equal ones, and all of size 1
+STACK_DIMS = [((2, 3), (3, 2)), ((3, 3), (3, 3)), ((1, 1), (1, 1))]
+
+
+def _operand_stacks(d):
+    # five Haar unitaries, and their adjoints, whose instances are laid out transposed
+    us = linalg.haar_random_unitaries(d, range(140, 145))
+    return us, linalg.dagger(us)
+
+
+@pytest.mark.parametrize("dims_in, dims_out", STACK_DIMS)
+def test_a_stacked_contraction_equals_each_instance_contracted_alone(dims_in, dims_out):
+    for operands in _operand_stacks(int(np.prod(dims_in))):
+        stack = inference._transition_stack(operands)
+        for direction in ("predict", "postdict"):
+            data_dims, guess_dims = (dims_in, dims_out) if direction == "predict" else (dims_out, dims_in)
+            for data_mask in itertools.product((False, True), repeat=len(data_dims)):
+                for guess_mask in itertools.product((False, True), repeat=len(guess_dims)):
+                    args = (dims_out, dims_in, direction, data_mask, guess_mask)
+                    rows = inference._contract(stack, *args, stacked=True)
+                    assert rows.shape[0] == len(operands)
+                    for operand, instance_rows in zip(operands, rows):
+                        assert np.array_equal(instance_rows, inference._contract(inference._transitions(operand), *args))
+
+
+def test_a_stack_of_transposed_isometries_contracts_as_each_alone():
+    # The purified no-signalling shape, where a single transposed array's rows
+    # move in the last bit when it is copied to the other memory layout.
+    for d_a in (2, 3, 4):
+        chains = []
+        for seed in range(3):
+            v_e = purify_instrument(random_instrument(d_a, 2, 2, 10 * seed + d_a)).isometry
+            v_f = purify_instrument(random_instrument(d_a, 2, 2, 10 * seed + d_a + 50)).isometry
+            chains.append(np.einsum("zpqd,dmea->zpqmea", v_f, v_e, optimize=True))
+        backs = linalg.dagger(np.stack([chain.reshape(-1, d_a) for chain in chains]))
+        args = ((d_a,), chains[0].shape[:-1], "postdict", (True,), (False, True, False, True, False))
+        rows = inference._contract(inference._transition_stack(backs), *args, stacked=True)
+        for back, instance_rows in zip(backs, rows):
+            assert np.array_equal(instance_rows, inference._contract(inference._transitions(back), *args))
+
+
+@pytest.mark.parametrize("dims_in, dims_out", STACK_DIMS)
+def test_a_stacked_pull_back_equals_each_instance_pulled_back_alone(dims_in, dims_out):
+    for operands in _operand_stacks(int(np.prod(dims_in))):
+        # through U the data side is the output, through U' the input
+        for dims_data, dims_guess in ((dims_out, dims_in), (dims_in, dims_out)):
+            for given_factors in itertools.product((False, True), repeat=len(dims_data)):
+                outcomes = tuple(range(d) if g else None for d, g in zip(dims_data, given_factors))
+                for mask in itertools.product((False, True), repeat=len(dims_guess)):
+                    args = (dims_data, outcomes, dims_guess, mask)
+                    rows = inference._pull_back_reference((operands,), *args)
+                    assert rows.shape[0] == len(operands)
+                    for operand, instance_rows in zip(operands, rows):
+                        assert np.array_equal(instance_rows, inference._pull_back_reference((operand,), *args))
+
+
+@pytest.mark.parametrize("dims_in, dims_out", STACK_DIMS)
+def test_open_reversal_check_on_a_stack_is_the_maximum_of_its_instances(dims_in, dims_out):
+    us, _ = _operand_stacks(int(np.prod(dims_in)))
+    stacked = open_reversal_check(us, dims_in, dims_out)
+    alone = [open_reversal_check(u, dims_in, dims_out) for u in us]
+    assert stacked == {name: max(defects[name] for defects in alone) for name in stacked}
+    assert stacked["max"] < 1e-12
+
+
+def test_open_reversal_check_checks_each_instance_of_a_stack():
+    us, _ = _operand_stacks(4)
+    us[3, 0, 0] += 1e-6
+    with pytest.raises(ValueError, match="not unitary"):
+        open_reversal_check(us, (2, 2))
+    with pytest.raises(ValueError, match="at least one unitary"):
+        open_reversal_check(us[:0], (2, 2))
+
+
+@pytest.mark.parametrize(
+    "channel",
+    [amplitude_damping(0.3), make_dephasing(), random_cptp_map(3, 3, 2, 151), random_cptp_map(2, 3, 3, 152)],
+    ids=["damping", "dephasing", "random-3", "random-2-to-3"],
+)
+def test_every_purified_row_equals_its_single_postdiction(channel):
+    purification = stinespring(channel)
+    for dilation in (purification, rotate_ancilla(purification, 153)):
+        rows, _ = inference._bayes_rows(inference._purified_numerators(dilation))
+        assert rows.shape == (channel.dim_out, channel.dim_in)
+        for x, row in enumerate(rows):
+            assert np.array_equal(row, postdict_channel_via_purification(channel, x, dilation).probabilities())
+            # the pull-back V_x' V_x / d_Y of this one outcome, as a single matrix product
+            v_x = dilation.isometry[x]
+            numerators = np.diagonal(v_x.conj().T @ v_x).real / dilation.dims_out[1]
+            assert np.array_equal(row, numerators / numerators.sum())
+
+
 @pytest.mark.parametrize("outcome", [-1, -3, 3, 7])
 def test_pull_back_reference_rejects_out_of_range_outcomes(outcome):
     u = linalg.haar_random_unitary(6, 39)
@@ -1130,14 +1222,14 @@ def _verify_failures(capsys):
 def test_verify_catches_a_kernel_that_swaps_two_data_factors(monkeypatch, capsys):
     original = inference._contract
 
-    def swapped(t, dims_out, dims_in, direction, data_mask, guess_mask):
+    def swapped(t, dims_out, dims_in, direction, data_mask, guess_mask, stacked=False):
         data_dims = dims_in if direction == "predict" else dims_out
         if len(data_dims) >= 2 and data_dims[0] == data_dims[1]:
-            # exchange the first two data factors' axes of T
-            n_out = len(dims_out)
-            first = n_out if direction == "predict" else 0
-            t = np.swapaxes(t.reshape(tuple(dims_out) + tuple(dims_in)), first, first + 1)
-        return original(t, dims_out, dims_in, direction, data_mask, guess_mask)
+            # exchange the first two data factors' axes of T, behind a stack's instance axis
+            lead = (len(t),) if stacked else ()
+            first = len(lead) + (len(dims_out) if direction == "predict" else 0)
+            t = np.swapaxes(t.reshape(lead + tuple(dims_out) + tuple(dims_in)), first, first + 1)
+        return original(t, dims_out, dims_in, direction, data_mask, guess_mask, stacked=stacked)
 
     monkeypatch.setattr(inference, "_contract", swapped)
     code, failing = _verify_failures(capsys)
@@ -1148,13 +1240,15 @@ def test_verify_catches_a_kernel_that_swaps_two_data_factors(monkeypatch, capsys
 def test_verify_catches_a_kernel_that_averages_a_fixed_factor(monkeypatch, capsys):
     original = inference._contract
 
-    def averaged(t, dims_out, dims_in, direction, data_mask, guess_mask):
+    def averaged(t, dims_out, dims_in, direction, data_mask, guess_mask, stacked=False):
         if len(data_mask) >= 2 and data_mask[0]:
             # every outcome of the first data factor gets the row averaged over it
+            # (np.tile repeats the rows of each instance of a stack too)
             d = (dims_in if direction == "predict" else dims_out)[0]
-            rows = original(t, dims_out, dims_in, direction, (False,) + tuple(data_mask[1:]), guess_mask)
+            averaged_mask = (False,) + tuple(data_mask[1:])
+            rows = original(t, dims_out, dims_in, direction, averaged_mask, guess_mask, stacked=stacked)
             return np.tile(rows, (d, 1))
-        return original(t, dims_out, dims_in, direction, data_mask, guess_mask)
+        return original(t, dims_out, dims_in, direction, data_mask, guess_mask, stacked=stacked)
 
     monkeypatch.setattr(inference, "_contract", averaged)
     code, failing = _verify_failures(capsys)
