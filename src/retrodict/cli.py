@@ -34,6 +34,10 @@ from .channels import (
 )
 from .errors import NoActiveReverseError, ScenarioError, UndefinedConditionalError
 from .inference import (
+    AVERAGED,
+    GIVEN,
+    GUESSED,
+    SUMMED,
     InferenceTask,
     _bayes_rows,
     _pull_back_reference,
@@ -148,8 +152,8 @@ def _run_sample(scenario: ScenarioFile, report: ReportDocument, seed: int, floor
 
     The transformation was validated when the scenario was parsed.  Its
     transition array is built once, and each direction's rows are solved on
-    it in one contraction.  The sampler never reads the direction, and the
-    labels of its count grid are the families' given labels: the grid is
+    it in one contraction.  The count grid is the same either way, and its
+    labels are the families' given labels: the grid is
     read along its rows to predict and down its columns to postdict.  A
     direction's sampled rows, in the order of their given labels, are
     checked and compared in one array pass; no table is built.
@@ -164,7 +168,7 @@ def _run_sample(scenario: ScenarioFile, report: ReportDocument, seed: int, floor
         givens = family[0]
         trials = grid.sum(axis=1)
         sampled = np.array(sorted(np.flatnonzero(trials).tolist(), key=givens.__getitem__))
-        analytic = _analytic_rows(task, family, sampled)
+        analytic = _analytic_rows(family, sampled)
         result = verdicts(grid[sampled] / trials[sampled, None], analytic, trials[sampled], floor)
         for row, defect, bound, passed in zip(
             sampled.tolist(), result.defect.tolist(), result.bound.tolist(), result.passed.tolist()
@@ -211,8 +215,8 @@ def _run_verify(report: ReportDocument, dims: tuple[int, int], seed: int, tolera
         # Both tables against the Born values |<x|U|a>|^2 read off U itself, indexed [a, x]:
         # the prediction rows are [a, x] and the postdiction rows [x, a].
         born = np.abs(us.swapaxes(-1, -2)) ** 2
-        pre = _table_rows(us, (d,), (d,), "predict", (True,), (True,))
-        post, _ = _bayes_rows(_table_rows(us, (d,), (d,), "postdict", (True,), (True,)))
+        pre = _table_rows(us, (d, d), (GUESSED, GIVEN))
+        post, _ = _bayes_rows(_table_rows(us, (d, d), (GIVEN, GUESSED)))
         post = post.swapaxes(-1, -2)
         defect = max(defect, float(np.max(np.abs(pre - born))), float(np.max(np.abs(post - born))))
     report.add_check("closed-symmetry", defect, tol_exact)
@@ -225,14 +229,14 @@ def _run_verify(report: ReportDocument, dims: tuple[int, int], seed: int, tolera
         # Solved predictions against operator-level postdictions, so the law
         # is not read twice off one transition array.
         dims = (d_a, d_b)
-        pre = _table_rows(us, dims, dims, "predict", (True, False), (True, False))
+        pre = _table_rows(us, dims + dims, (GUESSED, SUMMED, GIVEN, AVERAGED))
         post = _pull_back_reference((us,), dims, (range(d_a), None), dims, (True, False))
         defect = max(defect, float(np.max(np.abs(d_b * post.swapaxes(-1, -2) - d_b * pre))))
     report.add_check("open-ratio-laws", defect, tol_exact)
 
     channel = amplitude_damping(0.5)
     check_cptp(channel)
-    rows, factors = _bayes_rows(_table_rows(channel, (2,), (2,), "postdict", (True,), (True,)))
+    rows, factors = _bayes_rows(_table_rows(channel, (2, 2), (GIVEN, GUESSED)))
     defect = max(
         float(np.max(np.abs(rows - [[2 / 3, 1 / 3], [0.0, 1.0]]))),
         float(np.max(np.abs(factors - [2 / 3, 2.0]))),
@@ -245,7 +249,7 @@ def _run_verify(report: ReportDocument, dims: tuple[int, int], seed: int, tolera
         purification = stinespring(noisy)  # checks that the map is a channel
         rotated = rotate_ancilla(purification, rng_base + 40 + t)
         defect = max(defect, verify_purification(noisy, purification, trials=5, seed=t))
-        direct, _ = _bayes_rows(_table_rows(noisy, (d_a,), (d_a,), "postdict", (True,), (True,)))
+        direct, _ = _bayes_rows(_table_rows(noisy, (d_a, d_a), (GIVEN, GUESSED)))
         for dilation in (purification, rotated):
             via, _ = _bayes_rows(_purified_numerators(dilation))
             defect = max(defect, float(np.max(np.abs(direct - via))))

@@ -7,17 +7,17 @@ T[x, i] = |<x|U|psi_i>|^2.  A multi-outcome instrument stacks its outcomes
 into T[k, x..., a...]: its outcome k is one more output factor, labelled
 with the instrument's outcome labels.
 
-Prediction conditions on preparation outcomes and guesses test outcomes;
-postdiction conditions on test outcomes and guesses preparation outcomes
-under a flat prior over the alternatives.  The instrument outcome is
-guessed when predicting and is data when postdicting: what is known and
-what is unknown decide its role, not which way time runs.  On the data side
-a given factor is fixed at its outcome and an ignored factor is averaged
-(the flat weight I/d); on the guessing side the factors outside the mask
-are summed out (an unnormalized identity).  One contraction returns every
-row of a table family, one per combination of given outcomes; a solved
-table is one of its rows.  Postdiction then normalizes, and the inverse of
-the normalizer is the channel's Bayes factor.
+Each axis of T has one role: given (a row axis, fixed at an outcome),
+averaged (the flat weight I/d), guessed (a cell axis) or summed (an
+unnormalized identity).  One contraction over the roles returns every row
+of a table family, one per combination of given outcomes; a solved table is
+one of its rows.  What is known and what is unknown set the roles, not the
+direction of time, which only ``_kernel_view`` reads: prediction's data are
+the input factors, postdiction's the output factors and the instrument
+outcome, and a factor outside its mask is averaged or summed.  The flat
+prior sits on the inputs, so a row with every input axis data and no output
+axis data is a forward probability; every other row is divided by its
+evidence, whose inverse is the channel's Bayes factor.
 
 The identity checks compare these tables with an operator-level reference,
 never with the kernel itself: T(U') = T(U)^T holds by construction, so a
@@ -64,8 +64,12 @@ from .tables import ProbabilityTable, join_labels
 Given = Sequence[int | None]
 Mask = Sequence[bool]
 
-# A postdiction row whose flat-prior evidence falls below this has no table.
+# A row to normalize whose flat-prior evidence falls below this has no table.
 MIN_EVIDENCE = 1e-12
+
+# The role of an axis of T, and the roles of a row's data.
+GIVEN, AVERAGED, GUESSED, SUMMED = "given", "averaged", "guessed", "summed"
+DATA = (GIVEN, AVERAGED)
 
 
 # ---------------------------------------------------------------------------
@@ -102,22 +106,14 @@ def _transitions(
     return np.stack(arrays) if len(arrays) > 1 else arrays[0]
 
 
-def _contract(
-    t: np.ndarray,
-    dims_out: Sequence[int],
-    dims_in: Sequence[int],
-    direction: str,
-    data_mask: Mask,
-    guess_mask: Mask,
-    stacked: bool = False,
-) -> np.ndarray:
-    """Every row of one table family: the guessed cells for each combination of data outcomes.
+def _contract(t: np.ndarray, dims: Sequence[int], roles: Sequence[str], stacked: bool = False) -> np.ndarray:
+    """Every row of one table family: the guessed cells for each combination of given outcomes.
 
-    Prediction reads the input side as data, postdiction the output side.
-    The data factors in ``data_mask`` become the rows, their outcomes in
-    ``itertools.product`` order; the other data factors are averaged, and
-    the guess-side factors outside ``guess_mask`` are summed out.  Cells are
-    flattened in label order.
+    ``dims`` and ``roles`` list T's axes in order: the instrument outcome,
+    the output factors, then the input factors.  The data axes move to the
+    front in T order, the averaged ones are averaged and the summed ones
+    summed out; rows follow ``itertools.product`` order over the given
+    outcomes, and cells are flattened in label order.
 
     A ``stacked`` t has a leading instance axis, one transition array per
     instance, and the rows come back shaped (instances, rows, cells).  No
@@ -125,17 +121,20 @@ def _contract(
     those of its own call when its array keeps its own memory layout.
     """
     lead = (len(t),) if stacked else ()
-    n_lead, n_out = len(lead), len(dims_out)
-    t = t.reshape(lead + tuple(dims_out) + tuple(dims_in))
-    data_dims = dims_out
-    if direction == "predict":
-        sides = list(range(n_lead + n_out, t.ndim)) + list(range(n_lead, n_lead + n_out))
-        t = t.transpose(list(range(n_lead)) + sides)
-        data_dims = dims_in
-    t = t.mean(axis=tuple(n_lead + k for k, m in enumerate(data_mask) if not m))
-    n_rows = sum(bool(m) for m in data_mask)
-    t = t.sum(axis=tuple(n_lead + n_rows + k for k, m in enumerate(guess_mask) if not m))
-    return t.reshape(lead + (math.prod(d for d, m in zip(data_dims, data_mask) if m), -1))
+    n_lead = len(lead)
+    order = sorted(range(len(roles)), key=lambda axis: roles[axis] not in DATA)
+    t = t.reshape(lead + tuple(dims)).transpose(tuple(range(n_lead)) + tuple(n_lead + axis for axis in order))
+    left = [roles[axis] for axis in order]
+    t = t.mean(axis=tuple(n_lead + i for i, role in enumerate(left) if role == AVERAGED))
+    left = [role for role in left if role != AVERAGED]
+    t = t.sum(axis=tuple(n_lead + i for i, role in enumerate(left) if role == SUMMED))
+    return t.reshape(lead + (math.prod(d for d, role in zip(dims, roles) if role == GIVEN), -1))
+
+
+def _normalized(roles: Sequence[str], n_out: int) -> bool:
+    """Whether a family's rows are divided by their evidence: all but a forward probability's,
+    whose input axes are all data and whose first ``n_out`` axes, the outputs, are not."""
+    return any(role in DATA for role in roles[:n_out]) or not all(role in DATA for role in roles[n_out:])
 
 
 def _transition_stack(operands: np.ndarray) -> np.ndarray:
@@ -150,8 +149,8 @@ def _transition_stack(operands: np.ndarray) -> np.ndarray:
     return stack
 
 
-def _table_rows(transformation, dims_out, dims_in, direction, data_mask, guess_mask) -> np.ndarray:
-    """The unnormalized rows of a unitary's or a channel's table family.
+def _table_rows(transformation, dims, roles) -> np.ndarray:
+    """The unnormalized rows of a unitary's or a channel's table family, its T's axes in ``dims`` and ``roles``.
 
     An (n, D, D) stack of unitaries gives every instance's rows from one
     contraction, shaped (n, rows, cells).  Both stages are looked up in this
@@ -159,20 +158,25 @@ def _table_rows(transformation, dims_out, dims_in, direction, data_mask, guess_m
     other modules read the one held here.
     """
     if isinstance(transformation, np.ndarray) and transformation.ndim == 3:
-        t = _transition_stack(transformation)
-        return _contract(t, dims_out, dims_in, direction, data_mask, guess_mask, stacked=True)
-    return _contract(_transitions(transformation), dims_out, dims_in, direction, data_mask, guess_mask)
+        return _contract(_transition_stack(transformation), dims, roles, stacked=True)
+    return _contract(_transitions(transformation), dims, roles)
+
+
+def _evidence(numerators: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's flat-prior evidence, and whether it is missing: below ``MIN_EVIDENCE``, or NaN."""
+    evidence = numerators.sum(axis=-1, keepdims=True)
+    return evidence, ~(evidence[..., 0] >= MIN_EVIDENCE)
 
 
 def _bayes_rows(numerators: np.ndarray, given: str | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Flat-prior postdiction: each row of numerators (or the one row) divided by its evidence.
 
     Returns the rows and the Bayes factors 1 / evidence, which a channel's
-    postdiction carries.  A row whose evidence is below ``MIN_EVIDENCE``, or
-    NaN, has no postdiction; the error names ``given`` when the caller has it.
+    postdiction carries.  A row without evidence has no postdiction; the
+    error names ``given`` when the caller has it.
     """
-    evidence = numerators.sum(axis=-1, keepdims=True)
-    if not evidence.min() >= MIN_EVIDENCE:  # written so that a NaN evidence fails it too
+    evidence, missing = _evidence(numerators)
+    if missing.any():
         outcome = "a test outcome" if given is None else f"test outcome {given}"
         raise UndefinedConditionalError(f"{outcome} has zero probability under the flat prior")
     return numerators / evidence, 1.0 / evidence[..., 0]
@@ -377,15 +381,11 @@ def _check_preparation_states(states: Sequence[np.ndarray], d: int) -> None:
             raise ValueError(f"state {i} is not normalized")
 
 
-def _general_prep_task(states: Sequence[np.ndarray], u: np.ndarray, direction: str, x=None) -> InferenceTask:
-    u = np.asarray(u, dtype=complex)
-    dims = u.shape[:1]
-    return InferenceTask(u, dims, dims, direction, (True,), (True,), given_output=(x,), preparation_states=tuple(states))
-
-
 def predict_general_prep(states: Sequence[np.ndarray], u: np.ndarray) -> list[ProbabilityTable]:
     """One prediction row per preparation state: P(x | psi_i) = |<x|U|psi_i>|^2, from one contraction."""
-    task = _general_prep_task(states, u, "predict")
+    u = np.asarray(u, dtype=complex)
+    dims = u.shape[:1]
+    task = InferenceTask(u, dims, dims, "predict", (True,), (True,), preparation_states=states)
     _check_transformation(task)
     family = _solve_rows(task, _transitions(task.transformation, task.preparation_states))
     return [_row_table(task, family, row) for row in range(len(family[0]))]
@@ -393,7 +393,10 @@ def predict_general_prep(states: Sequence[np.ndarray], u: np.ndarray) -> list[Pr
 
 def postdict_general_prep(states: Sequence[np.ndarray], u: np.ndarray, x: int) -> ProbabilityTable:
     """Flat prior over the listed states; Bayes inversion of the prediction rows."""
-    return solve(_general_prep_task(states, u, "postdict", x))
+    u = np.asarray(u, dtype=complex)
+    dims = u.shape[:1]
+    task = InferenceTask(u, dims, dims, "postdict", (True,), (True,), given_output=(x,), preparation_states=states)
+    return solve(task)
 
 
 @dataclass(frozen=True)
@@ -445,8 +448,8 @@ class InferenceTask:
     output side; mask entries are booleans.  Factors outside the masks are
     ignored (flat prior on the data side, marginalized on the guessing
     side).  ``preparation_states`` switches the input alternatives from a
-    basis to an arbitrary pure-state set; ``given_outcome`` conditions on an
-    instrument outcome label when postdicting through an instrument.
+    basis to an arbitrary pure-state set; ``given_outcome`` is the observed
+    instrument outcome label, data when postdicting.
     """
 
     transformation: np.ndarray | QuantumMap | Instrument
@@ -509,12 +512,6 @@ def as_outcome(value) -> int:
     return index
 
 
-def _require_given(given: Given, mask: Mask, side: str) -> None:
-    missing = [k for k, (g, m) in enumerate(zip(given, mask)) if m and g is None]
-    if missing:
-        raise ValueError(f"solving this task requires given outcomes on {side} factors {missing}")
-
-
 def _check_transformation(task: InferenceTask) -> None:
     """Structural validation, done once where a task enters the solver.
 
@@ -549,87 +546,80 @@ def solve(task: InferenceTask) -> ProbabilityTable:
 
 
 def _kernel_view(task: InferenceTask):
-    """A task as the kernel reads it: per-factor labels and a mask for the input side, then the output side.
+    """A task as the kernel reads it: each axis of T's labels, role and given outcome, and the count of output axes.
 
-    A preparation-state set is one input factor with one alternative per
-    state.  A multi-outcome instrument's outcome is one more output factor,
-    placed first, labelled with the instrument's labels and always in the
-    mask: predicting guesses it, and postdicting takes it as data.
+    The axes run as T's do: the instrument outcome, the output factors, then
+    the input factors.  A preparation-state set is one input factor with one
+    alternative per state.  A multi-outcome instrument's outcome is one more
+    output axis, labelled with its labels, data exactly when the output side
+    is, and given at the index of ``given_outcome`` among them (None for a
+    label it lacks).  The direction becomes roles only here.
     """
     dims_in = task.dims_in if task.preparation_states is None else (len(task.preparation_states),)
-    labels_in = tuple(tuple(map(str, range(d))) for d in dims_in)
-    labels_out = tuple(tuple(map(str, range(d))) for d in task.dims_out)
-    mask_out = task.known_output_mask
+    labels = tuple(tuple(map(str, range(d))) for d in task.dims_out + dims_in)
+    # Each side's roles in and outside its mask: the output side's, then the input side's.
+    out_side, in_side = ((GUESSED, SUMMED), DATA) if task.direction == "predict" else (DATA, (GUESSED, SUMMED))
+    roles = tuple(out_side[not m] for m in task.known_output_mask) + tuple(in_side[not m] for m in task.known_input_mask)
+    given = task.given_output + task.given_input
     if isinstance(task.transformation, Instrument) and len(task.transformation.outcomes) > 1:
-        labels_out, mask_out = (task.transformation.labels(),) + labels_out, (True,) + mask_out
-    return (labels_in, task.known_input_mask), (labels_out, mask_out)
+        outcomes = task.transformation.labels()
+        labels, roles = (outcomes,) + labels, (out_side[0],) + roles
+        given = (outcomes.index(task.given_outcome) if task.given_outcome in outcomes else None,) + given
+    return labels, roles, given, len(labels) - len(dims_in)
 
 
 def _solve_checked(task: InferenceTask) -> ProbabilityTable:
-    """The body of ``solve`` for a task whose transformation has been validated.
+    """The body of ``solve`` for a task whose transformation has been validated: its given outcomes' row.
 
-    A range check of the given outcomes, then their row of the family
-    ``_solve_rows`` computes; postdiction through an instrument reads
-    ``given_outcome`` as the outcome factor's data.  A scenario's
-    transformation is validated when it is parsed, so the ``predict`` and
-    ``postdict`` commands solve here.
+    Each given outcome is checked against its axis before any array is
+    built.  A scenario's transformation is validated when it is parsed, so
+    the ``predict`` and ``postdict`` commands solve here.
     """
-    predict = task.direction == "predict"
-    (labels_in, _), _ = _kernel_view(task)
-    if predict:
-        dims, mask, data = tuple(map(len, labels_in)), task.known_input_mask, task.given_input
-    else:
-        dims, mask, data = task.dims_out, task.known_output_mask, task.given_output
-    _require_given(data, mask, "input" if predict else "output")
-    observed = []  # the instrument outcome's (index, dimension) when it is a data factor
-    if not predict and isinstance(task.transformation, Instrument):
-        outcomes = task.transformation.labels()
-        if task.given_outcome is None and len(outcomes) > 1:
+    labels, roles, given, n_out = _kernel_view(task)
+    rows = [axis for axis, role in enumerate(roles) if role == GIVEN]
+    n_outcome = n_out - len(task.dims_out)
+    for side, first, last in (("output", n_outcome, n_out), ("input", n_out, len(roles))):
+        missing = [axis - first for axis in rows if first <= axis < last and given[axis] is None]
+        if missing:
+            raise ValueError(f"solving this task requires given outcomes on {side} factors {missing}")
+    if n_outcome and 0 in rows and given[0] is None:
+        if task.given_outcome is None:
             raise ValueError("postdiction through an instrument requires the observed outcome label")
-        if task.given_outcome is not None and task.given_outcome not in outcomes:
-            raise ValueError(f"the instrument has no outcome labelled {task.given_outcome!r}")
-        observed = [(outcomes.index(task.given_outcome), len(outcomes))] if len(outcomes) > 1 else []
+        raise ValueError(f"the instrument has no outcome labelled {task.given_outcome!r}")
+    for axis in rows:
+        if not 0 <= given[axis] < len(labels[axis]):
+            side = "preparation" if axis >= n_out else "test"
+            raise ValueError(f"{side} outcome {given[axis]} out of range for factor dimension {len(labels[axis])}")
     family = _solve_rows(task, _transitions(task.transformation, task.preparation_states))
-    given = [(g, d) for g, d, m in zip(data, dims, mask) if m]
-    for g, d in given:
-        if not 0 <= g < d:
-            side = "preparation" if predict else "test"
-            raise ValueError(f"{side} outcome {g} out of range for factor dimension {d}")
-    given = observed + given
-    row = np.ravel_multi_index(tuple(g for g, _ in given), tuple(d for _, d in given))
+    row = np.ravel_multi_index(tuple(given[axis] for axis in rows), tuple(len(labels[axis]) for axis in rows))
     return _row_table(task, family, row)
 
 
-def _solve_rows(task: InferenceTask, t: np.ndarray) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray]:
-    """A validated task's table family: given labels, cell labels, and one unnormalized row per given label.
+def _solve_rows(task: InferenceTask, t: np.ndarray) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray, bool]:
+    """A validated task's family: given labels, cell labels, an unnormalized row per given label, and if they normalize.
 
     ``t`` is the task's ``_transitions``.  The task's given outcomes are not
-    read: there is one row per combination of outcomes of the data factors in
-    its mask, the instrument outcome first among them when postdicting.
+    read: there is one row per combination of outcomes of its given axes.
     ``_row_table`` makes a row into a table.
     """
-    predict = task.direction == "predict"
-    if not any(task.known_output_mask if predict else task.known_input_mask):
+    labels, roles, _, n_out = _kernel_view(task)
+    if GUESSED not in roles:
         raise ValueError("at least one factor must be guessed")
-    sides = _kernel_view(task)
-    (labels_in, _), (labels_out, _) = sides
-    (data_labels, data_mask), (guess_labels, guess_mask) = sides if predict else sides[::-1]
-    dims_out, dims_in = tuple(map(len, labels_out)), tuple(map(len, labels_in))
-    rows = _contract(t, dims_out, dims_in, task.direction, data_mask, guess_mask)
-    return _joined_labels(data_labels, data_mask), _joined_labels(guess_labels, guess_mask), rows
+    rows = _contract(t, tuple(map(len, labels)), roles)
+    givens = _joined_labels(labels, tuple(role == GIVEN for role in roles))
+    return givens, _joined_labels(labels, tuple(role == GUESSED for role in roles)), rows, _normalized(roles, n_out)
 
 
 def _row_table(task: InferenceTask, family, row: int) -> ProbabilityTable:
-    """Row ``row`` of a family from ``_solve_rows`` as a table.
+    """Row ``row`` of a family from ``_solve_rows`` as a table, labelled with the task's direction.
 
-    A postdiction row is normalized, and a channel's carries its Bayes factor.
+    A row of a normalized family is divided by its evidence, and a channel's
+    carries its Bayes factor.
     """
-    givens, cells, rows = family
-    if task.direction == "predict":
-        return ProbabilityTable.from_values(cells, rows[row], given=givens[row])
-    values, factor = _bayes_rows(rows[row], givens[row])
-    factor = float(factor) if isinstance(task.transformation, QuantumMap) else None
-    return ProbabilityTable.from_values(cells, values, given=givens[row], direction="postdict", factor=factor)
+    givens, cells, rows, normalized = family
+    values, factor = _bayes_rows(rows[row], givens[row]) if normalized else (rows[row], None)
+    factor = float(factor) if factor is not None and isinstance(task.transformation, QuantumMap) else None
+    return ProbabilityTable.from_values(cells, values, given=givens[row], direction=task.direction, factor=factor)
 
 
 def time_reverse(task: InferenceTask) -> InferenceTask:
@@ -709,13 +699,13 @@ def four_task_check(transformation: np.ndarray | QuantumMap) -> FourTaskReport:
         u = _check_unitary_arg(transformation)
         forward, reverse, kraus = u, dagger(u), (u,)
     # The adjoint of a unitary or of a unital channel needs no check of its own.
-    dims = ((kraus[0].shape[0],), (kraus[0].shape[1],))
+    dims = kraus[0].shape
     ahead, back = _transitions(forward), _transitions(reverse)
     return FourTaskReport(
-        predict_forward=_contract(ahead, *dims, "predict", (True,), (True,)),
-        postdict_forward=_bayes_rows(_contract(ahead, *dims, "postdict", (True,), (True,)))[0].T,
-        predict_reversed=_contract(back, *dims[::-1], "predict", (True,), (True,)).T,
-        postdict_reversed=_bayes_rows(_contract(back, *dims[::-1], "postdict", (True,), (True,)))[0],
+        predict_forward=_contract(ahead, dims, (GUESSED, GIVEN)),
+        postdict_forward=_bayes_rows(_contract(ahead, dims, (GIVEN, GUESSED)))[0].T,
+        predict_reversed=_contract(back, dims[::-1], (GUESSED, GIVEN)).T,
+        postdict_reversed=_bayes_rows(_contract(back, dims[::-1], (GIVEN, GUESSED)))[0],
         reference=_born_table(kraus),
     )
 
@@ -740,29 +730,32 @@ def open_reversal_check(
     stack = u if u.ndim == 3 else u[None]
     if not len(stack):
         raise ValueError("open_reversal_check needs at least one unitary")
+    if stack.shape[1:] != (linalg.dims_total(dims_out), linalg.dims_total(dims_in)):
+        raise ValueError("declared dimensions do not match the transformation matrix")
     for operand in stack:
-        task = InferenceTask(operand, dims_in, dims_out, "predict", (True, True), (True, True))
-        _check_transformation(task)
-    ud, dims_in, dims_out = dagger(stack), task.dims_in, task.dims_out
+        _check_unitary_arg(operand)
+    ud = dagger(stack)
     t = _transition_stack(ud)
-    # Each relation: its direction for U', its data mask and its guess mask.
+    # Each relation's roles of the axes of T(U'): U's input factors (a, b), then its output factors (x, y).
     relations = (
-        ("pre-a-xy", "predict", (True, True), (True, False)),
-        ("pre-ab-x", "predict", (True, False), (True, True)),
-        ("post-xy-a", "postdict", (True, False), (True, True)),
-        ("post-x-ab", "postdict", (True, True), (True, False)),
-        ("pre-a-x", "predict", (True, False), (True, False)),
-        ("post-x-a", "postdict", (True, False), (True, False)),
+        ("pre-a-xy", (GUESSED, SUMMED, GIVEN, GIVEN)),
+        ("pre-ab-x", (GUESSED, GUESSED, GIVEN, AVERAGED)),
+        ("post-xy-a", (GIVEN, AVERAGED, GUESSED, GUESSED)),
+        ("post-x-ab", (GIVEN, GIVEN, GUESSED, SUMMED)),
+        ("pre-a-x", (GUESSED, SUMMED, GIVEN, AVERAGED)),
+        ("post-x-a", (GIVEN, AVERAGED, GUESSED, SUMMED)),
     )
     defects: dict[str, float] = {}
-    for name, direction, data_mask, mask in relations:
-        forward = direction == "predict"
-        data_dims, guess_dims, kraus = (dims_out, dims_in, (stack,)) if forward else (dims_in, dims_out, (ud,))
-        outcomes = tuple(range(d) if m else None for d, m in zip(data_dims, data_mask))
-        reference = _pull_back_reference(kraus, data_dims, outcomes, guess_dims, mask)
-        rows = _contract(t, dims_in, dims_out, direction, data_mask, mask, stacked=True)
-        if not forward:
+    for name, roles in relations:
+        rows = _contract(t, (*dims_in, *dims_out), roles, stacked=True)
+        # The reference pulls the data side's effect back through the operator into it.
+        sides, kraus = ((dims_out, roles[2:]), (dims_in, roles[:2])), (stack,)
+        if _normalized(roles, len(dims_in)):
             rows, _ = _bayes_rows(rows)
+            sides, kraus = sides[::-1], (ud,)
+        (data_dims, data), (guess_dims, guess) = sides
+        outcomes = tuple(range(d) if role == GIVEN else None for d, role in zip(data_dims, data))
+        reference = _pull_back_reference(kraus, data_dims, outcomes, guess_dims, [role == GUESSED for role in guess])
         defects[name] = float(np.max(np.abs(rows - reference)))
     defects["max"] = max(defects.values())
     return defects
@@ -796,7 +789,7 @@ def channel_toward_past_check(channel: QuantumMap, purification: Purification | 
         purification = stinespring(channel)
     d_a = purification.dims_in[0]
     back = dagger(purification.isometry.reshape(-1, d_a))
-    rows, _ = _bayes_rows(_table_rows(back, (d_a,), purification.dims_out, "postdict", (True,), (True, False)))
+    rows, _ = _bayes_rows(_table_rows(back, (d_a, *purification.dims_out), (GIVEN, GUESSED, SUMMED)))
     return TowardsPastReport(_born_table(channel.kraus), rows)
 
 
@@ -890,8 +883,8 @@ def _purified_no_signalling_defect(e: Instrument, f: Instrument) -> float:
     # Isometries compose to an isometry; both were checked when built.  Each
     # row is one data outcome a; the joint cells are (y, x) over the pointers.
     chain_back, single_back = (dagger(v.reshape(-1, d_a)) for v in (chain, v_e))
-    joint = _table_rows(chain_back, (d_a,), chain.shape[:-1], "postdict", (True,), (False, True, False, True, False))
-    single = _table_rows(single_back, (d_a,), v_e.shape[:-1], "postdict", (True,), (False, True, False))
+    joint = _table_rows(chain_back, (d_a, *chain.shape[:-1]), (GIVEN, SUMMED, GUESSED, SUMMED, GUESSED, SUMMED))
+    single = _table_rows(single_back, (d_a, *v_e.shape[:-1]), (GIVEN, SUMMED, GUESSED, SUMMED))
     summed = _bayes_rows(joint)[0].reshape(d_a, m_f, m_e).sum(axis=1)
     return float(np.max(np.abs(summed - _bayes_rows(single)[0])))
 

@@ -84,13 +84,15 @@ class EnsembleResult:
 def _prepare_alternatives(task: InferenceTask):
     """Per side, its labels and each outcome combination's index among them; and the solver's transition array.
 
-    A side's labels are the kernel's given labels of the factors in its mask.
-    The input index runs over the columns of T, the output index over its
-    flattened rows, the instrument outcome first.
+    A side's labels are the kernel's labels of its given or guessed axes,
+    the factors in its mask.  The input index runs over the columns of T,
+    the output index over its flattened rows, the instrument outcome first.
     """
+    labels, roles, _, n_out = inference._kernel_view(task)
     sides = []
-    for factors, mask in inference._kernel_view(task):
-        kept = [len(labels) if m else 1 for labels, m in zip(factors, mask)]
+    for side in (slice(n_out, None), slice(n_out)):
+        factors, mask = labels[side], tuple(role in (inference.GIVEN, inference.GUESSED) for role in roles[side])
+        kept = [len(factor) if m else 1 for factor, m in zip(factors, mask)]
         index = np.broadcast_to(np.arange(np.prod(kept)).reshape(kept), tuple(map(len, factors))).ravel()
         sides.append((inference._joined_labels(factors, mask), index))
     return sides, inference._transitions(task.transformation, task.preparation_states)
@@ -202,19 +204,18 @@ def empirical_conditional(result: EnsembleResult, direction: str, given: str) ->
     return tables[given]
 
 
-def _analytic_rows(task: InferenceTask, family, rows: np.ndarray) -> np.ndarray:
+def _analytic_rows(family, rows: np.ndarray) -> np.ndarray:
     """Rows ``rows`` of a ``_solve_rows`` family, which a sample drew, as probabilities, checked in one array pass.
 
     The first of them that ``inference._row_table`` would reject raises: a
-    postdiction row without evidence is undefined, and an entry out of range
-    or a sum off 1 raises the table's error.
+    row to normalize without evidence is undefined, and an entry out of
+    range or a sum off 1 raises the table's error.
     """
-    givens, cells, numerators = family
+    givens, cells, numerators, normalized = family
     values = numerators[rows]
     missing = np.zeros(len(rows), dtype=bool)
-    if task.direction == "postdict":
-        evidence = values.sum(axis=-1, keepdims=True)
-        missing = ~(evidence[:, 0] >= inference.MIN_EVIDENCE)  # written so that a NaN evidence fails it too
+    if normalized:
+        evidence, missing = inference._evidence(values)
         values = values / np.where(missing[:, None], 1.0, evidence)
     invalid = first_invalid_row(cells, values)
     if missing[: len(rows) if invalid is None else invalid[0] + 1].any():

@@ -198,6 +198,32 @@ def test_verify_flags_only(capsys):
     assert code == 0
 
 
+VERIFY_CHECKS = [
+    ("closed-symmetry", 1e-12),
+    ("open-reversal", 1e-12),
+    ("open-ratio-laws", 1e-12),
+    ("channel-bayes-factor", 1e-12),
+    ("purified-ratio", 1e-10),
+    ("four-task", 1e-12),
+    ("towards-past", 1e-10),
+    ("no-signalling", 1e-12),
+    ("no-signalling-purified", 1e-10),
+    ("unital-symmetric-adjoint", 0.5),
+    ("deterministic-effect-solution", 1e-08),
+]
+
+
+def test_the_verify_report_lists_its_checks_in_order(capsys):
+    assert main(["verify", "--dims", "2", "3", "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    checks = [(check["name"], check["tolerance"]) for check in report["checks"]]
+    assert checks[:-1] == VERIFY_CHECKS
+    # the last check's tolerance is the smallest residual of the alternative weightings, also a metric
+    assert checks[-1] == ("deterministic-effect-alternatives", pytest.approx(0.25103563556603997, rel=1e-9))
+    assert list(report["metrics"]) == ["deterministic_effect_min_alternative_residual", "seed"]
+    assert report["metrics"]["deterministic_effect_min_alternative_residual"] == checks[-1][1]
+
+
 def test_verify_is_deterministic(capsys):
     main(["verify", "--seed", "3", "--dims", "2", "2", "--format", "json"])
     first = json.loads(capsys.readouterr().out)
@@ -611,11 +637,11 @@ def test_an_invalid_sampled_row_fails_as_its_table_would(monkeypatch, capsys, di
     original = rd.cli._solve_rows
 
     def spoiled(task, t):
-        givens, cells, rows = original(task, t)
+        givens, cells, rows, normalized = original(task, t)
         if task.direction == direction:
             rows = rows.copy()
             rows[1] = spoil(rows[1])
-        return givens, cells, rows
+        return givens, cells, rows, normalized
 
     task = rd.cli._task_from_scenario(parse_scenario(fixture("sample_hadamard.json")), direction)
     try:

@@ -19,6 +19,7 @@ from retrodict.channels import (
     make_dephasing,
     make_noisy_operation,
     make_unitary_channel,
+    outcome_probabilities,
     projective_instrument,
     random_cptp_map,
     random_instrument,
@@ -26,6 +27,11 @@ from retrodict.channels import (
 from retrodict.cli import main
 from retrodict.errors import NoActiveReverseError, UndefinedConditionalError
 from retrodict.inference import (
+    AVERAGED,
+    DATA,
+    GIVEN,
+    GUESSED,
+    SUMMED,
     InferenceTask,
     channel_toward_past_check,
     deterministic_effect_check,
@@ -903,6 +909,42 @@ def test_solve_rejects_an_unknown_instrument_outcome():
         solve(task)
 
 
+@pytest.mark.parametrize(
+    "direction, given, message",
+    [
+        ("predict", {"given_input": (2,)}, "preparation outcome 2 out of range for factor dimension 2"),
+        ("postdict", {"given_output": (-1,)}, "test outcome -1 out of range for factor dimension 2"),
+    ],
+    ids=["predict", "postdict"],
+)
+def test_given_outcomes_are_range_checked_before_any_array_is_built(monkeypatch, direction, given, message):
+    def never(*args):
+        raise AssertionError("no transition array may be built for an out-of-range outcome")
+
+    monkeypatch.setattr(inference, "_transitions", never)
+    with pytest.raises(ValueError, match=message):
+        solve(InferenceTask(HADAMARD, (2,), (2,), direction, (True,), (True,), **given))
+
+
+def test_a_postdiction_without_given_output_factors_is_still_normalized():
+    # every output factor averaged: no output axis is given, yet the row is divided by its evidence
+    table = solve(InferenceTask(random_cptp_map(2, 3, 3, 5), (2,), (3,), "postdict", (True,), (False,)))
+    assert (table.entries, table.factor) == ({"0": 0.5, "1": 0.5}, 1.4999999999999996)
+    # no output factor at all: the guessed input axis alone calls for the flat prior
+    trace = QuantumMap((np.array([[1, 0]], dtype=complex), np.array([[0, 1]], dtype=complex)), 2, 1)
+    table = solve(InferenceTask(trace, (2,), (), "postdict", (True,), ()))
+    assert (table.entries, table.factor) == ({"0": 0.5, "1": 0.5}, 0.5)
+
+
+def test_predicting_only_an_instruments_outcome_gives_its_probabilities():
+    # the outcome axis is guessed though no output factor is
+    instrument = random_instrument(2, 3, 2, 7)
+    table = solve(InferenceTask(instrument, (2,), (2,), "predict", (True,), (False,), given_input=(1,)))
+    expected = outcome_probabilities(instrument, linalg.basis_projector(2, 1))
+    assert table.labels() == expected.labels() == instrument.labels()
+    np.testing.assert_allclose(table.probabilities(), expected.probabilities(), rtol=0, atol=1e-12)
+
+
 def test_solve_requires_given_data():
     task = InferenceTask(
         transformation=np.eye(2, dtype=complex),
@@ -1057,22 +1099,23 @@ def test_pull_back_reference_never_calls_the_kernel(monkeypatch):
         open_reversal_check(u, (3, 3))
 
 
-def single_row_contract(t, dims_out, dims_in, direction, given, mask):
-    # the kernel before it returned every row: one given outcome per data
-    # factor (None for an averaged one), one flattened row of guessed cells
-    n_out = len(dims_out)
-    t = t.reshape(tuple(dims_out) + tuple(dims_in))
-    data_dims = dims_out
-    if direction == "predict":
-        t = t.transpose(list(range(n_out, t.ndim)) + list(range(n_out)))
-        data_dims = dims_in
-    for d, g in zip(data_dims, given):
-        assert g is None or 0 <= g < d
-        t = t.mean(axis=0) if g is None else t[g]
-    return t.sum(axis=tuple(k for k, m in enumerate(mask) if not m)).reshape(-1)
+def single_row_contract(t, dims, roles, given):
+    # one row by slicing: each given axis of T fixed at its outcome in
+    # ``given``, each averaged one averaged, the summed ones summed out, and
+    # the guessed cells flattened in T order
+    t = t.reshape(dims)
+    for axis in reversed(range(len(dims))):  # from the last, so the axes before keep their place
+        if roles[axis] == GIVEN:
+            assert 0 <= given[axis] < dims[axis]
+            t = np.take(t, given[axis], axis=axis)
+        elif roles[axis] == AVERAGED:
+            t = t.mean(axis=axis)
+    left = [role for role in roles if role not in DATA]
+    return t.sum(axis=tuple(k for k, role in enumerate(left) if role == SUMMED)).reshape(-1)
 
 
 _FACTOR_DIMS = st.lists(st.integers(2, 4), min_size=1, max_size=3)
+ROLES = (GIVEN, AVERAGED, GUESSED, SUMMED)
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -1097,21 +1140,17 @@ def test_every_batched_row_equals_the_single_row_kernel(data):
         u = linalg.haar_random_unitary(d_out, seed)
         transformation = u if kind == "unitary" else random_instrument(d_out, 3, 2, seed)
         states = None
-    direction = data.draw(st.sampled_from(["predict", "postdict"]), label="direction")
-    data_dims, guess_dims = (dims_in, dims_out) if direction == "predict" else (dims_out, dims_in)
-    data_mask = tuple(data.draw(st.lists(st.booleans(), min_size=len(data_dims), max_size=len(data_dims))))
-    guess_mask = tuple(
-        data.draw(st.lists(st.booleans(), min_size=len(guess_dims), max_size=len(guess_dims)).filter(any))
-    )
-    combos = list(itertools.product(*(range(d) if m else (None,) for d, m in zip(data_dims, data_mask))))
-    # an instrument's array stacks one T per outcome; each is contracted on its own here
-    stacked = inference._transitions(transformation, states)
-    for t in stacked.reshape((-1,) + stacked.shape[-2:]):
-        rows = inference._contract(t, dims_out, dims_in, direction, data_mask, guess_mask)
-        assert rows.shape[0] == len(combos)
-        for row, given_data in zip(rows, combos):
-            oracle = single_row_contract(t, dims_out, dims_in, direction, given_data, guess_mask)
-            np.testing.assert_allclose(row, oracle, rtol=0, atol=1e-14)
+    # an instrument's array stacks one T per outcome: its outcome is the first axis
+    t = inference._transitions(transformation, states)
+    dims = t.shape[:-2] + dims_out + dims_in
+    # any role on any axis, the task's arrangements and every other, with a guessed axis among them
+    roles = tuple(data.draw(st.lists(st.sampled_from(ROLES), min_size=len(dims), max_size=len(dims))
+                            .filter(lambda drawn: GUESSED in drawn), label="roles"))
+    combos = list(itertools.product(*(range(d) if role == GIVEN else (None,) for d, role in zip(dims, roles))))
+    rows = inference._contract(t, dims, roles)
+    assert rows.shape[0] == len(combos)
+    for row, given_data in zip(rows, combos):
+        np.testing.assert_allclose(row, single_row_contract(t, dims, roles, given_data), rtol=0, atol=1e-14)
 
 
 # (dims_in, dims_out) of the stacked-instance tests: unequal partitions, equal ones, and all of size 1
@@ -1128,15 +1167,12 @@ def _operand_stacks(d):
 def test_a_stacked_contraction_equals_each_instance_contracted_alone(dims_in, dims_out):
     for operands in _operand_stacks(int(np.prod(dims_in))):
         stack = inference._transition_stack(operands)
-        for direction in ("predict", "postdict"):
-            data_dims, guess_dims = (dims_in, dims_out) if direction == "predict" else (dims_out, dims_in)
-            for data_mask in itertools.product((False, True), repeat=len(data_dims)):
-                for guess_mask in itertools.product((False, True), repeat=len(guess_dims)):
-                    args = (dims_out, dims_in, direction, data_mask, guess_mask)
-                    rows = inference._contract(stack, *args, stacked=True)
-                    assert rows.shape[0] == len(operands)
-                    for operand, instance_rows in zip(operands, rows):
-                        assert np.array_equal(instance_rows, inference._contract(inference._transitions(operand), *args))
+        for roles in itertools.product(ROLES, repeat=len(dims_out) + len(dims_in)):
+            rows = inference._contract(stack, dims_out + dims_in, roles, stacked=True)
+            assert rows.shape[0] == len(operands)
+            for operand, instance_rows in zip(operands, rows):
+                alone = inference._contract(inference._transitions(operand), dims_out + dims_in, roles)
+                assert np.array_equal(instance_rows, alone)
 
 
 def test_a_stack_of_transposed_isometries_contracts_as_each_alone():
@@ -1149,7 +1185,7 @@ def test_a_stack_of_transposed_isometries_contracts_as_each_alone():
             v_f = purify_instrument(random_instrument(d_a, 2, 2, 10 * seed + d_a + 50)).isometry
             chains.append(np.einsum("zpqd,dmea->zpqmea", v_f, v_e, optimize=True))
         backs = linalg.dagger(np.stack([chain.reshape(-1, d_a) for chain in chains]))
-        args = ((d_a,), chains[0].shape[:-1], "postdict", (True,), (False, True, False, True, False))
+        args = ((d_a, *chains[0].shape[:-1]), (GIVEN, SUMMED, GUESSED, SUMMED, GUESSED, SUMMED))
         rows = inference._contract(inference._transition_stack(backs), *args, stacked=True)
         for back, instance_rows in zip(backs, rows):
             assert np.array_equal(instance_rows, inference._contract(inference._transitions(back), *args))
@@ -1222,14 +1258,13 @@ def _verify_failures(capsys):
 def test_verify_catches_a_kernel_that_swaps_two_data_factors(monkeypatch, capsys):
     original = inference._contract
 
-    def swapped(t, dims_out, dims_in, direction, data_mask, guess_mask, stacked=False):
-        data_dims = dims_in if direction == "predict" else dims_out
-        if len(data_dims) >= 2 and data_dims[0] == data_dims[1]:
-            # exchange the first two data factors' axes of T, behind a stack's instance axis
+    def swapped(t, dims, roles, stacked=False):
+        data = [axis for axis, role in enumerate(roles) if role in DATA]
+        if len(data) >= 2 and dims[data[0]] == dims[data[1]]:
+            # exchange the first two data axes of T, behind a stack's instance axis
             lead = (len(t),) if stacked else ()
-            first = len(lead) + (len(dims_out) if direction == "predict" else 0)
-            t = np.swapaxes(t.reshape(lead + tuple(dims_out) + tuple(dims_in)), first, first + 1)
-        return original(t, dims_out, dims_in, direction, data_mask, guess_mask, stacked=stacked)
+            t = np.swapaxes(t.reshape(lead + tuple(dims)), len(lead) + data[0], len(lead) + data[1])
+        return original(t, dims, roles, stacked=stacked)
 
     monkeypatch.setattr(inference, "_contract", swapped)
     code, failing = _verify_failures(capsys)
@@ -1240,15 +1275,15 @@ def test_verify_catches_a_kernel_that_swaps_two_data_factors(monkeypatch, capsys
 def test_verify_catches_a_kernel_that_averages_a_fixed_factor(monkeypatch, capsys):
     original = inference._contract
 
-    def averaged(t, dims_out, dims_in, direction, data_mask, guess_mask, stacked=False):
-        if len(data_mask) >= 2 and data_mask[0]:
-            # every outcome of the first data factor gets the row averaged over it
+    def averaged(t, dims, roles, stacked=False):
+        data = [axis for axis, role in enumerate(roles) if role in DATA]
+        if len(data) >= 2 and roles[data[0]] == GIVEN:
+            # every outcome of the first data axis gets the row averaged over it
             # (np.tile repeats the rows of each instance of a stack too)
-            d = (dims_in if direction == "predict" else dims_out)[0]
-            averaged_mask = (False,) + tuple(data_mask[1:])
-            rows = original(t, dims_out, dims_in, direction, averaged_mask, guess_mask, stacked=stacked)
-            return np.tile(rows, (d, 1))
-        return original(t, dims_out, dims_in, direction, data_mask, guess_mask, stacked=stacked)
+            first = data[0]
+            rows = original(t, dims, roles[:first] + (AVERAGED,) + roles[first + 1 :], stacked=stacked)
+            return np.tile(rows, (dims[first], 1))
+        return original(t, dims, roles, stacked=stacked)
 
     monkeypatch.setattr(inference, "_contract", averaged)
     code, failing = _verify_failures(capsys)

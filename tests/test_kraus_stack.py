@@ -15,6 +15,7 @@ from retrodict.channels import (
     random_cptp_map,
     random_instrument,
 )
+from retrodict.inference import GIVEN, GUESSED, SUMMED
 from retrodict.purify import purify_instrument
 from retrodict.tables import join_labels
 
@@ -157,7 +158,7 @@ def test_a_transposed_single_matrix_keeps_its_layout_in_the_contraction():
         v_e, v_f = purify_instrument(e).isometry, purify_instrument(f).isometry
         chain = np.einsum("zpqd,dmea->zpqmea", v_f, v_e, optimize=True)
         back = linalg.dagger(chain.reshape(-1, d_a))
-        args = ((d_a,), chain.shape[:-1], "postdict", (True,), (False, True, False, True, False))
+        args = ((d_a, *chain.shape[:-1]), (GIVEN, SUMMED, GUESSED, SUMMED, GUESSED, SUMMED))
         t = inference._transitions(back)
         np.testing.assert_array_equal(t, back.real**2 + back.imag**2)
         np.testing.assert_array_equal(

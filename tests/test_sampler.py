@@ -470,8 +470,9 @@ def test_the_count_grid_read_as_a_dict_is_the_ensemble(task):
 def test_the_grid_labels_are_the_families_given_labels(task):
     in_labels, out_labels, _ = count_grid(task, 10, 77)
     t = _transitions(task.transformation, task.preparation_states)
-    assert _solve_rows(replace(task, direction="predict"), t)[:2] == (in_labels, out_labels)
-    assert _solve_rows(replace(task, direction="postdict"), t)[:2] == (out_labels, in_labels)
+    predicted, postdicted = (_solve_rows(replace(task, direction=direction), t) for direction in ("predict", "postdict"))
+    assert (predicted[:2], predicted[3]) == ((in_labels, out_labels), False)
+    assert (postdicted[:2], postdicted[3]) == ((out_labels, in_labels), True)
 
 
 @pytest.mark.parametrize("task, searches", zip(_grid_tasks(), [1, 1, 1, 2]), ids=GRID_IDS)
@@ -564,7 +565,9 @@ POSTDICT_ROWS = {
 @pytest.mark.parametrize("order", [(0, 1, 2, 3), (0, 2, 1, 3), (3, 2, 1, 0), (0, 3, 2, 1), (0,)])
 def test_the_analytic_rows_fail_where_the_first_failing_table_fails(direction, order):
     task = replace(channel_task(random_cptp_map(3, 3, 2, 79)), direction=direction)
-    family = (("g0", "g1", "g2", "g3"), ("0", "1", "2"), np.array(list(POSTDICT_ROWS.values())))
+    # a postdiction family's rows are normalized, a prediction family's are not
+    rows = np.array(list(POSTDICT_ROWS.values()))
+    family = (("g0", "g1", "g2", "g3"), ("0", "1", "2"), rows, direction == "postdict")
     rows = np.array(order)
     expected = None
     for row in order:
@@ -577,8 +580,8 @@ def test_the_analytic_rows_fail_where_the_first_failing_table_fails(direction, o
             expected = (ValueError, str(exc))
             break
     if expected is None:
-        np.testing.assert_array_equal(_analytic_rows(task, family, rows), family[2][rows])
+        np.testing.assert_array_equal(_analytic_rows(family, rows), family[2][rows])
         return
     with pytest.raises(ValueError) as raised:
-        _analytic_rows(task, family, rows)
+        _analytic_rows(family, rows)
     assert (type(raised.value), str(raised.value)) == expected
