@@ -40,6 +40,7 @@ from .inference import (
     SUMMED,
     InferenceTask,
     _bayes_rows,
+    _kernel_view,
     _pull_back_reference,
     _purified_numerators,
     _sampled_table_asymmetry,
@@ -162,7 +163,7 @@ def _run_sample(scenario: ScenarioFile, report: ReportDocument, seed: int, floor
     tasks = [_task_from_scenario(scenario, direction) for direction in ("predict", "postdict")]
     t = inference._transitions(tasks[0].transformation, tasks[0].preparation_states)
     # Solving first rejects a task that guesses nothing before any trial runs.
-    families = [_solve_rows(task, t) for task in tasks]
+    families = [_solve_rows(_kernel_view(task), t) for task in tasks]
     _, _, counts = count_grid(tasks[0], shots, seed)
     for task, family, grid in zip(tasks, families, (counts, counts.T)):
         givens = family[0]
@@ -288,11 +289,11 @@ def _run_verify(report: ReportDocument, dims: tuple[int, int], seed: int, tolera
         ),
         ("amplitude-damping", amplitude_damping(0.5), False),
     ]
-    agreement = True
-    for _, channel, expected in suite:
-        # The criterion sum K K' = I against the tables the kernel gives on sampled bases.
-        sampled = _sampled_table_asymmetry(channel, rng_base) < 1e-9
-        agreement = agreement and (is_inference_symmetric(channel) == sampled == expected)
+    # The criterion sum K K' = I against the tables the kernel gives on sampled bases.
+    gaps = _sampled_table_asymmetry([channel for _, channel, _ in suite], rng_base)
+    agreement = all(
+        is_inference_symmetric(channel) == (gap < 1e-9) == expected for (_, channel, expected), gap in zip(suite, gaps)
+    )
     report.add_check("unital-symmetric-adjoint", 0.0 if agreement else 1.0, 0.5)
 
     worst_solution = 0.0

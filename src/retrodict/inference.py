@@ -49,11 +49,7 @@ from .channels import (
     adjoint_map,
     apply,
     check_cptp,
-    coarse_grain,
-    compose_sequential,
     is_trace_preserving,
-    outcome_probabilities,
-    random_instrument,
 )
 from .channels import classify  # noqa: F401  (bound here for bench/test_bench.py's tracer test)
 from .errors import NoActiveReverseError, UndefinedConditionalError
@@ -82,27 +78,30 @@ def _transitions(
 ) -> np.ndarray:
     """The transition array T[x, a] = sum_K |K[x, a]|^2 of shape (D_out, D_in).
 
-    A channel sums over its Kraus operators; a matrix whose columns are the
-    images of the alternatives (a unitary) is the case of one operator.  With
+    A channel sums over its Kraus operators, and so does a bare
+    (n, D_out, D_in) stack of them; a matrix whose columns are the images of
+    the alternatives (a unitary) is the case of one operator.  With
     preparation ``states`` the columns are the images U|psi_i>.  A
     multi-outcome instrument stacks one array per outcome into T[k, x, a]; a
-    single-outcome one is the channel of its outcome.  The solver and the
-    sampler both read their array from here.
+    single-outcome one is the channel of its outcome.  The solver, the
+    sampler and the sampled-basis symmetry check read their array from here.
 
     A single matrix is squared as it is, never copied into a stack: the
     reductions of ``_contract`` follow the memory layout of T, so a
     transposed matrix must keep its layout for the tables to keep their bits.
     """
     if isinstance(transformation, Instrument):
-        maps = [qmap for _, qmap in transformation.outcomes]
+        stacks = [qmap.kraus for _, qmap in transformation.outcomes]
     elif isinstance(transformation, QuantumMap):
-        maps = [transformation]
+        stacks = [transformation.kraus]
+    elif np.ndim(transformation) == 3:
+        stacks = [transformation]
     else:
         u = np.asarray(transformation, dtype=complex)
         if states is not None:
             u = u @ np.stack(states, axis=1)
         return u.real**2 + u.imag**2
-    arrays = [linalg.ordered_sum(qmap.kraus.real**2 + qmap.kraus.imag**2) for qmap in maps]
+    arrays = [linalg.ordered_sum(kraus.real**2 + kraus.imag**2) for kraus in stacks]
     return np.stack(arrays) if len(arrays) > 1 else arrays[0]
 
 
@@ -387,7 +386,7 @@ def predict_general_prep(states: Sequence[np.ndarray], u: np.ndarray) -> list[Pr
     dims = u.shape[:1]
     task = InferenceTask(u, dims, dims, "predict", (True,), (True,), preparation_states=states)
     _check_transformation(task)
-    family = _solve_rows(task, _transitions(task.transformation, task.preparation_states))
+    family = _solve_rows(_kernel_view(task), _transitions(task.transformation, task.preparation_states))
     return [_row_table(task, family, row) for row in range(len(family[0]))]
 
 
@@ -575,7 +574,8 @@ def _solve_checked(task: InferenceTask) -> ProbabilityTable:
     built.  A scenario's transformation is validated when it is parsed, so
     the ``predict`` and ``postdict`` commands solve here.
     """
-    labels, roles, given, n_out = _kernel_view(task)
+    view = _kernel_view(task)
+    labels, roles, given, n_out = view
     rows = [axis for axis, role in enumerate(roles) if role == GIVEN]
     n_outcome = n_out - len(task.dims_out)
     for side, first, last in (("output", n_outcome, n_out), ("input", n_out, len(roles))):
@@ -590,19 +590,19 @@ def _solve_checked(task: InferenceTask) -> ProbabilityTable:
         if not 0 <= given[axis] < len(labels[axis]):
             side = "preparation" if axis >= n_out else "test"
             raise ValueError(f"{side} outcome {given[axis]} out of range for factor dimension {len(labels[axis])}")
-    family = _solve_rows(task, _transitions(task.transformation, task.preparation_states))
+    family = _solve_rows(view, _transitions(task.transformation, task.preparation_states))
     row = np.ravel_multi_index(tuple(given[axis] for axis in rows), tuple(len(labels[axis]) for axis in rows))
     return _row_table(task, family, row)
 
 
-def _solve_rows(task: InferenceTask, t: np.ndarray) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray, bool]:
+def _solve_rows(view, t: np.ndarray) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray, bool]:
     """A validated task's family: given labels, cell labels, an unnormalized row per given label, and if they normalize.
 
-    ``t`` is the task's ``_transitions``.  The task's given outcomes are not
-    read: there is one row per combination of outcomes of its given axes.
-    ``_row_table`` makes a row into a table.
+    ``view`` is the task's ``_kernel_view`` and ``t`` its ``_transitions``.
+    The view's given outcomes are not read: there is one row per combination
+    of outcomes of its given axes.  ``_row_table`` makes a row into a table.
     """
-    labels, roles, _, n_out = _kernel_view(task)
+    labels, roles, _, n_out = view
     if GUESSED not in roles:
         raise ValueError("at least one factor must be guessed")
     rows = _contract(t, tuple(map(len, labels)), roles)
@@ -798,11 +798,36 @@ def channel_toward_past_check(channel: QuantumMap, purification: Purification | 
 # ---------------------------------------------------------------------------
 
 
-def _sequential_joint(e: Instrument, f: Instrument, rho: np.ndarray) -> np.ndarray:
-    """Joint outcome probabilities of f o e as a (|e|, |f|) array, by composition."""
-    joint_table = outcome_probabilities(compose_sequential(e, f), rho)
-    values = joint_table.probabilities().reshape(len(e.outcomes), len(f.outcomes))
-    return values
+def _kraus_stack(inst: Instrument) -> tuple[np.ndarray, np.ndarray]:
+    """An instrument's Kraus operators in one stack, outcome by outcome, and where each outcome's run starts."""
+    stacks = [qmap.kraus for _, qmap in inst.outcomes]
+    return np.concatenate(stacks), np.cumsum([0] + [len(k) for k in stacks[:-1]])
+
+
+def _random_followers(d: int, n_outcomes: int, count: int, seed: int) -> np.ndarray:
+    """The Kraus operators of ``count`` random followers, two per outcome, as one (count * 2 n, d, d) stack.
+
+    Follower t is ``random_instrument(d, n_outcomes, 2, seed + 101 (t + 1))``
+    bit for bit: the first d columns of a Haar unitary of dimension 2 n d,
+    cut into 2 n operators.  Every follower is drawn in one call, and their
+    completeness sum K'K = V'V is checked at once, as an instrument's.
+    """
+    seeds = [seed + 101 * (t + 1) for t in range(count)]
+    isometries = linalg.haar_random_unitaries(2 * n_outcomes * d, seeds)[..., :d]
+    defect = float(np.max(np.abs(dagger(isometries) @ isometries - np.eye(d)), initial=0.0))
+    if not defect < ATOL_STRUCTURAL:
+        raise ValueError(f"completeness violated: max |sum K'K - I| = {defect:.3e}")
+    return isometries.reshape(-1, d, d)
+
+
+def _sequential_kraus(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Every Kraus operator F_l E_k of the stack ``second`` run after the stack ``first``, indexed [k, l]."""
+    return second[None] @ first[:, None]
+
+
+def _traces(kraus: np.ndarray, state: np.ndarray) -> np.ndarray:
+    """tr K state K' for each operator K of a stack, broadcast over the leading axes of both."""
+    return np.trace(kraus @ state @ dagger(kraus), axis1=-2, axis2=-1).real
 
 
 @dataclass(frozen=True)
@@ -827,41 +852,50 @@ def no_signalling_check(
     ones; (ii) the purified postdiction reading, where both operations are
     dilated and run backwards; (iii) conditioning on the later outcome does
     update the earlier guess, by exactly the sequential probability ratio.
+
+    No instrument is built for a follower or a composition.  The random
+    followers are one stack (``_random_followers``).  A follower's joint
+    table is one batched product of the composed operators F_l E_k applied
+    to rho, summed over each outcome's operators, so outcomes may hold
+    different numbers of operators.  The conditionals of (iii) come from the
+    nested application F_j[E_i[rho]], with the denominator F_j[E[rho]] of
+    the coarse-grained e, never from the composed operators: the two sides
+    of (iii) are separate computations.  An outcome of f with joint weight
+    below 1e-12 has no conditional and is listed as skipped.
     """
     if e.dim_out != f.dim_in:
         raise ValueError("instruments are not composable: output and input dimensions differ")
     rho = linalg.check_state(rho, e.dim_in)
+    n_e, n_f = len(e.outcomes), len(f.outcomes)
+    e_kraus, e_starts = _kraus_stack(e)
+    f_kraus, f_starts = _kraus_stack(f)
 
-    alone = outcome_probabilities(e, rho).probabilities()
+    # Each outcome's image E_i[rho], whose trace is the statistics of e alone.
+    terms = e_kraus @ rho @ dagger(e_kraus)
+    images = np.add.reduceat(terms, e_starts)
+    alone = np.trace(images, axis1=-2, axis2=-1).real
 
-    followers = [f]
-    for t in range(extra_followers):
-        followers.append(random_instrument(f.dim_in, len(f.outcomes), 2, seed + 101 * (t + 1)))
-    joints = [_sequential_joint(e, follower, rho) for follower in followers]
-    marginal_defect = max(float(np.max(np.abs(joint.sum(axis=1) - alone))) for joint in joints)
+    # Joint tables [i, j] by composition: the given follower's, then the random ones', two operators per outcome.
+    joint = np.add.reduceat(_traces(_sequential_kraus(e_kraus, f_kraus), rho), e_starts)
+    joint = np.add.reduceat(joint, f_starts, axis=1)
+    extra = _traces(_sequential_kraus(e_kraus, _random_followers(f.dim_in, n_f, extra_followers, seed)), rho)
+    extra = np.add.reduceat(extra, e_starts).reshape(n_e, extra_followers, n_f, 2).sum(axis=-1)
+    marginals = np.concatenate([joint.sum(axis=1)[:, None], extra.sum(axis=-1)], axis=1)
+    marginal_defect = float(np.max(np.abs(marginals - alone[:, None])))
 
-    joint = joints[0]
-    conditional_defect = 0.0
-    skipped: list[str] = []
-    grained_e = coarse_grain(e)
-    evolved = apply(grained_e, rho)
-    for j, (label_j, map_j) in enumerate(f.outcomes):
-        weight = joint[:, j].sum()
-        denominator = float(np.trace(apply(map_j, evolved)).real)
-        if weight < 1e-12:
-            skipped.append(label_j)
-            continue
-        for i, (label_i, map_i) in enumerate(e.outcomes):
-            direct = float(np.trace(apply(map_j, apply(map_i, rho))).real) / denominator
-            conditional_defect = max(conditional_defect, abs(joint[i, j] / weight - direct))
-
-    purified_defect = _purified_no_signalling_defect(e, f)
+    # Row i of ``nested`` is tr F_j[E_i[rho]]; its last row, tr F_j[E[rho]], is each conditional's denominator.
+    states = np.concatenate([images, linalg.ordered_sum(terms)[None]])
+    nested = np.add.reduceat(_traces(f_kraus, states[:, None]), f_starts, axis=1)
+    weight = joint.sum(axis=0)
+    skipped = weight < 1e-12
+    kept = ~skipped
+    conditional = np.abs(joint[:, kept] / weight[kept] - nested[:-1, kept] / nested[-1, kept])
 
     return NoSignallingReport(
         marginal_defect=marginal_defect,
-        purified_defect=purified_defect,
-        conditional_defect=conditional_defect,
-        skipped_conditionals=tuple(skipped),
+        purified_defect=_purified_no_signalling_defect(e, f),
+        conditional_defect=float(np.max(conditional, initial=0.0)),
+        skipped_conditionals=tuple(label for label, s in zip(f.labels(), skipped) if s),
     )
 
 
@@ -879,7 +913,8 @@ def _purified_no_signalling_defect(e: Instrument, f: Instrument) -> float:
 
     # (V_f (x) I_{P_e Z_e}) V_e: the second dilation consumes D and leaves
     # the factors (Z2, P_f, Z_f, P_e, Z_e).
-    chain = np.einsum("zpqd,dmea->zpqmea", v_f, v_e, optimize=True)
+    d = e.dim_out
+    chain = (v_f.reshape(-1, d) @ v_e.reshape(d, -1)).reshape(v_f.shape[:-1] + v_e.shape[1:])
     # Isometries compose to an isometry; both were checked when built.  Each
     # row is one data outcome a; the joint cells are (y, x) over the pointers.
     chain_back, single_back = (dagger(v.reshape(-1, d_a)) for v in (chain, v_e))
@@ -894,11 +929,12 @@ def _purified_no_signalling_defect(e: Instrument, f: Instrument) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _table_asymmetry(channel: QuantumMap) -> float:
+def _table_asymmetry(channel: QuantumMap | np.ndarray) -> float:
     """Max |P_pre(x|a) - P_post(a|x)| over the computational bases, from one transition array.
 
-    T[x, a] is the prediction P(x|a), and row x of T divided by its sum is
-    the flat-prior postdiction P(a|x).
+    ``channel`` is a map or a bare Kraus stack.  T[x, a] is the prediction
+    P(x|a), and row x of T divided by its sum is the flat-prior postdiction
+    P(a|x).
     """
     t = _transitions(channel)
     evidence = t.sum(axis=1, keepdims=True)
@@ -909,25 +945,32 @@ def _table_asymmetry(channel: QuantumMap) -> float:
     return float(np.max(np.abs(t - t / evidence)))
 
 
-def _rotated_channel(channel: QuantumMap, v: np.ndarray, w: np.ndarray) -> QuantumMap:
-    """The same channel expressed in rotated preparation and test bases."""
-    return QuantumMap(dagger(w) @ channel.kraus @ v, channel.dim_in, channel.dim_out)
+def _sampled_table_asymmetry(channels: Sequence[QuantumMap], seed: int) -> list[float]:
+    """Each channel's largest prediction-postdiction gap over sampled basis pairs, read off the kernel.
 
-
-def _sampled_table_asymmetry(channel: QuantumMap, seed: int) -> float:
-    """The largest prediction-postdiction gap over sampled basis pairs, read off the kernel.
-
-    The computational bases and five Haar-rotated basis pairs.  It only
-    corroborates ``is_inference_symmetric``, which quantifies over all
-    bases: the identity suite and the tests hold the two to each other.
+    The computational bases, and for a channel whose input and output
+    dimensions agree, five Haar-rotated basis pairs: pair t is (V, W), the
+    draws of seeds seed + 2t and seed + 2t + 1.  The ten draws of a dimension
+    are made once, in one stack, for every channel of that dimension.  Each
+    pair's rotated Kraus stack W' K V is one batched product, and its table
+    is read through ``_transitions``, looked up when called; no map is
+    built.  One pair is rotated at a time, so a long Kraus list is held at
+    most twice.  This only corroborates ``is_inference_symmetric``, which
+    quantifies over all bases: the identity suite and the tests hold the
+    two to each other.
     """
-    samples = [_table_asymmetry(channel)]
-    if channel.dim_in == channel.dim_out:
-        # Pair t is (V, W) = the draws of seeds seed + 2t and seed + 2t + 1, all ten in one stack.
-        rotations = linalg.haar_random_unitaries(channel.dim_in, range(seed, seed + 10))
-        for v, w in zip(rotations[0::2], rotations[1::2]):
-            samples.append(_table_asymmetry(_rotated_channel(channel, v, w)))
-    return max(samples)
+    rotations: dict[int, np.ndarray] = {}
+    gaps = []
+    for channel in channels:
+        samples = [_table_asymmetry(channel.kraus)]
+        if channel.dim_in == channel.dim_out:
+            d = channel.dim_in
+            if d not in rotations:
+                rotations[d] = linalg.haar_random_unitaries(d, range(seed, seed + 10))
+            for v, w in zip(rotations[d][0::2], rotations[d][1::2]):
+                samples.append(_table_asymmetry(dagger(w) @ channel.kraus @ v))
+        gaps.append(max(samples))
+    return gaps
 
 
 def is_inference_symmetric(channel: QuantumMap) -> bool:

@@ -199,13 +199,14 @@ def test_criterion_5_unital_symmetric_adjoint_equivalence():
         suite.append((amplitude_damping(gamma), False))
 
     disagreements = 0
-    for channel, expected in suite:
+    # the tables themselves, which the three predicates below never build
+    gaps = _sampled_table_asymmetry([channel for channel, _ in suite], 0)
+    for (channel, expected), gap in zip(suite, gaps):
         unital = classify(channel).is_unital
         symmetric = is_inference_symmetric(channel)
         adjoint_info = classify(adjoint_map(channel))
         adjoint_cptp = adjoint_info.is_cp and adjoint_info.is_tp
-        # the tables themselves, which the three predicates above never build
-        sampled = _sampled_table_asymmetry(channel, 0) < 1e-9
+        sampled = gap < 1e-9
         if not (unital == symmetric == adjoint_cptp == sampled == expected):
             disagreements += 1
     report(

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -620,40 +621,52 @@ def test_sample_rejects_a_task_that_guesses_nothing_before_drawing(tmp_path, mon
     assert capsys.readouterr().err == "error [validation]: at least one factor must be guessed\n"
 
 
+# Each spoil of a family's row 1, with the exit codes it must give when predicting and when postdicting.
 SPOILS = {
-    "zero": lambda row: 0.0 * row,
-    "doubled": lambda row: 2.0 * row,
-    "off-by-1e-3": lambda row: 1.001 * row,
-    "negative": lambda row: row * [3.0, -1.0],
-    "nan": lambda row: np.nan * row,
+    "zero": (lambda row: 0.0 * row, 3, 4),
+    "doubled": (lambda row: 2.0 * row, 3, 0),
+    "off-by-1e-3": (lambda row: 1.001 * row, 3, 0),
+    "negative": (lambda row: row * [3.0, -1.0], 3, 3),
+    "nan": (lambda row: np.nan * row, 3, 4),
 }
+TABLE_ERRORS = r"probability \S+ for outcome '[01]' is out of range|table sums to \S+, not normalized within 1e-09"
 
 
 @pytest.mark.parametrize("direction", ["predict", "postdict"])
-@pytest.mark.parametrize("spoil", SPOILS.values(), ids=SPOILS.keys())
-def test_an_invalid_sampled_row_fails_as_its_table_would(monkeypatch, capsys, direction, spoil):
+@pytest.mark.parametrize("spoil, predict_code, postdict_code", SPOILS.values(), ids=SPOILS.keys())
+def test_an_invalid_sampled_row_fails_as_its_table_would(
+    monkeypatch, capsys, direction, spoil, predict_code, postdict_code
+):
     # The table of the spoiled row says what the array check must do: exit 4 for a row without
-    # evidence, exit 3 with the table's own message for a row out of range or off 1.
+    # evidence, exit 3 with the table's own message for a row out of range or off 1.  That table is
+    # spoiled here, not by the patched family, so a patch that breaks sets no expectation.
+    task = rd.cli._task_from_scenario(parse_scenario(fixture("sample_hadamard.json")), direction)
+    view, t = rd.inference._kernel_view(task), rd.inference._transitions(task.transformation)
+    givens, cells, rows, normalized = rd.inference._solve_rows(view, t)
+    rows = rows.copy()
+    rows[1] = spoil(rows[1])
+    try:
+        rd.inference._row_table(task, (givens, cells, rows, normalized), 1)
+        message = ""
+    except rd.UndefinedConditionalError:
+        message = "error [undefined-conditional]: cell '1' was sampled but has zero probability\n"
+    except ValueError as exc:
+        assert re.fullmatch(TABLE_ERRORS, str(exc))
+        message = f"error [validation]: {exc}\n"
+
     original = rd.cli._solve_rows
 
-    def spoiled(task, t):
-        givens, cells, rows, normalized = original(task, t)
-        if task.direction == direction:
+    def spoiled(view, t):
+        # only prediction's family is a forward probability, whose rows are not normalized
+        givens, cells, rows, normalized = original(view, t)
+        if normalized == (direction == "postdict"):
             rows = rows.copy()
             rows[1] = spoil(rows[1])
         return givens, cells, rows, normalized
 
-    task = rd.cli._task_from_scenario(parse_scenario(fixture("sample_hadamard.json")), direction)
-    try:
-        rd.inference._row_table(task, spoiled(task, rd.inference._transitions(task.transformation)), 1)
-        expected = (0, "")
-    except rd.UndefinedConditionalError:
-        expected = (4, "error [undefined-conditional]: cell '1' was sampled but has zero probability\n")
-    except ValueError as exc:
-        expected = (3, f"error [validation]: {exc}\n")
     monkeypatch.setattr(rd.cli, "_solve_rows", spoiled)
     code = main(["sample", "--scenario", fixture("sample_hadamard.json"), "--shots", "2000"])
-    assert (code, capsys.readouterr().err) == expected
+    assert (code, capsys.readouterr().err) == (predict_code if direction == "predict" else postdict_code, message)
 
 
 def test_a_scenario_is_checked_once_at_parse(monkeypatch, capsys):

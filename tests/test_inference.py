@@ -14,12 +14,15 @@ from retrodict.channels import (
     amplitude_damping,
     apply,
     classify,
+    coarse_grain,
+    compose_sequential,
     computational_measurement,
     identity_instrument,
     make_dephasing,
     make_noisy_operation,
     make_unitary_channel,
     outcome_probabilities,
+    povm_instrument,
     projective_instrument,
     random_cptp_map,
     random_instrument,
@@ -707,6 +710,107 @@ def test_no_signalling_rejects_incomposable():
         )
 
 
+def test_no_signalling_skips_the_conditional_of_an_impossible_outcome():
+    # Z then Z on |0><0|: the second outcome 1 never occurs, so it has no conditional (and no division).
+    e = computational_measurement(2)
+    report = no_signalling_check(e, e, linalg.basis_projector(2, 0), extra_followers=2)
+    assert report.skipped_conditionals == ("1",)
+    assert report.conditional_defect == 0.0
+
+
+def no_signalling_reference(e, f, rho, extra_followers, seed):
+    # The check on instrument objects, one follower and one outcome pair at a time:
+    # (marginal defect, conditional defect, skipped outcomes of f).
+    alone = outcome_probabilities(e, rho).probabilities()
+    followers = [f] + [
+        random_instrument(f.dim_in, len(f.outcomes), 2, seed + 101 * (t + 1)) for t in range(extra_followers)
+    ]
+    joints = [
+        outcome_probabilities(compose_sequential(e, g), rho).probabilities().reshape(len(e.outcomes), len(g.outcomes))
+        for g in followers
+    ]
+    marginal = max(float(np.max(np.abs(joint.sum(axis=1) - alone))) for joint in joints)
+    joint = joints[0]
+    conditional, skipped = 0.0, []
+    evolved = apply(coarse_grain(e), rho)
+    for j, (label_j, map_j) in enumerate(f.outcomes):
+        weight = joint[:, j].sum()
+        if weight < 1e-12:
+            skipped.append(label_j)
+            continue
+        denominator = np.trace(apply(map_j, evolved)).real
+        for i, (_, map_i) in enumerate(e.outcomes):
+            direct = np.trace(apply(map_j, apply(map_i, rho))).real / denominator
+            conditional = max(conditional, abs(joint[i, j] / weight - direct))
+    return marginal, conditional, tuple(skipped)
+
+
+def split_instrument(channel, sizes):
+    # An instrument whose outcome i holds the next sizes[i] Kraus operators of the channel.
+    starts = np.cumsum([0, *sizes])
+    outcomes = tuple(
+        (str(i), QuantumMap(channel.kraus[a:b], channel.dim_in, channel.dim_out))
+        for i, (a, b) in enumerate(zip(starts[:-1], starts[1:]))
+    )
+    return Instrument(outcomes, channel.dim_in, channel.dim_out)
+
+
+NO_SIGNALLING_CASES = {
+    "random-2": (random_instrument(2, 2, 2, 11), random_instrument(2, 2, 2, 12), 2),
+    "random-3-outcomes": (random_instrument(3, 3, 2, 13), random_instrument(3, 2, 3, 14), 3),
+    "identity-follower": (random_instrument(3, 2, 2, 15), identity_instrument(3), 3),
+    "unequal-kraus-counts": (
+        split_instrument(random_cptp_map(3, 3, 5, 16), (1, 3, 1)),
+        split_instrument(random_cptp_map(3, 3, 6, 17), (4, 2)),
+        3,
+    ),
+    "single-outcome-follower": (
+        random_instrument(2, 2, 2, 18),
+        Instrument((("only", random_cptp_map(2, 2, 3, 19)),), 2, 2),
+        2,
+    ),
+    "z-then-z": (computational_measurement(2), computational_measurement(2), 2),
+    "qubit-to-qutrit-then-destructive": (
+        split_instrument(random_cptp_map(2, 3, 4, 20), (2, 2)),
+        povm_instrument([linalg.basis_projector(3, x) for x in range(3)]),
+        2,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", NO_SIGNALLING_CASES.values(), ids=NO_SIGNALLING_CASES.keys())
+@pytest.mark.parametrize("extra_followers", [0, 2])
+def test_no_signalling_report_matches_the_instrument_object_reference(case, extra_followers):
+    e, f, d = case
+    for rho in (linalg.random_density_matrix(d, 21), linalg.basis_projector(d, 0)):
+        report = no_signalling_check(e, f, rho, extra_followers=extra_followers, seed=22)
+        marginal, conditional, skipped = no_signalling_reference(e, f, rho, extra_followers, 22)
+        assert abs(report.marginal_defect - marginal) <= 1e-15
+        assert abs(report.conditional_defect - conditional) <= 1e-15
+        assert report.skipped_conditionals == skipped
+
+
+@pytest.mark.parametrize("d, n_outcomes", [(1, 1), (2, 2), (3, 3), (4, 2)])
+def test_random_followers_are_the_random_instruments_kraus_operators(d, n_outcomes):
+    stack = inference._random_followers(d, n_outcomes, 3, 40)
+    for t in range(3):
+        follower = random_instrument(d, n_outcomes, 2, 40 + 101 * (t + 1))
+        expected = np.concatenate([qmap.kraus for _, qmap in follower.outcomes])
+        np.testing.assert_array_equal(stack[2 * n_outcomes * t : 2 * n_outcomes * (t + 1)], expected)
+
+
+def test_verify_catches_followers_composed_in_the_wrong_order(monkeypatch, capsys):
+    def reversed_order(first, second):
+        # E_k F_l in place of F_l E_k: e then acts after its follower
+        return first[:, None] @ second[None]
+
+    monkeypatch.setattr(inference, "_sequential_kraus", reversed_order)
+    code = main(["verify", "--dims", "2", "3", "--format", "json"])
+    assert code == 5
+    failing = {c["name"] for c in json.loads(capsys.readouterr().out)["checks"] if not c["passed"]}
+    assert "no-signalling" in failing
+
+
 # ---------------------------------------------------------------------------
 # Inference symmetry and the deterministic effect
 # ---------------------------------------------------------------------------
@@ -741,7 +845,7 @@ def test_symmetry_unitality_adjoint_equivalence():
         adjoint_info = classify(adjoint_map(channel))
         adjoint_cptp = adjoint_info.is_cp and adjoint_info.is_tp
         # the tables themselves, which the three predicates above never build
-        sampled = inference._sampled_table_asymmetry(channel, 0) < 1e-9
+        sampled = inference._sampled_table_asymmetry([channel], 0)[0] < 1e-9
         assert unital == symmetric == adjoint_cptp == sampled == expected
 
 
@@ -759,9 +863,24 @@ def test_inference_symmetry_builds_no_table_and_draws_no_unitary(monkeypatch):
 def test_a_nearly_unital_channel_is_not_symmetric_though_its_sampled_tables_agree():
     # unital defect 5e-10: beyond the structural tolerance, within the sampled tables' 1e-9
     channel = amplitude_damping(5e-10)
-    assert inference._sampled_table_asymmetry(channel, 0) < 1e-9
+    assert inference._sampled_table_asymmetry([channel], 0)[0] < 1e-9
     assert not is_inference_symmetric(channel)
     assert not classify(channel).is_unital
+
+
+def test_every_sampled_table_is_read_through_the_kernel(monkeypatch):
+    # a kernel that doubles T is no longer symmetric, in the computational bases and in each rotated pair
+    original = inference._transitions
+    read = []
+
+    def doubled(*args):
+        read.append(args[0].shape)
+        return 2.0 * original(*args)
+
+    monkeypatch.setattr(inference, "_transitions", doubled)
+    gaps = inference._sampled_table_asymmetry([make_dephasing(), random_cptp_map(2, 3, 2, 5)], 0)
+    assert read == [(2, 2, 2)] * 6 + [(2, 3, 2)]
+    assert min(gaps) > 0.1
 
 
 def test_classify_unital_defect_is_the_sum_of_k_k_dagger():

@@ -8,10 +8,13 @@ from retrodict import inference, linalg
 from retrodict.channels import (
     QuantumMap,
     adjoint_map,
+    amplitude_damping,
     apply,
     coarse_grain,
     compose_sequential,
     kraus_gram,
+    make_dephasing,
+    make_noisy_operation,
     random_cptp_map,
     random_instrument,
 )
@@ -140,13 +143,33 @@ def test_compose_sequential_orders_first_operators_outer(n):
             np.testing.assert_array_equal(composed[join_labels(label_i, label_j)].kraus, expected)
 
 
-@pytest.mark.parametrize("n", COUNTS)
-def test_rotated_channel_rotates_each_operator(n):
-    channel = random_cptp_map(3, 3, n, n)
-    v, w = linalg.haar_random_unitaries(3, [n, n + 1])
-    rotated = inference._rotated_channel(channel, v, w)
-    for k, k_rot in zip(channel.kraus, rotated.kraus):
-        np.testing.assert_array_equal(k_rot, w.conj().T @ k @ v)
+def sampled_table_asymmetry_reference(channel, seed):
+    # One rotated map per basis pair, each operator rotated on its own, and T written out.
+    def asymmetry(qmap):
+        t = sum(k.real**2 + k.imag**2 for k in qmap.kraus)
+        evidence = t.sum(axis=1, keepdims=True)
+        return 1.0 if evidence.min() < 1e-12 else float(np.max(np.abs(t - t / evidence)))
+
+    samples = [asymmetry(channel)]
+    if channel.dim_in == channel.dim_out:
+        rotations = [linalg.haar_random_unitary(channel.dim_in, s) for s in range(seed, seed + 10)]
+        for v, w in zip(rotations[0::2], rotations[1::2]):
+            rotated = QuantumMap([w.conj().T @ k @ v for k in channel.kraus], channel.dim_in, channel.dim_out)
+            samples.append(asymmetry(rotated))
+    return max(samples)
+
+
+def test_sampled_table_asymmetry_equals_one_rotated_map_per_basis_pair():
+    # random Kraus counts, the identity suite's channels at d_A = 2, 3, and a map between different dimensions
+    channels = [random_cptp_map(3, 3, n, n) for n in COUNTS]
+    for d_a in (2, 3):
+        channels += [
+            QuantumMap((linalg.haar_random_unitary(d_a, 95),), d_a, d_a),
+            make_noisy_operation(linalg.haar_random_unitary(d_a * d_a, 96), (d_a, d_a)),
+        ]
+    channels += [make_dephasing(), amplitude_damping(0.5), random_cptp_map(2, 3, 2, 7)]
+    gaps = inference._sampled_table_asymmetry(channels, 3)
+    assert gaps == [sampled_table_asymmetry_reference(channel, 3) for channel in channels]
 
 
 def test_a_transposed_single_matrix_keeps_its_layout_in_the_contraction():

@@ -18,6 +18,7 @@ from retrodict.channels import (
 from retrodict.errors import UndefinedConditionalError
 from retrodict.inference import (
     InferenceTask,
+    _kernel_view,
     _row_table,
     _solve_rows,
     _transitions,
@@ -410,7 +411,7 @@ def test_analytic_rows_cover_every_empirical_row(task):
     t = _transitions(task.transformation, task.preparation_states)
     for direction in ("predict", "postdict"):
         directed = replace(task, direction=direction)
-        family = _solve_rows(directed, t)
+        family = _solve_rows(_kernel_view(directed), t)
         empirical = empirical_conditionals(run_ensemble(directed, 4000, 64), direction)
         assert set(empirical) <= set(family[0])
         for given, row in empirical.items():
@@ -470,7 +471,9 @@ def test_the_count_grid_read_as_a_dict_is_the_ensemble(task):
 def test_the_grid_labels_are_the_families_given_labels(task):
     in_labels, out_labels, _ = count_grid(task, 10, 77)
     t = _transitions(task.transformation, task.preparation_states)
-    predicted, postdicted = (_solve_rows(replace(task, direction=direction), t) for direction in ("predict", "postdict"))
+    predicted, postdicted = (
+        _solve_rows(_kernel_view(replace(task, direction=direction)), t) for direction in ("predict", "postdict")
+    )
     assert (predicted[:2], predicted[3]) == ((in_labels, out_labels), False)
     assert (postdicted[:2], postdicted[3]) == ((out_labels, in_labels), True)
 
