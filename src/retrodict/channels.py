@@ -277,6 +277,11 @@ def make_noisy_operation(u: np.ndarray, dims: tuple[int, int]) -> QuantumMap:
         raise ValueError(f"unitary shape {u.shape} does not match dimensions {(d_a, d_b)}")
     if not linalg.is_unitary(u):
         raise ValueError("matrix is not unitary within tolerance")
+    return _noisy_operation(u, d_a, d_b)
+
+
+def _noisy_operation(u: np.ndarray, d_a: int, d_b: int) -> QuantumMap:
+    """``make_noisy_operation`` for a U already known to be a (d_A d_B)-dimensional unitary."""
     # K_yb = (I (x) <y|) U (I (x) |b>) / sqrt(d_B) is the slice U[:, y, :, b] of U as (d_A, d_B, d_A, d_B).
     blocks = u.reshape(d_a, d_b, d_a, d_b) / np.sqrt(d_b)
     kraus = tuple(blocks[:, y, :, b] for y in range(d_b) for b in range(d_b))

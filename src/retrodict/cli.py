@@ -21,6 +21,7 @@ from . import __version__, inference, linalg
 from .channels import (
     Instrument,
     QuantumMap,
+    _noisy_operation,
     adjoint_map,
     amplitude_damping,
     check_cptp,
@@ -28,7 +29,6 @@ from .channels import (
     coarse_grain,
     is_trace_preserving,
     make_dephasing,
-    make_noisy_operation,
     random_cptp_map,
     random_instrument,
 )
@@ -192,18 +192,43 @@ def _haar_stacks(d: int, first: int):
         yield linalg.haar_random_unitaries(d, seeds[start : start + size])
 
 
+def _pool_defects(us: np.ndarray, dims: tuple[int, int]) -> tuple[float, float, float]:
+    """The closed-symmetry, open-reversal and open-ratio-laws defects of a stack of D x D unitaries."""
+    d_a, d_b = dims
+    d = d_a * d_b
+    # Both tables against the Born values |<x|U|a>|^2 read off U itself, indexed [a, x]:
+    # the prediction rows are [a, x] and the postdiction rows [x, a].
+    born = np.abs(us.swapaxes(-1, -2)) ** 2
+    pre = _table_rows(us, (d, d), (GUESSED, GIVEN))
+    post, _ = _bayes_rows(_table_rows(us, (d, d), (GIVEN, GUESSED)))
+    closed = max(float(np.max(np.abs(pre - born))), float(np.max(np.abs(post.swapaxes(-1, -2) - born))))
+
+    reversal = open_reversal_check(us, dims)["max"]
+
+    # Solved predictions against operator-level postdictions, so the law
+    # is not read twice off one transition array.
+    pre = _table_rows(us, dims + dims, (GUESSED, SUMMED, GIVEN, AVERAGED))
+    post = _pull_back_reference((us,), dims, (range(d_a), None), dims, (True, False))
+    return closed, reversal, float(np.max(np.abs(d_b * post.swapaxes(-1, -2) - d_b * pre)))
+
+
 def _run_verify(report: ReportDocument, dims: tuple[int, int], seed: int, tolerance: float | None):
     """The full identity suite on seeded random instances.
 
     Each transformation is validated once, and each table family comes from
     one contraction of its transition array, with a row per given outcome:
     the four-task and towards-past checks take every (a, x) of an instance
-    in one call, whatever d_A is.  The closed-symmetry, open-reversal and
-    open-ratio-laws checks draw their five D x D unitaries in stacks of at
-    most STACK_BYTES and contract each stack in one pass per relation; each
-    instance still gets its own transition array and its own unitarity
-    check.  The purified-ratio check reads every test outcome of a dilation
-    at once.
+    in one call, whatever d_A is.
+
+    One pool of five D x D Haar unitaries, seeds 1000 * seed + 0 ... 4, is
+    drawn once, in stacks of at most STACK_BYTES.  Each stack serves
+    closed-symmetry, open-reversal and open-ratio-laws, and each holds the
+    kernel to its own closed form or operator-level reference, so the checks
+    share instances, not arithmetic.  Each pooled unitary is checked once,
+    in ``open_reversal_check``.  Draws 0-2 then give purified-ratio's noisy
+    channels and draw 3 the unital suite's, with no second check; the
+    purified-ratio check reads every test outcome of a dilation at once, and
+    its environment rotations are drawn on their own.
     """
     d_a, d_b = dims
     d = d_a * d_b
@@ -211,29 +236,15 @@ def _run_verify(report: ReportDocument, dims: tuple[int, int], seed: int, tolera
     tol_purified = tolerance if tolerance is not None else 1e-10
     rng_base = seed * 1000
 
-    defect = 0.0
+    pooled = []
+    noisy = []
     for us in _haar_stacks(d, rng_base):
-        # Both tables against the Born values |<x|U|a>|^2 read off U itself, indexed [a, x]:
-        # the prediction rows are [a, x] and the postdiction rows [x, a].
-        born = np.abs(us.swapaxes(-1, -2)) ** 2
-        pre = _table_rows(us, (d, d), (GUESSED, GIVEN))
-        post, _ = _bayes_rows(_table_rows(us, (d, d), (GIVEN, GUESSED)))
-        post = post.swapaxes(-1, -2)
-        defect = max(defect, float(np.max(np.abs(pre - born))), float(np.max(np.abs(post - born))))
-    report.add_check("closed-symmetry", defect, tol_exact)
-
-    defect = max(open_reversal_check(us, (d_a, d_b))["max"] for us in _haar_stacks(d, rng_base + 10))
-    report.add_check("open-reversal", defect, tol_exact)
-
-    defect = 0.0
-    for us in _haar_stacks(d, rng_base + 20):
-        # Solved predictions against operator-level postdictions, so the law
-        # is not read twice off one transition array.
-        dims = (d_a, d_b)
-        pre = _table_rows(us, dims + dims, (GUESSED, SUMMED, GIVEN, AVERAGED))
-        post = _pull_back_reference((us,), dims, (range(d_a), None), dims, (True, False))
-        defect = max(defect, float(np.max(np.abs(d_b * post.swapaxes(-1, -2) - d_b * pre))))
-    report.add_check("open-ratio-laws", defect, tol_exact)
+        pooled.append(_pool_defects(us, (d_a, d_b)))
+        # open_reversal_check has checked each draw; draws 0-3 become the noisy channels.
+        noisy += [_noisy_operation(u, d_a, d_b) for u in us[: 4 - len(noisy)]]
+    del us  # a D x D stack, not held through purified-ratio, which sets verify's peak memory
+    for name, defect in zip(("closed-symmetry", "open-reversal", "open-ratio-laws"), np.max(pooled, axis=0)):
+        report.add_check(name, defect, tol_exact)
 
     channel = amplitude_damping(0.5)
     check_cptp(channel)
@@ -245,13 +256,11 @@ def _run_verify(report: ReportDocument, dims: tuple[int, int], seed: int, tolera
     report.add_check("channel-bayes-factor", defect, tol_exact)
 
     defect = 0.0
-    for t in range(3):
-        noisy = make_noisy_operation(linalg.haar_random_unitary(d, rng_base + 30 + t), (d_a, d_b))
-        purification = stinespring(noisy)  # checks that the map is a channel
-        rotated = rotate_ancilla(purification, rng_base + 40 + t)
-        defect = max(defect, verify_purification(noisy, purification, trials=5, seed=t))
-        direct, _ = _bayes_rows(_table_rows(noisy, (d_a, d_a), (GIVEN, GUESSED)))
-        for dilation in (purification, rotated):
+    for t, channel in enumerate(noisy[:3]):
+        purification = stinespring(channel)  # checks that the map is a channel
+        defect = max(defect, verify_purification(channel, purification, trials=5, seed=t))
+        direct, _ = _bayes_rows(_table_rows(channel, (d_a, d_a), (GIVEN, GUESSED)))
+        for dilation in (purification, rotate_ancilla(purification, rng_base + 40 + t)):
             via, _ = _bayes_rows(_purified_numerators(dilation))
             defect = max(defect, float(np.max(np.abs(direct - via))))
     report.add_check("purified-ratio", defect, tol_purified)
@@ -269,10 +278,10 @@ def _run_verify(report: ReportDocument, dims: tuple[int, int], seed: int, tolera
 
     defect = 0.0
     purified_defect = 0.0
-    for t in range(3):
+    states = linalg.random_density_matrices(d_a, range(rng_base + 90, rng_base + 93))
+    for t, rho in enumerate(states):
         e = random_instrument(d_a, 2, 2, rng_base + 70 + t)
         f = random_instrument(d_a, 2, 2, rng_base + 80 + t)
-        rho = linalg.random_density_matrix(d_a, rng_base + 90 + t)
         outcome = no_signalling_check(e, f, rho, extra_followers=2, seed=rng_base + t)
         defect = max(defect, outcome.marginal_defect, outcome.conditional_defect)
         purified_defect = max(purified_defect, outcome.purified_defect)
@@ -282,11 +291,7 @@ def _run_verify(report: ReportDocument, dims: tuple[int, int], seed: int, tolera
     suite = [
         ("unitary", QuantumMap((linalg.haar_random_unitary(d_a, rng_base + 95),), d_a, d_a), True),
         ("dephasing", make_dephasing(), True),
-        (
-            "noisy",
-            make_noisy_operation(linalg.haar_random_unitary(d, rng_base + 96), (d_a, d_b)),
-            True,
-        ),
+        ("noisy", noisy[3], True),
         ("amplitude-damping", amplitude_damping(0.5), False),
     ]
     # The criterion sum K K' = I against the tables the kernel gives on sampled bases.

@@ -99,21 +99,30 @@ def partial_trace(op: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> n
     return reduced.reshape(d_keep, d_keep)
 
 
-def haar_random_unitaries(d: int, seeds: Sequence[int]) -> np.ndarray:
-    """A (len(seeds), d, d) stack of Haar-distributed unitaries, one per seed.
+def _ginibre_stack(d: int, seeds: Sequence[int]) -> np.ndarray:
+    """An (n, d, d) stack of complex Ginibre matrices re + 1j*im, one per seed.
 
-    QR of complex Ginibre matrices with the R-diagonal phase correction, all
-    in one stacked call.  Entry i depends on ``seeds[i]`` alone and equals
-    ``haar_random_unitary(d, seeds[i])`` bit for bit: each seed has its own
-    generator, whose one (2, d, d) draw is the stream of two (d, d) draws.
+    Each seed has its own generator, whose one (2, d, d) draw, the stream of
+    two (d, d) draws, fills its slot of a single real buffer.
     """
     if d < 1:
         raise ValueError("dimension must be at least 1")
-    z = np.empty((len(seeds), d, d), dtype=complex)
+    raw = np.empty((len(seeds), 2, d, d))
     for i, seed in enumerate(seeds):
-        re, im = np.random.default_rng(seed).standard_normal((2, d, d))
-        z[i] = (re + 1j * im) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
+        np.random.default_rng(seed).standard_normal(out=raw[i])
+    return raw[:, 0] + 1j * raw[:, 1]
+
+
+def haar_random_unitaries(d: int, seeds: Sequence[int]) -> np.ndarray:
+    """A (len(seeds), d, d) stack of Haar-distributed unitaries, one per seed.
+
+    QR of complex Ginibre matrices with the R-diagonal phase correction
+    (Mezzadri, Notices AMS 54, 592, 2007): one buffer of normal draws, then
+    one complex combine, one stacked QR and one phase fix for the whole
+    stack.  Entry i depends on ``seeds[i]`` alone and equals
+    ``haar_random_unitary(d, seeds[i])`` bit for bit.
+    """
+    q, r = np.linalg.qr(_ginibre_stack(d, seeds) / np.sqrt(2.0))
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (diag / np.abs(diag))[:, None, :]
 
@@ -123,15 +132,21 @@ def haar_random_unitary(d: int, seed: int) -> np.ndarray:
     return haar_random_unitaries(d, (seed,))[0]
 
 
+def random_density_matrices(d: int, seeds: Sequence[int]) -> np.ndarray:
+    """A (len(seeds), d, d) stack of full-rank random states, normalized Ginibre Gram matrices g g'/tr."""
+    g = _ginibre_stack(d, seeds)
+    rho = g @ dagger(g)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+
+
 def random_density_matrix(d: int, seed: int) -> np.ndarray:
     """Full-rank random state from a normalized Ginibre Gram matrix."""
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    rho = g @ dagger(g)
-    return rho / np.trace(rho).real
+    return random_density_matrices(d, (seed,))[0]
 
 
 def random_pure_state(d: int, seed: int) -> np.ndarray:
+    if d < 1:
+        raise ValueError("dimension must be at least 1")
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return v / np.linalg.norm(v)

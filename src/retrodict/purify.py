@@ -118,11 +118,27 @@ def _branch(purification: Purification, outcome_index: int | None = None) -> np.
 
 
 def _images(v: np.ndarray, probes: np.ndarray) -> np.ndarray:
-    """tr_Z v rho v' for every rho of a (p, d_A, d_A) stack of probes."""
-    d_a = v.shape[-1]
+    """tr_Z v rho v' for every rho of a (p, d_A, d_A) stack of probes.
+
+    Two orders of one sum, whichever multiplies less: each probe through v
+    and then v', or first the map's (d_X d_X, d_A d_A) matrix
+    sum_z v_z (x) conj(v_z) and then every probe in one product.  These are
+    the two contraction paths ``einsum`` chooses between, without its path
+    search; for d_A > 1 each gives einsum's bits where einsum takes it.
+    """
+    d_x, d_z, d_a = v.shape
+    p = len(probes)
     if probes.shape[1:] != (d_a, d_a):
         raise ValueError(f"operator shape {probes.shape[1:]} does not match d_A = {d_a}")
-    return np.einsum("xza,pab,yzb->pxy", v, probes, v.conj(), optimize=True)
+    if d_z * (d_x + d_a) * p < d_x * d_a * (d_z + p):
+        # sum_a rho[p, a, b] v[x, z, a], regrouped [(x, p), (z, b)] against v'[(z, b), y]
+        left = probes.transpose(0, 2, 1).reshape(-1, d_a) @ v.transpose(2, 0, 1).reshape(d_a, -1)
+        left = left.reshape(p, d_a, d_x, d_z).transpose(2, 0, 3, 1).reshape(d_x * p, -1)
+        return (left @ v.conj().reshape(d_x, -1).T).reshape(d_x, p, d_x).swapaxes(0, 1)
+    # sum_z conj(v[y, z, b]) v[x, z, a], regrouped [(x, y), (a, b)]
+    gram = v.conj().transpose(0, 2, 1).reshape(-1, d_z) @ v.transpose(1, 0, 2).reshape(d_z, -1)
+    transfer = gram.reshape(d_x, d_a, d_x, d_a).transpose(2, 0, 3, 1).reshape(d_x * d_x, -1)
+    return (transfer @ probes.reshape(p, -1).T).reshape(d_x, d_x, p).transpose(2, 0, 1)
 
 
 def reconstruct_channel_action(purification: Purification, rho: np.ndarray) -> np.ndarray:
@@ -153,16 +169,15 @@ def verify_purification(
     d_a = purification.dims_in[0]
     if (original.dim_in, original.dim_out) != (d_a, purification.dims_out[0]):
         raise ValueError("purification dimensions do not match the original map")
-    probes = np.stack(
-        linalg.matrix_units(d_a) + [linalg.random_density_matrix(d_a, seed + t) for t in range(trials)]
-    )
+    units = np.eye(d_a * d_a).reshape(d_a * d_a, d_a, d_a)
+    probes = np.concatenate((units, linalg.random_density_matrices(d_a, range(seed, seed + trials))))
     if isinstance(original, Instrument):
         branches = [(qmap, _branch(purification, i)) for i, (_, qmap) in enumerate(original.outcomes)]
     else:
         branches = [(original, _branch(purification))]
     defect = 0.0
     for qmap, v in branches:
-        expected = np.einsum("kxa,pab,kyb->pxy", qmap.kraus, probes, qmap.kraus.conj(), optimize=True)
+        expected = _images(qmap.kraus.transpose(1, 0, 2), probes)
         defect = max(defect, float(np.max(np.abs(expected - _images(v, probes)))))
     return defect
 
@@ -180,5 +195,8 @@ def rotate_ancilla(purification: Purification, seed: int) -> Purification:
     if purification.pointer_partition is not None:
         raise ValueError("refusing to rotate the pointer basis of an instrument purification")
     w = linalg.haar_random_unitary(purification.dims_out[1], seed)
-    rotated = np.einsum("yz,xza->xya", w, purification.isometry, optimize=True)
+    # One product over the discarded factor for every row (x, a), not one per x.
+    v = purification.isometry
+    rotated = (v.transpose(0, 2, 1).reshape(-1, v.shape[1]) @ w.T).reshape(v.shape[0], v.shape[2], -1)
+    rotated = rotated.transpose(0, 2, 1)
     return Purification(rotated, dims_out=purification.dims_out)

@@ -806,10 +806,29 @@ def _counted_verify(monkeypatch, capsys, dims):
 def test_verify_checks_each_operand_once(monkeypatch, capsys):
     checked, _ = _counted_verify(monkeypatch, capsys, (4, 4))
     assert max(checked.values()) == 1
-    # five D x D unitaries inside open_reversal_check, one d_A x d_A in
-    # four_task_check and four noisy operations; verify's own Haar draws are
-    # unitary by construction and go unchecked
-    assert len(checked) == 10
+    # the five pooled D x D unitaries inside open_reversal_check and one
+    # d_A x d_A in four_task_check; the noisy channels come from pool draws
+    # already checked there, and verify's own Haar draws go unchecked
+    assert len(checked) == 6
+
+
+def test_verify_draws_its_d_by_d_pool_once(monkeypatch, capsys):
+    from retrodict import linalg
+
+    calls = []
+    draw = linalg.haar_random_unitaries
+
+    def counted(d, seeds):
+        calls.append((d, list(seeds)))
+        return draw(d, seeds)
+
+    monkeypatch.setattr(linalg, "haar_random_unitaries", counted)
+    assert main(["verify", "--dims", "2", "3", "--format", "json"]) == 0
+    capsys.readouterr()
+    # only the pool has dimension D = 6 at these dims: seeds 1000..1004 of the
+    # default seed 1, drawn in one call and shared by every check that uses them
+    assert [seeds for d, seeds in calls if d == 6] == [list(range(1000, 1005))]
+    assert any(d != 6 for d, _ in calls)
 
 
 def test_verify_builds_as_many_transition_arrays_whatever_d_a(monkeypatch, capsys):

@@ -125,6 +125,38 @@ def haar_reference(d, seed):
     return q * (diag / np.abs(diag))
 
 
+def density_reference(d, seed):
+    # one generator per seed, two (d, d) draws, then g g' over its trace
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+@pytest.mark.parametrize("seeds", [[], [12], [41, 3, 41, 2**40 + 5, 7]], ids=len)
+@pytest.mark.parametrize("d", range(1, 9))
+def test_buffered_draws_equal_a_per_seed_oracle_bit_for_bit(d, seeds):
+    for draw, reference in (
+        (linalg.haar_random_unitaries, haar_reference),
+        (linalg.random_density_matrices, density_reference),
+    ):
+        stack = draw(d, seeds)
+        assert stack.shape == (len(seeds), d, d) and stack.dtype == complex
+        for got, seed in zip(stack, seeds):
+            assert got.tobytes() == reference(d, seed).tobytes()
+    for seed in seeds[:2]:
+        assert linalg.random_density_matrix(d, seed).tobytes() == density_reference(d, seed).tobytes()
+
+
+@pytest.mark.parametrize("d", [0, -2])
+def test_random_states_reject_a_dimension_below_one(d):
+    for draw in (linalg.random_density_matrix, linalg.random_pure_state):
+        with pytest.raises(ValueError, match="dimension must be at least 1"):
+            draw(d, 1)
+    with pytest.raises(ValueError, match="dimension must be at least 1"):
+        linalg.random_density_matrices(d, [1, 2])
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 6, 17])
 def test_stacked_haar_draws_equal_single_draws_bit_for_bit(d):
     seeds = [41, 3, 1000, 7, 2**40 + 5]

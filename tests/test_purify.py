@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from retrodict import linalg
+from retrodict import linalg, purify
 from retrodict.channels import (
     QuantumMap,
     amplitude_damping,
@@ -204,6 +204,38 @@ def joint_space_outcome_action(purification, outcome_index, rho):
     evolved = joint_space_evolved(purification, rho)
     proj = linalg.tensor(np.eye(d_x), linalg.basis_projector(d_p, outcome_index), np.eye(d_z))
     return linalg.partial_trace(proj @ evolved @ proj, (d_x, d_p, d_z), keep=[0])
+
+
+def test_verify_purification_probes_are_the_matrix_units_then_the_seeded_states(monkeypatch):
+    d, trials, seed = 3, 4, 9
+    units = []
+    for i in range(d):
+        for j in range(d):
+            e = np.zeros((d, d), dtype=complex)
+            e[i, j] = 1.0
+            units.append(e)
+    states = []
+    for s in range(seed, seed + trials):
+        # g g' over its trace, from one generator's two (d, d) draws
+        rng = np.random.default_rng(s)
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        rho = g @ g.conj().T
+        states.append(rho / np.trace(rho).real)
+    expected = np.stack(units + states)
+    seen = []
+    images = purify._images
+
+    def recorded(v, probes):
+        seen.append(np.array(probes))
+        return images(v, probes)
+
+    monkeypatch.setattr(purify, "_images", recorded)
+    channel = make_noisy_operation(linalg.haar_random_unitary(2 * d, 17), (d, 2))
+    assert verify_purification(channel, stinespring(channel), trials=trials, seed=seed) < 1e-12
+    # one stack for the Kraus side and one for the dilation
+    assert len(seen) == 2
+    for probes in seen:
+        assert probes.dtype == complex and probes.tobytes() == expected.tobytes()
 
 
 def probe_states(d):
