@@ -355,6 +355,21 @@ def random_cptp_map(dim_in: int, dim_out: int, kraus_count: int, seed: int) -> Q
     return QuantumMap(kraus, dim_in=dim_in, dim_out=dim_out)
 
 
+def _random_kraus_stacks(dim: int, kraus_count: int, seeds: Sequence[int]) -> np.ndarray:
+    """The Kraus operators of ``random_cptp_map(dim, dim, kraus_count, seed)`` for each seed, bit for bit.
+
+    One (len(seeds), kraus_count, dim, dim) stack from one Haar draw of the
+    whole stack: the first dim columns of each unitary, cut into kraus_count
+    operators.  Completeness, sum K'K = V'V = I, is checked once for every
+    draw, to an instrument's tolerance and with its message; no map is built.
+    """
+    isometries = linalg.haar_random_unitaries(kraus_count * dim, seeds)[..., :dim]
+    defect = float(np.max(np.abs(dagger(isometries) @ isometries - np.eye(dim)), initial=0.0))
+    if not defect < ATOL_STRUCTURAL:
+        raise ValueError(f"completeness violated: max |sum K'K - I| = {defect:.3e}")
+    return isometries.reshape(len(seeds), kraus_count, dim, dim)
+
+
 def random_instrument(dim: int, n_outcomes: int, kraus_per_outcome: int, seed: int) -> Instrument:
     """Random instrument built by splitting a random channel's Kraus list."""
     channel = random_cptp_map(dim, dim, n_outcomes * kraus_per_outcome, seed)

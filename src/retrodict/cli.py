@@ -22,6 +22,7 @@ from .channels import (
     Instrument,
     QuantumMap,
     _noisy_operation,
+    _random_kraus_stacks,
     adjoint_map,
     amplitude_damping,
     check_cptp,
@@ -29,8 +30,6 @@ from .channels import (
     coarse_grain,
     is_trace_preserving,
     make_dephasing,
-    random_cptp_map,
-    random_instrument,
 )
 from .errors import NoActiveReverseError, ScenarioError, UndefinedConditionalError
 from .inference import (
@@ -40,7 +39,9 @@ from .inference import (
     SUMMED,
     InferenceTask,
     _bayes_rows,
+    _follower_seeds,
     _kernel_view,
+    _no_signalling_stack,
     _pull_back_reference,
     _purified_numerators,
     _sampled_table_asymmetry,
@@ -51,7 +52,6 @@ from .inference import (
     deterministic_effect_check,
     four_task_check,
     is_inference_symmetric,
-    no_signalling_check,
     open_reversal_check,
 )
 from .purify import purify_instrument, rotate_ancilla, stinespring, verify_purification
@@ -73,10 +73,6 @@ EXIT_UNDEFINED_CONDITIONAL = 4
 EXIT_VERIFICATION = 5
 
 PARSE_CODES = ("malformed-document", "unknown-task")
-
-# verify contracts its D x D Haar draws in stacks of at most this many bytes of
-# complex matrices: all five draws of a check up to D = 228, one from D = 512 on.
-STACK_BYTES = 1 << 22
 
 
 @dataclass
@@ -181,13 +177,14 @@ def _run_sample(scenario: ScenarioFile, report: ReportDocument, seed: int, floor
 
 
 def _haar_stacks(d: int, first: int):
-    """The five d x d Haar draws of seeds first, ..., first + 4, in stacks of at most STACK_BYTES.
+    """The five d x d Haar draws of seeds first, ..., first + 4, in stacks of at most ``linalg.STACK_BYTES``.
 
-    At least one draw goes in each stack, whatever d is: a d below 1 reaches
+    That is all five draws up to d = 228, and one from d = 512 on.  At least
+    one draw goes in each stack, whatever d is: a d below 1 reaches
     ``haar_random_unitaries``, which rejects it.
     """
     seeds = range(first, first + 5)
-    size = max(1, STACK_BYTES // max(1, 16 * d * d))
+    size = max(1, linalg.STACK_BYTES // max(1, 16 * d * d))
     for start in range(0, len(seeds), size):
         yield linalg.haar_random_unitaries(d, seeds[start : start + size])
 
@@ -221,7 +218,7 @@ def _run_verify(report: ReportDocument, dims: tuple[int, int], seed: int, tolera
     in one call, whatever d_A is.
 
     One pool of five D x D Haar unitaries, seeds 1000 * seed + 0 ... 4, is
-    drawn once, in stacks of at most STACK_BYTES.  Each stack serves
+    drawn once, in stacks of at most ``linalg.STACK_BYTES``.  Each stack serves
     closed-symmetry, open-reversal and open-ratio-laws, and each holds the
     kernel to its own closed form or operator-level reference, so the checks
     share instances, not arithmetic.  Each pooled unitary is checked once,
@@ -269,24 +266,22 @@ def _run_verify(report: ReportDocument, dims: tuple[int, int], seed: int, tolera
     defect = max(four_task_check(u).max_defect, four_task_check(make_dephasing()).max_defect)
     report.add_check("four-task", defect, tol_exact)
 
+    # random_cptp_map(d_A, d_A, 2, seed) of seeds +60 (towards-past) and +97...+99 (deterministic-effect).
+    seeds = [rng_base + 60, *range(rng_base + 97, rng_base + 100)]
+    past_map, *effect_maps = (QuantumMap(kraus, d_a, d_a) for kraus in _random_kraus_stacks(d_a, 2, seeds))
     # Building each channel's purification checks that the map is a channel.
-    defect = max(
-        channel_toward_past_check(channel).max_defect
-        for channel in (amplitude_damping(0.5), random_cptp_map(d_a, d_a, 2, rng_base + 60))
-    )
+    defect = max(channel_toward_past_check(channel).max_defect for channel in (amplitude_damping(0.5), past_map))
     report.add_check("towards-past", defect, tol_purified)
 
-    defect = 0.0
-    purified_defect = 0.0
+    # Instance t is no_signalling_check(e, f, rho, extra_followers=2, seed=rng_base + t) on
+    # random_instrument(d_A, 2, 2, seed) of seeds +70+t and +80+t: every instrument and follower in one draw.
+    seeds = [*range(rng_base + 70, rng_base + 73), *range(rng_base + 80, rng_base + 83)]
+    kraus = _random_kraus_stacks(d_a, 4, seeds + [s for t in range(3) for s in _follower_seeds(rng_base + t, 2)])
     states = linalg.random_density_matrices(d_a, range(rng_base + 90, rng_base + 93))
-    for t, rho in enumerate(states):
-        e = random_instrument(d_a, 2, 2, rng_base + 70 + t)
-        f = random_instrument(d_a, 2, 2, rng_base + 80 + t)
-        outcome = no_signalling_check(e, f, rho, extra_followers=2, seed=rng_base + t)
-        defect = max(defect, outcome.marginal_defect, outcome.conditional_defect)
-        purified_defect = max(purified_defect, outcome.purified_defect)
-    report.add_check("no-signalling", defect, tol_exact)
-    report.add_check("no-signalling-purified", purified_defect, tol_purified)
+    followers = kraus[6:].reshape(3, -1, d_a, d_a)
+    marginal, conditional, purified = _no_signalling_stack(kraus[:3], kraus[3:6], states, followers)
+    report.add_check("no-signalling", max(marginal.max(), conditional.max()), tol_exact)
+    report.add_check("no-signalling-purified", purified.max(), tol_purified)
 
     suite = [
         ("unitary", QuantumMap((linalg.haar_random_unitary(d_a, rng_base + 95),), d_a, d_a), True),
@@ -303,8 +298,8 @@ def _run_verify(report: ReportDocument, dims: tuple[int, int], seed: int, tolera
 
     worst_solution = 0.0
     worst_residual = np.inf
-    for t in range(3):
-        outcome = deterministic_effect_check(random_cptp_map(d_a, d_a, 2, rng_base + 97 + t))
+    for channel in effect_maps:
+        outcome = deterministic_effect_check(channel)
         worst_solution = max(worst_solution, outcome.solution_defect)
         worst_residual = min(worst_residual, outcome.min_alternative_residual)
     report.add_check("deterministic-effect-solution", worst_solution, 1e-8)

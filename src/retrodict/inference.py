@@ -46,6 +46,7 @@ from . import linalg
 from .channels import (
     Instrument,
     QuantumMap,
+    _random_kraus_stacks,
     adjoint_map,
     apply,
     check_cptp,
@@ -79,8 +80,10 @@ def _transitions(
     """The transition array T[x, a] = sum_K |K[x, a]|^2 of shape (D_out, D_in).
 
     A channel sums over its Kraus operators, and so does a bare
-    (n, D_out, D_in) stack of them; a matrix whose columns are the images of
-    the alternatives (a unitary) is the case of one operator.  With
+    (n, D_out, D_in) stack of them; an (m, n, D_out, D_in) stack of such
+    stacks gives one array per stack, each summed in its own list order.  A
+    matrix whose columns are the images of the alternatives (a unitary) is
+    the case of one operator.  With
     preparation ``states`` the columns are the images U|psi_i>.  A
     multi-outcome instrument stacks one array per outcome into T[k, x, a]; a
     single-outcome one is the channel of its outcome.  The solver, the
@@ -96,6 +99,8 @@ def _transitions(
         stacks = [transformation.kraus]
     elif np.ndim(transformation) == 3:
         stacks = [transformation]
+    elif np.ndim(transformation) == 4:
+        return linalg.ordered_sum((transformation.real**2 + transformation.imag**2).swapaxes(0, 1))
     else:
         u = np.asarray(transformation, dtype=complex)
         if states is not None:
@@ -808,16 +813,15 @@ def _random_followers(d: int, n_outcomes: int, count: int, seed: int) -> np.ndar
     """The Kraus operators of ``count`` random followers, two per outcome, as one (count * 2 n, d, d) stack.
 
     Follower t is ``random_instrument(d, n_outcomes, 2, seed + 101 (t + 1))``
-    bit for bit: the first d columns of a Haar unitary of dimension 2 n d,
-    cut into 2 n operators.  Every follower is drawn in one call, and their
-    completeness sum K'K = V'V is checked at once, as an instrument's.
+    bit for bit.  Every follower is drawn in one call, and their
+    completeness is checked at once (``channels._random_kraus_stacks``).
     """
-    seeds = [seed + 101 * (t + 1) for t in range(count)]
-    isometries = linalg.haar_random_unitaries(2 * n_outcomes * d, seeds)[..., :d]
-    defect = float(np.max(np.abs(dagger(isometries) @ isometries - np.eye(d)), initial=0.0))
-    if not defect < ATOL_STRUCTURAL:
-        raise ValueError(f"completeness violated: max |sum K'K - I| = {defect:.3e}")
-    return isometries.reshape(-1, d, d)
+    return _random_kraus_stacks(d, 2 * n_outcomes, _follower_seeds(seed, count)).reshape(-1, d, d)
+
+
+def _follower_seeds(seed: int, count: int) -> list[int]:
+    """The seeds of the random followers of a no-signalling instance of seed ``seed``."""
+    return [seed + 101 * (t + 1) for t in range(count)]
 
 
 def _sequential_kraus(first: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -853,75 +857,123 @@ def no_signalling_check(
     dilated and run backwards; (iii) conditioning on the later outcome does
     update the earlier guess, by exactly the sequential probability ratio.
 
-    No instrument is built for a follower or a composition.  The random
-    followers are one stack (``_random_followers``).  A follower's joint
-    table is one batched product of the composed operators F_l E_k applied
-    to rho, summed over each outcome's operators, so outcomes may hold
-    different numbers of operators.  The conditionals of (iii) come from the
-    nested application F_j[E_i[rho]], with the denominator F_j[E[rho]] of
-    the coarse-grained e, never from the composed operators: the two sides
-    of (iii) are separate computations.  An outcome of f with joint weight
-    below 1e-12 has no conditional and is listed as skipped.
+    This is the one-instance case of ``_no_signalling_defects``, which
+    computes (i) and (iii) on Kraus stacks; the random followers are one
+    stack (``_random_followers``).  An outcome of f with joint weight below
+    1e-12 has no conditional and is listed as skipped.
     """
     if e.dim_out != f.dim_in:
         raise ValueError("instruments are not composable: output and input dimensions differ")
-    rho = linalg.check_state(rho, e.dim_in)
-    n_e, n_f = len(e.outcomes), len(f.outcomes)
     e_kraus, e_starts = _kraus_stack(e)
     f_kraus, f_starts = _kraus_stack(f)
-
-    # Each outcome's image E_i[rho], whose trace is the statistics of e alone.
-    terms = e_kraus @ rho @ dagger(e_kraus)
-    images = np.add.reduceat(terms, e_starts)
-    alone = np.trace(images, axis1=-2, axis2=-1).real
-
-    # Joint tables [i, j] by composition: the given follower's, then the random ones', two operators per outcome.
-    joint = np.add.reduceat(_traces(_sequential_kraus(e_kraus, f_kraus), rho), e_starts)
-    joint = np.add.reduceat(joint, f_starts, axis=1)
-    extra = _traces(_sequential_kraus(e_kraus, _random_followers(f.dim_in, n_f, extra_followers, seed)), rho)
-    extra = np.add.reduceat(extra, e_starts).reshape(n_e, extra_followers, n_f, 2).sum(axis=-1)
-    marginals = np.concatenate([joint.sum(axis=1)[:, None], extra.sum(axis=-1)], axis=1)
-    marginal_defect = float(np.max(np.abs(marginals - alone[:, None])))
-
-    # Row i of ``nested`` is tr F_j[E_i[rho]]; its last row, tr F_j[E[rho]], is each conditional's denominator.
-    states = np.concatenate([images, linalg.ordered_sum(terms)[None]])
-    nested = np.add.reduceat(_traces(f_kraus, states[:, None]), f_starts, axis=1)
-    weight = joint.sum(axis=0)
-    skipped = weight < 1e-12
-    kept = ~skipped
-    conditional = np.abs(joint[:, kept] / weight[kept] - nested[:-1, kept] / nested[-1, kept])
-
+    followers = _random_followers(f.dim_in, len(f.outcomes), extra_followers, seed)
+    marginal, conditional, skipped = _no_signalling_defects(
+        e_kraus[None], e_starts, f_kraus[None], f_starts, followers[None], [rho]
+    )
+    dilations = (purify_instrument(inst).isometry[None] for inst in (e, f))
     return NoSignallingReport(
-        marginal_defect=marginal_defect,
-        purified_defect=_purified_no_signalling_defect(e, f),
-        conditional_defect=float(np.max(conditional, initial=0.0)),
-        skipped_conditionals=tuple(label for label, s in zip(f.labels(), skipped) if s),
+        marginal_defect=float(marginal[0]),
+        purified_defect=float(_purified_no_signalling_defects(*dilations)[0]),
+        conditional_defect=float(conditional[0]),
+        skipped_conditionals=tuple(label for label, s in zip(f.labels(), skipped[0]) if s),
     )
 
 
-def _purified_no_signalling_defect(e: Instrument, f: Instrument) -> float:
-    """Postdiction reading of no signalling on canonical dilations of e and f.
+def _no_signalling_stack(
+    e: np.ndarray, f: np.ndarray, rhos: np.ndarray, followers: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The marginal, conditional and purified defects of a stack of no-signalling instances, one each.
 
-    Both instruments are purified, chained into one isometry, and run backwards:
-    summing the guess over the second pointer must reproduce the postdiction
-    computed from the first dilation alone, for every data outcome a.
+    ``e`` and ``f`` are (n, 2 m, d, d) Kraus stacks whose outcome i holds
+    operators 2i and 2i + 1, as ``random_instrument(d, m, 2, seed)`` cuts
+    them, ``rhos`` their states, and ``followers`` each instance's random
+    followers of f's shape, as ``_random_followers`` stacks them.  Instance t
+    gives the defects of ``no_signalling_check`` on its own instruments, bit
+    for bit, with no instrument built: each dilation is its Kraus stack
+    regrouped as V[x, i, k, a] = K_ik[x, a], which a d x d map fills
+    without padding.  Completeness is the caller's to check, once per stack.
     """
-    v_e = purify_instrument(e).isometry  # (D, P_e, Z_e, A)
-    v_f = purify_instrument(f).isometry  # (Z2, P_f, Z_f, D)
-    d_a = e.dim_in
-    m_e, m_f = v_e.shape[1], v_f.shape[1]
+    starts = np.arange(0, e.shape[1], 2)
+    marginal, conditional, _ = _no_signalling_defects(e, starts, f, np.arange(0, f.shape[1], 2), followers, rhos)
+    dilations = (k.reshape(len(k), -1, 2, *k.shape[-2:]).transpose(0, 3, 1, 2, 4) for k in (e, f))
+    return marginal, conditional, _purified_no_signalling_defects(*dilations)
+
+
+def _no_signalling_defects(
+    e: np.ndarray,
+    e_starts: np.ndarray,
+    f: np.ndarray,
+    f_starts: np.ndarray,
+    followers: np.ndarray,
+    rhos: Sequence[np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Readings (i) and (iii) of ``no_signalling_check`` for a stack of instances, and the outcomes of f skipped.
+
+    ``e`` and ``f`` are (n, K, d_out, d_in) Kraus stacks whose outcomes are
+    runs of operators starting at ``e_starts`` and ``f_starts``, and
+    ``followers`` holds each instance's random followers, two operators per
+    outcome of f.  A follower's joint table is one batched product of the
+    composed operators F_l E_k, from ``_sequential_kraus`` for each instance,
+    applied to rho and summed over each outcome's operators, so outcomes may
+    hold different numbers of operators.  The conditionals of (iii) come
+    from the nested application F_j[E_i[rho]], with the denominator
+    F_j[E[rho]] of the coarse-grained e, never from the composed operators:
+    the two sides of (iii) are separate computations.  No reduction crosses
+    the instance axis.
+    """
+    if e.shape[-2] != f.shape[-1]:
+        raise ValueError("instruments are not composable: output and input dimensions differ")
+    rhos = np.stack([linalg.check_state(rho, e.shape[-1]) for rho in rhos])
+    n, n_e, n_f = len(rhos), len(e_starts), len(f_starts)
+
+    # Each outcome's image E_i[rho], whose trace is the statistics of e alone.
+    terms = e @ rhos[:, None] @ dagger(e)
+    images = np.add.reduceat(terms, e_starts, axis=1)
+    alone = np.trace(images, axis1=-2, axis2=-1).real
+
+    def composed_with(second: np.ndarray) -> np.ndarray:
+        # tr F_l E_k rho E_k' F_l' of each instance, summed over each outcome's run of operators k
+        composed = np.stack([_sequential_kraus(first, then) for first, then in zip(e, second)])
+        return np.add.reduceat(_traces(composed, rhos[:, None, None]), e_starts, axis=1)
+
+    # Joint tables [i, j] by composition: the given follower's, then the random ones', two operators per outcome.
+    joint = np.add.reduceat(composed_with(f), f_starts, axis=2)
+    extra = composed_with(followers).reshape(n, n_e, -1, n_f, 2).sum(axis=-1)
+    marginals = np.concatenate([joint.sum(axis=2)[..., None], extra.sum(axis=-1)], axis=2)
+    marginal = np.max(np.abs(marginals - alone[..., None]), axis=(1, 2))
+
+    # Row i of ``nested`` is tr F_j[E_i[rho]]; its last row, tr F_j[E[rho]], is each conditional's denominator.
+    states = np.concatenate([images, linalg.ordered_sum(terms.swapaxes(0, 1))[:, None]], axis=1)
+    nested = np.add.reduceat(_traces(f[:, None], states[:, :, None]), f_starts, axis=2)
+    weight = joint.sum(axis=1)
+    skipped = weight < 1e-12
+    kept = np.broadcast_to(~skipped[:, None], joint.shape)
+    by_joint = np.divide(joint, weight[:, None], out=np.zeros_like(joint), where=kept)
+    by_nesting = np.divide(nested[:, :-1], nested[:, -1:], out=np.zeros_like(joint), where=kept)
+    return marginal, np.max(np.abs(by_joint - by_nesting), axis=(1, 2), initial=0.0), skipped
+
+
+def _purified_no_signalling_defects(v_e: np.ndarray, v_f: np.ndarray) -> np.ndarray:
+    """Postdiction reading of no signalling on stacks of instrument dilations, one defect per instance.
+
+    ``v_e`` is (n, D, P_e, Z_e, A) and ``v_f`` (n, Z2, P_f, Z_f, D).  Each
+    pair is chained into one isometry and run backwards: summing the guess
+    over the second pointer must reproduce the postdiction computed from the
+    first dilation alone, for every data outcome a.
+    """
+    n, d, m_e = v_e.shape[:3]
+    d_a, m_f = v_e.shape[-1], v_f.shape[2]
 
     # (V_f (x) I_{P_e Z_e}) V_e: the second dilation consumes D and leaves
     # the factors (Z2, P_f, Z_f, P_e, Z_e).
-    d = e.dim_out
-    chain = (v_f.reshape(-1, d) @ v_e.reshape(d, -1)).reshape(v_f.shape[:-1] + v_e.shape[1:])
-    # Isometries compose to an isometry; both were checked when built.  Each
-    # row is one data outcome a; the joint cells are (y, x) over the pointers.
-    chain_back, single_back = (dagger(v.reshape(-1, d_a)) for v in (chain, v_e))
-    joint = _table_rows(chain_back, (d_a, *chain.shape[:-1]), (GIVEN, SUMMED, GUESSED, SUMMED, GUESSED, SUMMED))
-    single = _table_rows(single_back, (d_a, *v_e.shape[:-1]), (GIVEN, SUMMED, GUESSED, SUMMED))
-    summed = _bayes_rows(joint)[0].reshape(d_a, m_f, m_e).sum(axis=1)
-    return float(np.max(np.abs(summed - _bayes_rows(single)[0])))
+    chain = (v_f.reshape(n, -1, d) @ v_e.reshape(n, d, -1)).reshape(v_f.shape[:-1] + v_e.shape[2:])
+    # Isometries compose to an isometry; both were checked when drawn or built.
+    # Each row is one data outcome a; the joint cells are (y, x) over the pointers.
+    chain_back, single_back = (dagger(v.reshape(n, -1, d_a)) for v in (chain, v_e))
+    joint = _table_rows(chain_back, (d_a, *chain.shape[1:-1]), (GIVEN, SUMMED, GUESSED, SUMMED, GUESSED, SUMMED))
+    single = _table_rows(single_back, (d_a, *v_e.shape[1:-1]), (GIVEN, SUMMED, GUESSED, SUMMED))
+    summed = _bayes_rows(joint)[0].reshape(n, d_a, m_f, m_e).sum(axis=2)
+    return np.max(np.abs(summed - _bayes_rows(single)[0]), axis=(1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -932,17 +984,19 @@ def _purified_no_signalling_defect(e: Instrument, f: Instrument) -> float:
 def _table_asymmetry(channel: QuantumMap | np.ndarray) -> float:
     """Max |P_pre(x|a) - P_post(a|x)| over the computational bases, from one transition array.
 
-    ``channel`` is a map or a bare Kraus stack.  T[x, a] is the prediction
-    P(x|a), and row x of T divided by its sum is the flat-prior postdiction
-    P(a|x).
+    ``channel`` is a map, a bare Kraus stack, or a stack of Kraus stacks,
+    each with its own array, whose gap is the largest of theirs.  T[x, a] is
+    the prediction P(x|a), and row x of T divided by its sum is the
+    flat-prior postdiction P(a|x).
     """
     t = _transitions(channel)
-    evidence = t.sum(axis=1, keepdims=True)
-    if evidence.min() < MIN_EVIDENCE:
-        # Zero-evidence outcome: the postdiction row cannot match any
-        # normalized prediction column, so symmetry fails outright.
-        return 1.0
-    return float(np.max(np.abs(t - t / evidence)))
+    t = t.reshape((-1,) + t.shape[-2:])
+    evidence = t.sum(axis=-1, keepdims=True)
+    gaps = np.max(np.abs(t - t / np.maximum(evidence, MIN_EVIDENCE)), axis=(1, 2))
+    # Zero-evidence outcome: the postdiction row cannot match any
+    # normalized prediction column, so symmetry fails outright.
+    gaps[evidence.min(axis=(1, 2)) < MIN_EVIDENCE] = 1.0
+    return float(gaps.max())
 
 
 def _sampled_table_asymmetry(channels: Sequence[QuantumMap], seed: int) -> list[float]:
@@ -951,24 +1005,33 @@ def _sampled_table_asymmetry(channels: Sequence[QuantumMap], seed: int) -> list[
     The computational bases, and for a channel whose input and output
     dimensions agree, five Haar-rotated basis pairs: pair t is (V, W), the
     draws of seeds seed + 2t and seed + 2t + 1.  The ten draws of a dimension
-    are made once, in one stack, for every channel of that dimension.  Each
-    pair's rotated Kraus stack W' K V is one batched product, and its table
-    is read through ``_transitions``, looked up when called; no map is
-    built.  One pair is rotated at a time, so a long Kraus list is held at
-    most twice.  This only corroborates ``is_inference_symmetric``, which
-    quantifies over all bases: the identity suite and the tests hold the
-    two to each other.
+    are made once, in one stack, for every channel of that dimension.  The
+    Kraus stack K and its five rotations W' K V, one batched product, form
+    one stack of Kraus stacks, whose tables are read through one
+    ``_transitions`` call, looked up when called; no map is built.  The
+    stacks go in groups of at most ``linalg.STACK_BYTES``, and at least one,
+    so a long Kraus list is not held six times.  This only corroborates
+    ``is_inference_symmetric``, which quantifies over all bases: the
+    identity suite and the tests hold the two to each other.
     """
     rotations: dict[int, np.ndarray] = {}
     gaps = []
     for channel in channels:
-        samples = [_table_asymmetry(channel.kraus)]
-        if channel.dim_in == channel.dim_out:
-            d = channel.dim_in
-            if d not in rotations:
-                rotations[d] = linalg.haar_random_unitaries(d, range(seed, seed + 10))
-            for v, w in zip(rotations[d][0::2], rotations[d][1::2]):
-                samples.append(_table_asymmetry(dagger(w) @ channel.kraus @ v))
+        kraus = channel.kraus
+        if channel.dim_in != channel.dim_out:
+            gaps.append(_table_asymmetry(kraus))
+            continue
+        d = channel.dim_in
+        if d not in rotations:
+            rotations[d] = linalg.haar_random_unitaries(d, range(seed, seed + 10))
+        v, w = rotations[d][0::2, None], dagger(rotations[d][1::2, None])
+        size = max(1, linalg.STACK_BYTES // kraus.nbytes)
+        samples = []
+        # Stack 0 is K itself and stack t + 1 pair t's rotation.
+        for start in range(0, 6, size):
+            pairs = slice(max(start - 1, 0), start + size - 1)
+            rotated = w[pairs] @ kraus @ v[pairs]
+            samples.append(_table_asymmetry(np.concatenate((kraus[None], rotated)) if start == 0 else rotated))
         gaps.append(max(samples))
     return gaps
 

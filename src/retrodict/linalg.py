@@ -16,6 +16,11 @@ import numpy as np
 # Structural checks (unitarity, hermiticity, trace) are held to ATOL_STRUCTURAL.
 ATOL_STRUCTURAL = 1e-10
 
+# Work whose memory grows with an instance count is done in stacks of at most
+# this many bytes: verify's D x D Haar draws, the rotated Kraus stacks of the
+# sampled-basis check, and the probes of ``purify.verify_purification``.
+STACK_BYTES = 1 << 22
+
 
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix, or of each matrix in a stack."""

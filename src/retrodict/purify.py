@@ -117,28 +117,39 @@ def _branch(purification: Purification, outcome_index: int | None = None) -> np.
     return v[:, outcome_index]
 
 
-def _images(v: np.ndarray, probes: np.ndarray) -> np.ndarray:
-    """tr_Z v rho v' for every rho of a (p, d_A, d_A) stack of probes.
+def _image_map(v: np.ndarray, count: int):
+    """rho -> tr_Z v rho v' as a function of a (p, d_A, d_A) stack of probes, for ``count`` probes in all.
 
-    Two orders of one sum, whichever multiplies less: each probe through v
-    and then v', or first the map's (d_X d_X, d_A d_A) matrix
-    sum_z v_z (x) conj(v_z) and then every probe in one product.  These are
-    the two contraction paths ``einsum`` chooses between, without its path
-    search; for d_A > 1 each gives einsum's bits where einsum takes it.
+    Two orders of one sum, whichever multiplies less for ``count`` probes:
+    each probe through v and then v', or first the map's (d_X d_X, d_A d_A)
+    matrix sum_z v_z (x) conj(v_z), formed here once, and then every probe
+    in one product.  These are the two contraction paths ``einsum`` chooses
+    between, without its path search; for d_A > 1 each gives einsum's bits
+    where einsum takes it.
     """
     d_x, d_z, d_a = v.shape
-    p = len(probes)
-    if probes.shape[1:] != (d_a, d_a):
-        raise ValueError(f"operator shape {probes.shape[1:]} does not match d_A = {d_a}")
-    if d_z * (d_x + d_a) * p < d_x * d_a * (d_z + p):
-        # sum_a rho[p, a, b] v[x, z, a], regrouped [(x, p), (z, b)] against v'[(z, b), y]
-        left = probes.transpose(0, 2, 1).reshape(-1, d_a) @ v.transpose(2, 0, 1).reshape(d_a, -1)
-        left = left.reshape(p, d_a, d_x, d_z).transpose(2, 0, 3, 1).reshape(d_x * p, -1)
-        return (left @ v.conj().reshape(d_x, -1).T).reshape(d_x, p, d_x).swapaxes(0, 1)
+    if d_z * (d_x + d_a) * count < d_x * d_a * (d_z + count):
+
+        def images(probes: np.ndarray) -> np.ndarray:
+            # sum_a rho[p, a, b] v[x, z, a], regrouped [(x, p), (z, b)] against v'[(z, b), y]
+            p = len(probes)
+            left = probes.transpose(0, 2, 1).reshape(-1, d_a) @ v.transpose(2, 0, 1).reshape(d_a, -1)
+            left = left.reshape(p, d_a, d_x, d_z).transpose(2, 0, 3, 1).reshape(d_x * p, -1)
+            return (left @ v.conj().reshape(d_x, -1).T).reshape(d_x, p, d_x).swapaxes(0, 1)
+
+        return images
     # sum_z conj(v[y, z, b]) v[x, z, a], regrouped [(x, y), (a, b)]
     gram = v.conj().transpose(0, 2, 1).reshape(-1, d_z) @ v.transpose(1, 0, 2).reshape(d_z, -1)
     transfer = gram.reshape(d_x, d_a, d_x, d_a).transpose(2, 0, 3, 1).reshape(d_x * d_x, -1)
-    return (transfer @ probes.reshape(p, -1).T).reshape(d_x, d_x, p).transpose(2, 0, 1)
+    return lambda probes: (transfer @ probes.reshape(len(probes), -1).T).reshape(d_x, d_x, -1).transpose(2, 0, 1)
+
+
+def _images(v: np.ndarray, probes: np.ndarray) -> np.ndarray:
+    """tr_Z v rho v' for every rho of a (p, d_A, d_A) stack of probes (``_image_map``)."""
+    d_a = v.shape[-1]
+    if probes.shape[1:] != (d_a, d_a):
+        raise ValueError(f"operator shape {probes.shape[1:]} does not match d_A = {d_a}")
+    return _image_map(v, len(probes))(probes)
 
 
 def reconstruct_channel_action(purification: Purification, rho: np.ndarray) -> np.ndarray:
@@ -162,24 +173,42 @@ def verify_purification(
     """Maximum entrywise round-trip defect on the operator basis plus random states.
 
     The round trip is taken on the isometry V = U(I (x) |b>): the images
-    tr_Y V rho V' of all probes at once (the pointer held at the outcome's
-    slot for an instrument) are compared with the Kraus action
-    sum_k K rho K' of the original.
+    tr_Y V rho V' of the probes (the pointer held at the outcome's slot for
+    an instrument) are compared with the Kraus action sum_k K rho K' of the
+    original.  The probes are the d_A^2 matrix units E_ij in row-major
+    order, then the random states of seeds seed ... seed + trials - 1,
+    drawn once.  They are made and compared in stacks of at most
+    ``linalg.STACK_BYTES``, so the memory does not grow as d_A^4, and each
+    side's order of contraction is chosen once for all of them.
     """
     d_a = purification.dims_in[0]
     if (original.dim_in, original.dim_out) != (d_a, purification.dims_out[0]):
         raise ValueError("purification dimensions do not match the original map")
-    units = np.eye(d_a * d_a).reshape(d_a * d_a, d_a, d_a)
-    probes = np.concatenate((units, linalg.random_density_matrices(d_a, range(seed, seed + trials))))
     if isinstance(original, Instrument):
         branches = [(qmap, _branch(purification, i)) for i, (_, qmap) in enumerate(original.outcomes)]
     else:
         branches = [(original, _branch(purification))]
+    states = linalg.random_density_matrices(d_a, range(seed, seed + trials))
+    count = d_a * d_a + trials
+    size = max(1, linalg.STACK_BYTES // (16 * d_a * d_a))
     defect = 0.0
     for qmap, v in branches:
-        expected = _images(qmap.kraus.transpose(1, 0, 2), probes)
-        defect = max(defect, float(np.max(np.abs(expected - _images(v, probes)))))
+        expected, images = (_image_map(w, count) for w in (qmap.kraus.transpose(1, 0, 2), v))
+        for start in range(0, count, size):
+            probes = _probes(states, start, min(start + size, count))
+            defect = max(defect, float(np.max(np.abs(expected(probes) - images(probes)))))
     return defect
+
+
+def _probes(states: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Probes start ... stop - 1 of the d*d matrix units E_ij in row-major order, then the (trials, d, d) states."""
+    d = states.shape[-1]
+    units = np.arange(start, min(stop, d * d))
+    probes = np.zeros((stop - start, d * d), dtype=complex)
+    probes[units - start, units] = 1.0
+    probes = probes.reshape(-1, d, d)
+    probes[len(units) :] = states[max(start - d * d, 0) : max(stop - d * d, 0)]
+    return probes
 
 
 def rotate_ancilla(purification: Purification, seed: int) -> Purification:

@@ -1,21 +1,35 @@
+import contextlib
 import errno
+import functools
 import hashlib
 import io
 import json
+import math
+import operator
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import orjson
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import retrodict as rd
 from retrodict import channels
 from retrodict.cli import build_parser, main
-from retrodict.serialize import matrix_to_wire, parse_scenario, parse_scenario_dict
+from retrodict.serialize import (
+    TASKS,
+    ScenarioFile,
+    matrix_to_wire,
+    parse_scenario,
+    parse_scenario_dict,
+    scenario_to_dict,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -831,7 +845,120 @@ def test_verify_draws_its_d_by_d_pool_once(monkeypatch, capsys):
     assert any(d != 6 for d, _ in calls)
 
 
+@pytest.mark.parametrize("d_a, d_b", [(1, 1), (3, 2), (2, 7)])
+def test_verify_draws_its_instruments_and_small_maps_as_the_random_constructors_do(monkeypatch, capsys, d_a, d_b):
+    # each stacked draw bit for bit the object it replaced, at the default seed 1
+    seen = {}
+
+    def recording(name, check):
+        def recorded(*args):
+            seen.setdefault(name, []).append(args)
+            return check(*args)
+
+        monkeypatch.setattr(rd.cli, name, recorded)
+
+    for name in ("_no_signalling_stack", "channel_toward_past_check", "deterministic_effect_check"):
+        recording(name, getattr(rd.cli, name))
+    assert main(["verify", "--dims", str(d_a), str(d_b), "--format", "json"]) == 0
+    capsys.readouterr()
+
+    def operators(inst):
+        return np.concatenate([qmap.kraus for _, qmap in inst.outcomes])
+
+    [(e, f, states, followers)] = seen["_no_signalling_stack"]
+    for t in range(3):
+        assert e[t].tobytes() == operators(channels.random_instrument(d_a, 2, 2, 1070 + t)).tobytes()
+        assert f[t].tobytes() == operators(channels.random_instrument(d_a, 2, 2, 1080 + t)).tobytes()
+        assert followers[t].tobytes() == rd.inference._random_followers(d_a, 2, 2, 1000 + t).tobytes()
+    assert states.tobytes() == rd.linalg.random_density_matrices(d_a, range(1090, 1093)).tobytes()
+    maps = [args[0] for args in seen["channel_toward_past_check"][1:] + seen["deterministic_effect_check"]]
+    for qmap, seed in zip(maps, [1060, 1097, 1098, 1099], strict=True):
+        assert qmap.kraus.tobytes() == channels.random_cptp_map(d_a, d_a, 2, seed).kraus.tobytes()
+
+
 def test_verify_builds_as_many_transition_arrays_whatever_d_a(monkeypatch, capsys):
     _, small = _counted_verify(monkeypatch, capsys, (2, 2))
     _, large = _counted_verify(monkeypatch, capsys, (5, 5))
     assert small == large
+
+
+# ---------------------------------------------------------------------------
+# Any document: a table or a documented exit code, never a traceback
+# ---------------------------------------------------------------------------
+
+_LEAVES = (
+    st.none() | st.booleans() | st.integers(-2, 5) | st.floats(-2, 2) | st.text("01ab ·", max_size=3)
+    | st.sampled_from(["unitary", "kraus-channel", "instrument", "basis", "states", *TASKS, 2**62, 2**64, 1e300])
+)
+# Wrong types at any depth: small values, so that a document that still parses stays small.
+_JUNK = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text("abiknopst_", max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _paths(value, path=()):
+    # the path to every value of a document, the document's own () first
+    yield path
+    children = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in children:
+        yield from _paths(child, (*path, key))
+
+
+@st.composite
+def _documents(draw):
+    """A valid scenario with matrices of at most 4 x 4, then up to three values replaced by junk or deleted."""
+    dims = tuple(draw(st.lists(st.integers(1, 2), min_size=1, max_size=2)))
+    total, seed = math.prod(dims), draw(st.integers(0, 50))
+    kind = draw(st.sampled_from(["unitary", "states", "kraus-channel", "instrument"]))
+    transformation = (
+        rd.linalg.haar_random_unitary(total, seed) if kind in ("unitary", "states")
+        else channels.random_cptp_map(total, total, 2, seed) if kind == "kraus-channel"
+        else channels.random_instrument(total, 2, 1, seed)
+    )
+
+    def givens():
+        return tuple(draw(st.tuples(*(st.none() | st.integers(0, d - 1) for d in dims))))
+
+    def mask():
+        return tuple(draw(st.lists(st.booleans(), min_size=len(dims), max_size=len(dims))))
+
+    doc = scenario_to_dict(
+        ScenarioFile(
+            task=draw(st.sampled_from(TASKS)),
+            dims_in=dims,
+            dims_out=dims,
+            transformation=transformation,
+            preparation_states=(rd.linalg.random_pure_state(total, seed),) if kind == "states" else None,
+            given_input=givens(),
+            given_output=givens(),
+            given_outcome=draw(st.sampled_from([None, "0", "1"])) if kind == "instrument" else None,
+            known_input_mask=mask(),
+            known_output_mask=mask(),
+            shots=draw(st.none() | st.integers(0, 200)),
+            seed=draw(st.none() | st.integers(0, 2**64 + 1)),
+        )
+    )
+    for _ in range(draw(st.integers(0, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        if not path:
+            doc = draw(_JUNK)
+            continue
+        parent = functools.reduce(operator.getitem, path[:-1], doc)
+        if draw(st.booleans()):
+            parent[path[-1]] = draw(_JUNK)
+        else:
+            del parent[path[-1]]
+    return doc
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.sampled_from(TASKS), _documents())
+def test_any_scenario_document_exits_with_a_documented_code(command, doc):
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "scenario.json"
+        path.write_text(json.dumps(doc))  # orjson would refuse the seeds of 2**64 and more
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main([command, "--scenario", str(path), "--format", "json"])
+    assert code in (0, 2, 3, 4, 5)

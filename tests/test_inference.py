@@ -10,6 +10,7 @@ from retrodict import inference, linalg
 from retrodict.channels import (
     Instrument,
     QuantumMap,
+    _random_kraus_stacks,
     adjoint_map,
     amplitude_damping,
     apply,
@@ -799,6 +800,20 @@ def test_random_followers_are_the_random_instruments_kraus_operators(d, n_outcom
         np.testing.assert_array_equal(stack[2 * n_outcomes * t : 2 * n_outcomes * (t + 1)], expected)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 6])
+def test_a_stack_of_no_signalling_instances_equals_one_check_per_instance(d):
+    # verify's layout: instance t has instruments of seeds 70 + t and 80 + t and the followers of seed t
+    seeds = [70, 71, 72, 80, 81, 82] + [s for t in range(3) for s in inference._follower_seeds(t, 2)]
+    kraus = _random_kraus_stacks(d, 4, seeds)
+    states = linalg.random_density_matrices(d, range(90, 93))
+    stacked = inference._no_signalling_stack(kraus[:3], kraus[3:6], states, kraus[6:].reshape(3, -1, d, d))
+    for t, rho in enumerate(states):
+        e, f = random_instrument(d, 2, 2, 70 + t), random_instrument(d, 2, 2, 80 + t)
+        report = no_signalling_check(e, f, rho, extra_followers=2, seed=t)
+        defects = (report.marginal_defect, report.conditional_defect, report.purified_defect)
+        assert tuple(float(defect[t]) for defect in stacked) == defects
+
+
 def test_verify_catches_followers_composed_in_the_wrong_order(monkeypatch, capsys):
     def reversed_order(first, second):
         # E_k F_l in place of F_l E_k: e then acts after its follower
@@ -879,7 +894,8 @@ def test_every_sampled_table_is_read_through_the_kernel(monkeypatch):
 
     monkeypatch.setattr(inference, "_transitions", doubled)
     gaps = inference._sampled_table_asymmetry([make_dephasing(), random_cptp_map(2, 3, 2, 5)], 0)
-    assert read == [(2, 2, 2)] * 6 + [(2, 3, 2)]
+    # the dephasing channel's own Kraus stack and its five rotations in one read, then the 2 -> 3 map's
+    assert read == [(6, 2, 2, 2), (2, 3, 2)]
     assert min(gaps) > 0.1
 
 
@@ -1483,6 +1499,6 @@ def purified_no_signalling_reference(e, f):
 def test_purified_no_signalling_matches_full_unitary_reference(d, outcomes):
     e = random_instrument(d, outcomes, 2, 93 + d)
     f = random_instrument(d, outcomes, 2, 94 + d)
-    defect = inference._purified_no_signalling_defect(e, f)
+    defect = inference._purified_no_signalling_defects(*(purify_instrument(i).isometry[None] for i in (e, f)))[0]
     assert defect < 1e-12
     assert abs(defect - purified_no_signalling_reference(e, f)) < 1e-12

@@ -7,6 +7,7 @@ import pytest
 from retrodict import inference, linalg
 from retrodict.channels import (
     QuantumMap,
+    _random_kraus_stacks,
     adjoint_map,
     amplitude_damping,
     apply,
@@ -170,6 +171,51 @@ def test_sampled_table_asymmetry_equals_one_rotated_map_per_basis_pair():
     channels += [make_dephasing(), amplitude_damping(0.5), random_cptp_map(2, 3, 2, 7)]
     gaps = inference._sampled_table_asymmetry(channels, 3)
     assert gaps == [sampled_table_asymmetry_reference(channel, 3) for channel in channels]
+
+
+# A 3 x 3 map of four operators (576 bytes), the qubit dephasing channel, and a map from 2 to 3 dimensions.
+BUDGET_CHANNELS = [random_cptp_map(3, 3, 4, 8), make_dephasing(), random_cptp_map(2, 3, 2, 7)]
+
+
+@pytest.mark.parametrize(
+    "budget, reads",
+    [
+        (None, [(6, 4, 3, 3), (6, 2, 2, 2), (2, 3, 2)]),
+        (1200, [(2, 4, 3, 3)] * 3 + [(6, 2, 2, 2), (2, 3, 2)]),
+        (1, [(1, 4, 3, 3)] * 6 + [(1, 2, 2, 2)] * 6 + [(2, 3, 2)]),
+    ],
+)
+def test_sampled_table_asymmetry_is_the_largest_gap_of_the_rotated_maps_in_any_byte_budget(monkeypatch, budget, reads):
+    # The reference rotates one map per basis pair and reads each with _table_asymmetry on its own.
+    expected = []
+    for channel in BUDGET_CHANNELS:
+        samples = [inference._table_asymmetry(channel)]
+        if channel.dim_in == channel.dim_out:
+            d = channel.dim_in
+            rotations = linalg.haar_random_unitaries(d, range(3, 13))
+            for v, w in zip(rotations[0::2], rotations[1::2]):
+                samples.append(inference._table_asymmetry(QuantumMap(w.conj().T @ channel.kraus @ v, d, d)))
+        expected.append(max(samples))
+    transitions, shapes = inference._transitions, []
+
+    def recorded(transformation):
+        shapes.append(transformation.shape)
+        return transitions(transformation)
+
+    monkeypatch.setattr(inference, "_transitions", recorded)
+    if budget is not None:
+        monkeypatch.setattr(linalg, "STACK_BYTES", budget)
+    assert inference._sampled_table_asymmetry(BUDGET_CHANNELS, 3) == expected
+    assert shapes == reads
+
+
+@pytest.mark.parametrize("d, kraus_count", [(1, 2), (2, 2), (3, 4), (7, 4)])
+def test_random_kraus_stacks_are_the_random_maps_operators(d, kraus_count):
+    seeds = [60, 97, 98, 99]
+    stack = _random_kraus_stacks(d, kraus_count, seeds)
+    assert stack.shape == (4, kraus_count, d, d)
+    for kraus, seed in zip(stack, seeds):
+        assert kraus.tobytes() == random_cptp_map(d, d, kraus_count, seed).kraus.tobytes()
 
 
 def test_a_transposed_single_matrix_keeps_its_layout_in_the_contraction():

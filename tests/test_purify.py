@@ -222,20 +222,53 @@ def test_verify_purification_probes_are_the_matrix_units_then_the_seeded_states(
         rho = g @ g.conj().T
         states.append(rho / np.trace(rho).real)
     expected = np.stack(units + states)
-    seen = []
-    images = purify._images
-
-    def recorded(v, probes):
-        seen.append(np.array(probes))
-        return images(v, probes)
-
-    monkeypatch.setattr(purify, "_images", recorded)
+    seen = _record_probes(monkeypatch)
     channel = make_noisy_operation(linalg.haar_random_unitary(2 * d, 17), (d, 2))
     assert verify_purification(channel, stinespring(channel), trials=trials, seed=seed) < 1e-12
     # one stack for the Kraus side and one for the dilation
     assert len(seen) == 2
     for probes in seen:
         assert probes.dtype == complex and probes.tobytes() == expected.tobytes()
+
+
+def _record_probes(monkeypatch) -> list:
+    # every probe stack that verify_purification contracts, in order, one list entry per side and stack
+    seen = []
+    image_map = purify._image_map
+
+    def recorded(v, count):
+        images = image_map(v, count)
+
+        def record(probes):
+            seen.append(np.array(probes))
+            return images(probes)
+
+        return record
+
+    monkeypatch.setattr(purify, "_image_map", recorded)
+    return seen
+
+
+@pytest.mark.parametrize("budget, sizes", [(1, [1] * 13), (200, [1] * 13), (1000, [6, 6, 1])])
+def test_verify_purification_in_probe_stacks_of_a_byte_budget(monkeypatch, budget, sizes):
+    # d_A = 3: nine matrix units and four states of 144 bytes each; a stack holds at least one probe.  The
+    # unitary's sides take each probe through V, the others form their transfer matrices first.
+    unitary = QuantumMap((linalg.haar_random_unitary(3, 4),), 3, 3)
+    channel = make_noisy_operation(linalg.haar_random_unitary(6, 17), (3, 2))
+    instrument = random_instrument(3, 2, 2, 5)
+    cases = [(unitary, stinespring(unitary)), (channel, stinespring(channel))]
+    for original, purification in cases + [(instrument, purify_instrument(instrument))]:
+        branches = len(getattr(original, "outcomes", [None]))
+        seen = _record_probes(monkeypatch)
+        whole = verify_purification(original, purification, trials=4, seed=9)
+        monkeypatch.setattr(linalg, "STACK_BYTES", budget)
+        chunked = verify_purification(original, purification, trials=4, seed=9)
+        monkeypatch.undo()
+        assert abs(chunked - whole) <= 1e-15
+        # each branch compares both sides on all 13 probes at once, then on each budgeted stack in turn
+        probes, stacks = seen[0], seen[2 * branches :]
+        assert [len(stack) for stack in stacks] == [n for n in sizes for _ in range(2)] * branches
+        assert np.concatenate(stacks[0 : 2 * len(sizes) : 2]).tobytes() == probes.tobytes()
 
 
 def probe_states(d):
