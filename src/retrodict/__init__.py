@@ -19,17 +19,11 @@ from .channels import (
     choi_matrix,
     classify,
     coarse_grain,
-    compose_parallel,
     compose_sequential,
-    computational_measurement,
-    identity_channel,
-    identity_instrument,
     is_trace_preserving,
     make_dephasing,
     make_noisy_operation,
-    make_unitary_channel,
     outcome_probabilities,
-    povm_instrument,
     projective_instrument,
     random_cptp_map,
     random_instrument,
@@ -50,12 +44,7 @@ from .inference import (
     open_reversal_check,
     postdict_channel,
     postdict_channel_via_purification,
-    postdict_closed,
-    postdict_general_prep,
     postdict_open,
-    predict_channel,
-    predict_closed,
-    predict_general_prep,
     predict_open,
     solve,
     time_reverse,
@@ -78,8 +67,7 @@ from .sampler import (
     CompareReport,
     EnsembleResult,
     compare,
-    empirical_conditional,
     empirical_conditionals,
     run_ensemble,
 )
-from .tables import ProbabilityTable, bayes_invert
+from .tables import ProbabilityTable

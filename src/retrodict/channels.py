@@ -224,39 +224,9 @@ def compose_sequential(first: Instrument, second: Instrument) -> Instrument:
     return Instrument(tuple(outcomes), dim_in=first.dim_in, dim_out=second.dim_out)
 
 
-def compose_parallel(a: Instrument, b: Instrument) -> Instrument:
-    """Tensor two instruments; the first argument acts on the leftmost factor."""
-    outcomes = []
-    for label_i, map_i in a.outcomes:
-        for label_j, map_j in b.outcomes:
-            kraus = tuple(np.kron(ki, kj) for ki in map_i.kraus for kj in map_j.kraus)
-            outcomes.append(
-                (
-                    join_labels(label_i, label_j),
-                    QuantumMap(kraus, a.dim_in * b.dim_in, a.dim_out * b.dim_out),
-                )
-            )
-    return Instrument(tuple(outcomes), dim_in=a.dim_in * b.dim_in, dim_out=a.dim_out * b.dim_out)
-
-
 # ---------------------------------------------------------------------------
 # Constructors
 # ---------------------------------------------------------------------------
-
-
-def make_unitary_channel(u: np.ndarray) -> QuantumMap:
-    u = np.asarray(u, dtype=complex)
-    if not linalg.is_unitary(u):
-        raise ValueError("matrix is not unitary within tolerance")
-    return QuantumMap((u,), dim_in=u.shape[0], dim_out=u.shape[0])
-
-
-def identity_channel(d: int) -> QuantumMap:
-    return QuantumMap((np.eye(d, dtype=complex),), dim_in=d, dim_out=d)
-
-
-def identity_instrument(d: int) -> Instrument:
-    return Instrument((("0", identity_channel(d)),), dim_in=d, dim_out=d)
 
 
 def make_dephasing() -> QuantumMap:
@@ -314,34 +284,6 @@ def projective_instrument(basis: np.ndarray) -> Instrument:
         (str(i), QuantumMap((linalg.projector(basis[:, i]),), d, d)) for i in range(d)
     )
     return Instrument(outcomes, dim_in=d, dim_out=d)
-
-
-def computational_measurement(d: int) -> Instrument:
-    return projective_instrument(np.eye(d, dtype=complex))
-
-
-def povm_instrument(effects: Sequence[np.ndarray]) -> Instrument:
-    """A destructive test: positive operators summing to the identity.
-
-    Each effect becomes a dim_out = 1 outcome whose Kraus rows square back to
-    it; the outcome statistics are tr(effect rho).
-    """
-    effects = [np.asarray(e, dtype=complex) for e in effects]
-    if not effects:
-        raise ValueError("a test needs at least one effect")
-    d = effects[0].shape[0]
-    outcomes = []
-    for j, effect in enumerate(effects):
-        if effect.shape != (d, d) or not linalg.is_positive_semidefinite(effect):
-            raise ValueError(f"effect {j} is not a positive semidefinite {d}x{d} operator")
-        eigvals, eigvecs = np.linalg.eigh(effect)
-        kraus = tuple(
-            np.sqrt(val) * eigvecs[:, i].conj()[None, :]
-            for i, val in enumerate(eigvals)
-            if val > 1e-14
-        ) or (np.zeros((1, d), dtype=complex),)
-        outcomes.append((str(j), QuantumMap(kraus, dim_in=d, dim_out=1)))
-    return Instrument(tuple(outcomes), dim_in=d, dim_out=1)
 
 
 def random_cptp_map(dim_in: int, dim_out: int, kraus_count: int, seed: int) -> QuantumMap:

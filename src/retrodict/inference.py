@@ -252,28 +252,11 @@ def _joined_labels(labels: tuple[tuple[str, ...], ...], mask: tuple[bool, ...]) 
     return tuple(join_labels(*combo) for combo in itertools.product(*kept))
 
 
-# ---------------------------------------------------------------------------
-# Closed systems
-# ---------------------------------------------------------------------------
-
-
 def _check_unitary_arg(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if not linalg.is_unitary(u):
         raise ValueError("transformation matrix is not unitary within tolerance")
     return u
-
-
-def predict_closed(u: np.ndarray, a: int) -> ProbabilityTable:
-    """Born rule for a closed system: P(x | a) = |<x|U|a>|^2."""
-    dims = np.shape(u)[:1]
-    return solve(InferenceTask(u, dims, dims, "predict", (True,), (True,), given_input=(a,)))
-
-
-def postdict_closed(u: np.ndarray, x: int) -> ProbabilityTable:
-    """Flat-prior Bayes inversion of the Born rule; equals the transposed prediction."""
-    dims = np.shape(u)[:1]
-    return solve(InferenceTask(u, dims, dims, "postdict", (True,), (True,), given_output=(x,)))
 
 
 # ---------------------------------------------------------------------------
@@ -310,12 +293,6 @@ def postdict_open(
 # ---------------------------------------------------------------------------
 # Quantum channels
 # ---------------------------------------------------------------------------
-
-
-def predict_channel(channel: QuantumMap, a: int) -> ProbabilityTable:
-    """Generalized Born rule P(x | a) = tr |x><x| channel[|a><a|]."""
-    dims = ((channel.dim_in,), (channel.dim_out,))
-    return solve(InferenceTask(channel, *dims, "predict", (True,), (True,), given_input=(a,)))
 
 
 def postdict_channel(channel: QuantumMap, x: int) -> ProbabilityTable:
@@ -385,24 +362,6 @@ def _check_preparation_states(states: Sequence[np.ndarray], d: int) -> None:
             raise ValueError(f"state {i} is not normalized")
 
 
-def predict_general_prep(states: Sequence[np.ndarray], u: np.ndarray) -> list[ProbabilityTable]:
-    """One prediction row per preparation state: P(x | psi_i) = |<x|U|psi_i>|^2, from one contraction."""
-    u = np.asarray(u, dtype=complex)
-    dims = u.shape[:1]
-    task = InferenceTask(u, dims, dims, "predict", (True,), (True,), preparation_states=states)
-    _check_transformation(task)
-    family = _solve_rows(_kernel_view(task), _transitions(task.transformation, task.preparation_states))
-    return [_row_table(task, family, row) for row in range(len(family[0]))]
-
-
-def postdict_general_prep(states: Sequence[np.ndarray], u: np.ndarray, x: int) -> ProbabilityTable:
-    """Flat prior over the listed states; Bayes inversion of the prediction rows."""
-    u = np.asarray(u, dtype=complex)
-    dims = u.shape[:1]
-    task = InferenceTask(u, dims, dims, "postdict", (True,), (True,), given_output=(x,), preparation_states=states)
-    return solve(task)
-
-
 @dataclass(frozen=True)
 class GeneralPrepCheck:
     direct: ProbabilityTable
@@ -423,10 +382,11 @@ def general_prep_purified_check(
     numerators are the operator-level pull-back, not the transition-array
     kernel, so the comparison checks the kernel.
     """
-    direct = postdict_general_prep(states, u, x)  # checks U and the states
     u = np.asarray(u, dtype=complex)
-    n = len(states)
-    d = u.shape[0]
+    dims = u.shape[:1]
+    task = InferenceTask(u, dims, dims, "postdict", (True,), (True,), given_output=(x,), preparation_states=states)
+    direct = solve(task)  # checks U and the states
+    n, d = len(states), u.shape[0]
     w = np.zeros((d, n, n), dtype=complex)
     for i, psi in enumerate(states):
         w[:, i, i] = np.reshape(psi, -1)
@@ -862,6 +822,8 @@ def no_signalling_check(
     stack (``_random_followers``).  An outcome of f with joint weight below
     1e-12 has no conditional and is listed as skipped.
     """
+    if extra_followers < 0:
+        raise ValueError(f"extra_followers must be non-negative, got {extra_followers}")
     if e.dim_out != f.dim_in:
         raise ValueError("instruments are not composable: output and input dimensions differ")
     e_kraus, e_starts = _kraus_stack(e)
@@ -1070,6 +1032,8 @@ def deterministic_effect_check(
     Solves the linear system tr(sum_x w(x)|x><x| channel[rho]) = 1 for all rho
     and reports how far alternative weightings miss it.
     """
+    if n_random_candidates < 0:
+        raise ValueError(f"n_random_candidates must be non-negative, got {n_random_candidates}")
     check_cptp(channel)
     adj = adjoint_map(channel)
     columns = [apply(adj, linalg.basis_projector(channel.dim_out, x)) for x in range(channel.dim_out)]

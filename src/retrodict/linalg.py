@@ -157,17 +157,6 @@ def random_pure_state(d: int, seed: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def matrix_units(d: int) -> list[np.ndarray]:
-    """The d*d operator basis E_ij in row-major (i, j) order."""
-    units = []
-    for i in range(d):
-        for j in range(d):
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = 1.0
-            units.append(e)
-    return units
-
-
 def is_unitary(m: np.ndarray, atol: float = ATOL_STRUCTURAL) -> bool:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:

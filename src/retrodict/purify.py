@@ -7,9 +7,8 @@ canonical construction stacks the (zero-padded) Kraus operators into
 V = sum_k K_k (x) |k>.  Countless purifications represent the same map; this
 module builds exactly one and verifies any candidate against the original.
 U is completed only for the report, at the ancilla-|0> column slots (see
-``serialize.purification_to_wire``).  Reconstruction and verification run
-on V, never on the D x D joint space: tr_Y V rho V' is the represented
-channel.
+``serialize.purification_to_wire``).  Verification runs on V, never on the
+D x D joint space: tr_Y V rho V' is the represented channel.
 """
 
 from __future__ import annotations
@@ -144,26 +143,6 @@ def _image_map(v: np.ndarray, count: int):
     return lambda probes: (transfer @ probes.reshape(len(probes), -1).T).reshape(d_x, d_x, -1).transpose(2, 0, 1)
 
 
-def _images(v: np.ndarray, probes: np.ndarray) -> np.ndarray:
-    """tr_Z v rho v' for every rho of a (p, d_A, d_A) stack of probes (``_image_map``)."""
-    d_a = v.shape[-1]
-    if probes.shape[1:] != (d_a, d_a):
-        raise ValueError(f"operator shape {probes.shape[1:]} does not match d_A = {d_a}")
-    return _image_map(v, len(probes))(probes)
-
-
-def reconstruct_channel_action(purification: Purification, rho: np.ndarray) -> np.ndarray:
-    """tr_Y U (rho (x) |b><b|) U' = tr_Y V rho V', the channel the purification represents."""
-    return _images(_branch(purification), np.asarray(rho, dtype=complex)[None])[0]
-
-
-def reconstruct_outcome_action(
-    purification: Purification, outcome_index: int, rho: np.ndarray
-) -> np.ndarray:
-    """Project the pointer onto slot ``outcome_index`` and discard the ancilla output."""
-    return _images(_branch(purification, outcome_index), np.asarray(rho, dtype=complex)[None])[0]
-
-
 def verify_purification(
     original: QuantumMap | Instrument,
     purification: Purification,
@@ -179,8 +158,11 @@ def verify_purification(
     order, then the random states of seeds seed ... seed + trials - 1,
     drawn once.  They are made and compared in stacks of at most
     ``linalg.STACK_BYTES``, so the memory does not grow as d_A^4, and each
-    side's order of contraction is chosen once for all of them.
+    side's order of contraction is chosen once for all of them.  A negative
+    ``trials`` is refused: it would drop matrix units from the probes.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be non-negative, got {trials}")
     d_a = purification.dims_in[0]
     if (original.dim_in, original.dim_out) != (d_a, purification.dims_out[0]):
         raise ValueError("purification dimensions do not match the original map")

@@ -196,14 +196,6 @@ def empirical_conditionals(result: EnsembleResult, direction: str) -> dict[str, 
     return tables
 
 
-def empirical_conditional(result: EnsembleResult, direction: str, given: str) -> ProbabilityTable:
-    """The conditional row for one conditioning cell; empty cells are an error."""
-    tables = empirical_conditionals(result, direction)
-    if given not in tables:
-        raise UndefinedConditionalError(f"conditioning cell {given!r} has zero count")
-    return tables[given]
-
-
 def _analytic_rows(family, rows: np.ndarray) -> np.ndarray:
     """Rows ``rows`` of a ``_solve_rows`` family, which a sample drew, as probabilities, checked in one array pass.
 

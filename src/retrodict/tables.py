@@ -3,11 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
-
-from .errors import UndefinedConditionalError
 
 # Joint outcome labels join their per-factor parts with this separator.
 LABEL_SEPARATOR = "·"
@@ -109,34 +107,3 @@ def first_invalid_row(labels: Sequence[str], values: np.ndarray) -> tuple[int, V
         if not abs(total - 1.0) <= NORMALIZATION_ATOL:
             return row, _not_normalized(total)
     return None
-
-
-def bayes_invert(
-    conditionals: Mapping[str, ProbabilityTable],
-    given: str,
-    prior: Mapping[str, float] | None = None,
-) -> ProbabilityTable:
-    """Invert rows P(outcome | alternative) into P(alternative | outcome).
-
-    ``conditionals`` maps each alternative to its forward table; ``prior``
-    defaults to the flat distribution over the alternatives.
-    """
-    alternatives = list(conditionals)
-    if not alternatives:
-        raise ValueError("at least one conditional row is required")
-    if prior is None:
-        weights = {a: 1.0 / len(alternatives) for a in alternatives}
-    else:
-        total = sum(prior[a] for a in alternatives)
-        if total <= 0:
-            raise ValueError("prior weights must have positive total")
-        weights = {a: prior[a] / total for a in alternatives}
-    numerators = {a: conditionals[a].entries.get(given, 0.0) * weights[a] for a in alternatives}
-    evidence = sum(numerators.values())
-    if evidence < ENTRY_SLACK:
-        raise UndefinedConditionalError(f"outcome {given!r} has zero probability under the prior")
-    return ProbabilityTable(
-        {a: numerators[a] / evidence for a in alternatives},
-        given=given,
-        direction="postdict",
-    )

@@ -5,18 +5,19 @@ print; without ``-s`` pytest shows them for failing criteria only.
 """
 
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from retrodict import linalg
 from retrodict.channels import (
+    QuantumMap,
     adjoint_map,
     amplitude_damping,
     classify,
     make_dephasing,
     make_noisy_operation,
-    make_unitary_channel,
     random_cptp_map,
     random_instrument,
 )
@@ -31,13 +32,9 @@ from retrodict.inference import (
     no_signalling_check,
     postdict_channel,
     postdict_channel_via_purification,
-    postdict_closed,
-    postdict_general_prep,
     postdict_open,
-    predict_channel,
-    predict_closed,
-    predict_general_prep,
     predict_open,
+    solve,
 )
 from retrodict.purify import rotate_ancilla, stinespring, verify_purification
 from retrodict.sampler import compare, empirical_conditionals, run_ensemble
@@ -61,9 +58,10 @@ def test_criterion_1_closed_inference_symmetry():
             if count == 50:
                 break
             u = linalg.haar_random_unitary(d, 1000 + count)
-            pre = np.stack([predict_closed(u, a).probabilities() for a in range(d)], axis=1)
-            post = np.stack([postdict_closed(u, x).probabilities() for x in range(d)], axis=0)
-            worst = max(worst, float(np.max(np.abs(pre - post))))
+            task = _closed_task(u)
+            pre = [solve(replace(task, given_input=(a,))).probabilities() for a in range(d)]
+            post = [solve(replace(task, direction="postdict", given_output=(x,))).probabilities() for x in range(d)]
+            worst = max(worst, float(np.max(np.abs(np.transpose(pre) - np.array(post)))))
             count += 1
     elapsed = time.monotonic() - start
     report(
@@ -180,7 +178,7 @@ def test_criterion_5_unital_symmetric_adjoint_equivalence():
     suite = []
     for t in range(3):
         for d in (2, 3):
-            suite.append((make_unitary_channel(linalg.haar_random_unitary(d, 5000 + t)), True))
+            suite.append((QuantumMap((linalg.haar_random_unitary(d, 5000 + t),), d, d), True))
     suite.append((make_dephasing(), True))
     seed = 0
     for d_a in (2, 3):
@@ -227,7 +225,10 @@ def test_criterion_6_four_task_and_time_reversal():
                 # the closed time-reversal relation, both sides independent
                 worst_closed = max(
                     worst_closed,
-                    abs(predict_closed(u.conj().T, x)[str(a)] - predict_closed(u, a)[str(x)]),
+                    abs(
+                        solve(replace(_closed_task(u.conj().T), given_input=(x,)))[str(a)]
+                        - solve(replace(_closed_task(u), given_input=(a,)))[str(x)]
+                    ),
                 )
     worst_open = 0.0
     from retrodict.inference import open_reversal_check
@@ -322,21 +323,11 @@ def test_criterion_9_monte_carlo_validation():
         known_output_mask=(True,),
         preparation_states=states,
     )
-    identity = np.eye(2, dtype=complex)
 
-    def analytic_rows(kind):
-        if kind == "hadamard":
-            pre = {str(a): predict_closed(HADAMARD, a) for a in range(2)}
-            post = {str(x): postdict_closed(HADAMARD, x) for x in range(2)}
-        elif kind == "dephasing":
-            pre = {str(a): predict_channel(make_dephasing(), a) for a in range(2)}
-            post = {str(x): postdict_channel(make_dephasing(), x) for x in range(2)}
-        elif kind == "damping":
-            pre = {str(a): predict_channel(amplitude_damping(0.5), a) for a in range(2)}
-            post = {str(x): postdict_channel(amplitude_damping(0.5), x) for x in range(2)}
-        else:
-            pre = {str(i): row for i, row in enumerate(predict_general_prep(states, identity))}
-            post = {str(x): postdict_general_prep(states, identity, x) for x in range(2)}
+    def analytic_rows(task):
+        # each scenario's solved rows: two alternatives (basis states or prepared states) and two outputs
+        pre = {str(a): solve(replace(task, given_input=(a,))) for a in range(2)}
+        post = {str(x): solve(replace(task, direction="postdict", given_output=(x,))) for x in range(2)}
         return pre, post
 
     scenarios = [
@@ -347,11 +338,11 @@ def test_criterion_9_monte_carlo_validation():
     ]
     all_ok = True
     worst = 0.0
-    for kind, task, seed in scenarios:
+    for _, task, seed in scenarios:
         result = run_ensemble(task, shots, seed)
         again = run_ensemble(task, shots, seed)
         all_ok = all_ok and result.joint_counts == again.joint_counts
-        pre_rows, post_rows = analytic_rows(kind)
+        pre_rows, post_rows = analytic_rows(task)
         for direction, rows in (("predict", pre_rows), ("postdict", post_rows)):
             empirical = empirical_conditionals(result, direction)
             for given, row in empirical.items():

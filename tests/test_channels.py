@@ -13,16 +13,11 @@ from retrodict.channels import (
     choi_matrix,
     classify,
     coarse_grain,
-    compose_parallel,
     compose_sequential,
-    computational_measurement,
-    identity_channel,
-    identity_instrument,
     is_trace_preserving,
     kraus_gram,
     make_dephasing,
     make_noisy_operation,
-    make_unitary_channel,
     outcome_probabilities,
     projective_instrument,
     random_cptp_map,
@@ -50,14 +45,13 @@ def kraus_sum_oracle(kraus, rho):
 def maps_agree(a, b, atol=1e-12):
     # compare map actions on the full operator basis, never the Kraus lists
     assert a.dim_in == b.dim_in and a.dim_out == b.dim_out
-    return all(
-        np.max(np.abs(apply(a, e) - apply(b, e))) < atol for e in linalg.matrix_units(a.dim_in)
-    )
+    d = a.dim_in
+    return all(np.max(np.abs(apply(a, e) - apply(b, e))) < atol for e in np.eye(d * d).reshape(d * d, d, d))
 
 
 def test_apply_identity():
     rho = linalg.random_density_matrix(3, 0)
-    np.testing.assert_allclose(apply(identity_channel(3), rho), rho, atol=1e-14)
+    np.testing.assert_allclose(apply(QuantumMap((np.eye(3),), 3, 3), rho), rho, atol=1e-14)
 
 
 def test_apply_dephasing_kills_coherences():
@@ -72,7 +66,7 @@ def test_apply_amplitude_damping_on_identity():
 
 def test_apply_rejects_dimension_mismatch():
     with pytest.raises(ValueError):
-        apply(identity_channel(2), np.eye(3))
+        apply(QuantumMap((np.eye(2),), 2, 2), np.eye(3))
 
 
 def test_apply_preserves_hermiticity_and_trace_bound():
@@ -84,7 +78,7 @@ def test_apply_preserves_hermiticity_and_trace_bound():
 
 
 def test_outcome_probabilities_projective():
-    meas = computational_measurement(2)
+    meas = projective_instrument(np.eye(2))
     table = outcome_probabilities(meas, linalg.basis_projector(2, 0))
     assert table["0"] == pytest.approx(1.0, abs=1e-14)
     assert table["1"] == pytest.approx(0.0, abs=1e-14)
@@ -102,14 +96,14 @@ def test_outcome_probabilities_amplitude_damping_instrument():
 
 def test_outcome_probabilities_rejects_non_state():
     with pytest.raises(ValueError):
-        outcome_probabilities(computational_measurement(2), 2.0 * np.eye(2))
+        outcome_probabilities(projective_instrument(np.eye(2)), 2.0 * np.eye(2))
 
 
 def test_completeness_conserves_probability():
     # invariant: outcome probabilities sum to 1 for any state
     for seed, inst in enumerate(
         [
-            computational_measurement(3),
+            projective_instrument(np.eye(3)),
             amplitude_damping_instrument(0.3),
             random_instrument(2, 3, 2, 17),
         ]
@@ -121,13 +115,14 @@ def test_completeness_conserves_probability():
 
 
 def test_state_update_projection():
-    updated = state_update(computational_measurement(2), PLUS, "0")
+    updated = state_update(projective_instrument(np.eye(2)), PLUS, "0")
     np.testing.assert_allclose(updated, linalg.basis_projector(2, 0), atol=1e-14)
 
 
 def test_state_update_identity():
     rho = linalg.random_density_matrix(2, 5)
-    np.testing.assert_allclose(state_update(identity_instrument(2), rho, "0"), rho, atol=1e-14)
+    identity = Instrument((("0", QuantumMap((np.eye(2),), 2, 2)),), 2, 2)
+    np.testing.assert_allclose(state_update(identity, rho, "0"), rho, atol=1e-14)
 
 
 def test_state_update_amplitude_damping_decay():
@@ -137,16 +132,16 @@ def test_state_update_amplitude_damping_decay():
 
 def test_state_update_zero_probability_outcome():
     with pytest.raises(UndefinedConditionalError):
-        state_update(computational_measurement(2), linalg.basis_projector(2, 0), "1")
+        state_update(projective_instrument(np.eye(2)), linalg.basis_projector(2, 0), "1")
 
 
 def test_coarse_grain_projective_is_dephasing():
-    assert maps_agree(coarse_grain(computational_measurement(2)), make_dephasing())
+    assert maps_agree(coarse_grain(projective_instrument(np.eye(2))), make_dephasing())
 
 
 def test_coarse_grain_single_outcome():
-    inst = identity_instrument(3)
-    assert maps_agree(coarse_grain(inst), identity_channel(3))
+    inst = Instrument((("0", QuantumMap((np.eye(3),), 3, 3)),), 3, 3)
+    assert maps_agree(coarse_grain(inst), QuantumMap((np.eye(3),), 3, 3))
 
 
 def test_coarse_grain_trace_preserving_on_random_states():
@@ -170,12 +165,13 @@ def test_coarse_grain_is_probability_weighted_mixture():
 
 
 def test_compose_sequential_identity():
-    composed = compose_sequential(identity_instrument(2), identity_instrument(2))
-    assert maps_agree(coarse_grain(composed), identity_channel(2))
+    identity = Instrument((("0", QuantumMap((np.eye(2),), 2, 2)),), 2, 2)
+    composed = compose_sequential(identity, identity)
+    assert maps_agree(coarse_grain(composed), QuantumMap((np.eye(2),), 2, 2))
 
 
 def test_compose_sequential_projective_repeatability():
-    meas = computational_measurement(2)
+    meas = projective_instrument(np.eye(2))
     composed = compose_sequential(meas, meas)
     table = outcome_probabilities(composed, PLUS)
     assert table["0·0"] == pytest.approx(0.5, abs=1e-14)
@@ -185,7 +181,7 @@ def test_compose_sequential_projective_repeatability():
 
 
 def test_compose_sequential_z_then_x():
-    z_meas = computational_measurement(2)
+    z_meas = projective_instrument(np.eye(2))
     x_meas = projective_instrument(HADAMARD)
     table = outcome_probabilities(compose_sequential(z_meas, x_meas), linalg.basis_projector(2, 0))
     # oracle: tr X_j [Z_i [|0><0|]] by direct trace
@@ -197,7 +193,7 @@ def test_compose_sequential_z_then_x():
 
 def test_compose_sequential_rejects_dimension_mismatch():
     with pytest.raises(ValueError):
-        compose_sequential(computational_measurement(2), computational_measurement(3))
+        compose_sequential(projective_instrument(np.eye(2)), projective_instrument(np.eye(3)))
 
 
 def test_compose_sequential_satisfies_completeness():
@@ -206,35 +202,8 @@ def test_compose_sequential_satisfies_completeness():
     assert np.max(np.abs(total - np.eye(2))) < 1e-10
 
 
-def test_compose_parallel_identity():
-    composed = compose_parallel(identity_instrument(2), identity_instrument(3))
-    assert maps_agree(coarse_grain(composed), identity_channel(6))
-
-
-def test_compose_parallel_marginal_factorizes():
-    meas = computational_measurement(2)
-    composed = compose_parallel(meas, identity_instrument(2))
-    rho = linalg.random_density_matrix(2, 11)
-    sigma = linalg.random_density_matrix(2, 12)
-    table = outcome_probabilities(composed, linalg.tensor(rho, sigma))
-    expected = outcome_probabilities(meas, rho)
-    for i in range(2):
-        assert table[f"{i}·0"] == pytest.approx(expected[str(i)], abs=1e-12)
-
-
-def test_compose_parallel_bell_correlations():
-    bell = (linalg.tensor(linalg.basis_ket(2, 0), linalg.basis_ket(2, 0))
-            + linalg.tensor(linalg.basis_ket(2, 1), linalg.basis_ket(2, 1))) / np.sqrt(2)
-    meas = computational_measurement(2)
-    table = outcome_probabilities(compose_parallel(meas, meas), linalg.projector(bell))
-    assert table["0·0"] == pytest.approx(0.5, abs=1e-14)
-    assert table["1·1"] == pytest.approx(0.5, abs=1e-14)
-    assert table["0·1"] == pytest.approx(0.0, abs=1e-14)
-    assert table["1·0"] == pytest.approx(0.0, abs=1e-14)
-
-
 def test_classify_unitary_channel():
-    info = classify(make_unitary_channel(HADAMARD))
+    info = classify(QuantumMap((HADAMARD,), 2, 2))
     assert info.is_cp and info.is_tp and info.is_unital
 
 
@@ -270,7 +239,7 @@ def test_trace_preservation_of_the_adjoint_is_unitality():
 
 def test_choi_positive_for_constructed_channels():
     channels = [
-        make_unitary_channel(linalg.haar_random_unitary(3, 1)),
+        QuantumMap((linalg.haar_random_unitary(3, 1),), 3, 3),
         make_dephasing(),
         amplitude_damping(0.7),
         make_noisy_operation(linalg.haar_random_unitary(4, 2), (2, 2)),
@@ -281,7 +250,7 @@ def test_choi_positive_for_constructed_channels():
 
 
 def test_choi_of_identity():
-    choi = choi_matrix(identity_channel(2))
+    choi = choi_matrix(QuantumMap((np.eye(2),), 2, 2))
     bell = linalg.tensor(linalg.basis_ket(2, 0), linalg.basis_ket(2, 0)) + linalg.tensor(
         linalg.basis_ket(2, 1), linalg.basis_ket(2, 1)
     )
@@ -289,8 +258,8 @@ def test_choi_of_identity():
 
 
 def test_adjoint_of_unitary_channel():
-    channel = make_unitary_channel(HADAMARD)
-    assert maps_agree(adjoint_map(channel), make_unitary_channel(HADAMARD.conj().T))
+    channel = QuantumMap((HADAMARD,), 2, 2)
+    assert maps_agree(adjoint_map(channel), QuantumMap((HADAMARD.conj().T,), 2, 2))
 
 
 def test_adjoint_duality_identity():
@@ -322,17 +291,6 @@ def test_adjoint_is_an_involution():
     for _ in range(50):
         op = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         assert np.max(np.abs(apply(channel, op) - apply(double, op))) < 1e-12
-
-
-def test_make_unitary_channel_hadamard():
-    np.testing.assert_allclose(
-        apply(make_unitary_channel(HADAMARD), linalg.basis_projector(2, 0)), PLUS, atol=1e-14
-    )
-
-
-def test_make_unitary_channel_rejects_non_unitary():
-    with pytest.raises(ValueError):
-        make_unitary_channel(np.array([[1, 1], [0, 1]], dtype=complex))
 
 
 def test_make_dephasing_kraus():
@@ -398,23 +356,3 @@ def test_instrument_completeness_enforced():
     half = QuantumMap((np.eye(2, dtype=complex) / 2,), 2, 2)
     with pytest.raises(ValueError):
         Instrument((("0", half),), dim_in=2, dim_out=2)
-
-
-def test_povm_instrument_reproduces_effect_statistics():
-    from retrodict.channels import povm_instrument
-
-    effects = [0.7 * np.eye(2) + 0.3 * linalg.basis_projector(2, 0) - 0.3 * linalg.basis_projector(2, 1), 0.3 * np.eye(2) - 0.3 * linalg.basis_projector(2, 0) + 0.3 * linalg.basis_projector(2, 1)]
-    inst = povm_instrument(effects)
-    assert inst.dim_out == 1
-    for seed in range(5):
-        rho = linalg.random_density_matrix(2, seed)
-        table = outcome_probabilities(inst, rho)
-        for j, effect in enumerate(effects):
-            assert table[str(j)] == pytest.approx(np.trace(effect @ rho).real, abs=1e-12)
-
-
-def test_povm_instrument_requires_completeness():
-    from retrodict.channels import povm_instrument
-
-    with pytest.raises(ValueError):
-        povm_instrument([0.5 * np.eye(2)])

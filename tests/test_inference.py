@@ -17,13 +17,9 @@ from retrodict.channels import (
     classify,
     coarse_grain,
     compose_sequential,
-    computational_measurement,
-    identity_instrument,
     make_dephasing,
     make_noisy_operation,
-    make_unitary_channel,
     outcome_probabilities,
-    povm_instrument,
     projective_instrument,
     random_cptp_map,
     random_instrument,
@@ -46,18 +42,13 @@ from retrodict.inference import (
     open_reversal_check,
     postdict_channel,
     postdict_channel_via_purification,
-    postdict_closed,
-    postdict_general_prep,
     postdict_open,
-    predict_channel,
-    predict_closed,
-    predict_general_prep,
     predict_open,
     solve,
     time_reverse,
 )
 from retrodict.purify import purify_instrument, rotate_ancilla, stinespring
-from retrodict.tables import bayes_invert, join_labels
+from retrodict.tables import ProbabilityTable, join_labels
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 CNOT = np.array(
@@ -82,25 +73,39 @@ def joint_amplitude_oracle(u, dims_in, dims_out, in_idx, out_idx):
     return abs(u[row, col]) ** 2
 
 
+def bayes_invert(conditionals, given):
+    # oracle: flat-prior Bayes inversion of forward rows P(given | a), one per alternative a
+    numerators = {a: row.entries.get(given, 0.0) / len(conditionals) for a, row in conditionals.items()}
+    evidence = sum(numerators.values())
+    return ProbabilityTable({a: n / evidence for a, n in numerators.items()}, given=given, direction="postdict")
+
+
+def basis_task(t, direction, given, states=None):
+    """The one-factor task on a matrix or a map, with outcome ``given`` on its data side."""
+    d_in, d_out = (t.dim_in, t.dim_out) if isinstance(t, QuantumMap) else np.shape(t)
+    outcome = {"given_input" if direction == "predict" else "given_output": (given,)}
+    return InferenceTask(t, (d_in,), (d_out,), direction, (True,), (True,), preparation_states=states, **outcome)
+
+
 # ---------------------------------------------------------------------------
 # Closed systems
 # ---------------------------------------------------------------------------
 
 
 def test_predict_closed_identity():
-    table = predict_closed(np.eye(2, dtype=complex), 0)
+    table = solve(basis_task(np.eye(2, dtype=complex), "predict", 0))
     assert table["0"] == 1.0 and table["1"] == 0.0
 
 
 def test_predict_closed_hadamard():
-    table = predict_closed(HADAMARD, 0)
+    table = solve(basis_task(HADAMARD, "predict", 0))
     assert table["0"] == pytest.approx(0.5, abs=1e-14)
     assert table["1"] == pytest.approx(0.5, abs=1e-14)
 
 
 def test_predict_closed_haar_against_oracle():
     u = linalg.haar_random_unitary(4, 11)
-    table = predict_closed(u, 2)
+    table = solve(basis_task(u, "predict", 2))
     for x in range(4):
         assert table[str(x)] == pytest.approx(born_oracle(u, 2, x), abs=1e-14)
     assert abs(table.probabilities().sum() - 1.0) < 1e-12
@@ -108,27 +113,27 @@ def test_predict_closed_haar_against_oracle():
 
 def test_predict_closed_rejects_non_unitary():
     with pytest.raises(ValueError):
-        predict_closed(np.array([[1, 1], [0, 1]], dtype=complex), 0)
+        solve(basis_task(np.array([[1, 1], [0, 1]], dtype=complex), "predict", 0))
 
 
 def test_postdict_closed_identity():
-    table = postdict_closed(np.eye(2, dtype=complex), 1)
+    table = solve(basis_task(np.eye(2, dtype=complex), "postdict", 1))
     assert table["0"] == 0.0 and table["1"] == 1.0
 
 
 def test_postdict_closed_hadamard():
-    table = postdict_closed(HADAMARD, 0)
+    table = solve(basis_task(HADAMARD, "postdict", 0))
     assert table["0"] == pytest.approx(0.5, abs=1e-14)
     assert table["1"] == pytest.approx(0.5, abs=1e-14)
 
 
 def test_postdict_closed_is_bayes_inversion_of_prediction():
-    # oracle: flat-prior Bayes inversion assembled from predict_closed rows only
+    # oracle: flat-prior Bayes inversion assembled from the prediction rows only
     u = linalg.haar_random_unitary(8, 13)
-    rows = {str(a): predict_closed(u, a) for a in range(8)}
+    rows = {str(a): solve(basis_task(u, "predict", a)) for a in range(8)}
     for x in range(8):
         oracle = bayes_invert(rows, str(x))
-        table = postdict_closed(u, x)
+        table = solve(basis_task(u, "postdict", x))
         assert table.max_difference(oracle) < 1e-12
 
 
@@ -136,8 +141,8 @@ def test_closed_inference_symmetry_sweep():
     # postdiction table equals the transposed prediction table
     for seed, d in enumerate(range(2, 9)):
         u = linalg.haar_random_unitary(d, 50 + seed)
-        pre = np.stack([predict_closed(u, a).probabilities() for a in range(d)], axis=1)
-        post = np.stack([postdict_closed(u, x).probabilities() for x in range(d)], axis=0)
+        pre = np.stack([solve(basis_task(u, "predict", a)).probabilities() for a in range(d)], axis=1)
+        post = np.stack([solve(basis_task(u, "postdict", x)).probabilities() for x in range(d)], axis=0)
         assert np.max(np.abs(pre - post)) < 1e-12
 
 
@@ -255,17 +260,17 @@ def test_open_ratio_laws():
 
 
 def test_predict_channel_identity():
-    table = predict_channel(make_unitary_channel(np.eye(2, dtype=complex)), 1)
+    table = solve(basis_task(QuantumMap((np.eye(2),), 2, 2), "predict", 1))
     assert table["0"] == 0.0 and table["1"] == 1.0
 
 
 def test_predict_channel_dephasing_fixed_points():
-    table = predict_channel(make_dephasing(), 0)
+    table = solve(basis_task(make_dephasing(), "predict", 0))
     assert table["0"] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_predict_channel_amplitude_damping():
-    table = predict_channel(amplitude_damping(0.5), 1)
+    table = solve(basis_task(amplitude_damping(0.5), "predict", 1))
     # oracle: tr |0><0| K1 |1><1| K1' = 0.5 and tr |1><1| K0 |1><1| K0' = 0.5
     assert table["0"] == pytest.approx(0.5, abs=1e-14)
     assert table["1"] == pytest.approx(0.5, abs=1e-14)
@@ -275,7 +280,7 @@ def test_predict_channel_rejects_non_cptp():
     from retrodict.channels import QuantumMap
 
     with pytest.raises(ValueError):
-        predict_channel(QuantumMap((np.eye(2, dtype=complex) / 2,), 2, 2), 0)
+        solve(basis_task(QuantumMap((np.eye(2, dtype=complex) / 2,), 2, 2), "predict", 0))
 
 
 def amplitude_damping_bayes_oracle(x):
@@ -310,7 +315,7 @@ def test_postdict_channel_unital_is_transposed_prediction():
         post = postdict_channel(channel, x)
         assert post.factor == pytest.approx(1.0, abs=1e-10)
         for a in range(2):
-            assert post[str(a)] == pytest.approx(predict_channel(channel, a)[str(x)], abs=1e-12)
+            assert post[str(a)] == pytest.approx(solve(basis_task(channel, "predict", a))[str(x)], abs=1e-12)
 
 
 def test_postdict_channel_factor_relates_the_tables():
@@ -320,7 +325,7 @@ def test_postdict_channel_factor_relates_the_tables():
         post = postdict_channel(channel, x)
         for a in range(3):
             assert post[str(a)] == pytest.approx(
-                post.factor * predict_channel(channel, a)[str(x)], abs=1e-12
+                post.factor * solve(basis_task(channel, "predict", a))[str(x)], abs=1e-12
             )
 
 
@@ -338,10 +343,10 @@ def test_postdict_channel_impossible_outcome():
 
 def test_postdict_via_purification_unitary_matches_closed():
     u = linalg.haar_random_unitary(3, 47)
-    channel = make_unitary_channel(u)
+    channel = QuantumMap((u,), 3, 3)
     for x in range(3):
         via = postdict_channel_via_purification(channel, x)
-        assert via.max_difference(postdict_closed(u, x)) < 1e-12
+        assert via.max_difference(solve(basis_task(u, "postdict", x))) < 1e-12
 
 
 def test_postdict_via_purification_dephasing():
@@ -373,35 +378,34 @@ def test_postdict_via_purification_rotated_ancilla():
 def test_general_prep_reduces_to_closed_for_orthonormal_states():
     u = linalg.haar_random_unitary(3, 59)
     states = [linalg.basis_ket(3, i) for i in range(3)]
-    rows = predict_general_prep(states, u)
-    for i in range(3):
-        assert rows[i].max_difference(predict_closed(u, i)) < 1e-14
-    for x in range(3):
-        assert postdict_general_prep(states, u, x).max_difference(postdict_closed(u, x)) < 1e-14
+    for direction in ("predict", "postdict"):
+        for given in range(3):
+            table = solve(basis_task(u, direction, given, states))
+            assert table.max_difference(solve(basis_task(u, direction, given))) < 1e-14
 
 
 def test_general_prep_two_states_given_zero():
     states = [linalg.basis_ket(2, 0), PLUS]
-    table = postdict_general_prep(states, np.eye(2, dtype=complex), 0)
+    table = solve(basis_task(np.eye(2, dtype=complex), "postdict", 0, states))
     assert table["0"] == pytest.approx(2 / 3, abs=1e-12)
     assert table["1"] == pytest.approx(1 / 3, abs=1e-12)
 
 
 def test_general_prep_two_states_given_one():
     states = [linalg.basis_ket(2, 0), PLUS]
-    table = postdict_general_prep(states, np.eye(2, dtype=complex), 1)
+    table = solve(basis_task(np.eye(2, dtype=complex), "postdict", 1, states))
     assert table["0"] == pytest.approx(0.0, abs=1e-12)
     assert table["1"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_general_prep_rejects_unnormalized_state():
     with pytest.raises(ValueError):
-        predict_general_prep([np.array([1.0, 1.0])], np.eye(2, dtype=complex))
+        solve(basis_task(np.eye(2, dtype=complex), "predict", 0, [np.array([1.0, 1.0])]))
 
 
 def test_general_prep_rejects_nan_state():
     with pytest.raises(ValueError, match="not normalized"):
-        predict_general_prep([np.array([np.nan, 0.0])], np.eye(2, dtype=complex))
+        solve(basis_task(np.eye(2, dtype=complex), "predict", 0, [np.array([np.nan, 0.0])]))
 
 
 def test_general_prep_purified_check_orthonormal():
@@ -409,7 +413,7 @@ def test_general_prep_purified_check_orthonormal():
     states = [linalg.basis_ket(2, 0), linalg.basis_ket(2, 1)]
     outcome = general_prep_purified_check(states, u, 0)
     assert outcome.max_defect < 1e-10
-    assert outcome.direct.max_difference(postdict_closed(u, 0)) < 1e-12
+    assert outcome.direct.max_difference(solve(basis_task(u, "postdict", 0))) < 1e-12
 
 
 def test_general_prep_purified_check_nonorthogonal():
@@ -449,20 +453,8 @@ def test_general_prep_purified_check_completes_no_unitary(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def make_closed_task(u, a):
-    return InferenceTask(
-        transformation=u,
-        dims_in=(u.shape[0],),
-        dims_out=(u.shape[0],),
-        direction="predict",
-        known_input_mask=(True,),
-        known_output_mask=(True,),
-        given_input=(a,),
-    )
-
-
 def test_time_reverse_identity_task():
-    task = make_closed_task(np.eye(2, dtype=complex), 0)
+    task = basis_task(np.eye(2, dtype=complex), "predict", 0)
     reversed_task = time_reverse(task)
     assert reversed_task.direction == "postdict"
     assert solve(task).max_difference(solve(reversed_task)) < 1e-14
@@ -471,7 +463,7 @@ def test_time_reverse_identity_task():
 def test_time_reverse_solution_is_unchanged_for_unitaries():
     u = linalg.haar_random_unitary(4, 67)
     for a in range(4):
-        task = make_closed_task(u, a)
+        task = basis_task(u, "predict", a)
         assert solve(task).max_difference(solve(time_reverse(task))) < 1e-12
 
 
@@ -480,8 +472,8 @@ def test_time_reverse_closed_relation():
     u = linalg.haar_random_unitary(5, 71)
     for a in range(5):
         for x in range(5):
-            assert predict_closed(u.conj().T, x)[str(a)] == pytest.approx(
-                predict_closed(u, a)[str(x)], abs=1e-12
+            assert solve(basis_task(u.conj().T, "predict", x))[str(a)] == pytest.approx(
+                solve(basis_task(u, "predict", a))[str(x)], abs=1e-12
             )
 
 
@@ -497,7 +489,7 @@ def test_time_reverse_dephasing_channel():
     )
     reversed_task = time_reverse(task)
     # the dephasing channel is self-adjoint: same action on the operator basis
-    for e in linalg.matrix_units(2):
+    for e in np.eye(4).reshape(4, 2, 2):
         np.testing.assert_allclose(
             apply(reversed_task.transformation, e), apply(make_dephasing(), e), atol=1e-12
         )
@@ -602,7 +594,7 @@ def test_open_reversal_requires_two_factors_per_side(dims_in, dims_out):
 
 def test_towards_past_unitary_channel():
     u = linalg.haar_random_unitary(3, 89)
-    report = channel_toward_past_check(make_unitary_channel(u))
+    report = channel_toward_past_check(QuantumMap((u,), 3, 3))
     assert report.max_defect < 1e-10
     for a in range(3):
         for x in range(3):
@@ -667,15 +659,15 @@ def test_towards_past_matches_full_unitary_reference(d_a, d_b):
 
 
 def test_no_signalling_identity_follower():
-    e = computational_measurement(2)
-    f = identity_instrument(2)
+    e = projective_instrument(np.eye(2))
+    f = Instrument((("0", QuantumMap((np.eye(2),), 2, 2)),), 2, 2)
     rho = linalg.random_density_matrix(2, 97)
     report = no_signalling_check(e, f, rho, extra_followers=0)
     assert report.marginal_defect < 1e-12
 
 
 def test_no_signalling_z_then_x():
-    e = computational_measurement(2)
+    e = projective_instrument(np.eye(2))
     f = projective_instrument(HADAMARD)
     rho = linalg.basis_projector(2, 0)
     report = no_signalling_check(e, f, rho, extra_followers=2, seed=5)
@@ -705,15 +697,21 @@ def test_no_signalling_random_instruments():
 def test_no_signalling_rejects_incomposable():
     with pytest.raises(ValueError):
         no_signalling_check(
-            computational_measurement(2),
-            computational_measurement(3),
+            projective_instrument(np.eye(2)),
+            projective_instrument(np.eye(3)),
             np.eye(2) / 2,
         )
 
 
+def test_no_signalling_refuses_a_negative_follower_count():
+    e = projective_instrument(np.eye(2))
+    with pytest.raises(ValueError, match="extra_followers must be non-negative"):
+        no_signalling_check(e, e, np.eye(2) / 2, extra_followers=-1)
+
+
 def test_no_signalling_skips_the_conditional_of_an_impossible_outcome():
     # Z then Z on |0><0|: the second outcome 1 never occurs, so it has no conditional (and no division).
-    e = computational_measurement(2)
+    e = projective_instrument(np.eye(2))
     report = no_signalling_check(e, e, linalg.basis_projector(2, 0), extra_followers=2)
     assert report.skipped_conditionals == ("1",)
     assert report.conditional_defect == 0.0
@@ -759,7 +757,11 @@ def split_instrument(channel, sizes):
 NO_SIGNALLING_CASES = {
     "random-2": (random_instrument(2, 2, 2, 11), random_instrument(2, 2, 2, 12), 2),
     "random-3-outcomes": (random_instrument(3, 3, 2, 13), random_instrument(3, 2, 3, 14), 3),
-    "identity-follower": (random_instrument(3, 2, 2, 15), identity_instrument(3), 3),
+    "identity-follower": (
+        random_instrument(3, 2, 2, 15),
+        Instrument((("0", QuantumMap((np.eye(3),), 3, 3)),), 3, 3),
+        3,
+    ),
     "unequal-kraus-counts": (
         split_instrument(random_cptp_map(3, 3, 5, 16), (1, 3, 1)),
         split_instrument(random_cptp_map(3, 3, 6, 17), (4, 2)),
@@ -770,10 +772,10 @@ NO_SIGNALLING_CASES = {
         Instrument((("only", random_cptp_map(2, 2, 3, 19)),), 2, 2),
         2,
     ),
-    "z-then-z": (computational_measurement(2), computational_measurement(2), 2),
+    "z-then-z": (projective_instrument(np.eye(2)), projective_instrument(np.eye(2)), 2),
     "qubit-to-qutrit-then-destructive": (
         split_instrument(random_cptp_map(2, 3, 4, 20), (2, 2)),
-        povm_instrument([linalg.basis_projector(3, x) for x in range(3)]),
+        Instrument(tuple((str(x), QuantumMap((np.eye(3)[x : x + 1],), 3, 1)) for x in range(3)), 3, 1),
         2,
     ),
 }
@@ -847,7 +849,7 @@ def test_inference_symmetric_noisy_operation():
 def test_symmetry_unitality_adjoint_equivalence():
     # the three predicates agree channel by channel
     suite = [
-        (make_unitary_channel(linalg.haar_random_unitary(2, 103)), True),
+        (QuantumMap((linalg.haar_random_unitary(2, 103),), 2, 2), True),
         (make_dephasing(), True),
         (make_noisy_operation(linalg.haar_random_unitary(6, 107), (3, 2)), True),
         (amplitude_damping(0.25), False),
@@ -918,6 +920,11 @@ def test_deterministic_effect_unique_for_random_channels():
         assert report.min_alternative_residual > 1e-6
 
 
+def test_deterministic_effect_refuses_a_negative_candidate_count():
+    with pytest.raises(ValueError, match="n_random_candidates must be non-negative"):
+        deterministic_effect_check(amplitude_damping(0.3), n_random_candidates=-1)
+
+
 def test_solve_dispatches_channel_and_instrument():
     channel_task = InferenceTask(
         transformation=amplitude_damping(0.5),
@@ -931,7 +938,7 @@ def test_solve_dispatches_channel_and_instrument():
     assert solve(channel_task)["0"] == pytest.approx(2 / 3, abs=1e-12)
 
     inst_task = InferenceTask(
-        transformation=computational_measurement(2),
+        transformation=projective_instrument(np.eye(2)),
         dims_in=(2,),
         dims_out=(2,),
         direction="predict",
@@ -978,7 +985,7 @@ def test_solve_gives_ignored_data_factors_the_flat_prior_for_every_kind():
         _assert_same_tables(tables)
     states = (np.array([1.0, 0.0]), np.array([1.0, 1.0]) / np.sqrt(2))
     task = InferenceTask(HADAMARD, (2,), (2,), "predict", (False,), (True,), preparation_states=states)
-    rows = [table.probabilities() for table in predict_general_prep(states, HADAMARD)]
+    rows = [solve(basis_task(HADAMARD, "predict", i, states)).probabilities() for i in range(2)]
     np.testing.assert_allclose(solve(task).probabilities(), np.mean(rows, axis=0), atol=1e-12)
 
 
@@ -1030,7 +1037,7 @@ def test_table_asymmetry_matches_the_solved_tables():
         for x in range(channel.dim_out):
             post = postdict_channel(channel, x)
             for a in range(channel.dim_in):
-                gap = max(gap, abs(predict_channel(channel, a)[str(x)] - post[str(a)]))
+                gap = max(gap, abs(solve(basis_task(channel, "predict", a))[str(x)] - post[str(a)]))
         assert inference._table_asymmetry(channel) == pytest.approx(gap, abs=1e-15)
     # an output that no input reaches has no postdiction row
     assert inference._table_asymmetry(amplitude_damping(1.0)) == 1.0
@@ -1038,7 +1045,7 @@ def test_table_asymmetry_matches_the_solved_tables():
 
 def test_solve_rejects_an_unknown_instrument_outcome():
     task = InferenceTask(
-        computational_measurement(2), (2,), (2,), "postdict", (True,), (True,), given_output=(0,), given_outcome="7"
+        projective_instrument(np.eye(2)), (2,), (2,), "postdict", (True,), (True,), given_output=(0,), given_outcome="7"
     )
     with pytest.raises(ValueError, match="no outcome labelled"):
         solve(task)
@@ -1146,7 +1153,8 @@ def test_kernel_matches_pull_back_reference_on_random_tasks():
         adjoint_kraus = adjoint_map(channel).kraus
         predictions = inference._pull_back_reference(adjoint_kraus, (d_in,), (range(d_in),), (d_out,), (True,))
         for a in range(d_in):
-            np.testing.assert_allclose(predict_channel(channel, a).probabilities(), predictions[a], atol=1e-12)
+            table = solve(basis_task(channel, "predict", a))
+            np.testing.assert_allclose(table.probabilities(), predictions[a], atol=1e-12)
         numerators = inference._pull_back_reference(channel.kraus, (d_out,), (range(d_out),), (d_in,), (True,))
         for x in range(d_out):
             table = postdict_channel(channel, x)

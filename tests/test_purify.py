@@ -5,24 +5,21 @@ import pytest
 
 from retrodict import linalg, purify
 from retrodict.channels import (
+    Instrument,
     QuantumMap,
     amplitude_damping,
     amplitude_damping_instrument,
     apply,
     coarse_grain,
-    computational_measurement,
-    identity_instrument,
     make_dephasing,
     make_noisy_operation,
-    make_unitary_channel,
+    projective_instrument,
     random_instrument,
 )
 from retrodict.inference import channel_toward_past_check
 from retrodict.purify import (
     Purification,
     purify_instrument,
-    reconstruct_channel_action,
-    reconstruct_outcome_action,
     rotate_ancilla,
     stinespring,
     verify_purification,
@@ -37,9 +34,15 @@ def completed_unitary(purification):
     return linalg.complete_to_unitary(purification.isometry.reshape(-1, d_a), [a * d_b for a in range(d_a)])
 
 
+def dilation_action(purification, rho, outcome_index=None):
+    # tr_Z V rho V' on the isometry's own image path, with the pointer held at ``outcome_index`` if given
+    v = purify._branch(purification, outcome_index)
+    return purify._image_map(v, 1)(np.asarray(rho, dtype=complex)[None])[0]
+
+
 def test_stinespring_unitary_channel_is_trivial():
     u = linalg.haar_random_unitary(3, 5)
-    purification = stinespring(make_unitary_channel(u))
+    purification = stinespring(QuantumMap((u,), 3, 3))
     assert purification.dims_in == (3, 1)
     assert purification.dims_out == (3, 1)
     np.testing.assert_allclose(purification.isometry.reshape(3, 3), u, atol=1e-14)
@@ -50,7 +53,7 @@ def test_stinespring_dephasing():
     assert purification.dims_in == (2, 2)
     assert purification.dims_out == (2, 2)
     np.testing.assert_allclose(
-        reconstruct_channel_action(purification, PLUS), np.eye(2) / 2, atol=1e-12
+        dilation_action(purification, PLUS), np.eye(2) / 2, atol=1e-12
     )
 
 
@@ -58,8 +61,8 @@ def test_stinespring_amplitude_damping_round_trip():
     channel = amplitude_damping(0.5)
     purification = stinespring(channel)
     assert purification.isometry.shape == (2, 2, 2)
-    for e in linalg.matrix_units(2):
-        got = reconstruct_channel_action(purification, e)
+    for e in np.eye(4).reshape(4, 2, 2):
+        got = dilation_action(purification, e)
         np.testing.assert_allclose(got, apply(channel, e), atol=1e-10)
 
 
@@ -81,7 +84,7 @@ def test_dimension_identity_holds_exactly():
     cases = [
         stinespring(amplitude_damping(0.25)),
         stinespring(make_dephasing()),
-        purify_instrument(computational_measurement(3)),
+        purify_instrument(projective_instrument(np.eye(3))),
         purify_instrument(amplitude_damping_instrument(0.5)),
     ]
     for p in cases:
@@ -89,12 +92,12 @@ def test_dimension_identity_holds_exactly():
 
 
 def test_purify_single_outcome_unitary_instrument():
-    purification = purify_instrument(identity_instrument(2))
+    purification = purify_instrument(Instrument((("0", QuantumMap((np.eye(2),), 2, 2)),), 2, 2))
     assert purification.pointer_partition[0] == 1
 
 
 def test_purify_projective_measurement():
-    inst = computational_measurement(2)
+    inst = projective_instrument(np.eye(2))
     purification = purify_instrument(inst)
     assert purification.pointer_partition[0] == 2
     assert verify_purification(inst, purification) < 1e-10
@@ -127,9 +130,18 @@ def test_verify_purification_flags_wrong_ancilla():
     assert verify_purification(channel, Purification(wrong, purification.dims_out)) > 0.1
 
 
+def test_verify_purification_refuses_a_negative_trial_count():
+    # A dephasing dilation is wrong for amplitude damping, and the matrix units show it.  A negative
+    # trial count would drop units from the probes and pass it, so it is refused.
+    channel, wrong = amplitude_damping(0.5), stinespring(make_dephasing())
+    assert verify_purification(channel, wrong, trials=10) == pytest.approx(np.sqrt(0.5), abs=1e-12)
+    assert verify_purification(channel, wrong, trials=0) == pytest.approx(np.sqrt(0.5), abs=1e-12)
+    with pytest.raises(ValueError, match="trials must be non-negative"):
+        verify_purification(channel, wrong, trials=-4)
+
+
 def test_verify_purification_unitary_channel_exact():
-    u = linalg.haar_random_unitary(2, 9)
-    channel = make_unitary_channel(u)
+    channel = QuantumMap((linalg.haar_random_unitary(2, 9),), 2, 2)
     assert verify_purification(channel, stinespring(channel)) < 1e-14
 
 
@@ -150,9 +162,9 @@ def test_instrument_and_coarse_grain_purifications_agree():
     inst = amplitude_damping_instrument(0.5)
     channel_purification = stinespring(coarse_grain(inst))
     instrument_purification = purify_instrument(inst)
-    for e in linalg.matrix_units(2):
-        via_channel = reconstruct_channel_action(channel_purification, e)
-        via_instrument = reconstruct_channel_action(instrument_purification, e)
+    for e in np.eye(4).reshape(4, 2, 2):
+        via_channel = dilation_action(channel_purification, e)
+        via_instrument = dilation_action(instrument_purification, e)
         np.testing.assert_allclose(via_channel, via_instrument, atol=1e-10)
 
 
@@ -166,7 +178,7 @@ def test_rotate_ancilla_preserves_channel():
 
 def test_rotate_ancilla_refuses_pointer():
     with pytest.raises(ValueError):
-        rotate_ancilla(purify_instrument(computational_measurement(2)), seed=1)
+        rotate_ancilla(purify_instrument(projective_instrument(np.eye(2))), seed=1)
 
 
 def test_purification_validates_fields():
@@ -272,7 +284,7 @@ def test_verify_purification_in_probe_stacks_of_a_byte_budget(monkeypatch, budge
 
 
 def probe_states(d):
-    return linalg.matrix_units(d) + [linalg.random_density_matrix(d, s) for s in range(3)]
+    return [*np.eye(d * d).reshape(d * d, d, d), *(linalg.random_density_matrix(d, s) for s in range(3))]
 
 
 @pytest.mark.parametrize("d_a, d_b", [(2, 2), (3, 2), (2, 3)])
@@ -282,7 +294,7 @@ def test_channel_reconstruction_matches_joint_space_reference(d_a, d_b):
     for dilation in (purification, rotate_ancilla(purification, seed=5)):
         for rho in probe_states(d_a):
             np.testing.assert_allclose(
-                reconstruct_channel_action(dilation, rho),
+                dilation_action(dilation, rho),
                 joint_space_channel_action(dilation, rho),
                 rtol=0,
                 atol=1e-12,
@@ -290,20 +302,20 @@ def test_channel_reconstruction_matches_joint_space_reference(d_a, d_b):
 
 
 @pytest.mark.parametrize(
-    "inst", [amplitude_damping_instrument(0.3), computational_measurement(3), random_instrument(2, 3, 2, 8)]
+    "inst", [amplitude_damping_instrument(0.3), projective_instrument(np.eye(3)), random_instrument(2, 3, 2, 8)]
 )
 def test_outcome_reconstruction_matches_joint_space_reference(inst):
     purification = purify_instrument(inst)
     for rho in probe_states(inst.dim_in):
         np.testing.assert_allclose(
-            reconstruct_channel_action(purification, rho),
+            dilation_action(purification, rho),
             joint_space_channel_action(purification, rho),
             rtol=0,
             atol=1e-12,
         )
         for i in range(len(inst.outcomes)):
             np.testing.assert_allclose(
-                reconstruct_outcome_action(purification, i, rho),
+                dilation_action(purification, rho, i),
                 joint_space_outcome_action(purification, i, rho),
                 rtol=0,
                 atol=1e-12,

@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from retrodict.errors import UndefinedConditionalError
-from retrodict.tables import ProbabilityTable, bayes_invert, first_invalid_row, join_labels
+from retrodict.tables import ProbabilityTable, first_invalid_row, join_labels
 
 
 def test_join_labels_separator():
@@ -37,33 +36,6 @@ def test_max_difference_over_label_union():
     a = ProbabilityTable({"0": 1.0})
     b = ProbabilityTable({"0": 0.75, "1": 0.25})
     assert a.max_difference(b) == pytest.approx(0.25)
-
-
-def test_bayes_invert_flat_prior():
-    rows = {
-        "0": ProbabilityTable({"x": 1.0, "y": 0.0}),
-        "1": ProbabilityTable({"x": 0.5, "y": 0.5}),
-    }
-    posterior = bayes_invert(rows, "x")
-    assert posterior["0"] == pytest.approx(2 / 3)
-    assert posterior["1"] == pytest.approx(1 / 3)
-    assert posterior.direction == "postdict"
-
-
-def test_bayes_invert_supports_custom_prior():
-    rows = {
-        "0": ProbabilityTable({"x": 1.0, "y": 0.0}),
-        "1": ProbabilityTable({"x": 0.5, "y": 0.5}),
-    }
-    posterior = bayes_invert(rows, "x", prior={"0": 1.0, "1": 2.0})
-    assert posterior["0"] == pytest.approx(0.5)
-    assert posterior["1"] == pytest.approx(0.5)
-
-
-def test_bayes_invert_zero_evidence():
-    rows = {"0": ProbabilityTable({"x": 1.0, "y": 0.0})}
-    with pytest.raises(UndefinedConditionalError):
-        bayes_invert(rows, "y")
 
 
 def test_table_rejects_nan_entries():
