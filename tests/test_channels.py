@@ -202,9 +202,35 @@ def test_compose_sequential_satisfies_completeness():
     assert np.max(np.abs(total - np.eye(2))) < 1e-10
 
 
+def test_outcome_probabilities_product_state_factorizes():
+    # measuring rho (x) sigma in the product basis: outcome 2i+j has probability <i|rho|i><j|sigma|j>
+    rho = linalg.random_density_matrix(2, 11)
+    sigma = linalg.random_density_matrix(2, 12)
+    table = outcome_probabilities(projective_instrument(np.eye(4)), linalg.tensor(rho, sigma))
+    for i in range(2):
+        for j in range(2):
+            expected = rho[i, i].real * sigma[j, j].real
+            assert table[str(2 * i + j)] == pytest.approx(expected, abs=1e-12)
+
+
+def test_outcome_probabilities_bell_correlations():
+    bell = (linalg.tensor(linalg.basis_ket(2, 0), linalg.basis_ket(2, 0))
+            + linalg.tensor(linalg.basis_ket(2, 1), linalg.basis_ket(2, 1))) / np.sqrt(2)
+    table = outcome_probabilities(projective_instrument(np.eye(4)), linalg.projector(bell))
+    assert table["0"] == pytest.approx(0.5, abs=1e-14)
+    assert table["3"] == pytest.approx(0.5, abs=1e-14)
+    assert table["1"] == pytest.approx(0.0, abs=1e-14)
+    assert table["2"] == pytest.approx(0.0, abs=1e-14)
+
+
 def test_classify_unitary_channel():
     info = classify(QuantumMap((HADAMARD,), 2, 2))
     assert info.is_cp and info.is_tp and info.is_unital
+
+
+def test_classify_non_unitary_kraus_is_neither_tp_nor_unital():
+    info = classify(QuantumMap((np.array([[1, 1], [0, 1]], dtype=complex),), 2, 2))
+    assert info.is_cp and not info.is_tp and not info.is_unital
 
 
 def test_classify_dephasing_unital():
@@ -293,6 +319,17 @@ def test_adjoint_is_an_involution():
         assert np.max(np.abs(apply(channel, op) - apply(double, op))) < 1e-12
 
 
+def test_unitary_kraus_map_sends_zero_to_plus():
+    np.testing.assert_allclose(
+        apply(QuantumMap((HADAMARD,), 2, 2), linalg.basis_projector(2, 0)), PLUS, atol=1e-14
+    )
+
+
+def test_projective_instrument_rejects_non_unitary_basis():
+    with pytest.raises(ValueError, match="must be unitary"):
+        projective_instrument(np.array([[1, 1], [0, 1]], dtype=complex))
+
+
 def test_make_dephasing_kraus():
     kraus = make_dephasing().kraus
     np.testing.assert_array_equal(kraus[0], linalg.basis_projector(2, 0))
@@ -356,3 +393,31 @@ def test_instrument_completeness_enforced():
     half = QuantumMap((np.eye(2, dtype=complex) / 2,), 2, 2)
     with pytest.raises(ValueError):
         Instrument((("0", half),), dim_in=2, dim_out=2)
+
+
+def discarding_instrument(effects):
+    # measure-and-discard: outcome j has the 1 x d Kraus rows <k| sqrt(E_j), so sum_k K'K = E_j
+    d = effects[0].shape[0]
+    outcomes = []
+    for j, effect in enumerate(effects):
+        w, v = np.linalg.eigh(effect)
+        root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+        outcomes.append((str(j), QuantumMap(tuple(root[k : k + 1, :] for k in range(d)), d, 1)))
+    return Instrument(tuple(outcomes), dim_in=d, dim_out=1)
+
+
+def test_outcome_probabilities_reproduce_the_effects_of_a_discarding_instrument():
+    u = linalg.haar_random_unitary(2, 7)
+    effects = [u @ np.diag([1.0, 0.4]) @ u.conj().T, u @ np.diag([0.0, 0.6]) @ u.conj().T]
+    inst = discarding_instrument(effects)
+    assert inst.dim_out == 1
+    for seed in range(5):
+        rho = linalg.random_density_matrix(2, seed)
+        table = outcome_probabilities(inst, rho)
+        for j, effect in enumerate(effects):
+            assert table[str(j)] == pytest.approx(np.trace(effect @ rho).real, abs=1e-12)
+
+
+def test_instrument_completeness_enforced_for_a_discarded_output():
+    with pytest.raises(ValueError):
+        discarding_instrument([0.5 * np.eye(2)])

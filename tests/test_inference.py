@@ -127,6 +127,15 @@ def test_postdict_closed_hadamard():
     assert table["1"] == pytest.approx(0.5, abs=1e-14)
 
 
+def test_bayes_oracle_flat_prior_hand_case():
+    # the oracle itself, on rows small enough to invert by hand: P(0|x) = 1 / (1 + 1/2)
+    rows = {"0": ProbabilityTable({"x": 1.0, "y": 0.0}), "1": ProbabilityTable({"x": 0.5, "y": 0.5})}
+    posterior = bayes_invert(rows, "x")
+    assert posterior["0"] == pytest.approx(2 / 3)
+    assert posterior["1"] == pytest.approx(1 / 3)
+    assert posterior.direction == "postdict"
+
+
 def test_postdict_closed_is_bayes_inversion_of_prediction():
     # oracle: flat-prior Bayes inversion assembled from the prediction rows only
     u = linalg.haar_random_unitary(8, 13)
