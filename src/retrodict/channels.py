@@ -247,15 +247,18 @@ def make_noisy_operation(u: np.ndarray, dims: tuple[int, int]) -> QuantumMap:
         raise ValueError(f"unitary shape {u.shape} does not match dimensions {(d_a, d_b)}")
     if not linalg.is_unitary(u):
         raise ValueError("matrix is not unitary within tolerance")
-    return _noisy_operation(u, d_a, d_b)
+    return QuantumMap(_noisy_kraus(u[None], d_a, d_b)[0], dim_in=d_a, dim_out=d_a)
 
 
-def _noisy_operation(u: np.ndarray, d_a: int, d_b: int) -> QuantumMap:
-    """``make_noisy_operation`` for a U already known to be a (d_A d_B)-dimensional unitary."""
-    # K_yb = (I (x) <y|) U (I (x) |b>) / sqrt(d_B) is the slice U[:, y, :, b] of U as (d_A, d_B, d_A, d_B).
-    blocks = u.reshape(d_a, d_b, d_a, d_b) / np.sqrt(d_b)
-    kraus = tuple(blocks[:, y, :, b] for y in range(d_b) for b in range(d_b))
-    return QuantumMap(kraus, dim_in=d_a, dim_out=d_a)
+def _noisy_kraus(us: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
+    """The Kraus operators of ``make_noisy_operation`` for each unitary of a stack, as one (n, d_B^2, d_A, d_A) array.
+
+    K_yb = (I (x) <y|) U (I (x) |b>) / sqrt(d_B) is the slice U[:, y, :, b]
+    of U as (d_A, d_B, d_A, d_B); operator (y, b) is number y d_B + b.  The
+    unitaries are not checked here.
+    """
+    blocks = (us.reshape(-1, d_a, d_b, d_a, d_b) / np.sqrt(d_b)).transpose(0, 2, 4, 1, 3)
+    return blocks.reshape(len(blocks), d_b * d_b, d_a, d_a)
 
 
 def amplitude_damping(gamma: float) -> QuantumMap:
@@ -303,13 +306,24 @@ def _random_kraus_stacks(dim: int, kraus_count: int, seeds: Sequence[int]) -> np
     One (len(seeds), kraus_count, dim, dim) stack from one Haar draw of the
     whole stack: the first dim columns of each unitary, cut into kraus_count
     operators.  Completeness, sum K'K = V'V = I, is checked once for every
-    draw, to an instrument's tolerance and with its message; no map is built.
+    draw (``_check_completeness``); no map is built.
     """
     isometries = linalg.haar_random_unitaries(kraus_count * dim, seeds)[..., :dim]
-    defect = float(np.max(np.abs(dagger(isometries) @ isometries - np.eye(dim)), initial=0.0))
+    _check_completeness(isometries)
+    return isometries.reshape(len(seeds), kraus_count, dim, dim)
+
+
+def _check_completeness(isometries: np.ndarray) -> None:
+    """Reject a stack of isometries V = sum_k K_k (x) |k> unless each V'V = sum K'K = I.
+
+    ``isometries`` is (..., d_out r, d_in), the operators' rows of each map
+    in one axis.  Every map is checked at once, to an instrument's tolerance
+    and with its message.
+    """
+    d = isometries.shape[-1]
+    defect = float(np.max(np.abs(dagger(isometries) @ isometries - np.eye(d)), initial=0.0))
     if not defect < ATOL_STRUCTURAL:
         raise ValueError(f"completeness violated: max |sum K'K - I| = {defect:.3e}")
-    return isometries.reshape(len(seeds), kraus_count, dim, dim)
 
 
 def random_instrument(dim: int, n_outcomes: int, kraus_per_outcome: int, seed: int) -> Instrument:

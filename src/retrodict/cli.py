@@ -21,7 +21,7 @@ from . import __version__, inference, linalg
 from .channels import (
     Instrument,
     QuantumMap,
-    _noisy_operation,
+    _noisy_kraus,
     _random_kraus_stacks,
     adjoint_map,
     amplitude_damping,
@@ -39,22 +39,22 @@ from .inference import (
     SUMMED,
     InferenceTask,
     _bayes_rows,
+    _deterministic_effect_stack,
     _follower_seeds,
     _kernel_view,
     _no_signalling_stack,
     _pull_back_reference,
-    _purified_numerators,
+    _purified_ratio_defects,
     _sampled_table_asymmetry,
     _solve_checked,
     _solve_rows,
     _table_rows,
     channel_toward_past_check,
-    deterministic_effect_check,
     four_task_check,
     is_inference_symmetric,
     open_reversal_check,
 )
-from .purify import purify_instrument, rotate_ancilla, stinespring, verify_purification
+from .purify import purify_instrument, stinespring, verify_purification
 from .sampler import SEED_LIMIT, _analytic_rows, count_grid, verdicts
 from .sampler import run_ensemble  # noqa: F401  (bound here for bench/test_bench.py's tracer test)
 from .serialize import (
@@ -223,9 +223,11 @@ def _run_verify(report: ReportDocument, dims: tuple[int, int], seed: int, tolera
     kernel to its own closed form or operator-level reference, so the checks
     share instances, not arithmetic.  Each pooled unitary is checked once,
     in ``open_reversal_check``.  Draws 0-2 then give purified-ratio's noisy
-    channels and draw 3 the unital suite's, with no second check; the
-    purified-ratio check reads every test outcome of a dilation at once, and
-    its environment rotations are drawn on their own.
+    channels and draw 3 the unital suite's, as Kraus stacks with no second
+    check.  purified-ratio and deterministic-effect each run their three
+    instances as one stack (``inference._purified_ratio_defects`` and
+    ``inference._deterministic_effect_stack``); purified-ratio's environment
+    rotations are drawn on their own.
     """
     d_a, d_b = dims
     d = d_a * d_b
@@ -237,9 +239,10 @@ def _run_verify(report: ReportDocument, dims: tuple[int, int], seed: int, tolera
     noisy = []
     for us in _haar_stacks(d, rng_base):
         pooled.append(_pool_defects(us, (d_a, d_b)))
-        # open_reversal_check has checked each draw; draws 0-3 become the noisy channels.
-        noisy += [_noisy_operation(u, d_a, d_b) for u in us[: 4 - len(noisy)]]
-    del us  # a D x D stack, not held through purified-ratio, which sets verify's peak memory
+        # open_reversal_check has checked each draw; draws 0-3 become the noisy channels' Kraus stacks.
+        noisy.append(_noisy_kraus(us[: 4 - sum(map(len, noisy))], d_a, d_b))
+    del us  # a D x D stack, not held through purified-ratio
+    noisy = np.concatenate(noisy)
     for name, defect in zip(("closed-symmetry", "open-reversal", "open-ratio-laws"), np.max(pooled, axis=0)):
         report.add_check(name, defect, tol_exact)
 
@@ -252,14 +255,9 @@ def _run_verify(report: ReportDocument, dims: tuple[int, int], seed: int, tolera
     )
     report.add_check("channel-bayes-factor", defect, tol_exact)
 
-    defect = 0.0
-    for t, channel in enumerate(noisy[:3]):
-        purification = stinespring(channel)  # checks that the map is a channel
-        defect = max(defect, verify_purification(channel, purification, trials=5, seed=t))
-        direct, _ = _bayes_rows(_table_rows(channel, (d_a, d_a), (GIVEN, GUESSED)))
-        for dilation in (purification, rotate_ancilla(purification, rng_base + 40 + t)):
-            via, _ = _bayes_rows(_purified_numerators(dilation))
-            defect = max(defect, float(np.max(np.abs(direct - via))))
+    # Instance t is verify_purification(channel, stinespring(channel), trials=5, seed=t) and the
+    # postdiction rows of that dilation and of rotate_ancilla(dilation, rng_base + 40 + t).
+    defect = _purified_ratio_defects(noisy[:3], 5, range(rng_base + 40, rng_base + 43)).max()
     report.add_check("purified-ratio", defect, tol_purified)
 
     u = linalg.haar_random_unitary(d_a, rng_base + 50)
@@ -267,8 +265,8 @@ def _run_verify(report: ReportDocument, dims: tuple[int, int], seed: int, tolera
     report.add_check("four-task", defect, tol_exact)
 
     # random_cptp_map(d_A, d_A, 2, seed) of seeds +60 (towards-past) and +97...+99 (deterministic-effect).
-    seeds = [rng_base + 60, *range(rng_base + 97, rng_base + 100)]
-    past_map, *effect_maps = (QuantumMap(kraus, d_a, d_a) for kraus in _random_kraus_stacks(d_a, 2, seeds))
+    small_maps = _random_kraus_stacks(d_a, 2, [rng_base + 60, *range(rng_base + 97, rng_base + 100)])
+    past_map = QuantumMap(small_maps[0], d_a, d_a)
     # Building each channel's purification checks that the map is a channel.
     defect = max(channel_toward_past_check(channel).max_defect for channel in (amplitude_damping(0.5), past_map))
     report.add_check("towards-past", defect, tol_purified)
@@ -286,7 +284,7 @@ def _run_verify(report: ReportDocument, dims: tuple[int, int], seed: int, tolera
     suite = [
         ("unitary", QuantumMap((linalg.haar_random_unitary(d_a, rng_base + 95),), d_a, d_a), True),
         ("dephasing", make_dephasing(), True),
-        ("noisy", noisy[3], True),
+        ("noisy", QuantumMap(noisy[3], d_a, d_a), True),
         ("amplitude-damping", amplitude_damping(0.5), False),
     ]
     # The criterion sum K K' = I against the tables the kernel gives on sampled bases.
@@ -296,15 +294,10 @@ def _run_verify(report: ReportDocument, dims: tuple[int, int], seed: int, tolera
     )
     report.add_check("unital-symmetric-adjoint", 0.0 if agreement else 1.0, 0.5)
 
-    worst_solution = 0.0
-    worst_residual = np.inf
-    for channel in effect_maps:
-        outcome = deterministic_effect_check(channel)
-        worst_solution = max(worst_solution, outcome.solution_defect)
-        worst_residual = min(worst_residual, outcome.min_alternative_residual)
-    report.add_check("deterministic-effect-solution", worst_solution, 1e-8)
-    report.add_check("deterministic-effect-alternatives", 1e-6, worst_residual)
-    report.metrics["deterministic_effect_min_alternative_residual"] = float(worst_residual)
+    _, solution, _, residual = _deterministic_effect_stack(small_maps[1:])
+    report.add_check("deterministic-effect-solution", solution.max(), 1e-8)
+    report.add_check("deterministic-effect-alternatives", 1e-6, residual.min())
+    report.metrics["deterministic_effect_min_alternative_residual"] = float(residual.min())
     report.metrics["seed"] = seed
 
 

@@ -46,16 +46,24 @@ from . import linalg
 from .channels import (
     Instrument,
     QuantumMap,
+    _check_completeness,
     _random_kraus_stacks,
     adjoint_map,
-    apply,
     check_cptp,
     is_trace_preserving,
 )
 from .channels import classify  # noqa: F401  (bound here for bench/test_bench.py's tracer test)
 from .errors import NoActiveReverseError, UndefinedConditionalError
 from .linalg import ATOL_STRUCTURAL, dagger
-from .purify import Purification, purify_instrument, stinespring
+from .purify import (
+    Purification,
+    _dilations,
+    _padded_count,
+    _rotated,
+    _round_trip_defects,
+    purify_instrument,
+    stinespring,
+)
 from .tables import ProbabilityTable, join_labels
 
 Given = Sequence[int | None]
@@ -156,13 +164,15 @@ def _transition_stack(operands: np.ndarray) -> np.ndarray:
 def _table_rows(transformation, dims, roles) -> np.ndarray:
     """The unnormalized rows of a unitary's or a channel's table family, its T's axes in ``dims`` and ``roles``.
 
-    An (n, D, D) stack of unitaries gives every instance's rows from one
-    contraction, shaped (n, rows, cells).  Both stages are looked up in this
-    module when called, so the identity checks that read the kernel from
-    other modules read the one held here.
+    An (n, D, D) stack of unitaries, or an (n, K, D_out, D_in) stack of
+    Kraus stacks, gives every instance's rows from one contraction, shaped
+    (n, rows, cells).  Both stages are looked up in this module when called,
+    so the identity checks that read the kernel from other modules read the
+    one held here.
     """
-    if isinstance(transformation, np.ndarray) and transformation.ndim == 3:
-        return _contract(_transition_stack(transformation), dims, roles, stacked=True)
+    if isinstance(transformation, np.ndarray) and transformation.ndim > 2:
+        stack = _transitions(transformation) if transformation.ndim == 4 else _transition_stack(transformation)
+        return _contract(stack, dims, roles, stacked=True)
     return _contract(_transitions(transformation), dims, roles)
 
 
@@ -213,8 +223,7 @@ def _pull_back_reference(
     each instance's rows are bit for bit those of its own call.
     """
     factors = [
-        np.eye(d) / np.sqrt(d) if listed is None else np.stack([linalg.basis_ket(d, g) for g in listed])
-        for d, listed in zip(dims_data, outcomes)
+        np.eye(d) / np.sqrt(d) if listed is None else _basis_rows(d, listed) for d, listed in zip(dims_data, outcomes)
     ]
     n_guess = len(dims_guess)
     summed = tuple(k for k, m in enumerate(mask) if not m) + tuple(
@@ -238,6 +247,15 @@ def _pull_back_reference(
     kept = tuple(range(n_lead, n_lead + n_kept))
     order = tuple(range(n_lead)) + tuple(range(n_lead + n_kept, cells.ndim)) + kept
     return cells.transpose(order).reshape(lead + (-1, math.prod(d for d, m in zip(dims_guess, mask) if m)))
+
+
+def _basis_rows(d: int, listed: Sequence[int]) -> np.ndarray:
+    """The bras <g| of the listed outcomes of a d-dimensional factor, one complex row each."""
+    listed = list(listed)
+    for g in listed:
+        if not 0 <= g < d:
+            raise ValueError(f"basis index {g} out of range for dimension {d}")
+    return np.eye(d, dtype=complex)[listed]
 
 
 @functools.lru_cache(maxsize=256)
@@ -330,19 +348,60 @@ def postdict_channel_via_purification(
     d_x = purification.dims_out[0]
     if not 0 <= x < d_x:
         raise ValueError(f"test outcome {x} out of range for factor dimension {d_x}")
-    values, _ = _bayes_rows(_purified_numerators(purification, [x])[0], str(x))
+    values, _ = _bayes_rows(_purified_numerators(purification.isometry, [x])[0], str(x))
     return ProbabilityTable.from_values([str(a) for a in range(d_a)], values, given=str(x), direction="postdict")
 
 
-def _purified_numerators(purification: Purification, outcomes=slice(None)) -> np.ndarray:
+def _purified_numerators(isometry: np.ndarray, outcomes=slice(None)) -> np.ndarray:
     """The flat-prior postdiction numerators of a channel's dilation, one row per test outcome x.
 
+    ``isometry`` is V shaped (..., d_X, d_Y, d_A), one dilation or a stack.
     Row x, for each x in ``outcomes`` (every one by default), is the diagonal
     of the pull-back V_x' V_x / d_Y, indexed by the input a: one matrix
     product per x, as ``postdict_channel_via_purification`` reads its row.
     """
-    v = purification.isometry[outcomes]
-    return np.diagonal(dagger(v) @ v, axis1=-2, axis2=-1).real / purification.dims_out[1]
+    v = isometry[..., outcomes, :, :]
+    return np.diagonal(dagger(v) @ v, axis1=-2, axis2=-1).real / isometry.shape[-2]
+
+
+def _purified_ratio_defects(kraus: np.ndarray, trials: int, rotation_seeds: Sequence[int]) -> np.ndarray:
+    """The purified-ratio defect of each channel of an (n, K, d_X, d_A) stack of Kraus stacks.
+
+    Instance t's defect is the larger of its round trip,
+    ``verify_purification(channel, stinespring(channel), trials, seed=t)``,
+    and the largest gap between the channel's flat-prior postdiction rows
+    and those read off its dilation and off
+    ``rotate_ancilla(dilation, rotation_seeds[t])``, bit for bit, with no
+    map or purification built.  The states of seeds 0 ... n + trials - 2
+    are drawn once, and instance t reads its window t ... t + trials - 1.
+
+    Instances go in stacks of at most ``linalg.STACK_BYTES``, counted by the
+    larger of a Kraus stack and a rotation, with at least one in each.  A
+    stack's dilations V are checked at once, V'V = sum K'K = I
+    (``channels._check_completeness``); its rotations are one Haar draw,
+    its direct rows come from one ``_transitions`` call, looked up when
+    called, and the numerators of the stack's dilations from one product
+    and of their rotations from another: one product over both would need
+    a stacked copy of both, which costs milliseconds from d_A = 12 on.
+    """
+    n, count, d_x, d_a = kraus.shape
+    states = linalg.random_density_matrices(d_a, range(n + trials - 1))
+    windows = states[np.arange(n)[:, None] + np.arange(trials)]
+    d_y = _padded_count(count, d_x, d_a)
+    size = max(1, linalg.STACK_BYTES // (16 * max(kraus[0].size, d_y * d_y)))
+    defects = []
+    for start in range(0, n, size):
+        group = slice(start, start + size)
+        v = _dilations(kraus[group])
+        _check_completeness(v.reshape(len(v), -1, d_a))
+        defect = _round_trip_defects(kraus[group], v, windows[group])
+        rotated = _rotated(v, linalg.haar_random_unitaries(d_y, rotation_seeds[group]))
+        direct, _ = _bayes_rows(_table_rows(kraus[group], (d_x, d_a), (GIVEN, GUESSED)))
+        for dilations in (v, rotated):
+            via, _ = _bayes_rows(_purified_numerators(dilations))
+            defect = np.maximum(defect, np.max(np.abs(direct - via), axis=(1, 2)))
+        defects.append(defect)
+    return np.concatenate(defects)
 
 
 # ---------------------------------------------------------------------------
@@ -1030,37 +1089,54 @@ def deterministic_effect_check(
     """Only the flat weighting w = 1 turns the output basis into a sure effect.
 
     Solves the linear system tr(sum_x w(x)|x><x| channel[rho]) = 1 for all rho
-    and reports how far alternative weightings miss it.
+    and reports how far alternative weightings miss it.  This is the
+    one-instance case of ``_deterministic_effect_stack``.
+    """
+    check_cptp(channel)
+    weights, solution, singular, residual = _deterministic_effect_stack(channel.kraus[None], n_random_candidates, seed)
+    return DeterministicEffectReport(
+        weights=tuple(weights[0].tolist()),
+        solution_defect=float(solution[0]),
+        min_singular_value=float(singular[0]),
+        min_alternative_residual=float(residual[0]),
+    )
+
+
+def _deterministic_effect_stack(
+    kraus: np.ndarray, n_random_candidates: int = 3, seed: int = 0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The deterministic-effect solution of each channel of an (n, K, d_out, d_in) stack of Kraus stacks.
+
+    Column x of channel t is its pull-back sum_k K_k'|x><x|K_k, entry
+    [i, j] = sum_k conj(K_k[x, i]) K_k[x, j]: one batched product over k
+    builds every column of every instance.  Each least-squares solve of
+    sum_x w(x) column_x = I, split into real and imaginary parts, comes from
+    one stacked SVD, with ``np.linalg.lstsq``'s cutoff of the singular
+    values.  The alternative weightings, a 1.5 bump on each x and then
+    ``n_random_candidates`` draws of the generator of ``seed``, depend on
+    d_out alone: they are drawn once, and every residual comes from one
+    product.  Returns the weights (n, d_out) and, per instance, the largest
+    |w - 1|, the smallest singular value and the smallest residual of an
+    alternative.  Completeness is the caller's to check.
     """
     if n_random_candidates < 0:
         raise ValueError(f"n_random_candidates must be non-negative, got {n_random_candidates}")
-    check_cptp(channel)
-    adj = adjoint_map(channel)
-    columns = [apply(adj, linalg.basis_projector(channel.dim_out, x)) for x in range(channel.dim_out)]
-    m = np.stack([c.reshape(-1) for c in columns], axis=1)
-    target = np.eye(channel.dim_in, dtype=complex).reshape(-1)
-    m_real = np.vstack([m.real, m.imag])
-    t_real = np.concatenate([target.real, target.imag])
-    weights, _, _, singular_values = np.linalg.lstsq(m_real, t_real, rcond=None)
-    solution_defect = float(np.max(np.abs(weights - 1.0)))
+    n, _, d_out, d_in = kraus.shape
+    rows = kraus.swapaxes(1, 2)  # [t, x, k, j] = K_k[x, j]
+    columns = (dagger(rows) @ rows).reshape(n, d_out, -1).swapaxes(1, 2)
+    m_real = np.concatenate([columns.real, columns.imag], axis=1)
+    t_real = np.concatenate([np.eye(d_in).reshape(-1), np.zeros(d_in * d_in)])
+    u, singular_values, vh = np.linalg.svd(m_real, full_matrices=False)
+    cutoff = np.finfo(float).eps * max(m_real.shape[1:]) * singular_values[:, :1]
+    inverse = np.divide(1.0, singular_values, out=np.zeros_like(singular_values), where=singular_values > cutoff)
+    weights = (dagger(vh) @ (inverse * (t_real @ u))[..., None])[..., 0]
 
     rng = np.random.default_rng(seed)
-    candidates = []
-    for x in range(channel.dim_out):
-        bump = np.ones(channel.dim_out)
-        bump[x] += 0.5
-        candidates.append(bump)
+    candidates = list(1.0 + 0.5 * np.eye(d_out))
     for _ in range(n_random_candidates):
-        w = rng.uniform(0.0, 2.0, channel.dim_out)
+        w = rng.uniform(0.0, 2.0, d_out)
         if np.max(np.abs(w - 1.0)) < 0.25:
             w = w + 0.5  # keep candidates visibly away from the flat weighting
         candidates.append(w)
-    min_residual = min(
-        float(np.linalg.norm(m_real @ w - t_real)) for w in candidates
-    )
-    return DeterministicEffectReport(
-        weights=tuple(float(w) for w in weights),
-        solution_defect=solution_defect,
-        min_singular_value=float(singular_values.min()) if singular_values.size else 0.0,
-        min_alternative_residual=min_residual,
-    )
+    residuals = np.linalg.norm(m_real @ np.transpose(candidates) - t_real[:, None], axis=1)
+    return weights, np.max(np.abs(weights - 1.0), axis=1), singular_values.min(axis=1), residuals.min(axis=1)

@@ -13,6 +13,7 @@ D x D joint space: tr_Y V rho V' is the represented channel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,14 +76,27 @@ def _padded_count(raw_count: int, d_x: int, d_a: int, outcomes: int = 1) -> int:
 
 
 def stinespring(channel: QuantumMap) -> Purification:
-    """Canonical dilation of a CPTP map: V[x, k, a] = K_k[x, a], ancilla input |0>_B."""
+    """Canonical dilation of a CPTP map: V[x, k, a] = K_k[x, a], ancilla input |0>_B.
+
+    The one-instance case of ``_dilations``, for a map checked to be a channel.
+    """
     check_cptp(channel)
-    d_a, d_x = channel.dim_in, channel.dim_out
-    r = _padded_count(len(channel.kraus), d_x, d_a)
-    isometry = np.zeros((d_x, r, d_a), dtype=complex)
-    # Summed onto zeros like V = sum_k K_k (x) |k>, so a Kraus entry -0.0 prints as 0.0.
-    isometry[:, : len(channel.kraus)] += channel.kraus.transpose(1, 0, 2)
-    return Purification(isometry, dims_out=(d_x, r))
+    isometry = _dilations(channel.kraus[None])[0]
+    return Purification(isometry, dims_out=isometry.shape[:2])
+
+
+def _dilations(kraus: np.ndarray) -> np.ndarray:
+    """The canonical isometries V[t, x, k, a] = K_tk[x, a] of an (n, K, d_X, d_A) stack of Kraus stacks.
+
+    Each is zero-padded to ``_padded_count(K, d_X, d_A)`` ancilla slots.
+    The operators are summed onto zeros like V = sum_k K_k (x) |k>, so a
+    Kraus entry -0.0 prints as 0.0.  That each map is a channel, so that
+    V'V = sum K'K = I, is the caller's to check.
+    """
+    n, count, d_x, d_a = kraus.shape
+    isometries = np.zeros((n, d_x, _padded_count(count, d_x, d_a), d_a), dtype=complex)
+    isometries[:, :, :count] += kraus.swapaxes(1, 2)
+    return isometries
 
 
 def purify_instrument(inst: Instrument) -> Purification:
@@ -117,30 +131,44 @@ def _branch(purification: Purification, outcome_index: int | None = None) -> np.
 
 
 def _image_map(v: np.ndarray, count: int):
-    """rho -> tr_Z v rho v' as a function of a (p, d_A, d_A) stack of probes, for ``count`` probes in all.
+    """rho -> tr_Z v rho v' as a function of a (..., p, d_A, d_A) stack of probes, for ``count`` probes in all.
 
-    Two orders of one sum, whichever multiplies less for ``count`` probes:
-    each probe through v and then v', or first the map's (d_X d_X, d_A d_A)
-    matrix sum_z v_z (x) conj(v_z), formed here once, and then every probe
-    in one product.  These are the two contraction paths ``einsum`` chooses
-    between, without its path search; for d_A > 1 each gives einsum's bits
-    where einsum takes it.
+    ``v`` is (..., d_X, d_Z, d_A): one map, or a stack of maps on leading
+    instance axes, which the probes share.  Two orders of one sum, whichever
+    multiplies less for ``count`` probes: each probe through v and then v',
+    or first the map's (d_X d_X, d_A d_A) matrix sum_z v_z (x) conj(v_z),
+    formed here once, and then every probe in one product.  These are the
+    two contraction paths ``einsum`` chooses between, without its path
+    search; for d_A > 1 each gives einsum's bits where einsum takes it.
     """
-    d_x, d_z, d_a = v.shape
+    *lead, d_x, d_z, d_a = v.shape
+    lead = tuple(lead)
+
+    def regroup(a: np.ndarray, shape: tuple[int, ...], order: tuple[int, ...]) -> np.ndarray:
+        # ``a`` reshaped to lead + shape, its trailing axes put in ``order`` behind the instance axes
+        axes = tuple(range(len(lead)))
+        return a.reshape(lead + shape).transpose(axes + tuple(len(lead) + i for i in order))
+
     if d_z * (d_x + d_a) * count < d_x * d_a * (d_z + count):
 
         def images(probes: np.ndarray) -> np.ndarray:
             # sum_a rho[p, a, b] v[x, z, a], regrouped [(x, p), (z, b)] against v'[(z, b), y]
-            p = len(probes)
-            left = probes.transpose(0, 2, 1).reshape(-1, d_a) @ v.transpose(2, 0, 1).reshape(d_a, -1)
-            left = left.reshape(p, d_a, d_x, d_z).transpose(2, 0, 3, 1).reshape(d_x * p, -1)
-            return (left @ v.conj().reshape(d_x, -1).T).reshape(d_x, p, d_x).swapaxes(0, 1)
+            p = probes.shape[-3]
+            left = probes.swapaxes(-1, -2).reshape(lead + (-1, d_a)) @ np.moveaxis(v, -1, -3).reshape(lead + (d_a, -1))
+            left = regroup(left, (p, d_a, d_x, d_z), (2, 0, 3, 1)).reshape(lead + (d_x * p, -1))
+            right = v.conj().reshape(lead + (d_x, -1)).swapaxes(-1, -2)
+            return (left @ right).reshape(lead + (d_x, p, d_x)).swapaxes(-3, -2)
 
         return images
     # sum_z conj(v[y, z, b]) v[x, z, a], regrouped [(x, y), (a, b)]
-    gram = v.conj().transpose(0, 2, 1).reshape(-1, d_z) @ v.transpose(1, 0, 2).reshape(d_z, -1)
-    transfer = gram.reshape(d_x, d_a, d_x, d_a).transpose(2, 0, 3, 1).reshape(d_x * d_x, -1)
-    return lambda probes: (transfer @ probes.reshape(len(probes), -1).T).reshape(d_x, d_x, -1).transpose(2, 0, 1)
+    gram = v.conj().swapaxes(-1, -2).reshape(lead + (-1, d_z)) @ v.swapaxes(-3, -2).reshape(lead + (d_z, -1))
+    transfer = regroup(gram, (d_x, d_a, d_x, d_a), (2, 0, 3, 1)).reshape(lead + (d_x * d_x, -1))
+
+    def images(probes: np.ndarray) -> np.ndarray:
+        flat = probes.reshape(lead + (probes.shape[-3], -1)).swapaxes(-1, -2)
+        return np.moveaxis((transfer @ flat).reshape(lead + (d_x, d_x, -1)), -1, -3)
+
+    return images
 
 
 def verify_purification(
@@ -156,10 +184,9 @@ def verify_purification(
     an instrument) are compared with the Kraus action sum_k K rho K' of the
     original.  The probes are the d_A^2 matrix units E_ij in row-major
     order, then the random states of seeds seed ... seed + trials - 1,
-    drawn once.  They are made and compared in stacks of at most
-    ``linalg.STACK_BYTES``, so the memory does not grow as d_A^4, and each
-    side's order of contraction is chosen once for all of them.  A negative
-    ``trials`` is refused: it would drop matrix units from the probes.
+    drawn once for every branch.  Each branch is the one-instance case of
+    ``_round_trip_defects``.  A negative ``trials`` is refused: it would
+    drop matrix units from the probes.
     """
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
@@ -171,25 +198,43 @@ def verify_purification(
     else:
         branches = [(original, _branch(purification))]
     states = linalg.random_density_matrices(d_a, range(seed, seed + trials))
-    count = d_a * d_a + trials
-    size = max(1, linalg.STACK_BYTES // (16 * d_a * d_a))
-    defect = 0.0
-    for qmap, v in branches:
-        expected, images = (_image_map(w, count) for w in (qmap.kraus.transpose(1, 0, 2), v))
-        for start in range(0, count, size):
-            probes = _probes(states, start, min(start + size, count))
-            defect = max(defect, float(np.max(np.abs(expected(probes) - images(probes)))))
+    return max(float(_round_trip_defects(qmap.kraus, v, states)) for qmap, v in branches)
+
+
+def _round_trip_defects(kraus: np.ndarray, v: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """The largest entrywise gap between sum_k K rho K' and tr_Z v rho v' over the probes, per instance.
+
+    ``kraus`` is (..., K, d_X, d_A), ``v`` (..., d_X, d_Z, d_A) and
+    ``states`` (..., trials, d_A, d_A), on the same leading instance axes or
+    none.  An instance's probes are the d_A^2 matrix units E_ij in row-major
+    order, then its states.  They are made and compared in stacks of at
+    most ``linalg.STACK_BYTES``, so the memory does not grow as d_A^4, and
+    each side's order of contraction is chosen once for all of them.
+    """
+    lead = v.shape[:-3]
+    d_a = v.shape[-1]
+    count = d_a * d_a + states.shape[-3]
+    size = max(1, linalg.STACK_BYTES // (16 * d_a * d_a * math.prod(lead)))
+    expected, images = (_image_map(w, count) for w in (kraus.swapaxes(-3, -2), v))
+    defect = np.zeros(lead)
+    for start in range(0, count, size):
+        probes = _probes(states, start, min(start + size, count))
+        defect = np.maximum(defect, np.max(np.abs(expected(probes) - images(probes)), axis=(-3, -2, -1)))
     return defect
 
 
 def _probes(states: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Probes start ... stop - 1 of the d*d matrix units E_ij in row-major order, then the (trials, d, d) states."""
+    """Probes start ... stop - 1 of the d*d matrix units E_ij in row-major order, then the states.
+
+    ``states`` is (..., trials, d, d); its leading instance axes lead the probes too.
+    """
     d = states.shape[-1]
+    lead = states.shape[:-3]
     units = np.arange(start, min(stop, d * d))
-    probes = np.zeros((stop - start, d * d), dtype=complex)
-    probes[units - start, units] = 1.0
-    probes = probes.reshape(-1, d, d)
-    probes[len(units) :] = states[max(start - d * d, 0) : max(stop - d * d, 0)]
+    probes = np.zeros(lead + (stop - start, d * d), dtype=complex)
+    probes[..., units - start, units] = 1.0
+    probes = probes.reshape(lead + (-1, d, d))
+    probes[..., len(units) :, :, :] = states[..., max(start - d * d, 0) : max(stop - d * d, 0), :, :]
     return probes
 
 
@@ -206,8 +251,13 @@ def rotate_ancilla(purification: Purification, seed: int) -> Purification:
     if purification.pointer_partition is not None:
         raise ValueError("refusing to rotate the pointer basis of an instrument purification")
     w = linalg.haar_random_unitary(purification.dims_out[1], seed)
-    # One product over the discarded factor for every row (x, a), not one per x.
-    v = purification.isometry
-    rotated = (v.transpose(0, 2, 1).reshape(-1, v.shape[1]) @ w.T).reshape(v.shape[0], v.shape[2], -1)
-    rotated = rotated.transpose(0, 2, 1)
-    return Purification(rotated, dims_out=purification.dims_out)
+    return Purification(_rotated(purification.isometry, w), dims_out=purification.dims_out)
+
+
+def _rotated(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(I (x) W)V for isometries (..., d_X, d_Y, d_A) and unitaries (..., d_Y, d_Y) on the same leading axes.
+
+    One product over the discarded factor for every row (x, a), not one per x.
+    """
+    rotated = v.swapaxes(-1, -2).reshape(v.shape[:-3] + (-1, v.shape[-2])) @ w.swapaxes(-1, -2)
+    return rotated.reshape(v.shape[:-2] + (v.shape[-1], -1)).swapaxes(-1, -2)

@@ -349,11 +349,14 @@ def nesting_depth(text: bytes) -> int:
 
     Escaped backslashes, then escaped quotes, are dropped first, so every
     quote left delimits a string and ``"[^"]*"`` finds each string in one
-    linear pass.  Only the quotes and brackets are kept for that pass.
+    linear pass.  Only the quotes and brackets are kept for that pass.  A
+    close followed by an open returns to the depth it left, so every ``][``
+    is dropped before the prefix sum: a matrix's rows leave a few hundred
+    steps to sum, not one per row and entry.
     """
     if b"\\" in text:  # rare in scenario files, and each replace scans the whole text
         text = text.replace(b"\\\\", b"").replace(b'\\"', b"")
-    brackets = _STRING.sub(b"", text.translate(None, _NOT_STRUCTURE))
+    brackets = _STRING.sub(b"", text.translate(None, _NOT_STRUCTURE)).replace(b"][", b"")
     steps = _NESTING_STEP[np.frombuffer(brackets, np.uint8)]
     # Cast, then sum: the prefix sums of np.cumsum(steps, dtype=np.int64), without its buffered casting loop.
     return int(np.cumsum(steps.astype(np.int64)).max(initial=0))

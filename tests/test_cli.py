@@ -857,7 +857,7 @@ def test_verify_draws_its_instruments_and_small_maps_as_the_random_constructors_
 
         monkeypatch.setattr(rd.cli, name, recorded)
 
-    for name in ("_no_signalling_stack", "channel_toward_past_check", "deterministic_effect_check"):
+    for name in ("_no_signalling_stack", "channel_toward_past_check", "_deterministic_effect_stack"):
         recording(name, getattr(rd.cli, name))
     assert main(["verify", "--dims", str(d_a), str(d_b), "--format", "json"]) == 0
     capsys.readouterr()
@@ -871,9 +871,11 @@ def test_verify_draws_its_instruments_and_small_maps_as_the_random_constructors_
         assert f[t].tobytes() == operators(channels.random_instrument(d_a, 2, 2, 1080 + t)).tobytes()
         assert followers[t].tobytes() == rd.inference._random_followers(d_a, 2, 2, 1000 + t).tobytes()
     assert states.tobytes() == rd.linalg.random_density_matrices(d_a, range(1090, 1093)).tobytes()
-    maps = [args[0] for args in seen["channel_toward_past_check"][1:] + seen["deterministic_effect_check"]]
-    for qmap, seed in zip(maps, [1060, 1097, 1098, 1099], strict=True):
-        assert qmap.kraus.tobytes() == channels.random_cptp_map(d_a, d_a, 2, seed).kraus.tobytes()
+    # towards-past's one map, then deterministic-effect's three in one stacked call
+    [(past_map,)] = seen["channel_toward_past_check"][1:]
+    [(effect_maps,)] = seen["_deterministic_effect_stack"]
+    for kraus, seed in zip([past_map.kraus, *effect_maps], [1060, 1097, 1098, 1099], strict=True):
+        assert kraus.tobytes() == channels.random_cptp_map(d_a, d_a, 2, seed).kraus.tobytes()
 
 
 def test_verify_builds_as_many_transition_arrays_whatever_d_a(monkeypatch, capsys):

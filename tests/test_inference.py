@@ -1384,7 +1384,7 @@ def test_open_reversal_check_checks_each_instance_of_a_stack():
 def test_every_purified_row_equals_its_single_postdiction(channel):
     purification = stinespring(channel)
     for dilation in (purification, rotate_ancilla(purification, 153)):
-        rows, _ = inference._bayes_rows(inference._purified_numerators(dilation))
+        rows, _ = inference._bayes_rows(inference._purified_numerators(dilation.isometry))
         assert rows.shape == (channel.dim_out, channel.dim_in)
         for x, row in enumerate(rows):
             assert np.array_equal(row, postdict_channel_via_purification(channel, x, dilation).probabilities())

@@ -7,6 +7,7 @@ import pytest
 from retrodict import inference, linalg
 from retrodict.channels import (
     QuantumMap,
+    _noisy_kraus,
     _random_kraus_stacks,
     adjoint_map,
     amplitude_damping,
@@ -20,7 +21,7 @@ from retrodict.channels import (
     random_instrument,
 )
 from retrodict.inference import GIVEN, GUESSED, SUMMED
-from retrodict.purify import purify_instrument
+from retrodict.purify import purify_instrument, rotate_ancilla, stinespring, verify_purification
 from retrodict.tables import join_labels
 
 COUNTS = [1, 2, 4, 9, 36]
@@ -233,3 +234,115 @@ def test_a_transposed_single_matrix_keeps_its_layout_in_the_contraction():
         np.testing.assert_array_equal(
             inference._contract(t, *args), inference._contract(back.real**2 + back.imag**2, *args)
         )
+
+
+# ---------------------------------------------------------------------------
+# verify's deterministic-effect and purified-ratio checks on instance stacks
+# ---------------------------------------------------------------------------
+
+
+def deterministic_effect_reference(channel, n_random_candidates=3, seed=0):
+    # the check one map at a time: a column sum_k K_k'|x><x|K_k per output state x, then lstsq
+    columns = [apply(adjoint_map(channel), linalg.basis_projector(channel.dim_out, x)) for x in range(channel.dim_out)]
+    m = np.stack([c.reshape(-1) for c in columns], axis=1)
+    m_real = np.vstack([m.real, m.imag])
+    target = np.concatenate([np.eye(channel.dim_in).reshape(-1), np.zeros(channel.dim_in**2)])
+    weights, _, _, singular_values = np.linalg.lstsq(m_real, target, rcond=None)
+    rng = np.random.default_rng(seed)
+    candidates = [np.where(np.arange(channel.dim_out) == x, 1.5, 1.0) for x in range(channel.dim_out)]
+    for _ in range(n_random_candidates):
+        w = rng.uniform(0.0, 2.0, channel.dim_out)
+        candidates.append(w + 0.5 if np.max(np.abs(w - 1.0)) < 0.25 else w)
+    residual = min(float(np.linalg.norm(m_real @ w - target)) for w in candidates)
+    return weights, float(singular_values.min()), residual
+
+
+@pytest.mark.parametrize("d_a", [1, 2, 3, 5])
+def test_each_stacked_deterministic_effect_instance_is_its_own_check(d_a):
+    # verify's three maps of seeds +97...+99 at the default seed 1, in one stacked call
+    kraus = _random_kraus_stacks(d_a, 2, range(1097, 1100))
+    weights, solution, singular, residual = inference._deterministic_effect_stack(kraus)
+    assert weights.shape == (3, d_a)
+    for t, operators in enumerate(kraus):
+        channel = QuantumMap(operators, d_a, d_a)
+        report = inference.deterministic_effect_check(channel)
+        assert tuple(weights[t].tolist()) == report.weights
+        assert float(solution[t]) == report.solution_defect == float(np.max(np.abs(weights[t] - 1.0)))
+        assert float(singular[t]) == report.min_singular_value
+        assert float(residual[t]) == report.min_alternative_residual
+        assert report.unique_flat_solution
+        # the batched columns and the SVD solve against one apply per output state and lstsq
+        ref_weights, ref_singular, ref_residual = deterministic_effect_reference(channel)
+        np.testing.assert_allclose(weights[t], ref_weights, rtol=0, atol=1e-12)
+        assert singular[t] == pytest.approx(ref_singular, rel=1e-12)
+        assert residual[t] == pytest.approx(ref_residual, rel=1e-12)
+
+
+@pytest.mark.parametrize("channel", [random_cptp_map(2, 3, 2, 7), random_cptp_map(3, 2, 3, 8), amplitude_damping(0.3)])
+@pytest.mark.parametrize("n_random_candidates, seed", [(0, 0), (3, 0), (5, 11)])
+def test_deterministic_effect_matches_the_per_state_reference(channel, n_random_candidates, seed):
+    report = inference.deterministic_effect_check(channel, n_random_candidates, seed)
+    ref_weights, ref_singular, ref_residual = deterministic_effect_reference(channel, n_random_candidates, seed)
+    np.testing.assert_allclose(report.weights, ref_weights, rtol=0, atol=1e-12)
+    assert report.min_singular_value == pytest.approx(ref_singular, rel=1e-12)
+    assert report.min_alternative_residual == pytest.approx(ref_residual, rel=1e-12)
+
+
+def purified_ratio_reference(channels, rotation_seeds):
+    # The loop verify ran before its stacked pass: per channel a dilation, its round trip on the
+    # states of seeds t ... t + 4, and the postdiction rows of it and of one rotation against the channel's.
+    defects = []
+    for t, channel in enumerate(channels):
+        purification = stinespring(channel)
+        defect = verify_purification(channel, purification, trials=5, seed=t)
+        dims = (channel.dim_out, channel.dim_in)
+        direct, _ = inference._bayes_rows(inference._table_rows(channel, dims, (GIVEN, GUESSED)))
+        for dilation in (purification, rotate_ancilla(purification, rotation_seeds[t])):
+            via, _ = inference._bayes_rows(inference._purified_numerators(dilation.isometry))
+            defect = max(defect, float(np.max(np.abs(direct - via))))
+        defects.append(defect)
+    return defects
+
+
+def noisy_stack(d_a, d_b):
+    # verify's noisy channels at the default seed 1: pool draws 0-2, as one Kraus stack
+    us = linalg.haar_random_unitaries(d_a * d_b, range(1000, 1003))
+    kraus = _noisy_kraus(us, d_a, d_b).reshape(3, -1, d_a, d_a)
+    channels = [make_noisy_operation(u, (d_a, d_b)) for u in us]
+    assert kraus.tobytes() == np.stack([channel.kraus for channel in channels]).tobytes()
+    return kraus, channels
+
+
+@pytest.mark.parametrize("d_a, d_b", [(1, 1), (2, 3), (3, 2), (2, 7)])
+def test_stacked_purified_ratio_equals_the_per_channel_loop(d_a, d_b):
+    kraus, channels = noisy_stack(d_a, d_b)
+    seeds = range(1040, 1043)
+    assert inference._purified_ratio_defects(kraus, 5, seeds).tolist() == purified_ratio_reference(channels, seeds)
+
+
+@pytest.mark.parametrize("per_stack", [1, 2, 3])
+def test_stacked_purified_ratio_is_the_same_in_any_byte_budget(monkeypatch, per_stack):
+    # At (2, 3) a channel holds nine 2 x 2 operators (576 bytes) and its rotation is 9 x 9 (1296 bytes).
+    kraus, _ = noisy_stack(2, 3)
+    seeds = range(1040, 1043)
+    whole = inference._purified_ratio_defects(kraus, 5, seeds)
+    draws, haar = [], linalg.haar_random_unitaries
+
+    def recorded(d, seeds):
+        draws.append(list(seeds))
+        return haar(d, seeds)
+
+    windows, round_trip = [], inference._round_trip_defects
+
+    def round_trip_recorded(k, v, states):
+        windows.extend(states)
+        return round_trip(k, v, states)
+
+    monkeypatch.setattr(linalg, "haar_random_unitaries", recorded)
+    monkeypatch.setattr(inference, "_round_trip_defects", round_trip_recorded)
+    monkeypatch.setattr(linalg, "STACK_BYTES", per_stack * 1296 + 1295)
+    assert inference._purified_ratio_defects(kraus, 5, seeds).tolist() == whole.tolist()
+    # the rotations of each stack are one draw, and instance t's round trip reads the states of seeds t ... t + 4
+    assert draws == [list(seeds)[start : start + per_stack] for start in range(0, 3, per_stack)]
+    expected = [linalg.random_density_matrices(2, range(t, t + 5)).tobytes() for t in range(3)]
+    assert [w.tobytes() for w in windows] == expected

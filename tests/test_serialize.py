@@ -3,6 +3,7 @@ import gc
 import hashlib
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -256,6 +257,37 @@ _JSON_VALUES = st.recursive(
 def test_nesting_depth_skips_strings_and_their_escapes(value, ensure_ascii):
     text = json.dumps(value, ensure_ascii=ensure_ascii).encode()
     assert nesting_depth(text) == _depth(value)
+
+
+def _running_depth(text: bytes) -> int:
+    # the deepest running count of opens minus closes, one bracket at a time, for text without strings
+    depth = deepest = 0
+    for byte in text:
+        depth += (byte in b"[{") - (byte in b"]}")
+        deepest = max(deepest, depth)
+    return deepest
+
+
+@pytest.mark.parametrize(
+    "text, depth",
+    [
+        (b"[[1],[2]]", 2),
+        (b"[[[1, 2], [3, 4]], [[5, 6], [7, 8]]]", 3),
+        (b"]][[", 0),
+        (b"]]][[[[[", 2),
+        (b"[]][[]][[", 1),
+        (b"[][][]", 1),
+        (b"}{][}{", 0),
+        (b"[[]][[[[]]]]", 4),
+        (b"[1, [2], [[3]], [[[4]]], [], [[[[[5]]]]]]", 6),
+        (b"]]]]][[[[[[[[[[]]]]]]]]]]", 5),
+        (b'["][", [[1]], "]]][[["]', 3),
+    ],
+)
+def test_nesting_depth_is_the_deepest_running_count_across_closes_and_opens(text, depth):
+    # ``nesting_depth`` drops each "][" before its prefix sum; none of these cases has a backslash
+    assert _running_depth(re.sub(rb'"[^"]*"', b"", text)) == depth
+    assert nesting_depth(text) == depth
 
 
 @st.composite
