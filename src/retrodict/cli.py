@@ -176,19 +176,6 @@ def _run_sample(scenario: ScenarioFile, report: ReportDocument, seed: int, floor
     report.metrics["seed"] = seed
 
 
-def _haar_stacks(d: int, first: int):
-    """The five d x d Haar draws of seeds first, ..., first + 4, in stacks of at most ``linalg.STACK_BYTES``.
-
-    That is all five draws up to d = 228, and one from d = 512 on.  At least
-    one draw goes in each stack, whatever d is: a d below 1 reaches
-    ``haar_random_unitaries``, which rejects it.
-    """
-    seeds = range(first, first + 5)
-    size = max(1, linalg.STACK_BYTES // max(1, 16 * d * d))
-    for start in range(0, len(seeds), size):
-        yield linalg.haar_random_unitaries(d, seeds[start : start + size])
-
-
 def _pool_defects(us: np.ndarray, dims: tuple[int, int]) -> tuple[float, float, float]:
     """The closed-symmetry, open-reversal and open-ratio-laws defects of a stack of D x D unitaries."""
     d_a, d_b = dims
@@ -218,7 +205,7 @@ def _run_verify(report: ReportDocument, dims: tuple[int, int], seed: int, tolera
     in one call, whatever d_A is.
 
     One pool of five D x D Haar unitaries, seeds 1000 * seed + 0 ... 4, is
-    drawn once, in stacks of at most ``linalg.STACK_BYTES``.  Each stack serves
+    drawn once, in the stacks of ``linalg.groups``.  Each stack serves
     closed-symmetry, open-reversal and open-ratio-laws, and each holds the
     kernel to its own closed form or operator-level reference, so the checks
     share instances, not arithmetic.  Each pooled unitary is checked once,
@@ -237,10 +224,12 @@ def _run_verify(report: ReportDocument, dims: tuple[int, int], seed: int, tolera
 
     pooled = []
     noisy = []
-    for us in _haar_stacks(d, rng_base):
+    seeds = range(rng_base, rng_base + 5)
+    for group in linalg.groups(len(seeds), 16 * d * d):
+        us = linalg.haar_random_unitaries(d, seeds[group])
         pooled.append(_pool_defects(us, (d_a, d_b)))
         # open_reversal_check has checked each draw; draws 0-3 become the noisy channels' Kraus stacks.
-        noisy.append(_noisy_kraus(us[: 4 - sum(map(len, noisy))], d_a, d_b))
+        noisy.append(_noisy_kraus(us[: max(0, 4 - group.start)], d_a, d_b))
     del us  # a D x D stack, not held through purified-ratio
     noisy = np.concatenate(noisy)
     for name, defect in zip(("closed-symmetry", "open-reversal", "open-ratio-laws"), np.max(pooled, axis=0)):

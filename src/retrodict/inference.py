@@ -375,9 +375,8 @@ def _purified_ratio_defects(kraus: np.ndarray, trials: int, rotation_seeds: Sequ
     map or purification built.  The states of seeds 0 ... n + trials - 2
     are drawn once, and instance t reads its window t ... t + trials - 1.
 
-    Instances go in stacks of at most ``linalg.STACK_BYTES``, counted by the
-    larger of a Kraus stack and a rotation, with at least one in each.  A
-    stack's dilations V are checked at once, V'V = sum K'K = I
+    Instances go in the stacks of ``linalg.groups``, each counted by the
+    larger of its Kraus stack and its rotation.  A stack's dilations V are checked at once, V'V = sum K'K = I
     (``channels._check_completeness``); its rotations are one Haar draw,
     its direct rows come from one ``_transitions`` call, looked up when
     called, and the numerators of the stack's dilations from one product
@@ -388,10 +387,8 @@ def _purified_ratio_defects(kraus: np.ndarray, trials: int, rotation_seeds: Sequ
     states = linalg.random_density_matrices(d_a, range(n + trials - 1))
     windows = states[np.arange(n)[:, None] + np.arange(trials)]
     d_y = _padded_count(count, d_x, d_a)
-    size = max(1, linalg.STACK_BYTES // (16 * max(kraus[0].size, d_y * d_y)))
     defects = []
-    for start in range(0, n, size):
-        group = slice(start, start + size)
+    for group in linalg.groups(n, 16 * max(kraus[0].size, d_y * d_y)):
         v = _dilations(kraus[group])
         _check_completeness(v.reshape(len(v), -1, d_a))
         defect = _round_trip_defects(kraus[group], v, windows[group])
@@ -1030,8 +1027,8 @@ def _sampled_table_asymmetry(channels: Sequence[QuantumMap], seed: int) -> list[
     Kraus stack K and its five rotations W' K V, one batched product, form
     one stack of Kraus stacks, whose tables are read through one
     ``_transitions`` call, looked up when called; no map is built.  The
-    stacks go in groups of at most ``linalg.STACK_BYTES``, and at least one,
-    so a long Kraus list is not held six times.  This only corroborates
+    stacks go in the groups of ``linalg.groups``, so a long Kraus list is
+    not held six times.  This only corroborates
     ``is_inference_symmetric``, which quantifies over all bases: the
     identity suite and the tests hold the two to each other.
     """
@@ -1046,13 +1043,12 @@ def _sampled_table_asymmetry(channels: Sequence[QuantumMap], seed: int) -> list[
         if d not in rotations:
             rotations[d] = linalg.haar_random_unitaries(d, range(seed, seed + 10))
         v, w = rotations[d][0::2, None], dagger(rotations[d][1::2, None])
-        size = max(1, linalg.STACK_BYTES // kraus.nbytes)
         samples = []
         # Stack 0 is K itself and stack t + 1 pair t's rotation.
-        for start in range(0, 6, size):
-            pairs = slice(max(start - 1, 0), start + size - 1)
+        for group in linalg.groups(6, kraus.nbytes):
+            pairs = slice(max(group.start - 1, 0), group.stop - 1)
             rotated = w[pairs] @ kraus @ v[pairs]
-            samples.append(_table_asymmetry(np.concatenate((kraus[None], rotated)) if start == 0 else rotated))
+            samples.append(_table_asymmetry(np.concatenate((kraus[None], rotated)) if group.start == 0 else rotated))
         gaps.append(max(samples))
     return gaps
 

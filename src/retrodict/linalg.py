@@ -9,7 +9,7 @@ arrays, operators are 2-D complex arrays.
 from __future__ import annotations
 
 from functools import reduce
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -17,9 +17,21 @@ import numpy as np
 ATOL_STRUCTURAL = 1e-10
 
 # Work whose memory grows with an instance count is done in stacks of at most
-# this many bytes: verify's D x D Haar draws, the rotated Kraus stacks of the
-# sampled-basis check, and the probes of ``purify.verify_purification``.
+# this many bytes, grouped by ``groups``.
 STACK_BYTES = 1 << 22
+
+
+def groups(n: int, item_bytes: int) -> Iterator[slice]:
+    """Slices that cover range(n) in order, each of max(1, STACK_BYTES // max(1, item_bytes)) items.
+
+    The last slice may be shorter.  This is the one grouping rule of every
+    stacked pass: a stack holds at most ``STACK_BYTES`` of items of
+    ``item_bytes`` each, and at least one item, however large.  The budget is
+    read at each call.
+    """
+    size = max(1, STACK_BYTES // max(1, item_bytes))
+    for start in range(0, n, size):
+        yield slice(start, min(start + size, n))
 
 
 def dagger(m: np.ndarray) -> np.ndarray:

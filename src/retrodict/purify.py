@@ -207,18 +207,17 @@ def _round_trip_defects(kraus: np.ndarray, v: np.ndarray, states: np.ndarray) ->
     ``kraus`` is (..., K, d_X, d_A), ``v`` (..., d_X, d_Z, d_A) and
     ``states`` (..., trials, d_A, d_A), on the same leading instance axes or
     none.  An instance's probes are the d_A^2 matrix units E_ij in row-major
-    order, then its states.  They are made and compared in stacks of at
-    most ``linalg.STACK_BYTES``, so the memory does not grow as d_A^4, and
-    each side's order of contraction is chosen once for all of them.
+    order, then its states.  They are made and compared in the stacks of
+    ``linalg.groups``, so the memory does not grow as d_A^4, and each side's
+    order of contraction is chosen once for all of them.
     """
     lead = v.shape[:-3]
     d_a = v.shape[-1]
     count = d_a * d_a + states.shape[-3]
-    size = max(1, linalg.STACK_BYTES // (16 * d_a * d_a * math.prod(lead)))
     expected, images = (_image_map(w, count) for w in (kraus.swapaxes(-3, -2), v))
     defect = np.zeros(lead)
-    for start in range(0, count, size):
-        probes = _probes(states, start, min(start + size, count))
+    for group in linalg.groups(count, 16 * d_a * d_a * math.prod(lead)):
+        probes = _probes(states, group.start, group.stop)
         defect = np.maximum(defect, np.max(np.abs(expected(probes) - images(probes)), axis=(-3, -2, -1)))
     return defect
 

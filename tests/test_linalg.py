@@ -290,3 +290,37 @@ def test_complete_to_unitary_skips_candidates_in_the_span():
     u = linalg.complete_to_unitary(cols, [3, 1])
     np.testing.assert_allclose(u, per_vector_completion(cols, [3, 1]), rtol=0, atol=1e-12)
     assert not np.any(np.abs(u[0, [0, 2, 4]]) > 1e-12)
+
+
+def covered(slices):
+    # the indices the slices name, in their order, after checking each names at least one
+    assert all(s.step is None and s.stop > s.start for s in slices)
+    return [i for s in slices for i in range(s.start, s.stop)]
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 6, 13])
+@pytest.mark.parametrize("item_bytes", [0, 1, 1 << 10, (1 << 21) + 1, 1 << 22, (1 << 22) + 1, 1 << 40])
+def test_groups_cover_each_index_once_in_order(n, item_bytes):
+    slices = list(linalg.groups(n, item_bytes))
+    assert covered(slices) == list(range(n))
+    size = max(1, linalg.STACK_BYTES // max(1, item_bytes))
+    # every slice but the last holds the full count, and the last no more than that
+    assert all(s.stop - s.start == size for s in slices[:-1])
+    assert all(0 < s.stop - s.start <= size for s in slices[-1:])
+
+
+def test_groups_of_items_at_and_beyond_the_budget():
+    assert list(linalg.groups(0, 16)) == []
+    assert list(linalg.groups(3, 0)) == [slice(0, 3)]
+    assert list(linalg.groups(3, (1 << 22) + 1)) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+    assert list(linalg.groups(5, 1 << 21)) == [slice(0, 2), slice(2, 4), slice(4, 5)]
+
+
+@pytest.mark.parametrize("budget, expected", [
+    (1, [slice(i, i + 1) for i in range(5)]),
+    (47, [slice(0, 5)]),
+    (20, [slice(0, 2), slice(2, 4), slice(4, 5)]),
+])
+def test_groups_read_the_budget_when_called(monkeypatch, budget, expected):
+    monkeypatch.setattr(linalg, "STACK_BYTES", budget)
+    assert list(linalg.groups(5, 9)) == expected
