@@ -244,8 +244,8 @@ def _run_verify(report: ReportDocument, dims: tuple[int, int], seed: int, tolera
     )
     report.add_check("channel-bayes-factor", defect, tol_exact)
 
-    # Instance t is verify_purification(channel, stinespring(channel), trials=5, seed=t) and the
-    # postdiction rows of that dilation and of rotate_ancilla(dilation, rng_base + 40 + t).
+    # Instance t is verify_purification(channel, rotated, trials=5, seed=t) for the dilation
+    # rotated = rotate_ancilla(stinespring(channel), rng_base + 40 + t), and the postdiction rows of both.
     defect = _purified_ratio_defects(noisy[:3], 5, range(rng_base + 40, rng_base + 43)).max()
     report.add_check("purified-ratio", defect, tol_purified)
 

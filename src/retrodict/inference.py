@@ -367,21 +367,25 @@ def _purified_numerators(isometry: np.ndarray, outcomes=slice(None)) -> np.ndarr
 def _purified_ratio_defects(kraus: np.ndarray, trials: int, rotation_seeds: Sequence[int]) -> np.ndarray:
     """The purified-ratio defect of each channel of an (n, K, d_X, d_A) stack of Kraus stacks.
 
-    Instance t's defect is the larger of its round trip,
-    ``verify_purification(channel, stinespring(channel), trials, seed=t)``,
-    and the largest gap between the channel's flat-prior postdiction rows
-    and those read off its dilation and off
-    ``rotate_ancilla(dilation, rotation_seeds[t])``, bit for bit, with no
-    map or purification built.  The states of seeds 0 ... n + trials - 2
-    are drawn once, and instance t reads its window t ... t + trials - 1.
+    Instance t's defect is the largest of its round trip through the
+    rotated dilation,
+    ``verify_purification(channel, rotate_ancilla(stinespring(channel), rotation_seeds[t]), trials, seed=t)``,
+    and the gaps between the channel's flat-prior postdiction rows and
+    those read off its dilation and off that rotation, bit for bit, with
+    no map or purification built.  The round trip runs on the rotation
+    because the dilation's slices are the K_k themselves, so there both of
+    its sides would be one sum; the rotation's slices sum_k W_zk K_k make
+    tr_Z a different one.  The states of seeds 0 ... n + trials - 2 are
+    drawn once, and instance t reads its window t ... t + trials - 1.
 
     Instances go in the stacks of ``linalg.groups``, each counted by the
-    larger of its Kraus stack and its rotation.  A stack's dilations V are checked at once, V'V = sum K'K = I
-    (``channels._check_completeness``); its rotations are one Haar draw,
-    its direct rows come from one ``_transitions`` call, looked up when
-    called, and the numerators of the stack's dilations from one product
-    and of their rotations from another: one product over both would need
-    a stacked copy of both, which costs milliseconds from d_A = 12 on.
+    larger of its Kraus stack and its rotation.  A stack's dilations V are
+    checked at once, V'V = sum K'K = I (``channels._check_completeness``);
+    its rotations are one Haar draw, its direct rows come from one
+    ``_transitions`` call, looked up when called, and the numerators of the
+    stack's dilations from one product and of their rotations from
+    another: one product over both would need a stacked copy of both,
+    which costs milliseconds from d_A = 12 on.
     """
     n, count, d_x, d_a = kraus.shape
     states = linalg.random_density_matrices(d_a, range(n + trials - 1))
@@ -391,8 +395,8 @@ def _purified_ratio_defects(kraus: np.ndarray, trials: int, rotation_seeds: Sequ
     for group in linalg.groups(n, 16 * max(kraus[0].size, d_y * d_y)):
         v = _dilations(kraus[group])
         _check_completeness(v.reshape(len(v), -1, d_a))
-        defect = _round_trip_defects(kraus[group], v, windows[group])
         rotated = _rotated(v, linalg.haar_random_unitaries(d_y, rotation_seeds[group]))
+        defect = _round_trip_defects(kraus[group], rotated, windows[group])
         direct, _ = _bayes_rows(_table_rows(kraus[group], (d_x, d_a), (GIVEN, GUESSED)))
         for dilations in (v, rotated):
             via, _ = _bayes_rows(_purified_numerators(dilations))

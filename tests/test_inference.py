@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from retrodict import inference, linalg
+from retrodict import inference, linalg, purify
 from retrodict.channels import (
     Instrument,
     QuantumMap,
@@ -1443,18 +1443,39 @@ def test_verify_catches_a_kernel_that_averages_a_fixed_factor(monkeypatch, capsy
     assert {"open-reversal", "open-ratio-laws"} <= failing
 
 
-def test_verify_catches_a_wrong_but_normalized_kernel(monkeypatch, capsys):
+@pytest.mark.parametrize("budget", [1, linalg.STACK_BYTES], ids=["one-per-stack", "default"])
+@pytest.mark.parametrize("dims", [("2", "3"), ("3", "3")])
+def test_verify_catches_a_wrong_but_normalized_kernel(monkeypatch, capsys, budget, dims):
     original = inference._transitions
 
     def outcome_axis_reversed(*args, **kwargs):
-        # Reversing the outcome axis keeps every column a distribution.
-        return original(*args, **kwargs)[::-1]
+        # Reversing the outcome axis keeps every column a distribution.  It is counted from the
+        # end, so it is the outcome axis of a stacked array too, not the instance axis.
+        return np.flip(original(*args, **kwargs), axis=-2)
 
     monkeypatch.setattr(inference, "_transitions", outcome_axis_reversed)
-    code = main(["verify", "--dims", "2", "3", "--format", "json"])
+    monkeypatch.setattr(linalg, "STACK_BYTES", budget)
+    code = main(["verify", "--dims", *dims, "--format", "json"])
     assert code == 5
     failing = {c["name"] for c in json.loads(capsys.readouterr().out)["checks"] if not c["passed"]}
     assert {"closed-symmetry", "open-reversal", "open-ratio-laws", "four-task", "purified-ratio"} <= failing
+
+
+@pytest.mark.parametrize("dims", [("2", "3"), ("4", "4")])
+def test_verify_catches_an_image_map_that_drops_the_conjugate(monkeypatch, capsys, dims):
+    def transposed(v, count):
+        # rho -> sum_z v_z rho v_z^T.  On a dilation whose slices are the K_k this is the same wrong
+        # sum as on the Kraus side; on a rotated one the two differ.
+        def images(probes):
+            return np.einsum("...xza,...pab,...yzb->...pxy", v, probes, v)
+
+        return images
+
+    monkeypatch.setattr(purify, "_image_map", transposed)
+    code = main(["verify", "--dims", *dims, "--format", "json"])
+    assert code == 5
+    failing = {c["name"] for c in json.loads(capsys.readouterr().out)["checks"] if not c["passed"]}
+    assert "purified-ratio" in failing
 
 
 def test_verify_catches_a_kernel_that_rolls_its_columns(monkeypatch, capsys):

@@ -289,15 +289,16 @@ def test_deterministic_effect_matches_the_per_state_reference(channel, n_random_
 
 
 def purified_ratio_reference(channels, rotation_seeds):
-    # The loop verify ran before its stacked pass: per channel a dilation, its round trip on the
-    # states of seeds t ... t + 4, and the postdiction rows of it and of one rotation against the channel's.
+    # Per channel a dilation and one rotation of it, the rotation's round trip on the states of
+    # seeds t ... t + 4, and the postdiction rows of both against the channel's.
     defects = []
     for t, channel in enumerate(channels):
         purification = stinespring(channel)
-        defect = verify_purification(channel, purification, trials=5, seed=t)
+        rotated = rotate_ancilla(purification, rotation_seeds[t])
+        defect = verify_purification(channel, rotated, trials=5, seed=t)
         dims = (channel.dim_out, channel.dim_in)
         direct, _ = inference._bayes_rows(inference._table_rows(channel, dims, (GIVEN, GUESSED)))
-        for dilation in (purification, rotate_ancilla(purification, rotation_seeds[t])):
+        for dilation in (purification, rotated):
             via, _ = inference._bayes_rows(inference._purified_numerators(dilation.isometry))
             defect = max(defect, float(np.max(np.abs(direct - via))))
         defects.append(defect)
