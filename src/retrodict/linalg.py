@@ -156,19 +156,6 @@ def random_density_matrices(d: int, seeds: Sequence[int]) -> np.ndarray:
     return rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
 
 
-def random_density_matrix(d: int, seed: int) -> np.ndarray:
-    """Full-rank random state from a normalized Ginibre Gram matrix."""
-    return random_density_matrices(d, (seed,))[0]
-
-
-def random_pure_state(d: int, seed: int) -> np.ndarray:
-    if d < 1:
-        raise ValueError("dimension must be at least 1")
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return v / np.linalg.norm(v)
-
-
 def is_unitary(m: np.ndarray, atol: float = ATOL_STRUCTURAL) -> bool:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:

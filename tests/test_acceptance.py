@@ -39,6 +39,8 @@ from retrodict.inference import (
 from retrodict.purify import rotate_ancilla, stinespring, verify_purification
 from retrodict.sampler import compare, empirical_conditionals, run_ensemble
 
+from seeded_draws import random_density_matrix
+
 FIXTURES = Path(__file__).parent / "fixtures"
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -257,7 +259,7 @@ def test_criterion_7_no_signalling():
     for t in range(20):
         e = random_instrument(2, 2, 2, 8000 + t)
         f = random_instrument(2, 2, 2, 8100 + t)
-        rho = linalg.random_density_matrix(2, 8200 + t)
+        rho = random_density_matrix(2, 8200 + t)
         outcome = no_signalling_check(e, f, rho, extra_followers=2, seed=8300 + t)
         worst_channel = max(worst_channel, outcome.marginal_defect, outcome.conditional_defect)
         worst_purified = max(worst_purified, outcome.purified_defect)

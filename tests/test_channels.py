@@ -26,6 +26,8 @@ from retrodict.channels import (
 )
 from retrodict.errors import UndefinedConditionalError
 
+from seeded_draws import random_density_matrix
+
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -50,7 +52,7 @@ def maps_agree(a, b, atol=1e-12):
 
 
 def test_apply_identity():
-    rho = linalg.random_density_matrix(3, 0)
+    rho = random_density_matrix(3, 0)
     np.testing.assert_allclose(apply(QuantumMap((np.eye(3),), 3, 3), rho), rho, atol=1e-14)
 
 
@@ -71,7 +73,7 @@ def test_apply_rejects_dimension_mismatch():
 
 def test_apply_preserves_hermiticity_and_trace_bound():
     channel = random_cptp_map(3, 2, 2, 4)
-    rho = linalg.random_density_matrix(3, 9)
+    rho = random_density_matrix(3, 9)
     out = apply(channel, rho)
     assert np.max(np.abs(out - out.conj().T)) < 1e-12
     assert np.trace(out).real <= np.trace(rho).real + 1e-12
@@ -109,7 +111,7 @@ def test_completeness_conserves_probability():
         ]
     ):
         for t in range(100):
-            rho = linalg.random_density_matrix(inst.dim_in, 1000 * seed + t)
+            rho = random_density_matrix(inst.dim_in, 1000 * seed + t)
             total = outcome_probabilities(inst, rho).probabilities().sum()
             assert abs(total - 1.0) < 1e-12
 
@@ -120,7 +122,7 @@ def test_state_update_projection():
 
 
 def test_state_update_identity():
-    rho = linalg.random_density_matrix(2, 5)
+    rho = random_density_matrix(2, 5)
     identity = Instrument((("0", QuantumMap((np.eye(2),), 2, 2)),), 2, 2)
     np.testing.assert_allclose(state_update(identity, rho, "0"), rho, atol=1e-14)
 
@@ -147,14 +149,14 @@ def test_coarse_grain_single_outcome():
 def test_coarse_grain_trace_preserving_on_random_states():
     grained = coarse_grain(random_instrument(2, 3, 2, 23))
     for t in range(100):
-        rho = linalg.random_density_matrix(2, t)
+        rho = random_density_matrix(2, t)
         assert abs(np.trace(apply(grained, rho)).real - 1.0) < 1e-12
 
 
 def test_coarse_grain_is_probability_weighted_mixture():
     # reconstruct the channel from state_update and outcome probabilities
     inst = random_instrument(2, 3, 2, 29)
-    rho = linalg.random_density_matrix(2, 31)
+    rho = random_density_matrix(2, 31)
     table = outcome_probabilities(inst, rho)
     mixture = sum(
         table[label] * state_update(inst, rho, label)
@@ -204,8 +206,8 @@ def test_compose_sequential_satisfies_completeness():
 
 def test_outcome_probabilities_product_state_factorizes():
     # measuring rho (x) sigma in the product basis: outcome 2i+j has probability <i|rho|i><j|sigma|j>
-    rho = linalg.random_density_matrix(2, 11)
-    sigma = linalg.random_density_matrix(2, 12)
+    rho = random_density_matrix(2, 11)
+    sigma = random_density_matrix(2, 12)
     table = outcome_probabilities(projective_instrument(np.eye(4)), linalg.tensor(rho, sigma))
     for i in range(2):
         for j in range(2):
@@ -412,7 +414,7 @@ def test_outcome_probabilities_reproduce_the_effects_of_a_discarding_instrument(
     inst = discarding_instrument(effects)
     assert inst.dim_out == 1
     for seed in range(5):
-        rho = linalg.random_density_matrix(2, seed)
+        rho = random_density_matrix(2, seed)
         table = outcome_probabilities(inst, rho)
         for j, effect in enumerate(effects):
             assert table[str(j)] == pytest.approx(np.trace(effect @ rho).real, abs=1e-12)

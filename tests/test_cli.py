@@ -31,6 +31,8 @@ from retrodict.serialize import (
     scenario_to_dict,
 )
 
+from seeded_draws import random_pure_state
+
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
@@ -932,7 +934,7 @@ def _documents(draw):
             dims_in=dims,
             dims_out=dims,
             transformation=transformation,
-            preparation_states=(rd.linalg.random_pure_state(total, seed),) if kind == "states" else None,
+            preparation_states=(random_pure_state(total, seed),) if kind == "states" else None,
             given_input=givens(),
             given_output=givens(),
             given_outcome=draw(st.sampled_from([None, "0", "1"])) if kind == "instrument" else None,

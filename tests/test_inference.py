@@ -50,6 +50,8 @@ from retrodict.inference import (
 from retrodict.purify import purify_instrument, rotate_ancilla, stinespring
 from retrodict.tables import ProbabilityTable, join_labels
 
+from seeded_draws import random_density_matrix
+
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -670,7 +672,7 @@ def test_towards_past_matches_full_unitary_reference(d_a, d_b):
 def test_no_signalling_identity_follower():
     e = projective_instrument(np.eye(2))
     f = Instrument((("0", QuantumMap((np.eye(2),), 2, 2)),), 2, 2)
-    rho = linalg.random_density_matrix(2, 97)
+    rho = random_density_matrix(2, 97)
     report = no_signalling_check(e, f, rho, extra_followers=0)
     assert report.marginal_defect < 1e-12
 
@@ -696,7 +698,7 @@ def test_no_signalling_random_instruments():
     for seed in range(20):
         e = random_instrument(2, 2, 2, 200 + seed)
         f = random_instrument(2, 2, 2, 300 + seed)
-        rho = linalg.random_density_matrix(2, 400 + seed)
+        rho = random_density_matrix(2, 400 + seed)
         report = no_signalling_check(e, f, rho, extra_followers=2, seed=seed)
         assert report.marginal_defect < 1e-12
         assert report.conditional_defect < 1e-12
@@ -794,7 +796,7 @@ NO_SIGNALLING_CASES = {
 @pytest.mark.parametrize("extra_followers", [0, 2])
 def test_no_signalling_report_matches_the_instrument_object_reference(case, extra_followers):
     e, f, d = case
-    for rho in (linalg.random_density_matrix(d, 21), linalg.basis_projector(d, 0)):
+    for rho in (random_density_matrix(d, 21), linalg.basis_projector(d, 0)):
         report = no_signalling_check(e, f, rho, extra_followers=extra_followers, seed=22)
         marginal, conditional, skipped = no_signalling_reference(e, f, rho, extra_followers, 22)
         assert abs(report.marginal_defect - marginal) <= 1e-15

@@ -24,6 +24,8 @@ from retrodict.inference import GIVEN, GUESSED, SUMMED
 from retrodict.purify import purify_instrument, rotate_ancilla, stinespring, verify_purification
 from retrodict.tables import join_labels
 
+from seeded_draws import random_density_matrix
+
 COUNTS = [1, 2, 4, 9, 36]
 # numpy's axis-0 sum departs from list order in the last bit for some of the
 # 1 x 1 stacks (verify --dims 1 1), so each count gets several of them.
@@ -95,7 +97,7 @@ def test_an_empty_list_is_rejected(ops):
 @pytest.mark.parametrize("n", COUNTS)
 def test_apply_matches_the_per_operator_loop(n):
     for channel in channels_with(n):
-        rho = linalg.random_density_matrix(channel.dim_in, n)
+        rho = random_density_matrix(channel.dim_in, n)
         expected = np.zeros((channel.dim_out, channel.dim_out), dtype=complex)
         for k in channel.kraus:
             expected += k @ rho @ k.conj().T

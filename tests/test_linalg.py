@@ -3,6 +3,8 @@ import pytest
 
 from retrodict import linalg
 
+from seeded_draws import random_density_matrix, random_pure_state
+
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
@@ -55,15 +57,15 @@ def test_tensor_associative_on_integer_matrices():
 
 
 def test_partial_trace_product_state():
-    rho = linalg.random_density_matrix(2, 1)
-    sigma = linalg.random_density_matrix(3, 2)
+    rho = random_density_matrix(2, 1)
+    sigma = random_density_matrix(3, 2)
     reduced = linalg.partial_trace(linalg.tensor(rho, sigma), (2, 3), keep=[0])
     np.testing.assert_allclose(reduced, rho, atol=1e-12)
 
 
 def test_partial_trace_scales_with_trace_of_discarded_factor():
-    rho = linalg.random_density_matrix(2, 3)
-    sigma = 2.5 * linalg.random_density_matrix(2, 4)
+    rho = random_density_matrix(2, 3)
+    sigma = 2.5 * random_density_matrix(2, 4)
     reduced = linalg.partial_trace(linalg.tensor(rho, sigma), (2, 2), keep=[0])
     np.testing.assert_allclose(reduced, rho * np.trace(sigma), atol=1e-12)
 
@@ -87,7 +89,7 @@ def test_partial_trace_against_index_oracle():
 
 
 def test_partial_trace_preserves_trace():
-    m = linalg.random_density_matrix(12, 5)
+    m = random_density_matrix(12, 5)
     for keep in ([0], [1], [0, 1], [2], [0, 2]):
         reduced = linalg.partial_trace(m, (2, 3, 2), keep=keep)
         assert abs(np.trace(reduced) - np.trace(m)) < 1e-12
@@ -145,12 +147,12 @@ def test_buffered_draws_equal_a_per_seed_oracle_bit_for_bit(d, seeds):
         for got, seed in zip(stack, seeds):
             assert got.tobytes() == reference(d, seed).tobytes()
     for seed in seeds[:2]:
-        assert linalg.random_density_matrix(d, seed).tobytes() == density_reference(d, seed).tobytes()
+        assert random_density_matrix(d, seed).tobytes() == density_reference(d, seed).tobytes()
 
 
 @pytest.mark.parametrize("d", [0, -2])
 def test_random_states_reject_a_dimension_below_one(d):
-    for draw in (linalg.random_density_matrix, linalg.random_pure_state):
+    for draw in (random_density_matrix, random_pure_state):
         with pytest.raises(ValueError, match="dimension must be at least 1"):
             draw(d, 1)
     with pytest.raises(ValueError, match="dimension must be at least 1"):

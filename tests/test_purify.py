@@ -25,6 +25,8 @@ from retrodict.purify import (
     verify_purification,
 )
 
+from seeded_draws import random_density_matrix
+
 PLUS = linalg.projector(np.array([1, 1], dtype=complex) / np.sqrt(2))
 
 
@@ -284,7 +286,7 @@ def test_verify_purification_in_probe_stacks_of_a_byte_budget(monkeypatch, budge
 
 
 def probe_states(d):
-    return [*np.eye(d * d).reshape(d * d, d, d), *(linalg.random_density_matrix(d, s) for s in range(3))]
+    return [*np.eye(d * d).reshape(d * d, d, d), *(random_density_matrix(d, s) for s in range(3))]
 
 
 @pytest.mark.parametrize("d_a, d_b", [(2, 2), (3, 2), (2, 3)])

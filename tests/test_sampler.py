@@ -42,6 +42,8 @@ from retrodict.sampler import (
 )
 from retrodict.tables import ProbabilityTable, join_labels
 
+from seeded_draws import random_pure_state
+
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -275,7 +277,7 @@ OPEN_8X16 = InferenceTask(
 def sampling_tasks():
     states = (
         linalg.basis_ket(3, 0),
-        linalg.random_pure_state(3, 2),
+        random_pure_state(3, 2),
         np.array([1, 1, 1], dtype=complex) / np.sqrt(3),
     )
     open_task = InferenceTask(
@@ -436,7 +438,7 @@ def test_trial_uniforms_are_the_raw_philox_words_shifted_and_scaled(first):
 
 def _grid_tasks():
     # a unitary, a channel, a preparation-state set and a multi-outcome instrument
-    states = (linalg.basis_ket(3, 1), linalg.random_pure_state(3, 70), linalg.random_pure_state(3, 71))
+    states = (linalg.basis_ket(3, 1), random_pure_state(3, 70), random_pure_state(3, 71))
     return [
         closed_task(linalg.haar_random_unitary(3, 72)),
         channel_task(random_cptp_map(3, 2, 3, 73)),

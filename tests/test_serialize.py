@@ -37,6 +37,8 @@ from retrodict.serialize import (
 )
 from retrodict.tables import ProbabilityTable
 
+from seeded_draws import random_pure_state
+
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
@@ -46,7 +48,7 @@ def test_matrix_round_trip():
 
 
 def test_ket_round_trip():
-    v = linalg.random_pure_state(4, 3)
+    v = random_pure_state(4, 3)
     np.testing.assert_allclose(wire_to_ket(ket_to_wire(v)), v, atol=0)
 
 
@@ -303,7 +305,7 @@ def _scenarios(draw):
         transformation = linalg.haar_random_unitary(total_in, seed)
         if kind == "preparation-states":
             count = draw(st.integers(1, 3))
-            states = tuple(linalg.random_pure_state(total_in, seed + i) for i in range(count))
+            states = tuple(random_pure_state(total_in, seed + i) for i in range(count))
     else:
         dims_out = draw(factors)
         total_out = math.prod(dims_out)
