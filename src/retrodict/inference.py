@@ -367,16 +367,15 @@ def _purified_numerators(isometry: np.ndarray, outcomes=slice(None)) -> np.ndarr
 def _purified_ratio_defects(kraus: np.ndarray, trials: int, rotation_seeds: Sequence[int]) -> np.ndarray:
     """The purified-ratio defect of each channel of an (n, K, d_X, d_A) stack of Kraus stacks.
 
-    Instance t's defect is the largest of its round trip through the
-    rotated dilation,
-    ``verify_purification(channel, rotate_ancilla(stinespring(channel), rotation_seeds[t]), trials, seed=t)``,
+    Instance t's defect is the largest of its round trip,
+    ``verify_purification(channel, rotated, trials, seed=t)`` for
+    ``rotated = rotate_ancilla(stinespring(channel), rotation_seeds[t])``,
     and the gaps between the channel's flat-prior postdiction rows and
     those read off its dilation and off that rotation, bit for bit, with
-    no map or purification built.  The round trip runs on the rotation
-    because the dilation's slices are the K_k themselves, so there both of
-    its sides would be one sum; the rotation's slices sum_k W_zk K_k make
-    tr_Z a different one.  The states of seeds 0 ... n + trials - 2 are
-    drawn once, and instance t reads its window t ... t + trials - 1.
+    no map or purification built.  The round trip runs on the rotation:
+    the dilation's slices are the K_k themselves, so both of its sides
+    would be one sum.  The states of seeds 0 ... n + trials - 2 are drawn
+    once, and instance t reads its window t ... t + trials - 1.
 
     Instances go in the stacks of ``linalg.groups``, each counted by the
     larger of its Kraus stack and its rotation.  A stack's dilations V are
