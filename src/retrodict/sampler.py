@@ -19,13 +19,17 @@ per trial, in trial order; trial t consumes exactly slots [3t, 3t+3).  Counts
 are therefore reproducible bit-for-bit and independent of how trials are
 scheduled.  The ensemble is counted in chunks of ``CHUNK_TRIALS`` trials,
 each chunk's uniforms starting at its first trial's slot (the counter is
-advanced, not replayed).  The CDFs of every alternative are stacked once, so
-a chunk draws each stage for all its trials with one batched search and
-tallies its (input label, output label) cells with one ``bincount`` into one
-count grid, ``count_grid``.  A unitary, a channel or a preparation set has a
-single outcome, so its outcome stage draws nothing: the outcome is 0 and its
-uniform is skipped, still consumed from the stream.  Memory is bounded by T
-and the chunk, not by ``shots``, and the chunk size cannot change the counts.
+advanced, not replayed).  The chunk is sized for a core's 2 MiB L2 cache:
+its uniforms, alternatives, search positions and targets take about 100
+bytes a trial, under 1 MB at 2**13 trials, so each stage reads back what the
+previous one wrote without going to memory.  The CDFs of every alternative
+are stacked once, so a chunk draws each stage for all its trials with one
+batched search and tallies its (input label, output label) cells with one
+``bincount`` into one count grid, ``count_grid``.  A unitary, a channel or a
+preparation set has a single outcome, so its outcome stage draws nothing:
+the outcome is 0 and its uniform is skipped, still consumed from the stream.
+Memory is bounded by T and the chunk, not by ``shots``, and since Philox is
+counter-based the chunk size cannot change the counts.
 
 The grid read along its rows gives the prediction rows, and read down its
 columns the postdiction rows.  ``verdicts`` holds every sampled row to its
@@ -44,8 +48,10 @@ from .inference import InferenceTask
 from .tables import ProbabilityTable, first_invalid_row
 
 SLOTS_PER_TRIAL = 3
-# Trials counted per chunk; a chunk's uniforms take 24 bytes per trial.
-CHUNK_TRIALS = 1 << 16
+# Trials counted per chunk, sized for the cache: a chunk's uniforms, alternatives,
+# search positions and targets, about 100 bytes a trial, stay under 1 MB, inside one
+# core's 2 MiB L2.  Memory stays bounded in shots, and the counts do not depend on it.
+CHUNK_TRIALS = 1 << 13
 # Philox is keyed by one 64-bit word: seeds lie in [0, SEED_LIMIT).
 SEED_LIMIT = 2**64
 

@@ -314,13 +314,18 @@ def test_vectorized_counts_equal_the_per_trial_loop(name, seed):
     assert run_ensemble(task, 4000, seed).joint_counts == reference_counts(task, 4000, seed)
 
 
+# 20 001 shots: two full chunks of 8192 and a ragged third, or one ragged chunk of 65536;
+# chunks of 1 and 7 keep to 1000 shots, a Philox set-up each
+CHUNK_SHOTS = [(1, 1000), (7, 1000), (1000, 20_001), (8192, 20_001), (65536, 20_001)]
+
+
 @pytest.mark.parametrize("name", ["qutrit-instrument", "open-4x4-masks"])
-@pytest.mark.parametrize("chunk", [1, 7, 1000])
-def test_counts_do_not_depend_on_the_chunk_size(name, chunk, monkeypatch):
+@pytest.mark.parametrize("chunk, shots", CHUNK_SHOTS, ids=[str(chunk) for chunk, _ in CHUNK_SHOTS])
+def test_counts_do_not_depend_on_the_chunk_size(name, chunk, shots, monkeypatch):
     task = sampling_tasks()[name]
-    expected = reference_counts(task, 1000, 3)
+    expected = reference_counts(task, shots, 3)
     monkeypatch.setattr(sampler, "CHUNK_TRIALS", chunk)
-    assert run_ensemble(task, 1000, 3).joint_counts == expected
+    assert run_ensemble(task, shots, 3).joint_counts == expected
 
 
 @pytest.mark.parametrize("name", ["qutrit-instrument", "open-8x16-masks"])
@@ -364,6 +369,21 @@ def test_ensemble_memory_is_bounded_in_shots():
         tracemalloc.stop()
     assert sum(result.joint_counts.values()) == 2_000_000
     assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("name", ["hadamard", "open-4x4-masks"])
+def test_a_chunk_fits_a_cores_cache(name):
+    # one chunk's uniforms, alternatives, search positions and targets, about 100 bytes a
+    # trial, under half of a core's 2 MiB L2
+    task = sampling_tasks()[name]
+    tracemalloc.start()
+    try:
+        grid = count_grid(task, 1_000_000, 1)[2]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid.sum() == 1_000_000
+    assert peak < 2**20
 
 
 def test_ensemble_memory_is_bounded_in_the_dimension():
