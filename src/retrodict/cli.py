@@ -23,12 +23,10 @@ from .channels import (
     QuantumMap,
     _noisy_kraus,
     _random_kraus_stacks,
-    adjoint_map,
     amplitude_damping,
     check_cptp,
     classify,
     coarse_grain,
-    is_trace_preserving,
     make_dephasing,
 )
 from .errors import NoActiveReverseError, ScenarioError, UndefinedConditionalError
@@ -119,8 +117,9 @@ def _run_classify(scenario: ScenarioFile, report: ReportDocument):
         channel = coarse_grain(transformation)
     else:
         channel = transformation
+    # Every transformation here is a channel (checked when parsed, or an instrument's coarse
+    # graining), so sum K K' = I, unitality, is also inference symmetry and an active reversal.
     info = classify(channel)
-    symmetric = is_inference_symmetric(channel) if info.is_tp else False
     report.metrics.update(
         {
             "cp": info.is_cp,
@@ -129,8 +128,8 @@ def _run_classify(scenario: ScenarioFile, report: ReportDocument):
             "choi_min_eigenvalue": info.choi_min_eigenvalue,
             # inf for a map between spaces of different dimension, which JSON cannot carry
             "unital_defect": info.unital_defect if math.isfinite(info.unital_defect) else None,
-            "inference_symmetric": symmetric,
-            "active_reverse": "exists" if is_trace_preserving(adjoint_map(channel)) else "none",
+            "inference_symmetric": info.is_unital,
+            "active_reverse": "exists" if info.is_unital else "none",
         }
     )
 
@@ -183,16 +182,16 @@ def _pool_defects(us: np.ndarray, dims: tuple[int, int]) -> tuple[float, float, 
     # Both tables against the Born values |<x|U|a>|^2 read off U itself, indexed [a, x]:
     # the prediction rows are [a, x] and the postdiction rows [x, a].
     born = np.abs(us.swapaxes(-1, -2)) ** 2
-    pre = _table_rows(us, (d, d), (GUESSED, GIVEN))
-    post, _ = _bayes_rows(_table_rows(us, (d, d), (GIVEN, GUESSED)))
+    pre = _table_rows(us[:, None], (d, d), (GUESSED, GIVEN))
+    post, _ = _bayes_rows(_table_rows(us[:, None], (d, d), (GIVEN, GUESSED)))
     closed = max(float(np.max(np.abs(pre - born))), float(np.max(np.abs(post.swapaxes(-1, -2) - born))))
 
     reversal = open_reversal_check(us, dims)["max"]
 
     # Solved predictions against operator-level postdictions, so the law
     # is not read twice off one transition array.
-    pre = _table_rows(us, dims + dims, (GUESSED, SUMMED, GIVEN, AVERAGED))
-    post = _pull_back_reference((us,), dims, (range(d_a), None), dims, (True, False))
+    pre = _table_rows(us[:, None], dims + dims, (GUESSED, SUMMED, GIVEN, AVERAGED))
+    post = _pull_back_reference(us[:, None], dims, (range(d_a), None), dims, (True, False))
     return closed, reversal, float(np.max(np.abs(d_b * post.swapaxes(-1, -2) - d_b * pre)))
 
 
@@ -237,7 +236,7 @@ def _run_verify(report: ReportDocument, dims: tuple[int, int], seed: int, tolera
 
     channel = amplitude_damping(0.5)
     check_cptp(channel)
-    rows, factors = _bayes_rows(_table_rows(channel, (2, 2), (GIVEN, GUESSED)))
+    rows, factors = _bayes_rows(_table_rows(channel.kraus, (2, 2), (GIVEN, GUESSED)))
     defect = max(
         float(np.max(np.abs(rows - [[2 / 3, 1 / 3], [0.0, 1.0]]))),
         float(np.max(np.abs(factors - [2 / 3, 2.0]))),

@@ -27,9 +27,10 @@ sum_k K' E K of the data-side effect, reduced to the guessed factors.  It
 works factor by factor on the complex amplitudes: each data factor's effect
 A_f' A_f (outcome rows <g| on a given factor, I/sqrt(d) on an ignored one)
 is applied to its own axis of K, and the squared moduli are summed over the
-traced axes.  One call covers every given outcome of a relation, and both
-the kernel and the reference take an optional leading axis of instances, so
-one call also covers a stack of random instances.
+traced axes.  One call covers every given outcome of a relation.  Both the
+kernel and the reference read operators as one array, a Kraus list
+(K, D_out, D_in) or (n, K, D_out, D_in) for n instances, so one call also
+covers a stack of random instances.
 """
 
 from __future__ import annotations
@@ -87,60 +88,53 @@ def _transitions(
 ) -> np.ndarray:
     """The transition array T[x, a] = sum_K |K[x, a]|^2 of shape (D_out, D_in).
 
-    A channel sums over its Kraus operators, and so does a bare
-    (n, D_out, D_in) stack of them; an (m, n, D_out, D_in) stack of such
-    stacks gives one array per stack, each summed in its own list order.  A
-    matrix whose columns are the images of the alternatives (a unitary) is
-    the case of one operator.  With
-    preparation ``states`` the columns are the images U|psi_i>.  A
-    multi-outcome instrument stacks one array per outcome into T[k, x, a]; a
-    single-outcome one is the channel of its outcome.  The solver, the
-    sampler and the sampled-basis symmetry check read their array from here.
+    Operators come as one complex array: a Kraus list (K, D_out, D_in),
+    summed in list order, or (n, K, D_out, D_in) for n instances, one array
+    each; a stack of n unitaries is ``us[:, None]``.  At most one instance
+    axis is accepted.  A task's transformation reads as one such array: a
+    channel is its Kraus list, and a unitary matrix is one operator, whose
+    columns with preparation ``states`` are the images U|psi_i>.  A
+    multi-outcome instrument stacks one array per outcome into T[k, x, a];
+    a single-outcome one is the channel of its outcome.  The solver, the
+    sampler and the identity checks read their array from here.
 
-    A single matrix is squared as it is, never copied into a stack: the
-    reductions of ``_contract`` follow the memory layout of T, so a
-    transposed matrix must keep its layout for the tables to keep their bits.
+    Each T keeps the memory layout of its operators: the reductions of
+    ``_contract`` follow it, so a transposed operator must keep its layout
+    for the tables to keep their bits.
     """
     if isinstance(transformation, Instrument):
         stacks = [qmap.kraus for _, qmap in transformation.outcomes]
-    elif isinstance(transformation, QuantumMap):
-        stacks = [transformation.kraus]
-    elif np.ndim(transformation) == 3:
-        stacks = [transformation]
-    elif np.ndim(transformation) == 4:
-        return linalg.ordered_sum((transformation.real**2 + transformation.imag**2).swapaxes(0, 1))
     else:
-        u = np.asarray(transformation, dtype=complex)
-        if states is not None:
-            u = u @ np.stack(states, axis=1)
-        return u.real**2 + u.imag**2
-    arrays = [linalg.ordered_sum(kraus.real**2 + kraus.imag**2) for kraus in stacks]
+        kraus = transformation.kraus if isinstance(transformation, QuantumMap) else np.asarray(transformation, complex)
+        if kraus.ndim == 2:  # a task's unitary
+            kraus = (kraus if states is None else kraus @ np.stack(states, axis=1))[None]
+        stacks = [kraus]
+    # swapaxes, not np.moveaxis, whose Python-level axis handling showed in verify's time per call.
+    arrays = [linalg.ordered_sum((kraus.real**2 + kraus.imag**2).swapaxes(0, -3)) for kraus in stacks]
     return np.stack(arrays) if len(arrays) > 1 else arrays[0]
 
 
-def _contract(t: np.ndarray, dims: Sequence[int], roles: Sequence[str], stacked: bool = False) -> np.ndarray:
+def _contract(t: np.ndarray, roles: Sequence[str]) -> np.ndarray:
     """Every row of one table family: the guessed cells for each combination of given outcomes.
 
-    ``dims`` and ``roles`` list T's axes in order: the instrument outcome,
-    the output factors, then the input factors.  The data axes move to the
-    front in T order, the averaged ones are averaged and the summed ones
-    summed out; rows follow ``itertools.product`` order over the given
-    outcomes, and cells are flattened in label order.
-
-    A ``stacked`` t has a leading instance axis, one transition array per
-    instance, and the rows come back shaped (instances, rows, cells).  No
-    reduction crosses that axis, so each instance's rows are bit for bit
-    those of its own call when its array keeps its own memory layout.
+    ``t`` has one axis per role, in T's order: the instrument outcome, the
+    output factors, then the input factors, behind ``t.ndim - len(roles)``
+    instance axes.  The data axes move to the front in T order, the averaged
+    ones are averaged and the summed ones summed out; rows follow
+    ``itertools.product`` order over the given outcomes, and cells are
+    flattened in label order, shaped (instances..., rows, cells).  No
+    reduction crosses an instance axis, so each instance's rows are bit for
+    bit those of its own call when its array keeps its own memory layout.
     """
-    lead = (len(t),) if stacked else ()
-    n_lead = len(lead)
+    lead = t.ndim - len(roles)
     order = sorted(range(len(roles)), key=lambda axis: roles[axis] not in DATA)
-    t = t.reshape(lead + tuple(dims)).transpose(tuple(range(n_lead)) + tuple(n_lead + axis for axis in order))
+    rows = math.prod(d for d, role in zip(t.shape[lead:], roles) if role == GIVEN)
+    t = t.transpose(tuple(range(lead)) + tuple(lead + axis for axis in order))
     left = [roles[axis] for axis in order]
-    t = t.mean(axis=tuple(n_lead + i for i, role in enumerate(left) if role == AVERAGED))
+    t = t.mean(axis=tuple(lead + i for i, role in enumerate(left) if role == AVERAGED))
     left = [role for role in left if role != AVERAGED]
-    t = t.sum(axis=tuple(n_lead + i for i, role in enumerate(left) if role == SUMMED))
-    return t.reshape(lead + (math.prod(d for d, role in zip(dims, roles) if role == GIVEN), -1))
+    t = t.sum(axis=tuple(lead + i for i, role in enumerate(left) if role == SUMMED))
+    return t.reshape(t.shape[:lead] + (rows, -1))
 
 
 def _normalized(roles: Sequence[str], n_out: int) -> bool:
@@ -149,31 +143,16 @@ def _normalized(roles: Sequence[str], n_out: int) -> bool:
     return any(role in DATA for role in roles[:n_out]) or not all(role in DATA for role in roles[n_out:])
 
 
-def _transition_stack(operands: np.ndarray) -> np.ndarray:
-    """The transition arrays of an (n, D_out, D_in) stack of matrices, each from its own ``_transitions`` call.
+def _table_rows(kraus: np.ndarray, dims: Sequence[int], roles: Sequence[str]) -> np.ndarray:
+    """The unnormalized rows of a table family of a Kraus array, its T's axes in ``dims`` and ``roles``.
 
-    The stack is laid out as the operands are: a stack of adjoints keeps
-    each instance's transposed layout, which ``_contract``'s reductions follow.
+    ``kraus`` is (K, D_out, D_in), or (n, K, D_out, D_in) for n instances,
+    whose rows come from one contraction, shaped (n, rows, cells).  Both
+    stages are looked up in this module when called, so the identity checks
+    that read the kernel from other modules read the one held here.
     """
-    stack = np.empty_like(operands, dtype=float)
-    for i, operand in enumerate(operands):
-        stack[i] = _transitions(operand)
-    return stack
-
-
-def _table_rows(transformation, dims, roles) -> np.ndarray:
-    """The unnormalized rows of a unitary's or a channel's table family, its T's axes in ``dims`` and ``roles``.
-
-    An (n, D, D) stack of unitaries, or an (n, K, D_out, D_in) stack of
-    Kraus stacks, gives every instance's rows from one contraction, shaped
-    (n, rows, cells).  Both stages are looked up in this module when called,
-    so the identity checks that read the kernel from other modules read the
-    one held here.
-    """
-    if isinstance(transformation, np.ndarray) and transformation.ndim > 2:
-        stack = _transitions(transformation) if transformation.ndim == 4 else _transition_stack(transformation)
-        return _contract(stack, dims, roles, stacked=True)
-    return _contract(_transitions(transformation), dims, roles)
+    t = _transitions(kraus)
+    return _contract(t.reshape(t.shape[:-2] + tuple(dims)), roles)
 
 
 def _evidence(numerators: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -197,7 +176,7 @@ def _bayes_rows(numerators: np.ndarray, given: str | None = None) -> tuple[np.nd
 
 
 def _pull_back_reference(
-    kraus: Sequence[np.ndarray],
+    kraus: np.ndarray,
     dims_data: Sequence[int],
     outcomes: Sequence[Sequence[int] | None],
     dims_guess: Sequence[int],
@@ -215,12 +194,13 @@ def _pull_back_reference(
     over the ignored data axes and the unguessed guess axes.  Every listed
     outcome is done in one pass, and no array grows beyond K_k.
 
-    Returns the unnormalized guessed cells in label order, one row per
-    combination of the listed outcomes in ``itertools.product`` order.
-    Operators stacked on a leading instance axis, (n, D_data, D_guess) each,
-    give every instance's rows at once, shaped (n, rows, cells): each
-    factor is one matrix product per instance, as for a single operator, so
-    each instance's rows are bit for bit those of its own call.
+    ``kraus`` is one array in the form ``_transitions`` reads: (K, D_data,
+    D_guess), or (n, K, D_data, D_guess) for n instances.  Returns the
+    unnormalized guessed cells in label order, one row per combination of
+    the listed outcomes in ``itertools.product`` order, shaped (n, rows,
+    cells) for instances: each factor is one matrix product per instance, as
+    for a single operator, so each instance's rows are bit for bit those of
+    its own call.
     """
     factors = [
         np.eye(d) / np.sqrt(d) if listed is None else _basis_rows(d, listed) for d, listed in zip(dims_data, outcomes)
@@ -229,20 +209,19 @@ def _pull_back_reference(
     summed = tuple(k for k, m in enumerate(mask) if not m) + tuple(
         n_guess + f for f, listed in enumerate(outcomes) if listed is None
     )
+    lead = kraus.shape[:-3]
+    n_lead = len(lead)
     cells = 0.0
-    for k in kraus:
-        k = np.asarray(k)
-        lead = k.shape[:-2]
+    for k in kraus.swapaxes(0, -3):
         amplitudes = k.reshape(lead + tuple(dims_data) + tuple(dims_guess))
         for a in factors:
             # Contracts the first data axis; A_f's output axis lands last.
-            moved = np.moveaxis(amplitudes, len(lead), -1)
+            moved = np.moveaxis(amplitudes, n_lead, -1)
             contracted = moved.reshape(lead + (-1, a.shape[1])) @ a.T
             amplitudes = contracted.reshape(moved.shape[:-1] + a.shape[:1])
         squares = amplitudes.real**2 + amplitudes.imag**2
-        cells = cells + squares.sum(axis=tuple(len(lead) + axis for axis in summed))
+        cells = cells + squares.sum(axis=tuple(n_lead + axis for axis in summed))
     # Left: the instance axis, the guessed axes, then the given data axes.
-    n_lead = len(lead)
     n_kept = sum(bool(m) for m in mask)
     kept = tuple(range(n_lead, n_lead + n_kept))
     order = tuple(range(n_lead)) + tuple(range(n_lead + n_kept, cells.ndim)) + kept
@@ -450,7 +429,7 @@ def general_prep_purified_check(
     for i, psi in enumerate(states):
         w[:, i, i] = np.reshape(psi, -1)
     evolved = np.tensordot(u, w, axes=([1], [0])).reshape(d * n, n)
-    numerators = _pull_back_reference((evolved,), (d, n), ((x,), None), (n,), (True,))
+    numerators = _pull_back_reference(evolved[None], (d, n), ((x,), None), (n,), (True,))
     values, _ = _bayes_rows(numerators[0], str(x))
     purified = ProbabilityTable.from_values([str(i) for i in range(n)], values, given=str(x), direction="postdict")
     return GeneralPrepCheck(direct, purified, direct.max_difference(purified))
@@ -629,7 +608,7 @@ def _solve_rows(view, t: np.ndarray) -> tuple[tuple[str, ...], tuple[str, ...], 
     labels, roles, _, n_out = view
     if GUESSED not in roles:
         raise ValueError("at least one factor must be guessed")
-    rows = _contract(t, tuple(map(len, labels)), roles)
+    rows = _contract(t.reshape(tuple(map(len, labels))), roles)
     givens = _joined_labels(labels, tuple(role == GIVEN for role in roles))
     return givens, _joined_labels(labels, tuple(role == GUESSED for role in roles)), rows, _normalized(roles, n_out)
 
@@ -701,9 +680,9 @@ class FourTaskReport:
         object.__setattr__(self, "max_defect", max(float(np.max(np.abs(t - self.reference))) for t in tables))
 
 
-def _born_table(kraus: Sequence[np.ndarray]) -> np.ndarray:
+def _born_table(kraus: np.ndarray) -> np.ndarray:
     """The operator-level Born values tr |x><x| K|a><a|K', indexed [a, x]: one pull-back of every |x><x|."""
-    dim_out, dim_in = kraus[0].shape
+    dim_out, dim_in = kraus.shape[-2:]
     return _pull_back_reference(kraus, (dim_out,), (range(dim_out),), (dim_in,), (True,)).T
 
 
@@ -716,20 +695,20 @@ def four_task_check(transformation: np.ndarray | QuantumMap) -> FourTaskReport:
     array is built once.
     """
     if isinstance(transformation, QuantumMap):
-        forward, reverse, kraus = transformation, adjoint_map(transformation), transformation.kraus
-        if not (is_trace_preserving(forward) and is_trace_preserving(reverse)):
+        reverse = adjoint_map(transformation)
+        if not (is_trace_preserving(transformation) and is_trace_preserving(reverse)):
             raise ValueError("the four-task equality holds for unital channels only")
+        kraus, back_kraus = transformation.kraus, reverse.kraus
     else:
-        u = _check_unitary_arg(transformation)
-        forward, reverse, kraus = u, dagger(u), (u,)
+        kraus = _check_unitary_arg(transformation)[None]
+        back_kraus = dagger(kraus)
     # The adjoint of a unitary or of a unital channel needs no check of its own.
-    dims = kraus[0].shape
-    ahead, back = _transitions(forward), _transitions(reverse)
+    ahead, back = _transitions(kraus), _transitions(back_kraus)
     return FourTaskReport(
-        predict_forward=_contract(ahead, dims, (GUESSED, GIVEN)),
-        postdict_forward=_bayes_rows(_contract(ahead, dims, (GIVEN, GUESSED)))[0].T,
-        predict_reversed=_contract(back, dims[::-1], (GUESSED, GIVEN)).T,
-        postdict_reversed=_bayes_rows(_contract(back, dims[::-1], (GIVEN, GUESSED)))[0],
+        predict_forward=_contract(ahead, (GUESSED, GIVEN)),
+        postdict_forward=_bayes_rows(_contract(ahead, (GIVEN, GUESSED)))[0].T,
+        predict_reversed=_contract(back, (GUESSED, GIVEN)).T,
+        postdict_reversed=_bayes_rows(_contract(back, (GIVEN, GUESSED)))[0],
         reference=_born_table(kraus),
     )
 
@@ -758,8 +737,8 @@ def open_reversal_check(
         raise ValueError("declared dimensions do not match the transformation matrix")
     for operand in stack:
         _check_unitary_arg(operand)
-    ud = dagger(stack)
-    t = _transition_stack(ud)
+    ud = dagger(stack[:, None])
+    t = _transitions(ud).reshape(len(stack), *dims_in, *dims_out)
     # Each relation's roles of the axes of T(U'): U's input factors (a, b), then its output factors (x, y).
     relations = (
         ("pre-a-xy", (GUESSED, SUMMED, GIVEN, GIVEN)),
@@ -771,12 +750,12 @@ def open_reversal_check(
     )
     defects: dict[str, float] = {}
     for name, roles in relations:
-        rows = _contract(t, (*dims_in, *dims_out), roles, stacked=True)
+        rows = _contract(t, roles)
         # The reference pulls the data side's effect back through the operator into it.
-        sides, kraus = ((dims_out, roles[2:]), (dims_in, roles[:2])), (stack,)
+        sides, kraus = ((dims_out, roles[2:]), (dims_in, roles[:2])), stack[:, None]
         if _normalized(roles, len(dims_in)):
             rows, _ = _bayes_rows(rows)
-            sides, kraus = sides[::-1], (ud,)
+            sides, kraus = sides[::-1], ud
         (data_dims, data), (guess_dims, guess) = sides
         outcomes = tuple(range(d) if role == GIVEN else None for d, role in zip(data_dims, data))
         reference = _pull_back_reference(kraus, data_dims, outcomes, guess_dims, [role == GUESSED for role in guess])
@@ -812,7 +791,7 @@ def channel_toward_past_check(channel: QuantumMap, purification: Purification | 
     if purification is None:
         purification = stinespring(channel)
     d_a = purification.dims_in[0]
-    back = dagger(purification.isometry.reshape(-1, d_a))
+    back = dagger(purification.isometry.reshape(1, -1, d_a))
     rows, _ = _bayes_rows(_table_rows(back, (d_a, *purification.dims_out), (GIVEN, GUESSED, SUMMED)))
     return TowardsPastReport(_born_table(channel.kraus), rows)
 
@@ -990,7 +969,7 @@ def _purified_no_signalling_defects(v_e: np.ndarray, v_f: np.ndarray) -> np.ndar
     chain = (v_f.reshape(n, -1, d) @ v_e.reshape(n, d, -1)).reshape(v_f.shape[:-1] + v_e.shape[2:])
     # Isometries compose to an isometry; both were checked when drawn or built.
     # Each row is one data outcome a; the joint cells are (y, x) over the pointers.
-    chain_back, single_back = (dagger(v.reshape(n, -1, d_a)) for v in (chain, v_e))
+    chain_back, single_back = (dagger(v.reshape(n, 1, -1, d_a)) for v in (chain, v_e))
     joint = _table_rows(chain_back, (d_a, *chain.shape[1:-1]), (GIVEN, SUMMED, GUESSED, SUMMED, GUESSED, SUMMED))
     single = _table_rows(single_back, (d_a, *v_e.shape[1:-1]), (GIVEN, SUMMED, GUESSED, SUMMED))
     summed = _bayes_rows(joint)[0].reshape(n, d_a, m_f, m_e).sum(axis=2)

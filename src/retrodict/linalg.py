@@ -164,32 +164,22 @@ def is_unitary(m: np.ndarray, atol: float = ATOL_STRUCTURAL) -> bool:
     return bool(defect < atol)
 
 
-def is_hermitian(m: np.ndarray, atol: float = ATOL_STRUCTURAL) -> bool:
-    m = np.asarray(m, dtype=complex)
-    return m.ndim == 2 and m.shape[0] == m.shape[1] and bool(np.max(np.abs(m - dagger(m))) < atol)
+def check_state(rho: np.ndarray, dim: int) -> np.ndarray:
+    """``rho`` as a complex (dim, dim) density matrix, or a ValueError.
 
-
-def is_positive_semidefinite(m: np.ndarray, atol: float = ATOL_STRUCTURAL) -> bool:
-    if not is_hermitian(m, atol):
-        return False
-    eigs = np.linalg.eigvalsh(m)
-    return bool(eigs.min() >= -atol)
-
-
-def is_density_matrix(m: np.ndarray, atol: float = ATOL_STRUCTURAL) -> bool:
-    m = np.asarray(m, dtype=complex)
-    return (
-        is_positive_semidefinite(m, atol)
-        and bool(abs(np.trace(m).real - 1.0) < atol)
-        and bool(abs(np.trace(m).imag) < atol)
-    )
-
-
-def check_state(rho: np.ndarray, dim: int, atol: float = ATOL_STRUCTURAL) -> np.ndarray:
+    A state is Hermitian, positive semidefinite and of trace 1, each within
+    ``ATOL_STRUCTURAL``; every comparison is written so that a NaN fails it.
+    """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (dim, dim):
         raise ValueError(f"state shape {rho.shape} does not match dimension {dim}")
-    if not is_density_matrix(rho, atol):
+    trace = np.trace(rho)
+    if not (
+        np.max(np.abs(rho - dagger(rho))) < ATOL_STRUCTURAL
+        and np.linalg.eigvalsh(rho).min() >= -ATOL_STRUCTURAL
+        and abs(trace.real - 1.0) < ATOL_STRUCTURAL
+        and abs(trace.imag) < ATOL_STRUCTURAL
+    ):
         raise ValueError("operator is not a density matrix within tolerance")
     return rho
 

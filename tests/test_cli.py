@@ -774,6 +774,50 @@ def test_classify_reports_the_choi_spectrum(capsys):
     assert metrics["choi_min_eigenvalue"] == float(np.linalg.eigvalsh(rd.choi_matrix(channel)).min())
 
 
+# classify's fixtures, and maps of every kind written to a scenario: a unitary, channels and an instrument.
+CLASSIFY_CASES = {
+    **{name: name for name in ("classify_dephasing", "classify_nearly_unital", "classify_trace_2_to_1")},
+    "unitary": lambda: rd.linalg.haar_random_unitary(3, 5),
+    "dephasing": channels.make_dephasing,
+    "amplitude-damping": lambda: channels.amplitude_damping(0.3),
+    "noisy": lambda: channels.make_noisy_operation(rd.linalg.haar_random_unitary(4, 6), (2, 2)),
+    "instrument": lambda: channels.random_instrument(3, 2, 2, 7),
+}
+
+
+@pytest.mark.parametrize("case", CLASSIFY_CASES)
+def test_classify_reads_its_three_verdicts_as_the_library_does(tmp_path, capsys, case):
+    made = CLASSIFY_CASES[case]
+    if isinstance(made, str):
+        path = fixture(f"{made}.json")
+    else:
+        transformation = made()
+        if isinstance(transformation, np.ndarray):
+            dims_in = dims_out = transformation.shape[:1]
+        else:
+            dims_in, dims_out = (transformation.dim_in,), (transformation.dim_out,)
+        scenario = ScenarioFile(
+            task="classify", dims_in=dims_in, dims_out=dims_out, transformation=transformation,
+            preparation_states=None, given_input=(None,), given_output=(None,), given_outcome=None,
+            known_input_mask=(True,), known_output_mask=(True,), shots=None, seed=None,
+        )
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario_to_dict(scenario)))
+    assert main(["classify", "--scenario", str(path), "--format", "json"]) == 0
+    metrics = json.loads(capsys.readouterr().out)["metrics"]
+    transformation = parse_scenario(path).transformation
+    if isinstance(transformation, np.ndarray):
+        channel = rd.QuantumMap((transformation,), len(transformation), len(transformation))
+    elif isinstance(transformation, rd.Instrument):
+        channel = channels.coarse_grain(transformation)
+    else:
+        channel = transformation
+    symmetric = rd.is_inference_symmetric(channel)
+    reversible = channels.is_trace_preserving(channels.adjoint_map(channel))
+    assert metrics["unital"] is metrics["inference_symmetric"] is symmetric is reversible
+    assert metrics["active_reverse"] == ("exists" if reversible else "none")
+
+
 class _ClosedPipe(io.StringIO):
     def write(self, text):
         raise BrokenPipeError(errno.EPIPE, "Broken pipe")

@@ -1153,9 +1153,9 @@ def test_kernel_matches_pull_back_reference_on_random_tasks():
         u = linalg.haar_random_unitary(int(np.prod(dims)), 500 + trial)
         ud = u.conj().T
         pre = predict_open(u, dims, dims, given, mask).probabilities()
-        np.testing.assert_allclose(pre, _reference_row((ud,), dims, given, dims, mask), atol=1e-12)
+        np.testing.assert_allclose(pre, _reference_row(ud[None], dims, given, dims, mask), atol=1e-12)
         post = postdict_open(u, dims, dims, given, mask).probabilities()
-        reference = _normalized(_reference_row((u,), dims, given, dims, mask))
+        reference = _normalized(_reference_row(u[None], dims, given, dims, mask))
         np.testing.assert_allclose(post, reference, atol=1e-12)
 
     for trial in range(6):
@@ -1197,9 +1197,9 @@ def _pull_back_cases():
     # partitions, and channels with several Kraus operators
     rng = np.random.default_rng(77)
     cases = [
-        ((linalg.haar_random_unitary(12, 31),), (2, 6), (3, 4)),
-        ((linalg.haar_random_unitary(12, 32),), (3, 4), (2, 6)),
-        ((linalg.haar_random_unitary(12, 33),), (2, 2, 3), (3, 4)),
+        (linalg.haar_random_unitary(12, 31)[None], (2, 6), (3, 4)),
+        (linalg.haar_random_unitary(12, 32)[None], (3, 4), (2, 6)),
+        (linalg.haar_random_unitary(12, 33)[None], (2, 2, 3), (3, 4)),
         (random_cptp_map(6, 4, 3, 34).kraus, (2, 2), (2, 3)),
         (random_cptp_map(8, 12, 2, 35).kraus, (3, 2, 2), (2, 2, 2)),
     ]
@@ -1230,12 +1230,12 @@ def test_pull_back_reference_matches_kron_oracle(kraus, dims_data, dims_guess):
 
 
 def test_pull_back_reference_batches_a_subset_of_outcomes_in_product_order():
-    u = linalg.haar_random_unitary(12, 36)
-    rows = inference._pull_back_reference((u,), (3, 4), ((2, 0), (3, 1, 1)), (2, 6), (False, True))
+    u = linalg.haar_random_unitary(12, 36)[None]
+    rows = inference._pull_back_reference(u, (3, 4), ((2, 0), (3, 1, 1)), (2, 6), (False, True))
     combos = list(itertools.product((2, 0), (3, 1, 1)))
     assert rows.shape == (6, 6)
     for row, given in zip(rows, combos):
-        np.testing.assert_allclose(row, kron_pull_back_oracle((u,), (3, 4), given, (2, 6), (False, True)), atol=1e-12)
+        np.testing.assert_allclose(row, kron_pull_back_oracle(u, (3, 4), given, (2, 6), (False, True)), atol=1e-12)
 
 
 def test_pull_back_reference_never_calls_the_kernel(monkeypatch):
@@ -1245,7 +1245,7 @@ def test_pull_back_reference_never_calls_the_kernel(monkeypatch):
     monkeypatch.setattr(inference, "_transitions", kernel)
     monkeypatch.setattr(inference, "_contract", kernel)
     u = linalg.haar_random_unitary(9, 37)
-    rows = inference._pull_back_reference((u,), (3, 3), (range(3), None), (3, 3), (True, False))
+    rows = inference._pull_back_reference(u[None], (3, 3), (range(3), None), (3, 3), (True, False))
     assert rows.shape == (3, 3)
     channel = make_noisy_operation(linalg.haar_random_unitary(4, 38), (2, 2))
     assert inference._born_table(channel.kraus).min() >= 0.0
@@ -1301,7 +1301,7 @@ def test_every_batched_row_equals_the_single_row_kernel(data):
     roles = tuple(data.draw(st.lists(st.sampled_from(ROLES), min_size=len(dims), max_size=len(dims))
                             .filter(lambda drawn: GUESSED in drawn), label="roles"))
     combos = list(itertools.product(*(range(d) if role == GIVEN else (None,) for d, role in zip(dims, roles))))
-    rows = inference._contract(t, dims, roles)
+    rows = inference._contract(t.reshape(dims), roles)
     assert rows.shape[0] == len(combos)
     for row, given_data in zip(rows, combos):
         np.testing.assert_allclose(row, single_row_contract(t, dims, roles, given_data), rtol=0, atol=1e-14)
@@ -1320,12 +1320,12 @@ def _operand_stacks(d):
 @pytest.mark.parametrize("dims_in, dims_out", STACK_DIMS)
 def test_a_stacked_contraction_equals_each_instance_contracted_alone(dims_in, dims_out):
     for operands in _operand_stacks(int(np.prod(dims_in))):
-        stack = inference._transition_stack(operands)
+        stack = inference._transitions(operands[:, None]).reshape(len(operands), *dims_out, *dims_in)
         for roles in itertools.product(ROLES, repeat=len(dims_out) + len(dims_in)):
-            rows = inference._contract(stack, dims_out + dims_in, roles, stacked=True)
+            rows = inference._contract(stack, roles)
             assert rows.shape[0] == len(operands)
             for operand, instance_rows in zip(operands, rows):
-                alone = inference._contract(inference._transitions(operand), dims_out + dims_in, roles)
+                alone = inference._contract(inference._transitions(operand[None]).reshape(dims_out + dims_in), roles)
                 assert np.array_equal(instance_rows, alone)
 
 
@@ -1338,11 +1338,11 @@ def test_a_stack_of_transposed_isometries_contracts_as_each_alone():
             v_e = purify_instrument(random_instrument(d_a, 2, 2, 10 * seed + d_a)).isometry
             v_f = purify_instrument(random_instrument(d_a, 2, 2, 10 * seed + d_a + 50)).isometry
             chains.append(np.einsum("zpqd,dmea->zpqmea", v_f, v_e, optimize=True))
-        backs = linalg.dagger(np.stack([chain.reshape(-1, d_a) for chain in chains]))
-        args = ((d_a, *chains[0].shape[:-1]), (GIVEN, SUMMED, GUESSED, SUMMED, GUESSED, SUMMED))
-        rows = inference._contract(inference._transition_stack(backs), *args, stacked=True)
+        backs = linalg.dagger(np.stack([chain.reshape(1, -1, d_a) for chain in chains]))
+        dims, roles = (d_a, *chains[0].shape[:-1]), (GIVEN, SUMMED, GUESSED, SUMMED, GUESSED, SUMMED)
+        rows = inference._contract(inference._transitions(backs).reshape(len(backs), *dims), roles)
         for back, instance_rows in zip(backs, rows):
-            assert np.array_equal(instance_rows, inference._contract(inference._transitions(back), *args))
+            assert np.array_equal(instance_rows, inference._contract(inference._transitions(back).reshape(dims), roles))
 
 
 @pytest.mark.parametrize("dims_in, dims_out", STACK_DIMS)
@@ -1354,10 +1354,10 @@ def test_a_stacked_pull_back_equals_each_instance_pulled_back_alone(dims_in, dim
                 outcomes = tuple(range(d) if g else None for d, g in zip(dims_data, given_factors))
                 for mask in itertools.product((False, True), repeat=len(dims_guess)):
                     args = (dims_data, outcomes, dims_guess, mask)
-                    rows = inference._pull_back_reference((operands,), *args)
+                    rows = inference._pull_back_reference(operands[:, None], *args)
                     assert rows.shape[0] == len(operands)
                     for operand, instance_rows in zip(operands, rows):
-                        assert np.array_equal(instance_rows, inference._pull_back_reference((operand,), *args))
+                        assert np.array_equal(instance_rows, inference._pull_back_reference(operand[None], *args))
 
 
 @pytest.mark.parametrize("dims_in, dims_out", STACK_DIMS)
@@ -1400,67 +1400,91 @@ def test_every_purified_row_equals_its_single_postdiction(channel):
 def test_pull_back_reference_rejects_out_of_range_outcomes(outcome):
     u = linalg.haar_random_unitary(6, 39)
     with pytest.raises(ValueError, match="dimension 3"):
-        inference._pull_back_reference((u,), (3, 2), ((0, outcome), None), (2, 3), (True, True))
+        inference._pull_back_reference(u[None], (3, 2), ((0, outcome), None), (2, 3), (True, True))
 
 
-def _verify_failures(capsys):
-    code = main(["verify", "--dims", "3", "3", "--format", "json"])
-    failing = {c["name"] for c in json.loads(capsys.readouterr().out)["checks"] if not c["passed"]}
-    return code, failing
+def _flipped(t):
+    # Reversing the output axis keeps every column a distribution.  It is counted from the end, so it
+    # is the output axis of an instance stack too, not the instance axis.
+    return np.flip(t, axis=-2)
 
 
-def test_verify_catches_a_kernel_that_swaps_two_data_factors(monkeypatch, capsys):
-    original = inference._contract
-
-    def swapped(t, dims, roles, stacked=False):
-        data = [axis for axis, role in enumerate(roles) if role in DATA]
-        if len(data) >= 2 and dims[data[0]] == dims[data[1]]:
-            # exchange the first two data axes of T, behind a stack's instance axis
-            lead = (len(t),) if stacked else ()
-            t = np.swapaxes(t.reshape(lead + tuple(dims)), len(lead) + data[0], len(lead) + data[1])
-        return original(t, dims, roles, stacked=stacked)
-
-    monkeypatch.setattr(inference, "_contract", swapped)
-    code, failing = _verify_failures(capsys)
-    assert code == 5
-    assert {"open-reversal", "open-ratio-laws"} <= failing
+def _rolled(t):
+    # Each column is still a distribution, attached to the wrong input.
+    return np.roll(t, 1, axis=-1)
 
 
-def test_verify_catches_a_kernel_that_averages_a_fixed_factor(monkeypatch, capsys):
-    original = inference._contract
+def _powered(t):
+    # T^1.5, each column scaled back to its old sum: no permutation of T's entries.
+    powered = t**1.5
+    return powered * (t.sum(axis=-2, keepdims=True) / np.maximum(powered.sum(axis=-2, keepdims=True), 1e-300))
 
-    def averaged(t, dims, roles, stacked=False):
+
+def _swapped(contract):
+    def swapped(t, roles):
+        lead = t.ndim - len(roles)
+        data = [lead + axis for axis, role in enumerate(roles) if role in DATA]
+        if len(data) >= 2 and t.shape[data[0]] == t.shape[data[1]]:
+            t = np.swapaxes(t, data[0], data[1])
+        return contract(t, roles)
+
+    return swapped
+
+
+def _averaged(contract):
+    def averaged(t, roles):
         data = [axis for axis, role in enumerate(roles) if role in DATA]
         if len(data) >= 2 and roles[data[0]] == GIVEN:
-            # every outcome of the first data axis gets the row averaged over it
-            # (np.tile repeats the rows of each instance of a stack too)
+            # Every outcome of the first data axis gets the rows averaged over it (np.tile repeats
+            # the rows of each instance of a stack too).
             first = data[0]
-            rows = original(t, dims, roles[:first] + (AVERAGED,) + roles[first + 1 :], stacked=stacked)
-            return np.tile(rows, (dims[first], 1))
-        return original(t, dims, roles, stacked=stacked)
+            rows = contract(t, roles[:first] + (AVERAGED,) + roles[first + 1 :])
+            return np.tile(rows, (t.shape[t.ndim - len(roles) + first], 1))
+        return contract(t, roles)
 
-    monkeypatch.setattr(inference, "_contract", averaged)
-    code, failing = _verify_failures(capsys)
-    assert code == 5
-    assert {"open-reversal", "open-ratio-laws"} <= failing
+    return averaged
 
 
-@pytest.mark.parametrize("budget", [1, linalg.STACK_BYTES], ids=["one-per-stack", "default"])
-@pytest.mark.parametrize("dims", [("2", "3"), ("3", "3")])
-def test_verify_catches_a_wrong_but_normalized_kernel(monkeypatch, capsys, budget, dims):
-    original = inference._transitions
+def _after(mutate):
+    # a mutant of _transitions: the original array, then mutated
+    return lambda transitions: lambda *args: mutate(transitions(*args))
 
-    def outcome_axis_reversed(*args, **kwargs):
-        # Reversing the outcome axis keeps every column a distribution.  It is counted from the
-        # end, so it is the outcome axis of a stacked array too, not the instance axis.
-        return np.flip(original(*args, **kwargs), axis=-2)
 
-    monkeypatch.setattr(inference, "_transitions", outcome_axis_reversed)
+# Each mutation of the kernel: the stage it replaces, and the mutant built from the original stage.
+KERNEL_MUTATIONS = {
+    "flip": ("_transitions", _after(_flipped)),
+    "roll": ("_transitions", _after(_rolled)),
+    "power": ("_transitions", _after(_powered)),
+    "swap": ("_contract", _swapped),
+    "average": ("_contract", _averaged),
+}
+# The checks each mutation fails.  The data factors of 2 x 3 differ in dimension, so there swap reaches none.
+DIRECT_CHECKS = {"closed-symmetry", "four-task", "open-ratio-laws", "open-reversal", "purified-ratio", "towards-past"}
+MUTATION_FAILURES = {
+    ("flip", "2x3"): DIRECT_CHECKS | {"channel-bayes-factor"},
+    ("flip", "3x3"): DIRECT_CHECKS | {"channel-bayes-factor"},
+    ("roll", "2x3"): DIRECT_CHECKS | {"channel-bayes-factor"},
+    ("roll", "3x3"): DIRECT_CHECKS | {"channel-bayes-factor"},
+    ("power", "2x3"): DIRECT_CHECKS | {"no-signalling-purified"},
+    ("power", "3x3"): DIRECT_CHECKS | {"no-signalling-purified", "unital-symmetric-adjoint"},
+    ("swap", "2x3"): set(),
+    ("swap", "3x3"): {"open-ratio-laws", "open-reversal"},
+    ("average", "2x3"): {"open-ratio-laws", "open-reversal"},
+    ("average", "3x3"): {"open-ratio-laws", "open-reversal"},
+}
+
+
+@pytest.mark.parametrize("budget", [1, 3000, linalg.STACK_BYTES], ids=["one-per-stack", "3000", "default"])
+@pytest.mark.parametrize("dims", ["2x3", "3x3"])
+@pytest.mark.parametrize("mutation", KERNEL_MUTATIONS)
+def test_verify_catches_each_kernel_mutation_in_any_byte_budget(monkeypatch, capsys, mutation, dims, budget):
+    stage, mutant = KERNEL_MUTATIONS[mutation]
+    monkeypatch.setattr(inference, stage, mutant(getattr(inference, stage)))
     monkeypatch.setattr(linalg, "STACK_BYTES", budget)
-    code = main(["verify", "--dims", *dims, "--format", "json"])
-    assert code == 5
+    code = main(["verify", "--dims", *dims.split("x"), "--format", "json"])
     failing = {c["name"] for c in json.loads(capsys.readouterr().out)["checks"] if not c["passed"]}
-    assert {"closed-symmetry", "open-reversal", "open-ratio-laws", "four-task", "purified-ratio"} <= failing
+    expected = MUTATION_FAILURES[mutation, dims]
+    assert (code, failing) == (5 if expected else 0, expected)
 
 
 @pytest.mark.parametrize("dims", [("2", "3"), ("4", "4")])
@@ -1478,20 +1502,6 @@ def test_verify_catches_an_image_map_that_drops_the_conjugate(monkeypatch, capsy
     assert code == 5
     failing = {c["name"] for c in json.loads(capsys.readouterr().out)["checks"] if not c["passed"]}
     assert "purified-ratio" in failing
-
-
-def test_verify_catches_a_kernel_that_rolls_its_columns(monkeypatch, capsys):
-    original = inference._transitions
-
-    def columns_rolled(*args, **kwargs):
-        # Each column is still a distribution, attached to the wrong input.
-        return np.roll(original(*args, **kwargs), 1, axis=-1)
-
-    monkeypatch.setattr(inference, "_transitions", columns_rolled)
-    code = main(["verify", "--dims", "2", "3", "--format", "json"])
-    assert code == 5
-    failing = {c["name"] for c in json.loads(capsys.readouterr().out)["checks"] if not c["passed"]}
-    assert {"closed-symmetry", "open-reversal", "open-ratio-laws", "four-task", "purified-ratio"} <= failing
 
 
 def permutation_matrix(dims, order):

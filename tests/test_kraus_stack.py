@@ -229,12 +229,14 @@ def test_a_transposed_single_matrix_keeps_its_layout_in_the_contraction():
         e, f = random_instrument(d_a, 2, 2, d_a), random_instrument(d_a, 2, 2, d_a + 50)
         v_e, v_f = purify_instrument(e).isometry, purify_instrument(f).isometry
         chain = np.einsum("zpqd,dmea->zpqmea", v_f, v_e, optimize=True)
-        back = linalg.dagger(chain.reshape(-1, d_a))
-        args = ((d_a, *chain.shape[:-1]), (GIVEN, SUMMED, GUESSED, SUMMED, GUESSED, SUMMED))
+        back = linalg.dagger(chain.reshape(1, -1, d_a))
+        dims, roles = (d_a, *chain.shape[:-1]), (GIVEN, SUMMED, GUESSED, SUMMED, GUESSED, SUMMED)
         t = inference._transitions(back)
-        np.testing.assert_array_equal(t, back.real**2 + back.imag**2)
+        squares = back[0].real**2 + back[0].imag**2
+        assert t.strides == squares.strides
+        np.testing.assert_array_equal(t, squares)
         np.testing.assert_array_equal(
-            inference._contract(t, *args), inference._contract(back.real**2 + back.imag**2, *args)
+            inference._contract(t.reshape(dims), roles), inference._contract(squares.reshape(dims), roles)
         )
 
 
@@ -299,7 +301,7 @@ def purified_ratio_reference(channels, rotation_seeds):
         rotated = rotate_ancilla(purification, rotation_seeds[t])
         defect = verify_purification(channel, rotated, trials=5, seed=t)
         dims = (channel.dim_out, channel.dim_in)
-        direct, _ = inference._bayes_rows(inference._table_rows(channel, dims, (GIVEN, GUESSED)))
+        direct, _ = inference._bayes_rows(inference._table_rows(channel.kraus, dims, (GIVEN, GUESSED)))
         for dilation in (purification, rotated):
             via, _ = inference._bayes_rows(inference._purified_numerators(dilation.isometry))
             defect = max(defect, float(np.max(np.abs(direct - via))))

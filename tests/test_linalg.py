@@ -198,6 +198,44 @@ def test_ordered_sum_adds_in_list_order_from_zero():
     assert not np.any(np.signbit(total))
 
 
+def test_check_state_accepts_density_matrices():
+    for rho in (linalg.basis_projector(3, 1), np.eye(2) / 2, random_density_matrix(4, 7)):
+        state = linalg.check_state(rho, len(rho))
+        assert state.dtype == complex
+        np.testing.assert_array_equal(state, rho)
+
+
+def _spoiled(entry, value):
+    rho = np.eye(2, dtype=complex) / 2
+    rho[entry] = value
+    return rho
+
+
+@pytest.mark.parametrize(
+    "rho",
+    [
+        _spoiled((0, 0), np.nan),
+        _spoiled((0, 1), np.nan),
+        _spoiled((0, 1), complex(0.0, np.nan)),
+        _spoiled((0, 1), 0.1),  # not Hermitian
+        np.diag([1.5, -0.5]),  # trace 1, one negative eigenvalue
+        np.eye(2) / 2 * (1 + 1e-9),  # trace off by 1e-9
+        np.diag([0.5 + 1e-9j, 0.5 - 2e-9j]),  # a trace with an imaginary part (and not Hermitian)
+        np.zeros((2, 2)),
+    ],
+    ids=["nan-diagonal", "nan-off-diagonal", "nan-imaginary", "not-hermitian", "negative", "trace", "imag", "zero"],
+)
+def test_check_state_rejects_every_non_state(rho):
+    with pytest.raises(ValueError, match="not a density matrix"):
+        linalg.check_state(rho, 2)
+
+
+@pytest.mark.parametrize("rho", [np.eye(3) / 3, np.ones(2) / 2, np.eye(2)[None] / 2])
+def test_check_state_rejects_a_wrong_shape(rho):
+    with pytest.raises(ValueError, match="does not match dimension 2"):
+        linalg.check_state(rho, 2)
+
+
 def test_basis_kets():
     np.testing.assert_array_equal(linalg.basis_ket(2, 0), [1, 0])
     np.testing.assert_array_equal(linalg.basis_ket(2, 1), [0, 1])

@@ -1,6 +1,11 @@
+import ast
+import collections
 import types
+from pathlib import Path
 
 import retrodict
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # Every task kind is one call: solve(InferenceTask(...)).  A name added to or removed from the
 # package changes one of these tuples, so the change shows in review.
@@ -30,3 +35,37 @@ def test_public_names_are_the_listed_ones():
              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert not set(PUBLIC) & set(BENCHMARK_PINNED)
     assert sorted(names) == sorted(PUBLIC + BENCHMARK_PINNED)
+
+
+def _referenced_names(tree: ast.AST) -> collections.Counter:
+    """Every name a tree reads or imports: bare names, attribute names and imported names."""
+    names = collections.Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_library_definition_is_used_by_the_library_or_the_benchmark():
+    # A top-level function or class of src/retrodict that only the tests reference is not part of the
+    # library.  References come from src/ and bench/, with the names that bench/spans.py traces by string;
+    # a definition's references to itself do not count.
+    sources = sorted((ROOT / "src" / "retrodict").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in sources}
+    referenced = sum((_referenced_names(tree) for tree in trees.values()), collections.Counter())
+    spans = trees[ROOT / "bench" / "spans.py"]
+    strings = (node.value for node in ast.walk(spans) if isinstance(node, ast.Constant))
+    referenced.update(value for value in strings if isinstance(value, str))
+    unused = []
+    for path, tree in trees.items():
+        if path.parent.name != "retrodict":
+            continue
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if referenced[node.name] - _referenced_names(node)[node.name] <= 0:
+                    unused.append(f"{path.name}:{node.lineno} {node.name}")
+    assert unused == []
