@@ -182,16 +182,17 @@ def _pool_defects(us: np.ndarray, dims: tuple[int, int]) -> tuple[float, float, 
     # Both tables against the Born values |<x|U|a>|^2 read off U itself, indexed [a, x]:
     # the prediction rows are [a, x] and the postdiction rows [x, a].
     born = np.abs(us.swapaxes(-1, -2)) ** 2
-    pre = _table_rows(us[:, None], (d, d), (GUESSED, GIVEN))
-    post, _ = _bayes_rows(_table_rows(us[:, None], (d, d), (GIVEN, GUESSED)))
+    kraus = us[:, None]  # each unitary a Kraus list of one
+    pre = _table_rows(kraus, (d, d), (GUESSED, GIVEN))
+    post, _ = _bayes_rows(_table_rows(kraus, (d, d), (GIVEN, GUESSED)))
     closed = max(float(np.max(np.abs(pre - born))), float(np.max(np.abs(post.swapaxes(-1, -2) - born))))
 
     reversal = open_reversal_check(us, dims)["max"]
 
     # Solved predictions against operator-level postdictions, so the law
     # is not read twice off one transition array.
-    pre = _table_rows(us[:, None], dims + dims, (GUESSED, SUMMED, GIVEN, AVERAGED))
-    post = _pull_back_reference(us[:, None], dims, (range(d_a), None), dims, (True, False))
+    pre = _table_rows(kraus, dims + dims, (GUESSED, SUMMED, GIVEN, AVERAGED))
+    post = _pull_back_reference(kraus, dims, (range(d_a), None), dims, (True, False))
     return closed, reversal, float(np.max(np.abs(d_b * post.swapaxes(-1, -2) - d_b * pre)))
 
 

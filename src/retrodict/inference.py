@@ -737,7 +737,8 @@ def open_reversal_check(
         raise ValueError("declared dimensions do not match the transformation matrix")
     for operand in stack:
         _check_unitary_arg(operand)
-    ud = dagger(stack[:, None])
+    forward = stack[:, None]  # each unitary a Kraus list of one
+    ud = dagger(forward)
     t = _transitions(ud).reshape(len(stack), *dims_in, *dims_out)
     # Each relation's roles of the axes of T(U'): U's input factors (a, b), then its output factors (x, y).
     relations = (
@@ -752,7 +753,7 @@ def open_reversal_check(
     for name, roles in relations:
         rows = _contract(t, roles)
         # The reference pulls the data side's effect back through the operator into it.
-        sides, kraus = ((dims_out, roles[2:]), (dims_in, roles[:2])), stack[:, None]
+        sides, kraus = ((dims_out, roles[2:]), (dims_in, roles[:2])), forward
         if _normalized(roles, len(dims_in)):
             rows, _ = _bayes_rows(rows)
             sides, kraus = sides[::-1], ud
