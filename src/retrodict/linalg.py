@@ -169,13 +169,15 @@ def check_state(rho: np.ndarray, dim: int) -> np.ndarray:
 
     A state is Hermitian, positive semidefinite and of trace 1, each within
     ``ATOL_STRUCTURAL``; every comparison is written so that a NaN fails it.
+    A non-finite entry fails first, before an inf - inf could warn.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (dim, dim):
         raise ValueError(f"state shape {rho.shape} does not match dimension {dim}")
     trace = np.trace(rho)
     if not (
-        np.max(np.abs(rho - dagger(rho))) < ATOL_STRUCTURAL
+        np.isfinite(rho).all()
+        and np.max(np.abs(rho - dagger(rho))) < ATOL_STRUCTURAL
         and np.linalg.eigvalsh(rho).min() >= -ATOL_STRUCTURAL
         and abs(trace.real - 1.0) < ATOL_STRUCTURAL
         and abs(trace.imag) < ATOL_STRUCTURAL

@@ -112,16 +112,17 @@ def _padded_cumsum(weights: np.ndarray) -> np.ndarray:
     return cdfs
 
 
-def _transformation_stages(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _transformation_stages(t: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
     """The outcome CDF of each alternative a, and the measurement CDF of each (a, outcome k), padded.
 
     Row (a, k) is column a of outcome k's T, and k's weight is its sum.
     Unitaries, channels and preparation sets are single-outcome: their
-    outcome is not drawn, but its uniform is still in every trial's block.
+    outcome is not drawn and has no CDF (None), but its uniform is still in every trial's block.
     """
     n_x, n_alt = t.shape[-2:]
     columns = np.ascontiguousarray(np.moveaxis(t.reshape(-1, n_x, n_alt), -1, 0))
-    return _padded_cumsum(columns.sum(axis=-1)), _padded_cumsum(columns.reshape(-1, n_x))
+    outcome_cdfs = _padded_cumsum(columns.sum(axis=-1)) if columns.shape[1] > 1 else None
+    return outcome_cdfs, _padded_cumsum(columns.reshape(-1, n_x))
 
 
 def _grouped_inverse_cdf(groups: np.ndarray, u: np.ndarray, cdfs: np.ndarray, n: int) -> np.ndarray:

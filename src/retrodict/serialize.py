@@ -7,6 +7,7 @@ convention is shared by every file the package reads or writes.
 
 from __future__ import annotations
 
+import array
 import gc
 import hashlib
 import itertools
@@ -38,29 +39,34 @@ def complex_to_wire(z: complex) -> list[float]:
 _NUMBER_TYPES = {int, float}
 
 
-def _wire_to_complex_array(pairs: list, field: str) -> np.ndarray:
-    """A flat list of [re, im] pairs of JSON numbers, converted in one step.
+def _wire_to_complex_array(pairs: list, field: str, shape: tuple[int, ...]) -> np.ndarray:
+    """A flat list of [re, im] pairs of JSON numbers, converted in one step to a complex array of ``shape``.
 
-    The pairs' shapes are checked in bulk, then the pairs are flattened into
-    one list whose entries' types are checked in bulk and which is converted.
+    One pass reads the pairs' lengths; the flattened entries then go through
+    ``array("d")``, which refuses every non-number but reads a bool as 0.0
+    or 1.0, so the entries' types are read only if one of them equals 0 or 1.
     Only a list that fails is walked, to name its first bad pair.
     """
-    flat = None
-    if set(map(type, pairs)) <= {list, tuple} and set(map(len, pairs)) <= {2}:
-        flat = list(itertools.chain.from_iterable(pairs))
-    if flat is None or not set(map(type, flat)) <= _NUMBER_TYPES:
+    values = None
+    try:
+        if set(map(len, pairs)) <= {2}:
+            flat = list(itertools.chain.from_iterable(pairs))
+            values = array.array("d", flat)
+            parts = np.frombuffer(values)
+            if np.count_nonzero(np.rint(parts) == parts) and not set(map(type, flat)) <= _NUMBER_TYPES:
+                values = None
+    except (TypeError, OverflowError):  # a pair without a length, a non-number, an integer beyond the float range
+        pass
+    if values is None:
         for pair in pairs:
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise ScenarioError("malformed-document", f"expected [re, im] pair, got {pair!r}")
             if not all(type(x) in _NUMBER_TYPES for x in pair):
                 raise ScenarioError("malformed-document", f"expected [re, im] numbers, got {pair!r}")
-    try:
-        parts = np.fromiter(flat, np.float64, len(flat))
-    except OverflowError:  # an integer beyond the float range
-        parts = np.array([np.inf])
-    if not np.isfinite(parts).all():
+        parts = np.array([np.inf])  # every pair is well-formed, so an integer overflowed
+    if np.count_nonzero(np.isfinite(parts)) < len(parts):
         raise ScenarioError("malformed-document", f"{field}: entries must be finite numbers")
-    return parts.view(np.complex128).reshape(-1)
+    return np.ndarray(shape, np.complex128, values)
 
 
 def matrix_to_wire(m: np.ndarray) -> list[list[list[float]]]:
@@ -75,7 +81,7 @@ def wire_to_matrix(data: Any, field: str = "matrix") -> np.ndarray:
     if any(len(row) != cols for row in data):
         raise ScenarioError("malformed-document", f"{field}: ragged rows")
     pairs = list(itertools.chain.from_iterable(data))
-    return _wire_to_complex_array(pairs, field).reshape(len(data), cols)
+    return _wire_to_complex_array(pairs, field, (len(data), cols))
 
 
 def ket_to_wire(v: np.ndarray) -> list[list[float]]:
@@ -85,7 +91,7 @@ def ket_to_wire(v: np.ndarray) -> list[list[float]]:
 def wire_to_ket(data: Any, field: str = "state") -> np.ndarray:
     if not isinstance(data, list) or not data:
         raise ScenarioError("malformed-document", f"{field}: expected a list of [re, im] pairs")
-    return _wire_to_complex_array(data, field)
+    return _wire_to_complex_array(data, field, (len(data),))
 
 
 def instrument_to_wire(inst: Instrument) -> dict:

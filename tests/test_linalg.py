@@ -217,13 +217,28 @@ def _spoiled(entry, value):
         _spoiled((0, 0), np.nan),
         _spoiled((0, 1), np.nan),
         _spoiled((0, 1), complex(0.0, np.nan)),
+        _spoiled((1, 1), np.inf),
+        _spoiled((0, 1), np.inf),
+        _spoiled((0, 1), complex(0.0, np.inf)),
         _spoiled((0, 1), 0.1),  # not Hermitian
         np.diag([1.5, -0.5]),  # trace 1, one negative eigenvalue
         np.eye(2) / 2 * (1 + 1e-9),  # trace off by 1e-9
         np.diag([0.5 + 1e-9j, 0.5 - 2e-9j]),  # a trace with an imaginary part (and not Hermitian)
         np.zeros((2, 2)),
     ],
-    ids=["nan-diagonal", "nan-off-diagonal", "nan-imaginary", "not-hermitian", "negative", "trace", "imag", "zero"],
+    ids=[
+        "nan-diagonal",
+        "nan-off-diagonal",
+        "nan-imaginary",
+        "inf-diagonal",
+        "inf-off-diagonal",
+        "inf-imaginary",
+        "not-hermitian",
+        "negative",
+        "trace",
+        "imag",
+        "zero",
+    ],
 )
 def test_check_state_rejects_every_non_state(rho):
     with pytest.raises(ValueError, match="not a density matrix"):

@@ -1,6 +1,7 @@
 import decimal
 import gc
 import hashlib
+import itertools
 import json
 import math
 import re
@@ -203,6 +204,102 @@ def test_wire_matrix_errors_name_the_fault(data, message):
         wire_to_matrix(data, "transformation.matrix")
     assert err.value.code == "malformed-document"
     assert message in str(err.value)
+
+
+def _walked_conversion(pairs, field):
+    """The wire conversion as it was before ``array("d")``: every pair's and every entry's type read, then converted."""
+    flat = None
+    if set(map(type, pairs)) <= {list, tuple} and set(map(len, pairs)) <= {2}:
+        flat = list(itertools.chain.from_iterable(pairs))
+    if flat is None or not set(map(type, flat)) <= {int, float}:
+        for pair in pairs:
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise ScenarioError("malformed-document", f"expected [re, im] pair, got {pair!r}")
+            if not all(type(x) in {int, float} for x in pair):
+                raise ScenarioError("malformed-document", f"expected [re, im] numbers, got {pair!r}")
+    try:
+        parts = np.fromiter(flat, np.float64, len(flat))
+    except OverflowError:  # an integer beyond the float range
+        parts = np.array([np.inf])
+    if not np.isfinite(parts).all():
+        raise ScenarioError("malformed-document", f"{field}: entries must be finite numbers")
+    return parts.view(np.complex128).reshape(-1)
+
+
+def _converted_or_error(convert):
+    try:
+        converted = convert()
+    except ScenarioError as exc:
+        return exc.code, str(exc)
+    return converted.dtype, converted.shape, converted.tobytes()
+
+
+def _assert_converts_as_walked(pairs, rows):
+    """``wire_to_matrix`` on the pairs in ``rows`` rows, and ``wire_to_ket`` on them, each as the walked conversion."""
+    cols = len(pairs) // rows
+    matrix = [pairs[r * cols : (r + 1) * cols] for r in range(rows)]
+    walked = _converted_or_error(lambda: _walked_conversion(pairs, "m").reshape(rows, cols))
+    assert _converted_or_error(lambda: wire_to_matrix(matrix, "m")) == walked
+    walked = _converted_or_error(lambda: _walked_conversion(pairs, "k"))
+    assert _converted_or_error(lambda: wire_to_ket(pairs, "k")) == walked
+
+
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1.0, 0, 1, -1, 2, 2**70]),
+)
+# What a JSON decoder can put where a number belongs, and numbers that convert badly.
+_ODD_ENTRIES = st.sampled_from([True, False, None, "1.5", "0", "", 2**1100, -(2**1100), math.inf, math.nan])
+_ODD_PAIRS = st.one_of(
+    st.lists(st.lists(_NUMBERS, min_size=2, max_size=2), min_size=2, max_size=2),  # nested
+    st.sampled_from(["ab", "12", "", None, True, 0.5, 7]),  # 2-character strings and scalars
+    st.fixed_dictionaries({"re": _NUMBERS, "im": _NUMBERS}),
+    st.lists(_NUMBERS, max_size=4).filter(lambda pair: len(pair) != 2),  # ragged
+    st.lists(_ODD_ENTRIES, min_size=2, max_size=2),
+)
+
+
+@given(data=st.data(), rows=st.integers(1, 4), cols=st.integers(1, 4))
+@settings(max_examples=400, deadline=None, database=None)
+def test_wire_conversion_equals_the_walked_conversion(data, rows, cols):
+    pairs = [data.draw(st.lists(_NUMBERS, min_size=2, max_size=2)) for _ in range(rows * cols)]
+    for _ in range(data.draw(st.integers(0, 3))):
+        at = data.draw(st.integers(0, len(pairs) - 1))
+        if data.draw(st.booleans()):
+            pairs[at] = data.draw(_ODD_PAIRS)
+        elif isinstance(pairs[at], list) and len(pairs[at]) == 2:
+            pairs[at] = list(pairs[at])
+            pairs[at][data.draw(st.integers(0, 1))] = data.draw(_ODD_ENTRIES)
+    _assert_converts_as_walked(pairs, rows)
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [True, 0.5]],
+        [[1.0, 0.0], [0.5, False], [0.0, 0.0], [1.0, 0.0]],
+        [[True, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]],
+        [[0.5, 0.25], [0.5, False], [0.25, 0.5], [0.5, 0.25]],
+        [[0.5, 0.25], [True, 0.5], [0.25, 0.5], [0.5, 0.25]],
+        [[2**1100, 0.0], [0.0, 0.0], [0.0, "0.5"], [1.0, 0.0]],
+        [[0.5, 0.0], [0.0, 2**1100], [None, 0.0], [1.0, 0.0]],
+        [[0.5, 0.0], [0.0, 2**1100], [0.0, 0.0], [1.0, 0.0]],
+        [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1, 0]],
+    ],
+    ids=[
+        "true-among-0-and-1",
+        "false-among-0-and-1",
+        "true-first",
+        "false-alone",
+        "true-alone",
+        "huge-before-string",
+        "huge-before-null",
+        "huge-alone",
+        "integers-0-and-1",
+    ],
+)
+def test_wire_conversion_equals_the_walked_conversion_at_its_edges(pairs):
+    _assert_converts_as_walked(pairs, 2)
 
 
 def _parsed_or_error(parse):
