@@ -43,8 +43,8 @@ def _wire_to_complex_array(pairs: list, field: str, shape: tuple[int, ...]) -> n
     """A flat list of [re, im] pairs of JSON numbers, converted in one step to a complex array of ``shape``.
 
     One pass reads the pairs' lengths; the flattened entries then go through
-    ``array("d")``, which refuses every non-number but reads a bool as 0.0
-    or 1.0, so the entries' types are read only if one of them equals 0 or 1.
+    ``array("d")``, which refuses every non-number but reads a bool as 0.0 or
+    1.0, so the entries' types are read only if one of them is a whole number.
     Only a list that fails is walked, to name its first bad pair.
     """
     values = None
