@@ -268,7 +268,6 @@ def test_wire_conversion_equals_the_walked_conversion(data, rows, cols):
         if data.draw(st.booleans()):
             pairs[at] = data.draw(_ODD_PAIRS)
         elif isinstance(pairs[at], list) and len(pairs[at]) == 2:
-            pairs[at] = list(pairs[at])
             pairs[at][data.draw(st.integers(0, 1))] = data.draw(_ODD_ENTRIES)
     _assert_converts_as_walked(pairs, rows)
 
