@@ -290,12 +290,11 @@ def projective_instrument(basis: np.ndarray) -> Instrument:
 
 
 def random_cptp_map(dim_in: int, dim_out: int, kraus_count: int, seed: int) -> QuantumMap:
-    """Random channel from the first dim_in columns of a Haar unitary on kraus_count * dim_out."""
+    """Random channel from the first dim_in columns of a Haar unitary on kraus_count * dim_out (a thin draw)."""
     total = dim_out * kraus_count
     if total < dim_in:
         raise ValueError("kraus_count * dim_out must be at least dim_in")
-    u = linalg.haar_random_unitary(total, seed)
-    isometry = u[:, :dim_in]
+    isometry = linalg.haar_random_isometries(total, dim_in, (seed,))[0]
     kraus = tuple(isometry[i * dim_out : (i + 1) * dim_out, :] for i in range(kraus_count))
     return QuantumMap(kraus, dim_in=dim_in, dim_out=dim_out)
 
@@ -303,12 +302,12 @@ def random_cptp_map(dim_in: int, dim_out: int, kraus_count: int, seed: int) -> Q
 def _random_kraus_stacks(dim: int, kraus_count: int, seeds: Sequence[int]) -> np.ndarray:
     """The Kraus operators of ``random_cptp_map(dim, dim, kraus_count, seed)`` for each seed, bit for bit.
 
-    One (len(seeds), kraus_count, dim, dim) stack from one Haar draw of the
-    whole stack: the first dim columns of each unitary, cut into kraus_count
-    operators.  Completeness, sum K'K = V'V = I, is checked once for every
-    draw (``_check_completeness``); no map is built.
+    One (len(seeds), kraus_count, dim, dim) stack from one thin Haar draw of
+    the whole stack: the first dim columns of each unitary, cut into
+    kraus_count operators.  Completeness, sum K'K = V'V = I, is checked
+    once for every draw (``_check_completeness``); no map is built.
     """
-    isometries = linalg.haar_random_unitaries(kraus_count * dim, seeds)[..., :dim]
+    isometries = linalg.haar_random_isometries(kraus_count * dim, dim, seeds)
     _check_completeness(isometries)
     return isometries.reshape(len(seeds), kraus_count, dim, dim)
 

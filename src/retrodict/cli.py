@@ -214,7 +214,11 @@ def _run_verify(report: ReportDocument, dims: tuple[int, int], seed: int, tolera
     check.  purified-ratio and deterministic-effect each run their three
     instances as one stack (``inference._purified_ratio_defects`` and
     ``inference._deterministic_effect_stack``); purified-ratio's environment
-    rotations are drawn on their own.
+    rotations, a phase diagonal and ``purify.ROTATION_REFLECTIONS``
+    Householder reflections each (``purify.rotate_ancilla``), are drawn on
+    their own.  The small maps, instruments and followers are thin Haar
+    draws (``linalg.haar_random_isometries``): only the d_A columns each
+    keeps are QR-factored.
     """
     d_a, d_b = dims
     d = d_a * d_b
@@ -245,7 +249,8 @@ def _run_verify(report: ReportDocument, dims: tuple[int, int], seed: int, tolera
     report.add_check("channel-bayes-factor", defect, tol_exact)
 
     # Instance t is verify_purification(channel, rotated, trials=5, seed=t) for the dilation
-    # rotated = rotate_ancilla(stinespring(channel), rng_base + 40 + t), and the postdiction rows of both.
+    # rotated = rotate_ancilla(stinespring(channel), rng_base + 40 + t), and the postdiction rows of both;
+    # each round trip compares the two sides' transfer matrices whole, then pushes the five states.
     defect = _purified_ratio_defects(noisy[:3], 5, range(rng_base + 40, rng_base + 43)).max()
     report.add_check("purified-ratio", defect, tol_purified)
 

@@ -61,6 +61,7 @@ from .purify import (
     _dilations,
     _padded_count,
     _rotated,
+    _rotations,
     _round_trip_defects,
     purify_instrument,
     stinespring,
@@ -188,10 +189,12 @@ def _pull_back_reference(
     through U, U' for prediction).  The data-side effect is a product of
     factor effects E_f = A_f' A_f: a given factor lists its outcomes and
     A_f stacks their rows <g|, an ignored factor passes ``None`` and
-    A_f = I/sqrt(d).  Each A_f acts on its own axis of the amplitudes K_k,
-    reshaped to dims_data + dims_guess, so the diagonal of sum_k K_k' E K_k
-    reduced to the guessed factors is sum_k |(A_1 (x) ... ) K_k|^2 summed
-    over the ignored data axes and the unguessed guess axes.  Every listed
+    A_f = I/sqrt(d).  A factor that lists all its outcomes in order has
+    A_f = I, so only its axis moves.  Each A_f acts on its own axis of the
+    amplitudes K_k, reshaped to dims_data + dims_guess, so the diagonal of
+    sum_k K_k' E K_k reduced to the guessed factors is
+    sum_k |(A_1 (x) ... ) K_k|^2 summed over the ignored data axes and the
+    unguessed guess axes.  Every listed
     outcome is done in one pass, and no array grows beyond K_k.
 
     ``kraus`` is one array in the form ``_transitions`` reads: (K, D_data,
@@ -202,9 +205,7 @@ def _pull_back_reference(
     for a single operator, so each instance's rows are bit for bit those of
     its own call.
     """
-    factors = [
-        np.eye(d) / np.sqrt(d) if listed is None else _basis_rows(d, listed) for d, listed in zip(dims_data, outcomes)
-    ]
+    factors = [_factor_effect(d, listed) for d, listed in zip(dims_data, outcomes)]
     n_guess = len(dims_guess)
     summed = tuple(k for k, m in enumerate(mask) if not m) + tuple(
         n_guess + f for f, listed in enumerate(outcomes) if listed is None
@@ -217,8 +218,13 @@ def _pull_back_reference(
         for a in factors:
             # Contracts the first data axis; A_f's output axis lands last.
             moved = np.moveaxis(amplitudes, n_lead, -1)
+            if a is None:  # A_f = I
+                amplitudes = moved
+                continue
             contracted = moved.reshape(lead + (-1, a.shape[1])) @ a.T
             amplitudes = contracted.reshape(moved.shape[:-1] + a.shape[:1])
+        # In the memory order a last product by I would have left, so the sums below pair terms alike.
+        amplitudes = np.ascontiguousarray(amplitudes)
         squares = amplitudes.real**2 + amplitudes.imag**2
         cells = cells + squares.sum(axis=tuple(n_lead + axis for axis in summed))
     # Left: the instance axis, the guessed axes, then the given data axes.
@@ -228,13 +234,19 @@ def _pull_back_reference(
     return cells.transpose(order).reshape(lead + (-1, math.prod(d for d, m in zip(dims_guess, mask) if m)))
 
 
-def _basis_rows(d: int, listed: Sequence[int]) -> np.ndarray:
-    """The bras <g| of the listed outcomes of a d-dimensional factor, one complex row each."""
+def _factor_effect(d: int, listed: Sequence[int] | None) -> np.ndarray | None:
+    """A data factor's A_f: I/sqrt(d) for an ignored factor, else the bras <g| of its listed outcomes.
+
+    A factor that lists all of 0 ... d - 1 in order has A_f = I, returned as
+    None: ``_pull_back_reference`` skips its product.
+    """
+    if listed is None:
+        return np.eye(d) / np.sqrt(d)
     listed = list(listed)
     for g in listed:
         if not 0 <= g < d:
             raise ValueError(f"basis index {g} out of range for dimension {d}")
-    return np.eye(d, dtype=complex)[listed]
+    return None if listed == list(range(d)) else np.eye(d, dtype=complex)[listed]
 
 
 @functools.lru_cache(maxsize=256)
@@ -357,13 +369,15 @@ def _purified_ratio_defects(kraus: np.ndarray, trials: int, rotation_seeds: Sequ
     once, and instance t reads its window t ... t + trials - 1.
 
     Instances go in the stacks of ``linalg.groups``, each counted by the
-    larger of its Kraus stack and its rotation.  A stack's dilations V are
-    checked at once, V'V = sum K'K = I (``channels._check_completeness``);
-    its rotations are one Haar draw, its direct rows come from one
-    ``_transitions`` call, looked up when called, and the numerators of the
-    stack's dilations from one product and of their rotations from
-    another: one product over both would need a stacked copy of both,
-    which costs milliseconds from d_A = 12 on.
+    larger of its Kraus stack and d_Y^2 complex entries.  A stack's
+    dilations V are checked at once, V'V = sum K'K = I
+    (``channels._check_completeness``); its rotations are one draw, each
+    applied on its own as ``rotate_ancilla`` applies it, so that each
+    keeps that call's bits; its direct rows come from one ``_transitions``
+    call, looked up when called, and the numerators of the stack's
+    dilations from one product and of their rotations from another: one
+    product over both would need a stacked copy of both, which costs
+    milliseconds from d_A = 12 on.
     """
     n, count, d_x, d_a = kraus.shape
     states = linalg.random_density_matrices(d_a, range(n + trials - 1))
@@ -373,7 +387,7 @@ def _purified_ratio_defects(kraus: np.ndarray, trials: int, rotation_seeds: Sequ
     for group in linalg.groups(n, 16 * max(kraus[0].size, d_y * d_y)):
         v = _dilations(kraus[group])
         _check_completeness(v.reshape(len(v), -1, d_a))
-        rotated = _rotated(v, linalg.haar_random_unitaries(d_y, rotation_seeds[group]))
+        rotated = np.stack([_rotated(*instance) for instance in zip(v, *_rotations(d_y, rotation_seeds[group]))])
         defect = _round_trip_defects(kraus[group], rotated, windows[group])
         direct, _ = _bayes_rows(_table_rows(kraus[group], (d_x, d_a), (GIVEN, GUESSED)))
         for dilations in (v, rotated):

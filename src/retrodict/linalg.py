@@ -116,32 +116,51 @@ def partial_trace(op: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> n
     return reduced.reshape(d_keep, d_keep)
 
 
-def _ginibre_stack(d: int, seeds: Sequence[int]) -> np.ndarray:
-    """An (n, d, d) stack of complex Ginibre matrices re + 1j*im, one per seed.
+def _normal_draws(shape: tuple[int, ...], seeds: Sequence[int]) -> np.ndarray:
+    """A (len(seeds), *shape) real buffer of standard normals: slot i is one draw of ``seeds[i]``'s own generator."""
+    raw = np.empty((len(seeds), *shape))
+    for i, seed in enumerate(seeds):
+        np.random.default_rng(seed).standard_normal(out=raw[i])
+    return raw
 
-    Each seed has its own generator, whose one (2, d, d) draw, the stream of
-    two (d, d) draws, fills its slot of a single real buffer.
+
+def _ginibre_stack(d: int, seeds: Sequence[int], columns: int | None = None) -> np.ndarray:
+    """An (n, d, columns) stack of complex Ginibre matrices re + 1j*im, one per seed.
+
+    Each seed's one (2, d, d) draw, the stream of two (d, d) draws, fills
+    its slot of a single real buffer; only the first ``columns`` columns
+    (all d by default) are combined.
     """
     if d < 1:
         raise ValueError("dimension must be at least 1")
-    raw = np.empty((len(seeds), 2, d, d))
-    for i, seed in enumerate(seeds):
-        np.random.default_rng(seed).standard_normal(out=raw[i])
-    return raw[:, 0] + 1j * raw[:, 1]
+    raw = _normal_draws((2, d, d), seeds)
+    return raw[:, 0, :, :columns] + 1j * raw[:, 1, :, :columns]
+
+
+def haar_random_isometries(d: int, columns: int, seeds: Sequence[int]) -> np.ndarray:
+    """The first ``columns`` (1 ... d) columns of ``haar_random_unitaries(d, seeds)``, a (len(seeds), d, columns) stack.
+
+    QR of complex Ginibre matrices with the R-diagonal phase correction
+    (Mezzadri, Notices AMS 54, 592, 2007), on the first ``columns`` columns
+    of the same normal draws: Householder QR finds column j of Q and entry j
+    of R's diagonal from columns 0 ... j alone, so the thin draw costs
+    d * columns^2 instead of d^3.  One buffer of normal draws, then one
+    complex combine, one stacked QR and one phase fix for the whole stack;
+    entry i depends on ``seeds[i]`` alone.
+    """
+    q, r = np.linalg.qr(_ginibre_stack(d, seeds, columns) / np.sqrt(2.0))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[:, None, :]
 
 
 def haar_random_unitaries(d: int, seeds: Sequence[int]) -> np.ndarray:
     """A (len(seeds), d, d) stack of Haar-distributed unitaries, one per seed.
 
-    QR of complex Ginibre matrices with the R-diagonal phase correction
-    (Mezzadri, Notices AMS 54, 592, 2007): one buffer of normal draws, then
-    one complex combine, one stacked QR and one phase fix for the whole
-    stack.  Entry i depends on ``seeds[i]`` alone and equals
-    ``haar_random_unitary(d, seeds[i])`` bit for bit.
+    The square case of ``haar_random_isometries``.  Entry i depends on
+    ``seeds[i]`` alone and equals ``haar_random_unitary(d, seeds[i])`` bit
+    for bit.
     """
-    q, r = np.linalg.qr(_ginibre_stack(d, seeds) / np.sqrt(2.0))
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (diag / np.abs(diag))[:, None, :]
+    return haar_random_isometries(d, d, seeds)
 
 
 def haar_random_unitary(d: int, seed: int) -> np.ndarray:

@@ -15,12 +15,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from . import linalg
 from .channels import Instrument, QuantumMap, check_cptp
 from .linalg import ATOL_STRUCTURAL
+
+# The number of random complex Householder reflections in an environment rotation (``rotate_ancilla``).
+ROTATION_REFLECTIONS = 3
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,44 +135,56 @@ def _branch(purification: Purification, outcome_index: int | None = None) -> np.
 
 
 def _image_map(v: np.ndarray, count: int):
-    """rho -> tr_Z v rho v' as a function of a (..., p, d_A, d_A) stack of probes, for ``count`` probes in all.
+    """rho -> tr_Z v rho v' on a (..., p, d_A, d_A) stack of probes, for ``count`` probes in all.
 
     ``v`` is (..., d_X, d_Z, d_A): one map, or a stack of maps on leading
     instance axes, which the probes share.  Two orders of one sum, whichever
     multiplies less for ``count`` probes: each probe through v and then v',
-    or first the map's (d_X d_X, d_A d_A) matrix sum_z v_z (x) conj(v_z),
-    formed here once, and then every probe in one product.  These are the
-    two contraction paths ``einsum`` chooses between, without its path
-    search; for d_A > 1 each gives einsum's bits where einsum takes it.
+    or first the map's transfer matrix (``_transfer``), formed here once,
+    and then every probe in one product.  These are the two contraction
+    paths ``einsum`` chooses between, without its path search; for d_A > 1
+    each gives einsum's bits where einsum takes it.  Returns the image
+    function and the transfer matrix, or None on the per-probe order.
     """
     *lead, d_x, d_z, d_a = v.shape
     lead = tuple(lead)
-
-    def regroup(a: np.ndarray, shape: tuple[int, ...], order: tuple[int, ...]) -> np.ndarray:
-        # ``a`` reshaped to lead + shape, its trailing axes put in ``order`` behind the instance axes
-        axes = tuple(range(len(lead)))
-        return a.reshape(lead + shape).transpose(axes + tuple(len(lead) + i for i in order))
-
     if d_z * (d_x + d_a) * count < d_x * d_a * (d_z + count):
 
         def images(probes: np.ndarray) -> np.ndarray:
             # sum_a rho[p, a, b] v[x, z, a], regrouped [(x, p), (z, b)] against v'[(z, b), y]
             p = probes.shape[-3]
             left = probes.swapaxes(-1, -2).reshape(lead + (-1, d_a)) @ np.moveaxis(v, -1, -3).reshape(lead + (d_a, -1))
-            left = regroup(left, (p, d_a, d_x, d_z), (2, 0, 3, 1)).reshape(lead + (d_x * p, -1))
+            left = _regrouped(left, lead, (p, d_a, d_x, d_z), (2, 0, 3, 1)).reshape(lead + (d_x * p, -1))
             right = v.conj().reshape(lead + (d_x, -1)).swapaxes(-1, -2)
             return (left @ right).reshape(lead + (d_x, p, d_x)).swapaxes(-3, -2)
 
-        return images
-    # sum_z conj(v[y, z, b]) v[x, z, a], regrouped [(x, y), (a, b)]
-    gram = v.conj().swapaxes(-1, -2).reshape(lead + (-1, d_z)) @ v.swapaxes(-3, -2).reshape(lead + (d_z, -1))
-    transfer = regroup(gram, (d_x, d_a, d_x, d_a), (2, 0, 3, 1)).reshape(lead + (d_x * d_x, -1))
+        return images, None
+    transfer = _transfer(v)
 
     def images(probes: np.ndarray) -> np.ndarray:
         flat = probes.reshape(lead + (probes.shape[-3], -1)).swapaxes(-1, -2)
         return np.moveaxis((transfer @ flat).reshape(lead + (d_x, d_x, -1)), -1, -3)
 
-    return images
+    return images, transfer
+
+
+def _transfer(v: np.ndarray) -> np.ndarray:
+    """The (..., d_X d_X, d_A d_A) matrix sum_z v_z (x) conj(v_z) of (..., d_X, d_Z, d_A) maps.
+
+    Column (a, b) is the image of the matrix unit E_ab, rows (x, y) in
+    row-major order.
+    """
+    *lead, d_x, d_z, d_a = v.shape
+    lead = tuple(lead)
+    # sum_z conj(v[y, z, b]) v[x, z, a], regrouped [(x, y), (a, b)]
+    gram = v.conj().swapaxes(-1, -2).reshape(lead + (-1, d_z)) @ v.swapaxes(-3, -2).reshape(lead + (d_z, -1))
+    return _regrouped(gram, lead, (d_x, d_a, d_x, d_a), (2, 0, 3, 1)).reshape(lead + (d_x * d_x, -1))
+
+
+def _regrouped(a: np.ndarray, lead: tuple[int, ...], shape: tuple[int, ...], order: tuple[int, ...]) -> np.ndarray:
+    """``a`` reshaped to lead + shape, its trailing axes put in ``order`` behind the instance axes."""
+    axes = tuple(range(len(lead)))
+    return a.reshape(lead + shape).transpose(axes + tuple(len(lead) + i for i in order))
 
 
 def verify_purification(
@@ -207,14 +223,22 @@ def _round_trip_defects(kraus: np.ndarray, v: np.ndarray, states: np.ndarray) ->
     ``kraus`` is (..., K, d_X, d_A), ``v`` (..., d_X, d_Z, d_A) and
     ``states`` (..., trials, d_A, d_A), on the same leading instance axes or
     none.  An instance's probes are the d_A^2 matrix units E_ij in row-major
-    order, then its states.  They are made and compared in the stacks of
-    ``linalg.groups``, so the memory does not grow as d_A^4, and each side's
-    order of contraction is chosen once for all of them.
+    order, then its states; each side's order of contraction is chosen once
+    for all of them (``_image_map``).  Where both sides have built their
+    transfer matrices, the image of E_ij is column (i, j) of each, so the
+    two matrices are compared whole and only the states go through them, in
+    one product.  Otherwise every probe goes through both sides in the
+    stacks of ``linalg.groups``, so the memory does not grow as d_A^4.
     """
     lead = v.shape[:-3]
     d_a = v.shape[-1]
     count = d_a * d_a + states.shape[-3]
-    expected, images = (_image_map(w, count) for w in (kraus.swapaxes(-3, -2), v))
+    (expected, expected_transfer), (images, transfer) = (_image_map(w, count) for w in (kraus.swapaxes(-3, -2), v))
+    if expected_transfer is not None and transfer is not None:
+        defect = np.max(np.abs(expected_transfer - transfer), axis=(-2, -1))
+        if states.shape[-3]:
+            defect = np.maximum(defect, np.max(np.abs(expected(states) - images(states)), axis=(-3, -2, -1)))
+        return defect
     defect = np.zeros(lead)
     for group in linalg.groups(count, 16 * d_a * d_a * math.prod(lead)):
         probes = _probes(states, group.start, group.stop)
@@ -238,25 +262,50 @@ def _probes(states: np.ndarray, start: int, stop: int) -> np.ndarray:
 
 
 def rotate_ancilla(purification: Purification, seed: int) -> Purification:
-    """An equivalent channel purification with a Haar-rotated environment basis.
+    """An equivalent channel purification with a randomly rotated environment basis.
 
-    Returns (I (x) W)V for a Haar-random unitary W on the discarded factor Y.
-    This is the whole freedom of a Stinespring dilation: any two isometries
-    with the same channel differ by such a W, while a rotation v of the
-    ancilla input cancels in V = U(I (x) v)(I (x) v'|b>).  Pointer factors
-    must stay aligned with outcome labels, so instrument purifications are
-    not rotated.
+    Returns (I (x) W)V for the random unitary W of ``_rotations(d_Y, [seed])``
+    on the discarded factor Y: a random phase on each basis vector, then
+    ``ROTATION_REFLECTIONS`` random complex Householder reflections.  Any
+    unitary W is the whole freedom of a Stinespring dilation: any two
+    isometries with the same channel differ by such a W, while a rotation v
+    of the ancilla input cancels in V = U(I (x) v)(I (x) v'|b>).  W is not
+    Haar-distributed; it costs O(d_Y^2) to draw and O(d_X d_Y d_A) to apply.
+    Pointer factors must stay aligned with outcome labels, so instrument
+    purifications are not rotated.
     """
     if purification.pointer_partition is not None:
         raise ValueError("refusing to rotate the pointer basis of an instrument purification")
-    w = linalg.haar_random_unitary(purification.dims_out[1], seed)
-    return Purification(_rotated(purification.isometry, w), dims_out=purification.dims_out)
+    (phases,), (axes,) = _rotations(purification.dims_out[1], (seed,))
+    return Purification(_rotated(purification.isometry, phases, axes), dims_out=purification.dims_out)
 
 
-def _rotated(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """(I (x) W)V for isometries (..., d_X, d_Y, d_A) and unitaries (..., d_Y, d_Y) on the same leading axes.
+def _rotations(d: int, seeds: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The random environment rotations W of ``rotate_ancilla``, one per seed, as (phases, axes).
 
-    One product over the discarded factor for every row (x, a), not one per x.
+    ``phases`` is (n, d), each entry of modulus 1, and ``axes`` (n,
+    ``ROTATION_REFLECTIONS``, d), each row a unit vector u of the reflection
+    I - 2 u u'.  Each seed's one (ROTATION_REFLECTIONS + 1, 2, d) normal
+    draw (``linalg._normal_draws``) gives a complex Gaussian vector per row:
+    the first, divided entrywise by its moduli, is the phases, and each
+    other, divided by its norm, an axis.
     """
-    rotated = v.swapaxes(-1, -2).reshape(v.shape[:-3] + (-1, v.shape[-2])) @ w.swapaxes(-1, -2)
-    return rotated.reshape(v.shape[:-2] + (v.shape[-1], -1)).swapaxes(-1, -2)
+    raw = linalg._normal_draws((ROTATION_REFLECTIONS + 1, 2, d), seeds)
+    g = raw[:, :, 0] + 1j * raw[:, :, 1]
+    return g[:, 0] / np.abs(g[:, 0]), g[:, 1:] / np.linalg.norm(g[:, 1:], axis=-1, keepdims=True)
+
+
+def _rotated(v: np.ndarray, phases: np.ndarray, axes: np.ndarray) -> np.ndarray:
+    """(I (x) W)V for an isometry V (d_X, d_Y, d_A) and the rotation W of ``phases`` (d_Y,) and ``axes`` (r, d_Y).
+
+    W = H_r ... H_1 diag(phases), with H_j = I - 2 u_j u_j' for the rows u_j
+    of ``axes``.  Each factor acts on every row (x, a) of V at once: a
+    scaling, then per reflection one product with conj(u_j) and one rank-one
+    update.  One instance per call, so that a stack of dilations, rotated
+    one by one, keeps the bits of each ``rotate_ancilla`` call.
+    """
+    d_x, d_y, d_a = v.shape
+    rows = np.multiply(v.swapaxes(-1, -2), phases, order="C").reshape(-1, d_y)
+    for u in axes:
+        rows -= np.multiply.outer(2.0 * (rows @ u.conj()), u)
+    return rows.reshape(d_x, d_a, d_y).swapaxes(-1, -2)

@@ -35,17 +35,33 @@ def complex_to_wire(z: complex) -> list[float]:
     return [float(np.real(z)), float(np.imag(z))]
 
 
-# The Python types the JSON decoder gives numbers; bool, str and None are not among them.
-_NUMBER_TYPES = {int, float}
+# array("d") reads these as 0.0 or 1.0; they are not numbers on the wire.
+_BOOL_TYPES = {bool, np.bool_}
+
+
+def _is_number(x) -> bool:
+    """Whether ``array("d")`` converts x, or finds it beyond the float range, and x is not a bool."""
+    if type(x) in _BOOL_TYPES:
+        return False
+    try:
+        array.array("d", (x,))
+    except OverflowError:
+        return True
+    except (TypeError, ValueError):
+        return False
+    return True
 
 
 def _wire_to_complex_array(pairs: list, field: str, shape: tuple[int, ...]) -> np.ndarray:
-    """A flat list of [re, im] pairs of JSON numbers, converted in one step to a complex array of ``shape``.
+    """A flat list of [re, im] pairs of numbers, converted in one step to a complex array of ``shape``.
 
-    One pass reads the pairs' lengths; the flattened entries then go through
-    ``array("d")``, which refuses every non-number but reads a bool as 0.0 or
-    1.0, so the entries' types are read only if one of them is a whole number.
-    Only a list that fails is walked, to name its first bad pair.
+    A number is what ``array("d")`` converts (a JSON number, or a numpy or
+    ``Decimal`` number from Python) except a Python or numpy bool.  One pass
+    reads the pairs' lengths; the flattened entries then go through
+    ``array("d")``, which refuses every other non-number but reads a bool as
+    0.0 or 1.0, so the entries' types are read only if one of them is a
+    whole number.  Only a list that fails is walked, to name its first bad
+    pair by the same rule (``_is_number``).
     """
     values = None
     try:
@@ -53,17 +69,17 @@ def _wire_to_complex_array(pairs: list, field: str, shape: tuple[int, ...]) -> n
             flat = list(itertools.chain.from_iterable(pairs))
             values = array.array("d", flat)
             parts = np.frombuffer(values)
-            if np.count_nonzero(np.rint(parts) == parts) and not set(map(type, flat)) <= _NUMBER_TYPES:
+            if np.count_nonzero(np.rint(parts) == parts) and not set(map(type, flat)).isdisjoint(_BOOL_TYPES):
                 values = None
-    except (TypeError, OverflowError):  # a pair without a length, a non-number, an integer beyond the float range
+    except (TypeError, OverflowError, ValueError):  # no length, a non-number, beyond the float range, a signaling NaN
         pass
     if values is None:
         for pair in pairs:
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise ScenarioError("malformed-document", f"expected [re, im] pair, got {pair!r}")
-            if not all(type(x) in _NUMBER_TYPES for x in pair):
+            if not all(map(_is_number, pair)):
                 raise ScenarioError("malformed-document", f"expected [re, im] numbers, got {pair!r}")
-        parts = np.array([np.inf])  # every pair is well-formed, so an integer overflowed
+        parts = np.array([np.inf])  # every pair is well-formed, so a number overflowed
     if np.count_nonzero(np.isfinite(parts)) < len(parts):
         raise ScenarioError("malformed-document", f"{field}: entries must be finite numbers")
     return np.ndarray(shape, np.complex128, values)

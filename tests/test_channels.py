@@ -423,3 +423,18 @@ def test_outcome_probabilities_reproduce_the_effects_of_a_discarding_instrument(
 def test_instrument_completeness_enforced_for_a_discarded_output():
     with pytest.raises(ValueError):
         discarding_instrument([0.5 * np.eye(2)])
+
+
+@pytest.mark.parametrize(
+    "dim_in, dim_out, kraus_count", [(1, 1, 1), (2, 2, 1), (3, 2, 2), (2, 3, 2), (4, 4, 4), (5, 3, 7)]
+)
+def test_random_maps_are_the_first_columns_of_a_square_haar_draw_bit_for_bit(dim_in, dim_out, kraus_count):
+    # the thin draw keeps the bits of the Kraus operators cut from the first dim_in columns of the whole unitary
+    for seed in (0, 7, 2**40 + 3):
+        u = linalg.haar_random_unitary(dim_out * kraus_count, seed)
+        expected = np.ascontiguousarray(u[:, :dim_in]).reshape(kraus_count, dim_out, dim_in)
+        assert random_cptp_map(dim_in, dim_out, kraus_count, seed).kraus.tobytes() == expected.tobytes()
+        if dim_in == dim_out and kraus_count % 2 == 0:
+            inst = random_instrument(dim_in, 2, kraus_count // 2, seed)
+            operators = np.concatenate([qmap.kraus for _, qmap in inst.outcomes])
+            assert operators.tobytes() == expected.tobytes()

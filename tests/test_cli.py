@@ -249,6 +249,17 @@ def test_verify_is_deterministic(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("dims", ["1x1", "2x2", "2x3", "3x3", "2x7", "7x2", "6x6"])
+def test_verify_report_is_the_same_bytes_in_any_byte_budget(monkeypatch, capsys, dims):
+    # The byte budget sets how work is stacked, never what a check reads: every defect keeps its bits.
+    reports = []
+    for budget in (rd.linalg.STACK_BYTES, 1, 3000):
+        monkeypatch.setattr(rd.linalg, "STACK_BYTES", budget)
+        assert main(["verify", "--dims", *dims.split("x"), "--format", "json"]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
 def test_sample_small(capsys):
     code = main(
         ["sample", "--scenario", fixture("sample_hadamard.json"), "--shots", "20000"]

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -1146,6 +1147,42 @@ def _reference_row(kraus, dims_data, given, dims_guess, mask):
     return row
 
 
+def pull_back_with_every_product(kraus, dims_data, outcomes, dims_guess, mask):
+    # _pull_back_reference with a matrix product for every data factor, I for one that lists all its outcomes
+    factors = [np.eye(d) / np.sqrt(d) if listed is None else np.eye(d, dtype=complex)[list(listed)]
+               for d, listed in zip(dims_data, outcomes)]
+    summed = tuple(k for k, m in enumerate(mask) if not m) + tuple(
+        len(dims_guess) + f for f, listed in enumerate(outcomes) if listed is None
+    )
+    lead = kraus.shape[:-3]
+    cells = 0.0
+    for k in kraus.swapaxes(0, -3):
+        amplitudes = k.reshape(lead + tuple(dims_data) + tuple(dims_guess))
+        for a in factors:
+            moved = np.moveaxis(amplitudes, len(lead), -1)
+            amplitudes = (moved.reshape(lead + (-1, a.shape[1])) @ a.T).reshape(moved.shape[:-1] + a.shape[:1])
+        cells = cells + (amplitudes.real**2 + amplitudes.imag**2).sum(axis=tuple(len(lead) + s for s in summed))
+    n_lead, n_kept = len(lead), sum(mask)
+    order = tuple(range(n_lead)) + tuple(range(n_lead + n_kept, cells.ndim)) + tuple(range(n_lead, n_lead + n_kept))
+    return cells.transpose(order).reshape(lead + (-1, math.prod(d for d, m in zip(dims_guess, mask) if m)))
+
+
+@pytest.mark.parametrize("lead", [(), (3,)])
+@pytest.mark.parametrize("dims_data", [(3,), (2, 3), (3, 2), (2, 2, 2)])
+def test_pull_back_reference_skips_products_by_i_bit_for_bit(lead, dims_data):
+    # a factor that lists 0 ... d - 1 in order has A_f = I: only its axis moves, and every cell keeps its bits
+    rng = np.random.default_rng(len(lead) + 10 * len(dims_data))
+    dims_guess = (3, 2)
+    shape = lead + (2, math.prod(dims_data), 6)
+    kraus = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for kinds in itertools.product((None, "all", "some"), repeat=len(dims_data)):
+        outcomes = [None if kind is None else range(d) if kind == "all" else [d - 1, 0]
+                    for kind, d in zip(kinds, dims_data)]
+        for mask in ((True, True), (True, False), (False, True)):
+            got = inference._pull_back_reference(kraus, dims_data, outcomes, dims_guess, mask)
+            assert got.tobytes() == pull_back_with_every_product(kraus, dims_data, outcomes, dims_guess, mask).tobytes()
+
+
 def test_kernel_matches_pull_back_reference_on_random_tasks():
     rng = np.random.default_rng(2024)
     for trial in range(12):
@@ -1487,21 +1524,19 @@ def test_verify_catches_each_kernel_mutation_in_any_byte_budget(monkeypatch, cap
     assert (code, failing) == (5 if expected else 0, expected)
 
 
-@pytest.mark.parametrize("dims", [("2", "3"), ("4", "4")])
+@pytest.mark.parametrize("dims", [("2", "3"), ("3", "3"), ("4", "4")])
 def test_verify_catches_an_image_map_that_drops_the_conjugate(monkeypatch, capsys, dims):
-    def transposed(v, count):
-        # rho -> sum_z v_z rho v_z^T.  On a dilation whose slices are the K_k this is the same wrong
-        # sum as on the Kraus side; on a rotated one the two differ.
-        def images(probes):
-            return np.einsum("...xza,...pab,...yzb->...pxy", v, probes, v)
+    def transposed(v):
+        # sum_z v_z (x) v_z, the transfer matrix of rho -> sum_z v_z rho v_z^T.  On a dilation whose slices
+        # are the K_k this is the same wrong sum as on the Kraus side; on a rotated one the two differ.
+        *lead, d_x, _, d_a = v.shape
+        return np.einsum("...xza,...yzb->...xyab", v, v).reshape(*lead, d_x * d_x, d_a * d_a)
 
-        return images
-
-    monkeypatch.setattr(purify, "_image_map", transposed)
+    monkeypatch.setattr(purify, "_transfer", transposed)
     code = main(["verify", "--dims", *dims, "--format", "json"])
     assert code == 5
-    failing = {c["name"] for c in json.loads(capsys.readouterr().out)["checks"] if not c["passed"]}
-    assert "purified-ratio" in failing
+    failing = {c["name"]: c["defect"] for c in json.loads(capsys.readouterr().out)["checks"] if not c["passed"]}
+    assert "purified-ratio" in failing and failing["purified-ratio"] > 0.1
 
 
 def permutation_matrix(dims, order):

@@ -327,15 +327,15 @@ def test_stacked_purified_ratio_equals_the_per_channel_loop(d_a, d_b):
 
 @pytest.mark.parametrize("per_stack", [1, 2, 3])
 def test_stacked_purified_ratio_is_the_same_in_any_byte_budget(monkeypatch, per_stack):
-    # At (2, 3) a channel holds nine 2 x 2 operators (576 bytes) and its rotation is 9 x 9 (1296 bytes).
+    # At (2, 3) a channel holds nine 2 x 2 operators (576 bytes) and d_Y = 9 counts 9 x 9 entries (1296 bytes).
     kraus, _ = noisy_stack(2, 3)
     seeds = range(1040, 1043)
     whole = inference._purified_ratio_defects(kraus, 5, seeds)
-    draws, haar = [], linalg.haar_random_unitaries
+    draws, rotations = [], inference._rotations
 
     def recorded(d, seeds):
         draws.append(list(seeds))
-        return haar(d, seeds)
+        return rotations(d, seeds)
 
     windows, round_trip = [], inference._round_trip_defects
 
@@ -343,7 +343,7 @@ def test_stacked_purified_ratio_is_the_same_in_any_byte_budget(monkeypatch, per_
         windows.extend(states)
         return round_trip(k, v, states)
 
-    monkeypatch.setattr(linalg, "haar_random_unitaries", recorded)
+    monkeypatch.setattr(inference, "_rotations", recorded)
     monkeypatch.setattr(inference, "_round_trip_defects", round_trip_recorded)
     monkeypatch.setattr(linalg, "STACK_BYTES", per_stack * 1296 + 1295)
     assert inference._purified_ratio_defects(kraus, 5, seeds).tolist() == whole.tolist()

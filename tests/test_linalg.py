@@ -169,6 +169,17 @@ def test_stacked_haar_draws_equal_single_draws_bit_for_bit(d):
         np.testing.assert_array_equal(unitary, linalg.haar_random_unitary(d, seed))
 
 
+def test_thin_haar_draws_are_the_first_columns_of_the_square_draws_bit_for_bit():
+    # QR finds column j of Q and entry j of R's diagonal from the first j + 1 columns alone
+    for d in range(1, 41):
+        seeds = [d, 1000 + d]
+        square = linalg.haar_random_unitaries(d, seeds)
+        for columns in range(1, d + 1):
+            thin = linalg.haar_random_isometries(d, columns, seeds)
+            assert thin.shape == (2, d, columns)
+            assert thin.tobytes() == np.ascontiguousarray(square[..., :columns]).tobytes()
+
+
 def test_a_one_seed_stack_is_the_single_draw():
     for d in (1, 4, 9):
         np.testing.assert_array_equal(linalg.haar_random_unitaries(d, [12])[0], linalg.haar_random_unitary(d, 12))

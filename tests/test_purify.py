@@ -14,6 +14,7 @@ from retrodict.channels import (
     make_dephasing,
     make_noisy_operation,
     projective_instrument,
+    random_cptp_map,
     random_instrument,
 )
 from retrodict.inference import channel_toward_past_check
@@ -39,7 +40,8 @@ def completed_unitary(purification):
 def dilation_action(purification, rho, outcome_index=None):
     # tr_Z V rho V' on the isometry's own image path, with the pointer held at ``outcome_index`` if given
     v = purify._branch(purification, outcome_index)
-    return purify._image_map(v, 1)(np.asarray(rho, dtype=complex)[None])[0]
+    images, _ = purify._image_map(v, 1)
+    return images(np.asarray(rho, dtype=complex)[None])[0]
 
 
 def test_stinespring_unitary_channel_is_trivial():
@@ -178,6 +180,23 @@ def test_rotate_ancilla_preserves_channel():
     assert not np.allclose(rotated.isometry, purification.isometry)
 
 
+def test_rotate_ancilla_applies_a_phase_diagonal_then_householder_reflections():
+    purification = stinespring(make_noisy_operation(linalg.haar_random_unitary(6, 21), (2, 3)))
+    d_y = purification.dims_out[1]
+    (phases,), (axes,) = purify._rotations(d_y, [22])
+    # one generator's (reflections + 1, 2, d_Y) normal draw: the phases, then the reflections' unit axes
+    raw = np.random.default_rng(22).standard_normal((purify.ROTATION_REFLECTIONS + 1, 2, d_y))
+    g = raw[:, 0] + 1j * raw[:, 1]
+    assert phases.tobytes() == (g[0] / np.abs(g[0])).tobytes()
+    assert axes.tobytes() == (g[1:] / np.linalg.norm(g[1:], axis=-1, keepdims=True)).tobytes()
+    w = np.diag(phases)
+    for u in axes:
+        w = (np.eye(d_y) - 2 * np.outer(u, u.conj())) @ w
+    assert linalg.is_unitary(w, 1e-14) and np.max(np.abs(w - np.diag(np.diag(w)))) > 0.1
+    rotated = rotate_ancilla(purification, seed=22).isometry
+    np.testing.assert_allclose(rotated, np.einsum("yz,xza->xya", w, purification.isometry), rtol=0, atol=1e-14)
+
+
 def test_rotate_ancilla_refuses_pointer():
     with pytest.raises(ValueError):
         rotate_ancilla(purify_instrument(projective_instrument(np.eye(2))), seed=1)
@@ -220,69 +239,97 @@ def joint_space_outcome_action(purification, outcome_index, rho):
     return linalg.partial_trace(proj @ evolved @ proj, (d_x, d_p, d_z), keep=[0])
 
 
-def test_verify_purification_probes_are_the_matrix_units_then_the_seeded_states(monkeypatch):
-    d, trials, seed = 3, 4, 9
-    units = []
-    for i in range(d):
-        for j in range(d):
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = 1.0
-            units.append(e)
+def probe_walk_defect(original, purification, trials, seed):
+    # The round trip as a walk of every probe through both sides: the d^2 matrix units E_ij in row-major
+    # order, then the states g g'/tr of seeds seed ... seed + trials - 1, one generator's two (d, d) draws
+    # each, pushed together through each side's image map, branch by branch.
+    d = original.dim_in
+    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
     states = []
     for s in range(seed, seed + trials):
-        # g g' over its trace, from one generator's two (d, d) draws
         rng = np.random.default_rng(s)
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         rho = g @ g.conj().T
         states.append(rho / np.trace(rho).real)
-    expected = np.stack(units + states)
-    seen = _record_probes(monkeypatch)
-    channel = make_noisy_operation(linalg.haar_random_unitary(2 * d, 17), (d, 2))
-    assert verify_purification(channel, stinespring(channel), trials=trials, seed=seed) < 1e-12
-    # one stack for the Kraus side and one for the dilation
-    assert len(seen) == 2
-    for probes in seen:
-        assert probes.dtype == complex and probes.tobytes() == expected.tobytes()
+    probes = np.concatenate([units, np.array(states).reshape(-1, d, d)])
+    if isinstance(original, Instrument):
+        branches = [(qmap, purify._branch(purification, i)) for i, (_, qmap) in enumerate(original.outcomes)]
+    else:
+        branches = [(original, purify._branch(purification))]
+    defect = 0.0
+    for qmap, v in branches:
+        expected, _ = purify._image_map(qmap.kraus.swapaxes(0, 1), len(probes))
+        images, _ = purify._image_map(v, len(probes))
+        defect = max(defect, float(np.max(np.abs(expected(probes) - images(probes)))))
+    return defect
+
+
+def round_trip_cases():
+    # (original, purification, per-probe sides): how many sides of each branch take each probe through V
+    # rather than through a transfer matrix.  Both sides of a unitary do, and neither of a noisy channel or
+    # of this instrument's branches; the isometry 3 -> 5 has two Kraus operators, a side that does, and its
+    # dilation three ancilla slots, a transfer matrix.
+    unitary = QuantumMap((linalg.haar_random_unitary(3, 4),), 3, 3)
+    channel = make_noisy_operation(linalg.haar_random_unitary(6, 17), (3, 2))
+    instrument = random_instrument(3, 2, 2, 5)
+    mixed = random_cptp_map(3, 5, 2, 6)
+    return [
+        (unitary, stinespring(unitary), 2),
+        (channel, stinespring(channel), 0),
+        (channel, rotate_ancilla(stinespring(channel), 8), 0),
+        (mixed, stinespring(mixed), 1),
+        (mixed, rotate_ancilla(stinespring(mixed), 9), 1),
+        (instrument, purify_instrument(instrument), 0),
+    ]
+
+
+@pytest.mark.parametrize("trials, seed", [(0, 0), (4, 9), (10, 0)])
+def test_verify_purification_equals_the_probe_walk_bit_for_bit(trials, seed):
+    for original, purification, _ in round_trip_cases():
+        defect = verify_purification(original, purification, trials=trials, seed=seed)
+        assert defect < 1e-12
+        assert defect == probe_walk_defect(original, purification, trials, seed)
 
 
 def _record_probes(monkeypatch) -> list:
-    # every probe stack that verify_purification contracts, in order, one list entry per side and stack
+    # every probe stack pushed through an image map, in order, one list entry per side and stack
     seen = []
     image_map = purify._image_map
 
     def recorded(v, count):
-        images = image_map(v, count)
+        images, transfer = image_map(v, count)
 
         def record(probes):
             seen.append(np.array(probes))
             return images(probes)
 
-        return record
+        return record, transfer
 
     monkeypatch.setattr(purify, "_image_map", recorded)
     return seen
 
 
 @pytest.mark.parametrize("budget, sizes", [(1, [1] * 13), (200, [1] * 13), (1000, [6, 6, 1])])
-def test_verify_purification_in_probe_stacks_of_a_byte_budget(monkeypatch, budget, sizes):
-    # d_A = 3: nine matrix units and four states of 144 bytes each; a stack holds at least one probe.  The
-    # unitary's sides take each probe through V, the others form their transfer matrices first.
-    unitary = QuantumMap((linalg.haar_random_unitary(3, 4),), 3, 3)
-    channel = make_noisy_operation(linalg.haar_random_unitary(6, 17), (3, 2))
-    instrument = random_instrument(3, 2, 2, 5)
-    cases = [(unitary, stinespring(unitary)), (channel, stinespring(channel))]
-    for original, purification in cases + [(instrument, purify_instrument(instrument))]:
-        branches = len(getattr(original, "outcomes", [None]))
-        seen = _record_probes(monkeypatch)
+def test_verify_purification_in_any_byte_budget(monkeypatch, budget, sizes):
+    # d_A = 3: nine matrix units and four states of 144 bytes each.  Where both sides have built their
+    # transfer matrices, they read the units' images off its columns and take the states in one stack, and
+    # the defect is the same in any budget.  Otherwise both sides take all 13 probes, at least one a stack.
+    units = np.eye(9, dtype=complex).reshape(9, 3, 3)
+    probes = np.concatenate([units, linalg.random_density_matrices(3, range(9, 13))])
+    for original, purification, per_probe in round_trip_cases():
         whole = verify_purification(original, purification, trials=4, seed=9)
+        seen = _record_probes(monkeypatch)
         monkeypatch.setattr(linalg, "STACK_BYTES", budget)
         chunked = verify_purification(original, purification, trials=4, seed=9)
         monkeypatch.undo()
-        assert abs(chunked - whole) <= 1e-15
-        # each branch compares both sides on all 13 probes at once, then on each budgeted stack in turn
-        probes, stacks = seen[0], seen[2 * branches :]
-        assert [len(stack) for stack in stacks] == [n for n in sizes for _ in range(2)] * branches
-        assert np.concatenate(stacks[0 : 2 * len(sizes) : 2]).tobytes() == probes.tobytes()
+        branches = len(getattr(original, "outcomes", [None]))
+        if per_probe:
+            assert abs(chunked - whole) <= 1e-15
+            assert [len(stack) for stack in seen] == [n for n in sizes for _ in range(2)] * branches
+            assert np.concatenate(seen[0 : 2 * len(sizes) : 2]).tobytes() == probes.tobytes()
+        else:
+            assert chunked == whole
+            assert [stack.tobytes() for stack in seen] == [probes[9:].tobytes()] * 2 * branches
 
 
 def probe_states(d):

@@ -301,6 +301,32 @@ def test_wire_conversion_equals_the_walked_conversion_at_its_edges(pairs):
     _assert_converts_as_walked(pairs, 2)
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [np.float64(0.5), np.float64(1.0), np.int64(3), np.float32(0.25), decimal.Decimal("0.5"), decimal.Decimal(2)],
+    ids=repr,
+)
+def test_wire_entries_may_be_any_number_that_converts_to_a_float(entry):
+    # from Python, not JSON: a numpy or Decimal number reads as its float, whole or not
+    pairs = [[entry, 0.25], [0.5, entry]]
+    expected = np.array([complex(float(entry), 0.25), complex(0.5, float(entry))])
+    assert wire_to_ket(pairs).tobytes() == expected.tobytes()
+    assert wire_to_matrix([pairs]).tobytes() == expected.tobytes()
+    # the walk of a list that fails passes over them to name the first bad pair
+    for bad in ([True, 0.0], ["0.5", 0.0], [np.True_, 0.0]):
+        with pytest.raises(ScenarioError, match=re.escape(f"expected [re, im] numbers, got {bad!r}")):
+            wire_to_ket(pairs + [bad])
+
+
+@pytest.mark.parametrize(
+    "entry", [np.True_, np.False_, decimal.Decimal("sNaN"), 1j], ids=repr
+)
+def test_wire_entries_that_are_bools_or_do_not_convert_are_refused(entry):
+    for pairs in ([[entry, 0.0]], [[0.5, 0.25], [0.25, entry]], [[1.0, 0.0], [0.0, entry]]):
+        with pytest.raises(ScenarioError, match=re.escape(f"expected [re, im] numbers, got {pairs[-1]!r}")):
+            wire_to_ket(pairs)
+
+
 def _parsed_or_error(parse):
     """A scenario as its canonical JSON text, where every float is written exactly; or its error."""
     try:
