@@ -61,6 +61,8 @@ class QuantumMap:
 
 @dataclass(frozen=True)
 class ChannelClassification:
+    """``classify``'s structural report: CP, TP and unital, and the two numbers they are read from."""
+
     is_cp: bool
     is_tp: bool
     is_unital: bool

@@ -13,11 +13,11 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 import numpy as np
 
-from . import __version__, inference, linalg
+from . import __version__, linalg
 from .channels import (
     Instrument,
     QuantumMap,
@@ -53,7 +53,7 @@ from .inference import (
     open_reversal_check,
 )
 from .purify import purify_instrument, stinespring, verify_purification
-from .sampler import SEED_LIMIT, _analytic_rows, count_grid, verdicts
+from .sampler import SEED_LIMIT, _analytic_rows, _count_grid, _prepare_alternatives, verdicts
 from .sampler import run_ensemble  # noqa: F401  (bound here for bench/test_bench.py's tracer test)
 from .serialize import (
     ScenarioFile,
@@ -73,15 +73,17 @@ EXIT_VERIFICATION = 5
 PARSE_CODES = ("malformed-document", "unknown-task")
 
 
-@dataclass
 class ReportDocument:
-    command: str
-    scenario_digest: str
-    tool_version: str = __version__
-    tables: list[dict] = field(default_factory=list)
-    checks: list[dict] = field(default_factory=list)
-    metrics: dict = field(default_factory=dict)
-    passed: bool = True
+    """One command's report; its attributes, in the order set here, are the JSON report's fields."""
+
+    def __init__(self, command: str, scenario_digest: str):
+        self.command = command
+        self.scenario_digest = scenario_digest
+        self.tool_version = __version__
+        self.tables: list[dict] = []
+        self.checks: list[dict] = []
+        self.metrics: dict = {}
+        self.passed = True
 
     def add_table(self, table: ProbabilityTable):
         self.tables.append(table_to_wire(table))
@@ -147,8 +149,9 @@ def _run_sample(scenario: ScenarioFile, report: ReportDocument, seed: int, floor
     """Draw one ensemble, read it both ways, and hold every sampled conditional row to its closed form.
 
     The transformation was validated when the scenario was parsed.  Its
-    transition array is built once, and each direction's rows are solved on
-    it in one contraction.  The count grid is the same either way, and its
+    transition array is built once, with the sampler's alternatives: each
+    direction's rows are solved on it in one contraction, and the ensemble
+    is counted on it.  The count grid is the same either way, and its
     labels are the families' given labels: the grid is
     read along its rows to predict and down its columns to postdict.  A
     direction's sampled rows, in the order of their given labels, are
@@ -156,10 +159,10 @@ def _run_sample(scenario: ScenarioFile, report: ReportDocument, seed: int, floor
     """
     shots = 100_000 if scenario.shots is None else scenario.shots
     tasks = [_task_from_scenario(scenario, direction) for direction in ("predict", "postdict")]
-    t = inference._transitions(tasks[0].transformation, tasks[0].preparation_states)
+    sides, t = _prepare_alternatives(tasks[0])
     # Solving first rejects a task that guesses nothing before any trial runs.
     families = [_solve_rows(_kernel_view(task), t) for task in tasks]
-    _, _, counts = count_grid(tasks[0], shots, seed)
+    _, _, counts = _count_grid(sides, t, shots, seed)
     for task, family, grid in zip(tasks, families, (counts, counts.T)):
         givens = family[0]
         trials = grid.sum(axis=1)
@@ -432,7 +435,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VALIDATION
 
     if args.format == "json":
-        # The record's fields in declaration order; asdict would deep-copy every check first.
+        # The record's attributes in the order __init__ sets them.
         text = json.dumps(vars(report), indent=2, ensure_ascii=False, allow_nan=False)
     elif args.format == "csv":
         text = _format_csv(report)

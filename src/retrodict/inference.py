@@ -416,6 +416,8 @@ def _check_preparation_states(states: Sequence[np.ndarray], d: int) -> None:
 
 @dataclass(frozen=True)
 class GeneralPrepCheck:
+    """``general_prep_purified_check``'s two postdiction tables and their largest difference."""
+
     direct: ProbabilityTable
     purified: ProbabilityTable
     max_defect: float
@@ -849,6 +851,8 @@ def _traces(kraus: np.ndarray, state: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NoSignallingReport:
+    """``no_signalling_check``'s three defects and the conditional readings it skipped."""
+
     marginal_defect: float
     purified_defect: float
     conditional_defect: float

@@ -39,6 +39,7 @@ closed form in one array pass; ``compare`` is its one-row case.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -149,9 +150,14 @@ def count_grid(task: InferenceTask, shots: int, seed: int) -> tuple[tuple[str, .
     labels are those of the task's table families: the given labels of its
     prediction rows and of its postdiction rows.
     """
+    return _count_grid(*_prepare_alternatives(task), shots, seed)
+
+
+def _count_grid(sides, t: np.ndarray, shots: int, seed: int) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray]:
+    """``count_grid`` on a task's ``_prepare_alternatives``: its sides and its transition array."""
     if shots < 1:
         raise ValueError("shots must be at least 1")
-    ((in_labels, in_index), (out_labels, out_index)), t = _prepare_alternatives(task)
+    (in_labels, in_index), (out_labels, out_index) = sides
     outcome_cdfs, meas_cdfs = _transformation_stages(t)
     n_alt, n_x, n_outcomes = len(in_index), t.shape[-2], len(out_index) // t.shape[-2]
     # Cell (input label i, output label j) is i * len(out_labels) + j.
@@ -225,8 +231,7 @@ def _analytic_rows(family, rows: np.ndarray) -> np.ndarray:
     return values
 
 
-@dataclass(frozen=True)
-class Verdicts:
+class Verdicts(NamedTuple):
     """Sampled rows held to their closed forms: per cell, then per row.
 
     ``deviations`` and ``bounds`` are (rows, cells).  Per row, ``defect`` is
@@ -266,6 +271,8 @@ def verdicts(frequencies: np.ndarray, p: np.ndarray, trials: np.ndarray, floor: 
 
 @dataclass(frozen=True)
 class CompareReport:
+    """``compare``'s verdict on one row: its largest deviation, worst and failing labels, and bounds."""
+
     max_deviation: float
     worst_label: str | None
     failures: tuple[str, ...]

@@ -8,16 +8,17 @@ convention is shared by every file the package reads or writes.
 from __future__ import annotations
 
 import array
+import functools
 import gc
 import hashlib
 import itertools
 import json
+import operator
 import re
 from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
-import orjson
 
 from . import linalg
 from .channels import Instrument, QuantumMap, is_trace_preserving
@@ -52,21 +53,23 @@ def _is_number(x) -> bool:
     return True
 
 
-def _wire_to_complex_array(pairs: list, field: str, shape: tuple[int, ...]) -> np.ndarray:
-    """A flat list of [re, im] pairs of numbers, converted in one step to a complex array of ``shape``.
+def _wire_to_complex_array(rows: list, field: str, shape: tuple[int, ...]) -> np.ndarray:
+    """Rows of [re, im] pairs of numbers, flattened once and converted in one step to a complex array of ``shape``.
 
-    A number is what ``array("d")`` converts (a JSON number, or a numpy or
-    ``Decimal`` number from Python) except a Python or numpy bool.  One pass
-    reads the pairs' lengths; the flattened entries then go through
+    A matrix's rows are its rows; a ket is one row.  A number is what
+    ``array("d")`` converts (a JSON number, or a numpy or ``Decimal`` number
+    from Python) except a Python or numpy bool.  One pass reads the pairs'
+    lengths; one more extends a single list with every pair's entries, with
+    no list of pairs in between.  The entries then go through
     ``array("d")``, which refuses every other non-number but reads a bool as
     0.0 or 1.0, so the entries' types are read only if one of them is a
-    whole number.  Only a list that fails is walked, to name its first bad
+    whole number.  Only input that fails is walked, to name its first bad
     pair by the same rule (``_is_number``).
     """
     values = None
     try:
-        if set(map(len, pairs)) <= {2}:
-            flat = list(itertools.chain.from_iterable(pairs))
+        if set(map(len, itertools.chain.from_iterable(rows))) <= {2}:
+            flat = functools.reduce(operator.iconcat, itertools.chain.from_iterable(rows), [])
             values = array.array("d", flat)
             parts = np.frombuffer(values)
             if np.count_nonzero(np.rint(parts) == parts) and not set(map(type, flat)).isdisjoint(_BOOL_TYPES):
@@ -74,7 +77,7 @@ def _wire_to_complex_array(pairs: list, field: str, shape: tuple[int, ...]) -> n
     except (TypeError, OverflowError, ValueError):  # no length, a non-number, beyond the float range, a signaling NaN
         pass
     if values is None:
-        for pair in pairs:
+        for pair in itertools.chain.from_iterable(rows):
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise ScenarioError("malformed-document", f"expected [re, im] pair, got {pair!r}")
             if not all(map(_is_number, pair)):
@@ -96,8 +99,7 @@ def wire_to_matrix(data: Any, field: str = "matrix") -> np.ndarray:
     cols = len(data[0])
     if any(len(row) != cols for row in data):
         raise ScenarioError("malformed-document", f"{field}: ragged rows")
-    pairs = list(itertools.chain.from_iterable(data))
-    return _wire_to_complex_array(pairs, field, (len(data), cols))
+    return _wire_to_complex_array(data, field, (len(data), cols))
 
 
 def ket_to_wire(v: np.ndarray) -> list[list[float]]:
@@ -107,7 +109,7 @@ def ket_to_wire(v: np.ndarray) -> list[list[float]]:
 def wire_to_ket(data: Any, field: str = "state") -> np.ndarray:
     if not isinstance(data, list) or not data:
         raise ScenarioError("malformed-document", f"{field}: expected a list of [re, im] pairs")
-    return _wire_to_complex_array(data, field, (len(data),))
+    return _wire_to_complex_array([data], field, (len(data),))
 
 
 def instrument_to_wire(inst: Instrument) -> dict:
@@ -411,6 +413,8 @@ def parse_scenario(path: str) -> ScenarioFile:
         raise ScenarioError("malformed-document", f"invalid JSON: nested deeper than {MAX_DEPTH} levels")
     collecting = gc.isenabled()
     gc.disable()
+    import orjson  # loaded on the first file read, so a process that reads none never imports it
+
     try:
         try:
             doc = orjson.loads(text)

@@ -608,19 +608,19 @@ def test_verify_report_names_the_seed_it_ran(tmp_path, capsys):
 @pytest.mark.parametrize("name", [name for name in GOLDEN if name.startswith("sample_")])
 def test_sample_draws_one_ensemble(monkeypatch, capsys, name):
     calls = []
-    original = rd.cli.count_grid
+    original = rd.cli._count_grid
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(rd.cli, "count_grid", counted)
+    monkeypatch.setattr(rd.cli, "_count_grid", counted)
     assert main(["sample", "--scenario", fixture(f"{name}.json")]) == 0
     assert len(calls) == 1
 
 
 def test_sample_builds_transition_arrays_once_per_ensemble(monkeypatch, capsys):
-    # one build to solve every row, one inside the single count_grid
+    # one build, which solves every row and counts the ensemble
     import retrodict.inference as inference
 
     calls = []
@@ -632,7 +632,7 @@ def test_sample_builds_transition_arrays_once_per_ensemble(monkeypatch, capsys):
 
     monkeypatch.setattr(inference, "_transitions", counted)
     assert main(["sample", "--scenario", fixture("sample_hadamard.json"), "--shots", "2000"]) == 0
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("mask", ["known_input_mask", "known_output_mask"])
@@ -640,7 +640,7 @@ def test_sample_rejects_a_task_that_guesses_nothing_before_drawing(tmp_path, mon
     def never(*args):
         raise AssertionError("no trial may run for a task that guesses nothing")
 
-    monkeypatch.setattr(rd.cli, "count_grid", never)
+    monkeypatch.setattr(rd.cli, "_count_grid", never)
     doc = {**json.loads(Path(fixture("sample_hadamard.json")).read_text()), mask: [False]}
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))

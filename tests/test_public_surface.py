@@ -69,3 +69,19 @@ def test_every_library_definition_is_used_by_the_library_or_the_benchmark():
                 if referenced[node.name] - _referenced_names(node)[node.name] <= 0:
                     unused.append(f"{path.name}:{node.lineno} {node.name}")
     assert unused == []
+
+
+def _is_dataclass_decorator(node: ast.expr) -> bool:
+    target = node.func if isinstance(node, ast.Call) else node
+    return (target.id if isinstance(target, ast.Name) else getattr(target, "attr", None)) == "dataclass"
+
+
+def test_every_dataclass_has_a_docstring():
+    # Without one, dataclass builds __doc__ from inspect.signature of the class at import time.
+    missing = []
+    for path in sorted((ROOT / "src" / "retrodict").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef) and any(map(_is_dataclass_decorator, node.decorator_list)):
+                if ast.get_docstring(node) is None:
+                    missing.append(f"{path.name}:{node.lineno} {node.name}")
+    assert missing == []

@@ -1,3 +1,4 @@
+import array
 import decimal
 import gc
 import hashlib
@@ -226,6 +227,30 @@ def _walked_conversion(pairs, field):
     return parts.view(np.complex128).reshape(-1)
 
 
+def _listed_conversion(pairs, field):
+    """The ``array("d")`` conversion as it was with a list of pairs: their lengths read, then a second list of their entries."""
+    values = None
+    try:
+        if set(map(len, pairs)) <= {2}:
+            flat = list(itertools.chain.from_iterable(pairs))
+            values = array.array("d", flat)
+            parts = np.frombuffer(values)
+            if np.count_nonzero(np.rint(parts) == parts) and not set(map(type, flat)).isdisjoint(serialize._BOOL_TYPES):
+                values = None
+    except (TypeError, OverflowError, ValueError):
+        pass
+    if values is None:
+        for pair in pairs:
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise ScenarioError("malformed-document", f"expected [re, im] pair, got {pair!r}")
+            if not all(map(serialize._is_number, pair)):
+                raise ScenarioError("malformed-document", f"expected [re, im] numbers, got {pair!r}")
+        parts = np.array([np.inf])
+    if np.count_nonzero(np.isfinite(parts)) < len(parts):
+        raise ScenarioError("malformed-document", f"{field}: entries must be finite numbers")
+    return np.ndarray(len(pairs), np.complex128, values)
+
+
 def _converted_or_error(convert):
     try:
         converted = convert()
@@ -234,14 +259,14 @@ def _converted_or_error(convert):
     return converted.dtype, converted.shape, converted.tobytes()
 
 
-def _assert_converts_as_walked(pairs, rows):
-    """``wire_to_matrix`` on the pairs in ``rows`` rows, and ``wire_to_ket`` on them, each as the walked conversion."""
+def _assert_converts_as(pairs, rows, conversion):
+    """``wire_to_matrix`` on the pairs in ``rows`` rows, and ``wire_to_ket`` on them, each as ``conversion`` of the pairs."""
     cols = len(pairs) // rows
     matrix = [pairs[r * cols : (r + 1) * cols] for r in range(rows)]
-    walked = _converted_or_error(lambda: _walked_conversion(pairs, "m").reshape(rows, cols))
-    assert _converted_or_error(lambda: wire_to_matrix(matrix, "m")) == walked
-    walked = _converted_or_error(lambda: _walked_conversion(pairs, "k"))
-    assert _converted_or_error(lambda: wire_to_ket(pairs, "k")) == walked
+    expected = _converted_or_error(lambda: conversion(pairs, "m").reshape(rows, cols))
+    assert _converted_or_error(lambda: wire_to_matrix(matrix, "m")) == expected
+    expected = _converted_or_error(lambda: conversion(pairs, "k"))
+    assert _converted_or_error(lambda: wire_to_ket(pairs, "k")) == expected
 
 
 _NUMBERS = st.one_of(
@@ -257,19 +282,30 @@ _ODD_PAIRS = st.one_of(
     st.lists(_NUMBERS, max_size=4).filter(lambda pair: len(pair) != 2),  # ragged
     st.lists(_ODD_ENTRIES, min_size=2, max_size=2),
 )
+# Pairs that only a document built in Python holds: tuples, 2-element numpy arrays, numpy and Decimal entries.
+_PYTHON_ENTRIES = st.sampled_from([np.float64(0.5), np.float32(0.25), np.int64(3), np.True_, decimal.Decimal("0.5")])
+_PYTHON_PAIRS = st.one_of(
+    st.tuples(_NUMBERS, _NUMBERS),
+    st.lists(st.one_of(_NUMBERS, _PYTHON_ENTRIES), min_size=2, max_size=2),
+    st.lists(st.one_of(_NUMBERS, _ODD_ENTRIES), min_size=2, max_size=2).map(np.array),
+)
 
 
-@given(data=st.data(), rows=st.integers(1, 4), cols=st.integers(1, 4))
+@given(data=st.data(), rows=st.integers(1, 4), cols=st.integers(1, 4), from_python=st.booleans())
 @settings(max_examples=400, deadline=None, database=None)
-def test_wire_conversion_equals_the_walked_conversion(data, rows, cols):
+def test_wire_conversion_equals_the_walked_conversion(data, rows, cols, from_python):
+    # Every draw converts as the list-of-pairs conversion did; a JSON-decodable one also as the walk.
+    odd_pairs = st.one_of(_ODD_PAIRS, _PYTHON_PAIRS) if from_python else _ODD_PAIRS
     pairs = [data.draw(st.lists(_NUMBERS, min_size=2, max_size=2)) for _ in range(rows * cols)]
     for _ in range(data.draw(st.integers(0, 3))):
         at = data.draw(st.integers(0, len(pairs) - 1))
         if data.draw(st.booleans()):
-            pairs[at] = data.draw(_ODD_PAIRS)
+            pairs[at] = data.draw(odd_pairs)
         elif isinstance(pairs[at], list) and len(pairs[at]) == 2:
             pairs[at][data.draw(st.integers(0, 1))] = data.draw(_ODD_ENTRIES)
-    _assert_converts_as_walked(pairs, rows)
+    _assert_converts_as(pairs, rows, _listed_conversion)
+    if not from_python:
+        _assert_converts_as(pairs, rows, _walked_conversion)
 
 
 @pytest.mark.parametrize(
@@ -298,7 +334,7 @@ def test_wire_conversion_equals_the_walked_conversion(data, rows, cols):
     ],
 )
 def test_wire_conversion_equals_the_walked_conversion_at_its_edges(pairs):
-    _assert_converts_as_walked(pairs, 2)
+    _assert_converts_as(pairs, 2, _walked_conversion)
 
 
 @pytest.mark.parametrize(
