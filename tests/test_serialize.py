@@ -228,7 +228,7 @@ def _walked_conversion(pairs, field):
 
 
 def _listed_conversion(pairs, field):
-    """The ``array("d")`` conversion as it was with a list of pairs: their lengths read, then a second list of their entries."""
+    """The conversion as it was on a list of pairs: their lengths read, then a second list of their entries."""
     values = None
     try:
         if set(map(len, pairs)) <= {2}:
