@@ -148,8 +148,9 @@ def _run_purify(scenario: ScenarioFile, report: ReportDocument, tolerance: float
 def _run_sample(scenario: ScenarioFile, report: ReportDocument, seed: int, floor: float):
     """Draw one ensemble, read it both ways, and hold every sampled conditional row to its closed form.
 
-    The transformation was validated when the scenario was parsed.  Its
-    transition array is built once, with the sampler's alternatives: each
+    The transformation was validated when the scenario was parsed.  Each
+    task's kernel view is built once, and the predict task's also gives the
+    sampler's alternatives.  The transition array is built once: each
     direction's rows are solved on it in one contraction, and the ensemble
     is counted on it.  The count grid is the same either way, and its
     labels are the families' given labels: the grid is
@@ -159,10 +160,11 @@ def _run_sample(scenario: ScenarioFile, report: ReportDocument, seed: int, floor
     """
     shots = 100_000 if scenario.shots is None else scenario.shots
     tasks = [_task_from_scenario(scenario, direction) for direction in ("predict", "postdict")]
-    sides, t = _prepare_alternatives(tasks[0])
+    views = [_kernel_view(task) for task in tasks]
+    layout, t = _prepare_alternatives(tasks[0], views[0])
     # Solving first rejects a task that guesses nothing before any trial runs.
-    families = [_solve_rows(_kernel_view(task), t) for task in tasks]
-    _, _, counts = _count_grid(sides, t, shots, seed)
+    families = [_solve_rows(view, t) for view in views]
+    _, _, counts = _count_grid(layout, t, shots, seed)
     for task, family, grid in zip(tasks, families, (counts, counts.T)):
         givens = family[0]
         trials = grid.sum(axis=1)

@@ -17,19 +17,26 @@ Randomness comes from the Philox 4x64 counter-based generator (numpy's
 keyed by the ensemble seed and yields a fixed block of THREE uniform doubles
 per trial, in trial order; trial t consumes exactly slots [3t, 3t+3).  Counts
 are therefore reproducible bit-for-bit and independent of how trials are
-scheduled.  The ensemble is counted in chunks of ``CHUNK_TRIALS`` trials,
-each chunk's uniforms starting at its first trial's slot (the counter is
-advanced, not replayed).  The chunk is sized for a core's 2 MiB L2 cache:
-its uniforms, alternatives, search positions and targets take about 100
-bytes a trial, under 1 MB at 2**13 trials, so each stage reads back what the
-previous one wrote without going to memory.  The CDFs of every alternative
-are stacked once, so a chunk draws each stage for all its trials with one
-batched search and tallies its (input label, output label) cells with one
-``bincount`` into one count grid, ``count_grid``.  A unitary, a channel or a
-preparation set has a single outcome, so its outcome stage draws nothing:
-the outcome is 0 and its uniform is skipped, still consumed from the stream.
-Memory is bounded by T and the chunk, not by ``shots``, and since Philox is
-counter-based the chunk size cannot change the counts.
+scheduled.  Each ensemble is drawn from one keyed stream, in chunks of
+``CHUNK_TRIALS`` trials that fill one reused buffer in turn; numpy buffers
+Philox's 4-word blocks, so the chunks continue the stream word for word,
+whatever their size (``trial_uniforms`` is the stream's definition, from any
+trial on).  The chunk is sized for a core's 2 MiB L2 cache: its uniforms,
+alternatives, search positions and targets take about 100 bytes a trial,
+under 1 MB at 2**13 trials, so each stage reads back what the previous one
+wrote without going to memory.  The CDFs of every alternative are stacked
+once, so a chunk draws each stage for all its trials with one batched
+search.  The measurement search gives each trial's flat position in the
+stacked measurement CDFs, row (alternative, outcome) and index, and the
+chunk adds its positions to one histogram shaped like those CDFs, work in
+proportion to the chunk whatever the size of T.  After the last chunk the
+histogram is folded once into the (input label, output label) count grid,
+``count_grid``: an index that rounding at the top pushed past its row's last
+entry counts as that entry, and the axes no label keeps are summed.  A
+unitary, a channel or a preparation set has a single outcome, so its
+outcome stage draws nothing: the outcome is 0 and its uniform is skipped,
+still consumed from the stream.  Memory is bounded by T and the chunk, not
+by ``shots``.
 
 The grid read along its rows gives the prediction rows, and read down its
 columns the postdiction rows.  ``verdicts`` holds every sampled row to its
@@ -57,21 +64,30 @@ CHUNK_TRIALS = 1 << 13
 SEED_LIMIT = 2**64
 
 
-def trial_uniforms(seed: int, shots: int, first: int = 0) -> np.ndarray:
-    """The (shots, 3) array of uniform doubles driving trials first, ..., first + shots - 1.
+def _stream(seed: int, first: int = 0) -> np.random.Generator:
+    """The ensemble's Philox stream, keyed by ``seed``, positioned at trial ``first``'s first slot.
 
-    Raw 64-bit Philox words are mapped to [0, 1) doubles by the standard
-    (word >> 11) * 2**-53 conversion, which is numpy's ``Generator.random``
-    on this bit generator.  The words before trial ``first`` are skipped by
-    advancing the counter (four words per step) and discarding the
-    remainder, so the block equals rows [first, first + shots) of the block
-    from trial 0.
+    The words before it are skipped by advancing the counter (four words
+    per step) and discarding the remainder.  numpy buffers each 4-word
+    block, so successive draws from the returned generator continue the
+    stream word for word, whatever their sizes.
     """
     bit_generator = np.random.Philox(key=np.uint64(seed))
     skipped, remainder = divmod(SLOTS_PER_TRIAL * first, 4)
     bit_generator.advance(skipped)
     bit_generator.random_raw(remainder)
-    return np.random.Generator(bit_generator).random((shots, SLOTS_PER_TRIAL))
+    return np.random.Generator(bit_generator)
+
+
+def trial_uniforms(seed: int, shots: int, first: int = 0) -> np.ndarray:
+    """The (shots, 3) array of uniform doubles driving trials first, ..., first + shots - 1.
+
+    Raw 64-bit Philox words are mapped to [0, 1) doubles by the standard
+    (word >> 11) * 2**-53 conversion, which is numpy's ``Generator.random``
+    on this bit generator.  The block equals rows [first, first + shots) of
+    the block from trial 0.
+    """
+    return _stream(seed, first).random((shots, SLOTS_PER_TRIAL))
 
 
 @dataclass(frozen=True)
@@ -88,21 +104,26 @@ class EnsembleResult:
             raise ValueError(f"counts sum to {total}, expected {self.shots}")
 
 
-def _prepare_alternatives(task: InferenceTask):
-    """Per side, its labels and each outcome combination's index among them; and the solver's transition array.
+def _prepare_alternatives(task: InferenceTask, view):
+    """The grid's layout: its input and output labels, each of T's axes' size, the axes summed; and T.
 
-    A side's labels are the kernel's labels of its given or guessed axes,
-    the factors in its mask.  The input index runs over the columns of T,
-    the output index over its flattened rows, the instrument outcome first.
+    ``view`` is the task's ``inference._kernel_view``.  A side's labels are
+    the kernel's labels of its given or guessed axes, the factors in its
+    mask.  The axes run as a count of T's entries is laid out: the input
+    factors of its columns, then the instrument outcome and output factors
+    of its flattened rows.  The axes no label keeps are summed.
     """
-    labels, roles, _, n_out = inference._kernel_view(task)
-    sides = []
-    for side in (slice(n_out, None), slice(n_out)):
-        factors, mask = labels[side], tuple(role in (inference.GIVEN, inference.GUESSED) for role in roles[side])
-        kept = [len(factor) if m else 1 for factor, m in zip(factors, mask)]
-        index = np.broadcast_to(np.arange(np.prod(kept)).reshape(kept), tuple(map(len, factors))).ravel()
-        sides.append((inference._joined_labels(factors, mask), index))
-    return sides, inference._transitions(task.transformation, task.preparation_states)
+    labels, roles, _, n_out = view
+    labels, roles = labels[n_out:] + labels[:n_out], roles[n_out:] + roles[:n_out]
+    kept = tuple(role in (inference.GIVEN, inference.GUESSED) for role in roles)
+    n_in = len(labels) - n_out
+    layout = (
+        inference._joined_labels(labels[:n_in], kept[:n_in]),
+        inference._joined_labels(labels[n_in:], kept[n_in:]),
+        tuple(map(len, labels)),
+        tuple(axis for axis, k in enumerate(kept) if not k),
+    )
+    return layout, inference._transitions(task.transformation, task.preparation_states)
 
 
 def _padded_cumsum(weights: np.ndarray) -> np.ndarray:
@@ -126,21 +147,23 @@ def _transformation_stages(t: np.ndarray) -> tuple[np.ndarray | None, np.ndarray
     return outcome_cdfs, _padded_cumsum(columns.reshape(-1, n_x))
 
 
-def _grouped_inverse_cdf(groups: np.ndarray, u: np.ndarray, cdfs: np.ndarray, n: int) -> np.ndarray:
-    """Per trial t, the inverse-CDF draw of u[t] from row groups[t] of ``_padded_cumsum``'s n-entry cdfs.
+def _grouped_inverse_cdf(groups: np.ndarray, u: np.ndarray, cdfs: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """Per trial t, the inverse-CDF draw of u[t] from row groups[t] of ``_padded_cumsum``'s cdfs, as a flat position.
 
     A branchless binary search counts the row's entries at most u times its
-    total: on a nondecreasing row, ``searchsorted(side="right")``, here
-    clipped to the last index against rounding at the top.  The search
-    moves a flat position within the row, so each step is one gather.
+    total, ``totals[groups[t]]``: on a nondecreasing row,
+    ``searchsorted(side="right")``.  The search moves a flat position, row
+    times width plus index, so each step is one gather.  The index is not
+    clipped: a count of n, from rounding at the top, is the caller's to read
+    as n - 1.
     """
-    flat, base = cdfs.ravel(), groups * cdfs.shape[1]
-    target = u * flat[base + (n - 1)]
-    position, step = base.copy(), cdfs.shape[1] >> 1
+    flat, width = cdfs.ravel(), cdfs.shape[1]
+    target = u * totals[groups]
+    position, step = groups * width, width >> 1
     while step:
-        position += step * (flat[position + (step - 1)] <= target)
+        position += step * (flat[step - 1 :][position] <= target)
         step >>= 1
-    return np.minimum(position - base, n - 1)
+    return position
 
 
 def count_grid(task: InferenceTask, shots: int, seed: int) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray]:
@@ -150,30 +173,54 @@ def count_grid(task: InferenceTask, shots: int, seed: int) -> tuple[tuple[str, .
     labels are those of the task's table families: the given labels of its
     prediction rows and of its postdiction rows.
     """
-    return _count_grid(*_prepare_alternatives(task), shots, seed)
+    return _count_grid(*_prepare_alternatives(task, inference._kernel_view(task)), shots, seed)
 
 
-def _count_grid(sides, t: np.ndarray, shots: int, seed: int) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray]:
-    """``count_grid`` on a task's ``_prepare_alternatives``: its sides and its transition array."""
+def _count_grid(layout, t: np.ndarray, shots: int, seed: int) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray]:
+    """``count_grid`` on a task's ``_prepare_alternatives``: its grid layout and its transition array.
+
+    The ensemble's ``_measurement_histogram`` is folded once into the grid:
+    a draw that rounding at the top pushed past its row's last entry counts
+    as that entry, and the axes no label keeps are summed.
+    """
     if shots < 1:
         raise ValueError("shots must be at least 1")
-    (in_labels, in_index), (out_labels, out_index) = sides
-    outcome_cdfs, meas_cdfs = _transformation_stages(t)
-    n_alt, n_x, n_outcomes = len(in_index), t.shape[-2], len(out_index) // t.shape[-2]
-    # Cell (input label i, output label j) is i * len(out_labels) + j.
-    grid = np.zeros(len(in_labels) * len(out_labels), dtype=np.int64)
-    in_cells = in_index * len(out_labels)
-    for first in range(0, shots, CHUNK_TRIALS):
-        uniforms = trial_uniforms(seed, min(CHUNK_TRIALS, shots - first), first)
-        alt = np.minimum((uniforms[:, 0] * n_alt).astype(np.int64), n_alt - 1)
-        if n_outcomes == 1:  # the one outcome is 0, and its uniform goes unread
-            measured = _grouped_inverse_cdf(alt, uniforms[:, 2], meas_cdfs, n_x)
-        else:
-            outcome = _grouped_inverse_cdf(alt, uniforms[:, 1], outcome_cdfs, n_outcomes)
-            x = _grouped_inverse_cdf(alt * n_outcomes + outcome, uniforms[:, 2], meas_cdfs, n_x)
-            measured = outcome * n_x + x
-        grid += np.bincount(in_cells[alt] + out_index[measured], minlength=len(grid))
+    in_labels, out_labels, shape, summed = layout
+    n_x = t.shape[-2]
+    histogram = _measurement_histogram(t, shots, seed)
+    histogram[:, n_x - 1] += histogram[:, n_x:].sum(axis=1)
+    grid = histogram[:, :n_x].reshape(shape).sum(axis=summed)
     return in_labels, out_labels, grid.reshape(len(in_labels), len(out_labels))
+
+
+def _measurement_histogram(t: np.ndarray, shots: int, seed: int) -> np.ndarray:
+    """How many of ``shots`` trials drew each position of ``_transformation_stages``'s measurement CDFs.
+
+    Row (a, k) of the int64 result counts the trials of alternative a and
+    outcome k by the unclipped index of their measurement draw.  Each chunk
+    adds its positions with ``np.add.at``, work in proportion to the chunk
+    whatever the size of T.
+    """
+    outcome_cdfs, meas_cdfs = _transformation_stages(t)
+    n_x, n_alt = t.shape[-2:]
+    meas_totals = meas_cdfs[:, n_x - 1].copy()
+    if outcome_cdfs is not None:
+        n_outcomes = len(meas_cdfs) // n_alt
+        outcome_totals = outcome_cdfs[:, n_outcomes - 1].copy()
+        # Outcome position (a, j) draws its measurement from row (a, min(j, K - 1)).
+        padded_k = np.minimum(np.arange(outcome_cdfs.shape[1]), n_outcomes - 1)
+        meas_rows = (np.arange(n_alt)[:, None] * n_outcomes + padded_k).ravel()
+    histogram = np.zeros(meas_cdfs.shape, dtype=np.int64)
+    stream, block = _stream(seed), np.empty((min(CHUNK_TRIALS, shots), SLOTS_PER_TRIAL))
+    for first in range(0, shots, CHUNK_TRIALS):
+        uniforms = block[: min(CHUNK_TRIALS, shots - first)]
+        stream.random(out=uniforms)
+        rows = (uniforms[:, 0] * n_alt).astype(np.int64)
+        np.minimum(rows, n_alt - 1, out=rows)
+        if outcome_cdfs is not None:  # else the one outcome is 0, and its uniform goes unread
+            rows = meas_rows[_grouped_inverse_cdf(rows, uniforms[:, 1], outcome_cdfs, outcome_totals)]
+        np.add.at(histogram.ravel(), _grouped_inverse_cdf(rows, uniforms[:, 2], meas_cdfs, meas_totals), 1)
+    return histogram
 
 
 def run_ensemble(task: InferenceTask, shots: int, seed: int) -> EnsembleResult:

@@ -635,6 +635,23 @@ def test_sample_builds_transition_arrays_once_per_ensemble(monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def test_sample_builds_each_tasks_kernel_view_once(monkeypatch, capsys):
+    # the predict task's view serves both the sampler's alternatives and its own solve
+    import retrodict.inference as inference
+
+    calls = []
+    original = inference._kernel_view
+
+    def counted(task):
+        calls.append(task.direction)
+        return original(task)
+
+    monkeypatch.setattr(inference, "_kernel_view", counted)
+    monkeypatch.setattr(rd.cli, "_kernel_view", counted)
+    assert main(["sample", "--scenario", fixture("sample_haar_open_false_alarm.json"), "--shots", "2000"]) == 0
+    assert sorted(calls) == ["postdict", "predict"]
+
+
 @pytest.mark.parametrize("mask", ["known_input_mask", "known_output_mask"])
 def test_sample_rejects_a_task_that_guesses_nothing_before_drawing(tmp_path, monkeypatch, capsys, mask):
     def never(*args):

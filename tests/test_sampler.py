@@ -240,15 +240,16 @@ def reference_counts(task, shots, seed):
         return min(int(np.searchsorted(cdf, u * cdf[-1], side="right")), len(cdf) - 1)
 
     def restricted(combo, mask):
-        return join_labels(*(str(label) for label, m in zip(combo, mask) if m))
+        return [str(label) for label, m in zip(combo, mask) if m]
 
     t = _transitions(task.transformation, task.preparation_states)
     outcomes = t.reshape((-1,) + t.shape[-2:])  # outcomes[k, x, a]
     n_alt = outcomes.shape[2]
     dims_in = task.dims_in if task.preparation_states is None else (n_alt,)
-    in_labels = [restricted(combo, task.known_input_mask) for combo in np.ndindex(*dims_in)]
-    out_labels = [restricted(combo, task.known_output_mask) for combo in np.ndindex(*task.dims_out)]
-    outcome_labels = task.transformation.labels() if t.ndim == 3 else ("",)
+    in_labels = [join_labels(*restricted(combo, task.known_input_mask)) for combo in np.ndindex(*dims_in)]
+    out_parts = [restricted(combo, task.known_output_mask) for combo in np.ndindex(*task.dims_out)]
+    # a multi-outcome instrument's outcome label leads its output label
+    outcome_parts = [[label] for label in task.transformation.labels()] if t.ndim == 3 else [[]]
     columns = [outcomes[:, :, a] for a in range(n_alt)]
     outcome_cdfs = [np.cumsum([column.sum() for column in alt_columns]) for alt_columns in columns]
     meas_cdfs = [[np.cumsum(column) for column in alt_columns] for alt_columns in columns]
@@ -257,8 +258,7 @@ def reference_counts(task, shots, seed):
         a = min(int(u_in * n_alt), n_alt - 1)
         k = inverse_cdf(outcome_cdfs[a], u_outcome)
         x = inverse_cdf(meas_cdfs[a][k], u_meas)
-        out_label = join_labels(outcome_labels[k], out_labels[x]) if outcome_labels[k] else out_labels[x]
-        key = (in_labels[a], out_label)
+        key = (in_labels[a], join_labels(*outcome_parts[k], *out_parts[x]))
         counts[key] = counts.get(key, 0) + 1
     return counts
 
@@ -315,7 +315,7 @@ def test_vectorized_counts_equal_the_per_trial_loop(name, seed):
 
 
 # 20 001 shots: two full chunks of 8192 and a ragged third, or one ragged chunk of 65536;
-# chunks of 1 and 7 keep to 1000 shots, a Philox set-up each
+# chunks of 1 and 7 keep to 1000 shots, since each chunk is one pass of the loop
 CHUNK_SHOTS = [(1, 1000), (7, 1000), (1000, 20_001), (8192, 20_001), (65536, 20_001)]
 
 
@@ -348,10 +348,13 @@ def test_the_batched_search_is_a_clipped_searchsorted(weights, zero_tail, data):
     weights[:, n - min(zero_tail, n) :] = 0.0  # a trailing run of equal cumulative values
     u = data.draw(st.lists(st.floats(0.0, 1.0 - 2.0**-53), max_size=50)) + [0.0, 1.0 - 2.0**-53]
     groups = data.draw(st.lists(st.integers(0, n_groups - 1), min_size=len(u), max_size=len(u)))
-    drawn = _grouped_inverse_cdf(np.array(groups), np.array(u), _padded_cumsum(weights), n)
-    for g, u_t, got in zip(groups, u, drawn):
-        row = np.cumsum(weights[g])
-        assert got == min(int(np.searchsorted(row, u_t * row[-1], side="right")), n - 1)
+    cdfs = _padded_cumsum(weights)
+    drawn = _grouped_inverse_cdf(np.array(groups), np.array(u), cdfs, cdfs[:, n - 1].copy())
+    for g, u_t, position in zip(groups, u, drawn):
+        # the flat position is row g's start plus the unclipped index
+        row, index = np.cumsum(weights[g]), position - g * cdfs.shape[1]
+        assert 0 <= index < cdfs.shape[1]
+        assert min(index, n - 1) == min(int(np.searchsorted(row, u_t * row[-1], side="right")), n - 1)
 
 
 def test_trial_uniforms_from_an_offset_are_a_slice_of_the_block():
@@ -482,6 +485,59 @@ def test_the_count_grid_read_as_a_dict_is_the_ensemble(task):
         if n
     }
     assert counts == run_ensemble(task, 3000, 76).joint_counts == reference_counts(task, 3000, 76)
+
+
+factor_lists = st.lists(st.integers(1, 5), min_size=1, max_size=2)
+
+
+@st.composite
+def kernel_tasks(draw):
+    """A unitary, a channel, a 2- or 3-outcome instrument or a preparation-state set, factors of 1-5, random masks."""
+    kind = draw(st.sampled_from(["unitary", "channel", "instrument-2", "instrument-3", "states"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    dims_in = draw(factor_lists)
+    d_in = int(np.prod(dims_in))
+    dims_out = dims_in[::-1]
+    states = None
+    if kind == "channel":
+        dims_out = draw(factor_lists)
+        d_out = int(np.prod(dims_out))
+        transformation = random_cptp_map(d_in, d_out, -(-d_in // d_out) + draw(st.integers(0, 2)), seed)
+    elif kind.startswith("instrument"):
+        transformation = random_instrument(d_in, int(kind[-1]), draw(st.integers(1, 2)), seed)
+    else:
+        transformation = linalg.haar_random_unitary(d_in, seed)
+    if kind == "states":
+        dims_in, dims_out = (d_in,), (d_in,)
+        states = tuple(random_pure_state(d_in, seed + i) for i in range(draw(st.integers(1, 5))))
+    n_in = 1 if states is not None else len(dims_in)
+    masks = [tuple(draw(st.lists(st.booleans(), min_size=n, max_size=n))) for n in (n_in, len(dims_out))]
+    return InferenceTask(transformation, tuple(dims_in), tuple(dims_out), "predict", *masks, preparation_states=states)
+
+
+# at 7 trials a chunk is 21 words, so chunks straddle Philox's 4-word blocks
+@given(kernel_tasks(), st.integers(0, 2**64 - 1), st.integers(1, 200), st.sampled_from([1, 3, 7, 64]))
+@settings(max_examples=200, deadline=None, database=None)
+def test_the_count_grid_is_the_per_trial_loop(task, seed, shots, chunk):
+    # run_ensemble is count_grid read as a dict
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sampler, "CHUNK_TRIALS", chunk)
+        counts = run_ensemble(task, shots, seed).joint_counts
+    assert counts == reference_counts(task, shots, seed)
+
+
+def test_an_ensemble_keys_one_philox_stream(monkeypatch):
+    keyed = []
+    original = np.random.Philox
+
+    def counted(*args, **kwargs):
+        keyed.append(kwargs.get("key"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counted)
+    monkeypatch.setattr(sampler, "CHUNK_TRIALS", 7)
+    assert count_grid(_grid_tasks()[3], 100, 79)[2].sum() == 100
+    assert keyed == [79]
 
 
 @pytest.mark.parametrize("task", _coverage_tasks() + _grid_tasks(), ids=COVERAGE_IDS + GRID_IDS)
