@@ -1,4 +1,7 @@
-"""Command-line front end: run scenario files and identity verification sweeps.
+"""Command-line front end: argument parsing, dispatch, report formatting and exit codes.
+
+The checks a report carries are computed in the library: ``verify`` runs
+``inference.identity_suite`` and ``sample`` runs ``sampler.sample_checks``.
 
 Exit codes: 0 success, 2 parse error, 3 validation error (or an input too
 large for the memory at hand), 4 undefined conditional, 5 verification
@@ -17,43 +20,12 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import __version__, linalg
-from .channels import (
-    Instrument,
-    QuantumMap,
-    _noisy_kraus,
-    _random_kraus_stacks,
-    amplitude_damping,
-    check_cptp,
-    classify,
-    coarse_grain,
-    make_dephasing,
-)
-from .errors import NoActiveReverseError, ScenarioError, UndefinedConditionalError
-from .inference import (
-    AVERAGED,
-    GIVEN,
-    GUESSED,
-    SUMMED,
-    InferenceTask,
-    _bayes_rows,
-    _deterministic_effect_stack,
-    _follower_seeds,
-    _kernel_view,
-    _no_signalling_stack,
-    _pull_back_reference,
-    _purified_ratio_defects,
-    _sampled_table_asymmetry,
-    _solve_checked,
-    _solve_rows,
-    _table_rows,
-    channel_toward_past_check,
-    four_task_check,
-    is_inference_symmetric,
-    open_reversal_check,
-)
+from . import __version__
+from .channels import Instrument, QuantumMap, classify, coarse_grain
+from .errors import ScenarioError, UndefinedConditionalError
+from .inference import InferenceTask, _solve_checked, identity_suite
 from .purify import purify_instrument, stinespring, verify_purification
-from .sampler import SEED_LIMIT, _analytic_rows, _count_grid, _prepare_alternatives, verdicts
+from .sampler import SEED_LIMIT, sample_checks
 from .sampler import run_ensemble  # noqa: F401  (bound here for bench/test_bench.py's tracer test)
 from .serialize import (
     ScenarioFile,
@@ -94,6 +66,12 @@ class ReportDocument:
             {"name": name, "defect": float(defect), "tolerance": float(tolerance), "passed": ok}
         )
         self.passed = self.passed and ok
+
+    def add_checks(self, checks, metrics: dict):
+        """A library call's checks, each (name, defect, tolerance, passed), in order; then its metrics."""
+        for check in checks:
+            self.add_check(*check)
+        self.metrics.update(metrics)
 
 
 def _task_from_scenario(scenario: ScenarioFile, direction: str) -> InferenceTask:
@@ -146,157 +124,16 @@ def _run_purify(scenario: ScenarioFile, report: ReportDocument, tolerance: float
 
 
 def _run_sample(scenario: ScenarioFile, report: ReportDocument, seed: int, floor: float):
-    """Draw one ensemble, read it both ways, and hold every sampled conditional row to its closed form.
-
-    The transformation was validated when the scenario was parsed.  Each
-    task's kernel view is built once, and the predict task's also gives the
-    sampler's alternatives.  The transition array is built once: each
-    direction's rows are solved on it in one contraction, and the ensemble
-    is counted on it.  The count grid is the same either way, and its
-    labels are the families' given labels: the grid is
-    read along its rows to predict and down its columns to postdict.  A
-    direction's sampled rows, in the order of their given labels, are
-    checked and compared in one array pass; no table is built.
-    """
+    """``sampler.sample_checks`` on the scenario's two tasks; its transformation was validated when parsed."""
     shots = 100_000 if scenario.shots is None else scenario.shots
-    tasks = [_task_from_scenario(scenario, direction) for direction in ("predict", "postdict")]
-    views = [_kernel_view(task) for task in tasks]
-    layout, t = _prepare_alternatives(tasks[0], views[0])
-    # Solving first rejects a task that guesses nothing before any trial runs.
-    families = [_solve_rows(view, t) for view in views]
-    _, _, counts = _count_grid(layout, t, shots, seed)
-    for task, family, grid in zip(tasks, families, (counts, counts.T)):
-        givens = family[0]
-        trials = grid.sum(axis=1)
-        sampled = np.array(sorted(np.flatnonzero(trials).tolist(), key=givens.__getitem__))
-        analytic = _analytic_rows(family, sampled)
-        result = verdicts(grid[sampled] / trials[sampled, None], analytic, trials[sampled], floor)
-        for row, defect, bound, passed in zip(
-            sampled.tolist(), result.defect.tolist(), result.bound.tolist(), result.passed.tolist()
-        ):
-            report.add_check(f"sample-{task.direction}-given-{givens[row]}", defect, bound, passed=passed)
-        report.metrics[f"max_deviation_{task.direction}"] = float(result.defect.max())
-    report.metrics["shots"] = shots
-    report.metrics["seed"] = seed
-
-
-def _pool_defects(us: np.ndarray, dims: tuple[int, int]) -> tuple[float, float, float]:
-    """The closed-symmetry, open-reversal and open-ratio-laws defects of a stack of D x D unitaries."""
-    d_a, d_b = dims
-    d = d_a * d_b
-    # Both tables against the Born values |<x|U|a>|^2 read off U itself, indexed [a, x]:
-    # the prediction rows are [a, x] and the postdiction rows [x, a].
-    born = np.abs(us.swapaxes(-1, -2)) ** 2
-    kraus = us[:, None]  # each unitary a Kraus list of one
-    pre = _table_rows(kraus, (d, d), (GUESSED, GIVEN))
-    post, _ = _bayes_rows(_table_rows(kraus, (d, d), (GIVEN, GUESSED)))
-    closed = max(float(np.max(np.abs(pre - born))), float(np.max(np.abs(post.swapaxes(-1, -2) - born))))
-
-    reversal = open_reversal_check(us, dims)["max"]
-
-    # Solved predictions against operator-level postdictions, so the law
-    # is not read twice off one transition array.
-    pre = _table_rows(kraus, dims + dims, (GUESSED, SUMMED, GIVEN, AVERAGED))
-    post = _pull_back_reference(kraus, dims, (range(d_a), None), dims, (True, False))
-    return closed, reversal, float(np.max(np.abs(d_b * post.swapaxes(-1, -2) - d_b * pre)))
+    tasks = (_task_from_scenario(scenario, direction) for direction in ("predict", "postdict"))
+    report.add_checks(*sample_checks(*tasks, shots, seed, floor))
+    report.metrics.update(shots=shots, seed=seed)
 
 
 def _run_verify(report: ReportDocument, dims: tuple[int, int], seed: int, tolerance: float | None):
-    """The full identity suite on seeded random instances.
-
-    Each transformation is validated once, and each table family comes from
-    one contraction of its transition array, with a row per given outcome:
-    the four-task and towards-past checks take every (a, x) of an instance
-    in one call, whatever d_A is.
-
-    One pool of five D x D Haar unitaries, seeds 1000 * seed + 0 ... 4, is
-    drawn once, in the stacks of ``linalg.groups``.  Each stack serves
-    closed-symmetry, open-reversal and open-ratio-laws, and each holds the
-    kernel to its own closed form or operator-level reference, so the checks
-    share instances, not arithmetic.  Each pooled unitary is checked once,
-    in ``open_reversal_check``.  Draws 0-2 then give purified-ratio's noisy
-    channels and draw 3 the unital suite's, as Kraus stacks with no second
-    check.  purified-ratio and deterministic-effect each run their three
-    instances as one stack (``inference._purified_ratio_defects`` and
-    ``inference._deterministic_effect_stack``); purified-ratio's environment
-    rotations, a phase diagonal and ``purify.ROTATION_REFLECTIONS``
-    Householder reflections each (``purify.rotate_ancilla``), are drawn on
-    their own.  The small maps, instruments and followers are thin Haar
-    draws (``linalg.haar_random_isometries``): only the d_A columns each
-    keeps are QR-factored.
-    """
-    d_a, d_b = dims
-    d = d_a * d_b
-    tol_exact = tolerance if tolerance is not None else 1e-12
-    tol_purified = tolerance if tolerance is not None else 1e-10
-    rng_base = seed * 1000
-
-    pooled = []
-    noisy = []
-    seeds = range(rng_base, rng_base + 5)
-    for group in linalg.groups(len(seeds), 16 * d * d):
-        us = linalg.haar_random_unitaries(d, seeds[group])
-        pooled.append(_pool_defects(us, (d_a, d_b)))
-        # open_reversal_check has checked each draw; draws 0-3 become the noisy channels' Kraus stacks.
-        noisy.append(_noisy_kraus(us[: max(0, 4 - group.start)], d_a, d_b))
-    del us  # a D x D stack, not held through purified-ratio
-    noisy = np.concatenate(noisy)
-    for name, defect in zip(("closed-symmetry", "open-reversal", "open-ratio-laws"), np.max(pooled, axis=0)):
-        report.add_check(name, defect, tol_exact)
-
-    channel = amplitude_damping(0.5)
-    check_cptp(channel)
-    rows, factors = _bayes_rows(_table_rows(channel.kraus, (2, 2), (GIVEN, GUESSED)))
-    defect = max(
-        float(np.max(np.abs(rows - [[2 / 3, 1 / 3], [0.0, 1.0]]))),
-        float(np.max(np.abs(factors - [2 / 3, 2.0]))),
-    )
-    report.add_check("channel-bayes-factor", defect, tol_exact)
-
-    # Instance t is verify_purification(channel, rotated, trials=5, seed=t) for the dilation
-    # rotated = rotate_ancilla(stinespring(channel), rng_base + 40 + t), and the postdiction rows of both;
-    # each round trip compares the two sides' transfer matrices whole, then pushes the five states.
-    defect = _purified_ratio_defects(noisy[:3], 5, range(rng_base + 40, rng_base + 43)).max()
-    report.add_check("purified-ratio", defect, tol_purified)
-
-    u = linalg.haar_random_unitary(d_a, rng_base + 50)
-    defect = max(four_task_check(u).max_defect, four_task_check(make_dephasing()).max_defect)
-    report.add_check("four-task", defect, tol_exact)
-
-    # random_cptp_map(d_A, d_A, 2, seed) of seeds +60 (towards-past) and +97...+99 (deterministic-effect).
-    small_maps = _random_kraus_stacks(d_a, 2, [rng_base + 60, *range(rng_base + 97, rng_base + 100)])
-    past_map = QuantumMap(small_maps[0], d_a, d_a)
-    # Building each channel's purification checks that the map is a channel.
-    defect = max(channel_toward_past_check(channel).max_defect for channel in (amplitude_damping(0.5), past_map))
-    report.add_check("towards-past", defect, tol_purified)
-
-    # Instance t is no_signalling_check(e, f, rho, extra_followers=2, seed=rng_base + t) on
-    # random_instrument(d_A, 2, 2, seed) of seeds +70+t and +80+t: every instrument and follower in one draw.
-    seeds = [*range(rng_base + 70, rng_base + 73), *range(rng_base + 80, rng_base + 83)]
-    kraus = _random_kraus_stacks(d_a, 4, seeds + [s for t in range(3) for s in _follower_seeds(rng_base + t, 2)])
-    states = linalg.random_density_matrices(d_a, range(rng_base + 90, rng_base + 93))
-    followers = kraus[6:].reshape(3, -1, d_a, d_a)
-    marginal, conditional, purified = _no_signalling_stack(kraus[:3], kraus[3:6], states, followers)
-    report.add_check("no-signalling", max(marginal.max(), conditional.max()), tol_exact)
-    report.add_check("no-signalling-purified", purified.max(), tol_purified)
-
-    suite = [
-        ("unitary", QuantumMap((linalg.haar_random_unitary(d_a, rng_base + 95),), d_a, d_a), True),
-        ("dephasing", make_dephasing(), True),
-        ("noisy", QuantumMap(noisy[3], d_a, d_a), True),
-        ("amplitude-damping", amplitude_damping(0.5), False),
-    ]
-    # The criterion sum K K' = I against the tables the kernel gives on sampled bases.
-    gaps = _sampled_table_asymmetry([channel for _, channel, _ in suite], rng_base)
-    agreement = all(
-        is_inference_symmetric(channel) == (gap < 1e-9) == expected for (_, channel, expected), gap in zip(suite, gaps)
-    )
-    report.add_check("unital-symmetric-adjoint", 0.0 if agreement else 1.0, 0.5)
-
-    _, solution, _, residual = _deterministic_effect_stack(small_maps[1:])
-    report.add_check("deterministic-effect-solution", solution.max(), 1e-8)
-    report.add_check("deterministic-effect-alternatives", 1e-6, residual.min())
-    report.metrics["deterministic_effect_min_alternative_residual"] = float(residual.min())
+    """``inference.identity_suite``: the full identity suite on seeded random instances."""
+    report.add_checks(*identity_suite(dims, seed, tolerance))
     report.metrics["seed"] = seed
 
 
@@ -422,9 +259,6 @@ def main(argv: list[str] | None = None) -> int:
     except UndefinedConditionalError as exc:
         print(f"error [undefined-conditional]: {exc}", file=sys.stderr)
         return EXIT_UNDEFINED_CONDITIONAL
-    except NoActiveReverseError as exc:
-        print(f"error [no-active-reverse]: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except ScenarioError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
         return EXIT_PARSE if exc.code in PARSE_CODES else EXIT_VALIDATION

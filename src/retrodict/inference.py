@@ -30,7 +30,8 @@ is applied to its own axis of K, and the squared moduli are summed over the
 traced axes.  One call covers every given outcome of a relation.  Both the
 kernel and the reference read operators as one array, a Kraus list
 (K, D_out, D_in) or (n, K, D_out, D_in) for n instances, so one call also
-covers a stack of random instances.
+covers a stack of random instances.  ``identity_suite`` runs every check
+on seeded random instances; it is ``retrodict verify``.
 """
 
 from __future__ import annotations
@@ -48,10 +49,13 @@ from .channels import (
     Instrument,
     QuantumMap,
     _check_completeness,
+    _noisy_kraus,
     _random_kraus_stacks,
     adjoint_map,
+    amplitude_damping,
     check_cptp,
     is_trace_preserving,
+    make_dephasing,
 )
 from .channels import classify  # noqa: F401  (bound here for bench/test_bench.py's tracer test)
 from .errors import NoActiveReverseError, UndefinedConditionalError
@@ -1137,3 +1141,124 @@ def _deterministic_effect_stack(
         candidates.append(w)
     residuals = np.linalg.norm(m_real @ np.transpose(candidates) - t_real[:, None], axis=1)
     return weights, np.max(np.abs(weights - 1.0), axis=1), singular_values.min(axis=1), residuals.min(axis=1)
+
+
+# ---------------------------------------------------------------------------
+# The identity suite
+# ---------------------------------------------------------------------------
+
+
+def _pool_defects(us: np.ndarray, dims: tuple[int, int]) -> tuple[float, float, float]:
+    """The closed-symmetry, open-reversal and open-ratio-laws defects of a stack of D x D unitaries.
+
+    The stack's transition array is built once and contracted three times.
+    """
+    d_a, d_b = dims
+    # Both tables against the Born values |<x|U|a>|^2 read off U itself, indexed [a, x]:
+    # the prediction rows are [a, x] and the postdiction rows [x, a].
+    born = np.abs(us.swapaxes(-1, -2)) ** 2
+    kraus = us[:, None]  # each unitary a Kraus list of one
+    t = _transitions(kraus)
+    pre = _contract(t, (GUESSED, GIVEN))
+    post, _ = _bayes_rows(_contract(t, (GIVEN, GUESSED)))
+    closed = max(float(np.max(np.abs(pre - born))), float(np.max(np.abs(post.swapaxes(-1, -2) - born))))
+    # Solved predictions, held below to operator-level postdictions, so the
+    # law is not read twice off one transition array.
+    pre = _contract(t.reshape(t.shape[:-2] + dims + dims), (GUESSED, SUMMED, GIVEN, AVERAGED))
+    del t, born, post  # D x D stacks, not held through open_reversal_check
+
+    reversal = open_reversal_check(us, dims)["max"]
+
+    post = _pull_back_reference(kraus, dims, (range(d_a), None), dims, (True, False))
+    return closed, reversal, float(np.max(np.abs(d_b * post.swapaxes(-1, -2) - d_b * pre)))
+
+
+def identity_suite(
+    dims: tuple[int, int], seed: int, tolerance: float | None
+) -> tuple[list[tuple[str, float, float, bool | None]], dict[str, float]]:
+    """The paper's identities on seeded random instances: the checks in order, and the suite's metrics.
+
+    Each check is (name, defect, tolerance, passed), ``passed`` None where
+    defect < tolerance decides.  ``tolerance`` overrides every threshold but
+    deterministic-effect's; None keeps 1e-12 for the exact identities and
+    1e-10 for those read through a purification.
+
+    Instance seeds are offsets from 1000 * seed.  One pool of five D x D Haar
+    unitaries (offsets 0-4) is drawn once, in the stacks of ``linalg.groups``:
+    each stack serves closed-symmetry, open-reversal and open-ratio-laws,
+    which hold the kernel to their own closed forms or operator-level
+    references, and its unitaries are checked once, in ``open_reversal_check``.
+    Draws 0-2 give purified-ratio's noisy channels and draw 3 the unital
+    suite's, with no second check.  purified-ratio (rotations 40-42),
+    no-signalling (instruments 70-72 and 80-82, states 90-92, the followers
+    of 0-2) and deterministic-effect (maps 97-99) each run their three
+    instances as one stack; four-task's unitary is 50 and towards-past's map
+    60.  The small maps, instruments and followers are thin Haar draws
+    (``linalg.haar_random_isometries``).
+    """
+    d_a, d_b = dims
+    d = d_a * d_b
+    tol_exact = tolerance if tolerance is not None else 1e-12
+    tol_purified = tolerance if tolerance is not None else 1e-10
+    rng_base = seed * 1000
+    checks: list[tuple[str, float, float, bool | None]] = []
+
+    pooled = []
+    noisy = []
+    seeds = range(rng_base, rng_base + 5)
+    for group in linalg.groups(len(seeds), 16 * d * d):
+        us = linalg.haar_random_unitaries(d, seeds[group])
+        pooled.append(_pool_defects(us, (d_a, d_b)))
+        noisy.append(_noisy_kraus(us[: max(0, 4 - group.start)], d_a, d_b))
+    del us  # a D x D stack, not held through purified-ratio
+    noisy = np.concatenate(noisy)
+    for name, defect in zip(("closed-symmetry", "open-reversal", "open-ratio-laws"), np.max(pooled, axis=0)):
+        checks.append((name, defect, tol_exact, None))
+
+    channel = amplitude_damping(0.5)
+    check_cptp(channel)
+    rows, factors = _bayes_rows(_table_rows(channel.kraus, (2, 2), (GIVEN, GUESSED)))
+    defect = max(
+        float(np.max(np.abs(rows - [[2 / 3, 1 / 3], [0.0, 1.0]]))),
+        float(np.max(np.abs(factors - [2 / 3, 2.0]))),
+    )
+    checks.append(("channel-bayes-factor", defect, tol_exact, None))
+
+    defect = _purified_ratio_defects(noisy[:3], 5, range(rng_base + 40, rng_base + 43)).max()
+    checks.append(("purified-ratio", defect, tol_purified, None))
+
+    u = linalg.haar_random_unitary(d_a, rng_base + 50)
+    defect = max(four_task_check(u).max_defect, four_task_check(make_dephasing()).max_defect)
+    checks.append(("four-task", defect, tol_exact, None))
+
+    small_maps = _random_kraus_stacks(d_a, 2, [rng_base + 60, *range(rng_base + 97, rng_base + 100)])
+    past_map = QuantumMap(small_maps[0], d_a, d_a)
+    # Building each channel's purification checks that the map is a channel.
+    defect = max(channel_toward_past_check(channel).max_defect for channel in (amplitude_damping(0.5), past_map))
+    checks.append(("towards-past", defect, tol_purified, None))
+
+    seeds = [*range(rng_base + 70, rng_base + 73), *range(rng_base + 80, rng_base + 83)]
+    kraus = _random_kraus_stacks(d_a, 4, seeds + [s for t in range(3) for s in _follower_seeds(rng_base + t, 2)])
+    states = linalg.random_density_matrices(d_a, range(rng_base + 90, rng_base + 93))
+    followers = kraus[6:].reshape(3, -1, d_a, d_a)
+    marginal, conditional, purified = _no_signalling_stack(kraus[:3], kraus[3:6], states, followers)
+    checks.append(("no-signalling", max(marginal.max(), conditional.max()), tol_exact, None))
+    checks.append(("no-signalling-purified", purified.max(), tol_purified, None))
+
+    suite = [
+        ("unitary", QuantumMap((linalg.haar_random_unitary(d_a, rng_base + 95),), d_a, d_a), True),
+        ("dephasing", make_dephasing(), True),
+        ("noisy", QuantumMap(noisy[3], d_a, d_a), True),
+        ("amplitude-damping", amplitude_damping(0.5), False),
+    ]
+    # The criterion sum K K' = I against the tables the kernel gives on sampled bases.
+    gaps = _sampled_table_asymmetry([channel for _, channel, _ in suite], rng_base)
+    agreement = all(
+        is_inference_symmetric(channel) == (gap < 1e-9) == expected for (_, channel, expected), gap in zip(suite, gaps)
+    )
+    checks.append(("unital-symmetric-adjoint", 0.0 if agreement else 1.0, 0.5, None))
+
+    _, solution, _, residual = _deterministic_effect_stack(small_maps[1:])
+    checks.append(("deterministic-effect-solution", solution.max(), 1e-8, None))
+    checks.append(("deterministic-effect-alternatives", 1e-6, residual.min(), None))
+    return checks, {"deterministic_effect_min_alternative_residual": float(residual.min())}

@@ -41,6 +41,8 @@ by ``shots``.
 The grid read along its rows gives the prediction rows, and read down its
 columns the postdiction rows.  ``verdicts`` holds every sampled row to its
 closed form in one array pass; ``compare`` is its one-row case.
+``sample_checks`` is ``retrodict sample``: one ensemble, both directions'
+sampled rows, and their verdicts as the report's checks.
 """
 
 from __future__ import annotations
@@ -276,6 +278,44 @@ def _analytic_rows(family, rows: np.ndarray) -> np.ndarray:
     if invalid is not None:
         raise invalid[1]
     return values
+
+
+def sample_checks(
+    predict_task: InferenceTask, postdict_task: InferenceTask, shots: int, seed: int, floor: float
+) -> tuple[list[tuple[str, float, float, bool]], dict[str, float]]:
+    """Draw one ensemble, read it both ways, and hold every sampled conditional row to its closed form.
+
+    The tasks predict and postdict on one validated scenario.  Returns the
+    checks, (name, defect, bound, passed) for each sampled row of the
+    prediction family and then of the postdiction family, and each
+    direction's largest deviation as ``max_deviation_<direction>``.
+
+    Each task's kernel view is built once, and the predict task's also gives
+    the alternatives.  The transition array is built once: each direction's
+    rows are solved on it in one contraction, and the ensemble is counted on
+    it.  The grid is read along its rows to predict and down its columns to
+    postdict, its labels being the families' given labels.  A direction's
+    sampled rows, in the order of their given labels, are checked in one
+    array pass; no table is built.
+    """
+    tasks = (predict_task, postdict_task)
+    views = [inference._kernel_view(task) for task in tasks]
+    layout, t = _prepare_alternatives(tasks[0], views[0])
+    # Solving first rejects a task that guesses nothing before any trial runs.
+    families = [inference._solve_rows(view, t) for view in views]
+    _, _, counts = _count_grid(layout, t, shots, seed)
+    checks: list[tuple[str, float, float, bool]] = []
+    metrics = {}
+    for task, family, grid in zip(tasks, families, (counts, counts.T)):
+        givens = family[0]
+        trials = grid.sum(axis=1)
+        sampled = np.array(sorted(np.flatnonzero(trials).tolist(), key=givens.__getitem__))
+        analytic = _analytic_rows(family, sampled)
+        result = verdicts(grid[sampled] / trials[sampled, None], analytic, trials[sampled], floor)
+        names = [f"sample-{task.direction}-given-{givens[row]}" for row in sampled.tolist()]
+        checks += zip(names, result.defect.tolist(), result.bound.tolist(), result.passed.tolist())
+        metrics[f"max_deviation_{task.direction}"] = float(result.defect.max())
+    return checks, metrics
 
 
 class Verdicts(NamedTuple):

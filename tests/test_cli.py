@@ -608,13 +608,13 @@ def test_verify_report_names_the_seed_it_ran(tmp_path, capsys):
 @pytest.mark.parametrize("name", [name for name in GOLDEN if name.startswith("sample_")])
 def test_sample_draws_one_ensemble(monkeypatch, capsys, name):
     calls = []
-    original = rd.cli._count_grid
+    original = rd.sampler._count_grid
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(rd.cli, "_count_grid", counted)
+    monkeypatch.setattr(rd.sampler, "_count_grid", counted)
     assert main(["sample", "--scenario", fixture(f"{name}.json")]) == 0
     assert len(calls) == 1
 
@@ -647,7 +647,6 @@ def test_sample_builds_each_tasks_kernel_view_once(monkeypatch, capsys):
         return original(task)
 
     monkeypatch.setattr(inference, "_kernel_view", counted)
-    monkeypatch.setattr(rd.cli, "_kernel_view", counted)
     assert main(["sample", "--scenario", fixture("sample_haar_open_false_alarm.json"), "--shots", "2000"]) == 0
     assert sorted(calls) == ["postdict", "predict"]
 
@@ -657,7 +656,7 @@ def test_sample_rejects_a_task_that_guesses_nothing_before_drawing(tmp_path, mon
     def never(*args):
         raise AssertionError("no trial may run for a task that guesses nothing")
 
-    monkeypatch.setattr(rd.cli, "_count_grid", never)
+    monkeypatch.setattr(rd.sampler, "_count_grid", never)
     doc = {**json.loads(Path(fixture("sample_hadamard.json")).read_text()), mask: [False]}
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
@@ -698,7 +697,7 @@ def test_an_invalid_sampled_row_fails_as_its_table_would(
         assert re.fullmatch(TABLE_ERRORS, str(exc))
         message = f"error [validation]: {exc}\n"
 
-    original = rd.cli._solve_rows
+    original = rd.inference._solve_rows
 
     def spoiled(view, t):
         # only prediction's family is a forward probability, whose rows are not normalized
@@ -708,7 +707,7 @@ def test_an_invalid_sampled_row_fails_as_its_table_would(
             rows[1] = spoil(rows[1])
         return givens, cells, rows, normalized
 
-    monkeypatch.setattr(rd.cli, "_solve_rows", spoiled)
+    monkeypatch.setattr(rd.inference, "_solve_rows", spoiled)
     code = main(["sample", "--scenario", fixture("sample_hadamard.json"), "--shots", "2000"])
     assert (code, capsys.readouterr().err) == (predict_code if direction == "predict" else postdict_code, message)
 
@@ -929,10 +928,10 @@ def test_verify_draws_its_instruments_and_small_maps_as_the_random_constructors_
             seen.setdefault(name, []).append(args)
             return check(*args)
 
-        monkeypatch.setattr(rd.cli, name, recorded)
+        monkeypatch.setattr(rd.inference, name, recorded)
 
     for name in ("_no_signalling_stack", "channel_toward_past_check", "_deterministic_effect_stack"):
-        recording(name, getattr(rd.cli, name))
+        recording(name, getattr(rd.inference, name))
     assert main(["verify", "--dims", str(d_a), str(d_b), "--format", "json"]) == 0
     capsys.readouterr()
 

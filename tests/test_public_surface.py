@@ -85,3 +85,12 @@ def test_every_dataclass_has_a_docstring():
                 if ast.get_docstring(node) is None:
                     missing.append(f"{path.name}:{node.lineno} {node.name}")
     assert missing == []
+
+
+def test_the_command_line_imports_one_private_name():
+    # cli.py parses, dispatches and formats: the checks it reports run behind the public calls
+    # inference.identity_suite and sampler.sample_checks, and only solving a validated task reaches inside.
+    tree = ast.parse((ROOT / "src" / "retrodict" / "cli.py").read_text())
+    private = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level
+               for alias in node.names if alias.name.startswith("_") and not alias.name.endswith("__")]
+    assert private == ["_solve_checked"]
