@@ -741,10 +741,11 @@ def open_reversal_check(
     Each relation equates a table solved for the adjoint of U with the
     operator-level pull-back through U of the task with the data and guess
     sides swapped.  Returns the maximum defect per relation plus an overall
-    ``max`` entry.  ``u`` may be an (n, D, D) stack of unitaries, each
-    checked on its own: every relation is then one contraction and one
-    pull-back for the whole stack, and its entry is the maximum over the
-    stack, equal to the maximum of the per-instance entries.
+    ``max`` entry.  ``u`` may be an (n, D, D) stack of unitaries, checked
+    in one ``linalg.is_unitary`` call that fails if any member fails: every
+    relation is then one contraction and one pull-back for the whole stack,
+    and its entry is the maximum over the stack, equal to the maximum of the
+    per-instance entries.
     """
     dims_out = dims_in if dims_out is None else dims_out
     if len(dims_in) != 2 or len(dims_out) != 2:
@@ -755,8 +756,7 @@ def open_reversal_check(
         raise ValueError("open_reversal_check needs at least one unitary")
     if stack.shape[1:] != (linalg.dims_total(dims_out), linalg.dims_total(dims_in)):
         raise ValueError("declared dimensions do not match the transformation matrix")
-    for operand in stack:
-        _check_unitary_arg(operand)
+    _check_unitary_arg(stack)
     forward = stack[:, None]  # each unitary a Kraus list of one
     ud = dagger(forward)
     t = _transitions(ud).reshape(len(stack), *dims_in, *dims_out)
@@ -880,18 +880,21 @@ def no_signalling_check(
 
     This is the one-instance case of ``_no_signalling_defects``, which
     computes (i) and (iii) on Kraus stacks; the random followers are one
-    stack (``_random_followers``).  An outcome of f with joint weight below
-    1e-12 has no conditional and is listed as skipped.
+    stack (``_random_followers``).  ``rho`` is checked with
+    ``linalg.check_state`` before any follower is drawn.  An outcome of f
+    with joint weight below 1e-12 has no conditional and is listed as
+    skipped.
     """
     if extra_followers < 0:
         raise ValueError(f"extra_followers must be non-negative, got {extra_followers}")
     if e.dim_out != f.dim_in:
         raise ValueError("instruments are not composable: output and input dimensions differ")
+    rho = linalg.check_state(rho, e.dim_in)
     e_kraus, e_starts = _kraus_stack(e)
     f_kraus, f_starts = _kraus_stack(f)
     followers = _random_followers(f.dim_in, len(f.outcomes), extra_followers, seed)
     marginal, conditional, skipped = _no_signalling_defects(
-        e_kraus[None], e_starts, f_kraus[None], f_starts, followers[None], [rho]
+        e_kraus[None], e_starts, f_kraus[None], f_starts, followers[None], rho[None]
     )
     dilations = (purify_instrument(inst).isometry[None] for inst in (e, f))
     return NoSignallingReport(
@@ -928,7 +931,7 @@ def _no_signalling_defects(
     f: np.ndarray,
     f_starts: np.ndarray,
     followers: np.ndarray,
-    rhos: Sequence[np.ndarray],
+    rhos: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Readings (i) and (iii) of ``no_signalling_check`` for a stack of instances, and the outcomes of f skipped.
 
@@ -942,11 +945,12 @@ def _no_signalling_defects(
     from the nested application F_j[E_i[rho]], with the denominator
     F_j[E[rho]] of the coarse-grained e, never from the composed operators:
     the two sides of (iii) are separate computations.  No reduction crosses
-    the instance axis.
+    the instance axis.  ``rhos`` is an (n, d_in, d_in) stack of states, read
+    as given: ``no_signalling_check`` checks the state a caller passes in,
+    and the identity suite's come from ``linalg.random_density_matrices``.
     """
     if e.shape[-2] != f.shape[-1]:
         raise ValueError("instruments are not composable: output and input dimensions differ")
-    rhos = np.stack([linalg.check_state(rho, e.shape[-1]) for rho in rhos])
     n, n_e, n_f = len(rhos), len(e_starts), len(f_starts)
 
     # Each outcome's image E_i[rho], whose trace is the statistics of e alone.
@@ -1187,14 +1191,18 @@ def identity_suite(
     unitaries (offsets 0-4) is drawn once, in the stacks of ``linalg.groups``:
     each stack serves closed-symmetry, open-reversal and open-ratio-laws,
     which hold the kernel to their own closed forms or operator-level
-    references, and its unitaries are checked once, in ``open_reversal_check``.
+    references, and its unitaries are checked once, in one ``is_unitary``
+    call of ``open_reversal_check``.
     Draws 0-2 give purified-ratio's noisy channels and draw 3 the unital
     suite's, with no second check.  purified-ratio (rotations 40-42),
     no-signalling (instruments 70-72 and 80-82, states 90-92, the followers
     of 0-2) and deterministic-effect (maps 97-99) each run their three
-    instances as one stack; four-task's unitary is 50 and towards-past's map
-    60.  The small maps, instruments and followers are thin Haar draws
-    (``linalg.haar_random_isometries``).
+    instances as one stack; four-task's unitary is 50, the unital suite's
+    95 (the two drawn in one call) and towards-past's map 60.  The small
+    maps, instruments and followers are thin Haar draws
+    (``linalg.haar_random_isometries``).  The fixed channels,
+    ``amplitude_damping(0.5)`` and ``make_dephasing()``, are built once and
+    shared by every check that uses them.
     """
     d_a, d_b = dims
     d = d_a * d_b
@@ -1215,9 +1223,9 @@ def identity_suite(
     for name, defect in zip(("closed-symmetry", "open-reversal", "open-ratio-laws"), np.max(pooled, axis=0)):
         checks.append((name, defect, tol_exact, None))
 
-    channel = amplitude_damping(0.5)
-    check_cptp(channel)
-    rows, factors = _bayes_rows(_table_rows(channel.kraus, (2, 2), (GIVEN, GUESSED)))
+    damping, dephasing = amplitude_damping(0.5), make_dephasing()
+    check_cptp(damping)
+    rows, factors = _bayes_rows(_table_rows(damping.kraus, (2, 2), (GIVEN, GUESSED)))
     defect = max(
         float(np.max(np.abs(rows - [[2 / 3, 1 / 3], [0.0, 1.0]]))),
         float(np.max(np.abs(factors - [2 / 3, 2.0]))),
@@ -1227,14 +1235,14 @@ def identity_suite(
     defect = _purified_ratio_defects(noisy[:3], 5, range(rng_base + 40, rng_base + 43)).max()
     checks.append(("purified-ratio", defect, tol_purified, None))
 
-    u = linalg.haar_random_unitary(d_a, rng_base + 50)
-    defect = max(four_task_check(u).max_defect, four_task_check(make_dephasing()).max_defect)
+    small_unitaries = linalg.haar_random_unitaries(d_a, (rng_base + 50, rng_base + 95))
+    defect = max(four_task_check(small_unitaries[0]).max_defect, four_task_check(dephasing).max_defect)
     checks.append(("four-task", defect, tol_exact, None))
 
     small_maps = _random_kraus_stacks(d_a, 2, [rng_base + 60, *range(rng_base + 97, rng_base + 100)])
     past_map = QuantumMap(small_maps[0], d_a, d_a)
     # Building each channel's purification checks that the map is a channel.
-    defect = max(channel_toward_past_check(channel).max_defect for channel in (amplitude_damping(0.5), past_map))
+    defect = max(channel_toward_past_check(channel).max_defect for channel in (damping, past_map))
     checks.append(("towards-past", defect, tol_purified, None))
 
     seeds = [*range(rng_base + 70, rng_base + 73), *range(rng_base + 80, rng_base + 83)]
@@ -1246,10 +1254,10 @@ def identity_suite(
     checks.append(("no-signalling-purified", purified.max(), tol_purified, None))
 
     suite = [
-        ("unitary", QuantumMap((linalg.haar_random_unitary(d_a, rng_base + 95),), d_a, d_a), True),
-        ("dephasing", make_dephasing(), True),
+        ("unitary", QuantumMap((small_unitaries[1],), d_a, d_a), True),
+        ("dephasing", dephasing, True),
         ("noisy", QuantumMap(noisy[3], d_a, d_a), True),
-        ("amplitude-damping", amplitude_damping(0.5), False),
+        ("amplitude-damping", damping, False),
     ]
     # The criterion sum K K' = I against the tables the kernel gives on sampled bases.
     gaps = _sampled_table_asymmetry([channel for _, channel, _ in suite], rng_base)

@@ -176,10 +176,16 @@ def random_density_matrices(d: int, seeds: Sequence[int]) -> np.ndarray:
 
 
 def is_unitary(m: np.ndarray, atol: float = ATOL_STRUCTURAL) -> bool:
+    """Whether a square matrix, or every member of an (n, D, D) stack, is unitary within ``atol``.
+
+    One batched product M'M and one maximum over the whole stack, so a
+    stack costs one call; a NaN entry fails, since no comparison with NaN
+    holds.  Any other shape is not unitary.
+    """
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         return False
-    defect = np.max(np.abs(dagger(m) @ m - np.eye(m.shape[0])))
+    defect = np.max(np.abs(dagger(m) @ m - np.eye(m.shape[-1])), initial=0.0)
     return bool(defect < atol)
 
 

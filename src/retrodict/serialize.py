@@ -15,6 +15,7 @@ import itertools
 import json
 import operator
 import re
+import warnings
 from dataclasses import dataclass, replace
 from typing import Any
 
@@ -32,17 +33,13 @@ from .tables import ProbabilityTable
 TASKS = ("predict", "postdict", "classify", "purify", "verify", "sample")
 
 
-def complex_to_wire(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
 # array("d") reads these as 0.0 or 1.0; they are not numbers on the wire.
 _BOOL_TYPES = {bool, np.bool_}
 
 
 def _is_number(x) -> bool:
-    """Whether ``array("d")`` converts x, or finds it beyond the float range, and x is not a bool."""
-    if type(x) in _BOOL_TYPES:
+    """Whether ``array("d")`` converts x, or finds it beyond the float range, and x is not a bool or a numpy complex."""
+    if type(x) in _BOOL_TYPES or isinstance(x, np.complexfloating):
         return False
     try:
         array.array("d", (x,))
@@ -58,23 +55,29 @@ def _wire_to_complex_array(rows: list, field: str, shape: tuple[int, ...]) -> np
 
     A matrix's rows are its rows; a ket is one row.  A number is what
     ``array("d")`` converts (a JSON number, or a numpy or ``Decimal`` number
-    from Python) except a Python or numpy bool.  One pass reads the pairs'
-    lengths; one more extends a single list with every pair's entries, with
-    no list of pairs in between.  The entries then go through
-    ``array("d")``, which refuses every other non-number but reads a bool as
-    0.0 or 1.0, so the entries' types are read only if one of them is a
-    whole number.  Only input that fails is walked, to name its first bad
-    pair by the same rule (``_is_number``).
+    from Python) except a Python or numpy bool and a numpy complex.  One
+    pass reads the pairs' lengths; one more extends a single list with every
+    pair's entries, with no list of pairs in between.  The entries then go
+    through ``array("d")``, which refuses every other non-number but reads a
+    bool as 0.0 or 1.0, so the entries' types are read only if one of them
+    is a whole number; a numpy complex it would read as its real part, with
+    a ``ComplexWarning`` that is raised here as an error.  Only input that
+    fails is walked, to name its first bad pair by the same rule
+    (``_is_number``).
     """
     values = None
     try:
         if set(map(len, itertools.chain.from_iterable(rows))) <= {2}:
             flat = functools.reduce(operator.iconcat, itertools.chain.from_iterable(rows), [])
-            values = array.array("d", flat)
+            with warnings.catch_warnings():
+                # A numpy complex converts through __float__, which drops its imaginary part with this warning.
+                warnings.simplefilter("error", np.exceptions.ComplexWarning)
+                values = array.array("d", flat)
             parts = np.frombuffer(values)
             if np.count_nonzero(np.rint(parts) == parts) and not set(map(type, flat)).isdisjoint(_BOOL_TYPES):
                 values = None
-    except (TypeError, OverflowError, ValueError):  # no length, a non-number, beyond the float range, a signaling NaN
+    except (TypeError, OverflowError, ValueError, np.exceptions.ComplexWarning):
+        # no length, a non-number, beyond the float range, a signaling NaN, a numpy complex
         pass
     if values is None:
         for pair in itertools.chain.from_iterable(rows):
@@ -89,8 +92,9 @@ def _wire_to_complex_array(rows: list, field: str, shape: tuple[int, ...]) -> np
 
 
 def matrix_to_wire(m: np.ndarray) -> list[list[list[float]]]:
+    """Row-major nested lists of [re, im] pairs, written in one numpy pass; a -0.0 part stays -0.0."""
     m = np.asarray(m, dtype=complex)
-    return [[complex_to_wire(z) for z in row] for row in m]
+    return np.stack((m.real, m.imag), axis=-1).tolist()
 
 
 def wire_to_matrix(data: Any, field: str = "matrix") -> np.ndarray:
@@ -103,7 +107,8 @@ def wire_to_matrix(data: Any, field: str = "matrix") -> np.ndarray:
 
 
 def ket_to_wire(v: np.ndarray) -> list[list[float]]:
-    return [complex_to_wire(z) for z in np.asarray(v, dtype=complex).reshape(-1)]
+    """A flat list of [re, im] pairs, as ``matrix_to_wire`` writes a row."""
+    return matrix_to_wire(np.ravel(v))
 
 
 def wire_to_ket(data: Any, field: str = "state") -> np.ndarray:

@@ -865,7 +865,8 @@ def test_a_closed_pipe_keeps_the_exit_code_without_a_traceback():
 
 
 def _counted_verify(monkeypatch, capsys, dims):
-    # every operand is_unitary checks, keyed by its bytes, and the number of transition arrays built
+    # every operand is_unitary checks, each matrix of a stacked call on its own, keyed by its bytes,
+    # and the number of transition arrays built
     from retrodict import inference, linalg
 
     checked: dict[bytes, int] = {}
@@ -874,8 +875,9 @@ def _counted_verify(monkeypatch, capsys, dims):
 
     def counted_is_unitary(m, *args, **kwargs):
         m = np.asarray(m)
-        key = str(m.shape).encode() + np.ascontiguousarray(m).tobytes()
-        checked[key] = checked.get(key, 0) + 1
+        for member in m if m.ndim == 3 else [m]:
+            key = str(member.shape).encode() + np.ascontiguousarray(member).tobytes()
+            checked[key] = checked.get(key, 0) + 1
         return is_unitary(m, *args, **kwargs)
 
     def counted_transitions(*args, **kwargs):

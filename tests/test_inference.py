@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -721,6 +722,23 @@ def test_no_signalling_refuses_a_negative_follower_count():
         no_signalling_check(e, e, np.eye(2) / 2, extra_followers=-1)
 
 
+@pytest.mark.parametrize(
+    "rho",
+    [np.array([[0.5, 0.5], [0.0, 0.5]]), np.eye(2), np.eye(3) / 3],
+    ids=["non-hermitian", "trace-2", "wrong-shape"],
+)
+def test_no_signalling_refuses_a_state_before_drawing_followers(monkeypatch, rho):
+    def drawn(*args):
+        raise AssertionError("followers drawn for a state that is not one")
+
+    monkeypatch.setattr(inference, "_random_followers", drawn)
+    with pytest.raises(ValueError) as expected:
+        linalg.check_state(rho, 2)
+    e = projective_instrument(np.eye(2))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+        no_signalling_check(e, e, rho)
+
+
 def test_no_signalling_skips_the_conditional_of_an_impossible_outcome():
     # Z then Z on |0><0|: the second outcome 1 never occurs, so it has no conditional (and no division).
     e = projective_instrument(np.eye(2))
@@ -1407,10 +1425,11 @@ def test_open_reversal_check_on_a_stack_is_the_maximum_of_its_instances(dims_in,
 
 
 def test_open_reversal_check_checks_each_instance_of_a_stack():
-    us, _ = _operand_stacks(4)
-    us[3, 0, 0] += 1e-6
-    with pytest.raises(ValueError, match="not unitary"):
-        open_reversal_check(us, (2, 2))
+    for member in (3, 0):
+        us, _ = _operand_stacks(4)
+        us[member, 0, 0] += 1e-6
+        with pytest.raises(ValueError, match="^transformation matrix is not unitary within tolerance$"):
+            open_reversal_check(us, (2, 2))
     with pytest.raises(ValueError, match="at least one unitary"):
         open_reversal_check(us[:0], (2, 2))
 

@@ -118,6 +118,20 @@ def test_haar_unitary_and_determinant():
         assert abs(abs(np.linalg.det(u)) - 1.0) < 1e-9
 
 
+def test_is_unitary_holds_every_member_of_a_stack():
+    us = linalg.haar_random_unitaries(3, range(20, 24))
+    assert linalg.is_unitary(us)
+    off = us.copy()
+    off[2, 1, 1] += 1e-9
+    assert not linalg.is_unitary(off)
+    assert linalg.is_unitary(off[:2]) and not linalg.is_unitary(off[2])
+    nan = us.copy()
+    nan[3, 0, 2] = np.nan
+    assert not linalg.is_unitary(nan)
+    for shape_off in (us[0, 0], us[:, :, :2], us[None]):  # a 1-D array, a non-square stack, a stack of stacks
+        assert not linalg.is_unitary(shape_off)
+
+
 def haar_reference(d, seed):
     # one generator per seed, two (d, d) draws, QR, then the R-diagonal phase fix
     rng = np.random.default_rng(seed)

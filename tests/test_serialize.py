@@ -57,6 +57,12 @@ def test_ket_round_trip():
 def test_complex_convention_is_re_im_pairs():
     wire = matrix_to_wire(np.array([[1 + 2j]]))
     assert wire == [[[1.0, 2.0]]]
+    # each part a Python float, a signed zero kept, as the per-entry writer float(z.real), float(z.imag) gave
+    m = np.array([[complex(-0.0, 0.5), complex(0.25, -0.0)], [-1.5, complex(-0.0, -0.0)]])
+    per_entry = [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    assert json.dumps(matrix_to_wire(m)) == json.dumps(per_entry)
+    assert json.dumps(ket_to_wire(m)) == json.dumps(per_entry[0] + per_entry[1])
+    assert {type(part) for row in matrix_to_wire(m) for pair in row for part in pair} == {float}
 
 
 def test_instrument_round_trip():
@@ -153,6 +159,16 @@ def test_parse_rejects_missing_scenario_file():
     assert err.value.code == "malformed-document"
 
 
+def test_parse_refuses_a_numpy_complex_entry_naming_its_pair():
+    # from Python, not JSON: array("d") would read it as its real part
+    doc = json.loads((FIXTURES / "predict_identity.json").read_text())
+    pair = doc["transformation"]["matrix"][1][1] = [np.complex128(1 + 2j), 0.0]
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario_dict(doc)
+    assert err.value.code == "malformed-document"
+    assert f"expected [re, im] numbers, got {pair!r}" in str(err.value)
+
+
 def test_parse_checks_preparation_states():
     doc = {
         "task": "predict",
@@ -178,7 +194,17 @@ def test_wire_conversion_equals_per_entry_floats():
 
 
 @pytest.mark.parametrize(
-    "entry", [["1", "0"], [True, 0], [0, False], [1.0, "nan"]], ids=["strings", "true", "false", "nan-string"]
+    "entry",
+    [
+        ["1", "0"],
+        [True, 0],
+        [0, False],
+        [1.0, "nan"],
+        [np.complex128(1 + 2j), 0.0],
+        [0.5, np.complex64(0.25)],
+        [np.complex128(1.0), 0.0],
+    ],
+    ids=["strings", "true", "false", "nan-string", "numpy-complex", "numpy-complex64", "numpy-complex-real"],
 )
 def test_wire_entries_must_be_json_numbers(entry):
     for convert, data in ((wire_to_matrix, [[entry, [0, 0]], [[0, 0], [1, 0]]]), (wire_to_ket, [[1, 0], entry])):
