@@ -282,7 +282,7 @@ def amplitude_damping_instrument(gamma: float) -> Instrument:
 def projective_instrument(basis: np.ndarray) -> Instrument:
     """Nondestructive projective measurement onto the columns of ``basis``."""
     basis = np.asarray(basis, dtype=complex)
-    if not linalg.is_unitary(basis):
+    if basis.ndim != 2 or not linalg.is_unitary(basis):
         raise ValueError("measurement basis matrix must be unitary")
     d = basis.shape[0]
     outcomes = tuple(

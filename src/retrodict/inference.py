@@ -265,10 +265,14 @@ def _joined_labels(labels: tuple[tuple[str, ...], ...], mask: tuple[bool, ...]) 
     return tuple(join_labels(*combo) for combo in itertools.product(*kept))
 
 
+_NOT_UNITARY = "transformation matrix is not unitary within tolerance"
+
+
 def _check_unitary_arg(u: np.ndarray) -> np.ndarray:
+    """``u`` as a complex unitary matrix, or a ValueError; a stack of matrices is refused."""
     u = np.asarray(u, dtype=complex)
-    if not linalg.is_unitary(u):
-        raise ValueError("transformation matrix is not unitary within tolerance")
+    if u.ndim != 2 or not linalg.is_unitary(u):
+        raise ValueError(_NOT_UNITARY)
     return u
 
 
@@ -756,7 +760,8 @@ def open_reversal_check(
         raise ValueError("open_reversal_check needs at least one unitary")
     if stack.shape[1:] != (linalg.dims_total(dims_out), linalg.dims_total(dims_in)):
         raise ValueError("declared dimensions do not match the transformation matrix")
-    _check_unitary_arg(stack)
+    if not linalg.is_unitary(stack):
+        raise ValueError(_NOT_UNITARY)
     forward = stack[:, None]  # each unitary a Kraus list of one
     ud = dagger(forward)
     t = _transitions(ud).reshape(len(stack), *dims_in, *dims_out)

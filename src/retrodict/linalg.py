@@ -185,7 +185,7 @@ def is_unitary(m: np.ndarray, atol: float = ATOL_STRUCTURAL) -> bool:
     m = np.asarray(m, dtype=complex)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         return False
-    defect = np.max(np.abs(dagger(m) @ m - np.eye(m.shape[-1])), initial=0.0)
+    defect = np.max(np.abs(dagger(m) @ m - np.eye(m.shape[-1])))
     return bool(defect < atol)
 
 

@@ -36,16 +36,26 @@ TASKS = ("predict", "postdict", "classify", "purify", "verify", "sample")
 # array("d") reads these as 0.0 or 1.0; they are not numbers on the wire.
 _BOOL_TYPES = {bool, np.bool_}
 
+# array("d") reads a numpy complex as its real part with this warning; numpy < 1.25 has it at the top level.
+_COMPLEX_WARNING = getattr(np, "exceptions", np).ComplexWarning
+
+
+def _to_doubles(values) -> array.array:
+    """``array("d", values)``, with the ``ComplexWarning`` of a complex that drops its imaginary part raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", _COMPLEX_WARNING)
+        return array.array("d", values)
+
 
 def _is_number(x) -> bool:
-    """Whether ``array("d")`` converts x, or finds it beyond the float range, and x is not a bool or a numpy complex."""
-    if type(x) in _BOOL_TYPES or isinstance(x, np.complexfloating):
+    """Whether ``_to_doubles`` converts x, or finds it beyond the float range, and x is not a bool."""
+    if type(x) in _BOOL_TYPES:
         return False
     try:
-        array.array("d", (x,))
+        _to_doubles((x,))
     except OverflowError:
         return True
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, _COMPLEX_WARNING):
         return False
     return True
 
@@ -58,25 +68,20 @@ def _wire_to_complex_array(rows: list, field: str, shape: tuple[int, ...]) -> np
     from Python) except a Python or numpy bool and a numpy complex.  One
     pass reads the pairs' lengths; one more extends a single list with every
     pair's entries, with no list of pairs in between.  The entries then go
-    through ``array("d")``, which refuses every other non-number but reads a
-    bool as 0.0 or 1.0, so the entries' types are read only if one of them
-    is a whole number; a numpy complex it would read as its real part, with
-    a ``ComplexWarning`` that is raised here as an error.  Only input that
-    fails is walked, to name its first bad pair by the same rule
-    (``_is_number``).
+    through ``_to_doubles``, which refuses every other non-number, a numpy
+    complex included, but reads a bool as 0.0 or 1.0, so the entries' types
+    are read only if one of them is a whole number.  Only input that fails
+    is walked, to name its first bad pair by the same rule (``_is_number``).
     """
     values = None
     try:
         if set(map(len, itertools.chain.from_iterable(rows))) <= {2}:
             flat = functools.reduce(operator.iconcat, itertools.chain.from_iterable(rows), [])
-            with warnings.catch_warnings():
-                # A numpy complex converts through __float__, which drops its imaginary part with this warning.
-                warnings.simplefilter("error", np.exceptions.ComplexWarning)
-                values = array.array("d", flat)
+            values = _to_doubles(flat)
             parts = np.frombuffer(values)
             if np.count_nonzero(np.rint(parts) == parts) and not set(map(type, flat)).isdisjoint(_BOOL_TYPES):
                 values = None
-    except (TypeError, OverflowError, ValueError, np.exceptions.ComplexWarning):
+    except (TypeError, OverflowError, ValueError, _COMPLEX_WARNING):
         # no length, a non-number, beyond the float range, a signaling NaN, a numpy complex
         pass
     if values is None:

@@ -332,6 +332,13 @@ def test_projective_instrument_rejects_non_unitary_basis():
         projective_instrument(np.array([[1, 1], [0, 1]], dtype=complex))
 
 
+def test_projective_instrument_refuses_a_stack_of_bases():
+    bases = linalg.haar_random_unitaries(2, (3, 4))
+    assert linalg.is_unitary(bases)
+    with pytest.raises(ValueError, match="must be unitary"):
+        projective_instrument(bases)
+
+
 def test_make_dephasing_kraus():
     kraus = make_dephasing().kraus
     np.testing.assert_array_equal(kraus[0], linalg.basis_projector(2, 0))

@@ -577,6 +577,14 @@ def test_four_task_rejects_non_unital_channel():
         four_task_check(amplitude_damping(0.5))
 
 
+def test_four_task_refuses_a_stack_of_unitaries():
+    # is_unitary holds for a stack; a stack is still not one transformation
+    us = linalg.haar_random_unitaries(2, (3, 4))
+    assert linalg.is_unitary(us)
+    with pytest.raises(ValueError, match="^transformation matrix is not unitary within tolerance$"):
+        four_task_check(us)
+
+
 def test_open_reversal_identity():
     defects = open_reversal_check(np.eye(4, dtype=complex), (2, 2))
     assert defects["max"] < 1e-14

@@ -203,8 +203,18 @@ def test_wire_conversion_equals_per_entry_floats():
         [np.complex128(1 + 2j), 0.0],
         [0.5, np.complex64(0.25)],
         [np.complex128(1.0), 0.0],
+        [np.array(1 + 2j), 0.0],
     ],
-    ids=["strings", "true", "false", "nan-string", "numpy-complex", "numpy-complex64", "numpy-complex-real"],
+    ids=[
+        "strings",
+        "true",
+        "false",
+        "nan-string",
+        "numpy-complex",
+        "numpy-complex64",
+        "numpy-complex-real",
+        "numpy-0d-complex-array",
+    ],
 )
 def test_wire_entries_must_be_json_numbers(entry):
     for convert, data in ((wire_to_matrix, [[entry, [0, 0]], [[0, 0], [1, 0]]]), (wire_to_ket, [[1, 0], entry])):
