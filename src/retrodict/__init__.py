@@ -16,7 +16,6 @@ from .channels import (
     amplitude_damping,
     amplitude_damping_instrument,
     apply,
-    choi_matrix,
     classify,
     coarse_grain,
     compose_sequential,

@@ -12,8 +12,9 @@ operator basis, never by their Kraus lists, because the decomposition is not
 unique.
 
 A Kraus-form map is completely positive by construction, so a channel is
-checked by trace preservation on sum K'K alone; the Choi spectrum is
-computed only for the report of :func:`classify`.
+checked by trace preservation on sum K'K alone.  The Choi spectrum that
+:func:`classify` reports is read off the Kraus array; the Choi matrix is
+never built.
 """
 
 from __future__ import annotations
@@ -61,7 +62,11 @@ class QuantumMap:
 
 @dataclass(frozen=True)
 class ChannelClassification:
-    """``classify``'s structural report: CP, TP and unital, and the two numbers they are read from."""
+    """``classify``'s structural report: CP, TP and unital, and the two numbers they are read from.
+
+    ``choi_min_eigenvalue`` is never negative, and is exactly 0.0 when there
+    are fewer Kraus operators than d_in d_out.
+    """
 
     is_cp: bool
     is_tp: bool
@@ -119,20 +124,6 @@ def apply(qmap: QuantumMap, rho: np.ndarray) -> np.ndarray:
     return linalg.ordered_sum(qmap.kraus @ rho @ dagger(qmap.kraus))
 
 
-def choi_matrix(qmap: QuantumMap) -> np.ndarray:
-    """Choi operator sum_ij E_ij (x) map[E_ij], input side leftmost.
-
-    One outer product at a time: a stack of them would take n times the
-    memory of the Choi matrix itself.
-    """
-    dim = qmap.dim_in * qmap.dim_out
-    choi = np.zeros((dim, dim), dtype=complex)
-    for k in qmap.kraus:
-        vec = k.T.reshape(-1)  # component (i, x) = K[x, i]
-        choi += np.outer(vec, vec.conj())
-    return choi
-
-
 def _trace_defect(qmap: QuantumMap) -> float:
     """max |sum K'K - I|; NaN when an entry is not finite."""
     return float(np.max(np.abs(kraus_gram(qmap) - np.eye(qmap.dim_in))))
@@ -149,14 +140,19 @@ def is_trace_preserving(qmap: QuantumMap) -> bool:
 def classify(qmap: QuantumMap) -> ChannelClassification:
     """Structural report: CP via the Choi spectrum, TP and unital via Kraus sums.
 
-    Only the report needs the Choi spectrum: a Kraus-form map is CP by
-    construction, and every channel check reads ``is_trace_preserving``.
-    Unitality is that one criterion on the adjoint, sum K K' = I, which is
-    also what decides inference symmetry and an active reversal; the test
-    suite and ``retrodict verify`` hold it to sampled prediction and
-    postdiction tables.
+    The Choi matrix sum_ij E_ij (x) map[E_ij] of K operators is A A' for the
+    n x K matrix A of flattened operators, n = d_in d_out, so its spectrum is
+    the squared singular values of ``kraus.reshape(K, -1)`` and n - K zeros
+    when K < n: no n x n matrix is built.  Only the report needs it: a
+    Kraus-form map is CP by construction, and every channel check reads
+    ``is_trace_preserving``.  Unitality is that one criterion on the adjoint,
+    sum K K' = I, which is also what decides inference symmetry and an active
+    reversal; the test suite and ``retrodict verify`` hold it to sampled
+    prediction and postdiction tables.
     """
-    choi_min = float(np.linalg.eigvalsh(choi_matrix(qmap)).min())
+    singular = np.linalg.svd(qmap.kraus.reshape(len(qmap.kraus), -1), compute_uv=False)
+    zeros = np.zeros(qmap.dim_in * qmap.dim_out - len(singular))  # len(singular) = min(K, n)
+    choi_min = float(np.concatenate([singular**2, zeros]).min())
     tp_defect = _trace_defect(qmap)
     if qmap.dim_in == qmap.dim_out:
         unital_defect = _trace_defect(adjoint_map(qmap))

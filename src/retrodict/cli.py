@@ -28,6 +28,7 @@ from .purify import purify_instrument, stinespring, verify_purification
 from .sampler import SEED_LIMIT, sample_checks
 from .sampler import run_ensemble  # noqa: F401  (bound here for bench/test_bench.py's tracer test)
 from .serialize import (
+    TASKS,
     ScenarioFile,
     parse_scenario,
     purification_to_wire,
@@ -201,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="retrodict",
         description="Solve quantum prediction and postdiction tasks and verify their symmetries.",
     )
-    parser.add_argument("command", choices=["predict", "postdict", "classify", "purify", "verify", "sample"])
+    parser.add_argument("command", choices=TASKS)
     parser.add_argument("--scenario", help="path to a scenario JSON file")
     parser.add_argument("--format", choices=["text", "json", "csv"], default="text")
     parser.add_argument("--seed", type=_seed, default=None, help="override the scenario seed")

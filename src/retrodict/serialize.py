@@ -311,7 +311,7 @@ def parse_scenario_dict(doc: Any) -> ScenarioFile:
                     raise ScenarioError(
                         "dimension-mismatch", f"preparation.states[{i}]: length does not match dims"
                     )
-                if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
+                if not abs(np.linalg.norm(psi) - 1.0) <= linalg.ATOL_STRUCTURAL:
                     raise ScenarioError(
                         "validation", f"preparation.states[{i}]: state is not normalized"
                     )

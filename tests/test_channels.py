@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from retrodict.channels import (
     amplitude_damping_instrument,
     apply,
     check_cptp,
-    choi_matrix,
     classify,
     coarse_grain,
     compose_sequential,
@@ -26,6 +27,7 @@ from retrodict.channels import (
 )
 from retrodict.errors import UndefinedConditionalError
 
+from choi_oracle import dense_choi, dense_choi_min_eigenvalue
 from seeded_draws import random_density_matrix
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -265,20 +267,52 @@ def test_trace_preservation_of_the_adjoint_is_unitality():
     assert not is_trace_preserving(adjoint_map(random_cptp_map(3, 2, 2, 4)))
 
 
-def test_choi_positive_for_constructed_channels():
-    channels = [
-        QuantumMap((linalg.haar_random_unitary(3, 1),), 3, 3),
-        make_dephasing(),
-        amplitude_damping(0.7),
-        make_noisy_operation(linalg.haar_random_unitary(4, 2), (2, 2)),
-        random_cptp_map(3, 2, 2, 6),
-    ]
-    for channel in channels:
-        assert classify(channel).choi_min_eigenvalue >= -1e-10
+# Maps with fewer Kraus operators K than n = d_in d_out, as many, and more; non-square maps, a
+# map that doubles the trace and one with a repeated operator, whose Choi matrix is singular at K = n.
+# At K = 6 > n = 4 the K x K Gram of the flattened operators is singular but the Choi matrix is not:
+# its smallest eigenvalue is 0.0672.
+CHOI_CASES = {
+    "haar-unitary": lambda: QuantumMap((linalg.haar_random_unitary(3, 1),), 3, 3),
+    "dephasing": make_dephasing,
+    "amplitude-damping": lambda: amplitude_damping(0.7),
+    "noisy-2x2": lambda: make_noisy_operation(linalg.haar_random_unitary(4, 2), (2, 2)),
+    "more-operators-than-n": lambda: random_cptp_map(2, 2, 6, 10),
+    "2-to-3": lambda: random_cptp_map(2, 3, 2, 7),
+    "3-to-2": lambda: random_cptp_map(3, 2, 3, 8),
+    "3-to-2-thin": lambda: random_cptp_map(3, 2, 2, 6),
+    "trace-2": lambda: QuantumMap((np.sqrt(2) * HADAMARD,), 2, 2),
+    "repeated-operator": lambda: QuantumMap(random_cptp_map(2, 2, 3, 5).kraus[[0, 1, 2, 2]], 2, 2),
+}
+
+
+@pytest.mark.parametrize("case", CHOI_CASES)
+def test_classify_reads_the_choi_spectrum_of_the_dense_matrix(case):
+    qmap = CHOI_CASES[case]()
+    info = classify(qmap)
+    oracle = dense_choi_min_eigenvalue(qmap)
+    assert abs(info.choi_min_eigenvalue - oracle) <= 1e-12 * max(1.0, abs(oracle))
+    assert info.is_cp is (oracle >= -linalg.ATOL_STRUCTURAL)
+    assert info.choi_min_eigenvalue >= 0.0
+    if len(qmap.kraus) < qmap.dim_in * qmap.dim_out:
+        assert info.choi_min_eigenvalue == 0.0
+    assert info.is_tp is is_trace_preserving(qmap)
+
+
+def test_classify_holds_no_choi_sized_array():
+    # The dense Choi matrix of a 32-dimensional unitary is 1024 x 1024 complex numbers, 16 MiB.
+    qmap = QuantumMap((linalg.haar_random_unitary(32, 3),), 32, 32)
+    tracemalloc.start()
+    try:
+        info = classify(qmap)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert info.is_cp and info.is_tp and info.choi_min_eigenvalue == 0.0
+    assert peak < 2**20
 
 
 def test_choi_of_identity():
-    choi = choi_matrix(QuantumMap((np.eye(2),), 2, 2))
+    choi = dense_choi(QuantumMap((np.eye(2),), 2, 2))
     bell = linalg.tensor(linalg.basis_ket(2, 0), linalg.basis_ket(2, 0)) + linalg.tensor(
         linalg.basis_ket(2, 1), linalg.basis_ket(2, 1)
     )

@@ -31,6 +31,7 @@ from retrodict.serialize import (
     scenario_to_dict,
 )
 
+from choi_oracle import dense_choi_min_eigenvalue
 from seeded_draws import random_pure_state
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -759,7 +760,7 @@ def test_mask_entries_must_be_json_booleans(tmp_path, capsys, entry):
 
 
 # Every command but classify, on the fixtures; each must exit 0.
-NO_CHOI_RUNS = [
+NO_CLASSIFY_RUNS = [
     ["predict", "--scenario", fixture("predict_identity.json"), "--format", "json"],
     ["postdict", "--scenario", fixture("postdict_amplitude_damping.json"), "--format", "json"],
     ["purify", "--scenario", fixture("purify_amplitude_damping.json"), "--format", "json"],
@@ -769,22 +770,25 @@ NO_CHOI_RUNS = [
 ]
 
 
-def test_channel_checks_never_build_the_choi_matrix(monkeypatch, capsys):
+def test_channel_checks_never_call_classify(monkeypatch, capsys):
     # a Kraus-form map is CP by construction: only classify's report reads the Choi spectrum
     def run_all():
         outputs = []
-        for argv in NO_CHOI_RUNS:
+        for argv in NO_CLASSIFY_RUNS:
             outputs.append((main(argv), capsys.readouterr().out))
         return outputs
 
     expected = run_all()
     assert all(code == 0 for code, _ in expected)
 
-    def no_choi(qmap):
-        raise AssertionError("the Choi matrix is built for classify's report only")
+    def no_classify(qmap):
+        raise AssertionError("the Choi spectrum is read for classify's report only")
 
-    monkeypatch.setattr(channels, "choi_matrix", no_choi)
+    for module in (channels, rd.cli, rd.inference, rd.serialize, rd):
+        monkeypatch.setattr(module, "classify", no_classify)
     assert run_all() == expected
+    with pytest.raises(AssertionError, match="classify's report only"):
+        main(["classify", "--scenario", fixture("classify_dephasing.json")])
     channel = rd.amplitude_damping(0.5)
     rd.stinespring(channel)
     task = rd.InferenceTask(channel, (2,), (2,), "postdict", (True,), (True,), given_output=(0,))
@@ -798,7 +802,7 @@ def test_classify_reports_the_choi_spectrum(capsys):
     metrics = json.loads(capsys.readouterr().out)["metrics"]
     channel = parse_scenario(fixture("classify_dephasing.json")).transformation
     assert metrics["cp"] is True
-    assert metrics["choi_min_eigenvalue"] == float(np.linalg.eigvalsh(rd.choi_matrix(channel)).min())
+    assert metrics["choi_min_eigenvalue"] == dense_choi_min_eigenvalue(channel) == 0.0
 
 
 # classify's fixtures, and maps of every kind written to a scenario: a unitary, channels and an instrument.

@@ -14,7 +14,7 @@ PUBLIC = (
     "NoActiveReverseError", "NoSignallingReport", "ProbabilityTable", "Purification", "QuantumMap",
     "ScenarioError", "UndefinedConditionalError",
     "adjoint_map", "amplitude_damping", "amplitude_damping_instrument", "apply", "basis_ket", "basis_projector",
-    "channel_toward_past_check", "choi_matrix", "classify", "coarse_grain", "compose_sequential",
+    "channel_toward_past_check", "classify", "coarse_grain", "compose_sequential",
     "deterministic_effect_check", "four_task_check", "general_prep_purified_check", "haar_random_unitary",
     "is_inference_symmetric", "is_trace_preserving", "make_dephasing", "make_noisy_operation",
     "open_reversal_check", "outcome_probabilities", "postdict_channel_via_purification",

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from retrodict import linalg, serialize
+from retrodict import inference, linalg, serialize
 from retrodict.channels import Instrument, QuantumMap, amplitude_damping_instrument, random_cptp_map
 from retrodict.errors import ScenarioError
 from retrodict.purify import stinespring
@@ -180,6 +180,27 @@ def test_parse_checks_preparation_states():
     with pytest.raises(ScenarioError) as err:
         parse_scenario_dict(doc)
     assert err.value.code == "validation"
+
+
+@pytest.mark.parametrize("excess, normalized", [(0.5, True), (2.0, False)])
+def test_parse_and_library_share_one_normalization_rule(excess, normalized):
+    # |norm - 1| against linalg.ATOL_STRUCTURAL, in the parser as in inference
+    amplitude = 1.0 + excess * linalg.ATOL_STRUCTURAL
+    doc = {
+        "task": "predict",
+        "dims_in": [2],
+        "transformation": {"type": "unitary", "matrix": matrix_to_wire(np.eye(2))},
+        "preparation": {"type": "states", "states": [[[amplitude, 0.0], [0.0, 0.0]]]},
+        "given": {"input": ["0"]},
+    }
+    if normalized:
+        inference._check_preparation_states([np.array([amplitude, 0.0])], 2)
+        assert parse_scenario_dict(doc).preparation_states[0][0] == amplitude
+    else:
+        with pytest.raises(ValueError, match="not normalized"):
+            inference._check_preparation_states([np.array([amplitude, 0.0])], 2)
+        with pytest.raises(ScenarioError, match="not normalized"):
+            parse_scenario_dict(doc)
 
 
 def test_wire_conversion_equals_per_entry_floats():
